@@ -18,7 +18,6 @@ from repro.core import (
     ReduceOpType,
     adasum_linear,
     adasum_tree,
-    make_reducer,
 )
 from repro.data import make_mnist_like, train_test_split
 from repro.models import MLP
@@ -131,8 +130,6 @@ class TestPrePostOptimizer:
 class TestFp16:
     def test_fp16_pipeline_convergence(self, benchmark, save_result):
         """fp16 wire format + dynamic scaling barely moves accuracy."""
-        from repro.core import DynamicScaler, Float16Codec
-
         x, y = make_mnist_like(1024, noise=0.3, seed=0)
         x_tr, y_tr, x_te, y_te = train_test_split(x, y, 0.25, seed=1)
 
@@ -140,31 +137,21 @@ class TestFp16:
             from repro.train.trainer import compute_grads
 
             model = MLP((784, 32, 10), rng=np.random.default_rng(0))
-            reducer = make_reducer("adasum")
-            opt = SGD(model.parameters(), 0.01, momentum=0.9)
-            codec, scaler = Float16Codec(), DynamicScaler()
-            params = dict(model.named_parameters())
+            # An overflowing step is skipped inside the optimizer (one
+            # scaler verdict per step), exactly as training does it.
+            dist = DistributedOptimizer(
+                model, lambda ps: SGD(ps, 0.01, momentum=0.9), num_ranks=8,
+                op=ReduceOpType.ADASUM, adasum_pre_optimizer=True,
+                wire_codecs=("fp16",) if fp16 else (),
+            )
             loss_fn = nn.CrossEntropyLoss()
             rng = np.random.default_rng(0)
             for step in range(90):
                 idx = rng.integers(0, len(x_tr), size=(8, 8))
-                gds = []
-                for r in range(8):
-                    _, g = compute_grads(model, loss_fn, x_tr[idx[r]], y_tr[idx[r]])
-                    if fp16:
-                        encoded, skip = scaler.communicate_fp16(g, codec)
-                        if skip:
-                            continue
-                        g = scaler.unscale(codec.decode(encoded))
-                    gds.append(g)
-                if not gds:
-                    continue
-                while len(gds) & (len(gds) - 1):
-                    gds.append(gds[-1])  # pad to power of two after skips
-                combined = reducer.reduce(gds)
-                for n, p in params.items():
-                    p.grad = combined[n]
-                opt.step()
+                dist.step([
+                    compute_grads(model, loss_fn, x_tr[idx[r]], y_tr[idx[r]])[1]
+                    for r in range(8)
+                ])
             return accuracy(model, x_te, y_te)
 
         acc16 = benchmark.pedantic(train, args=(True,), rounds=1, iterations=1)

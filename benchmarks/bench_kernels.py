@@ -9,8 +9,12 @@ regressions in the NumPy kernels are visible.  Everything here is marked
 The dict-based and flat (arena) reducer benches are kept side by side so
 the flat-buffer speedup stays measurable; the train-step benches time
 the full pipeline (forward/backward into the arena, flat reduction,
-optimizer), serial and with ``parallel_ranks=True``.
+optimizer) under ``execution="serial"`` and ``execution="processes"``
+at ``min(4, os.cpu_count())`` ranks — as many rank processes as the host
+can actually run concurrently.
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -31,6 +35,8 @@ from repro.train.trainer import compute_grads
 
 pytestmark = pytest.mark.perf
 
+RANKS = max(2, min(4, os.cpu_count() or 1))
+
 
 def _lenet_grad_dicts(num_ranks=8):
     rng = np.random.default_rng(0)
@@ -42,32 +48,32 @@ def _lenet_grad_dicts(num_ranks=8):
     ]
 
 
-def _lenet_trainer(parallel_ranks):
+def _lenet_trainer(execution):
     rng = np.random.default_rng(0)
     model = LeNet5(rng=rng)
     x = rng.standard_normal((256, 1, 28, 28)).astype(np.float32)
     y = rng.integers(0, 10, 256)
     dopt = DistributedOptimizer(
         model, lambda ps: SGD(ps, 0.01, momentum=0.9),
-        num_ranks=4, op=ReduceOpType.ADASUM, adasum_pre_optimizer=True,
+        num_ranks=RANKS, op=ReduceOpType.ADASUM, adasum_pre_optimizer=True,
     )
     trainer = ParallelTrainer(model, nn.CrossEntropyLoss(), dopt, x, y,
-                              microbatch=8, parallel_ranks=parallel_ranks)
+                              microbatch=8, execution=execution)
     indices = next(iter(trainer.iterator.epoch(0)))[1]
-    trainer.train_step(indices)  # warm kernel caches / replicas
+    trainer.train_step(indices)  # warm kernel caches / worker pool
     return trainer, indices
 
 
-def _minibert_trainer(parallel_ranks):
+def _minibert_trainer(execution):
     rng = np.random.default_rng(0)
     model = MiniBERT(rng=rng)
     x = rng.integers(0, 64, (128, 32))
     y = rng.integers(0, 64, (128, 32))
     dopt = DistributedOptimizer(
-        model, lambda ps: Adam(ps, 1e-3), num_ranks=4, op=ReduceOpType.ADASUM,
+        model, lambda ps: Adam(ps, 1e-3), num_ranks=RANKS, op=ReduceOpType.ADASUM,
     )
     trainer = ParallelTrainer(model, nn.CrossEntropyLoss(), dopt, x, y,
-                              microbatch=8, parallel_ranks=parallel_ranks)
+                              microbatch=8, execution=execution)
     indices = next(iter(trainer.iterator.epoch(0)))[1]
     trainer.train_step(indices)
     return trainer, indices
@@ -125,25 +131,12 @@ def test_lenet_forward_backward(benchmark):
     assert np.isfinite(loss)
 
 
-def test_lenet_train_step_serial(benchmark):
-    trainer, indices = _lenet_trainer(parallel_ranks=False)
-    loss = benchmark(trainer.train_step, indices)
-    assert np.isfinite(loss)
-
-
-def test_lenet_train_step_parallel(benchmark):
-    trainer, indices = _lenet_trainer(parallel_ranks=True)
-    loss = benchmark(trainer.train_step, indices)
-    assert np.isfinite(loss)
-
-
-def test_minibert_train_step_serial(benchmark):
-    trainer, indices = _minibert_trainer(parallel_ranks=False)
-    loss = benchmark(trainer.train_step, indices)
-    assert np.isfinite(loss)
-
-
-def test_minibert_train_step_parallel(benchmark):
-    trainer, indices = _minibert_trainer(parallel_ranks=True)
-    loss = benchmark(trainer.train_step, indices)
+@pytest.mark.parametrize("execution", ["serial", "processes"])
+@pytest.mark.parametrize("factory", [_lenet_trainer, _minibert_trainer])
+def test_train_step(benchmark, factory, execution):
+    trainer, indices = factory(execution)
+    try:
+        loss = benchmark(trainer.train_step, indices)
+    finally:
+        trainer.close()
     assert np.isfinite(loss)

@@ -11,21 +11,23 @@ Run:  python examples/mixed_precision.py
 
 import numpy as np
 
-from repro.core import DynamicScaler, Float16Codec, adasum, adasum_scale_factors
+from repro.comm.codec import Fp16Codec
+from repro.core import DynamicScaler, adasum, adasum_scale_factors
 
 
 def main() -> None:
     rng = np.random.default_rng(0)
-    codec = Float16Codec()
     scaler = DynamicScaler(init_scale=2 ** 14)
+    codec = Fp16Codec(scaler)  # the "fp16" stage of wire_codecs=("fp16",)
 
     print("step | scale   | overflow | skipped")
     for step in range(12):
         # Occasionally produce a huge gradient to trigger the backoff.
         magnitude = 100.0 if step in (3, 4) else 1e-3
-        grads = {"layer": (rng.standard_normal(512) * magnitude).astype(np.float32)}
-        encoded, skipped = scaler.communicate_fp16(grads, codec)
-        overflow = DynamicScaler.has_overflow(encoded)
+        grad = (rng.standard_normal(512) * magnitude).astype(np.float32)
+        codec.begin_step()  # fix this step's scale
+        overflow = codec.roundtrip(grad, None)  # scale -> fp16 -> decode, in place
+        skipped = codec.finish_step(overflow)  # one scaler verdict per step
         print(f"{step:4d} | {scaler.scale_value:7.0f} | {str(overflow):8s} | {skipped}")
 
     # fp64 accumulation keeps Adasum's scale factors exact even when the

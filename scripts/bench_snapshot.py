@@ -1,9 +1,10 @@
 #!/usr/bin/env python
-"""Kernel-benchmark snapshot for the perf trajectory (``BENCH_PR2.json``).
+"""Kernel-benchmark snapshot for the perf trajectory (``BENCH_PR<N>.json``).
 
 Runs the hot-path microbenchmarks (reduction kernels, LeNet/MiniBERT
 train steps) under a wall-clock budget and writes
-``results/BENCH_PR2.json`` with per-op mean/stddev in milliseconds.
+``results/bench_snapshot.json`` (or ``--out``, e.g. the PR's
+``results/BENCH_PR<N>.json``) with per-op mean/stddev in milliseconds.
 
 The first ever run of this script records the ``baseline`` section;
 subsequent runs refresh the ``current`` section while preserving the
@@ -17,8 +18,8 @@ same script usable on both sides of an optimisation.
 Usage::
 
     PYTHONPATH=src python scripts/bench_snapshot.py [--budget 90] \
-        [--out results/BENCH_PR2.json] [--baseline] \
-        [--compare results/BENCH_PR3.json] [--ops op1,op2]
+        [--out results/BENCH_PR<N>.json] [--baseline] \
+        [--compare results/BENCH_PR4.json] [--ops op1,op2]
 
 ``--baseline`` forces this run to overwrite the baseline section.
 ``--compare PRIOR.json`` is the perf guard: after timing, compare each
@@ -28,9 +29,10 @@ regresses by more than ``--regression-threshold`` (default 25%).
 to guard just the cheap kernels).  In compare mode nothing is written
 unless ``--out`` is given explicitly.
 ``--proc-guard`` additionally requires the process backend to beat the
-threaded backend by ``--proc-speedup`` (default 1.2x) at 4 ranks on
-LeNet; it auto-skips on single-core hosts, where one OS process per
-rank cannot outrun anything.
+serial backend by ``--proc-speedup`` (default 1.2x) on LeNet at
+``min(4, os.cpu_count())`` ranks (the ``lenet_guard_serial`` /
+``lenet_guard_procs`` pair); it auto-skips on single-core hosts, where
+one OS process per rank cannot outrun anything.
 ``--reduce-guard`` requires the worker-parallel in-shm tree reduce
 (``reduce_mode="workers"``) to beat the parent-driven reduce by
 ``--reduce-speedup`` (default 1.3x) on the 8-rank MiniBERT reduce
@@ -85,7 +87,6 @@ def _lenet_grad_dicts(num_ranks: int = 8):
 
 _TRAINER_MODES = {
     "serial": {},
-    "parallel": {"execution": "threads"},
     "overlap": {"overlap": True, "bucket_cap_mb": 0.01},
     "procs": {"execution": "processes"},
     "procs_workers": {"execution": "processes", "reduce_mode": "workers"},
@@ -95,6 +96,10 @@ _TRAINER_MODES = {
 # processes and /dev/shm segments) register a close here; main() drains
 # it after each op so pools don't linger and skew later measurements.
 _CLEANUPS = []
+
+# --proc-guard's rank count: as many ranks as the host can actually run
+# concurrently, capped at 4 (2 on a single core, where the guard skips).
+_GUARD_RANKS = max(2, min(4, os.cpu_count() or 1))
 
 # Trainers built for the op being timed; main() reads their phase
 # timers (compute vs reduce split) into the op's result row, then
@@ -173,7 +178,7 @@ def build_ops():
     def train_step_setup(factory, mode, num_ranks=4):
         def setup():
             trainer, indices = factory(mode, num_ranks)
-            trainer.train_step(indices)  # warm caches / replicas
+            trainer.train_step(indices)  # warm caches / worker pools
             return lambda: trainer.train_step(indices)
         return setup
 
@@ -259,13 +264,17 @@ def build_ops():
         ("sum_reducer_lenet_8r", sum_reducer_setup),
         ("lenet_compute_grads_b16", compute_grads_setup),
         ("lenet_train_step_r4", train_step_setup(_lenet_trainer, "serial")),
-        ("lenet_train_step_r4_parallel", train_step_setup(_lenet_trainer, "parallel")),
         ("lenet_train_step_r4_overlap", train_step_setup(_lenet_trainer, "overlap")),
         ("lenet_step_procs_2", train_step_setup(_lenet_trainer, "procs", 2)),
         ("lenet_step_procs_4", train_step_setup(_lenet_trainer, "procs", 4)),
         ("lenet_step_procs_8", train_step_setup(_lenet_trainer, "procs", 8)),
+        # The --proc-guard pair: same model and step, serial vs one
+        # process per rank, at a rank count this host has cores for.
+        ("lenet_guard_serial",
+         train_step_setup(_lenet_trainer, "serial", _GUARD_RANKS)),
+        ("lenet_guard_procs",
+         train_step_setup(_lenet_trainer, "procs", _GUARD_RANKS)),
         ("minibert_train_step_r4", train_step_setup(_minibert_trainer, "serial")),
-        ("minibert_train_step_r4_parallel", train_step_setup(_minibert_trainer, "parallel")),
         ("minibert_train_step_r4_overlap", train_step_setup(_minibert_trainer, "overlap")),
         ("minibert_step_procs_4", train_step_setup(_minibert_trainer, "procs", 4)),
         # The 8-rank reduce-phase pair: identical compute, identical
@@ -335,13 +344,14 @@ def main(argv=None) -> int:
                              "mode (0.25 = 25%%)")
     parser.add_argument("--proc-guard", action="store_true",
                         help="require the process backend to beat the "
-                             "threaded backend by --proc-speedup at 4 ranks "
-                             "on LeNet; auto-skipped on single-core hosts "
-                             "where real parallel speedup is impossible")
+                             "serial backend by --proc-speedup on LeNet at "
+                             "min(4, cpu_count) ranks; auto-skipped on "
+                             "single-core hosts where real parallel speedup "
+                             "is impossible")
     parser.add_argument("--proc-speedup", type=float, default=1.2,
-                        help="required threads/procs mean ratio for "
+                        help="required serial/procs mean ratio for "
                              "--proc-guard (1.2 = procs at least 1.2x "
-                             "faster than threads)")
+                             "faster than serial)")
     parser.add_argument("--reduce-guard", action="store_true",
                         help="require the worker-parallel reduce to beat the "
                              "parent-driven reduce by --reduce-speedup on the "
@@ -365,7 +375,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     root = pathlib.Path(__file__).resolve().parent.parent
-    out_path = pathlib.Path(args.out) if args.out else root / "results" / "BENCH_PR2.json"
+    out_path = pathlib.Path(args.out) if args.out else root / "results" / "bench_snapshot.json"
     # Guard-only invocations (compare / proc-guard) are read-only unless
     # an output path is asked for explicitly.
     write_output = ((args.compare is None and not args.proc_guard
@@ -474,24 +484,27 @@ def main(argv=None) -> int:
         cpus = os.cpu_count() or 1
         if cpus < 2:
             print(f"proc guard SKIPPED: only {cpus} CPU visible — the "
-                  "process backend cannot beat threads without real cores "
+                  "process backend cannot beat serial without real cores "
                   "(guard enforces on multicore CI runners)")
         else:
-            threads_op, procs_op = "lenet_train_step_r4_parallel", "lenet_step_procs_4"
-            missing = [op for op in (threads_op, procs_op) if op not in results]
+            serial_op, procs_op = "lenet_guard_serial", "lenet_guard_procs"
+            missing = [op for op in (serial_op, procs_op) if op not in results]
             if missing:
                 print(f"proc guard: missing ops {missing} (add them via "
                       "--ops or run the full suite)", file=sys.stderr)
                 return 2
-            ratio = results[threads_op]["mean_ms"] / results[procs_op]["mean_ms"]
+            ratio = results[serial_op]["mean_ms"] / results[procs_op]["mean_ms"]
             verdict = "ok" if ratio >= args.proc_speedup else "FAIL"
-            print(f"proc guard ({cpus} CPUs): threads "
-                  f"{results[threads_op]['mean_ms']:.3f} ms / procs "
+            print(f"proc guard ({cpus} CPUs, {_GUARD_RANKS} ranks): serial "
+                  f"{results[serial_op]['mean_ms']:.3f} ms / procs "
                   f"{results[procs_op]['mean_ms']:.3f} ms = {ratio:.2f}x "
                   f"(need >= {args.proc_speedup:.2f}x) {verdict}")
             if ratio < args.proc_speedup:
-                print(f"FAIL: process backend only {ratio:.2f}x vs threads "
-                      f"at 4 ranks (required {args.proc_speedup:.2f}x)",
+                print(f"FAIL: process backend only {ratio:.2f}x vs serial "
+                      f"at {_GUARD_RANKS} ranks (required "
+                      f"{args.proc_speedup:.2f}x); pin BLAS to one thread "
+                      "(OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1) — an "
+                      "unpinned BLAS oversubscribes one-process-per-rank",
                       file=sys.stderr)
                 return 1
 

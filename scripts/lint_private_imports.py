@@ -5,17 +5,13 @@ The strategy registry (``repro.core.strategies``) is the single
 dispatch point for every reduction path.  Code outside ``src/repro/core``
 must go through ``get_strategy(...)`` / ``make_reducer(...)`` /
 ``cluster_allreduce(...)`` rather than importing the private flat
-kernels or the deprecated per-topology entry points directly.  The
+kernels directly.  The
 same boundary holds for the wire-level hierarchical collective: its
 ring-schedule internals (chunk-bound arithmetic, local reduce-scatter /
 allgather stages, the cross-node tree fallback) are private to
 ``src/repro/comm`` — everything else calls the public
-``hierarchical_*_allreduce`` entry points.  A third boundary guards
-the wire-codec stack: ``wire_dtype`` string comparisons may appear
-only in ``repro.core.config`` and ``repro.comm.codec`` — every other
-layer consumes the normalized ``wire_codecs`` tuple (or
-``codecs_from_wire_dtype``), so the deprecated alias has exactly one
-decoder.  This grep-level check keeps the boundaries from eroding: a
+``hierarchical_*_allreduce`` entry points.  This grep-level check
+keeps the boundaries from eroding: a
 private name that leaks into another package turns the next kernel
 refactor into a cross-package breakage.
 
@@ -37,10 +33,7 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 # Each rule: (tokens, allowed prefixes) — the tokens may appear only in
 # files under one of the allowed prefixes.
 RULES = (
-    # Private kernel internals plus the deprecated flat entry points.
-    # The deprecated names still exist (as warn-once shims in
-    # repro.core) so old user code keeps working, but nothing in this
-    # repo outside core/ may call them.
+    # Private kernel internals of the reduction engine.
     (
         (
             "_adasum_flat_reduce",
@@ -50,11 +43,6 @@ RULES = (
             "_flat_pair_scales",
             "_rvh_flat",
             "_ring_flat",
-            "adasum_tree_flat",
-            "adasum_tree_any_flat",
-            "adasum_linear_flat",
-            "adasum_rvh_flat",
-            "adasum_ring_flat",
             "_HierarchicalMixin",
         ),
         (REPO / "src" / "repro" / "core",),
@@ -73,25 +61,6 @@ RULES = (
             "_rebase_boundaries",
         ),
         (REPO / "src" / "repro" / "comm",),
-    ),
-    # The legacy wire_dtype string may only be *interpreted* in two
-    # places: RunConfig's fold onto wire_codecs and the codec module's
-    # codecs_from_wire_dtype.  Everywhere else must consume the
-    # normalized wire_codecs tuple / CodecPipeline — a direct string
-    # comparison reintroduces the six-file ad-hoc plumbing the codec
-    # stack replaced.
-    (
-        (
-            "wire_dtype ==",
-            "wire_dtype==",
-            "wire_dtype !=",
-            "wire_dtype!=",
-            'wire_dtype in (',
-        ),
-        (
-            REPO / "src" / "repro" / "core" / "config.py",
-            REPO / "src" / "repro" / "comm" / "codec.py",
-        ),
     ),
 )
 
@@ -133,9 +102,7 @@ def main() -> int:
             "\nroute through repro.core.strategies.get_strategy(...), "
             "repro.core.make_reducer(...), repro.comm.cluster_allreduce(...), "
             "or the public repro.comm.hierarchical_*_allreduce entry points "
-            "instead.  For wire_dtype string checks, consume the normalized "
-            "RunConfig.wire_codecs tuple or "
-            "repro.comm.codec.codecs_from_wire_dtype(...)."
+            "instead."
         )
         return 1
     print("lint_private_imports: no private kernel names outside their package")

@@ -331,10 +331,6 @@ def _elastic_main(argv) -> int:
                              "breaks node symmetry)")
     parser.add_argument("--gpus-per-node", type=int, default=1,
                         help="node width for --topology hierarchical")
-    parser.add_argument("--fp16", action="store_true",
-                        help="fp16 wire format with dynamic loss scaling")
-    parser.add_argument("--wire-dtype", choices=("fp32", "fp16"), default="fp32",
-                        help="deprecated alias for --wire-codecs fp16")
     parser.add_argument("--wire-codecs", default=None, metavar="STACK",
                         help="comma-separated wire-codec stack for the "
                              "collective, e.g. 'fp16' or 'fp16,int8,topk:0.01' "
@@ -395,8 +391,6 @@ def _elastic_main(argv) -> int:
     # DistributedOptimizer) consume it through from_config.
     config = RunConfig(
         op=args.op, topology=args.topology, gpus_per_node=args.gpus_per_node,
-        fp16=args.fp16,
-        wire_dtype=args.wire_dtype,
         wire_codecs=args.wire_codecs or (),
         bucket_cap_mb=args.bucket_cap_mb,
         num_ranks=args.ranks, microbatch=args.microbatch, seed=args.seed,
@@ -453,14 +447,14 @@ def _train_main(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro train",
         description="Train a small model under one or more execution "
-                    "backends (serial / threads / processes) and report "
-                    "wall-clock per step.  All backends are bit-identical; "
+                    "backends (serial / processes) and report "
+                    "wall-clock per step.  Both backends are bit-identical; "
                     "'processes' runs one OS process per rank writing "
                     "gradients into shared memory.  See docs/performance.md.",
     )
     parser.add_argument("--execution", action="append", choices=EXECUTIONS,
                         default=None,
-                        help="backend to run (repeatable; default: all three)")
+                        help="backend to run (repeatable; default: both)")
     parser.add_argument("--model", choices=("mlp", "lenet"), default="mlp")
     parser.add_argument("--ranks", type=int, default=4)
     parser.add_argument("--steps", type=int, default=10)
@@ -569,9 +563,6 @@ def _overlap_main(argv) -> int:
                         help="node width for --topology hierarchical")
     parser.add_argument("--bucket-cap-mb", type=float, default=1.0,
                         help="overlap bucket size cap in MB")
-    parser.add_argument("--wire-dtype", choices=("fp32", "fp16"),
-                        default="fp32",
-                        help="deprecated alias for --wire-codecs fp16")
     parser.add_argument("--wire-codecs", default=None, metavar="STACK",
                         help="comma-separated wire-codec stack for bucket "
                              "payloads, e.g. 'fp16' or 'fp16,int8,topk:0.01' "
@@ -590,7 +581,6 @@ def _overlap_main(argv) -> int:
     # from it (the overlap flag is the only difference).
     config = RunConfig(
         op=args.op, topology=args.topology, gpus_per_node=args.gpus_per_node,
-        wire_dtype=args.wire_dtype,
         wire_codecs=args.wire_codecs or (),
         bucket_cap_mb=args.bucket_cap_mb, num_ranks=args.ranks,
         microbatch=args.microbatch, seed=args.seed,

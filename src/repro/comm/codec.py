@@ -1,8 +1,6 @@
 """Composable wire codecs: the one home of the wire-format boundary.
 
-PR 4 introduced fp16 wire compression as a ``wire_dtype: "fp32"|"fp16"``
-string checked independently in six files; this module replaces that
-plumbing with a declarative codec stack.  A :class:`WireCodec` turns a
+The wire format is a declarative codec stack.  A :class:`WireCodec` turns a
 flat float32 gradient block into a wire payload and back; a
 :class:`CodecPipeline` chains codecs in declared order, so
 ``("fp16", "int8", "topk:0.01")`` means scale-to-fp16, then dynamic
@@ -107,20 +105,6 @@ def parse_wire_codecs(specs) -> Tuple[str, ...]:
     return tuple(out)
 
 
-def codecs_from_wire_dtype(wire_dtype) -> Tuple[str, ...]:
-    """Map the legacy ``wire_dtype`` string onto a codec stack.
-
-    This is the one place the ``"fp32"``/``"fp16"`` strings are
-    interpreted (enforced by ``scripts/lint_private_imports.py``):
-    ``"fp32"`` means no codecs, ``"fp16"`` means ``("fp16",)``.
-    """
-    if wire_dtype in (None, "fp32"):
-        return ()
-    if wire_dtype == "fp16":
-        return ("fp16",)
-    raise ValueError(f"wire_dtype must be 'fp32' or 'fp16', got {wire_dtype!r}")
-
-
 # ----------------------------------------------------------------------
 # Shared per-tensor primitives (also consumed by baselines/compression)
 # ----------------------------------------------------------------------
@@ -221,9 +205,8 @@ class IdentityCodec(WireCodec):
 
 
 class Fp16Codec(WireCodec):
-    """Dynamic-scaled fp16 wire cast (§4.4.1), bit-identical to the
-    legacy ``wire_dtype="fp16"`` path: scale -> fp16 cast -> finite
-    check -> decode, with one scaler verdict per step.
+    """Dynamic-scaled fp16 wire cast (§4.4.1): scale -> fp16 cast ->
+    finite check -> decode, with one scaler verdict per step.
 
     The scaler is injected (the :class:`DistributedOptimizer` owns it so
     elastic snapshots keep serializing the same object) or built lazily

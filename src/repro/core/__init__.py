@@ -6,16 +6,12 @@ Modules
     The pairwise Adasum combiner and its recursive (tree / linear)
     application, whole-model and per-layer.
 ``strategies``
-    The reduction engine: the ``(op, topology, layout)`` strategy
-    registry, the ``ReduceStrategy`` protocol, and the registry-backed
+    The reduction engine: the ``(op, topology)`` strategy registry,
+    the ``ReduceStrategy`` protocol, and the registry-backed
     ``StrategyReducer`` every trainer plugs in.
 ``config``
     Frozen declarative ``RunConfig`` plus the shared ``parse_op`` /
     ``parse_topology`` CLI helpers and centralized validation.
-``reduction``
-    Deprecated compatibility layer: the legacy ``GradientReducer``
-    classes (Sum / Average / Adasum), now thin shims over
-    ``strategies``.
 ``arena``
     ``GradientArena`` — one contiguous flat gradient buffer per rank
     with named zero-copy views (the fused-tensor layout of §4.4.3)
@@ -30,8 +26,7 @@ Modules
     Gradient accumulation via local steps with delta-from-start
     effective gradients (the TensorFlow variant of Section 5.2).
 ``precision``
-    fp16 emulation with fp64 scalar accumulation and dynamic loss
-    scaling (Section 4.4.1).
+    Dynamic loss scaling for the fp16 wire codec (Section 4.4.1).
 ``parallelize``
     Optimizer-state and effective-gradient partitioning across local
     GPUs (Section 4.3, Marian-style).
@@ -47,9 +42,7 @@ from repro.core.operator import (
     adasum_flat,
     adasum_scale_factors,
     adasum_tree,
-    adasum_tree_flat,
     adasum_linear,
-    adasum_linear_flat,
     adasum_per_layer,
     orthogonality_ratio,
 )
@@ -61,6 +54,7 @@ from repro.core.arena import (
     live_shared_segments,
 )
 from repro.core.strategies import (
+    GradientReducer,
     ReduceStrategy,
     StrategyReducer,
     get_strategy,
@@ -75,27 +69,18 @@ from repro.core.config import (
     parse_topology,
     validate_execution_strategy,
 )
-from repro.core.deprecation import reset_deprecation_warnings
-from repro.core.reduction import (
-    GradientReducer,
-    SumReducer,
-    AverageReducer,
-    AdasumReducer,
-)
 from repro.core.adasum_rvh import (
     adasum_rvh,
-    adasum_rvh_flat,
     allreduce_adasum_cluster,
 )
 from repro.core.adasum_ring import (
     adasum_ring,
-    adasum_ring_flat,
     adasum_ring_cost,
     allreduce_adasum_ring_cluster,
 )
 from repro.core.distributed_optimizer import DistributedOptimizer, ReduceOpType
 from repro.core.local_sgd import LocalStepWorker
-from repro.core.precision import DynamicScaler, Float16Codec
+from repro.core.precision import DynamicScaler
 from repro.core.parallelize import PartitionedAdasumEngine, partition_layers
 from repro.core.hessian import (
     hessian_vector_product,
@@ -114,9 +99,7 @@ __all__ = [
     "adasum_flat",
     "adasum_scale_factors",
     "adasum_tree",
-    "adasum_tree_flat",
     "adasum_linear",
-    "adasum_linear_flat",
     "adasum_per_layer",
     "orthogonality_ratio",
     "GradientArena",
@@ -135,23 +118,16 @@ __all__ = [
     "parse_op",
     "parse_topology",
     "validate_execution_strategy",
-    "reset_deprecation_warnings",
     "GradientReducer",
-    "SumReducer",
-    "AverageReducer",
-    "AdasumReducer",
     "adasum_rvh",
-    "adasum_rvh_flat",
     "allreduce_adasum_cluster",
     "adasum_ring",
-    "adasum_ring_flat",
     "adasum_ring_cost",
     "allreduce_adasum_ring_cluster",
     "DistributedOptimizer",
     "ReduceOpType",
     "LocalStepWorker",
     "DynamicScaler",
-    "Float16Codec",
     "PartitionedAdasumEngine",
     "partition_layers",
     "hessian_vector_product",

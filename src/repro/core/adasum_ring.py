@@ -99,27 +99,6 @@ def _ring_flat(
     return result
 
 
-def adasum_ring_flat(
-    comm: Comm,
-    row: np.ndarray,
-    boundaries: Optional[Sequence[int]] = None,
-    _slices: Optional[Tuple[Tuple[int, int], ...]] = None,
-) -> np.ndarray:
-    """Ring Adasum over a flat arena row.
-
-    .. deprecated:: forward to
-       ``get_strategy("adasum", "ring").combine_comm``.
-    """
-    from repro.core.deprecation import warn_deprecated
-
-    warn_deprecated("adasum_ring_flat", 'get_strategy("adasum", "ring").combine_comm')
-    if _slices is not None:
-        return _ring_flat(comm, row, boundaries, _slices)
-    from repro.core.strategies import get_strategy
-
-    return get_strategy("adasum", "ring").combine_comm(comm, row, boundaries)
-
-
 def allreduce_adasum_ring_cluster(grads, layout=None, network=None):
     """Driver mirroring :func:`repro.core.adasum_rvh.allreduce_adasum_cluster`."""
     size = len(grads)

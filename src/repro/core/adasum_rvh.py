@@ -147,27 +147,6 @@ def _rvh_flat(
     return _adasum_rvh_level(comm, flat, d=1, start=0, slices=slices)
 
 
-def adasum_rvh_flat(
-    comm: Comm,
-    row: np.ndarray,
-    boundaries: Optional[Sequence[int]] = None,
-    _slices: Optional[Tuple[Tuple[int, int], ...]] = None,
-) -> np.ndarray:
-    """AdasumRVH over a flat arena row.
-
-    .. deprecated:: forward to
-       ``get_strategy("adasum", "rvh").combine_comm``.
-    """
-    from repro.core.deprecation import warn_deprecated
-
-    warn_deprecated("adasum_rvh_flat", 'get_strategy("adasum", "rvh").combine_comm')
-    if _slices is not None:
-        return _rvh_flat(comm, row, boundaries, _slices)
-    from repro.core.strategies import get_strategy
-
-    return get_strategy("adasum", "rvh").combine_comm(comm, row, boundaries)
-
-
 def _adasum_rvh_level(
     comm: Comm, x: np.ndarray, d: int, start: int,
     slices: Optional[Tuple[Tuple[int, int], ...]],

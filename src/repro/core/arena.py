@@ -5,15 +5,14 @@ preallocated once from the model's parameter layout.  Each layer's
 gradient lives at a fixed ``(offset, length)`` slice of its rank's row,
 exposed as a named zero-copy view shaped like the parameter.  The
 training loop writes gradients straight into the views and the reducers
-(:mod:`repro.core.reduction`) run flat in-place kernels over whole rows,
+(:mod:`repro.core.strategies`) run flat in-place kernels over whole rows,
 consulting the shared :class:`~repro.comm.fusion.FusedTensorLayout` for
 per-layer boundaries — the same bookkeeping Horovod's fusion buffer
 keeps, so Adasum's per-layer dot products need no dict plumbing.
 
-Every flat code path is bit-exact with the historical dict-of-arrays
-path (property-tested in ``tests/core/test_arena.py``): identical
-per-layer fp64 accumulation, identical recursion order, identical
-rounding points.
+Every flat code path is bit-exact with the per-layer reference operator
+(property-tested in ``tests/core/test_arena.py``): identical per-layer
+fp64 accumulation, identical recursion order, identical rounding points.
 """
 
 from __future__ import annotations

@@ -6,9 +6,8 @@ its own slice of the mutual-exclusion rules.  :class:`RunConfig` is the
 one frozen description of a run: flags are parsed into it exactly once
 (:func:`parse_op` / :func:`parse_topology` in the CLI), validation
 happens centrally in ``__post_init__`` (including the
-``overlap``/``parallel_ranks`` exclusion that used to live in
-``ParallelTrainer.__init__``), and the trainers consume it through
-``from_config`` classmethods.
+``overlap``/``execution`` exclusion), and the trainers consume it
+through ``from_config`` classmethods.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
+from repro.comm.codec import parse_wire_codecs
 from repro.core.distributed_optimizer import ReduceOpType
 from repro.core.strategies import (
     OPS,
@@ -54,20 +54,13 @@ def parse_topology(value) -> str:
     return topology
 
 
-#: Valid execution backends, in cost order: in-process serial loop,
-#: GIL-sharing threads, one OS process per rank over shared memory.
-EXECUTIONS = ("serial", "threads", "processes")
+#: Valid execution backends: in-process serial loop, or one OS process
+#: per rank over shared memory.
+EXECUTIONS = ("serial", "processes")
 
 
 def parse_execution(value) -> str:
-    """Parse/validate an execution backend name.
-
-    Accepts the legacy ``parallel_ranks`` booleans (``True`` →
-    ``"threads"``, ``False`` → ``"serial"``) so old call sites keep
-    working through the one validation chokepoint.
-    """
-    if isinstance(value, bool):
-        value = "threads" if value else "serial"
+    """Parse/validate an execution backend name."""
     execution = str(value).lower()
     if execution not in EXECUTIONS:
         raise ValueError(
@@ -76,35 +69,18 @@ def parse_execution(value) -> str:
     return execution
 
 
-def validate_execution_strategy(
-    overlap: bool, execution, reduce_mode: str = "parent", fp16: bool = False
-) -> str:
-    """The one home of the overlap/threads/processes exclusion rules.
+def validate_execution_strategy(overlap: bool, execution) -> str:
+    """The one home of the overlap/processes exclusion rule.
 
-    ``execution`` may be a backend name or a legacy ``parallel_ranks``
-    bool.  Returns the normalized backend name.  Overlap reorders the
-    backward pass around communication and owns the step loop, so it is
-    mutually exclusive with every concurrent-rank backend.
-
-    ``reduce_mode``/``fp16`` extend the rule set to the worker-parallel
-    in-shm reduce: wire codecs (``wire_codecs``) compose with it freely
-    — the parent round-trips the arena rows in shared memory *before*
-    the workers combine them — but the legacy ``fp16=True`` dict codec
-    bypasses the arena entirely, so that pair fails fast here rather
-    than silently falling back.
+    Returns the normalized backend name.  Overlap reorders the backward
+    pass around communication and owns the step loop, so it is mutually
+    exclusive with the concurrent-rank backend.
     """
     execution = parse_execution(execution)
     if overlap and execution != "serial":
         raise ValueError(
             f"overlap and execution={execution!r} are mutually exclusive "
             "execution strategies; choose one"
-        )
-    if reduce_mode == "workers" and fp16:
-        raise ValueError(
-            "reduce_mode='workers' is incompatible with the legacy "
-            "fp16 dict codec (fp16=True): the dict path bypasses the "
-            "shared-memory arena the workers reduce; use "
-            "wire_codecs=('fp16',) instead"
         )
     return execution
 
@@ -124,12 +100,9 @@ class RunConfig:
     gpus_per_node: int = 1
     per_layer: bool = True
     adasum_pre_optimizer: bool = False
-    fp16: bool = False
-    wire_dtype: str = "fp32"
     wire_codecs: Tuple[str, ...] = ()
     bucket_cap_mb: Optional[float] = None
     overlap: bool = False
-    parallel_ranks: bool = False
     execution: str = "serial"
     reduce_mode: str = "parent"
     num_ranks: int = 1
@@ -144,26 +117,10 @@ class RunConfig:
         object.__setattr__(self, "op", parse_op(self.op).value)
         object.__setattr__(self, "topology", parse_topology(self.topology))
         # Fail fast if the cell is not registered.
-        get_strategy(self.op, self.topology, "flat")
-        # Wire codecs: parse/validate the stack exactly once; the legacy
-        # wire_dtype string folds onto it (warn-once) so every consumer
-        # downstream sees only the normalized wire_codecs tuple.
-        from repro.comm.codec import codecs_from_wire_dtype, parse_wire_codecs
-
-        legacy_codecs = codecs_from_wire_dtype(self.wire_dtype)  # validates string
-        wire_codecs = parse_wire_codecs(self.wire_codecs)
-        if legacy_codecs:
-            from repro.core.deprecation import warn_deprecated
-
-            warn_deprecated('wire_dtype="fp16"', 'wire_codecs=("fp16",)')
-            if not wire_codecs:
-                wire_codecs = legacy_codecs
-            elif "fp16" not in wire_codecs:
-                raise ValueError(
-                    'wire_dtype="fp16" conflicts with wire_codecs='
-                    f"{wire_codecs!r}; declare the stack once via wire_codecs"
-                )
-        object.__setattr__(self, "wire_codecs", wire_codecs)
+        get_strategy(self.op, self.topology)
+        # Wire codecs: parse/validate the stack exactly once so every
+        # consumer downstream sees only the normalized tuple.
+        object.__setattr__(self, "wire_codecs", parse_wire_codecs(self.wire_codecs))
         if self.num_ranks < 1:
             raise ValueError("num_ranks must be >= 1")
         if self.gpus_per_node < 1:
@@ -190,20 +147,8 @@ class RunConfig:
             raise ValueError("min_ranks must be >= 1")
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
-        execution = parse_execution(self.execution)
-        if self.parallel_ranks and execution == "serial":
-            # Legacy flag maps onto the backend enum (warn-once).
-            from repro.core.deprecation import warn_deprecated
-
-            warn_deprecated("parallel_ranks=True", 'execution="threads"')
-            execution = "threads"
-        execution = validate_execution_strategy(
-            self.overlap, execution, reduce_mode=self.reduce_mode, fp16=self.fp16
-        )
+        execution = validate_execution_strategy(self.overlap, self.execution)
         object.__setattr__(self, "execution", execution)
-        # Keep the legacy field readable: True exactly when the resolved
-        # backend is the threaded one, so old call sites see the truth.
-        object.__setattr__(self, "parallel_ranks", execution == "threads")
         if self.reduce_mode not in ("parent", "workers"):
             raise ValueError(
                 f"reduce_mode must be 'parent' or 'workers', got "
@@ -229,16 +174,6 @@ class RunConfig:
         """The op as the :class:`ReduceOpType` enum."""
         return ReduceOpType(self.op)
 
-    @property
-    def tree(self) -> bool:
-        """Legacy ``tree`` flag: topology is a binary-tree recursion."""
-        return self.topology in ("tree", "tree_any")
-
-    @property
-    def allow_non_pow2(self) -> bool:
-        """Legacy non-power-of-two flag (the ``tree_any`` geometry)."""
-        return self.topology != "tree"
-
     def make_reducer(self) -> StrategyReducer:
         """Build the registry-backed reducer this config describes."""
         return StrategyReducer(
@@ -254,8 +189,8 @@ class RunConfig:
         The multi-tenant scheduler admits jobs onto a fixed pool of
         ``pool_size`` ranks; a config that demands more than the pool,
         or whose elastic floor exceeds its own width, can never start.
-        Scheduler jobs run under ``ElasticTrainer``, so its backend and
-        topology restrictions apply here too.  Returns ``self`` so the
+        Scheduler jobs run under ``ElasticTrainer``, so its topology
+        restriction applies here too.  Returns ``self`` so the
         call chains.
         """
         if pool_size < 1:
@@ -268,11 +203,6 @@ class RunConfig:
             raise ValueError(
                 f"min_ranks ({self.min_ranks}) exceeds num_ranks "
                 f"({self.num_ranks}); the job could never admit"
-            )
-        if self.execution == "threads":
-            raise ValueError(
-                "scheduler jobs run under ElasticTrainer; "
-                "execution must be 'serial' or 'processes'"
             )
         if self.topology == "rvh":
             raise ValueError(

@@ -31,8 +31,9 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.comm.codec import build_pipeline, codecs_from_wire_dtype, parse_wire_codecs
-from repro.core.precision import DynamicScaler, Float16Codec
+from repro.comm.codec import build_pipeline, parse_wire_codecs
+from repro.core.arena import GradientArena
+from repro.core.precision import DynamicScaler
 from repro.core.strategies import GradientReducer, StrategyReducer
 from repro.nn.module import Module
 from repro.optim.optimizer import Optimizer
@@ -50,24 +51,16 @@ class ReduceOpType(enum.Enum):
 def make_reducer(
     op,
     per_layer: bool = True,
-    tree: bool = True,
-    allow_non_pow2: bool = False,
-    topology: str = None,
+    topology: str = "tree",
     gpus_per_node: int = None,
 ) -> GradientReducer:
     """Build the registry-backed reducer implementing ``op``.
 
     ``op`` is a :class:`ReduceOpType` or its string value.  ``topology``
-    names a registered cell directly (``"tree"`` / ``"tree_any"`` /
-    ``"linear"`` / ``"rvh"`` / ``"ring"`` / ``"hierarchical"``); when
-    ``None`` it derives from the legacy ``(tree, allow_non_pow2)`` flag
-    pair.  ``gpus_per_node`` parameterizes the hierarchical topology.
+    names a registered cell (``"tree"`` / ``"tree_any"`` / ``"linear"``
+    / ``"rvh"`` / ``"ring"`` / ``"hierarchical"``); ``gpus_per_node``
+    parameterizes the hierarchical topology.
     """
-    if topology is None:
-        if tree:
-            topology = "tree_any" if allow_non_pow2 else "tree"
-        else:
-            topology = "linear"
     return StrategyReducer(
         op=op, topology=topology, per_layer=per_layer, gpus_per_node=gpus_per_node
     )
@@ -105,30 +98,23 @@ class DistributedOptimizer:
     adasum_pre_optimizer:
         Apply Adasum to raw gradients before a single shared optimizer
         step (valid for SGD-family optimizers; Figure 3 mode otherwise).
-    per_layer, tree:
-        Adasum application granularity and recursion order.
-    allow_non_pow2:
-        Accept non-power-of-two rank counts in tree mode (elastic
-        worlds); see :class:`~repro.core.reduction.AdasumReducer`.
-    fp16:
-        Communicate in fp16 with dynamic scaling (§4.4.1): each rank's
-        contribution is scaled, cast to fp16 and checked for overflow
-        before reduction; an overflow backs the scale off and skips the
-        step, exactly as the Horovod implementation does.
+    per_layer:
+        Adasum application granularity (per layer, or whole model).
+    topology, gpus_per_node:
+        The registered reduction cell (recursion order; ``"tree_any"``
+        accepts non-power-of-two worlds) and the node width of the
+        ``hierarchical`` topology.
     wire_codecs:
-        Declarative wire-codec stack for the *flat* arena paths
-        (``step_arena``, ``prepare_wire_arena`` and the overlap
-        scheduler), e.g. ``("fp16",)`` or ``("fp16", "int8",
-        "topk:0.01")`` — see :mod:`repro.comm.codec`.  Each step the
+        Declarative wire-codec stack, e.g. ``("fp16",)`` or ``("fp16",
+        "int8", "topk:0.01")`` — see :mod:`repro.comm.codec`.  Each step the
         participating rows are round-tripped through the stack in place
         at the wire boundary, so reduction arithmetic (Adasum dot
         products included) stays in full precision over exactly the
         values a receiver would decode.  Bounded-error codecs carry
-        per-row error-feedback residuals; an fp16 stage keeps the
-        dynamic scaler's one-verdict-per-step behaviour (§4.4.1).
-    wire_dtype:
-        Deprecated alias: ``"fp16"`` means ``wire_codecs=("fp16",)``
-        (warn-once); ``"fp32"`` means no codecs.
+        per-row error-feedback residuals; an fp16 stage communicates
+        with dynamic scaling (§4.4.1): an overflow backs the scale off
+        and skips the step (one scaler verdict per step), exactly as
+        the Horovod implementation does.
     """
 
     def __init__(
@@ -139,11 +125,7 @@ class DistributedOptimizer:
         op: ReduceOpType = ReduceOpType.ADASUM,
         adasum_pre_optimizer: bool = False,
         per_layer: bool = True,
-        tree: bool = True,
-        fp16: bool = False,
-        allow_non_pow2: bool = False,
-        wire_dtype: str = "fp32",
-        topology: str = None,
+        topology: str = "tree",
         gpus_per_node: int = None,
         wire_codecs=None,
     ):
@@ -156,53 +138,19 @@ class DistributedOptimizer:
         self.op = op
         self.per_layer = per_layer
         self.reducer = make_reducer(
-            op,
-            per_layer=per_layer,
-            tree=tree,
-            allow_non_pow2=allow_non_pow2,
-            topology=topology,
-            gpus_per_node=gpus_per_node,
+            op, per_layer=per_layer, topology=topology, gpus_per_node=gpus_per_node
         )
         self.topology = self.reducer.topology
         self.gpus_per_node = getattr(self.reducer, "gpus_per_node", 1)
-        self.tree = self.reducer.tree
-        self.allow_non_pow2 = self.reducer.allow_non_pow2
         self.adasum_pre_optimizer = adasum_pre_optimizer
         self._param_names = [name for name, _ in model.named_parameters()]
         self._params = dict(model.named_parameters())
-        specs = parse_wire_codecs(wire_codecs)
-        legacy = codecs_from_wire_dtype(wire_dtype)  # validates the string
-        if legacy:
-            from repro.core.deprecation import warn_deprecated
-
-            warn_deprecated('wire_dtype="fp16"', 'wire_codecs=("fp16",)')
-            if not specs:
-                specs = legacy
-            elif "fp16" not in specs:
-                raise ValueError(
-                    'wire_dtype="fp16" conflicts with wire_codecs='
-                    f"{specs!r}; declare the stack once via wire_codecs"
-                )
-        if fp16 and specs:
-            raise ValueError(
-                "fp16=True (legacy dict codec) cannot combine with "
-                "wire_codecs; declare the stack as wire_codecs=('fp16', ...)"
-            )
-        self.fp16 = fp16
-        self.wire_dtype = wire_dtype
-        #: Normalized codec stack active on the flat arena paths.
-        self.wire_codecs = specs
-        #: An fp16 wire stage (dynamic scaler) is active somewhere.
-        self.wire_fp16 = fp16 or "fp16" in specs
-        self._codec = Float16Codec() if self.wire_fp16 else None
+        #: Normalized codec stack active at the wire boundary.
+        self.wire_codecs = parse_wire_codecs(wire_codecs)
+        #: An fp16 wire stage (dynamic scaler) is active.
+        self.wire_fp16 = "fp16" in self.wire_codecs
         self._scaler = DynamicScaler() if self.wire_fp16 else None
-        # The pipeline drives the flat wire boundary.  fp16=True keeps
-        # the dict codec for step()/step_arena() but the overlap
-        # scheduler still encodes flat rows, so it gets a pipeline too
-        # (sharing self._scaler either way: one state trajectory).
-        self.wire_pipeline = build_pipeline(
-            specs if specs else (("fp16",) if fp16 else ()), scaler=self._scaler
-        )
+        self.wire_pipeline = build_pipeline(self.wire_codecs, scaler=self._scaler)
         #: Modeled encoded wire bytes (all participating rows) for the
         #: last prepared step, and accumulated over the run.
         self.last_wire_bytes = 0
@@ -226,23 +174,13 @@ class DistributedOptimizer:
         optimizer_factory: Callable[[list], Optimizer],
         config,
         num_ranks: int = None,
-        allow_non_pow2: bool = None,
     ) -> "DistributedOptimizer":
         """Build from a :class:`repro.core.config.RunConfig`.
 
         ``config`` is duck-typed (any object with the ``RunConfig``
         reduction fields works).  ``num_ranks`` overrides
-        ``config.num_ranks``; ``allow_non_pow2=True`` widens a ``tree``
-        topology to ``tree_any`` (the elastic runtime's geometry, where
-        the world can shrink to any size mid-run).
+        ``config.num_ranks``.
         """
-        topology = config.topology
-        if allow_non_pow2 and topology == "tree":
-            topology = "tree_any"
-        wire_codecs = getattr(config, "wire_codecs", None)
-        if wire_codecs is None:
-            # Duck-typed legacy config objects: fold the old field.
-            wire_codecs = codecs_from_wire_dtype(getattr(config, "wire_dtype", "fp32"))
         return cls(
             model,
             optimizer_factory,
@@ -250,10 +188,9 @@ class DistributedOptimizer:
             op=ReduceOpType(config.op),
             adasum_pre_optimizer=config.adasum_pre_optimizer,
             per_layer=config.per_layer,
-            fp16=config.fp16,
-            wire_codecs=wire_codecs,
-            topology=topology,
-            gpus_per_node=getattr(config, "gpus_per_node", None),
+            wire_codecs=config.wire_codecs,
+            topology=config.topology,
+            gpus_per_node=config.gpus_per_node,
         )
 
     # ------------------------------------------------------------------
@@ -266,46 +203,29 @@ class DistributedOptimizer:
         self.model.zero_grad()
 
     def step(self, grad_dicts: Sequence[Mapping[str, np.ndarray]]) -> None:
-        """Apply one distributed update from per-rank gradient dicts."""
-        if len(grad_dicts) != self.num_ranks:
-            raise ValueError(
-                f"expected {self.num_ranks} gradient dicts, got {len(grad_dicts)}"
-            )
-        if self.post_optimizer_mode:
-            self._step_post_optimizer(grad_dicts)
-        else:
-            self._step_pre_optimizer(grad_dicts)
+        """Apply one distributed update from per-rank gradient dicts.
+
+        The dict convenience over :meth:`step_arena`: packs the dicts
+        into a fresh arena and runs the one flat step path.
+        """
+        self.step_arena(GradientArena.from_grad_dicts(grad_dicts))
 
     def step_arena(self, arena, reduce_fn=None) -> None:
         """Apply one distributed update from a filled :class:`GradientArena`.
 
-        The flat-buffer equivalent of :meth:`step`: per-rank gradients
-        live in the arena rows and the reduction runs the reducer's flat
-        kernels over them — bit-identical results, no per-layer dict
-        temporaries.  The fp16 wire format still flows through the dict
-        codec, so that mode falls back to per-layer views.
+        Per-rank gradients live in the arena rows and the reduction runs
+        the reducer's flat kernels over them.
 
         ``reduce_fn(arena) -> flat buffer`` swaps out *who reduces* the
         prepared rows (the process backend's worker-parallel tree reduce
         plugs in here) while the wire rewrite and apply halves stay
         identical — the skip/fp16/post-optimizer bookkeeping is shared
-        whatever runs phase 2.  The fp16 dict fallback would silently
-        bypass a custom reducer, so it is rejected.
+        whatever runs phase 2.
         """
         if arena.num_ranks != self.num_ranks:
             raise ValueError(
                 f"expected a {self.num_ranks}-rank arena, got {arena.num_ranks}"
             )
-        if self.fp16:
-            if reduce_fn is not None:
-                raise ValueError(
-                    "fp16=True falls back to the dict codec path, which "
-                    "cannot honor a custom reduce_fn; use wire_codecs=('fp16',)"
-                )
-            # Views are zero-copy; the codec allocates fresh encoded
-            # tensors anyway, so nothing is lost falling back here.
-            self.step([arena.views(r) for r in range(self.num_ranks)])
-            return
         ctx = self.prepare_wire_arena(arena)
         if ctx["skip"]:
             return
@@ -314,26 +234,6 @@ class DistributedOptimizer:
         else:
             combined = reduce_fn(arena)
         self.apply_reduced_flat(combined, arena, ctx)
-
-    def _communicate(self, dicts):
-        """Apply the fp16 wire format to the tensors about to be reduced.
-
-        Returns the decoded dicts, or ``None`` when an overflow forces
-        the step to be skipped (the scale has already been backed off).
-        """
-        if not self.fp16:
-            return dicts
-        scale_used = self._scaler.scale_value
-        encoded = [self._codec.encode(self._scaler.scale(d)) for d in dicts]
-        overflow = any(DynamicScaler.has_overflow(e) for e in encoded)
-        skip = self._scaler.update(overflow)
-        if skip:
-            self.skipped_steps += 1
-            return None
-        inv = 1.0 / scale_used
-        return [
-            {n: g.astype(np.float32) * inv for n, g in e.items()} for e in encoded
-        ]
 
     # ------------------------------------------------------------------
     # Split-step API: the elastic runtime separates the local half of a
@@ -449,45 +349,3 @@ class DistributedOptimizer:
             np.copyto(p.data, starts[name])
         self.model.zero_grad()
         return starts
-
-    # ------------------------------------------------------------------
-    def _step_pre_optimizer(self, grad_dicts) -> None:
-        """allreduce(gradients) then one shared optimizer update."""
-        grad_dicts = self._communicate(grad_dicts)
-        if grad_dicts is None:
-            self.model.zero_grad()
-            return
-        combined = self.reducer.reduce(grad_dicts)
-        for name in self._param_names:
-            self._params[name].grad = combined[name]
-        assert self.optimizer is not None
-        self.optimizer.step()
-        self.model.zero_grad()
-
-    def _step_post_optimizer(self, grad_dicts) -> None:
-        """Figure 3: per-rank optimizer steps, Adasum on model deltas."""
-        starts = {name: p.data.copy() for name, p in self._params.items()}
-        delta_dicts: List[Dict[str, np.ndarray]] = []
-        for rank, gdict in enumerate(grad_dicts):
-            # Restore the shared starting point, apply this rank's
-            # optimizer to its local gradient, record the delta.
-            for name, p in self._params.items():
-                np.copyto(p.data, starts[name])
-                p.grad = gdict[name]
-            self.rank_optimizers[rank].step()
-            delta_dicts.append(
-                {name: p.data - starts[name] for name, p in self._params.items()}
-            )
-        # The effective gradients are the tensors that go on the wire
-        # (Figure 3); dynamic scaling applies to them (§4.4.1).
-        delta_dicts = self._communicate(delta_dicts)
-        if delta_dicts is None:
-            for name, p in self._params.items():
-                np.copyto(p.data, starts[name])  # skipped step
-            self.model.zero_grad()
-            return
-        combined = self.reducer.reduce(delta_dicts)
-        for name, p in self._params.items():
-            # current.data.add_(effective_gradient) from Figure 3.
-            np.copyto(p.data, starts[name] + combined[name])
-        self.model.zero_grad()

@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.reduction import GradientReducer
+from repro.core.strategies import GradientReducer
 from repro.nn.module import Module
 from repro.optim.optimizer import Optimizer
 

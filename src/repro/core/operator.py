@@ -74,9 +74,9 @@ def _flat_pair_scales(
     """Per-layer ``(s1, s2)`` scale vectors for two float64 flat rows.
 
     Each layer's dot/norms are plain ``np.dot`` over the contiguous
-    float64 slice — the identical accumulation the dict path performs on
-    ``g.reshape(-1).astype(np.float64)``, so scale factors match bit for
-    bit.
+    float64 slice — the identical accumulation the reference operator
+    performs on ``g.reshape(-1).astype(np.float64)``, so scale factors
+    match bit for bit.
     """
     n_layers = len(boundaries) - 1
     s1 = np.empty(n_layers)
@@ -103,8 +103,9 @@ def _adasum_flat_pair(
 
     ``out`` may alias ``a``.  ``tmp`` is a caller-provided float64
     scratch row.  Each layer slice is scaled by its float64 scalar — the
-    same multiplication the dict path performs per layer — so results
-    are bit-identical while the row-wide add stays a single fused pass.
+    same multiplication the reference operator performs per layer — so
+    results are bit-identical while the row-wide add stays a single
+    fused pass.
     """
     s1, s2 = _flat_pair_scales(a, b, boundaries)
     for layer in range(len(boundaries) - 1):
@@ -180,8 +181,8 @@ class _FlatReducePlan:
     def _combine_loaded(self, dst: np.ndarray) -> None:
         """Adasum the two loaded scratch rows into ``dst``.
 
-        Bit-identical to the dict path's pairwise combine: float64 dots
-        per layer (``float(x @ y)`` accumulation), one rounded multiply
+        Bit-identical to the reference operator's pairwise combine:
+        float64 dots per layer (``float(x @ y)`` accumulation), one rounded multiply
         per operand, and a float64 add that rounds once into the storage
         dtype — ``np.add(..., out=dst, dtype=np.float64)`` is exactly
         ``(s1*g1 + s2*g2).astype(dtype)`` minus the intermediate pass.
@@ -239,8 +240,8 @@ def _adasum_flat_reduce(
 ) -> np.ndarray:
     """Tree or linear Adasum over the rows of a ``(ranks, size)`` buffer.
 
-    Matches the dict path bit for bit: every pairwise result rounds
-    through the storage dtype (the dict path's ``astype(g1.dtype)``
+    Matches the reference operator bit for bit: every pairwise result rounds
+    through the storage dtype (the reference operator's ``astype(g1.dtype)``
     after each combine) before being re-widened to float64 for the next
     level's scalar accumulation.  Because of that rounding, the narrow
     row *is* the authoritative intermediate — so winners are stored in
@@ -271,46 +272,6 @@ def _adasum_flat_reduce(
     for r in range(2, ranks):
         plan.combine(acc, data[r], acc)
     return acc.copy()
-
-
-def adasum_tree_flat(
-    data: np.ndarray, boundaries: Sequence[int] = None
-) -> np.ndarray:
-    """Binary-tree Adasum over ``(ranks, size)`` flat rows (power of two).
-
-    .. deprecated:: forward to
-       ``get_strategy("adasum", "tree").combine_flat`` (the registry in
-       :mod:`repro.core.strategies`).
-    """
-    from repro.core.deprecation import warn_deprecated
-    from repro.core.strategies import get_strategy
-
-    warn_deprecated("adasum_tree_flat", 'get_strategy("adasum", "tree").combine_flat')
-    ranks = data.shape[0]
-    if ranks == 0:
-        raise ValueError("adasum_tree_flat needs at least one gradient row")
-    if ranks & (ranks - 1):
-        raise ValueError(f"adasum_tree_flat requires a power-of-two count, got {ranks}")
-    return get_strategy("adasum", "tree").combine_flat(data, boundaries)
-
-
-def adasum_linear_flat(
-    data: np.ndarray, boundaries: Sequence[int] = None
-) -> np.ndarray:
-    """Linear (left-fold) Adasum over ``(ranks, size)`` flat rows.
-
-    .. deprecated:: forward to
-       ``get_strategy("adasum", "linear").combine_flat``.
-    """
-    from repro.core.deprecation import warn_deprecated
-    from repro.core.strategies import get_strategy
-
-    warn_deprecated(
-        "adasum_linear_flat", 'get_strategy("adasum", "linear").combine_flat'
-    )
-    if data.shape[0] == 0:
-        raise ValueError("adasum_linear_flat needs at least one gradient row")
-    return get_strategy("adasum", "linear").combine_flat(data, boundaries)
 
 
 def adasum_tree(grads: Sequence[np.ndarray]) -> np.ndarray:
@@ -360,30 +321,6 @@ def adasum_tree_any(grads: Sequence[np.ndarray]) -> np.ndarray:
         return adasum_tree(grads)
     p = largest_pow2_below(n)
     return adasum(adasum_tree_any(grads[:p]), adasum_tree_any(grads[p:]))
-
-
-def adasum_tree_any_flat(
-    data: np.ndarray, boundaries: Sequence[int] = None
-) -> np.ndarray:
-    """Flat-buffer :func:`adasum_tree_any` over ``(ranks, size)`` rows.
-
-    .. deprecated:: forward to
-       ``get_strategy("adasum", "tree_any").combine_flat``.
-
-    Power-of-two counts reduce with the fast tree kernel; the
-    non-power-of-two combine applies :func:`adasum_flat` in the same
-    recursion order as :func:`adasum_tree_any`, so results are bit-exact
-    with the dict path on equivalent per-layer inputs.
-    """
-    from repro.core.deprecation import warn_deprecated
-    from repro.core.strategies import get_strategy
-
-    warn_deprecated(
-        "adasum_tree_any_flat", 'get_strategy("adasum", "tree_any").combine_flat'
-    )
-    if data.shape[0] == 0:
-        raise ValueError("adasum_tree_any_flat needs at least one gradient row")
-    return get_strategy("adasum", "tree_any").combine_flat(data, boundaries)
 
 
 def adasum_linear(grads: Sequence[np.ndarray]) -> np.ndarray:

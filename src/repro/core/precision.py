@@ -1,54 +1,26 @@
 """Low-precision support (paper Section 4.4.1).
 
-Two pieces, mirroring the Horovod implementation:
-
-* :class:`Float16Codec` — fp16 storage for communicated gradients.  The
-  Adasum dot products and norms still accumulate in float64 (see
-  :func:`repro.core.operator.adasum_scale_factors`, which upcasts), the
-  property the paper calls "crucial for the improved convergence".
-* :class:`DynamicScaler` — dynamic loss/tensor scaling: keep a scale
-  factor that grows while values stay finite and backs off on overflow
-  (NaN/Inf), applied to the tensors Adasum introduces such as the
-  effective gradient of Figure 3.
+:class:`DynamicScaler` is the dynamic loss/tensor scaling policy of the
+Horovod implementation: keep a scale factor that grows while values
+stay finite and backs off on overflow (NaN/Inf), applied to the tensors
+Adasum introduces such as the effective gradient of Figure 3.  The fp16
+wire cast itself is the ``"fp16"`` stage of the codec stack
+(:class:`repro.comm.codec.Fp16Codec`), which consults this scaler; the
+Adasum dot products and norms still accumulate in float64 (see
+:func:`repro.core.operator.adasum_scale_factors`), the property the
+paper calls "crucial for the improved convergence".
 """
 
 from __future__ import annotations
-
-from typing import Dict, Mapping
-
-import numpy as np
-
-
-class Float16Codec:
-    """Encode/decode gradient dicts to fp16 for communication."""
-
-    dtype = np.float16
-
-    def encode(self, grads: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
-        """Cast to fp16 (values beyond fp16 range become inf).
-
-        The overflow-to-inf is intentional — it is the signal the
-        dynamic scaler watches for — so the NumPy warning is suppressed.
-        """
-        with np.errstate(over="ignore"):
-            return {n: g.astype(np.float16) for n, g in grads.items()}
-
-    def decode(self, grads: Mapping[str, np.ndarray], dtype=np.float32) -> Dict[str, np.ndarray]:
-        """Cast back to the compute dtype."""
-        return {n: g.astype(dtype) for n, g in grads.items()}
-
-    def nbytes(self, grads: Mapping[str, np.ndarray]) -> int:
-        """Communication bytes at fp16."""
-        return sum(g.size * 2 for g in grads.values())
 
 
 class DynamicScaler:
     """Dynamic scaling à la mixed-precision training (Micikevicius 2017).
 
-    ``scale()`` multiplies tensors up into fp16's dynamic range;
-    ``unscale()`` divides back.  ``update(found_overflow)`` implements
-    the standard policy: on overflow halve the scale and skip the step,
-    otherwise double it every ``growth_interval`` clean steps.
+    ``scale_value`` multiplies tensors up into fp16's dynamic range;
+    ``update(found_overflow)`` implements the standard policy: on
+    overflow halve the scale and skip the step, otherwise double it
+    every ``growth_interval`` clean steps.
     """
 
     def __init__(
@@ -69,18 +41,6 @@ class DynamicScaler:
         self._clean_steps = 0
         self.overflow_count = 0
 
-    def scale(self, grads: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
-        return {n: g * self.scale_value for n, g in grads.items()}
-
-    def unscale(self, grads: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
-        inv = 1.0 / self.scale_value
-        return {n: g * inv for n, g in grads.items()}
-
-    @staticmethod
-    def has_overflow(grads: Mapping[str, np.ndarray]) -> bool:
-        """True if any value is NaN or Inf (fp16 range exceeded)."""
-        return any(not np.isfinite(g).all() for g in grads.values())
-
     def update(self, found_overflow: bool) -> bool:
         """Adjust the scale; returns True if the step should be skipped."""
         if found_overflow:
@@ -93,16 +53,3 @@ class DynamicScaler:
             self.scale_value = min(self.scale_value * self.growth_factor, self.max_scale)
             self._clean_steps = 0
         return False
-
-    def communicate_fp16(
-        self, grads: Mapping[str, np.ndarray], codec: Float16Codec
-    ) -> tuple:
-        """Scale → fp16 encode → overflow check; returns (encoded, skip).
-
-        The caller decodes + unscales only when ``skip`` is False.
-        """
-        scaled = self.scale(grads)
-        encoded = codec.encode(scaled)
-        overflow = self.has_overflow(encoded)
-        skip = self.update(overflow)
-        return encoded, skip

@@ -1,30 +1,23 @@
-"""One reduction engine: the ``(op, topology, layout)`` strategy registry.
-
-Four PRs of organic growth left the Adasum operator implemented as a
-dozen loosely-coordinated entry points (``adasum_tree(_any)(_flat)``,
-``adasum_linear(_flat)``, ``adasum_rvh(_flat)``, ``adasum_ring(_flat)``,
-``elastic_reduce``, reducer classes, bucketed/overlap variants).  This
-module collapses them into one dispatcher:
+"""One reduction engine: the ``(op, topology)`` strategy registry.
 
 * a :class:`ReduceStrategy` implements one ``(op, topology)`` cell —
   ``sum`` / ``average`` / ``adasum`` × ``tree`` / ``tree_any`` /
-  ``linear`` / ``rvh`` / ``ring`` — with a *flat* kernel
+  ``linear`` / ``rvh`` / ``ring`` / ``hierarchical`` — as a *flat*
+  kernel over ``(ranks, size)`` rows
   (:meth:`~ReduceStrategy.combine_flat`, the single source of
-  arithmetic truth) and a *dict* path that is a thin pack/unpack
-  adapter over it (:meth:`~ReduceStrategy.combine_dict`);
-* the registry maps ``(op, topology, layout)`` keys (layout ``"flat"``,
-  aliased ``"arena"``, or ``"dict"``) to strategy instances, so a
+  arithmetic truth);
+* the registry maps ``(op, topology)`` keys to strategy instances, so a
   strategy registered once is immediately available phased, overlapped,
   bucketed, elastic, and from the CLI;
 * :class:`StrategyReducer` is the canonical
   :class:`GradientReducer` the trainers plug in, backed by a registry
-  lookup instead of a class hierarchy.
+  lookup instead of a class hierarchy; its ``reduce`` (and the
+  :func:`reduce_dicts` convenience over it) is the one dict adapter:
+  pack an arena, run the flat kernel, unpack.
 
-Bit-exactness contracts carried over from the legacy paths (and
-property-tested in ``tests/core/test_strategies.py``):
+Bit-exactness contracts (property-tested in
+``tests/core/test_strategies.py``):
 
-* dict and flat layouts agree bit for bit by construction (the dict
-  path routes through the flat kernel);
 * every pairwise Adasum result rounds through the storage dtype before
   the next level re-widens it, and all dots/norms accumulate in
   float64 (:mod:`repro.core.operator`);
@@ -51,13 +44,14 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.arena import GradientArena
 from repro.core.operator import (
     _adasum_flat_reduce,
     adasum_flat,
     largest_pow2_below,
 )
 
-#: The registered ops / topologies / layouts (the declared matrix).
+#: The registered ops / topologies (the declared matrix).
 OPS: Tuple[str, ...] = ("sum", "average", "adasum")
 TOPOLOGIES: Tuple[str, ...] = (
     "tree",
@@ -69,23 +63,11 @@ TOPOLOGIES: Tuple[str, ...] = (
 )
 #: Topologies whose cells share the elementwise sum/average kernel.
 _FLAT_TOPOLOGIES: Tuple[str, ...] = ("tree", "tree_any", "linear", "rvh", "ring")
-LAYOUTS: Tuple[str, ...] = ("dict", "flat")
 
 
 # ----------------------------------------------------------------------
-# Shared arithmetic helpers (moved from repro.core.reduction; that
-# module re-exports them for compatibility)
+# Shared arithmetic helpers
 # ----------------------------------------------------------------------
-def _check_consistent(grad_dicts: Sequence[Mapping[str, np.ndarray]]) -> List[str]:
-    if not grad_dicts:
-        raise ValueError("need at least one rank's gradients")
-    names = list(grad_dicts[0].keys())
-    for i, d in enumerate(grad_dicts[1:], start=1):
-        if list(d.keys()) != names:
-            raise ValueError(f"rank {i} layer names differ from rank 0")
-    return names
-
-
 #: Cache of tree-combine schedules; n is small (world sizes) and the
 #: schedule for a given n never changes.
 _TREE_LEVELS_CACHE: Dict[int, Tuple[Tuple[Tuple[int, int], ...], ...]] = {}
@@ -159,9 +141,7 @@ class ReduceStrategy:
     """One ``(op, topology)`` cell of the reduction matrix.
 
     ``combine_flat`` over ``(ranks, size)`` rows is the single source of
-    arithmetic truth; ``combine_dict`` packs one ``{layer: grad}`` dict
-    per rank into flat rows, calls it, and unpacks — so the two layouts
-    cannot drift.  Cluster-form strategies additionally implement
+    arithmetic truth.  Cluster-form strategies additionally implement
     ``combine_comm`` (one rank's half of the collective, given a
     :class:`~repro.comm.transport.Comm`), and pairwise strategies
     implement ``combine_pair`` (one tree hop, used by the elastic
@@ -177,44 +157,12 @@ class ReduceStrategy:
         if n < 1:
             raise ValueError("need at least one rank's gradients")
 
-    # -- layouts -------------------------------------------------------
+    # -- flat kernel ---------------------------------------------------
     def combine_flat(
         self, data: np.ndarray, boundaries: Sequence[int] = None
     ) -> np.ndarray:
         """Combine ``(ranks, size)`` flat rows into one flat row."""
         raise NotImplementedError
-
-    def combine_dict(
-        self,
-        grad_dicts: Sequence[Mapping[str, np.ndarray]],
-        per_layer: bool = True,
-    ) -> Dict[str, np.ndarray]:
-        """Thin dict adapter: pack rows, run the flat kernel, unpack.
-
-        ``per_layer=False`` drops the layer boundaries (whole-model
-        combination over the concatenated vector).
-        """
-        names = _check_consistent(grad_dicts)
-        self.validate_world(len(grad_dicts))
-        first = grad_dicts[0]
-        boundaries = [0]
-        for name in names:
-            boundaries.append(boundaries[-1] + first[name].size)
-        data = np.stack(
-            [
-                np.concatenate([d[name].reshape(-1) for name in names])
-                for d in grad_dicts
-            ]
-        )
-        combined = self.combine_flat(data, boundaries if per_layer else None)
-        out: Dict[str, np.ndarray] = {}
-        for name, lo, hi in zip(names, boundaries[:-1], boundaries[1:]):
-            out[name] = (
-                combined[lo:hi]
-                .reshape(first[name].shape)
-                .astype(first[name].dtype, copy=False)
-            )
-        return out
 
     # -- cluster / pairwise forms --------------------------------------
     def combine_pair(
@@ -299,41 +247,27 @@ class ReduceStrategy:
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
-_REGISTRY: Dict[Tuple[str, str, str], ReduceStrategy] = {}
+_REGISTRY: Dict[Tuple[str, str], ReduceStrategy] = {}
 
 
-def _normalize_key(op, topology: str, layout: str) -> Tuple[str, str, str]:
-    op = getattr(op, "value", op)  # accept ReduceOpType
-    layout = str(layout).lower()
-    if layout == "arena":
-        layout = "flat"
-    return (str(op).lower(), str(topology).lower(), layout)
+def register_strategy(strategy: ReduceStrategy) -> ReduceStrategy:
+    """Register ``strategy`` under its ``(op, topology)``.
 
-
-def register_strategy(
-    strategy: ReduceStrategy, layouts: Sequence[str] = LAYOUTS
-) -> ReduceStrategy:
-    """Register ``strategy`` under its ``(op, topology)`` for ``layouts``.
-
-    The dict layout is served by the strategy's own
-    :meth:`~ReduceStrategy.combine_dict` adapter, so one registration
-    covers the whole row of the layout axis.  Re-registering a key
-    replaces it (extension hook).  Returns the strategy for chaining.
+    Re-registering a key replaces it (extension hook).  Returns the
+    strategy for chaining.
     """
-    for layout in layouts:
-        _REGISTRY[_normalize_key(strategy.op, strategy.topology, layout)] = strategy
+    _REGISTRY[(strategy.op, strategy.topology)] = strategy
     return strategy
 
 
-def get_strategy(op, topology: str = "tree", layout: str = "flat") -> ReduceStrategy:
-    """Look up the strategy for ``(op, topology, layout)``.
+def get_strategy(op, topology: str = "tree") -> ReduceStrategy:
+    """Look up the strategy for ``(op, topology)``.
 
     ``op`` may be a string or a
-    :class:`~repro.core.distributed_optimizer.ReduceOpType`; layout
-    ``"arena"`` aliases ``"flat"``.  Unknown cells raise ``ValueError``
-    listing what is registered.
+    :class:`~repro.core.distributed_optimizer.ReduceOpType`.  Unknown
+    cells raise ``ValueError`` listing what is registered.
     """
-    key = _normalize_key(op, topology, layout)
+    key = (str(getattr(op, "value", op)).lower(), str(topology).lower())
     try:
         return _REGISTRY[key]
     except KeyError:
@@ -341,13 +275,13 @@ def get_strategy(op, topology: str = "tree", layout: str = "flat") -> ReduceStra
         topologies = sorted({k[1] for k in _REGISTRY})
         raise ValueError(
             f"no reduction strategy registered for op={key[0]!r}, "
-            f"topology={key[1]!r}, layout={key[2]!r}; registered ops "
-            f"{ops}, topologies {topologies}, layouts {sorted(LAYOUTS)}"
+            f"topology={key[1]!r}; registered ops {ops}, "
+            f"topologies {topologies}"
         ) from None
 
 
-def registered_cells() -> List[Tuple[str, str, str]]:
-    """All registered ``(op, topology, layout)`` keys, sorted."""
+def registered_cells() -> List[Tuple[str, str]]:
+    """All registered ``(op, topology)`` keys, sorted."""
     return sorted(_REGISTRY)
 
 
@@ -358,7 +292,7 @@ def reduce_flat(
     topology: str = "tree",
 ) -> np.ndarray:
     """Dispatch a flat ``(ranks, size)`` reduction through the registry."""
-    return get_strategy(op, topology, "flat").combine_flat(data, boundaries)
+    return get_strategy(op, topology).combine_flat(data, boundaries)
 
 
 def reduce_dicts(
@@ -367,10 +301,8 @@ def reduce_dicts(
     topology: str = "tree",
     per_layer: bool = True,
 ) -> Dict[str, np.ndarray]:
-    """Dispatch a dict-layout reduction through the registry."""
-    return get_strategy(op, topology, "dict").combine_dict(
-        grad_dicts, per_layer=per_layer
-    )
+    """Reduce one ``{layer: grad}`` dict per rank through the registry."""
+    return StrategyReducer(op, topology, per_layer=per_layer).reduce(grad_dicts)
 
 
 # ----------------------------------------------------------------------
@@ -499,7 +431,7 @@ class _AdasumLinearStrategy(ReduceStrategy):
 class _AdasumRingStrategy(_AdasumLinearStrategy):
     """Ring Adasum: the distributed execution of the same left fold.
 
-    In-process (flat/dict layouts) this is bit-identical to ``linear``
+    In-process this is bit-identical to ``linear``
     — the accumulated combination travels once around the ring, each
     hop performing the identical pairwise combine — so the two cells
     share a kernel.  The cluster form adds the wire protocol
@@ -521,7 +453,7 @@ class _AdasumRVHStrategy(ReduceStrategy):
     as partial sums finished by a group allreduce, so the float64
     accumulation associates differently from the sequential tree and
     results match the ``tree`` cell only to ``allclose``.  The flat
-    layout executes the collective over a fresh in-memory cluster so
+    kernel executes the collective over a fresh in-memory cluster so
     the cell is available to the same in-process callers as the rest of
     the matrix.
     """
@@ -729,7 +661,7 @@ class CombineSpec:
     gpus_per_node: int = 1
 
     def resolve(self) -> ReduceStrategy:
-        strategy = get_strategy(self.op, self.topology, "flat")
+        strategy = get_strategy(self.op, self.topology)
         if self.gpus_per_node != 1:
             strategy = strategy.bind(gpus_per_node=self.gpus_per_node)
         return strategy
@@ -739,8 +671,7 @@ class CombineSpec:
 
 
 # ----------------------------------------------------------------------
-# Reducer interface (canonical; legacy classes in repro.core.reduction
-# are deprecation shims over StrategyReducer)
+# Reducer interface
 # ----------------------------------------------------------------------
 class GradientReducer:
     """Strategy interface: combine one gradient dict per rank into one.
@@ -798,9 +729,9 @@ class StrategyReducer(GradientReducer):
         :meth:`ReduceStrategy.bind`); other topologies reject values
         other than ``None``/``1``.
 
-    Compatibility attributes mirror the legacy reducer classes:
-    ``name`` (the op), ``post_optimizer``, ``tree`` (topology is a tree
-    recursion), ``allow_non_pow2`` (the elastic ``tree_any`` geometry).
+    Attributes: ``name`` (the op), ``post_optimizer``, ``tree``
+    (topology is a tree recursion — selects the pairwise cluster
+    collective in :func:`repro.elastic.collective.cluster_reduce`).
     """
 
     def __init__(
@@ -812,7 +743,7 @@ class StrategyReducer(GradientReducer):
     ):
         op = str(getattr(op, "value", op)).lower()
         topology = str(topology).lower()
-        self.strategy = get_strategy(op, topology, "flat")
+        self.strategy = get_strategy(op, topology)
         if gpus_per_node is not None and int(gpus_per_node) != 1:
             self.strategy = self.strategy.bind(gpus_per_node=int(gpus_per_node))
         self.gpus_per_node = getattr(self.strategy, "gpus_per_node", 1)
@@ -822,11 +753,11 @@ class StrategyReducer(GradientReducer):
         self.per_layer = per_layer
         self.post_optimizer = op == "adasum"
         self.tree = topology in ("tree", "tree_any")
-        self.allow_non_pow2 = topology != "tree"
 
     def reduce(self, grad_dicts):
-        per_layer = self.per_layer if self.op == "adasum" else True
-        return self.strategy.combine_dict(grad_dicts, per_layer=per_layer)
+        """The dict adapter: pack an arena, run the flat kernel, unpack."""
+        arena = GradientArena.from_grad_dicts(grad_dicts)
+        return arena.unpack(self.reduce_arena(arena), copy=False)
 
     def reduce_flat(self, data, boundaries=None):
         bounds = boundaries if self.per_layer else None

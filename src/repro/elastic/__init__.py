@@ -9,7 +9,7 @@ optionally resuming from an on-disk checkpoint written by a larger
 world.  See ``docs/elastic.md``.
 """
 
-from repro.elastic.collective import cluster_reduce, elastic_reduce
+from repro.elastic.collective import cluster_reduce
 from repro.elastic.failures import (
     FailureKind,
     FailureReport,
@@ -35,7 +35,6 @@ __all__ = [
     "WorldSnapshot",
     "classify_failure",
     "cluster_reduce",
-    "elastic_reduce",
     "pack_optimizer_state",
     "restore_optimizer_state",
 ]

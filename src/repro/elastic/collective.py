@@ -47,7 +47,6 @@ import numpy as np
 
 from repro.comm.codec import Fp16WireFormat
 from repro.comm.transport import Cluster, GroupComm
-from repro.core.deprecation import warn_deprecated
 from repro.core.operator import largest_pow2_below
 from repro.core.strategies import GradientReducer, get_strategy
 
@@ -176,26 +175,3 @@ def cluster_reduce(
     combined = results[participants[0]]
     assert combined is not None, "subgroup root returned no reduction"
     return combined
-
-
-def elastic_reduce(
-    cluster: Cluster,
-    data: np.ndarray,
-    boundaries: Optional[Sequence[int]],
-    reducer: GradientReducer,
-    participants: Optional[Sequence[int]] = None,
-    wire_scale: Optional[float] = None,
-    wire_format=None,
-) -> np.ndarray:
-    """Reduce ``data`` rows over ``cluster``.
-
-    .. deprecated:: renamed to :func:`cluster_reduce` (the elastic leg
-       of the one reduction engine); same signature and bitwise
-       behaviour.
-    """
-    warn_deprecated("elastic_reduce", "cluster_reduce")
-    return cluster_reduce(
-        cluster, data, boundaries, reducer,
-        participants=participants, wire_scale=wire_scale,
-        wire_format=wire_format,
-    )

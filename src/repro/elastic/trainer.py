@@ -12,7 +12,7 @@ reduction runs as a real collective on a simulated
 3. **rewind** model, optimizer states, fp16 scaler, and data cursor to
    the in-memory last-good-step :class:`WorldSnapshot`;
 4. **rebuild** the world for the new size — fresh cluster, a
-   ``DistributedOptimizer`` with ``allow_non_pow2=True`` (the Adasum
+   ``DistributedOptimizer`` on the ``tree_any`` geometry (the Adasum
    tree re-grows for any survivor count), a re-shaped
    :class:`~repro.core.arena.GradientArena`, and per-rank optimizer
    states re-partitioned from the snapshot by global id;
@@ -113,9 +113,6 @@ class ElasticTrainer:
         zero (a safe EF state — pending error mass is dropped, never
         double-applied), and a failed collective rolls the whole step
         back before any residual-consuming update is applied.
-    wire_dtype:
-        Deprecated alias: ``"fp16"`` means ``wire_codecs=("fp16",)``
-        (warn-once); ``"fp32"`` means no codecs.
     execution:
         Phase-1 compute backend: ``"serial"`` (default) or
         ``"processes"`` (one worker process per rank writing into a
@@ -156,10 +153,8 @@ class ElasticTrainer:
         op: ReduceOpType = ReduceOpType.ADASUM,
         adasum_pre_optimizer: bool = False,
         per_layer: bool = True,
-        tree: bool = True,
-        topology: Optional[str] = None,
+        topology: str = "tree",
         gpus_per_node: int = 1,
-        fp16: bool = False,
         seed: int = 0,
         schedule: Optional[ElasticSchedule] = None,
         straggler: Optional[StragglerPolicy] = None,
@@ -171,7 +166,6 @@ class ElasticTrainer:
         min_ranks: int = 1,
         probe: Optional[OrthogonalityProbe] = None,
         specialize_kernels: bool = True,
-        wire_dtype: str = "fp32",
         wire_codecs=None,
         bucket_cap_mb: Optional[float] = None,
         execution: str = "serial",
@@ -182,11 +176,6 @@ class ElasticTrainer:
         if snapshot_every < 1:
             raise ValueError("snapshot_every must be >= 1")
         execution = parse_execution(execution)
-        if execution == "threads":
-            raise ValueError(
-                "ElasticTrainer supports execution='serial' or 'processes'; "
-                "its phase-1 compute has no thread pool"
-            )
         if reduce_mode not in ("parent", "workers"):
             raise ValueError(
                 f"reduce_mode must be 'parent' or 'workers', got {reduce_mode!r}"
@@ -204,15 +193,12 @@ class ElasticTrainer:
         self.op = op
         self.adasum_pre_optimizer = adasum_pre_optimizer
         self.per_layer = per_layer
-        self.tree = tree
         # Widen 'tree' to the any-count geometry up front: the elastic
         # world can shrink to any survivor count mid-run.
         if topology == "tree":
             topology = "tree_any"
         self.topology = topology
         self.gpus_per_node = int(gpus_per_node)
-        self.fp16 = fp16
-        self.wire_dtype = wire_dtype
         self.wire_codecs = wire_codecs
         self.bucket_cap_mb = bucket_cap_mb
         self.seed = seed
@@ -230,7 +216,7 @@ class ElasticTrainer:
         self.reduce_mode = reduce_mode
         self._proc_executor: Optional[ProcessRankExecutor] = None
         if execution == "processes":
-            ParallelTrainer._check_parallel_safe(model, execution)
+            ParallelTrainer._check_parallel_safe(model)
 
         self.membership = Membership(num_ranks)
         self.iterator = ElasticBatchIterator(
@@ -296,10 +282,8 @@ class ElasticTrainer:
             op=config.reduce_op,
             adasum_pre_optimizer=config.adasum_pre_optimizer,
             per_layer=config.per_layer,
-            tree=config.tree,
             topology=config.topology,
             gpus_per_node=config.gpus_per_node,
-            fp16=config.fp16,
             seed=config.seed,
             schedule=config.faults,
             network=config.network,
@@ -361,10 +345,6 @@ class ElasticTrainer:
             op=self.op,
             adasum_pre_optimizer=self.adasum_pre_optimizer,
             per_layer=self.per_layer,
-            tree=self.tree,
-            fp16=self.fp16,
-            allow_non_pow2=True,
-            wire_dtype=self.wire_dtype,
             wire_codecs=self.wire_codecs,
             topology=self.topology,
             gpus_per_node=self.gpus_per_node if self.topology == "hierarchical" else None,

@@ -91,6 +91,11 @@ class FusedBertRankCompute:
         if S > cfg.max_seq_len:
             raise ValueError(f"sequence length {S} exceeds max {cfg.max_seq_len}")
         H, V = cfg.hidden, cfg.vocab_size
+        if y.size and (y.min() < 0 or y.max() >= V):
+            raise ValueError(
+                f"targets outside [0, {V}) (e.g. ignore_index positions) "
+                "are not supported by the rank-fused engine"
+            )
         nh = cfg.heads
         hd = H // nh
         ready = ready_cb or (lambda name: None)

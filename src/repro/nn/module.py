@@ -137,30 +137,6 @@ class Module:
             else:
                 np.copyto(params[key].data, value)
 
-    def copy_params_from(self, other: "Module") -> None:
-        """In-place copy of ``other``'s parameter values (no allocation).
-
-        The fast replica-sync primitive used by ``parallel_ranks``
-        execution: both modules must have identical structure (e.g. one
-        is a ``deepcopy`` of the other).  Buffers are copied too so
-        replicas stay bit-identical to the shared model.
-        """
-        for (name, p), (oname, op) in zip(
-            self.named_parameters(), other.named_parameters()
-        ):
-            if name != oname or p.data.shape != op.data.shape:
-                raise ValueError(
-                    f"module structures differ: {name}{p.data.shape} vs "
-                    f"{oname}{op.data.shape}"
-                )
-            np.copyto(p.data, op.data)
-        for (name, buf), (oname, obuf) in zip(
-            self.named_buffers(), other.named_buffers()
-        ):
-            if name != oname:
-                raise ValueError(f"buffer names differ: {name} vs {oname}")
-            np.copyto(buf, obuf)
-
     # ------------------------------------------------------------------
     # Call protocol
     # ------------------------------------------------------------------

@@ -76,14 +76,14 @@ def save_checkpoint(
             "op": dist_opt.op.value,
             "post_optimizer": dist_opt.post_optimizer_mode,
             "skipped_steps": dist_opt.skipped_steps,
-            "fp16_scale": dist_opt._scaler.scale_value if dist_opt.fp16 else None,
+            "fp16_scale": dist_opt._scaler.scale_value if dist_opt.wire_fp16 else None,
             "fp16_scaler": (
                 {
                     "scale_value": dist_opt._scaler.scale_value,
                     "clean_steps": dist_opt._scaler._clean_steps,
                     "overflow_count": dist_opt._scaler.overflow_count,
                 }
-                if dist_opt.fp16 else None
+                if dist_opt.wire_fp16 else None
             ),
             "optimizers": [],
         }
@@ -145,7 +145,7 @@ def load_checkpoint(
         if dist_opt is not None:
             d = meta["dist"]
             dist_opt.skipped_steps = int(d["skipped_steps"])
-            if dist_opt.fp16 and d["fp16_scale"] is not None:
+            if dist_opt.wire_fp16 and d["fp16_scale"] is not None:
                 dist_opt._scaler.scale_value = float(d["fp16_scale"])
                 scaler_meta = d.get("fp16_scaler")
                 if scaler_meta is not None:

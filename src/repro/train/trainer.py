@@ -4,7 +4,7 @@
 rule of a ``DistributedOptimizer``: at each step it computes every
 simulated rank's gradient on the *same* starting weights (which is
 exactly what real synchronous data-parallel ranks do, since they are
-kept identical between steps) and hands the per-rank gradient dicts to
+kept identical between steps) and hands the filled gradient arena to
 the distributed optimizer for reduction and application.
 
 Instrumentation hooks (the :class:`~repro.core.OrthogonalityProbe` of
@@ -13,9 +13,7 @@ Figure 1, loss meters) plug in without touching the training loop.
 
 from __future__ import annotations
 
-import copy
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -23,8 +21,7 @@ import numpy as np
 from repro.comm.tracing import CommTracer
 from repro.comm.transport import ProcessTransport
 from repro.core.arena import GradientArena, SharedGradientArena
-from repro.core.config import parse_execution, validate_execution_strategy
-from repro.core.deprecation import warn_deprecated
+from repro.core.config import validate_execution_strategy
 from repro.core.distributed_optimizer import DistributedOptimizer
 from repro.core.orthogonality import OrthogonalityProbe
 from repro.core.overlap import OverlapScheduler, build_fused_engine
@@ -396,21 +393,16 @@ class ParallelTrainer:
         (ordering only).
     execution:
         Rank execution backend — ``"serial"`` (default: a loop in this
-        process), ``"threads"`` (a thread pool over per-rank model
-        replicas; NumPy's BLAS kernels release the GIL), or
-        ``"processes"`` (one OS process per rank writing gradients into
-        a :class:`~repro.core.arena.SharedGradientArena`; sidesteps the
-        GIL entirely — see :class:`ProcessRankExecutor`).  Under every
-        backend each rank writes only its own arena row and the
-        reduction runs after a barrier in fixed rank order, so results
-        are bit-identical to serial execution.  The concurrent backends
-        reject models whose forward pass mutates shared state in a
-        rank-order-dependent way (registered buffers such as BatchNorm
-        running stats, or active Dropout consuming a shared RNG), since
-        serial execution orders those effects.
-    parallel_ranks:
-        Deprecated alias: ``True`` means ``execution="threads"``
-        (warn-once via :mod:`repro.core.deprecation`).
+        process) or ``"processes"`` (one OS process per rank writing
+        gradients into a :class:`~repro.core.arena.SharedGradientArena`;
+        sidesteps the GIL entirely — see :class:`ProcessRankExecutor`).
+        Under either backend each rank writes only its own arena row and
+        the reduction runs after a barrier in fixed rank order, so
+        results are bit-identical to serial execution.  The process
+        backend rejects models whose forward pass mutates shared state
+        in a rank-order-dependent way (registered buffers such as
+        BatchNorm running stats, or active Dropout consuming a shared
+        RNG), since serial execution orders those effects.
     start_method, comm_timeout, faults, comm_tracer:
         Process-backend knobs forwarded to the
         :class:`~repro.comm.transport.ProcessTransport`: multiprocessing
@@ -425,9 +417,8 @@ class ParallelTrainer:
         memory; see :meth:`ProcessRankExecutor.worker_reduce`).  The two
         modes are bit-identical; ``"workers"`` wins on multicore hosts
         once the model is large enough (see docs/performance.md).
-        Requires the processes backend, a strategy with a pair schedule
-        (every registered cell except Adasum-RVH), and no legacy
-        ``fp16`` dict codec.
+        Requires the processes backend and a strategy with a pair
+        schedule (every registered cell except Adasum-RVH).
     specialize_kernels:
         Allow validated single-GEMM conv kernels inside ``train_step``
         (on by default; scoped to the step and restored after).  The
@@ -446,8 +437,8 @@ class ParallelTrainer:
         Results are bit-identical to the phased path.  Falls back to
         phased stepping automatically when an orthogonality probe is
         attached (it needs raw per-rank gradients before the Figure-3
-        delta rewrite), when ``accumulation > 1``, or on partial-world
-        steps.  Mutually exclusive with ``parallel_ranks``.
+        delta rewrite) or when ``accumulation > 1``.  Mutually
+        exclusive with ``execution="processes"``.
     bucket_cap_mb:
         Overlap fusion bucket size cap (see
         :class:`~repro.comm.bucketing.BucketPlan`).
@@ -470,12 +461,11 @@ class ParallelTrainer:
         seed: int = 0,
         tracer: Optional[CommTracer] = None,
         time_model: Optional[TrainingTimeModel] = None,
-        parallel_ranks: bool = False,
         specialize_kernels: bool = True,
         overlap: bool = False,
         bucket_cap_mb: float = 1.0,
         overlap_tracer: Optional[CommTracer] = None,
-        execution: Optional[str] = None,
+        execution: str = "serial",
         start_method: Optional[str] = None,
         comm_timeout: float = 60.0,
         faults=None,
@@ -484,14 +474,7 @@ class ParallelTrainer:
     ):
         if accumulation < 1:
             raise ValueError("accumulation must be >= 1")
-        execution = parse_execution(execution if execution is not None else "serial")
-        if parallel_ranks and execution == "serial":
-            warn_deprecated("parallel_ranks=True", 'execution="threads"')
-            execution = "threads"
-        execution = validate_execution_strategy(
-            overlap, execution, reduce_mode=reduce_mode,
-            fp16=bool(getattr(dist_opt, "fp16", False)),
-        )
+        execution = validate_execution_strategy(overlap, execution)
         self.execution = execution
         if reduce_mode not in ("parent", "workers"):
             raise ValueError(
@@ -539,7 +522,6 @@ class ParallelTrainer:
         # worker processes write them directly (zero-copy data plane).
         arena_cls = SharedGradientArena if execution == "processes" else GradientArena
         self.arena = arena_cls.from_model(model, self.num_ranks)
-        self._use_arena_step = hasattr(dist_opt, "step_arena")
         # Opt the hot training loop into validated kernel specialization
         # (scoped to train_step; see docs/performance.md for why this is
         # not on globally).
@@ -558,23 +540,9 @@ class ParallelTrainer:
                 tracer=overlap_tracer,
             )
             self._fused = build_fused_engine(model, self.num_ranks)
-        self.parallel_ranks = execution == "threads"
-        self._replicas: List[Module] = []
-        self._executor: Optional[ThreadPoolExecutor] = None
         self._proc_executor: Optional[ProcessRankExecutor] = None
-        if execution == "threads":
-            self._check_parallel_safe(model, execution)
-            # Rank 0 computes on the shared model; other ranks get
-            # replicas re-synced from it at the start of every step.
-            self._replicas = [model] + [
-                copy.deepcopy(model) for _ in range(self.num_ranks - 1)
-            ]
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.num_ranks,
-                thread_name_prefix="rank",
-            )
-        elif execution == "processes":
-            self._check_parallel_safe(model, execution)
+        if execution == "processes":
+            self._check_parallel_safe(model)
             self._proc_executor = ProcessRankExecutor(
                 model, loss_fn, self.x, self.y, microbatch, accumulation,
                 self.arena,
@@ -620,18 +588,18 @@ class ParallelTrainer:
         return cls(model, loss_fn, dist_opt, x, y, config.microbatch, **kwargs)
 
     @staticmethod
-    def _check_parallel_safe(model: Module, execution: str = "threads") -> None:
+    def _check_parallel_safe(model: Module) -> None:
         """Reject models whose forward pass has rank-order-dependent effects."""
         if any(True for _ in model.named_buffers()):
             raise ValueError(
-                f'execution="{execution}" requires a model without registered '
+                'execution="processes" requires a model without registered '
                 "buffers: running stats update in rank order under serial "
                 "execution, which concurrent ranks cannot reproduce"
             )
         for mod in model.modules():
             if type(mod).__name__ == "Dropout" and getattr(mod, "p", 0.0) > 0.0:
                 raise ValueError(
-                    f'execution="{execution}" requires inactive dropout '
+                    'execution="processes" requires inactive dropout '
                     "(p == 0): serial ranks consume the dropout RNG in rank "
                     "order, which concurrent ranks cannot reproduce"
                 )
@@ -646,15 +614,15 @@ class ParallelTrainer:
     def close(self) -> None:
         """Release execution-backend resources (idempotent).
 
-        Thread pools are joined, rank worker processes are shut down,
-        and every shared-memory segment this trainer owns is unlinked —
-        the arena module's atexit sweep is only the last-resort backstop
-        for callers that never get here (aborts, test crashes).
+        The overlap comm worker is joined, rank worker processes are
+        shut down, and every shared-memory segment this trainer owns is
+        unlinked — the arena module's atexit sweep is only the
+        last-resort backstop for callers that never get here (aborts,
+        test crashes).
         """
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
         try:
+            if self._sched is not None:
+                self._sched.close()
             if self._proc_executor is not None:
                 self._proc_executor.close()
                 self._proc_executor = None
@@ -683,6 +651,11 @@ class ParallelTrainer:
 
     def train_step(self, rank_indices: Sequence[np.ndarray]) -> float:
         """One synchronous update from per-rank sample indices."""
+        if len(rank_indices) != self.num_ranks:
+            raise ValueError(
+                f"train_step needs one index array per rank: expected "
+                f"{self.num_ranks}, got {len(rank_indices)}"
+            )
         prior = set_kernel_specialization(self.specialize_kernels)
         try:
             return self._train_step(rank_indices)
@@ -690,40 +663,32 @@ class ParallelTrainer:
             set_kernel_specialization(prior)
 
     def _train_step(self, rank_indices: Sequence[np.ndarray]) -> float:
-        if self._overlap_active and len(rank_indices) == self.num_ranks:
+        if self._overlap_active:
             return self._train_step_overlap(rank_indices)
         t0 = time.perf_counter()
         if self._proc_executor is not None:
             losses = self._proc_executor.compute(rank_indices)
-        elif self.parallel_ranks and len(rank_indices) > 1:
-            losses = self._compute_parallel(rank_indices)
         else:
             losses = [
-                self._rank_gradient(rank, idx, self.model)
+                self._rank_gradient(rank, idx)
                 for rank, idx in enumerate(rank_indices)
             ]
         t1 = time.perf_counter()
         # Zero-copy per-rank views for instrumentation; the reduction
         # itself runs flat over the arena rows.
-        grad_dicts = [self.arena.views(rank) for rank in range(len(rank_indices))]
+        grad_dicts = [self.arena.views(rank) for rank in range(self.num_ranks)]
         if self.probe is not None:
             self.probe.record(grad_dicts, step=self.global_step)
         if self.tracer is not None:
             self._trace_step(grad_dicts)
         t2 = time.perf_counter()
-        if self._use_arena_step and len(rank_indices) == self.num_ranks:
-            if self.reduce_mode == "workers":
-                self.dist_opt.step_arena(
-                    self.arena,
-                    reduce_fn=lambda arena: self._proc_executor.worker_reduce(),
-                )
-            else:
-                self.dist_opt.step_arena(self.arena)
+        if self.reduce_mode == "workers":
+            self.dist_opt.step_arena(
+                self.arena,
+                reduce_fn=lambda arena: self._proc_executor.worker_reduce(),
+            )
         else:
-            # Partial-world steps fall back to the parent dict path;
-            # the elastic supervisor drives its own worker reduce over
-            # the participant subset.
-            self.dist_opt.step(grad_dicts)
+            self.dist_opt.step_arena(self.arena)
         t3 = time.perf_counter()
         self.phase_seconds["compute"] += t1 - t0
         self.phase_seconds["reduce"] += t3 - t2
@@ -732,22 +697,6 @@ class ParallelTrainer:
         mean_loss = float(np.mean(losses))
         self.loss_meter.update(mean_loss)
         return mean_loss
-
-    def _compute_parallel(self, rank_indices: Sequence[np.ndarray]) -> List[float]:
-        """Concurrent per-rank forward/backward over model replicas.
-
-        Replicas are re-synced from the shared model before the fan-out;
-        each rank writes exclusively into its own arena row and the
-        barrier (result collection in rank order) precedes any
-        reduction, making the step bit-identical to serial execution.
-        """
-        for replica in self._replicas[1:]:
-            replica.copy_params_from(self.model)
-        futures = [
-            self._executor.submit(self._rank_gradient, rank, idx, self._replicas[rank])
-            for rank, idx in enumerate(rank_indices)
-        ]
-        return [f.result() for f in futures]
 
     def _train_step_overlap(self, rank_indices: Sequence[np.ndarray]) -> float:
         """One step with bucket reductions overlapping the backward passes."""
@@ -855,20 +804,20 @@ class ParallelTrainer:
                                label=self.dist_opt.op.value)
         self.sim_time = t2
 
-    def _rank_gradient(self, rank: int, idx: np.ndarray, model: Module) -> float:
+    def _rank_gradient(self, rank: int, idx: np.ndarray) -> float:
         """One rank's (possibly accumulated) local gradient, written
         straight into the rank's arena row; returns the loss."""
         views = self.arena.views(rank)
         if self.accumulation == 1:
             return compute_grads_into(
-                model, self.loss_fn, self.x[idx], self.y[idx], views
+                self.model, self.loss_fn, self.x[idx], self.y[idx], views
             )
         losses = []
         for k in range(self.accumulation):
             sub = idx[k * self.microbatch : (k + 1) * self.microbatch]
             losses.append(
                 compute_grads_into(
-                    model, self.loss_fn, self.x[sub], self.y[sub], views,
+                    self.model, self.loss_fn, self.x[sub], self.y[sub], views,
                     accumulate=k > 0,
                 )
             )

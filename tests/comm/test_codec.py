@@ -11,8 +11,8 @@ Covers the acceptance contracts of :mod:`repro.comm.codec`:
   eventually transmitted) and roll back on skipped steps;
 * an ``("identity",)`` stack is byte-for-byte identical to the
   no-codec path, and ``wire_codecs=("fp16",)`` is bit-identical to the
-  legacy ``wire_dtype="fp16"`` plumbing it replaces (pinned across
-  world sizes including non-powers-of-two);
+  scale -> fp16 cast -> decode arithmetic of §4.4.1 applied by hand
+  (pinned across world sizes including non-powers-of-two);
 * the transport leaf format re-encodes grid-resident rows exactly and
   falls back to raw fp32 on off-grid content.
 """
@@ -28,7 +28,6 @@ from repro.comm.codec import (
     PipelineWireFormat,
     build_codec,
     build_pipeline,
-    codecs_from_wire_dtype,
     int8_quantize,
     onebit_stats,
     parse_wire_codecs,
@@ -88,13 +87,6 @@ class TestSpecParsing:
             parse_wire_codecs(("fp16", "fp16"))
         with pytest.raises(ValueError, match="appears twice"):
             parse_wire_codecs(("topk:0.1", "topk:0.2"))
-
-    def test_wire_dtype_mapping(self):
-        assert codecs_from_wire_dtype("fp32") == ()
-        assert codecs_from_wire_dtype(None) == ()
-        assert codecs_from_wire_dtype("fp16") == ("fp16",)
-        with pytest.raises(ValueError, match="wire_dtype must be"):
-            codecs_from_wire_dtype("bf16")
 
     def test_build_pipeline_empty_is_none(self):
         assert build_pipeline(()) is None
@@ -351,16 +343,18 @@ class TestBlocksAndBytes:
 # Pipeline parity with the legacy paths (pinned)
 # ----------------------------------------------------------------------
 
-def _phased_run(num_ranks, steps=3, seed=0, **opt_kw):
+def _phased_run(num_ranks, steps=3, seed=0, prepare=None, **opt_kw):
     model = MLP((6, 10, 4), rng=np.random.default_rng(seed))
     dopt = DistributedOptimizer(
         model, lambda ps: SGD(ps, lr=0.05, momentum=0.9), num_ranks,
-        op=ReduceOpType.ADASUM, allow_non_pow2=True, **opt_kw,
+        op=ReduceOpType.ADASUM, topology="tree_any", **opt_kw,
     )
     arena = GradientArena.from_model(model, num_ranks)
     rng = np.random.default_rng(seed + 1)
     for _ in range(steps):
         arena.data[:] = rng.standard_normal(arena.data.shape).astype(np.float32)
+        if prepare is not None:
+            prepare(arena.data)
         dopt.step_arena(arena)
     return model, dopt
 
@@ -380,14 +374,22 @@ class TestLegacyParity:
         _assert_bit_identical(m_none, m_id)
 
     @pytest.mark.parametrize("ranks", [2, 3, 5, 8])
-    def test_fp16_stack_matches_wire_dtype(self, ranks):
-        """wire_codecs=("fp16",) is the wire_dtype="fp16" path, bit for
-        bit — same scaler trajectory, same encoded values."""
-        m_old, d_old = _phased_run(ranks, wire_dtype="fp16")
-        m_new, d_new = _phased_run(ranks, wire_codecs=("fp16",))
-        _assert_bit_identical(m_old, m_new)
-        assert d_old.skipped_steps == d_new.skipped_steps
-        assert d_old._scaler.scale_value == d_new._scaler.scale_value
+    def test_fp16_stack_matches_hand_rounded_rows(self, ranks):
+        """wire_codecs=("fp16",) is scale -> fp16 cast -> decode of every
+        wire tensor, bit for bit: rounding the rows by hand and reducing
+        them with no codec gives the same parameters."""
+        scale = 2.0 ** 10  # the scaler's initial (and, unskipped, constant) scale
+
+        def by_hand(data):
+            data[:] = (data * scale).astype(np.float16).astype(np.float32) * (1.0 / scale)
+
+        m_ref, _ = _phased_run(ranks, adasum_pre_optimizer=True, prepare=by_hand)
+        m_new, d_new = _phased_run(
+            ranks, adasum_pre_optimizer=True, wire_codecs=("fp16",)
+        )
+        _assert_bit_identical(m_ref, m_new)
+        assert d_new.skipped_steps == 0
+        assert d_new._scaler.scale_value == scale
 
     def test_fp16_differs_from_fp32(self):
         m_raw, _ = _phased_run(4)
@@ -401,22 +403,6 @@ class TestLegacyParity:
             assert np.isfinite(p.data).all()
         raw = 3 * 4 * d.wire_pipeline._total * 4  # steps * ranks * n * fp32
         assert 0 < d.wire_bytes_total < raw
-
-    def test_legacy_fp16_dict_conflicts_with_codecs(self):
-        model = MLP((6, 10, 4), rng=np.random.default_rng(0))
-        with pytest.raises(ValueError, match="legacy dict codec"):
-            DistributedOptimizer(
-                model, lambda ps: SGD(ps, lr=0.05), 2,
-                fp16=True, wire_codecs=("fp16",),
-            )
-
-    def test_wire_dtype_conflicts_with_other_stack(self):
-        model = MLP((6, 10, 4), rng=np.random.default_rng(0))
-        with pytest.raises(ValueError, match="conflicts with wire_codecs"):
-            DistributedOptimizer(
-                model, lambda ps: SGD(ps, lr=0.05), 2,
-                wire_dtype="fp16", wire_codecs=("int8",),
-            )
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Property tests for the flat-buffer gradient pipeline.
 
-The arena-based reducers, flat Adasum kernels and the ``parallel_ranks``
-trainer all promise *bit-exact* equivalence with the historical
-dict-of-arrays paths — not approximate equality.  Hypothesis sweeps
+The arena-based reducers and flat Adasum kernels promise *bit-exact*
+equivalence with the dict adapter and the per-layer reference operator
+— not approximate equality.  Hypothesis sweeps
 rank counts, dtypes and conv-shaped layer layouts; every assertion is
 ``array_equal`` on raw bits.
 """
@@ -19,11 +19,10 @@ from repro.core import (
     ReduceOpType,
     adasum,
     adasum_flat,
-    adasum_linear_flat,
-    adasum_tree_flat,
+    get_strategy,
     layer_id_index,
+    make_reducer,
 )
-from repro.core.reduction import AdasumReducer, AverageReducer, SumReducer
 from repro.models import LeNet5
 from repro.optim import SGD, Adam
 from repro.train import ParallelTrainer
@@ -102,7 +101,7 @@ class TestFlatReducersBitExact:
     def test_sum_and_average(self, num_ranks, shapes, seed, dtype):
         dicts = _rank_dicts(shapes, num_ranks, seed, dtype)
         arena = GradientArena.from_grad_dicts(dicts)
-        for reducer in (SumReducer(), AverageReducer()):
+        for reducer in (make_reducer("sum"), make_reducer("average")):
             ref = reducer.reduce(dicts)
             got = arena.unpack(reducer.reduce_arena(arena))
             for n in shapes:
@@ -114,7 +113,9 @@ class TestFlatReducersBitExact:
     def test_adasum(self, num_ranks, shapes, seed, dtype, per_layer, tree):
         dicts = _rank_dicts(shapes, num_ranks, seed, dtype)
         arena = GradientArena.from_grad_dicts(dicts)
-        reducer = AdasumReducer(per_layer=per_layer, tree=tree)
+        reducer = make_reducer(
+            "adasum", per_layer=per_layer, topology="tree" if tree else "linear"
+        )
         ref = reducer.reduce(dicts)
         got = arena.unpack(reducer.reduce_arena(arena))
         for n in shapes:
@@ -126,7 +127,7 @@ class TestFlatReducersBitExact:
     def test_adasum_linear_any_rank_count(self, num_ranks, shapes, seed):
         dicts = _rank_dicts(shapes, num_ranks, seed, np.float32)
         arena = GradientArena.from_grad_dicts(dicts)
-        reducer = AdasumReducer(tree=False)
+        reducer = make_reducer("adasum", topology="linear")
         ref = reducer.reduce(dicts)
         got = arena.unpack(reducer.reduce_arena(arena))
         for n in shapes:
@@ -160,62 +161,17 @@ class TestFlatOperator:
     def test_flat_tree_requires_power_of_two(self, rng):
         data = rng.standard_normal((3, 8)).astype(np.float32)
         with pytest.raises(ValueError):
-            adasum_tree_flat(data)
-        adasum_linear_flat(data)  # any count fine
+            get_strategy("adasum", "tree").combine_flat(data)
+        get_strategy("adasum", "linear").combine_flat(data)  # any count fine
 
     def test_bad_boundaries_rejected(self, rng):
         data = rng.standard_normal((2, 8)).astype(np.float32)
         with pytest.raises(ValueError):
-            adasum_tree_flat(data, [0, 4])  # does not cover the buffer
+            # boundaries do not cover the buffer
+            get_strategy("adasum", "tree").combine_flat(data, [0, 4])
 
 
-def _trainer(parallel, post_optimizer, accumulation, seed):
-    rng = np.random.default_rng(seed)
-    model = LeNet5(rng=np.random.default_rng(seed + 1))
-    x = rng.standard_normal((128, 1, 28, 28)).astype(np.float32)
-    y = rng.integers(0, 10, 128)
-    if post_optimizer:
-        dopt = DistributedOptimizer(
-            model, lambda ps: Adam(ps, 1e-3), num_ranks=4, op=ReduceOpType.ADASUM
-        )
-    else:
-        dopt = DistributedOptimizer(
-            model,
-            lambda ps: SGD(ps, 0.01, momentum=0.9),
-            num_ranks=4,
-            op=ReduceOpType.ADASUM,
-            adasum_pre_optimizer=True,
-        )
-    return ParallelTrainer(
-        model,
-        nn.CrossEntropyLoss(),
-        dopt,
-        x,
-        y,
-        microbatch=4,
-        accumulation=accumulation,
-        seed=seed,
-        parallel_ranks=parallel,
-    )
-
-
-class TestParallelRanks:
-    @pytest.mark.parametrize("post_optimizer", [False, True])
-    @pytest.mark.parametrize("accumulation", [1, 2])
-    def test_parallel_matches_serial_exactly(self, post_optimizer, accumulation):
-        serial = _trainer(False, post_optimizer, accumulation, seed=3)
-        parallel = _trainer(True, post_optimizer, accumulation, seed=3)
-        for step, rank_indices in serial.iterator.epoch(0):
-            if step >= 3:
-                break
-            loss_s = serial.train_step(rank_indices)
-            loss_p = parallel.train_step(rank_indices)
-            assert loss_s == loss_p
-        for (n, p), (_, q) in zip(
-            serial.model.named_parameters(), parallel.model.named_parameters()
-        ):
-            assert np.array_equal(p.data, q.data), n
-
+class TestProcessBackendGuards:
     def test_rejects_models_with_buffers(self):
         from repro.models.resnet import ResNetCIFAR
 
@@ -232,7 +188,7 @@ class TestParallelRanks:
         with pytest.raises(ValueError, match="buffers"):
             ParallelTrainer(
                 model, nn.CrossEntropyLoss(), dopt, x, y, microbatch=4,
-                parallel_ranks=True,
+                execution="processes",
             )
 
     def test_rejects_active_dropout(self):
@@ -250,7 +206,7 @@ class TestParallelRanks:
         with pytest.raises(ValueError, match="dropout"):
             ParallelTrainer(
                 model, nn.CrossEntropyLoss(), dopt, x, y, microbatch=4,
-                parallel_ranks=True,
+                execution="processes",
             )
 
 

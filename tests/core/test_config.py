@@ -60,10 +60,10 @@ class TestParsers:
             parse_topology("torus")
 
     def test_execution_strategy_exclusion(self):
-        validate_execution_strategy(True, False)
-        validate_execution_strategy(False, True)
+        validate_execution_strategy(True, "serial")
+        validate_execution_strategy(False, "processes")
         with pytest.raises(ValueError, match="mutually exclusive"):
-            validate_execution_strategy(True, True)
+            validate_execution_strategy(True, "processes")
 
 
 class TestRunConfig:
@@ -72,15 +72,11 @@ class TestRunConfig:
         assert cfg.op == "adasum"
         assert cfg.topology == "tree"
         assert cfg.reduce_op is ReduceOpType.ADASUM
-        assert cfg.tree
-        assert not cfg.allow_non_pow2
 
     def test_normalizes_op_and_topology(self):
         cfg = RunConfig(op=ReduceOpType.SUM, topology="Tree-Any")
         assert cfg.op == "sum"
         assert cfg.topology == "tree_any"
-        assert cfg.tree
-        assert cfg.allow_non_pow2
 
     def test_frozen(self):
         with pytest.raises(Exception):
@@ -88,22 +84,22 @@ class TestRunConfig:
 
     def test_replace_revalidates(self):
         cfg = RunConfig(overlap=True)
-        assert cfg.replace(overlap=False, parallel_ranks=True).parallel_ranks
+        assert cfg.replace(overlap=False, execution="processes").execution == "processes"
         with pytest.raises(ValueError, match="mutually exclusive"):
-            cfg.replace(parallel_ranks=True)
+            cfg.replace(execution="processes")
 
     @pytest.mark.parametrize(
         "kwargs,match",
         [
             (dict(op="median"), "unknown reduction op"),
             (dict(topology="torus"), "unknown topology"),
-            (dict(wire_dtype="fp8"), "wire_dtype"),
+            (dict(wire_codecs=("fp8",)), "unknown wire codec"),
             (dict(num_ranks=0), "num_ranks"),
             (dict(microbatch=0), "microbatch"),
             (dict(bucket_cap_mb=0), "bucket_cap_mb"),
             (dict(min_ranks=0), "min_ranks"),
             (dict(timeout=0), "timeout"),
-            (dict(overlap=True, parallel_ranks=True), "mutually exclusive"),
+            (dict(overlap=True, execution="processes"), "mutually exclusive"),
             (dict(gpus_per_node=0), "gpus_per_node"),
             (dict(topology="tree", gpus_per_node=2), "hierarchical"),
             (
@@ -122,19 +118,6 @@ class TestRunConfig:
         assert reducer.topology == "ring"
         assert not reducer.per_layer
         assert reducer.post_optimizer
-
-    @pytest.mark.parametrize("topology,tree,anp", [
-        ("tree", True, False),
-        ("tree_any", True, True),
-        ("linear", False, True),
-        ("rvh", False, True),
-        ("ring", False, True),
-        ("hierarchical", False, True),
-    ])
-    def test_legacy_flag_views(self, topology, tree, anp):
-        cfg = RunConfig(topology=topology)
-        assert cfg.tree is tree
-        assert cfg.allow_non_pow2 is anp
 
     def test_hierarchical_reducer_binds_gpus_per_node(self):
         cfg = RunConfig(
@@ -155,7 +138,7 @@ def _toy_problem(seed=0):
 
 class TestFromConfig:
     def test_optimizer_from_config_matches_manual(self):
-        cfg = RunConfig(op="adasum", topology="tree_any", per_layer=False, fp16=True)
+        cfg = RunConfig(op="adasum", topology="tree_any", per_layer=False, wire_codecs=("fp16",))
         model, _, _ = _toy_problem()
         built = DistributedOptimizer.from_config(
             model, lambda ps: SGD(ps, 0.05), cfg, num_ranks=4
@@ -166,21 +149,13 @@ class TestFromConfig:
             num_ranks=4,
             op=ReduceOpType.ADASUM,
             per_layer=False,
-            fp16=True,
+            wire_codecs=("fp16",),
             topology="tree_any",
         )
         assert built.num_ranks == manual.num_ranks == 4
         assert built.reducer.topology == manual.reducer.topology == "tree_any"
         assert built.reducer.per_layer is manual.reducer.per_layer is False
-        assert built.fp16 is manual.fp16 is True
-
-    def test_optimizer_from_config_widens_tree(self):
-        cfg = RunConfig(op="adasum", topology="tree")
-        model, _, _ = _toy_problem()
-        built = DistributedOptimizer.from_config(
-            model, lambda ps: SGD(ps, 0.05), cfg, num_ranks=3, allow_non_pow2=True
-        )
-        assert built.reducer.topology == "tree_any"
+        assert built.wire_fp16 is manual.wire_fp16 is True
 
     def test_trainer_from_config_bit_identical_to_manual(self):
         model_a, x, y = _toy_problem()
@@ -257,7 +232,7 @@ class TestFromConfig:
     def test_trainer_from_config_rejects_conflicting_strategies(self):
         model, x, y = _toy_problem()
         with pytest.raises(ValueError, match="mutually exclusive"):
-            RunConfig(overlap=True, parallel_ranks=True)
+            RunConfig(overlap=True, execution="processes")
         # And the trainer itself still guards direct keyword use.
         dist = DistributedOptimizer(
             model, lambda ps: SGD(ps, 0.05), num_ranks=2, op=ReduceOpType.SUM
@@ -265,5 +240,5 @@ class TestFromConfig:
         with pytest.raises(ValueError, match="mutually exclusive"):
             ParallelTrainer(
                 model, nn.CrossEntropyLoss(), dist, x, y, 4,
-                overlap=True, parallel_ranks=True,
+                overlap=True, execution="processes",
             )

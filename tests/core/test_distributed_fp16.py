@@ -27,11 +27,11 @@ class TestFp16PreOptimizer:
         m16, m32 = _model(1), _model(1)
         d16 = DistributedOptimizer(
             m16, lambda ps: SGD(ps, 0.1), num_ranks=2,
-            op=ReduceOpType.ADASUM, adasum_pre_optimizer=True, fp16=True,
+            op=ReduceOpType.ADASUM, adasum_pre_optimizer=True, wire_codecs=("fp16",),
         )
         d32 = DistributedOptimizer(
             m32, lambda ps: SGD(ps, 0.1), num_ranks=2,
-            op=ReduceOpType.ADASUM, adasum_pre_optimizer=True, fp16=False,
+            op=ReduceOpType.ADASUM, adasum_pre_optimizer=True,
         )
         gd = _grad_dicts(m16, rng, 2)
         d16.step([dict(g) for g in gd])
@@ -44,7 +44,7 @@ class TestFp16PreOptimizer:
         w0 = {n: p.data.copy() for n, p in m.named_parameters()}
         d = DistributedOptimizer(
             m, lambda ps: SGD(ps, 0.1), num_ranks=2,
-            op=ReduceOpType.ADASUM, adasum_pre_optimizer=True, fp16=True,
+            op=ReduceOpType.ADASUM, adasum_pre_optimizer=True, wire_codecs=("fp16",),
         )
         scale0 = d._scaler.scale_value
         huge = _grad_dicts(m, rng, 2, scale=1e6)
@@ -59,9 +59,9 @@ class TestFp16PostOptimizer:
     def test_tracks_fp32_update(self, rng):
         m16, m32 = _model(2), _model(2)
         d16 = DistributedOptimizer(m16, lambda ps: Adam(ps, 0.01), num_ranks=2,
-                                   op=ReduceOpType.ADASUM, fp16=True)
+                                   op=ReduceOpType.ADASUM, wire_codecs=("fp16",))
         d32 = DistributedOptimizer(m32, lambda ps: Adam(ps, 0.01), num_ranks=2,
-                                   op=ReduceOpType.ADASUM, fp16=False)
+                                   op=ReduceOpType.ADASUM)
         gd = _grad_dicts(m16, rng, 2)
         d16.step([dict(g) for g in gd])
         d32.step(gd)
@@ -73,7 +73,7 @@ class TestFp16PostOptimizer:
         w0 = {n: p.data.copy() for n, p in m.named_parameters()}
         # Force the scale so high the deltas overflow fp16.
         d = DistributedOptimizer(m, lambda ps: SGD(ps, 1e5), num_ranks=2,
-                                 op=ReduceOpType.ADASUM, fp16=True)
+                                 op=ReduceOpType.ADASUM, wire_codecs=("fp16",))
         d._scaler.scale_value = 2.0 ** 24
         gd = _grad_dicts(m, np.random.default_rng(0), 2, scale=10.0)
         d.step(gd)
@@ -84,7 +84,7 @@ class TestFp16PostOptimizer:
     def test_training_converges_under_fp16(self, rng):
         m = _model(4)
         d = DistributedOptimizer(m, lambda ps: Adam(ps, 0.02), num_ranks=2,
-                                 op=ReduceOpType.ADASUM, fp16=True)
+                                 op=ReduceOpType.ADASUM, wire_codecs=("fp16",))
         loss_fn = nn.CrossEntropyLoss()
         x = rng.standard_normal((32, 4)).astype(np.float32)
         y = (x[:, 0] > 0).astype(np.int64)

@@ -36,7 +36,7 @@ def _fill_and_mark(arena, grads):
 
 
 def _run_pair(op, num_ranks, opt_factory, steps=3, bucket_cap_mb=0.0005,
-              wire_dtype="fp32", adasum_pre_optimizer=False, seed=0):
+              wire_codecs=(), adasum_pre_optimizer=False, seed=0):
     """Drive phased and overlapped pipelines on identical inputs.
 
     Returns the two models for comparison.  Gradients per step are the
@@ -49,7 +49,7 @@ def _run_pair(op, num_ranks, opt_factory, steps=3, bucket_cap_mb=0.0005,
         dopt = DistributedOptimizer(
             model, opt_factory, num_ranks, op=op,
             adasum_pre_optimizer=adasum_pre_optimizer,
-            allow_non_pow2=True, wire_dtype=wire_dtype,
+            topology="tree_any", wire_codecs=wire_codecs,
         )
         arena = GradientArena.from_model(model, num_ranks)
         models.append(model)
@@ -122,7 +122,7 @@ class TestOverlapBitIdentity:
 
     def test_fp16_wire_matches_phased_fp16(self):
         """fp16 wire quantizes — but identically on both paths."""
-        m1, m2 = _run_pair(ReduceOpType.ADASUM, 4, _sgd, wire_dtype="fp16")
+        m1, m2 = _run_pair(ReduceOpType.ADASUM, 4, _sgd, wire_codecs=("fp16",))
         _assert_bit_identical(m1, m2)
         m3, _ = _run_pair(ReduceOpType.ADASUM, 4, _sgd)
         with pytest.raises(AssertionError):
@@ -162,7 +162,7 @@ class TestFlatOptimizerMirror:
         model = MLP(LAYERS, rng=np.random.default_rng(1))
         dopt = DistributedOptimizer(model, opt_factory, ranks,
                                     op=ReduceOpType.ADASUM,
-                                    allow_non_pow2=True)
+                                    topology="tree_any")
         arena = GradientArena.from_model(model, ranks)
         mirror = FlatOptimizerMirror.build(dopt, arena)
         assert mirror is not None

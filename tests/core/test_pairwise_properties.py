@@ -8,7 +8,7 @@ arena's rows is **byte-identical** to ``combine_flat`` on the same
 rows.  These tests pin that invariant under random data for every
 cell, including non-power-of-two participant subsets and rows
 pre-rounded by the scaled-fp16 wire format — exactly the states the
-worker reduce sees in elastic and ``wire_dtype="fp16"`` runs.
+worker reduce sees in elastic and ``wire_codecs=("fp16",)`` runs.
 """
 
 import numpy as np
@@ -29,9 +29,7 @@ worlds = st.integers(min_value=1, max_value=8)
 def _scheduled_cells():
     """Every flat (op, topology[, gpus_per_node]) cell with a schedule at n=8."""
     cells = []
-    for op, topology, layout in registered_cells():
-        if layout != "flat":
-            continue
+    for op, topology in registered_cells():
         if topology == "hierarchical":
             for g in (1, 2, 4):
                 cells.append((op, topology, g))
@@ -44,7 +42,7 @@ def _scheduled_cells():
 
 
 def _strategy(op, topology, gpus_per_node=1):
-    strategy = get_strategy(op, topology, "flat")
+    strategy = get_strategy(op, topology)
     if gpus_per_node != 1:
         strategy = strategy.bind(gpus_per_node=gpus_per_node)
     return strategy

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import AdasumReducer, PartitionedAdasumEngine, partition_layers
+from repro.core import PartitionedAdasumEngine, make_reducer, partition_layers
 from repro.core.distributed_optimizer import DistributedOptimizer, ReduceOpType
 from repro.models import MLP
 from repro.optim import Adam
@@ -41,7 +41,7 @@ class TestEngine:
         model = MLP((4, 8, 2), rng=np.random.default_rng(seed))
         opt = Adam(model.parameters(), lr=0.05)
         return model, opt, PartitionedAdasumEngine(
-            model, opt, num_gpus=num_gpus, reducer=AdasumReducer()
+            model, opt, num_gpus=num_gpus, reducer=make_reducer("adasum")
         )
 
     def _grads(self, model, rng):
@@ -77,7 +77,7 @@ class TestEngine:
         """Partitioned Figure-3 update == unpartitioned DistributedOptimizer."""
         model_a = MLP((4, 8, 2), rng=np.random.default_rng(2))
         opt_a = Adam(model_a.parameters(), lr=0.05)
-        eng = PartitionedAdasumEngine(model_a, opt_a, num_gpus=2, reducer=AdasumReducer())
+        eng = PartitionedAdasumEngine(model_a, opt_a, num_gpus=2, reducer=make_reducer("adasum"))
 
         model_b = MLP((4, 8, 2), rng=np.random.default_rng(2))
         dist = DistributedOptimizer(

@@ -3,27 +3,34 @@
 import numpy as np
 import pytest
 
-from repro.core import DynamicScaler, Float16Codec
+from repro.comm.codec import Fp16Codec
+from repro.core import DynamicScaler
 from repro.core.operator import adasum, adasum_scale_factors
+
+
+def _communicate(codec, flat):
+    """One wire step: fix the scale, round-trip in place, scaler verdict."""
+    codec.begin_step()
+    overflow = codec.roundtrip(flat, None)
+    return codec.finish_step(overflow)
 
 
 class TestCodec:
     def test_roundtrip_precision(self, rng):
-        codec = Float16Codec()
-        grads = {"w": rng.standard_normal(100).astype(np.float32)}
-        back = codec.decode(codec.encode(grads))
-        np.testing.assert_allclose(back["w"], grads["w"], atol=2e-3)
-        assert back["w"].dtype == np.float32
+        codec = Fp16Codec(DynamicScaler(init_scale=1.0))
+        grad = rng.standard_normal(100).astype(np.float32)
+        back = codec.decode(codec.encode(grad), grad.size)
+        np.testing.assert_allclose(back, grad, atol=2e-3)
+        assert back.dtype == np.float32
 
     def test_nbytes_halved(self, rng):
-        codec = Float16Codec()
-        grads = {"w": np.zeros(100, dtype=np.float32)}
-        assert codec.nbytes(grads) == 200
+        codec = Fp16Codec(DynamicScaler(init_scale=1.0))
+        assert codec.block_nbytes([100], 4) == (200, 2)
 
     def test_overflow_becomes_inf(self):
-        codec = Float16Codec()
-        out = codec.encode({"w": np.array([1e6], dtype=np.float32)})
-        assert np.isinf(out["w"]).any()
+        codec = Fp16Codec(DynamicScaler(init_scale=1.0))
+        out = codec.encode(np.array([1e6], dtype=np.float32))
+        assert np.isinf(out).any()
 
 
 class TestAdasumInFp16:
@@ -47,16 +54,11 @@ class TestDynamicScaler:
         with pytest.raises(ValueError):
             DynamicScaler(init_scale=0)
 
-    def test_scale_unscale_roundtrip(self, rng):
-        sc = DynamicScaler(init_scale=1024)
-        grads = {"w": rng.standard_normal(10).astype(np.float32)}
-        back = sc.unscale(sc.scale(grads))
-        np.testing.assert_allclose(back["w"], grads["w"], rtol=1e-6)
-
     def test_overflow_detection(self):
-        assert DynamicScaler.has_overflow({"w": np.array([np.nan])})
-        assert DynamicScaler.has_overflow({"w": np.array([np.inf])})
-        assert not DynamicScaler.has_overflow({"w": np.array([1.0])})
+        codec = Fp16Codec(DynamicScaler(init_scale=1.0))
+        assert codec.roundtrip(np.array([np.nan], dtype=np.float32), None)
+        assert codec.roundtrip(np.array([np.inf], dtype=np.float32), None)
+        assert not codec.roundtrip(np.array([1.0], dtype=np.float32), None)
 
     def test_backoff_on_overflow(self):
         sc = DynamicScaler(init_scale=1024)
@@ -82,30 +84,25 @@ class TestDynamicScaler:
         assert sc.scale_value >= 1.0
 
     def test_communicate_fp16_happy_path(self, rng):
-        sc = DynamicScaler(init_scale=256)
-        codec = Float16Codec()
-        grads = {"w": rng.standard_normal(32).astype(np.float32) * 1e-3}
-        encoded, skip = sc.communicate_fp16(grads, codec)
-        assert not skip
-        assert encoded["w"].dtype == np.float16
-        back = sc.unscale(codec.decode(encoded))
-        np.testing.assert_allclose(back["w"], grads["w"], atol=1e-4)
+        codec = Fp16Codec(DynamicScaler(init_scale=256))
+        grad = rng.standard_normal(32).astype(np.float32) * 1e-3
+        codec.begin_step()
+        assert codec.encode(grad).dtype == np.float16
+        back = grad.copy()
+        assert not _communicate(codec, back)
+        np.testing.assert_allclose(back, grad, atol=1e-4)
 
     def test_communicate_fp16_overflow_skips(self):
         sc = DynamicScaler(init_scale=2 ** 15)
-        codec = Float16Codec()
-        grads = {"w": np.array([10.0], dtype=np.float32)}  # 10*32768 > fp16 max
-        _, skip = sc.communicate_fp16(grads, codec)
-        assert skip
+        grad = np.array([10.0], dtype=np.float32)  # 10*32768 > fp16 max
+        assert _communicate(Fp16Codec(sc), grad)
         assert sc.scale_value == 2 ** 14
 
     def test_recovers_after_repeated_overflow(self):
         """The scale keeps halving until values fit."""
-        sc = DynamicScaler(init_scale=2 ** 20)
-        codec = Float16Codec()
-        grads = {"w": np.array([100.0], dtype=np.float32)}
+        codec = Fp16Codec(DynamicScaler(init_scale=2 ** 20))
         for _ in range(25):
-            _, skip = sc.communicate_fp16(grads, codec)
+            skip = _communicate(codec, np.array([100.0], dtype=np.float32))
             if not skip:
                 break
         assert not skip

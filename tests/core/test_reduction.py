@@ -4,9 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    AdasumReducer,
-    AverageReducer,
-    SumReducer,
     adasum_per_layer,
     adasum_tree,
     allreduce,
@@ -25,45 +22,45 @@ def _dicts(rng, ranks=4, sizes=(6, 10)):
 class TestSumAverage:
     def test_sum(self, rng):
         ds = _dicts(rng)
-        out = SumReducer().reduce(ds)
+        out = make_reducer("sum").reduce(ds)
         np.testing.assert_allclose(out["l0"], np.sum([d["l0"] for d in ds], axis=0), rtol=1e-5)
 
     def test_average(self, rng):
         ds = _dicts(rng)
-        out = AverageReducer().reduce(ds)
+        out = make_reducer("average").reduce(ds)
         np.testing.assert_allclose(out["l1"], np.mean([d["l1"] for d in ds], axis=0), rtol=1e-5)
 
     def test_sum_not_post_optimizer(self):
-        assert not SumReducer().post_optimizer
-        assert not AverageReducer().post_optimizer
+        assert not make_reducer("sum").post_optimizer
+        assert not make_reducer("average").post_optimizer
 
     def test_inconsistent_names_raise(self, rng):
         with pytest.raises(ValueError):
-            SumReducer().reduce([{"a": np.zeros(2)}, {"b": np.zeros(2)}])
+            make_reducer("sum").reduce([{"a": np.zeros(2)}, {"b": np.zeros(2)}])
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            AverageReducer().reduce([])
+            make_reducer("average").reduce([])
 
     def test_fp64_accumulation(self):
         """Summing many small fp32 values avoids catastrophic loss."""
         n_ranks = 1024
         dicts = [{"w": np.full(4, 1e-4, dtype=np.float32)} for _ in range(n_ranks)]
-        out = SumReducer().reduce(dicts)
+        out = make_reducer("sum").reduce(dicts)
         np.testing.assert_allclose(out["w"], n_ranks * 1e-4, rtol=1e-4)
 
 
 class TestAdasumReducer:
     def test_per_layer_matches_reference(self, rng):
         ds = _dicts(rng)
-        out = AdasumReducer(per_layer=True).reduce(ds)
+        out = make_reducer("adasum", per_layer=True).reduce(ds)
         ref = adasum_per_layer(ds)
         for name in ref:
             np.testing.assert_allclose(out[name], ref[name], rtol=1e-5)
 
     def test_whole_model_matches_flat_reference(self, rng):
         ds = _dicts(rng)
-        out = AdasumReducer(per_layer=False).reduce(ds)
+        out = make_reducer("adasum", per_layer=False).reduce(ds)
         flats = [np.concatenate([d["l0"], d["l1"]]) for d in ds]
         ref = adasum_tree(flats)
         got = np.concatenate([out["l0"], out["l1"]])
@@ -73,19 +70,19 @@ class TestAdasumReducer:
         ds = [
             {"w": rng.standard_normal((3, 4)).astype(np.float32)} for _ in range(4)
         ]
-        out = AdasumReducer(per_layer=False).reduce(ds)
+        out = make_reducer("adasum", per_layer=False).reduce(ds)
         assert out["w"].shape == (3, 4)
 
     def test_tree_requires_power_of_two(self, rng):
         with pytest.raises(ValueError):
-            AdasumReducer(tree=True).reduce(_dicts(rng, ranks=3))
+            make_reducer("adasum", topology="tree").reduce(_dicts(rng, ranks=3))
 
     def test_linear_any_rank_count(self, rng):
-        out = AdasumReducer(tree=False).reduce(_dicts(rng, ranks=3))
+        out = make_reducer("adasum", topology="linear").reduce(_dicts(rng, ranks=3))
         assert set(out) == {"l0", "l1"}
 
     def test_is_post_optimizer(self):
-        assert AdasumReducer().post_optimizer
+        assert make_reducer("adasum").post_optimizer
 
 
 class TestFactory:
@@ -107,9 +104,9 @@ class TestFactory:
     @pytest.mark.parametrize(
         "kwargs,topology",
         [
-            (dict(tree=True), "tree"),
-            (dict(tree=True, allow_non_pow2=True), "tree_any"),
-            (dict(tree=False), "linear"),
+            (dict(), "tree"),
+            (dict(topology="tree_any"), "tree_any"),
+            (dict(topology="linear"), "linear"),
             (dict(topology="rvh"), "rvh"),
             (dict(topology="ring"), "ring"),
         ],

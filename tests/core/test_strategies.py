@@ -1,9 +1,9 @@
 """The strategy registry: completeness, parity, and reference equivalence.
 
-Every registered ``(op, topology)`` cell must agree with itself across
-layouts (dict vs flat, bit-exact — the dict adapter routes through the
-flat kernel, so drift is impossible by construction and this matrix
-keeps it that way) and with the reference kernels the paper defines
+Every registered ``(op, topology)`` cell must agree with the one dict
+convenience (``reduce_dicts``, bit-exact — the dict adapter routes
+through the flat kernel, so drift is impossible by construction and
+this matrix keeps it that way) and with the reference kernels the paper defines
 (``adasum_tree``, ``adasum_per_layer``, ``adasum_linear``).  World
 sizes cover 2–8 including non-powers-of-two.
 """
@@ -17,7 +17,6 @@ from repro.core.operator import (
     adasum_tree,
 )
 from repro.core.strategies import (
-    LAYOUTS,
     OPS,
     TOPOLOGIES,
     StrategyReducer,
@@ -62,20 +61,10 @@ def _assert_bit_equal(a, b, msg=""):
 class TestRegistry:
     def test_every_cell_registered(self):
         cells = set(registered_cells())
-        expected = {
-            (op, topo, layout)
-            for op in OPS
-            for topo in TOPOLOGIES
-            for layout in LAYOUTS
-        }
+        expected = {(op, topo) for op in OPS for topo in TOPOLOGIES}
         assert cells == expected
-        # 3 ops × 6 topologies × 2 layouts
-        assert len(cells) == 36
-
-    def test_arena_layout_alias(self):
-        assert get_strategy("adasum", "tree", "arena") is get_strategy(
-            "adasum", "tree", "flat"
-        )
+        # 3 ops × 6 topologies
+        assert len(cells) == 18
 
     def test_enum_ops_accepted(self):
         from repro.core.distributed_optimizer import ReduceOpType
@@ -317,7 +306,6 @@ class TestHierarchicalStrategy:
         r = StrategyReducer(op="adasum", topology="hierarchical", gpus_per_node=4)
         assert r.gpus_per_node == 4
         assert not r.tree
-        assert r.allow_non_pow2
         assert "gpus_per_node=4" in repr(r)
         flat = StrategyReducer(op="adasum", topology="tree")
         assert flat.gpus_per_node == 1

@@ -45,13 +45,13 @@ def _assert_bit_identical(m1, m2):
 
 
 class TestBucketedCollective:
-    @pytest.mark.parametrize("wire_dtype", ["fp32", "fp16"])
-    def test_bucketed_matches_whole_row(self, wire_dtype):
+    @pytest.mark.parametrize("wire_codecs", [(), ("fp16",)])
+    def test_bucketed_matches_whole_row(self, wire_codecs):
         """Splitting the collective into tensor-aligned buckets cannot
         change bits — per-layer Adasum sees the same slices."""
         x, y = _data()
-        whole, m_whole = _trainer(x, y, wire_dtype=wire_dtype)
-        bucketed, m_bucketed = _trainer(x, y, wire_dtype=wire_dtype,
+        whole, m_whole = _trainer(x, y, wire_codecs=wire_codecs)
+        bucketed, m_bucketed = _trainer(x, y, wire_codecs=wire_codecs,
                                         bucket_cap_mb=0.0005)
         whole.train_epoch(0, max_steps=4)
         bucketed.train_epoch(0, max_steps=4)
@@ -62,7 +62,7 @@ class TestBucketedCollective:
         tree; interior combined partials stay fp32."""
         x, y = _data()
         t32, _ = _trainer(x, y)
-        t16, _ = _trainer(x, y, wire_dtype="fp16")
+        t16, _ = _trainer(x, y, wire_codecs=("fp16",))
         t32.train_epoch(0, max_steps=4)
         t16.train_epoch(0, max_steps=4)
         b32, b16 = t32.cluster.total_bytes(), t16.cluster.total_bytes()
@@ -76,10 +76,10 @@ class TestBucketedCollective:
         grid after wire encoding, so compressed and uncompressed
         collectives produce identical parameters."""
         x, y = _data()
-        # Same wire_dtype both sides; only bucketing differs (bucketed
+        # Same wire codecs both sides; only bucketing differs (bucketed
         # path exercises compressed sends per bucket).
-        whole, m_whole = _trainer(x, y, wire_dtype="fp16")
-        bucketed, m_bucketed = _trainer(x, y, wire_dtype="fp16",
+        whole, m_whole = _trainer(x, y, wire_codecs=("fp16",))
+        bucketed, m_bucketed = _trainer(x, y, wire_codecs=("fp16",),
                                         bucket_cap_mb=0.001)
         whole.train_epoch(0, max_steps=3)
         bucketed.train_epoch(0, max_steps=3)
@@ -87,17 +87,6 @@ class TestBucketedCollective:
 
 
 class TestCodecStack:
-    def test_fp16_stack_matches_wire_dtype(self):
-        """wire_codecs=("fp16",) pins the legacy wire_dtype="fp16"
-        behaviour bit for bit through the elastic collective."""
-        x, y = _data()
-        old, m_old = _trainer(x, y, wire_dtype="fp16")
-        new, m_new = _trainer(x, y, wire_codecs=("fp16",))
-        old.train_epoch(0, max_steps=4)
-        new.train_epoch(0, max_steps=4)
-        _assert_bit_identical(m_old, m_new)
-        assert old.cluster.total_bytes() == new.cluster.total_bytes()
-
     def test_lossy_stack_cuts_leaf_bytes_below_fp16(self):
         """fp16+int8+topk ships far fewer leaf-hop bytes than fp16
         alone; the interior partials still travel fp32 either way."""

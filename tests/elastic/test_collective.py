@@ -1,16 +1,12 @@
-"""``elastic_reduce``: the transport collective must be bit-exact with
+"""``cluster_reduce``: the transport collective must be bit-exact with
 the in-process reducers for every op and any participant subset."""
 
 import numpy as np
 import pytest
 
 from repro.comm.transport import Cluster
-from repro.core.reduction import (
-    AdasumReducer,
-    AverageReducer,
-    SumReducer,
-)
-from repro.elastic import elastic_reduce
+from repro.core.distributed_optimizer import make_reducer
+from repro.elastic import cluster_reduce
 
 
 def _rows(n, size=21, seed=0):
@@ -25,8 +21,8 @@ class TestAdasumTreeCollective:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8])
     def test_full_world_matches_in_process(self, n):
         data = _rows(n)
-        reducer = AdasumReducer(allow_non_pow2=True)
-        got = elastic_reduce(Cluster(n, timeout=10.0), data, BOUNDS, reducer)
+        reducer = make_reducer("adasum", topology="tree_any")
+        got = cluster_reduce(Cluster(n, timeout=10.0), data, BOUNDS, reducer)
         expected = reducer.reduce_flat(data.copy(), BOUNDS)
         np.testing.assert_array_equal(got, expected)
 
@@ -36,8 +32,8 @@ class TestAdasumTreeCollective:
         # Only the participants' rows enter the reduction; the result
         # equals reducing their stacked rows in subgroup order.
         data = _rows(8)
-        reducer = AdasumReducer(allow_non_pow2=True)
-        got = elastic_reduce(
+        reducer = make_reducer("adasum", topology="tree_any")
+        got = cluster_reduce(
             Cluster(8, timeout=10.0), data, BOUNDS, reducer, participants
         )
         expected = reducer.reduce_flat(data[participants].copy(), BOUNDS)
@@ -46,36 +42,36 @@ class TestAdasumTreeCollective:
     def test_whole_model_mode(self):
         # per_layer=False ignores the layer boundaries (one flat block).
         data = _rows(5)
-        reducer = AdasumReducer(per_layer=False, allow_non_pow2=True)
-        got = elastic_reduce(Cluster(5, timeout=10.0), data, BOUNDS, reducer)
+        reducer = make_reducer("adasum", per_layer=False, topology="tree_any")
+        got = cluster_reduce(Cluster(5, timeout=10.0), data, BOUNDS, reducer)
         expected = reducer.reduce_flat(data.copy(), BOUNDS)
         np.testing.assert_array_equal(got, expected)
 
 
 class TestGatherCollectives:
-    @pytest.mark.parametrize("reducer_cls", [SumReducer, AverageReducer])
+    @pytest.mark.parametrize("op", ["sum", "average"])
     @pytest.mark.parametrize("n", [2, 5, 8])
-    def test_linear_ops_match(self, reducer_cls, n):
+    def test_linear_ops_match(self, op, n):
         data = _rows(n)
-        reducer = reducer_cls()
-        got = elastic_reduce(Cluster(n, timeout=10.0), data, BOUNDS, reducer)
+        reducer = make_reducer(op)
+        got = cluster_reduce(Cluster(n, timeout=10.0), data, BOUNDS, reducer)
         expected = reducer.reduce_flat(data.copy(), BOUNDS)
         np.testing.assert_array_equal(got, expected)
 
     def test_linear_adasum_matches(self):
-        # tree=False Adasum runs via the gather path with the reducer's
+        # Linear-topology Adasum runs via the gather path with the reducer's
         # own kernel — sequential fold, still bit-exact.
         data = _rows(4)
-        reducer = AdasumReducer(tree=False)
-        got = elastic_reduce(Cluster(4, timeout=10.0), data, BOUNDS, reducer)
+        reducer = make_reducer("adasum", topology="linear")
+        got = cluster_reduce(Cluster(4, timeout=10.0), data, BOUNDS, reducer)
         expected = reducer.reduce_flat(data.copy(), BOUNDS)
         np.testing.assert_array_equal(got, expected)
 
     def test_subset_sum(self):
         data = _rows(6)
-        reducer = SumReducer()
+        reducer = make_reducer("sum")
         participants = [1, 3, 4]
-        got = elastic_reduce(
+        got = cluster_reduce(
             Cluster(6, timeout=10.0), data, BOUNDS, reducer, participants
         )
         expected = reducer.reduce_flat(data[participants].copy(), BOUNDS)
@@ -85,16 +81,16 @@ class TestGatherCollectives:
 class TestValidation:
     def test_row_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            elastic_reduce(Cluster(4, timeout=10.0), _rows(3), BOUNDS, SumReducer())
+            cluster_reduce(Cluster(4, timeout=10.0), _rows(3), BOUNDS, make_reducer("sum"))
 
     def test_empty_participants_rejected(self):
         with pytest.raises(ValueError):
-            elastic_reduce(Cluster(4, timeout=10.0), _rows(4), BOUNDS,
-                           SumReducer(), [])
+            cluster_reduce(Cluster(4, timeout=10.0), _rows(4), BOUNDS,
+                           make_reducer("sum"), [])
 
     def test_input_rows_unmodified(self):
         data = _rows(5)
         before = data.copy()
-        elastic_reduce(Cluster(5, timeout=10.0), data, BOUNDS,
-                       AdasumReducer(allow_non_pow2=True))
+        cluster_reduce(Cluster(5, timeout=10.0), data, BOUNDS,
+                       make_reducer("adasum", topology="tree_any"))
         np.testing.assert_array_equal(data, before)

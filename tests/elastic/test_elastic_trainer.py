@@ -105,7 +105,7 @@ class TestKillRecovery:
     def test_fp16_survives_kill(self):
         x, y = _task(n=160)
         sched = ElasticSchedule().kill(2, 5)
-        tr, _ = _elastic(x, y, fp16=True, schedule=sched)
+        tr, _ = _elastic(x, y, wire_codecs=("fp16",), schedule=sched)
         loss = tr.train_epoch(0)
         assert np.isfinite(loss)
         assert tr.num_ranks == 7

@@ -11,13 +11,9 @@ import numpy as np
 import pytest
 
 from repro.core import adasum, adasum_tree
-from repro.core.operator import (
-    adasum_tree_any,
-    adasum_tree_any_flat,
-    adasum_tree_flat,
-    largest_pow2_below,
-)
-from repro.core.reduction import AdasumReducer
+from repro.core.operator import adasum_tree_any, largest_pow2_below
+from repro.core.distributed_optimizer import make_reducer
+from repro.core.strategies import get_strategy
 from repro.core.arena import GradientArena
 
 
@@ -73,7 +69,7 @@ class TestAdasumTreeAny:
         rng = np.random.default_rng(n)
         rows = rng.standard_normal((n, 9)).astype(np.float32)
         boundaries = [0, 8, 9]
-        flat = adasum_tree_any_flat(rows.copy(), boundaries)
+        flat = get_strategy("adasum", "tree_any").combine_flat(rows.copy(), boundaries)
         for lo, hi in zip(boundaries, boundaries[1:]):
             piece = adasum_tree_any([r[lo:hi] for r in rows])
             np.testing.assert_array_equal(flat[lo:hi], piece)
@@ -82,8 +78,8 @@ class TestAdasumTreeAny:
         rng = np.random.default_rng(3)
         rows = rng.standard_normal((8, 16)).astype(np.float32)
         np.testing.assert_array_equal(
-            adasum_tree_any_flat(rows.copy(), [0, 16]),
-            adasum_tree_flat(rows.copy(), [0, 16]),
+            get_strategy("adasum", "tree_any").combine_flat(rows.copy(), [0, 16]),
+            get_strategy("adasum", "tree").combine_flat(rows.copy(), [0, 16]),
         )
 
 
@@ -93,16 +89,16 @@ class TestReducerNonPow2:
             [{"w": g} for g in _grads(5)]
         )
         with pytest.raises(ValueError):
-            AdasumReducer().reduce_arena(arena)
+            make_reducer("adasum").reduce_arena(arena)
 
     def test_shrink_8_to_5_survivor_reduction_bit_exact(self):
         # Acceptance scenario: 8 ranks shrink to 5 survivors; the
-        # allow_non_pow2 reducer over the survivor rows must equal the
+        # tree_any reducer over the survivor rows must equal the
         # reference composition (adasum_tree on the pow2 block).
         g = _grads(8)
         survivors = [g[i] for i in (1, 2, 4, 5, 7)]
         arena = GradientArena.from_grad_dicts([{"w": s} for s in survivors])
-        reducer = AdasumReducer(allow_non_pow2=True)
+        reducer = make_reducer("adasum", topology="tree_any")
         combined = arena.unpack(reducer.reduce_arena(arena))["w"]
         expected = adasum(adasum_tree(survivors[:4]), survivors[4])
         np.testing.assert_array_equal(combined, expected)

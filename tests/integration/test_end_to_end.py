@@ -13,11 +13,11 @@ import pytest
 from repro import nn
 from repro.comm import FusionBuffer
 from repro.core import (
-    AdasumReducer,
     DistributedOptimizer,
     ReduceOpType,
     allreduce_adasum_cluster,
 )
+from repro.core.distributed_optimizer import make_reducer
 from repro.data import make_mnist_like, train_test_split
 from repro.models import LeNet5, MLP
 from repro.optim import SGD, Adam, LAMB
@@ -88,7 +88,7 @@ class TestReducerVsMessagePassing:
             for _ in range(4)
         ]
         # Whole-model reducer result...
-        combined = AdasumReducer(per_layer=False).reduce(dicts)
+        combined = make_reducer("adasum", per_layer=False).reduce(dicts)
         flat_ref = np.concatenate([combined[n].reshape(-1) for n in names])
         # ...must equal the flat fused buffer run through AdasumRVH.
         flats = [np.concatenate([d[n].reshape(-1) for n in names]) for d in dicts]
@@ -103,7 +103,7 @@ class TestReducerVsMessagePassing:
              for n, p in model.named_parameters()}
             for _ in range(8)
         ]
-        combined = AdasumReducer(per_layer=True).reduce(dicts)
+        combined = make_reducer("adasum", per_layer=True).reduce(dicts)
         fusion = FusionBuffer()
         (layout,) = fusion.plan(list(dicts[0].items()))
         flats = [fusion.pack(layout, d) for d in dicts]
@@ -127,7 +127,7 @@ class TestReducerVsMessagePassing:
         flats = [fusion.pack(layout, d) for d in dicts]
         out, latency = allreduce_adasum_cluster(flats, layout=layout)
         assert np.isfinite(out).all()
-        ref = AdasumReducer().reduce(dicts)
+        ref = make_reducer("adasum").reduce(dicts)
         back = fusion.unpack(layout, out)
         for n in ref:
             np.testing.assert_allclose(back[n], ref[n], rtol=1e-3, atol=1e-5)

@@ -219,11 +219,6 @@ class TestValidateForPool:
         with pytest.raises(ValueError):
             cfg.validate_for_pool(8)
 
-    def test_threads_execution_rejected(self):
-        cfg = RunConfig(num_ranks=2, execution="threads")
-        with pytest.raises(ValueError):
-            cfg.validate_for_pool(8)
-
     def test_valid_config_chains(self):
         cfg = RunConfig(num_ranks=4)
         assert cfg.validate_for_pool(8) is cfg

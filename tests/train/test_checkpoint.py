@@ -22,10 +22,11 @@ def _task(seed=0):
     return x, y
 
 
-def _trainer(model, op=ReduceOpType.ADASUM, fp16=False, seed=0):
+def _trainer(model, op=ReduceOpType.ADASUM, wire_codecs=(), seed=0):
     x, y = _task(seed)
     dopt = DistributedOptimizer(
-        model, lambda ps: Adam(ps, 0.01), num_ranks=2, op=op, fp16=fp16
+        model, lambda ps: Adam(ps, 0.01), num_ranks=2, op=op,
+        wire_codecs=wire_codecs,
     )
     return ParallelTrainer(model, nn.CrossEntropyLoss(), dopt, x, y,
                            microbatch=8, seed=seed), dopt
@@ -124,13 +125,13 @@ class TestDistributedOptimizer:
 
     def test_fp16_scale_restored(self, tmp_path):
         model = MLP((6, 8, 2), rng=np.random.default_rng(0))
-        tr, dopt = _trainer(model, fp16=True)
+        tr, dopt = _trainer(model, wire_codecs=("fp16",))
         dopt._scaler.scale_value = 123.0
         dopt.skipped_steps = 7
         path = tmp_path / "ckpt.npz"
         save_checkpoint(path, model, dist_opt=dopt)
         model2 = MLP((6, 8, 2), rng=np.random.default_rng(1))
-        _, dopt2 = _trainer(model2, fp16=True)
+        _, dopt2 = _trainer(model2, wire_codecs=("fp16",))
         load_checkpoint(path, model2, dist_opt=dopt2)
         assert dopt2._scaler.scale_value == 123.0
         assert dopt2.skipped_steps == 7
@@ -151,7 +152,7 @@ class TestDistributedOptimizer:
         # Not just the scale: the clean-step counter and overflow count
         # must survive, or a resumed run re-doubles at the wrong step.
         model = MLP((6, 8, 2), rng=np.random.default_rng(0))
-        tr, dopt = _trainer(model, fp16=True)
+        tr, dopt = _trainer(model, wire_codecs=("fp16",))
         dopt._scaler.scale_value = 4096.0
         dopt._scaler._clean_steps = 37
         dopt._scaler.overflow_count = 5
@@ -159,7 +160,7 @@ class TestDistributedOptimizer:
         path = tmp_path / "ckpt.npz"
         save_checkpoint(path, model, dist_opt=dopt)
         model2 = MLP((6, 8, 2), rng=np.random.default_rng(1))
-        _, dopt2 = _trainer(model2, fp16=True)
+        _, dopt2 = _trainer(model2, wire_codecs=("fp16",))
         load_checkpoint(path, model2, dist_opt=dopt2)
         assert dopt2._scaler.scale_value == 4096.0
         assert dopt2._scaler._clean_steps == 37
@@ -167,10 +168,10 @@ class TestDistributedOptimizer:
         assert dopt2.skipped_steps == 5
 
 
-def _dopt_ranks(model, num_ranks, fp16=False):
+def _dopt_ranks(model, num_ranks):
     return DistributedOptimizer(
         model, lambda ps: Adam(ps, 0.01), num_ranks=num_ranks,
-        op=ReduceOpType.ADASUM, fp16=fp16, allow_non_pow2=True,
+        op=ReduceOpType.ADASUM, topology="tree_any",
     )
 
 

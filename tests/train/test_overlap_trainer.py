@@ -6,6 +6,8 @@ without a fused engine, and the acceptance bit-identity of overlapped
 vs phased training at fp32 wire dtype.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -24,12 +26,13 @@ def _assert_bit_identical(m1, m2):
         )
 
 
-def _train(model_fn, data_fn, opt_factory, overlap, steps=3, seed=0, **dopt_kw):
+def _train(model_fn, data_fn, opt_factory, overlap, steps=3, seed=0,
+           loss_fn=None, **dopt_kw):
     model = model_fn()
     x, y = data_fn()
     dopt = DistributedOptimizer(model, opt_factory, 4,
                                 op=ReduceOpType.ADASUM, **dopt_kw)
-    trainer = ParallelTrainer(model, nn.CrossEntropyLoss(), dopt, x, y,
+    trainer = ParallelTrainer(model, loss_fn or nn.CrossEntropyLoss(), dopt, x, y,
                               microbatch=8, seed=seed, overlap=overlap,
                               bucket_cap_mb=0.01)
     losses = []
@@ -83,7 +86,26 @@ class TestOverlapTrainer:
         assert l1 == pytest.approx(l2, abs=0)
         _assert_bit_identical(m_phased, m_overlap)
 
-    def test_overlap_with_parallel_ranks_rejected(self):
+    def test_minibert_ignore_index_targets_demote_and_match_phased(self):
+        """Masked-LM targets carry ``ignore_index=-100`` positions the
+        rank-fused engine cannot index; validation must demote it to the
+        hook-driven serial path, bit-identical to phased."""
+        rng = np.random.default_rng(0)
+        x = rng.integers(0, 64, (64, 32))
+        y = rng.integers(0, 64, (64, 32))
+        y[rng.random(y.shape) < 0.85] = -100
+        args = (lambda: MiniBERT(rng=np.random.default_rng(0)),
+                lambda: (x, y), lambda ps: Adam(ps, 1e-3))
+        loss_fn = nn.CrossEntropyLoss(ignore_index=-100)
+        m_phased, _, l1 = _train(*args, overlap=False, steps=2, loss_fn=loss_fn)
+        m_overlap, trainer, l2 = _train(*args, overlap=True, steps=2,
+                                        loss_fn=loss_fn)
+        assert trainer._fused is not None
+        assert trainer._fused_validated is False
+        assert l1 == l2
+        _assert_bit_identical(m_phased, m_overlap)
+
+    def test_overlap_with_process_backend_rejected(self):
         rng = np.random.default_rng(0)
         model = MLP((8, 4), rng=rng)
         dopt = DistributedOptimizer(model, lambda ps: SGD(ps, 0.1), 4,
@@ -93,18 +115,47 @@ class TestOverlapTrainer:
                 model, nn.CrossEntropyLoss(), dopt,
                 rng.standard_normal((32, 8)).astype(np.float32),
                 rng.integers(0, 4, 32), microbatch=8,
-                overlap=True, parallel_ranks=True,
+                overlap=True, execution="processes",
             )
 
-    def test_partial_world_step_falls_back_to_phased(self):
-        """A tail step with fewer filled ranks must not use overlap
-        (bucket geometry assumes every row participates)."""
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_partial_world_step_rejected(self, overlap):
+        """A step must carry one index array per rank (bucket geometry
+        and the arena assume every row participates)."""
         rng = np.random.default_rng(0)
-        x = rng.standard_normal((40, 12)).astype(np.float32)  # 40 = 4*8+8
-        y = rng.integers(0, 4, 40)
-        args = (lambda: MLP((12, 16, 4), rng=np.random.default_rng(0)),
-                lambda: (x, y), lambda ps: SGD(ps, 0.05))
-        m_phased, _, l1 = _train(*args, overlap=False, steps=10)
-        m_overlap, _, l2 = _train(*args, overlap=True, steps=10)
-        assert l1 == l2
-        _assert_bit_identical(m_phased, m_overlap)
+        x = rng.standard_normal((64, 12)).astype(np.float32)
+        y = rng.integers(0, 4, 64)
+        model = MLP((12, 16, 4), rng=np.random.default_rng(0))
+        dopt = DistributedOptimizer(model, lambda ps: SGD(ps, 0.05), 4,
+                                    op=ReduceOpType.ADASUM)
+        trainer = ParallelTrainer(model, nn.CrossEntropyLoss(), dopt, x, y,
+                                  microbatch=8, overlap=overlap)
+        try:
+            _, rank_indices = next(iter(trainer.iterator.epoch(0)))
+            before = {n: p.data.copy() for n, p in model.named_parameters()}
+            with pytest.raises(ValueError, match="expected 4, got 3"):
+                trainer.train_step(rank_indices[:3])
+            for n, p in model.named_parameters():
+                np.testing.assert_array_equal(p.data, before[n])
+            assert trainer.global_step == 0
+        finally:
+            trainer.close()
+
+    def test_close_joins_comm_worker(self):
+        """``close()`` must not park the overlap comm thread."""
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((64, 12)).astype(np.float32)
+        y = rng.integers(0, 4, 64)
+        before = set(threading.enumerate())
+        model = MLP((12, 16, 4), rng=np.random.default_rng(0))
+        dopt = DistributedOptimizer(model, lambda ps: SGD(ps, 0.05), 4,
+                                    op=ReduceOpType.ADASUM)
+        trainer = ParallelTrainer(model, nn.CrossEntropyLoss(), dopt, x, y,
+                                  microbatch=8, overlap=True)
+        _, rank_indices = next(iter(trainer.iterator.epoch(0)))
+        trainer.train_step(rank_indices)
+        started = [t for t in threading.enumerate() if t not in before]
+        assert any(t.name.startswith("comm") for t in started)
+        trainer.close()
+        trainer.close()  # idempotent
+        assert not [t for t in started if t.is_alive()]

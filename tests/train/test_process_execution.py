@@ -3,12 +3,10 @@
 The process backend must be invisible in the numbers: for every
 reduction op and world size (including non-powers-of-two), training with
 one OS process per rank over a shared-memory arena produces the same
-bytes as the threaded and serial backends.  And however a run ends —
+bytes as the serial backend.  And however a run ends —
 normal close, fault-plan kill mid-step — no ``/dev/shm`` segment may
 survive it.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +17,6 @@ from repro.comm.tracing import CommTracer
 from repro.comm.transport import CommError
 from repro.core import RunConfig, leaked_shared_segments
 from repro.core.arena import SharedGradientArena
-from repro.core.deprecation import reset_deprecation_warnings
 from repro.models.mlp import MLP
 from repro.optim import SGD
 from repro.train.trainer import ParallelTrainer
@@ -69,14 +66,13 @@ def _assert_bit_identical(ref_params, params, context):
 class TestBitExactness:
     @pytest.mark.parametrize("op", ["sum", "average", "adasum"])
     @pytest.mark.parametrize("num_ranks", [2, 3, 5, 8])
-    def test_processes_match_threads_and_serial(self, op, num_ranks):
+    def test_processes_match_serial(self, op, num_ranks):
         ref_losses, ref_params = _run("serial", op=op, num_ranks=num_ranks)
-        for execution in ("threads", "processes"):
-            losses, params = _run(execution, op=op, num_ranks=num_ranks)
-            assert losses == ref_losses, (execution, op, num_ranks)
-            _assert_bit_identical(
-                ref_params, params, f"{execution}/{op}/world={num_ranks}"
-            )
+        losses, params = _run("processes", op=op, num_ranks=num_ranks)
+        assert losses == ref_losses, (op, num_ranks)
+        _assert_bit_identical(
+            ref_params, params, f"processes/{op}/world={num_ranks}"
+        )
 
     @pytest.mark.parametrize(
         "topology,gpus_per_node", [("linear", 1), ("ring", 1), ("tree", 1),
@@ -187,55 +183,3 @@ class TestLifecycle:
                 Dropped(), nn.CrossEntropyLoss(), lambda ps: SGD(ps, lr=0.1),
                 x, y, config,
             )
-
-
-class TestDeprecationAlias:
-    def test_parallel_ranks_kwarg_warns_once_and_maps_to_threads(self):
-        reset_deprecation_warnings()
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal((32, 12)).astype(np.float32)
-        y = rng.integers(0, 4, 32)
-
-        def build():
-            from repro.core.distributed_optimizer import DistributedOptimizer
-
-            model = MLP((12, 8, 4))
-            dopt = DistributedOptimizer(
-                model, lambda ps: SGD(ps, lr=0.1), num_ranks=2,
-                allow_non_pow2=True,
-            )
-            return ParallelTrainer(
-                model, nn.CrossEntropyLoss(), dopt, x, y, microbatch=2,
-                parallel_ranks=True,
-            )
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            trainer = build()
-            deps = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-        assert len(deps) == 1
-        assert "parallel_ranks" in str(deps[0].message)
-        assert 'execution="threads"' in str(deps[0].message)
-        assert trainer.execution == "threads"
-        assert trainer.parallel_ranks is True
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            trainer2 = build()
-            deps = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-        assert not deps, "alias warned again in the same process"
-        trainer.close()
-        trainer2.close()
-        reset_deprecation_warnings()
-
-    def test_config_alias_resolves_execution(self):
-        reset_deprecation_warnings()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            cfg = RunConfig(parallel_ranks=True)
-        assert cfg.execution == "threads"
-        assert cfg.parallel_ranks is True
-        assert RunConfig(execution="threads").parallel_ranks is True
-        assert RunConfig(execution="processes").parallel_ranks is False
-        reset_deprecation_warnings()

@@ -31,8 +31,8 @@ def _no_segment_leaks():
 
 
 def _run(reduce_mode, op="adasum", num_ranks=4, topology="tree_any", steps=2,
-         gpus_per_node=1, execution="processes", wire_dtype="fp32",
-         wire_codecs=(), **trainer_kwargs):
+         gpus_per_node=1, execution="processes", wire_codecs=(),
+         **trainer_kwargs):
     """Train a few steps; return (losses, params, trainer phase stats)."""
     rng = np.random.default_rng(7)
     x = rng.standard_normal((128, 12)).astype(np.float32)
@@ -41,8 +41,7 @@ def _run(reduce_mode, op="adasum", num_ranks=4, topology="tree_any", steps=2,
     config = RunConfig(
         op=op, topology=topology, gpus_per_node=gpus_per_node,
         num_ranks=num_ranks, microbatch=2, seed=0, execution=execution,
-        reduce_mode=reduce_mode, wire_dtype=wire_dtype,
-        wire_codecs=wire_codecs,
+        reduce_mode=reduce_mode, wire_codecs=wire_codecs,
     )
     trainer = ParallelTrainer.from_config(
         model, nn.CrossEntropyLoss(), lambda ps: SGD(ps, lr=0.1),
@@ -98,7 +97,7 @@ class TestBitExactness:
     def test_workers_with_fp16_wire(self):
         # Workers combine the already-encoded rows; the codec round-trip
         # happens once in the parent, so parity must hold bytewise.
-        kw = dict(op="adasum", num_ranks=4, wire_dtype="fp16")
+        kw = dict(op="adasum", num_ranks=4, wire_codecs=("fp16",))
         _, ref_params, _ = _run("parent", **kw)
         _, params, _ = _run("workers", **kw)
         _assert_bit_identical(ref_params, params, "workers/fp16-wire")
@@ -130,11 +129,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="rvh"):
             RunConfig(execution="processes", topology="rvh", op="adasum",
                       reduce_mode="workers")
-
-    def test_workers_rejects_legacy_fp16(self):
-        with pytest.raises(ValueError, match="fp16"):
-            RunConfig(execution="processes", topology="tree_any",
-                      reduce_mode="workers", fp16=True)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="reduce_mode"):
