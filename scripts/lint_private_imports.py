@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Lint: forbid private reduction/collective names outside their package.
+"""Lint: forbid private reduction/collective/scaler names outside their package.
 
 The strategy registry (``repro.core.strategies``) is the single
 dispatch point for every reduction path.  Code outside ``src/repro/core``
@@ -10,7 +10,9 @@ same boundary holds for the wire-level hierarchical collective: its
 ring-schedule internals (chunk-bound arithmetic, local reduce-scatter /
 allgather stages, the cross-node tree fallback) are private to
 ``src/repro/comm`` — everything else calls the public
-``hierarchical_*_allreduce`` entry points.  This grep-level check
+``hierarchical_*_allreduce`` entry points.  And the fp16 dynamic
+scaler's state leaves ``src/repro/core`` only as
+``DynamicScaler.state_dict()``.  This grep-level check
 keeps the boundaries from eroding: a
 private name that leaks into another package turns the next kernel
 refactor into a cross-package breakage.
@@ -62,6 +64,14 @@ RULES = (
         ),
         (REPO / "src" / "repro" / "comm",),
     ),
+    # fp16 dynamic-scaler internals: everything outside core reads and
+    # restores the scaler through ``DistributedOptimizer.scaler`` and
+    # ``DynamicScaler.state_dict()`` / ``load_state_dict()``.  (The
+    # leading dot keeps the on-disk ``"fp16_scaler"`` key legal.)
+    (
+        ("._scaler", "_clean_steps"),
+        (REPO / "src" / "repro" / "core",),
+    ),
 )
 
 # Everything under these roots is scanned (tests may exercise privates).
@@ -95,14 +105,14 @@ def scan() -> list[str]:
 def main() -> int:
     offenders = scan()
     if offenders:
-        print("private reduction/collective names leaked outside their package:")
+        print("private reduction/collective/scaler names leaked outside their package:")
         for line in offenders:
             print(f"  {line}")
         print(
             "\nroute through repro.core.strategies.get_strategy(...), "
             "repro.core.make_reducer(...), repro.comm.cluster_allreduce(...), "
-            "or the public repro.comm.hierarchical_*_allreduce entry points "
-            "instead."
+            "the public repro.comm.hierarchical_*_allreduce entry points, or "
+            "DistributedOptimizer.scaler.state_dict() instead."
         )
         return 1
     print("lint_private_imports: no private kernel names outside their package")

@@ -537,27 +537,6 @@ def build_pipeline(specs, scaler=None) -> Optional[CodecPipeline]:
 # Transport wire formats (elastic leaf-hop compression)
 # ----------------------------------------------------------------------
 
-class Fp16WireFormat:
-    """The legacy transport format: scaled fp16 for grid-resident rows.
-
-    Byte- and bit-identical to the original ``wire_scale`` path in
-    :mod:`repro.elastic.collective`; kept as its own class so external
-    callers passing ``wire_scale`` get exactly the old behaviour.
-    """
-
-    def __init__(self, wire_scale: float):
-        self.wire_scale = float(wire_scale)
-
-    def encode(self, row: np.ndarray, boundaries=None):
-        payload = (row * self.wire_scale).astype(np.float16)
-        return payload, payload.nbytes
-
-    def decode(self, payload) -> np.ndarray:
-        if isinstance(payload, np.ndarray) and payload.dtype == np.float16:
-            return payload.astype(np.float32) * (1.0 / self.wire_scale)
-        return payload
-
-
 class PipelineWireFormat:
     """Compress original-row transport sends through the codec stack.
 

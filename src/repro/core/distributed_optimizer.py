@@ -199,6 +199,11 @@ class DistributedOptimizer:
         opt = self.optimizer or self.rank_optimizers[0]
         return opt.lr
 
+    @property
+    def scaler(self) -> Optional[DynamicScaler]:
+        """The fp16 stage's dynamic scaler (``None`` without one)."""
+        return self._scaler
+
     def zero_grad(self) -> None:
         self.model.zero_grad()
 
@@ -210,38 +215,72 @@ class DistributedOptimizer:
         """
         self.step_arena(GradientArena.from_grad_dicts(grad_dicts))
 
-    def step_arena(self, arena, reduce_fn=None) -> None:
+    def step_arena(self, arena, reduce_fn=None, ranks: Optional[Sequence[int]] = None) -> None:
         """Apply one distributed update from a filled :class:`GradientArena`.
 
-        Per-rank gradients live in the arena rows and the reduction runs
-        the reducer's flat kernels over them.
+        The one phased step: prepare (wire rewrite) -> reduce -> apply.
+        Per-rank gradients live in the arena rows; ``ranks`` selects the
+        participating rows (default: all).
 
-        ``reduce_fn(arena) -> flat buffer`` swaps out *who reduces* the
-        prepared rows (the process backend's worker-parallel tree reduce
-        plugs in here) while the wire rewrite and apply halves stay
-        identical — the skip/fp16/post-optimizer bookkeeping is shared
-        whatever runs phase 2.
+        ``reduce_fn(arena, ctx) -> flat buffer`` swaps out *who reduces*
+        the prepared rows — the process backend's worker-parallel tree
+        reduce and the elastic runtime's cluster collective plug in
+        here, reading the participants (``ctx["ranks"]``) and the
+        transport ``ctx["wire_format"]`` from the step context — while
+        the wire rewrite and apply halves stay identical.  It is not
+        called on a skipped step (fp16 overflow), and when it raises
+        nothing has been applied to the model.
         """
         if arena.num_ranks != self.num_ranks:
             raise ValueError(
                 f"expected a {self.num_ranks}-rank arena, got {arena.num_ranks}"
             )
-        ctx = self.prepare_wire_arena(arena)
+        ctx = self.prepare_wire_arena(arena, ranks=ranks)
         if ctx["skip"]:
             return
-        if reduce_fn is None:
+        if reduce_fn is not None:
+            combined = reduce_fn(arena, ctx)
+        elif ranks is None:
             combined = self.reducer.reduce_arena(arena)
         else:
-            combined = reduce_fn(arena)
+            combined = self.reducer.reduce_flat(
+                arena.data[ctx["ranks"]], arena.layout.boundaries()
+            )
         self.apply_reduced_flat(combined, arena, ctx)
 
     # ------------------------------------------------------------------
-    # Split-step API: the elastic runtime separates the local half of a
-    # distributed step (delta rewrite, fp16 wire encode) from the apply
-    # half, because the reduction in between runs as a collective on the
-    # simulated cluster — and may fail, shrink the world, and be retried
-    # over a different participant set.
+    # The wire boundary.  ``begin_wire_step``/``end_wire_step`` bracket
+    # whatever encodes the rows — one whole-row encode on the phased
+    # path, one encode per bucket on the overlap scheduler's comm
+    # thread — so the scaler verdict, skip and byte accounting exist
+    # once.
     # ------------------------------------------------------------------
+    def begin_wire_step(self, arena) -> None:
+        """Bind the codec stack to ``arena`` and fix this step's fp16 scale."""
+        pipe = self.wire_pipeline
+        if pipe is not None:
+            pipe.bind(
+                arena.num_ranks, arena.layout.total_size, arena.layout.boundaries()
+            )
+            pipe.begin_step()
+
+    def end_wire_step(self, overflow: bool, nbytes: int) -> bool:
+        """Close the step at the wire boundary; True when it is skipped.
+
+        One scaler verdict per step: an fp16 overflow backs the scale
+        off, rolls error-feedback residuals back and drops the step's
+        gradients.  Otherwise ``nbytes`` (modeled encoded bytes of all
+        participating rows) is booked.
+        """
+        pipe = self.wire_pipeline
+        if pipe is not None and pipe.end_step(overflow):
+            self.skipped_steps += 1
+            self.model.zero_grad()
+            return True
+        self.last_wire_bytes = nbytes
+        self.wire_bytes_total += nbytes
+        return False
+
     def prepare_wire_arena(self, arena, ranks: Optional[Sequence[int]] = None) -> Dict:
         """Rewrite arena rows into wire tensors; returns the step context.
 
@@ -255,47 +294,25 @@ class DistributedOptimizer:
 
         ``ranks`` selects which arena rows participate (default: all) —
         the hook the straggler drop policy uses.  The returned context
-        carries ``skip``, the post-optimizer starting parameters, and —
-        when a stack is active — ``wire_scale`` (fp16 stage present),
-        ``wire_format`` (transport-level re-encode of the now
-        grid-resident rows) and ``wire_bytes`` (modeled encoded bytes).
+        carries ``ranks``, ``skip``, the post-optimizer starting
+        parameters, and — when a stack is active — ``wire_format``
+        (transport-level re-encode of the now grid-resident rows).
         """
-        if ranks is None:
-            ranks = list(range(arena.num_ranks))
-        else:
-            ranks = list(ranks)
+        ranks = list(range(arena.num_ranks)) if ranks is None else list(ranks)
         ctx: Dict = {"ranks": ranks, "starts": None, "skip": False}
         if self.post_optimizer_mode:
             ctx["starts"] = self._rewrite_rows_to_deltas(arena, ranks)
+        self.begin_wire_step(arena)
         pipe = self.wire_pipeline
-        if pipe is not None:
-            pipe.bind(
-                arena.num_ranks, arena.layout.total_size, arena.layout.boundaries()
-            )
-            scale_used = (
-                self._scaler.scale_value if self._scaler is not None else None
-            )
-            pipe.begin_step()
-            overflow = pipe.encode_block(arena.data, ranks)
-            if pipe.end_step(overflow):
-                self.skipped_steps += 1
-                ctx["skip"] = True
-                self.model.zero_grad()
-            else:
-                if scale_used is not None:
-                    # Rows are now on the fp16 grid at this
-                    # (power-of-two) scale; transports can compress
-                    # them losslessly.
-                    ctx["wire_scale"] = scale_used
-                ctx["wire_format"] = pipe.leaf_format()
-                nbytes = pipe.wire_nbytes() * len(ranks)
-                ctx["wire_bytes"] = nbytes
-                self.last_wire_bytes = nbytes
-                self.wire_bytes_total += nbytes
+        if pipe is None:
+            overflow = False
+            row_nbytes = arena.layout.total_size * arena.dtype.itemsize
         else:
-            nbytes = arena.layout.total_size * arena.dtype.itemsize * len(ranks)
-            self.last_wire_bytes = nbytes
-            self.wire_bytes_total += nbytes
+            overflow = pipe.encode_block(arena.data, ranks)
+            row_nbytes = pipe.wire_nbytes()
+        ctx["skip"] = self.end_wire_step(overflow, row_nbytes * len(ranks))
+        if pipe is not None and not ctx["skip"]:
+            ctx["wire_format"] = pipe.leaf_format()
         return ctx
 
     def wire_row_nbytes(self, arena) -> int:

@@ -128,34 +128,32 @@ class FlatOptimizerMirror:
     across ranks cannot change bits — property-tested against the
     phased path in ``tests/core/test_overlap.py``.
 
-    The mirror owns its own step/state bookkeeping; the real
-    ``rank_optimizers`` are left untouched.  It therefore must be
-    driven for *every* step of a run (the scheduler guarantees this) —
-    mixing phased and mirrored steps mid-run would fork the optimizer
-    state.
+    The mirror's flat arrays *are* the rank optimizers' state: the first
+    step installs per-parameter views of its rows as their slot arrays
+    and every step advances their ``step_count``, so checkpoints and
+    ``dist_opt.lr`` see exactly what a phased run would have.  It must
+    still be driven for *every* step of a run (the scheduler guarantees
+    this): a real ``Optimizer.step`` rebinds its slots to fresh arrays
+    and would fork the state.
     """
 
     def __init__(self, dist_opt: DistributedOptimizer, arena: GradientArena):
-        opt = dist_opt.rank_optimizers[0]
-        self._opt = opt
+        self._opts = dist_opt.rank_optimizers
+        opt = self._opt = self._opts[0]
         self._kind = "adam" if type(opt) is Adam else "sgd"
         self._arena = arena
-        self._ranks = arena.num_ranks
         total = arena.layout.total_size
         self.starts = np.empty(total, dtype=arena.dtype)
-        self.start_views: Dict[str, np.ndarray] = {
-            name: self.starts[lo:hi].reshape(shape)
-            for name, (lo, hi), shape in zip(
-                arena.layout.names, arena.layout.slices, arena.layout.shapes
-            )
-        }
+        self.start_views: Dict[str, np.ndarray] = arena.unpack(self.starts, copy=False)
         self._params = dist_opt._params
         self._steps = 0
         self._lr = 0.0
-        shape = (self._ranks, total)
+        shape = (arena.num_ranks, total)
         if self._kind == "adam":
             self._m = np.zeros(shape, dtype=np.float32)
             self._v = np.zeros(shape, dtype=np.float32)
+            # Adam's per-slot step counter: one column per parameter.
+            self._t = np.zeros((arena.num_ranks, len(opt.params)), dtype=np.int64)
         elif opt.momentum:
             self._buf = np.zeros(shape, dtype=np.float32)
 
@@ -180,12 +178,39 @@ class FlatOptimizerMirror:
         return FlatOptimizerMirror(dist_opt, arena)
 
     # ------------------------------------------------------------------
+    def _install_state(self) -> None:
+        """Make the flat rows the rank optimizers' slot arrays (views)."""
+        if self._kind == "adam":
+            rows = {"m": self._m, "v": self._v}
+        elif self._opt.momentum:
+            rows = {"momentum": self._buf}
+        else:
+            return
+        names = {id(p): name for name, p in self._params.items()}
+        for rank, opt in enumerate(self._opts):
+            views = {
+                key: self._arena.unpack(flat[rank], copy=False)
+                for key, flat in rows.items()
+            }
+            for index, p in enumerate(opt.params):
+                slot = opt.state_for(index)
+                for key in rows:
+                    slot[key] = views[key][names[id(p)]]
+                if self._kind == "adam":
+                    slot["t"] = self._t[rank, index:index + 1]
+
     def begin_step(self) -> None:
         """Snapshot shared starting params; fix this step's lr and t."""
         for name, p in self._params.items():
             np.copyto(self.start_views[name], p.data)
         self._lr = self._opt.lr_schedule(self._steps)
+        if self._steps == 0:
+            self._install_state()
         self._steps += 1
+        for opt in self._opts:
+            opt.step_count = self._steps
+        if self._kind == "adam":
+            self._t[:] = self._steps
 
     def rewrite(self, lo: int, hi: int) -> None:
         """In place: arena columns ``[lo, hi)`` gradient rows -> delta rows."""
@@ -295,7 +320,6 @@ class OverlapScheduler:
         self._launched: List[bool] = []
         self._futures: List[Future] = []
         self._overflow = False
-        self._scale = 1.0
         self._wire_bytes = 0
         self._t_base = 0.0
 
@@ -321,16 +345,7 @@ class OverlapScheduler:
             self._t_base = perf_counter()
         if self.mirror is not None:
             self.mirror.begin_step()
-        pipe = dist_opt.wire_pipeline
-        if pipe is not None:
-            pipe.bind(
-                self.arena.num_ranks,
-                self.arena.layout.total_size,
-                self.arena.layout.boundaries(),
-            )
-            pipe.begin_step()  # fixes the fp16 scale for every bucket
-        if dist_opt.wire_fp16:
-            self._scale = dist_opt._scaler.scale_value
+        dist_opt.begin_wire_step(self.arena)  # fixes the fp16 scale for every bucket
 
         losses = compute_fn(self.mark_ready)
         t_compute = perf_counter() - self._t_base
@@ -340,24 +355,12 @@ class OverlapScheduler:
         for fut in futures:
             fut.result()  # propagate comm-worker exceptions
 
-        skip = False
-        if pipe is not None:
-            # One aggregated overflow verdict per step, as in the
-            # phased encode; a skip also rolls back EF residuals.
-            skip = pipe.end_step(self._overflow)
-            if skip:
-                dist_opt.skipped_steps += 1
-            else:
-                dist_opt.last_wire_bytes = self._wire_bytes
-                dist_opt.wire_bytes_total += self._wire_bytes
-        else:
-            dist_opt.last_wire_bytes = self._wire_bytes
-            dist_opt.wire_bytes_total += self._wire_bytes
         if self.tracer is not None:
             # One span covers all ranks' fused forward/backward.
             self.tracer.record(0, "compute", 0.0, t_compute, label="ranks-fwd-bwd")
-        if skip:
-            dist_opt.model.zero_grad()
+        # One aggregated overflow verdict per step, as in the phased
+        # encode; a skip also rolls back EF residuals.
+        if dist_opt.end_wire_step(self._overflow, self._wire_bytes):
             return losses
         ctx = {
             "ranks": list(range(self.arena.num_ranks)),
@@ -423,18 +426,3 @@ class OverlapScheduler:
                 nbytes=nbytes,
                 label=f"bucket-{bucket.index}",
             )
-
-    @staticmethod
-    def _encode_rows(rows: np.ndarray, scale: float) -> bool:
-        """fp16 wire round-trip in place; True on overflow.
-
-        Elementwise identical to
-        ``DistributedOptimizer._encode_wire_rows`` (scale -> fp16 cast
-        -> finite check -> decode); applying it per bucket with the
-        step's fixed scale reaches every element exactly once.
-        """
-        with np.errstate(over="ignore"):
-            enc = (rows * scale).astype(np.float16)
-            overflow = not bool(np.isfinite(enc).all())
-        np.multiply(enc.astype(np.float32), 1.0 / scale, out=rows)
-        return overflow

@@ -41,6 +41,20 @@ class DynamicScaler:
         self._clean_steps = 0
         self.overflow_count = 0
 
+    def state_dict(self) -> dict:
+        """The mutable scaling state (JSON-serializable)."""
+        return {
+            "scale_value": self.scale_value,
+            "clean_steps": self._clean_steps,
+            "overflow_count": self.overflow_count,
+        }
+
+    def load_state_dict(self, state: dict) -> None:
+        """Restore a :meth:`state_dict` copy in place."""
+        self.scale_value = float(state["scale_value"])
+        self._clean_steps = int(state["clean_steps"])
+        self.overflow_count = int(state["overflow_count"])
+
     def update(self, found_overflow: bool) -> bool:
         """Adjust the scale; returns True if the step should be skipped."""
         if found_overflow:

@@ -35,8 +35,7 @@ bit-exactness contract holds by construction.  Combined partials at
 interior tree hops are never grid-resident, so they stay fp32:
 compression applies to leaf hops only (every send in gather mode, the
 bottom level in tree mode), mirroring fp16-wire/fp32-accumulate mixed
-precision (§4.4.1).  The legacy ``wire_scale`` float is still accepted
-and maps onto the equivalent fp16 format.
+precision (§4.4.1).
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.comm.codec import Fp16WireFormat
 from repro.comm.transport import Cluster, GroupComm
 from repro.core.operator import largest_pow2_below
 from repro.core.strategies import GradientReducer, get_strategy
@@ -109,7 +107,6 @@ def cluster_reduce(
     boundaries: Optional[Sequence[int]],
     reducer: GradientReducer,
     participants: Optional[Sequence[int]] = None,
-    wire_scale: Optional[float] = None,
     wire_format=None,
 ) -> np.ndarray:
     """Reduce ``data`` rows over ``cluster``; returns the combined row.
@@ -125,11 +122,7 @@ def cluster_reduce(
     (see module docstring): pass the wire format of the codec stack the
     rows were already round-tripped through
     (:meth:`CodecPipeline.leaf_format`), or ``None`` for raw fp32.
-    ``wire_scale`` is the legacy fp16-only form: a dynamic-scaler scale
-    that maps onto :class:`~repro.comm.codec.Fp16WireFormat`.
     """
-    if wire_format is None and wire_scale is not None:
-        wire_format = Fp16WireFormat(wire_scale)
     if data.shape[0] != cluster.size:
         raise ValueError(
             f"data has {data.shape[0]} rows for a {cluster.size}-rank cluster"

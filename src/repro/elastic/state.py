@@ -2,23 +2,25 @@
 
 A :class:`WorldSnapshot` is everything the supervisor needs to rewind
 to the last committed step and continue in a *different* world: model
-parameters and buffers, optimizer states keyed by the *global* rank ids
-that owned them, the fp16 scaler, and the trainer's progress cursor
-(epoch, position in the epoch permutation, counters).  It lives in
-memory — cheap enough to refresh every committed step — while the
-on-disk ``train/checkpoint.py`` format covers cross-process resume.
+parameters and buffers, the optimizer-side state, and the trainer's
+progress cursor (epoch, position in the epoch permutation, counters).
+It lives in memory — cheap enough to refresh every committed step —
+while the on-disk ``train/checkpoint.py`` format covers cross-process
+resume.
 
-Optimizer states are stored per global id so that after a shrink the
-survivors can be re-partitioned by membership
-(:meth:`~repro.elastic.membership.Membership.rank_map_from`): new local
-rank ``i`` receives the state of the global rank now sitting at
-position ``i``.
+The optimizer-side state has one packed form (:func:`pack_dist_state`),
+used for rollback and for rank loans alike: optimizer slots keyed by the
+*global* rank ids that own them (loaned-out ranks included), the
+skipped-step counter and the fp16 scaler.  Keying by global id is what
+lets any rebuilt world — shrunk by a kill or a loan, grown by a reclaim
+— pick its states back up: new local rank ``i`` receives the state of
+the global rank now sitting at position ``i``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -51,17 +53,55 @@ def restore_optimizer_state(opt: Optimizer, packed: dict) -> None:
         }
 
 
+def pack_dist_state(dist_opt, membership, loan_stash: Dict[int, dict]) -> dict:
+    """Everything a world rebuild would otherwise reset, by global id.
+
+    Per-rank (or shared) optimizer slots, the skipped-step counter and
+    the fp16 dynamic-scaler state.  ``loan_stash`` holds the states of
+    loaned-out ranks; they ride along so a later reclaim restores them
+    unchanged.
+    """
+    scaler = dist_opt.scaler
+    state = {
+        "skipped_steps": dist_opt.skipped_steps,
+        "scaler": scaler.state_dict() if scaler is not None else None,
+    }
+    if dist_opt.post_optimizer_mode:
+        per_rank = dict(loan_stash)
+        for opt, g in zip(dist_opt.rank_optimizers, membership):
+            per_rank[g] = pack_optimizer_state(opt)
+        state["per_rank"] = per_rank
+    else:
+        state["shared"] = pack_optimizer_state(dist_opt.optimizer)
+    return state
+
+
+def restore_dist_state(dist_opt, membership, state: dict) -> Dict[int, dict]:
+    """Load a :func:`pack_dist_state` copy onto a (rebuilt) world.
+
+    Live ranks take their states by global id; returns the new loan
+    stash — the states of ranks still out on loan.  States of ranks
+    that left for good (killed) are dropped.
+    """
+    dist_opt.skipped_steps = state["skipped_steps"]
+    if dist_opt.scaler is not None and state["scaler"] is not None:
+        dist_opt.scaler.load_state_dict(state["scaler"])
+    if not dist_opt.post_optimizer_mode:
+        restore_optimizer_state(dist_opt.optimizer, state["shared"])
+        return {}
+    per_rank = state["per_rank"]
+    for opt, g in zip(dist_opt.rank_optimizers, membership):
+        restore_optimizer_state(opt, per_rank[g])
+    return {g: per_rank[g] for g in membership.loaned}
+
+
 @dataclasses.dataclass
 class WorldSnapshot:
     """Last-good-step state, sufficient to rebuild any shrunk world."""
 
     params: Dict[str, np.ndarray]
     buffers: Dict[str, np.ndarray]
-    opt_globals: List[int]          # global id owning opt_states[i]
-    opt_states: List[dict]          # per-rank states (or one shared state)
-    shared_optimizer: bool          # pre-optimizer mode: one state total
-    skipped_steps: int
-    scaler: Optional[dict]          # fp16 dynamic-scaling state, or None
+    optimizer_state: dict           # pack_dist_state(): slots by global id
     iterator: dict                  # ElasticBatchIterator.state()
     global_step: int
     commits: int

@@ -1,10 +1,14 @@
 """The elastic training supervisor.
 
-``ElasticTrainer`` drives the same synchronous data-parallel update as
-:class:`~repro.train.trainer.ParallelTrainer`, but the per-step
-reduction runs as a real collective on a simulated
-:class:`~repro.comm.transport.Cluster` — and when that collective fails
-(a killed rank, a hang), the supervisor recovers instead of aborting:
+``ElasticTrainer`` does not implement a training step: every attempt
+calls the same :func:`~repro.train.trainer.phased_step` over the same
+rank executor as :class:`~repro.train.trainer.ParallelTrainer`.  What
+it owns is everything *around* the step — the reduce callable (the
+per-step reduction runs as a real collective on a simulated
+:class:`~repro.comm.transport.Cluster`, under the step's fault plan),
+the commit, snapshots, membership and rank loans — and when the
+collective fails (a killed rank, a hang), it recovers instead of
+aborting:
 
 1. **classify** the failure from the structured error attributes
    (:func:`~repro.elastic.failures.classify_failure`);
@@ -13,9 +17,9 @@ reduction runs as a real collective on a simulated
    the in-memory last-good-step :class:`WorldSnapshot`;
 4. **rebuild** the world for the new size — fresh cluster, a
    ``DistributedOptimizer`` on the ``tree_any`` geometry (the Adasum
-   tree re-grows for any survivor count), a re-shaped
-   :class:`~repro.core.arena.GradientArena`, and per-rank optimizer
-   states re-partitioned from the snapshot by global id;
+   tree re-grows for any survivor count), a rank executor over a
+   re-shaped gradient arena, and per-rank optimizer states
+   re-partitioned from the snapshot by global id;
 5. **retry** the interrupted step: the uncommitted cursor region is
    re-dealt over the survivors, so every sample is still visited
    exactly once per epoch.
@@ -44,27 +48,23 @@ from repro.comm.bucketing import BucketPlan
 from repro.comm.faults import RankKilledError
 from repro.comm.netmodel import NetworkModel
 from repro.comm.transport import Cluster, CommError
-from repro.core.arena import (
-    GradientArena,
-    SharedGradientArena,
-    leaked_shared_segments,
-)
-from repro.core.config import parse_execution
 from repro.core.distributed_optimizer import DistributedOptimizer, ReduceOpType
 from repro.core.orthogonality import OrthogonalityProbe
 from repro.data.sampler import ElasticBatchIterator
 from repro.nn.module import Module
-from repro.tensor import set_kernel_specialization, tune_allocator
+from repro.tensor import tune_allocator
 from repro.train.checkpoint import (
     load_checkpoint,
     read_checkpoint_meta,
     save_checkpoint,
 )
 from repro.train.metrics import Meter
-from repro.train.trainer import (
-    ParallelTrainer,
-    ProcessRankExecutor,
+from repro.train.trainer import (  # noqa: F401
+    build_rank_executor,
+    # Not called here (the executor computes), but the name stays a
+    # module attribute: the perfbench layer table resolves it.
     compute_grads_into,
+    phased_step,
 )
 
 from repro.elastic.collective import cluster_reduce
@@ -73,8 +73,8 @@ from repro.elastic.membership import Membership
 from repro.elastic.schedule import ElasticSchedule
 from repro.elastic.state import (
     WorldSnapshot,
-    pack_optimizer_state,
-    restore_optimizer_state,
+    pack_dist_state,
+    restore_dist_state,
 )
 
 
@@ -165,7 +165,6 @@ class ElasticTrainer:
         checkpoint_every: Optional[int] = None,
         min_ranks: int = 1,
         probe: Optional[OrthogonalityProbe] = None,
-        specialize_kernels: bool = True,
         wire_codecs=None,
         bucket_cap_mb: Optional[float] = None,
         execution: str = "serial",
@@ -175,15 +174,6 @@ class ElasticTrainer:
             raise ValueError("microbatch must be >= 1")
         if snapshot_every < 1:
             raise ValueError("snapshot_every must be >= 1")
-        execution = parse_execution(execution)
-        if reduce_mode not in ("parent", "workers"):
-            raise ValueError(
-                f"reduce_mode must be 'parent' or 'workers', got {reduce_mode!r}"
-            )
-        if reduce_mode == "workers" and execution != "processes":
-            raise ValueError(
-                "reduce_mode='workers' requires execution='processes'"
-            )
         tune_allocator()
         self.model = model
         self.loss_fn = loss_fn
@@ -211,12 +201,9 @@ class ElasticTrainer:
         self.checkpoint_every = checkpoint_every
         self.min_ranks = min_ranks
         self.probe = probe
-        self.specialize_kernels = specialize_kernels
         self.execution = execution
         self.reduce_mode = reduce_mode
-        self._proc_executor: Optional[ProcessRankExecutor] = None
-        if execution == "processes":
-            ParallelTrainer._check_parallel_safe(model)
+        self.executor = None
 
         self.membership = Membership(num_ranks)
         self.iterator = ElasticBatchIterator(
@@ -300,7 +287,7 @@ class ElasticTrainer:
     # World lifecycle
     # ------------------------------------------------------------------
     def _teardown_execution(self) -> None:
-        """Release the previous world's execution resources (idempotent).
+        """Release the current world's execution resources (idempotent).
 
         Under ``execution="processes"`` a world owns real OS state —
         rank worker processes and shared-memory segments — which must be
@@ -308,31 +295,14 @@ class ElasticTrainer:
         the pool at the new size over freshly-sized segments, and the
         old segments must not survive as ``/dev/shm`` leaks.
         """
-        owned_segments = []
-        arena = getattr(self, "arena", None)
-        if isinstance(arena, SharedGradientArena):
-            owned_segments.append(arena.name)
-        try:
-            if self._proc_executor is not None:
-                owned_segments.append(self._proc_executor.param_arena.name)
-                self._proc_executor.close()
-                self._proc_executor = None
-        finally:
-            # Unlink the gradient segment even when the executor
-            # shutdown raises (a worker killed mid-combine can surface
-            # here): whatever state the step was in, this world's
-            # segments must be gone when teardown returns.
-            if isinstance(arena, SharedGradientArena):
-                arena.unlink()
-        # Preempted / paused / rebuilt process-backend worlds must never
-        # strand a /dev/shm file: everything this world owned has to be
-        # gone the moment teardown returns, whatever state the step loop
-        # was in when the scheduler pulled the ranks.
-        leaked = set(owned_segments) & set(leaked_shared_segments())
-        assert not leaked, f"world teardown leaked shared segments: {sorted(leaked)}"
+        if self.executor is not None:
+            executor, self.executor = self.executor, None
+            executor.close()
 
-    def _build_world(self) -> None:
-        """(Re)build cluster, optimizer, and arena for the current world."""
+    def _build_world(self, state: Optional[Dict] = None) -> None:
+        """(Re)build cluster, optimizer, and executor for the current
+        membership; ``state`` (a :func:`pack_dist_state` copy) is loaded
+        onto the new optimizer, re-partitioned by global id."""
         self._teardown_execution()
         size = self.membership.size
         self.cluster = Cluster(
@@ -349,40 +319,32 @@ class ElasticTrainer:
             topology=self.topology,
             gpus_per_node=self.gpus_per_node if self.topology == "hierarchical" else None,
         )
+        if state is not None:
+            self._loan_stash = restore_dist_state(
+                self.dist_opt, self.membership, state
+            )
         self._build_execution()
         self.iterator.reshard(size)
         self._paused = False
 
     def _build_execution(self) -> None:
-        """(Re)build the phase-1 compute resources at the current size.
+        """(Re)build the rank executor at the current size.
 
         Split from :meth:`_build_world` so :meth:`resume` can reattach
         execution resources (worker pool, shared segments) without
         touching the optimizer or cluster — the pause/resume round trip
         is then bit-exact by construction.
         """
-        size = self.membership.size
-        if self.execution == "processes":
-            combine_spec = None
-            if self.reduce_mode == "workers":
-                combine_spec = self.dist_opt.reducer.combine_spec()
-                if combine_spec.schedule(size) is None:
-                    raise ValueError(
-                        f"strategy ({combine_spec.op!r}, "
-                        f"{combine_spec.topology!r}) has no pair-combine "
-                        "schedule; use reduce_mode='parent'"
-                    )
-            self.arena = SharedGradientArena.from_model(self.model, size)
-            self._proc_executor = ProcessRankExecutor(
-                self.model, self.loss_fn, self.x, self.y, self.microbatch, 1,
-                self.arena,
-                specialize_kernels=self.specialize_kernels,
-                timeout=self.timeout,
-                reduce_mode=self.reduce_mode,
-                combine_spec=combine_spec,
-            )
-        else:
-            self.arena = GradientArena.from_model(self.model, size)
+        self.executor = build_rank_executor(
+            self.model, self.loss_fn, self.dist_opt, self.x, self.y,
+            self.microbatch, execution=self.execution,
+            reduce_mode=self.reduce_mode, timeout=self.timeout,
+        )
+
+    @property
+    def arena(self):
+        """The current world's gradient arena (``None`` while paused)."""
+        return None if self.executor is None else self.executor.arena
 
     def close(self) -> None:
         """Stop rank workers and unlink shared segments (idempotent)."""
@@ -418,58 +380,6 @@ class ElasticTrainer:
     # ------------------------------------------------------------------
     # Rank loans / pause-resume (the scheduler's preemption hooks)
     # ------------------------------------------------------------------
-    def _pack_world_state(self) -> Dict:
-        """Optimizer-side state keyed by global id, loan-stash included.
-
-        Everything :meth:`_build_world` would otherwise reset: per-rank
-        (or shared) optimizer slots, the skipped-step counter, and the
-        fp16 dynamic-scaler state.  Loaned-out ranks contribute their
-        stashed states so a later reclaim restores them unchanged.
-        """
-        d = self.dist_opt
-        state: Dict = {
-            "skipped_steps": d.skipped_steps,
-            "scaler": (
-                {
-                    "scale_value": d._scaler.scale_value,
-                    "clean_steps": d._scaler._clean_steps,
-                    "overflow_count": d._scaler.overflow_count,
-                }
-                if d.wire_fp16 else None
-            ),
-        }
-        if d.post_optimizer_mode:
-            per_rank = dict(self._loan_stash)
-            for local, g in enumerate(self.membership):
-                per_rank[g] = pack_optimizer_state(d.rank_optimizers[local])
-            state["per_rank"] = per_rank
-            state["shared"] = None
-        else:
-            state["per_rank"] = None
-            state["shared"] = pack_optimizer_state(d.optimizer)
-        return state
-
-    def _restore_world_state(self, state: Dict) -> None:
-        """Load a :meth:`_pack_world_state` copy onto the rebuilt world."""
-        d = self.dist_opt
-        d.skipped_steps = state["skipped_steps"]
-        if d.wire_fp16 and state["scaler"] is not None:
-            d._scaler.scale_value = state["scaler"]["scale_value"]
-            d._scaler._clean_steps = state["scaler"]["clean_steps"]
-            d._scaler.overflow_count = state["scaler"]["overflow_count"]
-        if state["per_rank"] is not None:
-            for local, g in enumerate(self.membership):
-                restore_optimizer_state(
-                    d.rank_optimizers[local], state["per_rank"][g]
-                )
-            self._loan_stash = {
-                g: s for g, s in state["per_rank"].items()
-                if g not in self.membership
-            }
-        else:
-            restore_optimizer_state(d.optimizer, state["shared"])
-            self._loan_stash = {}
-
     def lend_ranks(self, count: int) -> List[int]:
         """Voluntarily shrink the world by ``count`` ranks (a rank loan).
 
@@ -492,10 +402,9 @@ class ElasticTrainer:
                 f"lending {count} of {self.membership.size} ranks would "
                 f"shrink below min_ranks={floor}"
             )
-        state = self._pack_world_state()
+        state = self._pack_state()
         lent = self.membership.lend(count)
-        self._build_world()
-        self._restore_world_state(state)
+        self._build_world(state)
         self._take_snapshot()
         self.loan_events.append(
             {"step": self.global_step, "kind": "lend", "ranks": lent,
@@ -515,12 +424,11 @@ class ElasticTrainer:
             raise RuntimeError("cannot reclaim ranks while paused")
         if not self.membership.loaned:
             return []
-        state = self._pack_world_state()
+        state = self._pack_state()
         returned = self.membership.reclaim(count)
         if not returned:
             return []
-        self._build_world()
-        self._restore_world_state(state)
+        self._build_world(state)
         self._take_snapshot()
         self.loan_events.append(
             {"step": self.global_step, "kind": "reclaim", "ranks": returned,
@@ -541,7 +449,6 @@ class ElasticTrainer:
         if self._paused:
             return
         self._teardown_execution()
-        self.arena = None
         self._paused = True
         self.loan_events.append(
             {"step": self.global_step, "kind": "pause",
@@ -562,29 +469,15 @@ class ElasticTrainer:
     # ------------------------------------------------------------------
     # Snapshot / rollback
     # ------------------------------------------------------------------
+    def _pack_state(self) -> Dict:
+        """Optimizer-side state by global id, loan stash included."""
+        return pack_dist_state(self.dist_opt, self.membership, self._loan_stash)
+
     def _take_snapshot(self) -> None:
-        d = self.dist_opt
-        if d.post_optimizer_mode:
-            opt_states = [pack_optimizer_state(o) for o in d.rank_optimizers]
-            shared = False
-        else:
-            opt_states = [pack_optimizer_state(d.optimizer)]
-            shared = True
         self._snapshot = WorldSnapshot(
             params={n: p.data.copy() for n, p in self.model.named_parameters()},
             buffers={n: np.array(b, copy=True) for n, b in self.model.named_buffers()},
-            opt_globals=list(self.membership),
-            opt_states=opt_states,
-            shared_optimizer=shared,
-            skipped_steps=d.skipped_steps,
-            scaler=(
-                {
-                    "scale_value": d._scaler.scale_value,
-                    "clean_steps": d._scaler._clean_steps,
-                    "overflow_count": d._scaler.overflow_count,
-                }
-                if d.wire_fp16 else None
-            ),
+            optimizer_state=self._pack_state(),
             iterator=self.iterator.state(),
             global_step=self.global_step,
             commits=self.commits,
@@ -592,21 +485,6 @@ class ElasticTrainer:
             losses_len=len(self._epoch_losses),
             sim_time=self.sim_time,
         )
-
-    def _restore_optimizers(self, snap: WorldSnapshot) -> None:
-        """Re-partition snapshot optimizer states onto the current world."""
-        d = self.dist_opt
-        d.skipped_steps = snap.skipped_steps
-        if d.wire_fp16 and snap.scaler is not None:
-            d._scaler.scale_value = snap.scaler["scale_value"]
-            d._scaler._clean_steps = snap.scaler["clean_steps"]
-            d._scaler.overflow_count = snap.scaler["overflow_count"]
-        if snap.shared_optimizer:
-            restore_optimizer_state(d.optimizer, snap.opt_states[0])
-        else:
-            rank_map = self.membership.rank_map_from(snap.opt_globals)
-            for i, src in enumerate(rank_map):
-                restore_optimizer_state(d.rank_optimizers[i], snap.opt_states[src])
 
     def _rollback_and_rebuild(self) -> None:
         snap = self._snapshot
@@ -624,8 +502,7 @@ class ElasticTrainer:
         self.sim_time = snap.sim_time
         del self.epoch_visited[snap.visited_len:]
         del self._epoch_losses[snap.losses_len:]
-        self._build_world()
-        self._restore_optimizers(snap)
+        self._build_world(snap.optimizer_state)
 
     # ------------------------------------------------------------------
     # Failure handling
@@ -703,13 +580,7 @@ class ElasticTrainer:
         retried over the shrunk world with the same data cursor.
         """
         self.begin_epoch(epoch)
-        while self.iterator.has_next() and (
-            max_steps is None or len(self._epoch_losses) < max_steps
-        ):
-            self._step_with_recovery()
-        return (
-            float(np.mean(self._epoch_losses)) if self._epoch_losses else float("nan")
-        )
+        return self._run_epoch(max_steps)
 
     def begin_epoch(self, epoch: int) -> None:
         """Reset the cursor onto ``epoch``'s permutation (step-at-a-time API).
@@ -720,9 +591,7 @@ class ElasticTrainer:
         lifecycle is managed from outside.
         """
         self.iterator.begin_epoch(epoch)
-        self.epoch_visited = []
-        self._epoch_losses = []
-        self._take_snapshot()
+        self._open_epoch()
 
     def train_step(self) -> float:
         """One committed elastic step (recoverable); returns its mean loss.
@@ -745,9 +614,15 @@ class ElasticTrainer:
         so only the samples the saving run had not yet committed are
         visited.
         """
+        self._open_epoch()
+        return self._run_epoch(max_steps)
+
+    def _open_epoch(self) -> None:
         self.epoch_visited = []
         self._epoch_losses = []
         self._take_snapshot()
+
+    def _run_epoch(self, max_steps: Optional[int]) -> float:
         while self.iterator.has_next() and (
             max_steps is None or len(self._epoch_losses) < max_steps
         ):
@@ -772,93 +647,15 @@ class ElasticTrainer:
                 self._handle_failure(exc)
 
     def _attempt_step(self) -> float:
-        prior = set_kernel_specialization(self.specialize_kernels)
-        try:
-            return self._attempt_step_inner()
-        finally:
-            set_kernel_specialization(prior)
-
-    def _attempt_step_inner(self) -> float:
-        step_id = self.global_step
-        size = self.membership.size
+        """One attempt at the next step: the shared :func:`phased_step`
+        over the live ranks, then — only if it returned — the commit."""
         indices = self.iterator.next_step()
-        active = [r for r in range(size) if len(indices[r])]
-
-        # Phase 1 — compute: per-rank gradients written straight into
-        # the arena rows (same kernels and rank order as
-        # ParallelTrainer's serial path; the process backend lands them
-        # through shared memory instead).
-        if self._proc_executor is not None:
-            losses = self._proc_executor.compute(
-                [indices[r] for r in active], ranks=active
-            )
-        else:
-            losses = [
-                compute_grads_into(
-                    self.model, self.loss_fn,
-                    self.x[indices[r]], self.y[indices[r]],
-                    self.arena.views(r),
-                )
-                for r in active
-            ]
-        if self.probe is not None:
-            self.probe.record(
-                [self.arena.views(r) for r in active], step=step_id
-            )
-
-        participants = self._participants(active)
-
-        # Phase 2 — wire + reduce: local delta rewrite / fp16 encode,
-        # then either the collective on the simulated cluster or the
-        # worker-parallel in-shm tree reduce (where faults bite either
-        # way).
-        ctx = self.dist_opt.prepare_wire_arena(self.arena, ranks=participants)
-        if not ctx["skip"]:
-            plan = (
-                self.schedule.plan_for(step_id, self.membership)
-                if self.schedule is not None else None
-            )
-            if self._proc_executor is not None and self.reduce_mode == "workers":
-                # Scheduled kills attach to the real transport for the
-                # duration of the combine rounds: a due kill terminates
-                # the worker's OS process at (or between) combine
-                # dispatches and the round fails with structured
-                # rank_errors — recovery below is identical to a failed
-                # cluster collective.  No simulated clock advances here
-                # (the reduce is real wall-clock work), and straggler
-                # detection needs cluster traces, so both are cluster-
-                # path only.
-                transport = self._proc_executor.transport
-                transport.faults = plan
-                try:
-                    combined = self._proc_executor.worker_reduce(participants)
-                finally:
-                    transport.faults = None
-                if self.schedule is not None:
-                    self.schedule.consume(step_id)
-            else:
-                self.cluster.faults = plan
-                event_counts = {
-                    r: len(self.cluster.tracer.per_rank(r)) for r in range(size)
-                }
-                wire_format = ctx.get("wire_format")
-                try:
-                    combined = self._run_collective(participants, wire_format)
-                finally:
-                    self.cluster.faults = None
-                if self.schedule is not None:
-                    self.schedule.consume(step_id)
-                self.sim_time += self.cluster.max_clock()
-                self._update_stragglers(event_counts)
-            # Drop-and-renormalize: Adasum and Average renormalize by
-            # construction (they combine, not accumulate); a partial SUM
-            # must be scaled back up to the full world's magnitude.
-            if self.op is ReduceOpType.SUM and len(participants) < size:
-                combined = (combined * (size / len(participants))).astype(
-                    combined.dtype
-                )
-            # Phase 3 — apply centrally.
-            self.dist_opt.apply_reduced_flat(combined, self.arena, ctx)
+        active = [r for r in range(self.membership.size) if len(indices[r])]
+        losses, _, _ = phased_step(
+            self.executor, self.dist_opt, [indices[r] for r in active],
+            ranks=active, participants=self._participants(active),
+            reduce_fn=self._reduce, probe=self.probe, step=self.global_step,
+        )
 
         # Commit: only now do the step's samples count as visited.
         self.iterator.commit()
@@ -881,6 +678,61 @@ class ElasticTrainer:
         ):
             self.save_checkpoint()
         return mean_loss
+
+    def _reduce(self, arena, ctx: Dict) -> np.ndarray:
+        """Phase 2 of the step, where faults bite: reduce the prepared
+        rows of ``ctx["ranks"]`` under this step's fault plan.
+
+        Either the collective on the simulated cluster or the
+        worker-parallel in-shm tree reduce.  A failure propagates out of
+        :func:`phased_step` before anything is applied, so the
+        supervisor rolls back with the model untouched.
+        """
+        step_id = self.global_step
+        size = self.membership.size
+        participants = ctx["ranks"]
+        plan = (
+            self.schedule.plan_for(step_id, self.membership)
+            if self.schedule is not None else None
+        )
+        if self.reduce_mode == "workers":
+            # Scheduled kills attach to the real transport for the
+            # duration of the combine rounds: a due kill terminates the
+            # worker's OS process at (or between) combine dispatches and
+            # the round fails with structured rank_errors — recovery is
+            # identical to a failed cluster collective.  No simulated
+            # clock advances here (the reduce is real wall-clock work),
+            # and straggler detection needs cluster traces, so both are
+            # cluster-path only.
+            transport = self.executor.transport
+            transport.faults = plan
+            try:
+                combined = self.executor.worker_reduce(participants)
+            finally:
+                transport.faults = None
+        else:
+            self.cluster.faults = plan
+            event_counts = {
+                r: len(self.cluster.tracer.per_rank(r)) for r in range(size)
+            }
+            try:
+                combined = self._run_collective(
+                    participants, ctx.get("wire_format")
+                )
+            finally:
+                self.cluster.faults = None
+            self.sim_time += self.cluster.max_clock()
+            self._update_stragglers(event_counts)
+        if self.schedule is not None:
+            self.schedule.consume(step_id)
+        # Drop-and-renormalize: Adasum and Average renormalize by
+        # construction (they combine, not accumulate); a partial SUM
+        # must be scaled back up to the full world's magnitude.
+        if self.op is ReduceOpType.SUM and len(participants) < size:
+            combined = (combined * (size / len(participants))).astype(
+                combined.dtype
+            )
+        return combined
 
     def _run_collective(
         self, participants: Sequence[int], wire_format=None

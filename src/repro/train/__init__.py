@@ -3,8 +3,11 @@
 from repro.train.trainer import (
     ParallelTrainer,
     ProcessRankExecutor,
+    SerialRankExecutor,
+    build_rank_executor,
     compute_grads,
     compute_grads_into,
+    phased_step,
 )
 from repro.train.metrics import accuracy, Meter
 from repro.train.convergence import run_to_accuracy, ConvergenceResult
@@ -17,6 +20,9 @@ __all__ = [
     "read_checkpoint_meta",
     "ParallelTrainer",
     "ProcessRankExecutor",
+    "SerialRankExecutor",
+    "build_rank_executor",
+    "phased_step",
     "compute_grads",
     "compute_grads_into",
     "accuracy",

@@ -71,20 +71,14 @@ def save_checkpoint(
         arrays[f"model/buffer/{name}"] = np.asarray(buf)
 
     if dist_opt is not None:
+        scaler = dist_opt.scaler
         meta["dist"] = {
             "num_ranks": dist_opt.num_ranks,
             "op": dist_opt.op.value,
             "post_optimizer": dist_opt.post_optimizer_mode,
             "skipped_steps": dist_opt.skipped_steps,
-            "fp16_scale": dist_opt._scaler.scale_value if dist_opt.wire_fp16 else None,
-            "fp16_scaler": (
-                {
-                    "scale_value": dist_opt._scaler.scale_value,
-                    "clean_steps": dist_opt._scaler._clean_steps,
-                    "overflow_count": dist_opt._scaler.overflow_count,
-                }
-                if dist_opt.wire_fp16 else None
-            ),
+            "fp16_scale": scaler.scale_value if scaler is not None else None,
+            "fp16_scaler": scaler.state_dict() if scaler is not None else None,
             "optimizers": [],
         }
         opts = dist_opt.rank_optimizers if dist_opt.post_optimizer_mode else [dist_opt.optimizer]
@@ -145,12 +139,12 @@ def load_checkpoint(
         if dist_opt is not None:
             d = meta["dist"]
             dist_opt.skipped_steps = int(d["skipped_steps"])
-            if dist_opt.wire_fp16 and d["fp16_scale"] is not None:
-                dist_opt._scaler.scale_value = float(d["fp16_scale"])
-                scaler_meta = d.get("fp16_scaler")
-                if scaler_meta is not None:
-                    dist_opt._scaler._clean_steps = int(scaler_meta["clean_steps"])
-                    dist_opt._scaler.overflow_count = int(scaler_meta["overflow_count"])
+            scaler = dist_opt.scaler
+            if scaler is not None and d["fp16_scale"] is not None:
+                # Checkpoints older than "fp16_scaler" carry only the scale.
+                scaler.load_state_dict(d.get("fp16_scaler") or {
+                    **scaler.state_dict(), "scale_value": d["fp16_scale"],
+                })
             opts = (dist_opt.rank_optimizers if dist_opt.post_optimizer_mode
                     else [dist_opt.optimizer])
             n_saved = len(d["optimizers"])

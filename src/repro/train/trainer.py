@@ -13,15 +13,20 @@ Figure 1, loss meters) plug in without touching the training loop.
 
 from __future__ import annotations
 
-import time
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+import contextlib
+from time import perf_counter
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.comm.tracing import CommTracer
 from repro.comm.transport import ProcessTransport
-from repro.core.arena import GradientArena, SharedGradientArena
-from repro.core.config import validate_execution_strategy
+from repro.core.arena import (
+    GradientArena,
+    SharedGradientArena,
+    leaked_shared_segments,
+)
+from repro.core.config import parse_execution, validate_execution_strategy
 from repro.core.distributed_optimizer import DistributedOptimizer
 from repro.core.orthogonality import OrthogonalityProbe
 from repro.core.overlap import OverlapScheduler, build_fused_engine
@@ -78,6 +83,88 @@ def compute_grads_into(
     return float(loss.data)
 
 
+@contextlib.contextmanager
+def _specialized_kernels() -> Iterator[None]:
+    """Allow validated single-GEMM conv kernels for the enclosed step.
+
+    Scoped, not global: the specialized kernels are accepted per shape
+    only after a byte-identity probe against the einsum reference, but
+    probing itself perturbs allocator state (see docs/performance.md),
+    so code outside a training step keeps the conservative default.
+    """
+    prior = set_kernel_specialization(True)
+    try:
+        yield
+    finally:
+        set_kernel_specialization(prior)
+
+
+class SerialRankExecutor:
+    """The in-process rank backend: a loop over ranks in this process.
+
+    Same surface as :class:`ProcessRankExecutor` — ``arena``,
+    :meth:`compute`, :meth:`close` — so the step (:func:`phased_step`)
+    never branches on the backend.  Each rank's (possibly accumulated)
+    gradient is written straight into its arena row.
+    """
+
+    def __init__(
+        self,
+        model: Module,
+        loss_fn: Callable,
+        x: np.ndarray,
+        y: np.ndarray,
+        microbatch: int,
+        accumulation: int,
+        arena: GradientArena,
+    ):
+        self.model = model
+        self.loss_fn = loss_fn
+        self.x, self.y = x, y
+        self.microbatch = microbatch
+        self.accumulation = accumulation
+        self.arena = arena
+
+    def compute(
+        self,
+        rank_indices: Sequence[np.ndarray],
+        ranks: Optional[Sequence[int]] = None,
+    ) -> List[float]:
+        """Forward/backward for every listed rank, in order; returns losses.
+
+        ``ranks`` names the arena row per index array for partial-world
+        steps; default ``0..len-1``.
+        """
+        ranks = range(len(rank_indices)) if ranks is None else ranks
+        return [
+            self._rank_gradient(rank, idx) for rank, idx in zip(ranks, rank_indices)
+        ]
+
+    def _rank_gradient(self, rank: int, idx: np.ndarray) -> float:
+        views = self.arena.views(rank)
+        if self.accumulation == 1:
+            return compute_grads_into(
+                self.model, self.loss_fn, self.x[idx], self.y[idx], views
+            )
+        losses = []
+        for k in range(self.accumulation):
+            sub = idx[k * self.microbatch : (k + 1) * self.microbatch]
+            losses.append(
+                compute_grads_into(
+                    self.model, self.loss_fn, self.x[sub], self.y[sub], views,
+                    accumulate=k > 0,
+                )
+            )
+        # Scale in place on the flat row — no per-layer dict of scaled
+        # copies; NumPy's promotion keeps float32 * python-float exact.
+        row = self.arena.row(rank)
+        np.multiply(row, 1.0 / self.accumulation, out=row)
+        return float(np.mean(losses))
+
+    def close(self) -> None:
+        """Nothing to release: the arena is ordinary process memory."""
+
+
 class _ProcessRankWorker:
     """One rank's state inside a worker process (never crosses the pipe).
 
@@ -86,6 +173,8 @@ class _ProcessRankWorker:
     is the gradient destination) and to a one-row parameter arena the
     parent refreshes before every dispatch, so model replicas stay
     byte-identical across processes without any per-step serialization.
+    The compute itself is a :class:`SerialRankExecutor` over the shared
+    arena, restricted to this rank's row.
 
     Besides ``("step", indices)`` the worker serves ``("combine", src,
     kind, final, n)`` — one scheduled hop of the worker-parallel tree
@@ -98,8 +187,6 @@ class _ProcessRankWorker:
     """
 
     def __init__(self, rank: int, spec: Dict):
-        from repro.tensor import set_kernel_specialization as _set_spec
-
         self.rank = rank
         layout = spec["layout"]
         self.grads = SharedGradientArena.attach(
@@ -109,17 +196,17 @@ class _ProcessRankWorker:
             spec["param_segment"], layout, 1, dtype=spec["param_dtype"]
         )
         self.model = spec["model"]
-        self.loss_fn = spec["loss_fn"]
-        self.x = spec["x"]
-        self.y = spec["y"]
-        self.microbatch = spec["microbatch"]
-        self.accumulation = spec["accumulation"]
-        self.combine = spec.get("combine_spec")
+        self.local = SerialRankExecutor(
+            self.model, spec["loss_fn"], spec["x"], spec["y"],
+            spec["microbatch"], spec["accumulation"], self.grads,
+        )
+        self.combine = spec["combine_spec"]
         self._strategy = None
         self._boundaries = None
-        # Match the parent's train_step-scoped specialization setting so
-        # both sides run the exact same kernels (bit-exactness contract).
-        _set_spec(spec["specialize_kernels"])
+        # The parent computes inside phased_step's specialization scope;
+        # both sides must run the exact same kernels (bit-exactness
+        # contract), and a worker does nothing but training steps.
+        set_kernel_specialization(True)
 
     def _combine(self, src: int, kind: str, final: bool, n: int) -> int:
         if self._strategy is None:
@@ -145,27 +232,10 @@ class _ProcessRankWorker:
             return self._combine(*msg[1:])
         if msg[0] != "step":
             raise ValueError(f"unknown control message {msg[0]!r}")
-        idx = msg[1]
         pviews = self.params.views(0)
         for name, p in self.model.named_parameters():
             np.copyto(p.data, pviews[name])
-        views = self.grads.views(self.rank)
-        if self.accumulation == 1:
-            return compute_grads_into(
-                self.model, self.loss_fn, self.x[idx], self.y[idx], views
-            )
-        losses = []
-        for k in range(self.accumulation):
-            sub = idx[k * self.microbatch : (k + 1) * self.microbatch]
-            losses.append(
-                compute_grads_into(
-                    self.model, self.loss_fn, self.x[sub], self.y[sub], views,
-                    accumulate=k > 0,
-                )
-            )
-        row = self.grads.row(self.rank)
-        np.multiply(row, 1.0 / self.accumulation, out=row)
-        return float(np.mean(losses))
+        return self.local.compute([msg[1]], ranks=[self.rank])[0]
 
     def close(self) -> None:
         self.grads.close()
@@ -180,27 +250,28 @@ def _process_rank_bootstrap(rank: int, spec: Dict) -> _ProcessRankWorker:
 class ProcessRankExecutor:
     """Parent-side driver of the process-per-rank execution backend.
 
-    Owns the one-row *parameter* arena (the broadcast channel: parent
-    writes current weights, every worker reads them before computing)
-    and a :class:`~repro.comm.transport.ProcessTransport` whose workers
-    attach to the trainer's shared *gradient* arena.  A step is two
-    shared-memory writes and ``2 * world`` tiny pipe messages: params
-    out, ``("step", indices)`` per rank, loss floats back — gradient
-    payloads never serialize.
+    Owns the shared *gradient* arena the workers write their rows into,
+    the one-row *parameter* arena (the broadcast channel: parent writes
+    current weights, every worker reads them before computing) and a
+    :class:`~repro.comm.transport.ProcessTransport` whose workers attach
+    to both.  A step is two shared-memory writes and ``2 * world`` tiny
+    pipe messages: params out, ``("step", indices)`` per rank, loss
+    floats back — gradient payloads never serialize.
 
-    With ``reduce_mode="workers"`` the executor also owns phase 2: the
-    parent stops reducing and instead drives the strategy's level-by-
-    level pair schedule over the pipes (:meth:`worker_reduce`) — at each
-    tree level the surviving worker of every pair combines its peer's
-    arena row into its own, in shared memory, in place.  The parent only
-    sequences levels and collects acks, so the ``log2(world)`` combines
-    of a level run concurrently across worker processes.
+    With a ``combine_spec`` (``reduce_mode="workers"``) the executor can
+    also run phase 2: the parent stops reducing and instead drives the
+    strategy's level-by-level pair schedule over the pipes
+    (:meth:`worker_reduce`) — at each tree level the surviving worker of
+    every pair combines its peer's arena row into its own, in shared
+    memory, in place.  The parent only sequences levels and collects
+    acks, so the ``log2(world)`` combines of a level run concurrently
+    across worker processes.
 
-    Parameters mirror the slice of :class:`ParallelTrainer` state the
-    workers need; ``faults``/``tracer``/``timeout``/``start_method``
-    forward to the transport.  ``combine_spec`` (a picklable
+    Built by :func:`build_rank_executor`.  ``faults``/``tracer``/
+    ``timeout``/``start_method`` forward to the transport;
+    ``combine_spec`` (a picklable
     :class:`~repro.core.strategies.CombineSpec`) names the reduction
-    cell the workers replay; required when ``reduce_mode="workers"``.
+    cell the workers replay.
     """
 
     def __init__(
@@ -212,12 +283,10 @@ class ProcessRankExecutor:
         microbatch: int,
         accumulation: int,
         arena: SharedGradientArena,
-        specialize_kernels: bool = True,
         timeout: float = 60.0,
         faults=None,
         tracer: Optional[CommTracer] = None,
         start_method: Optional[str] = None,
-        reduce_mode: str = "parent",
         combine_spec=None,
     ):
         if not isinstance(arena, SharedGradientArena):
@@ -225,13 +294,6 @@ class ProcessRankExecutor:
                 "ProcessRankExecutor needs a SharedGradientArena; got "
                 f"{type(arena).__name__}"
             )
-        if reduce_mode not in ("parent", "workers"):
-            raise ValueError(
-                f"reduce_mode must be 'parent' or 'workers', got {reduce_mode!r}"
-            )
-        if reduce_mode == "workers" and combine_spec is None:
-            raise ValueError("reduce_mode='workers' needs a combine_spec")
-        self.reduce_mode = reduce_mode
         self.combine_spec = combine_spec
         self.model = model
         self.arena = arena
@@ -244,6 +306,7 @@ class ProcessRankExecutor:
         self.param_arena = SharedGradientArena(
             arena.layout, 1, dtype=dtypes.pop()
         )
+        self._segments = (arena.name, self.param_arena.name)
         self._pviews = self.param_arena.views(0)
         spec = {
             "model": model,
@@ -258,18 +321,21 @@ class ProcessRankExecutor:
             "param_dtype": self.param_arena.dtype,
             "microbatch": microbatch,
             "accumulation": accumulation,
-            "specialize_kernels": specialize_kernels,
             "combine_spec": combine_spec,
         }
-        self.transport = ProcessTransport(
-            arena.num_ranks,
-            _process_rank_bootstrap,
-            spec,
-            timeout=timeout,
-            faults=faults,
-            tracer=tracer,
-            start_method=start_method,
-        )
+        try:
+            self.transport = ProcessTransport(
+                arena.num_ranks,
+                _process_rank_bootstrap,
+                spec,
+                timeout=timeout,
+                faults=faults,
+                tracer=tracer,
+                start_method=start_method,
+            )
+        except BaseException:
+            self.param_arena.unlink()
+            raise
 
     def compute(
         self,
@@ -312,7 +378,7 @@ class ProcessRankExecutor:
         failed combine leaves training state untouched.
         """
         if self.combine_spec is None:
-            raise ValueError("worker_reduce needs a combine_spec")
+            raise ValueError("worker_reduce needs reduce_mode='workers'")
         parts = (
             list(range(self.arena.num_ranks)) if participants is None
             else list(participants)
@@ -321,13 +387,8 @@ class ProcessRankExecutor:
         root = self.arena.row(parts[0])
         if n == 1:
             return root
+        # build_rank_executor checked the cell has a schedule.
         levels = self.combine_spec.schedule(n)
-        if levels is None:
-            raise ValueError(
-                f"strategy ({self.combine_spec.op!r}, "
-                f"{self.combine_spec.topology!r}) has no pair schedule; "
-                "use reduce_mode='parent'"
-            )
         self.arena.reset_progress()
         last = len(levels) - 1
         for depth, level in enumerate(levels):
@@ -341,22 +402,151 @@ class ProcessRankExecutor:
         return root
 
     def close(self) -> None:
-        """Stop the workers and unlink the parameter segment (idempotent).
+        """Stop the workers and unlink both segments (idempotent).
 
-        The unlink runs even when the shutdown raises (e.g. collecting a
-        worker that died mid-combine): the parameter segment must never
-        outlive the executor however the step ended.
+        The one teardown of the process backend, however the step ended:
+        the unlinks run even when the shutdown raises (e.g. collecting a
+        worker that died mid-combine), and nothing this executor owned
+        may be left in ``/dev/shm`` when it returns — a preempted,
+        paused or rebuilt world must never strand a segment.
         """
         try:
             self.transport.shutdown()
         finally:
-            self.param_arena.unlink()
+            try:
+                self.param_arena.unlink()
+            finally:
+                self.arena.unlink()
+        leaked = set(self._segments) & set(leaked_shared_segments())
+        assert not leaked, f"executor close leaked shared segments: {sorted(leaked)}"
 
-    def __enter__(self) -> "ProcessRankExecutor":
-        return self
 
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
+def _check_parallel_safe(model: Module) -> None:
+    """Reject models whose forward pass has rank-order-dependent effects."""
+    if any(True for _ in model.named_buffers()):
+        raise ValueError(
+            'execution="processes" requires a model without registered '
+            "buffers: running stats update in rank order under serial "
+            "execution, which concurrent ranks cannot reproduce"
+        )
+    for mod in model.modules():
+        if type(mod).__name__ == "Dropout" and getattr(mod, "p", 0.0) > 0.0:
+            raise ValueError(
+                'execution="processes" requires inactive dropout '
+                "(p == 0): serial ranks consume the dropout RNG in rank "
+                "order, which concurrent ranks cannot reproduce"
+            )
+
+
+def build_rank_executor(
+    model: Module,
+    loss_fn: Callable,
+    dist_opt: DistributedOptimizer,
+    x: np.ndarray,
+    y: np.ndarray,
+    microbatch: int,
+    accumulation: int = 1,
+    execution: str = "serial",
+    reduce_mode: str = "parent",
+    timeout: float = 60.0,
+    faults=None,
+    tracer: Optional[CommTracer] = None,
+    start_method: Optional[str] = None,
+):
+    """The one place a rank backend (and its arena) is chosen and checked.
+
+    ``execution="serial"`` gives a :class:`SerialRankExecutor` over a
+    heap :class:`~repro.core.arena.GradientArena`;
+    ``execution="processes"`` a :class:`ProcessRankExecutor` over a
+    :class:`~repro.core.arena.SharedGradientArena`, with ``timeout``/
+    ``faults``/``tracer``/``start_method`` forwarded to its transport
+    (the serial backend has none).  The world size and — for
+    ``reduce_mode="workers"`` — the reduction cell the workers replay
+    come from ``dist_opt``.  The returned executor owns its arena(s);
+    ``close()`` releases them.
+
+    :class:`~repro.core.config.RunConfig` rejects the same invalid
+    combinations declaratively; this is the check for callers that
+    construct a trainer directly.
+    """
+    execution = parse_execution(execution)
+    if reduce_mode not in ("parent", "workers"):
+        raise ValueError(
+            f"reduce_mode must be 'parent' or 'workers', got {reduce_mode!r}"
+        )
+    if reduce_mode == "workers" and execution != "processes":
+        raise ValueError(
+            "reduce_mode='workers' needs execution='processes' "
+            f"(got {execution!r}): only worker processes can run "
+            "pair combines in parallel over shared memory"
+        )
+    num_ranks = dist_opt.num_ranks
+    if execution == "serial":
+        return SerialRankExecutor(
+            model, loss_fn, x, y, microbatch, accumulation,
+            GradientArena.from_model(model, num_ranks),
+        )
+    _check_parallel_safe(model)
+    combine_spec = None
+    if reduce_mode == "workers":
+        combine_spec = dist_opt.reducer.combine_spec()
+        if combine_spec.schedule(num_ranks) is None:
+            raise ValueError(
+                f"strategy ({combine_spec.op!r}, {combine_spec.topology!r}) "
+                "has no pair-combine schedule; use reduce_mode='parent'"
+            )
+    arena = SharedGradientArena.from_model(model, num_ranks)
+    try:
+        return ProcessRankExecutor(
+            model, loss_fn, x, y, microbatch, accumulation, arena,
+            timeout=timeout, faults=faults, tracer=tracer,
+            start_method=start_method, combine_spec=combine_spec,
+        )
+    except BaseException:
+        arena.unlink()
+        raise
+
+
+def phased_step(
+    executor,
+    dist_opt: DistributedOptimizer,
+    rank_indices: Sequence[np.ndarray],
+    *,
+    ranks: Optional[Sequence[int]] = None,
+    participants: Optional[Sequence[int]] = None,
+    reduce_fn: Optional[Callable] = None,
+    probe: Optional[OrthogonalityProbe] = None,
+    step: int = 0,
+) -> Tuple[List[float], float, float]:
+    """The one phased data-parallel step: compute -> wire -> reduce -> apply.
+
+    Every listed rank's gradient is computed on the same starting
+    weights into ``executor.arena`` (``ranks`` names the arena row per
+    index array; default ``0..len-1``), the optional ``probe`` samples
+    the raw per-rank gradients, and
+    :meth:`~repro.core.DistributedOptimizer.step_arena` runs the
+    update over the ``participants`` rows (default: all), reducing with
+    ``reduce_fn(arena, ctx)`` when given.  Both trainers call this:
+    :class:`ParallelTrainer` for the full world, the elastic supervisor
+    for whatever ranks are live — what differs between them is only the
+    ``reduce_fn`` and what happens around the step.
+
+    Returns ``(losses, compute_seconds, reduce_seconds)``; when the
+    reduce raises, nothing has been applied to the model.
+    """
+    arena = executor.arena
+    with _specialized_kernels():
+        t0 = perf_counter()
+        losses = executor.compute(rank_indices, ranks=ranks)
+        t1 = perf_counter()
+        if probe is not None:
+            rows = range(len(rank_indices)) if ranks is None else ranks
+            # Zero-copy per-rank views; the reduction itself runs flat.
+            probe.record([arena.views(r) for r in rows], step=step)
+        t2 = perf_counter()
+        dist_opt.step_arena(arena, reduce_fn=reduce_fn, ranks=participants)
+        t3 = perf_counter()
+    return losses, t1 - t0, t3 - t2
 
 
 class ParallelTrainer:
@@ -418,16 +608,8 @@ class ParallelTrainer:
         modes are bit-identical; ``"workers"`` wins on multicore hosts
         once the model is large enough (see docs/performance.md).
         Requires the processes backend and a strategy with a pair
-        schedule (every registered cell except Adasum-RVH).
-    specialize_kernels:
-        Allow validated single-GEMM conv kernels inside ``train_step``
-        (on by default; scoped to the step and restored after).  The
-        specialized kernels are accepted per shape only after a
-        byte-identity probe against the einsum reference, but probing
-        itself perturbs allocator state, which on some geometries
-        changes the bytes of *unrelated* contractions later in the
-        process.  Pass ``False`` when a training run must replay a
-        historical byte-for-byte trajectory.
+        schedule (every registered cell except Adasum-RVH); checked by
+        :func:`build_rank_executor`.
     overlap:
         Overlap gradient reduction with backprop via an
         :class:`~repro.core.overlap.OverlapScheduler`: arena buckets
@@ -461,7 +643,6 @@ class ParallelTrainer:
         seed: int = 0,
         tracer: Optional[CommTracer] = None,
         time_model: Optional[TrainingTimeModel] = None,
-        specialize_kernels: bool = True,
         overlap: bool = False,
         bucket_cap_mb: float = 1.0,
         overlap_tracer: Optional[CommTracer] = None,
@@ -474,26 +655,7 @@ class ParallelTrainer:
     ):
         if accumulation < 1:
             raise ValueError("accumulation must be >= 1")
-        execution = validate_execution_strategy(overlap, execution)
-        self.execution = execution
-        if reduce_mode not in ("parent", "workers"):
-            raise ValueError(
-                f"reduce_mode must be 'parent' or 'workers', got {reduce_mode!r}"
-            )
-        combine_spec = None
-        if reduce_mode == "workers":
-            if execution != "processes":
-                raise ValueError(
-                    "reduce_mode='workers' needs execution='processes' "
-                    f"(got {execution!r}): only worker processes can run "
-                    "pair combines in parallel over shared memory"
-                )
-            combine_spec = dist_opt.reducer.combine_spec()
-            if combine_spec.schedule(dist_opt.num_ranks) is None:
-                raise ValueError(
-                    f"strategy ({combine_spec.op!r}, {combine_spec.topology!r}) "
-                    "has no pair-combine schedule; use reduce_mode='parent'"
-                )
+        self.execution = validate_execution_strategy(overlap, execution)
         self.reduce_mode = reduce_mode
         tune_allocator()
         self.model = model
@@ -516,16 +678,16 @@ class ParallelTrainer:
         # overlap path interleaves the two phases by design).
         self.phase_seconds: Dict[str, float] = {"compute": 0.0, "reduce": 0.0}
         self.phase_steps = 0
-        # Flat-buffer gradient pipeline: every rank's gradients live in
-        # one preallocated contiguous row; reduction runs flat kernels.
-        # The process backend places the rows in OS shared memory so
-        # worker processes write them directly (zero-copy data plane).
-        arena_cls = SharedGradientArena if execution == "processes" else GradientArena
-        self.arena = arena_cls.from_model(model, self.num_ranks)
-        # Opt the hot training loop into validated kernel specialization
-        # (scoped to train_step; see docs/performance.md for why this is
-        # not on globally).
-        self.specialize_kernels = specialize_kernels
+        # The rank backend and its flat-buffer gradient arena: every
+        # rank's gradients live in one preallocated contiguous row (in
+        # OS shared memory under the process backend, so workers write
+        # them directly) and reduction runs flat kernels over the rows.
+        self.executor = build_rank_executor(
+            model, loss_fn, dist_opt, x, y, microbatch, accumulation,
+            execution=self.execution, reduce_mode=reduce_mode,
+            timeout=comm_timeout, faults=faults, tracer=comm_tracer,
+            start_method=start_method,
+        )
         # Backprop/communication overlap (opt-in).  The probe needs raw
         # per-rank gradients before the delta rewrite and accumulation
         # rescales rows after backward, so both force the phased path.
@@ -540,20 +702,6 @@ class ParallelTrainer:
                 tracer=overlap_tracer,
             )
             self._fused = build_fused_engine(model, self.num_ranks)
-        self._proc_executor: Optional[ProcessRankExecutor] = None
-        if execution == "processes":
-            self._check_parallel_safe(model)
-            self._proc_executor = ProcessRankExecutor(
-                model, loss_fn, self.x, self.y, microbatch, accumulation,
-                self.arena,
-                specialize_kernels=specialize_kernels,
-                timeout=comm_timeout,
-                faults=faults,
-                tracer=comm_tracer,
-                start_method=start_method,
-                reduce_mode=reduce_mode,
-                combine_spec=combine_spec,
-            )
 
     @classmethod
     def from_config(
@@ -587,23 +735,6 @@ class ParallelTrainer:
             kwargs.setdefault("bucket_cap_mb", config.bucket_cap_mb)
         return cls(model, loss_fn, dist_opt, x, y, config.microbatch, **kwargs)
 
-    @staticmethod
-    def _check_parallel_safe(model: Module) -> None:
-        """Reject models whose forward pass has rank-order-dependent effects."""
-        if any(True for _ in model.named_buffers()):
-            raise ValueError(
-                'execution="processes" requires a model without registered '
-                "buffers: running stats update in rank order under serial "
-                "execution, which concurrent ranks cannot reproduce"
-            )
-        for mod in model.modules():
-            if type(mod).__name__ == "Dropout" and getattr(mod, "p", 0.0) > 0.0:
-                raise ValueError(
-                    'execution="processes" requires inactive dropout '
-                    "(p == 0): serial ranks consume the dropout RNG in rank "
-                    "order, which concurrent ranks cannot reproduce"
-                )
-
     @property
     def effective_batch(self) -> int:
         return self.microbatch * self.accumulation * self.num_ranks
@@ -611,27 +742,24 @@ class ParallelTrainer:
     def steps_per_epoch(self) -> int:
         return self.iterator.steps_per_epoch()
 
+    @property
+    def arena(self):
+        """The per-rank flat gradient buffers (owned by the executor)."""
+        return self.executor.arena
+
     def close(self) -> None:
         """Release execution-backend resources (idempotent).
 
-        The overlap comm worker is joined, rank worker processes are
-        shut down, and every shared-memory segment this trainer owns is
-        unlinked — the arena module's atexit sweep is only the
-        last-resort backstop for callers that never get here (aborts,
-        test crashes).
+        The overlap comm worker is joined and the rank executor closed
+        (workers shut down, every shared-memory segment unlinked) — the
+        arena module's atexit sweep is only the last-resort backstop for
+        callers that never get here (aborts, test crashes).
         """
         try:
             if self._sched is not None:
                 self._sched.close()
-            if self._proc_executor is not None:
-                self._proc_executor.close()
-                self._proc_executor = None
         finally:
-            # Must run even when the executor shutdown raises — a worker
-            # crash mid-combine cannot be allowed to strand the gradient
-            # segment in /dev/shm.
-            if isinstance(self.arena, SharedGradientArena):
-                self.arena.unlink()
+            self.executor.close()
 
     def __enter__(self) -> "ParallelTrainer":
         return self
@@ -656,49 +784,28 @@ class ParallelTrainer:
                 f"train_step needs one index array per rank: expected "
                 f"{self.num_ranks}, got {len(rank_indices)}"
             )
-        prior = set_kernel_specialization(self.specialize_kernels)
-        try:
-            return self._train_step(rank_indices)
-        finally:
-            set_kernel_specialization(prior)
-
-    def _train_step(self, rank_indices: Sequence[np.ndarray]) -> float:
         if self._overlap_active:
-            return self._train_step_overlap(rank_indices)
-        t0 = time.perf_counter()
-        if self._proc_executor is not None:
-            losses = self._proc_executor.compute(rank_indices)
+            with _specialized_kernels():
+                losses = self._overlap_step(rank_indices)
         else:
-            losses = [
-                self._rank_gradient(rank, idx)
-                for rank, idx in enumerate(rank_indices)
-            ]
-        t1 = time.perf_counter()
-        # Zero-copy per-rank views for instrumentation; the reduction
-        # itself runs flat over the arena rows.
-        grad_dicts = [self.arena.views(rank) for rank in range(self.num_ranks)]
-        if self.probe is not None:
-            self.probe.record(grad_dicts, step=self.global_step)
-        if self.tracer is not None:
-            self._trace_step(grad_dicts)
-        t2 = time.perf_counter()
-        if self.reduce_mode == "workers":
-            self.dist_opt.step_arena(
-                self.arena,
-                reduce_fn=lambda arena: self._proc_executor.worker_reduce(),
+            reduce_fn = None  # the parent reduces: reducer.reduce_arena
+            if self.reduce_mode == "workers":
+                reduce_fn = lambda arena, ctx: self.executor.worker_reduce()
+            losses, compute_s, reduce_s = phased_step(
+                self.executor, self.dist_opt, rank_indices,
+                reduce_fn=reduce_fn, probe=self.probe, step=self.global_step,
             )
-        else:
-            self.dist_opt.step_arena(self.arena)
-        t3 = time.perf_counter()
-        self.phase_seconds["compute"] += t1 - t0
-        self.phase_seconds["reduce"] += t3 - t2
-        self.phase_steps += 1
+            self.phase_seconds["compute"] += compute_s
+            self.phase_seconds["reduce"] += reduce_s
+            self.phase_steps += 1
+        if self.tracer is not None:
+            self._trace_step()
         self.global_step += 1
         mean_loss = float(np.mean(losses))
         self.loss_meter.update(mean_loss)
         return mean_loss
 
-    def _train_step_overlap(self, rank_indices: Sequence[np.ndarray]) -> float:
+    def _overlap_step(self, rank_indices: Sequence[np.ndarray]) -> List[float]:
         """One step with bucket reductions overlapping the backward passes."""
         xb = [self.x[idx] for idx in rank_indices]
         yb = [self.y[idx] for idx in rank_indices]
@@ -711,13 +818,7 @@ class ParallelTrainer:
             compute = lambda ready: self._fused.step(xcat, ycat, views, ready_cb=ready)
         else:
             compute = lambda ready: self._overlap_compute_serial(xb, yb, ready)
-        losses = self._sched.step(compute)
-        if self.tracer is not None:
-            self._trace_step([self.arena.views(r) for r in range(self.num_ranks)])
-        self.global_step += 1
-        mean_loss = float(np.mean(losses))
-        self.loss_meter.update(mean_loss)
-        return mean_loss
+        return self._sched.step(compute)
 
     def _overlap_compute_serial(self, xb, yb, mark_ready) -> List[float]:
         """Serial per-rank backward passes with grad-ready hooks.
@@ -777,7 +878,7 @@ class ParallelTrainer:
             and fused_losses == serial_losses
         )
 
-    def _trace_step(self, grad_dicts: Sequence[Dict[str, np.ndarray]]) -> None:
+    def _trace_step(self) -> None:
         """Record one compute + one allreduce event per simulated rank.
 
         All ranks are synchronous, so they share the step's simulated
@@ -795,34 +896,12 @@ class ParallelTrainer:
         t0 = self.sim_time
         t1 = t0 + compute_s
         t2 = t1 + comm_s
-        wire_bytes = self.dist_opt.wire_row_nbytes(self.arena)
-        for rank, grads in enumerate(grad_dicts):
-            grad_bytes = sum(int(g.nbytes) for g in grads.values())
+        arena = self.arena
+        wire_bytes = self.dist_opt.wire_row_nbytes(arena)
+        grad_bytes = arena.layout.total_size * arena.dtype.itemsize
+        for rank in range(self.num_ranks):
             self.tracer.record(rank, "compute", t0, t1, grad_bytes,
                                label=f"step-{self.global_step}")
             self.tracer.record(rank, "allreduce", t1, t2, wire_bytes,
                                label=self.dist_opt.op.value)
         self.sim_time = t2
-
-    def _rank_gradient(self, rank: int, idx: np.ndarray) -> float:
-        """One rank's (possibly accumulated) local gradient, written
-        straight into the rank's arena row; returns the loss."""
-        views = self.arena.views(rank)
-        if self.accumulation == 1:
-            return compute_grads_into(
-                self.model, self.loss_fn, self.x[idx], self.y[idx], views
-            )
-        losses = []
-        for k in range(self.accumulation):
-            sub = idx[k * self.microbatch : (k + 1) * self.microbatch]
-            losses.append(
-                compute_grads_into(
-                    self.model, self.loss_fn, self.x[sub], self.y[sub], views,
-                    accumulate=k > 0,
-                )
-            )
-        # Scale in place on the flat row — no per-layer dict of scaled
-        # copies; NumPy's promotion keeps float32 * python-float exact.
-        row = self.arena.row(rank)
-        np.multiply(row, 1.0 / self.accumulation, out=row)
-        return float(np.mean(losses))

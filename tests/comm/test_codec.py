@@ -23,7 +23,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.comm.codec import (
     CodecPipeline,
-    Fp16WireFormat,
     IdentityCodec,
     PipelineWireFormat,
     build_codec,
@@ -410,19 +409,6 @@ class TestLegacyParity:
 # ----------------------------------------------------------------------
 
 class TestWireFormats:
-    def test_fp16_wire_format_matches_legacy_arithmetic(self):
-        scale = 1024.0
-        row = (np.arange(8, dtype=np.float32) - 4) / 16
-        wf = Fp16WireFormat(scale)
-        payload, nbytes = wf.encode(row)
-        assert payload.dtype == np.float16 and nbytes == row.size * 2
-        np.testing.assert_array_equal(
-            wf.decode(payload),
-            payload.astype(np.float32) * (1.0 / scale),
-        )
-        # fp32 payloads pass through untouched.
-        np.testing.assert_array_equal(wf.decode(row), row)
-
     def test_pipeline_format_exact_on_grid_rows(self):
         """Rows already round-tripped by the pipeline re-encode exactly
         at the modeled (compressed) byte cost."""

@@ -4,19 +4,30 @@ Every ``RunConfig`` field, execution backend and registry cell is a
 configuration the test matrix has to cover, so growing any of them is a
 decision, not an accident: this file pins the counts.  It also pins the
 one remaining dict entry point, ``DistributedOptimizer.step(dicts)``, to
-the flat ``step_arena`` path it adapts.
+the flat ``step_arena`` path it adapts, and the one phased step
+(``phased_step`` over a rank executor) that both trainers run.
 """
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 
+import repro.elastic.trainer as elastic_trainer
+import repro.train.trainer as train_trainer
+from repro import nn
 from repro.core import DistributedOptimizer, GradientArena, ReduceOpType
 from repro.core.config import EXECUTIONS, RunConfig
 from repro.core.strategies import OPS, TOPOLOGIES, registered_cells
+from repro.elastic import ElasticSchedule, ElasticTrainer
 from repro.models import MLP
 from repro.optim import SGD, Adam
+from repro.train.trainer import (
+    ParallelTrainer,
+    ProcessRankExecutor,
+    SerialRankExecutor,
+)
 
 RUN_CONFIG_FIELDS = (
     "op", "topology", "gpus_per_node", "per_layer", "adasum_pre_optimizer",
@@ -72,3 +83,96 @@ def test_step_dicts_is_step_arena(op, pre_optimizer):
                                      models[1].named_parameters()):
             np.testing.assert_array_equal(
                 p.data.view(np.uint8), q.data.view(np.uint8), err_msg=name)
+
+
+def test_kernel_specialization_is_not_a_knob():
+    """One value was ever in use: it is a constant of ``phased_step``."""
+    for cls in (ParallelTrainer, ElasticTrainer, ProcessRankExecutor,
+                SerialRankExecutor):
+        assert "specialize_kernels" not in inspect.signature(cls).parameters
+
+
+def test_rank_executors_share_one_surface():
+    """What the step calls — ``compute`` / ``close`` / ``arena`` — is
+    spelled identically on both backends; the process backend adds only
+    the worker-parallel reduce."""
+    def public(cls):
+        return {n for n, v in vars(cls).items()
+                if callable(v) and not n.startswith("_")}
+
+    assert public(SerialRankExecutor) == {"compute", "close"}
+    assert public(ProcessRankExecutor) == {"compute", "close", "worker_reduce"}
+    for name in ("compute", "close"):
+        assert inspect.signature(getattr(SerialRankExecutor, name)) == (
+            inspect.signature(getattr(ProcessRankExecutor, name)))
+    assert "arena" in inspect.signature(SerialRankExecutor).parameters
+    assert "arena" in inspect.signature(ProcessRankExecutor).parameters
+
+
+def _count_phased_steps(monkeypatch):
+    calls = []
+    real = train_trainer.phased_step
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("step"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(train_trainer, "phased_step", counted)
+    monkeypatch.setattr(elastic_trainer, "phased_step", counted)
+    return calls
+
+
+def _task(n=96):
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((n, 6)).astype(np.float32)
+    return x, (x[:, 0] > 0).astype(np.int64)
+
+
+def test_parallel_trainer_step_is_one_phased_step(monkeypatch):
+    calls = _count_phased_steps(monkeypatch)
+    x, y = _task()
+    model = MLP((6, 8, 2), rng=np.random.default_rng(1))
+    dist = DistributedOptimizer(model, lambda ps: SGD(ps, 0.1), num_ranks=4)
+    trainer = ParallelTrainer(model, nn.CrossEntropyLoss(), dist, x, y, microbatch=4)
+    for _, rank_indices in trainer.iterator.epoch(0):
+        trainer.train_step(rank_indices)
+    assert trainer.global_step > 0
+    assert calls == list(range(trainer.global_step))
+
+
+@pytest.mark.faults
+def test_elastic_attempt_is_one_phased_step(monkeypatch):
+    """One call per *attempt*: every committed step plus the one the
+    scheduled kill aborted (same step id, retried after the rollback)."""
+    calls = _count_phased_steps(monkeypatch)
+    x, y = _task()
+    model = MLP((6, 8, 2), rng=np.random.default_rng(1))
+    trainer = ElasticTrainer(
+        model, nn.CrossEntropyLoss(), lambda ps: SGD(ps, 0.1), x, y,
+        microbatch=4, num_ranks=4,
+        schedule=ElasticSchedule().kill(2, 1),
+    )
+    trainer.train_epoch(0)
+    assert len(trainer.recoveries) == 1
+    assert len(calls) == trainer.commits + len(trainer.recoveries)
+    assert calls.count(2) == 2
+
+
+def test_step_arena_ranks_restricts_the_default_reduce():
+    """``step_arena(ranks=...)`` without a ``reduce_fn`` reduces exactly
+    the participating rows (what a 2-rank world holding them would)."""
+    rng = np.random.default_rng(0)
+    grads = rng.standard_normal((4, 6 * 8 + 8 + 8 * 3 + 3)).astype(np.float32)
+    models = [MLP((6, 8, 3), rng=np.random.default_rng(1)) for _ in range(2)]
+    wide = DistributedOptimizer(models[0], lambda ps: SGD(ps, 0.1), num_ranks=4,
+                                op=ReduceOpType.SUM)
+    arena = GradientArena.from_model(models[0], 4)
+    arena.data[:] = grads
+    wide.step_arena(arena, ranks=[0, 2])
+    narrow = DistributedOptimizer(models[1], lambda ps: SGD(ps, 0.1), num_ranks=2,
+                                  op=ReduceOpType.SUM)
+    arena2 = GradientArena.from_model(models[1], 2)
+    arena2.data[:] = grads[[0, 2]]
+    narrow.step_arena(arena2)
+    for p, q in zip(models[0].parameters(), models[1].parameters()):
+        np.testing.assert_array_equal(p.data.view(np.uint8), q.data.view(np.uint8))

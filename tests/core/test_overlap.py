@@ -16,9 +16,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import nn
+from repro.comm.codec import Fp16Codec
 from repro.core import DistributedOptimizer, ReduceOpType
 from repro.core.arena import GradientArena
 from repro.core.overlap import FlatOptimizerMirror, OverlapScheduler, build_fused_engine
+from repro.core.precision import DynamicScaler
 from repro.models import MLP
 from repro.optim import SGD, Adam
 
@@ -207,6 +209,11 @@ class TestFlatOptimizerMirror:
         assert FlatOptimizerMirror.build(dopt, arena) is None
 
 
+def _fp16_roundtrip(rows, scale):
+    """The live fp16 wire arithmetic at a fixed scale; True on overflow."""
+    return Fp16Codec(DynamicScaler(init_scale=scale)).roundtrip(rows, None)
+
+
 class TestFp16WireRoundTrip:
     @given(st.integers(min_value=0, max_value=2 ** 31 - 1),
            st.sampled_from([1.0, 8.0, 1024.0, 2.0 ** 15]))
@@ -218,7 +225,7 @@ class TestFp16WireRoundTrip:
         rng = np.random.default_rng(seed)
         rows = rng.standard_normal((3, 64)).astype(np.float32)
         orig = rows.copy()
-        overflow = OverlapScheduler._encode_rows(rows, scale)
+        overflow = _fp16_roundtrip(rows, scale)
         scaled = np.abs(orig * scale)
         in_range = (scaled < 65504.0) & (scaled > 6.2e-5)
         assert not overflow or bool((scaled >= 65504.0).any())
@@ -230,15 +237,15 @@ class TestFp16WireRoundTrip:
         the property the elastic leaf-hop compression relies on."""
         rng = np.random.default_rng(0)
         rows = rng.standard_normal((2, 32)).astype(np.float32)
-        OverlapScheduler._encode_rows(rows, 8.0)
+        _fp16_roundtrip(rows, 8.0)
         again = rows.copy()
-        OverlapScheduler._encode_rows(again, 8.0)
+        _fp16_roundtrip(again, 8.0)
         np.testing.assert_array_equal(rows.view(np.uint32),
                                       again.view(np.uint32))
 
     def test_overflow_detection(self):
         rows = np.array([[1e30, 1.0]], dtype=np.float32)
-        assert OverlapScheduler._encode_rows(rows, 1024.0)
+        assert _fp16_roundtrip(rows, 1024.0)
 
 
 class TestFusedEngineRegistry:

@@ -6,6 +6,7 @@ import pytest
 from repro import nn
 from repro.comm import NetworkModel
 from repro.core import DistributedOptimizer, ReduceOpType
+from repro.core.precision import DynamicScaler
 from repro.models import MLP
 from repro.optim import SGD
 from repro.train import ParallelTrainer
@@ -227,3 +228,46 @@ class TestDiskCheckpointResume:
         assert len(saved["global_ranks"]) == 7
         loss = tr7.finish_epoch()
         assert np.isfinite(loss) or np.isnan(loss)  # may resume at epoch end
+
+
+@pytest.mark.parametrize(
+    "case", [pytest.param("kill", marks=pytest.mark.faults), "loan", "checkpoint"]
+)
+def test_fp16_scaler_state_survives(case, tmp_path):
+    """The dynamic scaler, driven off its defaults (forced overflows,
+    then clean steps), comes through every world rebuild unchanged:
+    kill -> rollback -> retry, lend -> reclaim, save -> load."""
+    x, y = _task(n=640)
+    settle = 12  # committed steps before the perturbation
+    sched = ElasticSchedule().kill(settle, 2) if case == "kill" else None
+    tr, _ = _elastic(x, y, wire_codecs=("fp16",), schedule=sched)
+    tr.dist_opt.scaler.scale_value = 2.0 ** 20  # overflows until backed off
+    tr.begin_epoch(0)
+    for _ in range(settle):
+        tr.train_step()
+    before = tr.dist_opt.scaler.state_dict()
+    assert before["overflow_count"] >= 1 and before["clean_steps"] >= 1
+    assert tr.dist_opt.skipped_steps == before["overflow_count"]
+
+    if case == "kill":
+        tr.train_step()  # rank 2 dies; roll back to the last commit; retry
+        assert len(tr.recoveries) == 1 and tr.num_ranks == 7
+        one_step_on = []
+        for overflow in (False, True):
+            scaler = DynamicScaler()
+            scaler.load_state_dict(before)
+            scaler.update(overflow)
+            one_step_on.append(scaler.state_dict())
+        assert tr.dist_opt.scaler.state_dict() in one_step_on
+    elif case == "loan":
+        tr.lend_ranks(3)
+        assert tr.dist_opt.scaler.state_dict() == before
+        tr.reclaim_ranks()
+        assert tr.dist_opt.scaler.state_dict() == before
+    else:
+        ckpt = str(tmp_path / "el.npz")
+        tr.save_checkpoint(ckpt)
+        fresh, _ = _elastic(x, y, wire_codecs=("fp16",))
+        fresh.restore_from_checkpoint(ckpt)
+        assert fresh.dist_opt.scaler.state_dict() == before
+        assert fresh.dist_opt.skipped_steps == before["overflow_count"]

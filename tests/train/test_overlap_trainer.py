@@ -14,8 +14,9 @@ import pytest
 from repro import nn
 from repro.core import DistributedOptimizer, ReduceOpType
 from repro.models import MLP, LeNet5, MiniBERT
-from repro.optim import SGD, Adam
+from repro.optim import SGD, Adam, LinearWarmupDecay
 from repro.train import ParallelTrainer
+from repro.train.checkpoint import load_checkpoint, save_checkpoint
 
 
 def _assert_bit_identical(m1, m2):
@@ -159,3 +160,58 @@ class TestOverlapTrainer:
         trainer.close()
         trainer.close()  # idempotent
         assert not [t for t in started if t.is_alive()]
+
+
+class TestOverlapCheckpoint:
+    """An overlapped Figure-3 run's checkpoint carries the *stepped*
+    per-rank optimizer state (the mirror's flat arrays are that state),
+    so it resumes under the phased path as if it had never overlapped."""
+
+    @pytest.mark.parametrize("opt_cls, opt_kw", [
+        (Adam, {}), (SGD, {"momentum": 0.9}),
+    ], ids=["adam", "momentum-sgd"])
+    def test_overlap_checkpoint_resumes_phased(self, tmp_path, opt_cls, opt_kw):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((256, 12)).astype(np.float32)
+        y = rng.integers(0, 4, 256)
+
+        def build(overlap):
+            model = MLP((12, 32, 4), rng=np.random.default_rng(0))
+            dopt = DistributedOptimizer(
+                model,
+                lambda ps: opt_cls(ps, LinearWarmupDecay(0.05, 8, 0.5), **opt_kw),
+                4, op=ReduceOpType.ADASUM,
+            )
+            trainer = ParallelTrainer(model, nn.CrossEntropyLoss(), dopt, x, y,
+                                      microbatch=8, overlap=overlap,
+                                      bucket_cap_mb=0.0005)
+            return model, dopt, trainer
+
+        batches = [idx for _, (_, idx) in zip(range(6), build(False)[2].iterator.epoch(0))]
+
+        ref_model, ref_opt, ref = build(False)
+        for idx in batches[:3]:
+            ref.train_step(idx)
+        lr_after_3 = ref_opt.lr
+        for idx in batches[3:]:
+            ref.train_step(idx)
+
+        _, ovl_opt, ovl = build(True)
+        try:
+            assert ovl._sched.overlapped and ovl._sched.mirror is not None
+            for idx in batches[:3]:
+                ovl.train_step(idx)
+            assert ovl_opt.lr == lr_after_3
+            assert ovl_opt.rank_optimizers[0].step_count == 3
+            assert len(ovl_opt.rank_optimizers[0].state) == 4
+            save_checkpoint(tmp_path / "ovl", ovl.model, dist_opt=ovl_opt)
+        finally:
+            ovl.close()
+
+        model, dopt, resumed = build(False)
+        load_checkpoint(tmp_path / "ovl", model, dist_opt=dopt)
+        assert dopt.lr == lr_after_3
+        for idx in batches[3:]:
+            resumed.train_step(idx)
+        assert dopt.lr == ref_opt.lr
+        _assert_bit_identical(ref_model, model)
