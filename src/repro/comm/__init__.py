@@ -34,6 +34,7 @@ from repro.comm.transport import (
     Cluster,
     Comm,
     CommError,
+    CommOrderError,
     CommTimeoutError,
     GroupComm,
 )
@@ -70,6 +71,7 @@ __all__ = [
     "Cluster",
     "Comm",
     "CommError",
+    "CommOrderError",
     "CommTimeoutError",
     "GroupComm",
     "FaultPlan",

@@ -17,6 +17,13 @@ results: an unjoined thread is itself a :class:`CommError`.  Runs are
 generation-tagged so a stale thread left over from a timed-out run can
 never touch a later run's queues or barriers.
 
+A collective whose sends form an acyclic graph needs none of that: its
+author passes ``order=`` to :meth:`Cluster.run` and the ranks run to
+completion one after another on the calling thread, with the same
+:class:`Comm` accounting and no waiting at all (an empty mailbox is an
+immediate :class:`CommOrderError`).  Cyclic collectives — ring, RVH,
+anything with a barrier — stay on threads.
+
 Fault injection (:class:`~repro.comm.faults.FaultPlan`) and opt-in
 tracing (:class:`~repro.comm.tracing.CommTracer`) hook in here; see
 ``docs/simulator.md``.
@@ -25,6 +32,7 @@ tracing (:class:`~repro.comm.tracing.CommTracer`) hook in here; see
 from __future__ import annotations
 
 import atexit
+import collections
 import multiprocessing
 import pickle
 import queue
@@ -95,6 +103,25 @@ class CommTimeoutError(CommError):
         self.peer = peer
 
 
+class CommOrderError(CommError):
+    """An ordered run reached a wait that nothing earlier can satisfy.
+
+    Raised at once — never after a deadline — by a ``recv`` whose
+    mailbox is empty, or by a barrier, in :meth:`Cluster.run` with
+    ``order=``: every rank that could have satisfied the wait has
+    either already run or is declared to run later, so the declared
+    order is not a topological order of the collective's sends.
+    ``rank``/``op``/``peer`` identify the wait (``peer`` is ``None``
+    for barriers).
+    """
+
+    def __init__(self, message: str, rank: int, op: str, peer: Optional[int] = None):
+        super().__init__(message)
+        self.rank = rank
+        self.op = op
+        self.peer = peer
+
+
 class _AbortError(RuntimeError):
     """Internal: this rank was unblocked because another rank failed."""
 
@@ -139,11 +166,12 @@ class Comm:
         of dropped messages included — the wire carried them).
     """
 
-    def __init__(self, rank: int, size: int, cluster: "Cluster"):
+    def __init__(self, rank: int, size: int, cluster: "Cluster", ordered: bool = False):
         self.rank = rank
         self.size = size
         self._cluster = cluster
         self._generation = cluster._generation
+        self._ordered = ordered
         self.clock: float = 0.0
         self.bytes_sent: int = 0
         self.messages_sent: int = 0
@@ -224,8 +252,7 @@ class Comm:
                 )
             self.clock += retry_backoff * (2 ** (attempt - 1))
         cluster._deliver(
-            self.rank, dst, _Message(payload, arrival=self.clock, nbytes=size_bytes),
-            self._generation,
+            self, dst, _Message(payload, arrival=self.clock, nbytes=size_bytes)
         )
         cluster._trace(self.rank, "send", t0, self.clock, size_bytes, peer=dst)
 
@@ -234,7 +261,9 @@ class Comm:
 
         Blocks at most until the run deadline; a timeout raises a
         :class:`CommTimeoutError` naming this rank, the expected source,
-        this rank's simulated clock, and every other blocked rank.
+        this rank's simulated clock, and every other blocked rank.  In
+        an ordered run nothing blocks: a message not already delivered
+        raises :class:`CommOrderError` at once.
         """
         if not 0 <= src < self.size or src == self.rank:
             raise ValueError(f"rank {self.rank}: invalid source {src}")
@@ -302,8 +331,10 @@ class GroupComm:
     the benchmarks read.
     """
 
-    def __init__(self, base: Comm, group):
-        group = sorted(group)
+    def __init__(self, base: Comm, group, presorted: bool = False):
+        # ``presorted``: the caller sorted one list for all its ranks.
+        if not presorted:
+            group = sorted(group)
         if base.rank not in group:
             raise ValueError(f"rank {base.rank} not in group {group}")
         self._base = base
@@ -382,6 +413,11 @@ class Cluster:
         self._generation = 0
         self._queues: Dict[Tuple[int, int], queue.Queue] = {}
         self._queues_lock = threading.Lock()
+        # Ordered runs are single-threaded: plain deques stand in for
+        # the blocking queues.
+        self._inbox: Dict[Tuple[int, int], collections.deque] = (
+            collections.defaultdict(collections.deque)
+        )
         self._state_lock = threading.Lock()
         self._blocked: Dict[int, Tuple[str, Optional[int], float]] = {}
         self._barrier_groups: Dict[Tuple[int, ...], _BarrierGroup] = {}
@@ -412,12 +448,16 @@ class Cluster:
         with self._queues_lock:
             return self._queues.setdefault((src, dst), queue.Queue())
 
-    def _deliver(self, src: int, dst: int, msg: _Message, generation: int) -> None:
-        if generation != self._generation:
+    def _deliver(self, comm: Comm, dst: int, msg: _Message) -> None:
+        if comm._generation != self._generation:
             raise _StaleRankError(
-                f"rank {src}: stale send from generation {generation} discarded"
+                f"rank {comm.rank}: stale send from generation "
+                f"{comm._generation} discarded"
             )
-        self._mailbox(src, dst).put(msg)
+        if comm._ordered:
+            self._inbox[comm.rank, dst].append(msg)
+        else:
+            self._mailbox(comm.rank, dst).put(msg)
 
     # ------------------------------------------------------------------
     # Blocked-rank bookkeeping (hang diagnostics)
@@ -466,7 +506,36 @@ class Cluster:
     # ------------------------------------------------------------------
     # Blocking primitives (all share the run deadline)
     # ------------------------------------------------------------------
+    def _ordered_wait_failed(
+        self, comm: Comm, op: str, peer: Optional[int], why: str
+    ) -> Exception:
+        """The error for a wait an ordered run cannot satisfy.
+
+        After an earlier rank's failure the empty mailbox is that
+        failure's echo (exactly what the abort wake-up is to a blocked
+        thread); with no failure on record the declared order itself is
+        wrong.
+        """
+        where = f"{op}(src={peer})" if peer is not None else op
+        if self._abort_reason is not None:
+            return _AbortError(self._abort_context(comm.rank, where, comm.clock))
+        return CommOrderError(
+            f"rank {comm.rank}: {where} cannot complete in an ordered run at "
+            f"simulated t={comm.clock:.6g}: {why}",
+            rank=comm.rank, op=op, peer=peer,
+        )
+
     def _wait_recv(self, comm: Comm, src: int) -> _Message:
+        if comm._ordered:
+            box = self._inbox.get((src, comm.rank))
+            if box:
+                return box.popleft()
+            raise self._ordered_wait_failed(
+                comm, "recv", src,
+                f"rank {src} has sent nothing and every rank declared before "
+                f"rank {comm.rank} already ran — the order is not a "
+                f"topological order of the sends",
+            )
         q = self._mailbox(src, comm.rank)
         op = f"recv(src={src})"
         self._set_blocked(comm.rank, "recv", src, comm.clock)
@@ -544,6 +613,12 @@ class Cluster:
             raise ValueError(f"rank {comm.rank} not in barrier group {list(ranks)}")
         if len(ranks) == 1:
             return
+        if comm._ordered:
+            raise self._ordered_wait_failed(
+                comm, "barrier", None,
+                "a barrier waits on ranks that have not run yet — cyclic "
+                "collectives need the threaded Cluster.run(fn)",
+            )
         t0 = comm.clock
         grp = self._get_barrier_group(comm, ranks)
         with grp.lock:
@@ -566,6 +641,7 @@ class Cluster:
         self,
         fn: Callable[..., Any],
         rank_args: Optional[Sequence[tuple]] = None,
+        order: Optional[Sequence[int]] = None,
     ) -> List[Any]:
         """Run ``fn(comm, *args)`` on every rank; return per-rank results.
 
@@ -574,6 +650,12 @@ class Cluster:
         blocking wait past the deadline, or a thread that never exits —
         raises :class:`CommError` identifying every affected rank.
         Partial results are never returned.
+
+        ``order`` (a permutation of the ranks) replaces the rank threads
+        with an ordered replay on the calling thread; it is for the
+        collective's author to declare, and only for a collective whose
+        sends form an acyclic graph that ``order`` sorts topologically
+        (see :meth:`_run_ordered` and ``docs/simulator.md``).
         """
         if rank_args is None:
             rank_args = [()] * self.size
@@ -587,6 +669,10 @@ class Cluster:
         generation = self._generation
         for b in self._active_barriers:
             b.abort()  # wake leftover waiters from a previous run
+        if self.faults is not None:
+            self.faults.reset()
+        if order is not None:
+            return self._run_ordered(fn, rank_args, order)
         with self._queues_lock:
             self._queues = {}
         with self._state_lock:
@@ -595,8 +681,6 @@ class Cluster:
             self._active_barriers = []
             self._abort = threading.Event()
             self._abort_reason = None
-        if self.faults is not None:
-            self.faults.reset()
         self._deadline = time.monotonic() + self.timeout
 
         results: List[Any] = [None] * self.size
@@ -649,6 +733,54 @@ class Cluster:
                 raise hung_err
         if errors:
             raise self._aggregate_error(errors)
+        return results
+
+    def _run_ordered(
+        self, fn: Callable[..., Any], rank_args: Sequence[tuple], order: Sequence[int]
+    ) -> List[Any]:
+        """Run the ranks to completion one after another, in ``order``.
+
+        Sends are buffered, so a rank that only receives from ranks
+        declared before it never has to wait: each ``recv`` takes its
+        message straight from the mailbox, and an empty mailbox is an
+        immediate error (:meth:`_ordered_wait_failed`), never a wait for
+        the deadline.  Clocks, byte counters, fault-plan op counters and
+        tracer records are per-rank state advanced by the same
+        :class:`Comm` code as under threads, so results, ``max_clock()``,
+        ``total_bytes()`` and each rank's trace sequence are those of
+        the threaded run.
+
+        Every rank runs even after one fails — a rank downstream of the
+        failure stops at its first empty mailbox — so two kills due in
+        one run are both reported, and the report does not depend on
+        thread scheduling.  ``timeout`` does not apply: nothing waits.
+        """
+        if sorted(order) != list(range(self.size)):
+            raise ValueError(
+                f"order must be a permutation of range({self.size}), got {list(order)}"
+            )
+        self._inbox.clear()
+        self._abort_reason = None
+        results: List[Any] = [None] * self.size
+        errors: List[Tuple[int, BaseException]] = []
+        self.comms = [Comm(r, self.size, self, ordered=True) for r in range(self.size)]
+        for rank in order:
+            try:
+                results[rank] = fn(self.comms[rank], *rank_args[rank])
+            except Exception as exc:  # noqa: BLE001 - reported to caller
+                errors.append((rank, exc))
+                if self._abort_reason is None:
+                    self._abort_reason = (rank, exc)
+        if errors:
+            try:
+                raise self._aggregate_error(errors)
+            finally:
+                # Each exception's traceback holds this frame; drop the
+                # frame's references back to them so a handled failure
+                # (and the arena rows its frames pin) is freed with its
+                # last reference, not by some later cyclic GC.
+                errors.clear()
+                self._abort_reason = None
         return results
 
     def _aggregate_error(self, errors: List[Tuple[int, BaseException]]) -> CommError:

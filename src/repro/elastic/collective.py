@@ -66,7 +66,7 @@ def _recv_decoded(sub, src: int, wire) -> np.ndarray:
 
 
 def _tree_combine(
-    sub, acc: np.ndarray, bounds, lo: int, hi: int,
+    sub, acc: np.ndarray, bounds, lo: int, hi: int, pairwise,
     wire=None, wire_bounds=None,
 ) -> np.ndarray:
     """Divide-and-conquer Adasum over subgroup ranks [lo, hi).
@@ -75,21 +75,21 @@ def _tree_combine(
     afterwards subgroup rank ``lo`` holds ``adasum_tree_any`` of the
     participants' rows.  Non-power-of-two spans split at the largest
     power of two below ``n``, exactly like
-    :func:`~repro.core.operator.adasum_tree_any`.
+    :func:`~repro.core.operator.adasum_tree_any`.  ``pairwise`` is the
+    registry's ``combine_pair``, resolved once per collective.
     """
     n = hi - lo
     if n <= 1:
         return acc
     p = n // 2 if n & (n - 1) == 0 else largest_pow2_below(n)
-    pairwise = get_strategy("adasum", "tree_any").combine_pair
     if sub.rank < lo + p:
-        acc = _tree_combine(sub, acc, bounds, lo, lo + p, wire, wire_bounds)
+        acc = _tree_combine(sub, acc, bounds, lo, lo + p, pairwise, wire, wire_bounds)
         if sub.rank == lo:
             other = _recv_decoded(sub, lo + p, wire)
             sub.compute(acc.nbytes, label="adasum")
             pairwise(acc, other, bounds, out=acc)
     else:
-        acc = _tree_combine(sub, acc, bounds, lo + p, hi, wire, wire_bounds)
+        acc = _tree_combine(sub, acc, bounds, lo + p, hi, pairwise, wire, wire_bounds)
         if sub.rank == lo + p:
             # Leaf hop (single-rank subtree): the payload is this rank's
             # original row, exactly representable in encoded form.
@@ -118,6 +118,12 @@ def cluster_reduce(
     collective propagate as the :class:`CommError` of
     :meth:`Cluster.run` for the supervisor to classify.
 
+    Both shapes (the tree and the gather) only ever send from a higher
+    subgroup rank to a lower one, so descending rank order is a
+    topological order of the sends and the collective runs as an
+    ordered replay (:meth:`Cluster.run` with ``order=``) — no rank
+    threads.
+
     ``wire_format`` enables lossless compression of original-row sends
     (see module docstring): pass the wire format of the codec stack the
     rows were already round-tripped through
@@ -138,6 +144,9 @@ def cluster_reduce(
     )
     # Whole-model Adasum ignores layer boundaries (one flat block).
     bounds = boundaries if getattr(reducer, "per_layer", True) else None
+    pairwise = (
+        get_strategy("adasum", "tree_any").combine_pair if adasum_tree_mode else None
+    )
 
     def fn(comm):
         if comm.rank not in part_set:
@@ -145,10 +154,10 @@ def cluster_reduce(
         acc = data[comm.rank].copy()
         if len(participants) == 1:
             return acc
-        sub = GroupComm(comm, participants)
+        sub = GroupComm(comm, participants, presorted=True)
         if adasum_tree_mode:
             acc = _tree_combine(
-                sub, acc, bounds, 0, sub.size, wire_format, boundaries
+                sub, acc, bounds, 0, sub.size, pairwise, wire_format, boundaries
             )
             return acc if sub.rank == 0 else None
         # Gather rows to the subgroup root, reduce with the in-process
@@ -164,7 +173,7 @@ def cluster_reduce(
         _send_encoded(sub, acc, 0, wire_format, boundaries)
         return None
 
-    results = cluster.run(fn)
+    results = cluster.run(fn, order=range(cluster.size - 1, -1, -1))
     combined = results[participants[0]]
     assert combined is not None, "subgroup root returned no reduction"
     return combined

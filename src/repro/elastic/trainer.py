@@ -550,18 +550,19 @@ class ElasticTrainer:
         kept = [r for r in active if r not in excluded]
         return kept or list(active)
 
-    def _update_stragglers(self, event_counts: Dict[int, int]) -> None:
+    def _update_stragglers(self) -> None:
         """Detect stragglers from the step's trace; age drop counters."""
         for g in list(self._dropped):
             self._dropped[g] -= 1
             if self._dropped[g] <= 0:
                 del self._dropped[g]  # re-probe next step
-        if self.straggler.mode != "drop" or self.cluster.tracer is None:
+        if self.straggler.mode != "drop":
             return
         rates: Dict[int, float] = {}
-        for rank, seen in event_counts.items():
-            events = self.cluster.tracer.per_rank(rank)[seen:]
-            sends = [ev for ev in events if ev.op == "send"]
+        for rank in range(self.membership.size):
+            sends = [
+                ev for ev in self.cluster.tracer.per_rank(rank) if ev.op == "send"
+            ]
             secs = sum(ev.duration for ev in sends)
             nbytes = sum(ev.nbytes for ev in sends)
             if secs > 0 and nbytes > 0:
@@ -712,9 +713,9 @@ class ElasticTrainer:
                 transport.faults = None
         else:
             self.cluster.faults = plan
-            event_counts = {
-                r: len(self.cluster.tracer.per_rank(r)) for r in range(size)
-            }
+            # The tracer holds one step's events (all its buckets): the
+            # straggler detector reads nothing older.
+            self.cluster.tracer.reset()
             try:
                 combined = self._run_collective(
                     participants, ctx.get("wire_format")
@@ -722,7 +723,7 @@ class ElasticTrainer:
             finally:
                 self.cluster.faults = None
             self.sim_time += self.cluster.max_clock()
-            self._update_stragglers(event_counts)
+            self._update_stragglers()
         if self.schedule is not None:
             self.schedule.consume(step_id)
         # Drop-and-renormalize: Adasum and Average renormalize by
