@@ -410,8 +410,8 @@ def main(argv=None) -> int:
         phase_line = ""
         while _PHASE_TRAINERS:
             trainer = _PHASE_TRAINERS.pop()
-            steps = getattr(trainer, "phase_steps", 0)
-            if steps:  # overlap owns its own step loop and is untimed
+            steps = trainer.global_step
+            if steps:
                 phases = trainer.phase_seconds
                 results[name]["compute_s"] = round(phases["compute"] / steps, 6)
                 results[name]["reduce_s"] = round(phases["reduce"] / steps, 6)

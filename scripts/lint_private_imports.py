@@ -12,7 +12,10 @@ allgather stages, the cross-node tree fallback) are private to
 ``src/repro/comm`` — everything else calls the public
 ``hierarchical_*_allreduce`` entry points.  And the fp16 dynamic
 scaler's state leaves ``src/repro/core`` only as
-``DynamicScaler.state_dict()``.  This grep-level check
+``DynamicScaler.state_dict()``.  Threads are started only by the
+simulated cluster in ``src/repro/comm`` (cyclic collectives need
+concurrent ranks): a training step runs on its caller's thread, so a
+private comm thread cannot creep back into it.  This grep-level check
 keeps the boundaries from eroding: a
 private name that leaks into another package turns the next kernel
 refactor into a cross-package breakage.
@@ -72,6 +75,13 @@ RULES = (
         ("._scaler", "_clean_steps"),
         (REPO / "src" / "repro" / "core",),
     ),
+    # Thread creation: only the simulated cluster's rank threads.  A
+    # step's buckets run inline — a comm thread measured slower than the
+    # caller's thread under the GIL (docs/performance.md).
+    (
+        ("ThreadPoolExecutor", "threading.Thread("),
+        (REPO / "src" / "repro" / "comm",),
+    ),
 )
 
 # Everything under these roots is scanned (tests may exercise privates).
@@ -105,14 +115,16 @@ def scan() -> list[str]:
 def main() -> int:
     offenders = scan()
     if offenders:
-        print("private reduction/collective/scaler names leaked outside their package:")
+        print("private reduction/collective/scaler names or thread creation "
+              "outside their package:")
         for line in offenders:
             print(f"  {line}")
         print(
             "\nroute through repro.core.strategies.get_strategy(...), "
             "repro.core.make_reducer(...), repro.comm.cluster_allreduce(...), "
             "the public repro.comm.hierarchical_*_allreduce entry points, or "
-            "DistributedOptimizer.scaler.state_dict() instead."
+            "DistributedOptimizer.scaler.state_dict() instead; run step work on "
+            "the calling thread."
         )
         return 1
     print("lint_private_imports: no private kernel names outside their package")

@@ -67,7 +67,6 @@ from repro.core.config import (
     parse_execution,
     parse_op,
     parse_topology,
-    validate_execution_strategy,
 )
 from repro.core.adasum_rvh import (
     adasum_rvh,
@@ -117,7 +116,6 @@ __all__ = [
     "parse_execution",
     "parse_op",
     "parse_topology",
-    "validate_execution_strategy",
     "GradientReducer",
     "adasum_rvh",
     "allreduce_adasum_cluster",

@@ -69,22 +69,6 @@ def parse_execution(value) -> str:
     return execution
 
 
-def validate_execution_strategy(overlap: bool, execution) -> str:
-    """The one home of the overlap/processes exclusion rule.
-
-    Returns the normalized backend name.  Overlap reorders the backward
-    pass around communication and owns the step loop, so it is mutually
-    exclusive with the concurrent-rank backend.
-    """
-    execution = parse_execution(execution)
-    if overlap and execution != "serial":
-        raise ValueError(
-            f"overlap and execution={execution!r} are mutually exclusive "
-            "execution strategies; choose one"
-        )
-    return execution
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Frozen, validated description of one training/reduction run.
@@ -147,8 +131,14 @@ class RunConfig:
             raise ValueError("min_ranks must be >= 1")
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
-        execution = validate_execution_strategy(self.overlap, self.execution)
+        execution = parse_execution(self.execution)
         object.__setattr__(self, "execution", execution)
+        if self.overlap and execution != "serial":
+            raise ValueError(
+                f"overlap and execution={execution!r} are mutually exclusive: "
+                "rank processes report no per-layer readiness, so there is "
+                "nothing to overlap"
+            )
         if self.reduce_mode not in ("parent", "workers"):
             raise ValueError(
                 f"reduce_mode must be 'parent' or 'workers', got "

@@ -26,11 +26,13 @@ what the ResNet-50 experiments use.
 
 from __future__ import annotations
 
+import contextlib
 import enum
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro.comm.bucketing import BucketPlan
 from repro.comm.codec import build_pipeline, parse_wire_codecs
 from repro.core.arena import GradientArena
 from repro.core.precision import DynamicScaler
@@ -216,104 +218,128 @@ class DistributedOptimizer:
         self.step_arena(GradientArena.from_grad_dicts(grad_dicts))
 
     def step_arena(self, arena, reduce_fn=None, ranks: Optional[Sequence[int]] = None) -> None:
-        """Apply one distributed update from a filled :class:`GradientArena`.
+        """Apply one distributed update from a filled :class:`GradientArena`:
+        a whole-row :meth:`wire_step` with nothing left to compute."""
+        with self.wire_step(arena, ranks, reduce_fn):
+            pass
 
-        The one phased step: prepare (wire rewrite) -> reduce -> apply.
-        Per-rank gradients live in the arena rows; ``ranks`` selects the
-        participating rows (default: all).
+    @contextlib.contextmanager
+    def wire_step(
+        self, arena, ranks: Optional[Sequence[int]] = None, reduce_fn=None, plan=None
+    ) -> Iterator[Optional[Callable[[str], None]]]:
+        """The one wire step, bracketing whatever fills ``arena``: begin ->
+        per bucket [Figure-3 rewrite -> encode -> reduce] -> end -> apply.
 
-        ``reduce_fn(arena, ctx) -> flat buffer`` swaps out *who reduces*
-        the prepared rows — the process backend's worker-parallel tree
-        reduce and the elastic runtime's cluster collective plug in
-        here, reading the participants (``ctx["ranks"]``) and the
-        transport ``ctx["wire_format"]`` from the step context — while
-        the wire rewrite and apply halves stay identical.  It is not
-        called on a skipped step (fp16 overflow), and when it raises
-        nothing has been applied to the model.
+        Entering binds the codec stack and fixes the step's fp16 scale;
+        the body computes the gradients; leaving runs every bucket that
+        has not run yet, closes the step with one scaler verdict (skip,
+        byte booking) and applies the combined update.  A body or reduce
+        that raises leaves the model untouched.
+
+        Without a ``plan`` the step is one whole-row bucket over the
+        ``ranks`` rows (default: all).  ``reduce_fn(arena, ctx) -> flat
+        buffer`` swaps out *who reduces* the prepared rows — the process
+        backend's worker-parallel tree reduce and the elastic runtime's
+        cluster collective plug in here, reading the participants
+        (``ctx["ranks"]``) and the transport ``ctx["wire_format"]`` from
+        the step context.  It is not called on a skipped step (fp16
+        overflow).
+
+        A ``plan`` (an :class:`~repro.core.overlap.OverlapScheduler`
+        over the full world) drives the same bucket stage in readiness
+        order: the step yields its callback, the body calls it with a
+        parameter name once every rank's gradient for it is final, and a
+        bucket runs the moment its last gradient lands.  The yield is
+        ``None`` when there is nothing to overlap (no plan, one bucket).
         """
         if arena.num_ranks != self.num_ranks:
             raise ValueError(
                 f"expected a {self.num_ranks}-rank arena, got {arena.num_ranks}"
             )
-        ctx = self.prepare_wire_arena(arena, ranks=ranks)
-        if ctx["skip"]:
-            return
-        if reduce_fn is not None:
-            combined = reduce_fn(arena, ctx)
-        elif ranks is None:
-            combined = self.reducer.reduce_arena(arena)
-        else:
-            combined = self.reducer.reduce_flat(
-                arena.data[ctx["ranks"]], arena.layout.boundaries()
-            )
-        self.apply_reduced_flat(combined, arena, ctx)
-
-    # ------------------------------------------------------------------
-    # The wire boundary.  ``begin_wire_step``/``end_wire_step`` bracket
-    # whatever encodes the rows — one whole-row encode on the phased
-    # path, one encode per bucket on the overlap scheduler's comm
-    # thread — so the scaler verdict, skip and byte accounting exist
-    # once.
-    # ------------------------------------------------------------------
-    def begin_wire_step(self, arena) -> None:
-        """Bind the codec stack to ``arena`` and fix this step's fp16 scale."""
+        ctx: Dict = {
+            "ranks": list(range(arena.num_ranks)) if ranks is None else list(ranks),
+            "starts": None, "rewrite": None, "overflow": False, "nbytes": 0,
+        }
         pipe = self.wire_pipeline
         if pipe is not None:
             pipe.bind(
                 arena.num_ranks, arena.layout.total_size, arena.layout.boundaries()
             )
-            pipe.begin_step()
-
-    def end_wire_step(self, overflow: bool, nbytes: int) -> bool:
-        """Close the step at the wire boundary; True when it is skipped.
-
-        One scaler verdict per step: an fp16 overflow backs the scale
-        off, rolls error-feedback residuals back and drops the step's
-        gradients.  Otherwise ``nbytes`` (modeled encoded bytes of all
-        participating rows) is booked.
-        """
-        pipe = self.wire_pipeline
-        if pipe is not None and pipe.end_step(overflow):
+            pipe.begin_step()  # fixes the fp16 scale for every bucket
+        combined = None
+        if plan is not None:
+            yield plan.begin(ctx)
+            combined = plan.flush()
+        else:
+            yield None
+            if self.prepare_wire_arena(arena, ctx):
+                if pipe is not None:
+                    ctx["wire_format"] = pipe.leaf_format()
+                if reduce_fn is not None:
+                    combined = reduce_fn(arena, ctx)
+                elif ranks is None:
+                    combined = self.reducer.reduce_arena(arena)
+                else:
+                    combined = self.reducer.reduce_flat(
+                        arena.data[ctx["ranks"]], arena.layout.boundaries()
+                    )
+        # One scaler verdict per step: an fp16 overflow backs the scale
+        # off, rolls error-feedback residuals back and drops the step's
+        # gradients.
+        if pipe is not None and pipe.end_step(ctx["overflow"]):
             self.skipped_steps += 1
             self.model.zero_grad()
-            return True
-        self.last_wire_bytes = nbytes
-        self.wire_bytes_total += nbytes
-        return False
+            return
+        self.last_wire_bytes = ctx["nbytes"]
+        self.wire_bytes_total += ctx["nbytes"]
+        self.apply_reduced_flat(combined, arena, ctx)
 
-    def prepare_wire_arena(self, arena, ranks: Optional[Sequence[int]] = None) -> Dict:
-        """Rewrite arena rows into wire tensors; returns the step context.
+    def prepare_wire_arena(self, arena, ctx: Dict, lo: int = 0, hi: Optional[int] = None) -> bool:
+        """The bucket stage: columns ``[lo, hi)`` of the rows become wire tensors.
 
         For post-optimizer Adasum (Figure 3) each participating rank's
         row is rewritten in place from its local gradient to its
-        post-optimizer model delta (the model is restored to the shared
-        starting point afterwards).  With a codec stack the rows then
-        round-trip through the pipeline in place; an fp16 overflow
-        backs the scale off and marks the step skipped (one scaler
-        verdict per step).
+        post-optimizer model delta — by the plan's
+        :class:`~repro.core.overlap.FlatOptimizerMirror` for any column
+        range, or by the real per-rank optimizers for whole rows (the
+        model is restored to the shared starting point afterwards).
+        With a codec stack the columns then round-trip through the
+        pipeline in place and their modeled encoded bytes are booked.
 
-        ``ranks`` selects which arena rows participate (default: all) —
-        the hook the straggler drop policy uses.  The returned context
-        carries ``ranks``, ``skip``, the post-optimizer starting
-        parameters, and — when a stack is active — ``wire_format``
-        (transport-level re-encode of the now grid-resident rows).
+        Returns False once the step has overflowed: it will be skipped,
+        so nothing more needs reducing.
         """
-        ranks = list(range(arena.num_ranks)) if ranks is None else list(ranks)
-        ctx: Dict = {"ranks": ranks, "starts": None, "skip": False}
+        hi = arena.layout.total_size if hi is None else hi
+        ranks = ctx["ranks"]
         if self.post_optimizer_mode:
-            ctx["starts"] = self._rewrite_rows_to_deltas(arena, ranks)
-        self.begin_wire_step(arena)
+            if ctx["rewrite"] is not None:
+                ctx["rewrite"](lo, hi)
+            else:
+                ctx["starts"] = self._rewrite_rows_to_deltas(arena, ranks)
         pipe = self.wire_pipeline
         if pipe is None:
-            overflow = False
-            row_nbytes = arena.layout.total_size * arena.dtype.itemsize
+            ctx["nbytes"] += (hi - lo) * arena.dtype.itemsize * len(ranks)
         else:
-            overflow = pipe.encode_block(arena.data, ranks)
-            row_nbytes = pipe.wire_nbytes()
-        ctx["skip"] = self.end_wire_step(overflow, row_nbytes * len(ranks))
-        if pipe is not None and not ctx["skip"]:
-            ctx["wire_format"] = pipe.leaf_format()
-        return ctx
+            if pipe.encode_block(arena.data, ranks, lo, hi):
+                ctx["overflow"] = True
+            ctx["nbytes"] += pipe.wire_nbytes(lo, hi) * len(ranks)
+        return not ctx["overflow"]
+
+    def bucket_plan(self, arena, bucket_cap_mb: Optional[float]) -> BucketPlan:
+        """The tensor-aligned reverse-order buckets a step reduces ``arena`` in.
+
+        The one place a cap becomes a plan: ``None`` is a single
+        whole-row bucket, and so is any cap under whole-model Adasum
+        (``per_layer=False``), whose dot products span the full row.
+        """
+        row_bytes = arena.layout.total_size * arena.dtype.itemsize
+        whole = bucket_cap_mb is None or (
+            self.op is ReduceOpType.ADASUM and not self.per_layer
+        )
+        cap_bytes = row_bytes if whole else max(1, int(bucket_cap_mb * (1 << 20)))
+        return BucketPlan.for_layout(
+            arena.layout, cap_bytes, itemsize=arena.dtype.itemsize
+        )
 
     def wire_row_nbytes(self, arena) -> int:
         """Modeled per-row wire bytes for one step over ``arena``
@@ -326,17 +352,10 @@ class DistributedOptimizer:
         )
         return self.wire_pipeline.wire_nbytes()
 
-    def apply_reduced_flat(self, combined: np.ndarray, arena, ctx: Optional[Dict] = None) -> None:
+    def apply_reduced_flat(self, combined: np.ndarray, arena, ctx: Dict) -> None:
         """Apply a reduced flat buffer produced from prepared arena rows."""
-        if ctx is not None and ctx.get("skip"):
-            return
         if self.post_optimizer_mode:
-            starts = ctx["starts"] if ctx is not None else None
-            if starts is None:
-                raise ValueError(
-                    "post-optimizer apply needs the context returned by "
-                    "prepare_wire_arena (starting parameter values)"
-                )
+            starts = ctx["starts"]
             delta = arena.unpack(combined, copy=False)
             for name, p in self._params.items():
                 np.copyto(p.data, starts[name] + delta[name])

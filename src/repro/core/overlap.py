@@ -2,21 +2,28 @@
 
 Horovod hides allreduce latency behind backprop: gradients complete in
 reverse layer order, get packed into fusion buckets, and each bucket's
-reduction launches on a background thread the moment its last tensor is
-ready.  :class:`OverlapScheduler` reproduces that pipeline over the
-simulated ranks' :class:`~repro.core.arena.GradientArena`:
+reduction starts the moment its last tensor is ready.
+:class:`OverlapScheduler` reproduces that *schedule* over the simulated
+ranks' :class:`~repro.core.arena.GradientArena`: ``dist_opt.bucket_plan``
+slices the fused layout into size-capped, tensor-aligned buckets in
+reverse layer order; the compute side (a rank executor: autograd with
+grad-ready hooks, or a fused engine such as
+:class:`~repro.models.fused_bert.FusedBertRankCompute`) marks
+parameters ready as their gradients land; and a bucket's rewrite, wire
+encode and reduction run on the calling thread the moment its last
+gradient is marked — whatever is still pending, when compute returns.
 
-* a :class:`~repro.comm.bucketing.BucketPlan` slices the fused layout
-  into size-capped, tensor-aligned buckets in reverse layer order;
-* the compute side (serial autograd with grad-ready hooks, or a fused
-  engine such as
-  :class:`~repro.models.fused_bert.FusedBertRankCompute`) marks
-  parameters ready as their gradients land in the arena;
-* a single comm worker thread reduces complete buckets with the
-  reducer's flat kernels while backprop continues on the main thread.
+There is no comm thread.  Horovod's overlap wins because the NIC is a
+second resource; here compute and communication share one interpreter,
+and a private comm thread measured *slower* than running the buckets
+inline (GIL ping-pong; numbers in docs/performance.md).  What overlap
+mode buys on this simulator is the cheaper fused compute engine and the
+flat mirror rewrite; the schedule is nonetheless faithful (and
+measurable in the overlap Chrome trace).
 
-Bit-exactness with the phased ``DistributedOptimizer.step_arena`` path
-is structural, not approximate:
+Bit-exactness with a whole-row ``step_arena`` is structural — both are
+the same ``DistributedOptimizer.wire_step`` — and neither the bucket cap
+nor the readiness order can change bytes:
 
 * buckets align to whole tensors, so per-layer Adasum sees exactly the
   same per-layer slices either way (whole-model Adasum degenerates to a
@@ -29,28 +36,19 @@ is structural, not approximate:
   to ``_rewrite_rows_to_deltas``;
 * the wire codec stack (:mod:`repro.comm.codec`) applies per bucket:
   an fp16 stage runs with the step's scale fixed up front and the
-  dynamic scaler sees one aggregated overflow verdict per step — the
-  same state trajectory as the phased encode — while non-elementwise
-  stages (int8, top-k) compute their statistics per *layer block*, and
-  buckets are tensor-aligned, so the encoded values are identical to
-  the phased path whatever the bucket cap.
-
-On this simulator compute and communication share one process, so the
-speedup comes from the cheaper fused compute engines and the flat
-mirror rewrite rather than from true concurrency; the scheduling is
-nonetheless faithful (and measurable in the overlap Chrome trace).
+  dynamic scaler sees one aggregated overflow verdict per step, while
+  non-elementwise stages (int8, top-k) compute their statistics per
+  *layer block*, and buckets are tensor-aligned.
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import Future, ThreadPoolExecutor
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Set
 
 import numpy as np
 
-from repro.comm.bucketing import Bucket, BucketPlan
+from repro.comm.bucketing import Bucket
 from repro.comm.tracing import CommTracer
 from repro.core.arena import GradientArena
 from repro.core.distributed_optimizer import DistributedOptimizer
@@ -118,8 +116,8 @@ class FlatOptimizerMirror:
     The mirror keeps the per-rank optimizer state as ``(ranks, size)``
     flat arrays and rewrites any column range ``[lo, hi)`` of the arena
     from gradients to post-optimizer deltas in a handful of vectorized
-    ops, which is what lets a bucket's rewrite run on the comm worker
-    while backprop continues.
+    ops, which is what lets a bucket's rewrite run in the middle of
+    backprop.
 
     Every expression matches the scalar optimizers' update arithmetic
     exactly (same association order, same dtypes, same
@@ -245,39 +243,40 @@ class FlatOptimizerMirror:
 
 
 class OverlapScheduler:
-    """Bucketed overlap of gradient reduction with backprop.
+    """Readiness-ordered driver of one bucketed distributed step.
 
     Parameters
     ----------
     dist_opt:
-        The distributed optimizer whose update rule the scheduler
-        replays (results are bit-identical to its ``step_arena``).
+        The distributed optimizer whose :meth:`wire_step
+        <repro.core.distributed_optimizer.DistributedOptimizer.wire_step>`
+        the scheduler drives bucket by bucket (results are bit-identical
+        to its whole-row ``step_arena``).
     arena:
         Per-rank flat gradient buffers (all ranks participate).
     bucket_cap_mb:
-        Fusion bucket size cap.  Whole-model (``per_layer=False``)
-        Adasum needs whole-row dot products, so it always collapses to
-        a single bucket.
+        Fusion bucket size cap (see ``dist_opt.bucket_plan``).  Figure-3
+        mode with an optimizer the :class:`FlatOptimizerMirror` cannot
+        replay needs the real per-rank optimizers, which rewrite whole
+        rows: the plan is then a single bucket — correct, just without
+        overlap.
     tracer:
         Optional :class:`~repro.comm.tracing.CommTracer` recording the
-        *wall-clock* overlap timeline: compute on lane 0, the comm
-        worker's per-bucket reductions on lane 1 (offsets in seconds
-        from each step's start).  Keep it separate from a simulated-
+        *wall-clock* timeline of each step (offsets in seconds from its
+        start): lane 0 is one ``compute`` span, lane 1 one ``allreduce``
+        span per bucket at the time it actually ran — inside the
+        compute span for a bucket fired by a readiness callback, after
+        it for the flushed rest.  Keep it separate from a simulated-
         clock tracer — the timelines don't share a clock.
 
-    Use :meth:`step` with a compute callback that fills the arena and
-    marks parameters ready::
+    Hand the scheduler to :func:`~repro.train.trainer.phased_step` as
+    its ``plan``, or drive a step directly::
 
         sched = OverlapScheduler(dist_opt, arena)
         losses = sched.step(compute)   # compute(mark_ready) -> losses
-
-    Unsupported configurations (post-optimizer mode with an optimizer
-    the :class:`FlatOptimizerMirror` cannot replay) degrade gracefully:
-    compute runs, then the phased ``step_arena`` — correct, just
-    without overlap.  ``sched.overlapped`` says which mode is active.
     """
 
-    COMM_LANE_OFFSET = 1  # tracer lane: 0 = compute, 1 = comm worker
+    COMM_LANE_OFFSET = 1  # tracer lane: 0 = compute, 1 = bucket reductions
 
     def __init__(
         self,
@@ -293,136 +292,81 @@ class OverlapScheduler:
         self.dist_opt = dist_opt
         self.arena = arena
         self.tracer = tracer
-        cap_bytes = max(1, int(bucket_cap_mb * (1 << 20)))
-        reducer = dist_opt.reducer
-        if getattr(reducer, "name", "") == "adasum" and not getattr(
-            reducer, "per_layer", True
-        ):
-            # Whole-model dots span the full row: single bucket.
-            cap_bytes = max(cap_bytes, arena.layout.total_size * arena.dtype.itemsize)
-        self.plan = BucketPlan.for_layout(
-            arena.layout, cap_bytes, itemsize=arena.dtype.itemsize
-        )
         self.mirror: Optional[FlatOptimizerMirror] = (
             FlatOptimizerMirror.build(dist_opt, arena)
             if dist_opt.post_optimizer_mode
             else None
         )
-        #: False -> degenerate mode (compute, then phased step_arena).
-        self.overlapped = (not dist_opt.post_optimizer_mode) or self.mirror is not None
-        self._name_to_bucket: Dict[str, int] = {
-            n: b.index for b in self.plan.buckets for n in b.names
+        whole_rows = dist_opt.post_optimizer_mode and self.mirror is None
+        self.plan = dist_opt.bucket_plan(arena, None if whole_rows else bucket_cap_mb)
+        self._bucket_of: Dict[str, Bucket] = {
+            n: b for b in self.plan.buckets for n in b.names
         }
         self._combined = np.empty(arena.layout.total_size, dtype=arena.dtype)
-        self._lock = threading.Lock()
-        self._pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="comm")
-        self._pending: List[set] = []
-        self._launched: List[bool] = []
-        self._futures: List[Future] = []
-        self._overflow = False
-        self._wire_bytes = 0
+        self._pending: Dict[int, Set[str]] = {}  # bucket index -> names not yet ready
+        self._ctx: Dict = {}
         self._t_base = 0.0
 
     # ------------------------------------------------------------------
     def step(self, compute_fn: Callable[[Callable[[str], None]], List[float]]) -> List[float]:
-        """One distributed step with bucket reductions overlapping compute.
+        """One distributed step with buckets reduced as compute marks them.
 
-        ``compute_fn(mark_ready)`` must fill every arena row and call
-        ``mark_ready(name)`` once per parameter when all ranks'
-        gradients for it are final; it returns the per-rank losses.
+        ``compute_fn(mark_ready)`` must fill every arena row and may
+        call ``mark_ready(name)`` once all ranks' gradients for a
+        parameter are final — in any order, for any subset; it returns
+        the per-rank losses.
         """
-        if not self.overlapped:
-            losses = compute_fn(lambda name: None)
-            self.dist_opt.step_arena(self.arena)
-            return losses
-        dist_opt = self.dist_opt
-        with self._lock:
-            self._pending = [set(b.names) for b in self.plan.buckets]
-            self._launched = [False] * self.plan.num_buckets
-            self._futures = []
-            self._overflow = False
-            self._wire_bytes = 0
-            self._t_base = perf_counter()
+        with self.dist_opt.wire_step(self.arena, plan=self):
+            return compute_fn(self.mark_ready)
+
+    def begin(self, ctx: Dict) -> Optional[Callable[[str], None]]:
+        """Open a step (``wire_step`` calls this); returns the readiness
+        callback, or ``None`` when a single bucket leaves nothing to overlap."""
+        self._ctx = ctx
+        self._t_base = perf_counter()
         if self.mirror is not None:
             self.mirror.begin_step()
-        dist_opt.begin_wire_step(self.arena)  # fixes the fp16 scale for every bucket
-
-        losses = compute_fn(self.mark_ready)
-        t_compute = perf_counter() - self._t_base
-
-        with self._lock:
-            futures = self._flush_locked()
-        for fut in futures:
-            fut.result()  # propagate comm-worker exceptions
-
-        if self.tracer is not None:
-            # One span covers all ranks' fused forward/backward.
-            self.tracer.record(0, "compute", 0.0, t_compute, label="ranks-fwd-bwd")
-        # One aggregated overflow verdict per step, as in the phased
-        # encode; a skip also rolls back EF residuals.
-        if dist_opt.end_wire_step(self._overflow, self._wire_bytes):
-            return losses
-        ctx = {
-            "ranks": list(range(self.arena.num_ranks)),
-            "starts": self.mirror.start_views if self.mirror is not None else None,
-            "skip": False,
-        }
-        dist_opt.apply_reduced_flat(self._combined, self.arena, ctx)
-        return losses
+            ctx["starts"], ctx["rewrite"] = self.mirror.start_views, self.mirror.rewrite
+        self._pending = {b.index: set(b.names) for b in self.plan.buckets}
+        return self.mark_ready if len(self._pending) > 1 else None
 
     def mark_ready(self, name: str) -> None:
         """Record that all ranks' gradients for ``name`` are in the arena."""
-        idx = self._name_to_bucket[name]
-        with self._lock:
-            pend = self._pending[idx]
+        bucket = self._bucket_of[name]
+        pend = self._pending.get(bucket.index)
+        if pend is not None:
             pend.discard(name)
-            if not pend and not self._launched[idx]:
-                self._launch_locked(idx)
+            if not pend:
+                self._run_bucket(bucket)
 
-    def close(self) -> None:
-        self._pool.shutdown(wait=True)
+    def flush(self) -> np.ndarray:
+        """Compute is over: run every bucket still pending, in plan
+        order; returns the combined flat row (``wire_step`` calls this)."""
+        t_compute = perf_counter() - self._t_base
+        for bucket in self.plan.buckets:
+            if bucket.index in self._pending:
+                self._run_bucket(bucket)
+        if self.tracer is not None:
+            # One span covers all ranks' forward/backward.
+            self.tracer.record(0, "compute", 0.0, t_compute, label="ranks-fwd-bwd")
+        return self._combined
 
-    # ------------------------------------------------------------------
-    def _flush_locked(self) -> List[Future]:
-        """Launch every unfired bucket (compute is done); return futures."""
-        for i in range(self.plan.num_buckets):
-            if not self._launched[i]:
-                self._launch_locked(i)
-        return list(self._futures)
-
-    def _launch_locked(self, idx: int) -> None:
-        self._launched[idx] = True
-        self._futures.append(
-            self._pool.submit(self._reduce_bucket, self.plan.buckets[idx])
-        )
-
-    def _reduce_bucket(self, bucket: Bucket) -> None:
-        """Comm-worker half: rewrite, wire-encode and reduce one bucket."""
+    def _run_bucket(self, bucket: Bucket) -> None:
+        """Rewrite, wire-encode and reduce one bucket, on the calling thread."""
+        del self._pending[bucket.index]
         t0 = perf_counter() - self._t_base
-        dist_opt = self.dist_opt
-        lo, hi = bucket.start, bucket.stop
-        if self.mirror is not None:
-            self.mirror.rewrite(lo, hi)
-        rows = self.arena.data[:, lo:hi]
-        nbytes = rows.nbytes
-        pipe = dist_opt.wire_pipeline
-        if pipe is not None:
-            if pipe.encode_block(
-                self.arena.data, range(self.arena.num_ranks), lo, hi
-            ):
-                self._overflow = True
-            nbytes = pipe.wire_nbytes(lo, hi) * rows.shape[0]
-        with self._lock:
-            self._wire_bytes += nbytes
-        self._combined[lo:hi] = dist_opt.reducer.reduce_flat(
-            rows, bucket.rel_boundaries()
-        )
+        ctx, lo, hi = self._ctx, bucket.start, bucket.stop
+        booked = ctx["nbytes"]
+        if self.dist_opt.prepare_wire_arena(self.arena, ctx, lo, hi):
+            self._combined[lo:hi] = self.dist_opt.reducer.reduce_flat(
+                self.arena.data[:, lo:hi], bucket.rel_boundaries()
+            )
         if self.tracer is not None:
             self.tracer.record(
                 self.COMM_LANE_OFFSET,
                 "allreduce",
                 t0,
                 perf_counter() - self._t_base,
-                nbytes=nbytes,
+                nbytes=ctx["nbytes"] - booked,
                 label=f"bucket-{bucket.index}",
             )

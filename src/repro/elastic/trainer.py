@@ -44,7 +44,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.comm.bucketing import BucketPlan
 from repro.comm.faults import RankKilledError
 from repro.comm.netmodel import NetworkModel
 from repro.comm.transport import Cluster, CommError
@@ -340,6 +339,9 @@ class ElasticTrainer:
             self.microbatch, execution=self.execution,
             reduce_mode=self.reduce_mode, timeout=self.timeout,
         )
+        self._buckets = self.dist_opt.bucket_plan(
+            self.executor.arena, self.bucket_cap_mb
+        ).buckets
 
     @property
     def arena(self):
@@ -738,20 +740,19 @@ class ElasticTrainer:
     def _run_collective(
         self, participants: Sequence[int], wire_format=None
     ) -> np.ndarray:
-        """Phase-2 reduction on the cluster: whole-row, or per bucket.
+        """Phase-2 reduction on the cluster: one collective per bucket.
 
-        The bucketed variant reduces each tensor-aligned column range
-        with its own collective and only *assembles* the combined row —
-        nothing is applied here, so a failure in any bucket abandons the
-        whole step with the model untouched (the supervisor rolls back
-        and retries).  Bit-identical to the whole-row collective:
-        buckets hold whole tensors, so per-layer Adasum sees the same
-        slices either way.
+        ``dist_opt.bucket_plan`` decides the buckets (one whole-row
+        bucket without a cap, or under whole-model Adasum).  Each
+        tensor-aligned column range is reduced with its own collective
+        and the combined row only *assembled* — nothing is applied
+        here, so a failure in any bucket abandons the whole step with
+        the model untouched (the supervisor rolls back and retries).
+        Bit-identical to the whole-row collective: buckets hold whole
+        tensors, so per-layer Adasum sees the same slices either way.
         """
         reducer = self.dist_opt.reducer
-        if self.bucket_cap_mb is None or not getattr(reducer, "per_layer", True):
-            # Whole-model Adasum needs whole-row dot products: one
-            # collective regardless of the cap.
+        if len(self._buckets) == 1:
             return cluster_reduce(
                 self.cluster,
                 self.arena.data,
@@ -760,13 +761,8 @@ class ElasticTrainer:
                 participants,
                 wire_format=wire_format,
             )
-        plan = BucketPlan.for_layout(
-            self.arena.layout,
-            max(1, int(self.bucket_cap_mb * (1 << 20))),
-            itemsize=self.arena.dtype.itemsize,
-        )
         combined = np.empty(self.arena.layout.total_size, dtype=self.arena.dtype)
-        for bucket in plan.buckets:
+        for bucket in self._buckets:
             combined[bucket.start:bucket.stop] = cluster_reduce(
                 self.cluster,
                 self.arena.data[:, bucket.start:bucket.stop],

@@ -1,6 +1,7 @@
 """Data-parallel training simulator and convergence harness."""
 
 from repro.train.trainer import (
+    FusedRankExecutor,
     ParallelTrainer,
     ProcessRankExecutor,
     SerialRankExecutor,
@@ -19,6 +20,7 @@ __all__ = [
     "load_checkpoint",
     "read_checkpoint_meta",
     "ParallelTrainer",
+    "FusedRankExecutor",
     "ProcessRankExecutor",
     "SerialRankExecutor",
     "build_rank_executor",

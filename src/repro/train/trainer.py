@@ -26,7 +26,7 @@ from repro.core.arena import (
     SharedGradientArena,
     leaked_shared_segments,
 )
-from repro.core.config import parse_execution, validate_execution_strategy
+from repro.core.config import parse_execution
 from repro.core.distributed_optimizer import DistributedOptimizer
 from repro.core.orthogonality import OrthogonalityProbe
 from repro.core.overlap import OverlapScheduler, build_fused_engine
@@ -61,6 +61,7 @@ def compute_grads_into(
     yb: np.ndarray,
     out: Mapping[str, np.ndarray],
     accumulate: bool = False,
+    on_ready: Optional[Callable[[str], None]] = None,
 ) -> float:
     """Forward + backward writing gradients into preallocated buffers.
 
@@ -68,18 +69,31 @@ def compute_grads_into(
     names to destination arrays (typically
     :meth:`~repro.core.arena.GradientArena.views`).  With
     ``accumulate=True`` gradients add into the destinations instead of
-    overwriting (local gradient accumulation).  Returns the loss value.
+    overwriting (local gradient accumulation).  With ``on_ready``
+    (overwriting only) each gradient is copied the moment backward
+    completes it and ``on_ready(name)`` reports it, instead of all of
+    them after backward — same bytes, earlier.  Returns the loss value.
     """
+    if on_ready is not None:
+        def hook(name, p):
+            np.copyto(out[name], p.grad)
+            on_ready(name)
+
+        model.register_grad_ready_hook(hook)
     model.zero_grad()
-    logits = model(xb)
-    loss = loss_fn(logits, yb)
-    loss.backward()
-    for name, p in model.named_parameters():
-        dest = out[name]
-        if accumulate:
-            dest += p.grad
-        else:
-            np.copyto(dest, p.grad)
+    try:
+        loss = loss_fn(model(xb), yb)
+        loss.backward()
+    finally:
+        if on_ready is not None:
+            model.clear_grad_ready_hooks()
+    if on_ready is None:
+        for name, p in model.named_parameters():
+            dest = out[name]
+            if accumulate:
+                dest += p.grad
+            else:
+                np.copyto(dest, p.grad)
     return float(loss.data)
 
 
@@ -129,22 +143,32 @@ class SerialRankExecutor:
         self,
         rank_indices: Sequence[np.ndarray],
         ranks: Optional[Sequence[int]] = None,
+        on_ready: Optional[Callable[[str], None]] = None,
     ) -> List[float]:
         """Forward/backward for every listed rank, in order; returns losses.
 
         ``ranks`` names the arena row per index array for partial-world
-        steps; default ``0..len-1``.
+        steps; default ``0..len-1``.  ``on_ready(name)``, when given,
+        fires as the last listed rank's backward completes each
+        parameter's gradient — the moment every row holds it — so a
+        bucket plan can reduce a layer while earlier layers are still
+        backpropagating.  Accumulated gradients are rescaled after the
+        last microbatch, so ``accumulation > 1`` reports no readiness.
         """
         ranks = range(len(rank_indices)) if ranks is None else ranks
-        return [
-            self._rank_gradient(rank, idx) for rank, idx in zip(ranks, rank_indices)
-        ]
+        *head, last = zip(ranks, rank_indices)
+        losses = [self._rank_gradient(rank, idx) for rank, idx in head]
+        losses.append(
+            self._rank_gradient(*last, on_ready if self.accumulation == 1 else None)
+        )
+        return losses
 
-    def _rank_gradient(self, rank: int, idx: np.ndarray) -> float:
+    def _rank_gradient(self, rank: int, idx: np.ndarray, on_ready=None) -> float:
         views = self.arena.views(rank)
         if self.accumulation == 1:
             return compute_grads_into(
-                self.model, self.loss_fn, self.x[idx], self.y[idx], views
+                self.model, self.loss_fn, self.x[idx], self.y[idx], views,
+                on_ready=on_ready,
             )
         losses = []
         for k in range(self.accumulation):
@@ -163,6 +187,72 @@ class SerialRankExecutor:
 
     def close(self) -> None:
         """Nothing to release: the arena is ordinary process memory."""
+
+
+class FusedRankExecutor(SerialRankExecutor):
+    """The serial backend plus a rank-fused engine for readiness-driven steps.
+
+    ``engine`` (see :func:`~repro.core.overlap.build_fused_engine`) runs
+    all ranks' forward/backward as one pass over the stacked
+    microbatches into the same arena rows, firing ``on_ready(name)`` the
+    moment every rank's gradient for a parameter has landed.  It serves
+    whole-world steps that ask for readiness; every other call runs the
+    inherited per-rank loop.
+
+    The first batch the engine accepts is computed both ways and
+    compared byte for byte; a mismatch demotes it for good (``engine``
+    becomes ``None``).  A batch it rejects — it checks its preconditions
+    (``ValueError``/``TypeError``, e.g. ``ignore_index`` targets) before
+    touching the arena — takes the per-rank loop, bit-identical by that
+    validation.
+    """
+
+    def __init__(self, engine, *args):
+        super().__init__(*args)
+        self.engine = engine
+        self._validated = False
+
+    def compute(
+        self,
+        rank_indices: Sequence[np.ndarray],
+        ranks: Optional[Sequence[int]] = None,
+        on_ready: Optional[Callable[[str], None]] = None,
+    ) -> List[float]:
+        num_ranks = self.arena.num_ranks
+        if (
+            self.engine is not None and on_ready is not None and ranks is None
+            and len(rank_indices) == num_ranks and self.accumulation == 1
+        ):
+            x = np.concatenate([self.x[idx] for idx in rank_indices])
+            y = np.concatenate([self.y[idx] for idx in rank_indices])
+            views = [self.arena.views(r) for r in range(num_ranks)]
+            marked = []
+
+            def ready(name):
+                marked.append(name)
+                on_ready(name)
+
+            try:
+                if not self._validated:
+                    self._validate(rank_indices, x, y, views)
+                if self.engine is not None:
+                    return self.engine.step(x, y, views, ready_cb=ready)
+            except (ValueError, TypeError):
+                if marked:  # not a precondition: buckets have already run
+                    raise
+        return super().compute(rank_indices, ranks, on_ready)
+
+    def _validate(self, rank_indices, x, y, views) -> None:
+        """Byte-compare the engine with the per-rank loop on one batch
+        (one extra forward/backward, once); demote it on any mismatch."""
+        fused_losses = self.engine.step(x, y, views, ready_cb=None)
+        fused_rows = self.arena.data.copy()
+        serial_losses = super().compute(rank_indices)
+        self._validated = True
+        if fused_losses != serial_losses or not np.array_equal(
+            fused_rows.view(np.uint8), self.arena.data.view(np.uint8)
+        ):
+            self.engine = None
 
 
 class _ProcessRankWorker:
@@ -341,6 +431,7 @@ class ProcessRankExecutor:
         self,
         rank_indices: Sequence[np.ndarray],
         ranks: Optional[Sequence[int]] = None,
+        on_ready: Optional[Callable[[str], None]] = None,
     ) -> List[float]:
         """Run one step's forward/backward on every listed rank.
 
@@ -349,6 +440,8 @@ class ProcessRankExecutor:
         gradients are already sitting in the arena rows when this
         returns.  ``ranks`` names the target rank (= arena row) per
         payload for partial-world steps; default ``0..len-1``.
+        ``on_ready`` is ignored: workers report nothing before their
+        whole row is written.
         """
         for name, p in self.model.named_parameters():
             np.copyto(self._pviews[name], p.data)
@@ -452,15 +545,17 @@ def build_rank_executor(
     faults=None,
     tracer: Optional[CommTracer] = None,
     start_method: Optional[str] = None,
+    overlap: bool = False,
 ):
     """The one place a rank backend (and its arena) is chosen and checked.
 
     ``execution="serial"`` gives a :class:`SerialRankExecutor` over a
-    heap :class:`~repro.core.arena.GradientArena`;
-    ``execution="processes"`` a :class:`ProcessRankExecutor` over a
-    :class:`~repro.core.arena.SharedGradientArena`, with ``timeout``/
-    ``faults``/``tracer``/``start_method`` forwarded to its transport
-    (the serial backend has none).  The world size and — for
+    heap :class:`~repro.core.arena.GradientArena` — with ``overlap``, a
+    :class:`FusedRankExecutor` when a fused engine is registered for
+    the model; ``execution="processes"`` a :class:`ProcessRankExecutor`
+    over a :class:`~repro.core.arena.SharedGradientArena`, with
+    ``timeout``/``faults``/``tracer``/``start_method`` forwarded to its
+    transport (the serial backend has none).  The world size and — for
     ``reduce_mode="workers"`` — the reduction cell the workers replay
     come from ``dist_opt``.  The returned executor owns its arena(s);
     ``close()`` releases them.
@@ -470,6 +565,12 @@ def build_rank_executor(
     construct a trainer directly.
     """
     execution = parse_execution(execution)
+    if overlap and execution != "serial":
+        raise ValueError(
+            f"overlap and execution={execution!r} are mutually exclusive: "
+            "rank processes report no per-layer readiness, so there is "
+            "nothing to overlap"
+        )
     if reduce_mode not in ("parent", "workers"):
         raise ValueError(
             f"reduce_mode must be 'parent' or 'workers', got {reduce_mode!r}"
@@ -482,10 +583,14 @@ def build_rank_executor(
         )
     num_ranks = dist_opt.num_ranks
     if execution == "serial":
-        return SerialRankExecutor(
+        args = (
             model, loss_fn, x, y, microbatch, accumulation,
             GradientArena.from_model(model, num_ranks),
         )
+        engine = build_fused_engine(model, num_ranks) if overlap else None
+        if engine is not None:
+            return FusedRankExecutor(engine, *args)
+        return SerialRankExecutor(*args)
     _check_parallel_safe(model)
     combine_spec = None
     if reduce_mode == "workers":
@@ -517,16 +622,20 @@ def phased_step(
     reduce_fn: Optional[Callable] = None,
     probe: Optional[OrthogonalityProbe] = None,
     step: int = 0,
+    plan: Optional[OverlapScheduler] = None,
 ) -> Tuple[List[float], float, float]:
-    """The one phased data-parallel step: compute -> wire -> reduce -> apply.
+    """The one data-parallel step: compute -> probe -> buckets -> close -> apply.
 
-    Every listed rank's gradient is computed on the same starting
-    weights into ``executor.arena`` (``ranks`` names the arena row per
-    index array; default ``0..len-1``), the optional ``probe`` samples
-    the raw per-rank gradients, and
-    :meth:`~repro.core.DistributedOptimizer.step_arena` runs the
-    update over the ``participants`` rows (default: all), reducing with
-    ``reduce_fn(arena, ctx)`` when given.  Both trainers call this:
+    Inside one :meth:`~repro.core.DistributedOptimizer.wire_step` every
+    listed rank's gradient is computed on the same starting weights
+    into ``executor.arena`` (``ranks`` names the arena row per index
+    array; default ``0..len-1``) and the optional ``probe`` samples the
+    raw per-rank gradients; leaving it reduces and applies the update —
+    as one whole-row bucket over the ``participants`` rows (default:
+    all), reduced with ``reduce_fn(arena, ctx)`` when given, or, with a
+    ``plan``, bucket by bucket: the executor is handed the plan's
+    readiness callback (unless a probe needs every row raw), so a bucket
+    runs the moment its last gradient lands.  Both trainers call this:
     :class:`ParallelTrainer` for the full world, the elastic supervisor
     for whatever ranks are live — what differs between them is only the
     ``reduce_fn`` and what happens around the step.
@@ -537,14 +646,17 @@ def phased_step(
     arena = executor.arena
     with _specialized_kernels():
         t0 = perf_counter()
-        losses = executor.compute(rank_indices, ranks=ranks)
-        t1 = perf_counter()
-        if probe is not None:
-            rows = range(len(rank_indices)) if ranks is None else ranks
-            # Zero-copy per-rank views; the reduction itself runs flat.
-            probe.record([arena.views(r) for r in rows], step=step)
-        t2 = perf_counter()
-        dist_opt.step_arena(arena, reduce_fn=reduce_fn, ranks=participants)
+        with dist_opt.wire_step(arena, participants, reduce_fn, plan) as on_ready:
+            losses = executor.compute(
+                rank_indices, ranks=ranks,
+                on_ready=on_ready if probe is None else None,
+            )
+            t1 = perf_counter()
+            if probe is not None:
+                rows = range(len(rank_indices)) if ranks is None else ranks
+                # Zero-copy per-rank views; the reduction itself runs flat.
+                probe.record([arena.views(r) for r in rows], step=step)
+            t2 = perf_counter()
         t3 = perf_counter()
     return losses, t1 - t0, t3 - t2
 
@@ -611,23 +723,25 @@ class ParallelTrainer:
         schedule (every registered cell except Adasum-RVH); checked by
         :func:`build_rank_executor`.
     overlap:
-        Overlap gradient reduction with backprop via an
-        :class:`~repro.core.overlap.OverlapScheduler`: arena buckets
-        launch on a comm worker as their gradients complete (grad-ready
-        hooks, or a registered fused compute engine whose first step is
-        byte-validated against the serial path before it is trusted).
-        Results are bit-identical to the phased path.  Falls back to
-        phased stepping automatically when an orthogonality probe is
-        attached (it needs raw per-rank gradients before the Figure-3
-        delta rewrite) or when ``accumulation > 1``.  Mutually
-        exclusive with ``execution="processes"``.
+        Reduce in buckets as backprop produces them: the step is handed
+        an :class:`~repro.core.overlap.OverlapScheduler` plan and each
+        arena bucket is rewritten, encoded and reduced — on this thread
+        — the moment its last gradient lands (grad-ready hooks on the
+        last rank, or a registered fused compute engine; see
+        :class:`FusedRankExecutor`), the rest when compute returns.
+        Results are bit-identical to the whole-row step.  Nothing runs
+        early when an orthogonality probe is attached (it needs raw
+        per-rank gradients before the Figure-3 delta rewrite) or when
+        ``accumulation > 1``: every bucket then waits for compute.
+        Mutually exclusive with ``execution="processes"``.
     bucket_cap_mb:
         Overlap fusion bucket size cap (see
         :class:`~repro.comm.bucketing.BucketPlan`).
     overlap_tracer:
         Optional :class:`~repro.comm.tracing.CommTracer` recording the
-        wall-clock overlap timeline (compute lane vs comm-worker lane);
-        keep it distinct from ``tracer``, whose clock is simulated.
+        wall-clock overlap timeline (compute lane vs per-bucket
+        reduction lane); keep it distinct from ``tracer``, whose clock
+        is simulated.
     """
 
     def __init__(
@@ -655,7 +769,7 @@ class ParallelTrainer:
     ):
         if accumulation < 1:
             raise ValueError("accumulation must be >= 1")
-        self.execution = validate_execution_strategy(overlap, execution)
+        self.execution = parse_execution(execution)
         self.reduce_mode = reduce_mode
         tune_allocator()
         self.model = model
@@ -673,11 +787,10 @@ class ParallelTrainer:
         self.tracer = tracer
         self.time_model = time_model
         self.sim_time = 0.0
-        # Wall-clock phase accounting (compute vs reduce) for the bench
-        # snapshot's per-phase sub-timings; phased steps only (the
-        # overlap path interleaves the two phases by design).
+        # Wall-clock phase accounting over all ``global_step`` steps:
+        # "compute" is the executor call (under overlap it contains the
+        # buckets that ran inside it), "reduce" the rest of the step.
         self.phase_seconds: Dict[str, float] = {"compute": 0.0, "reduce": 0.0}
-        self.phase_steps = 0
         # The rank backend and its flat-buffer gradient arena: every
         # rank's gradients live in one preallocated contiguous row (in
         # OS shared memory under the process backend, so workers write
@@ -686,22 +799,17 @@ class ParallelTrainer:
             model, loss_fn, dist_opt, x, y, microbatch, accumulation,
             execution=self.execution, reduce_mode=reduce_mode,
             timeout=comm_timeout, faults=faults, tracer=comm_tracer,
-            start_method=start_method,
+            start_method=start_method, overlap=overlap,
         )
-        # Backprop/communication overlap (opt-in).  The probe needs raw
-        # per-rank gradients before the delta rewrite and accumulation
-        # rescales rows after backward, so both force the phased path.
         self.overlap = overlap
-        self._overlap_active = overlap and accumulation == 1 and probe is None
-        self._sched: Optional[OverlapScheduler] = None
-        self._fused = None
-        self._fused_validated: Optional[bool] = None
-        if self._overlap_active:
-            self._sched = OverlapScheduler(
+        #: The bucket plan every step is handed (``None``: whole rows).
+        self.plan: Optional[OverlapScheduler] = (
+            OverlapScheduler(
                 dist_opt, self.arena, bucket_cap_mb=bucket_cap_mb,
                 tracer=overlap_tracer,
             )
-            self._fused = build_fused_engine(model, self.num_ranks)
+            if overlap else None
+        )
 
     @classmethod
     def from_config(
@@ -750,16 +858,12 @@ class ParallelTrainer:
     def close(self) -> None:
         """Release execution-backend resources (idempotent).
 
-        The overlap comm worker is joined and the rank executor closed
-        (workers shut down, every shared-memory segment unlinked) — the
-        arena module's atexit sweep is only the last-resort backstop for
-        callers that never get here (aborts, test crashes).
+        The rank executor is closed (workers shut down, every
+        shared-memory segment unlinked) — the arena module's atexit
+        sweep is only the last-resort backstop for callers that never
+        get here (aborts, test crashes).
         """
-        try:
-            if self._sched is not None:
-                self._sched.close()
-        finally:
-            self.executor.close()
+        self.executor.close()
 
     def __enter__(self) -> "ParallelTrainer":
         return self
@@ -784,99 +888,22 @@ class ParallelTrainer:
                 f"train_step needs one index array per rank: expected "
                 f"{self.num_ranks}, got {len(rank_indices)}"
             )
-        if self._overlap_active:
-            with _specialized_kernels():
-                losses = self._overlap_step(rank_indices)
-        else:
-            reduce_fn = None  # the parent reduces: reducer.reduce_arena
-            if self.reduce_mode == "workers":
-                reduce_fn = lambda arena, ctx: self.executor.worker_reduce()
-            losses, compute_s, reduce_s = phased_step(
-                self.executor, self.dist_opt, rank_indices,
-                reduce_fn=reduce_fn, probe=self.probe, step=self.global_step,
-            )
-            self.phase_seconds["compute"] += compute_s
-            self.phase_seconds["reduce"] += reduce_s
-            self.phase_steps += 1
+        reduce_fn = None  # the parent reduces: reducer.reduce_arena
+        if self.reduce_mode == "workers":
+            reduce_fn = lambda arena, ctx: self.executor.worker_reduce()
+        losses, compute_s, reduce_s = phased_step(
+            self.executor, self.dist_opt, rank_indices,
+            reduce_fn=reduce_fn, probe=self.probe, step=self.global_step,
+            plan=self.plan,
+        )
+        self.phase_seconds["compute"] += compute_s
+        self.phase_seconds["reduce"] += reduce_s
         if self.tracer is not None:
             self._trace_step()
         self.global_step += 1
         mean_loss = float(np.mean(losses))
         self.loss_meter.update(mean_loss)
         return mean_loss
-
-    def _overlap_step(self, rank_indices: Sequence[np.ndarray]) -> List[float]:
-        """One step with bucket reductions overlapping the backward passes."""
-        xb = [self.x[idx] for idx in rank_indices]
-        yb = [self.y[idx] for idx in rank_indices]
-        if self._fused is not None and self._fused_validated is None:
-            self._validate_fused(xb, yb)
-        if self._fused is not None and self._fused_validated:
-            xcat = np.concatenate(xb)
-            ycat = np.concatenate(yb)
-            views = [self.arena.views(r) for r in range(self.num_ranks)]
-            compute = lambda ready: self._fused.step(xcat, ycat, views, ready_cb=ready)
-        else:
-            compute = lambda ready: self._overlap_compute_serial(xb, yb, ready)
-        return self._sched.step(compute)
-
-    def _overlap_compute_serial(self, xb, yb, mark_ready) -> List[float]:
-        """Serial per-rank backward passes with grad-ready hooks.
-
-        Each completing gradient is copied into the rank's arena view
-        as backward produces it; the last rank's hook marks the
-        parameter ready so its bucket can launch while that rank's
-        backward is still finishing earlier layers.
-        """
-        model, losses = self.model, []
-        last_rank = len(xb) - 1
-        try:
-            for rank in range(len(xb)):
-                views = self.arena.views(rank)
-                if rank == last_rank:
-                    def hook(name, p, _v=views):
-                        np.copyto(_v[name], p.grad)
-                        mark_ready(name)
-                else:
-                    def hook(name, p, _v=views):
-                        np.copyto(_v[name], p.grad)
-                model.register_grad_ready_hook(hook)
-                model.zero_grad()
-                loss = self.loss_fn(model(xb[rank]), yb[rank])
-                loss.backward()
-                losses.append(float(loss.data))
-        finally:
-            model.clear_grad_ready_hooks()
-        return losses
-
-    def _validate_fused(self, xb, yb) -> None:
-        """Byte-validate the fused engine against serial autograd (once).
-
-        Runs both compute paths on the first overlap batch and compares
-        every arena row byte for byte; any mismatch permanently demotes
-        the engine in favor of the hook-driven serial path.  One-time
-        cost of one extra fused forward/backward.
-        """
-        xcat = np.concatenate(xb)
-        ycat = np.concatenate(yb)
-        views = [self.arena.views(r) for r in range(self.num_ranks)]
-        try:
-            fused_losses = self._fused.step(xcat, ycat, views, ready_cb=None)
-        except (ValueError, TypeError):
-            self._fused_validated = False
-            return
-        fused_rows = self.arena.data.copy()
-        serial_losses = [
-            compute_grads_into(self.model, self.loss_fn, xb[r], yb[r],
-                               self.arena.views(r))
-            for r in range(self.num_ranks)
-        ]
-        self._fused_validated = bool(
-            np.array_equal(
-                fused_rows.view(np.uint8), self.arena.data.view(np.uint8)
-            )
-            and fused_losses == serial_losses
-        )
 
     def _trace_step(self) -> None:
         """Record one compute + one allreduce event per simulated rank.

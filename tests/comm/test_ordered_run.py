@@ -159,24 +159,24 @@ class TestOrderedFailureReports:
 
 
 class TestThreadCensus:
-    def test_ordered_run_starts_no_rank_thread(self, rank_threads):
+    def test_ordered_run_starts_no_rank_thread(self, started_threads):
         data = np.arange(8 * 6, dtype=np.float32).reshape(8, 6)
         reducer = make_reducer("adasum", topology="tree_any")
         Cluster(8).run(_chain, order=_descending(8))
         cluster_reduce(Cluster(8), data, [0, 4, 6], reducer)
         cluster_reduce(Cluster(8), data, [0, 4, 6], make_reducer("sum"), [1, 4, 6])
-        assert rank_threads == []
+        assert started_threads("rank-") == []
 
-    def test_ring_keeps_its_threads(self, rank_threads):
+    def test_ring_keeps_its_threads(self, started_threads):
         vecs = [np.full(8, float(r), dtype=np.float32) for r in range(4)]
         results = Cluster(4).run(allreduce_ring, rank_args=[(v,) for v in vecs])
-        assert sorted(rank_threads) == [f"rank-{r}" for r in range(4)]
+        assert sorted(started_threads("rank-")) == [f"rank-{r}" for r in range(4)]
         np.testing.assert_allclose(results[0], np.full(8, 6.0))
 
-    def test_adasum_rvh_keeps_its_threads(self, rank_threads, rng):
+    def test_adasum_rvh_keeps_its_threads(self, started_threads, rng):
         grads = [rng.standard_normal(16).astype(np.float32) for _ in range(4)]
         allreduce_adasum_cluster(grads)
-        assert sorted(rank_threads) == [f"rank-{r}" for r in range(4)]
+        assert sorted(started_threads("rank-")) == [f"rank-{r}" for r in range(4)]
 
 
 @pytest.mark.perf

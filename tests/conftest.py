@@ -24,16 +24,16 @@ def rng() -> np.random.Generator:
 
 
 @pytest.fixture
-def rank_threads(monkeypatch):
-    """Names of the simulated cluster's ``rank-*`` threads started so far
-    in this test (a live list)."""
-    started = []
+def started_threads(monkeypatch):
+    """``started_threads(prefix="")``: names of the threads started so
+    far in this test whose name begins with ``prefix`` — ``"rank-"`` for
+    the simulated cluster's rank threads, nothing for every thread."""
+    names = []
     start = threading.Thread.start
 
-    def counting_start(thread):
-        if thread.name.startswith("rank-"):
-            started.append(thread.name)
+    def recording_start(thread):
+        names.append(thread.name)
         start(thread)
 
-    monkeypatch.setattr(threading.Thread, "start", counting_start)
-    return started
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    return lambda prefix="": [n for n in names if n.startswith(prefix)]

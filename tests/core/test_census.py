@@ -5,7 +5,9 @@ configuration the test matrix has to cover, so growing any of them is a
 decision, not an accident: this file pins the counts.  It also pins the
 one remaining dict entry point, ``DistributedOptimizer.step(dicts)``, to
 the flat ``step_arena`` path it adapts, and the one phased step
-(``phased_step`` over a rank executor) that both trainers run.
+(``phased_step`` over a rank executor) that both trainers run — with
+or without an overlap bucket plan, which has no step, thread or
+validation rule of its own.
 """
 
 import dataclasses
@@ -14,6 +16,7 @@ import inspect
 import numpy as np
 import pytest
 
+import repro.core.config
 import repro.elastic.trainer as elastic_trainer
 import repro.train.trainer as train_trainer
 from repro import nn
@@ -21,9 +24,10 @@ from repro.core import DistributedOptimizer, GradientArena, ReduceOpType
 from repro.core.config import EXECUTIONS, RunConfig
 from repro.core.strategies import OPS, TOPOLOGIES, registered_cells
 from repro.elastic import ElasticSchedule, ElasticTrainer
-from repro.models import MLP
+from repro.models import MLP, MiniBERT
 from repro.optim import SGD, Adam
 from repro.train.trainer import (
+    FusedRankExecutor,
     ParallelTrainer,
     ProcessRankExecutor,
     SerialRankExecutor,
@@ -94,19 +98,38 @@ def test_kernel_specialization_is_not_a_knob():
 
 def test_rank_executors_share_one_surface():
     """What the step calls — ``compute`` / ``close`` / ``arena`` — is
-    spelled identically on both backends; the process backend adds only
-    the worker-parallel reduce."""
+    spelled identically on every backend, readiness callback included;
+    the process backend adds only the worker-parallel reduce."""
     def public(cls):
-        return {n for n, v in vars(cls).items()
-                if callable(v) and not n.startswith("_")}
+        return {n for n in dir(cls)
+                if callable(getattr(cls, n)) and not n.startswith("_")}
 
-    assert public(SerialRankExecutor) == {"compute", "close"}
+    assert public(SerialRankExecutor) == public(FusedRankExecutor) == {"compute", "close"}
     assert public(ProcessRankExecutor) == {"compute", "close", "worker_reduce"}
-    for name in ("compute", "close"):
-        assert inspect.signature(getattr(SerialRankExecutor, name)) == (
-            inspect.signature(getattr(ProcessRankExecutor, name)))
+    for cls in (FusedRankExecutor, ProcessRankExecutor):
+        for name in ("compute", "close"):
+            assert inspect.signature(getattr(SerialRankExecutor, name)) == (
+                inspect.signature(getattr(cls, name)))
+    assert list(inspect.signature(SerialRankExecutor.compute).parameters) == [
+        "self", "rank_indices", "ranks", "on_ready"]
     assert "arena" in inspect.signature(SerialRankExecutor).parameters
     assert "arena" in inspect.signature(ProcessRankExecutor).parameters
+
+
+def test_overlap_left_no_second_step_behind():
+    """Overlap is a plan handed to the one step: the trainer has no
+    overlap step, fused-engine bookkeeping or scheduler lifecycle of its
+    own, and the overlap x processes rule has no function of its own."""
+    x, y = _task()
+    model = MLP((6, 8, 2), rng=np.random.default_rng(1))
+    dist = DistributedOptimizer(model, lambda ps: SGD(ps, 0.1), num_ranks=4)
+    trainer = ParallelTrainer(model, nn.CrossEntropyLoss(), dist, x, y,
+                              microbatch=4, overlap=True)
+    for name in ("_overlap_step", "_overlap_compute_serial", "_validate_fused",
+                 "_overlap_active", "_sched", "_fused", "_fused_validated"):
+        assert not hasattr(trainer, name), name
+    assert not hasattr(trainer.plan, "close")
+    assert not hasattr(repro.core.config, "validate_execution_strategy")
 
 
 def _count_phased_steps(monkeypatch):
@@ -129,15 +152,28 @@ def _task(n=96):
 
 
 def test_parallel_trainer_step_is_one_phased_step(monkeypatch):
+    """Whole rows or an overlap plan, grad-ready hooks or the fused
+    engine: a ``train_step`` is exactly one ``phased_step``."""
     calls = _count_phased_steps(monkeypatch)
     x, y = _task()
-    model = MLP((6, 8, 2), rng=np.random.default_rng(1))
-    dist = DistributedOptimizer(model, lambda ps: SGD(ps, 0.1), num_ranks=4)
-    trainer = ParallelTrainer(model, nn.CrossEntropyLoss(), dist, x, y, microbatch=4)
-    for _, rank_indices in trainer.iterator.epoch(0):
-        trainer.train_step(rank_indices)
-    assert trainer.global_step > 0
-    assert calls == list(range(trainer.global_step))
+    tokens = np.random.default_rng(0).integers(0, 64, (64, 16))
+    for overlap in (False, True):
+        for model, data in (
+            (MLP((6, 8, 2), rng=np.random.default_rng(1)), (x, y)),
+            (MiniBERT(rng=np.random.default_rng(1)), (tokens, tokens)),
+        ):
+            del calls[:]
+            dist = DistributedOptimizer(model, lambda ps: SGD(ps, 0.1), num_ranks=4)
+            trainer = ParallelTrainer(model, nn.CrossEntropyLoss(), dist, *data,
+                                      microbatch=4, overlap=overlap,
+                                      bucket_cap_mb=0.001)
+            assert isinstance(trainer.executor, FusedRankExecutor) == (
+                overlap and isinstance(model, MiniBERT))
+            for _, rank_indices in trainer.iterator.epoch(0):
+                trainer.train_step(rank_indices)
+            assert trainer.global_step > 0
+            assert calls == list(range(trainer.global_step))
+            assert trainer.phase_seconds["compute"] > 0
 
 
 @pytest.mark.faults

@@ -15,7 +15,6 @@ from repro.core import (
     RunConfig,
     parse_op,
     parse_topology,
-    validate_execution_strategy,
 )
 from repro.models import MLP
 from repro.optim import SGD
@@ -60,10 +59,10 @@ class TestParsers:
             parse_topology("torus")
 
     def test_execution_strategy_exclusion(self):
-        validate_execution_strategy(True, "serial")
-        validate_execution_strategy(False, "processes")
+        assert RunConfig(overlap=True, execution="serial").overlap
+        assert RunConfig(overlap=False, execution="processes").execution == "processes"
         with pytest.raises(ValueError, match="mutually exclusive"):
-            validate_execution_strategy(True, "processes")
+            RunConfig(overlap=True, execution="processes")
 
 
 class TestRunConfig:

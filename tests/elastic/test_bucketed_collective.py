@@ -86,6 +86,24 @@ class TestBucketedCollective:
         _assert_bit_identical(m_whole, m_bucketed)
 
 
+    @pytest.mark.parametrize("per_layer", [True, False])
+    def test_whole_model_adasum_runs_one_collective(self, monkeypatch, per_layer):
+        """Whole-model Adasum's dot products span the full row, so the
+        shared plan is one bucket whatever the cap: exactly one
+        collective per step (per-layer splits into several)."""
+        import repro.elastic.trainer as elastic_trainer
+        calls = []
+        real = elastic_trainer.cluster_reduce
+        monkeypatch.setattr(
+            elastic_trainer, "cluster_reduce",
+            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        x, y = _data()
+        trainer, _ = _trainer(x, y, per_layer=per_layer, bucket_cap_mb=1e-5)
+        trainer.train_epoch(0, max_steps=3)
+        assert trainer.commits == 3
+        assert (len(calls) > 3) if per_layer else (len(calls) == 3)
+
+
 class TestCodecStack:
     def test_lossy_stack_cuts_leaf_bytes_below_fp16(self):
         """fp16+int8+topk ships far fewer leaf-hop bytes than fp16

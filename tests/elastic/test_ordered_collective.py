@@ -250,8 +250,8 @@ class TestTracerStaysBounded:
 
 class TestNoRankThreads:
     @pytest.mark.parametrize("bucket_cap_mb", [None, 0.0005])
-    def test_elastic_step_starts_no_rank_thread(self, rank_threads, bucket_cap_mb):
+    def test_elastic_step_starts_no_rank_thread(self, started_threads, bucket_cap_mb):
         trainer, _ = _elastic(8, bucket_cap_mb=bucket_cap_mb)
         for _ in range(3):
             trainer.train_step()
-        assert rank_threads == []
+        assert started_threads("rank-") == []

@@ -1,12 +1,11 @@
 """End-to-end overlap mode of :class:`ParallelTrainer`.
 
-Covers the fused MiniBERT engine (validated once against serial
-autograd, then trusted), the serial grad-ready-hook fallback for models
-without a fused engine, and the acceptance bit-identity of overlapped
-vs phased training at fp32 wire dtype.
+Covers the fused MiniBERT executor (validated once against serial
+autograd, then trusted; a batch it rejects takes the hook-driven loop),
+the serial grad-ready-hook path for models without a fused engine, and
+the acceptance bit-identity of overlapped vs phased training at fp32
+wire dtype.
 """
-
-import threading
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from repro.models import MLP, LeNet5, MiniBERT
 from repro.optim import SGD, Adam, LinearWarmupDecay
 from repro.train import ParallelTrainer
 from repro.train.checkpoint import load_checkpoint, save_checkpoint
+from repro.train.trainer import FusedRankExecutor, SerialRankExecutor
 
 
 def _assert_bit_identical(m1, m2):
@@ -68,7 +68,7 @@ class TestOverlapTrainer:
                                  adasum_pre_optimizer=True)
         m_overlap, trainer, l2 = _train(*args, overlap=True, steps=2,
                                         adasum_pre_optimizer=True)
-        assert trainer._fused is None
+        assert type(trainer.executor) is SerialRankExecutor
         assert l1 == l2
         _assert_bit_identical(m_phased, m_overlap)
 
@@ -82,15 +82,15 @@ class TestOverlapTrainer:
         m_overlap, trainer, l2 = _train(*args, overlap=True, steps=2)
         # First overlapped step byte-compared fused vs serial autograd
         # and kept the fused engine.
-        assert trainer._fused is not None
-        assert trainer._fused_validated is True
+        assert isinstance(trainer.executor, FusedRankExecutor)
+        assert trainer.executor._validated and trainer.executor.engine is not None
         assert l1 == pytest.approx(l2, abs=0)
         _assert_bit_identical(m_phased, m_overlap)
 
     def test_minibert_ignore_index_targets_demote_and_match_phased(self):
         """Masked-LM targets carry ``ignore_index=-100`` positions the
-        rank-fused engine cannot index; validation must demote it to the
-        hook-driven serial path, bit-identical to phased."""
+        rank-fused engine cannot index; every such batch must take the
+        hook-driven serial path instead, bit-identical to phased."""
         rng = np.random.default_rng(0)
         x = rng.integers(0, 64, (64, 32))
         y = rng.integers(0, 64, (64, 32))
@@ -101,8 +101,9 @@ class TestOverlapTrainer:
         m_phased, _, l1 = _train(*args, overlap=False, steps=2, loss_fn=loss_fn)
         m_overlap, trainer, l2 = _train(*args, overlap=True, steps=2,
                                         loss_fn=loss_fn)
-        assert trainer._fused is not None
-        assert trainer._fused_validated is False
+        # Never accepted a batch, so never validated — and never trusted.
+        assert isinstance(trainer.executor, FusedRankExecutor)
+        assert not trainer.executor._validated
         assert l1 == l2
         _assert_bit_identical(m_phased, m_overlap)
 
@@ -142,24 +143,87 @@ class TestOverlapTrainer:
         finally:
             trainer.close()
 
-    def test_close_joins_comm_worker(self):
-        """``close()`` must not park the overlap comm thread."""
+    @pytest.mark.parametrize("wire_codecs", [(), ("fp16", "int8", "topk:0.05")],
+                             ids=["fp32", "codecs"])
+    @pytest.mark.parametrize("model", ["mlp-hooks", "minibert-fused"])
+    def test_overlap_run_starts_no_thread(self, started_threads, model, wire_codecs):
+        """Buckets run on the calling thread: an overlap run — through
+        creation, steps and ``close()`` — starts no thread at all."""
         rng = np.random.default_rng(0)
-        x = rng.standard_normal((64, 12)).astype(np.float32)
-        y = rng.integers(0, 4, 64)
-        before = set(threading.enumerate())
-        model = MLP((12, 16, 4), rng=np.random.default_rng(0))
-        dopt = DistributedOptimizer(model, lambda ps: SGD(ps, 0.05), 4,
-                                    op=ReduceOpType.ADASUM)
-        trainer = ParallelTrainer(model, nn.CrossEntropyLoss(), dopt, x, y,
-                                  microbatch=8, overlap=True)
-        _, rank_indices = next(iter(trainer.iterator.epoch(0)))
-        trainer.train_step(rank_indices)
-        started = [t for t in threading.enumerate() if t not in before]
-        assert any(t.name.startswith("comm") for t in started)
-        trainer.close()
-        trainer.close()  # idempotent
-        assert not [t for t in started if t.is_alive()]
+        if model == "mlp-hooks":
+            net = MLP((12, 16, 4), rng=np.random.default_rng(0))
+            x = rng.standard_normal((64, 12)).astype(np.float32)
+            y = rng.integers(0, 4, 64)
+        else:
+            net = MiniBERT(rng=np.random.default_rng(0))
+            x = y = rng.integers(0, 64, (64, 16))
+        dopt = DistributedOptimizer(net, lambda ps: Adam(ps, 1e-3), 4,
+                                    op=ReduceOpType.ADASUM, wire_codecs=wire_codecs)
+        with ParallelTrainer(net, nn.CrossEntropyLoss(), dopt, x, y, microbatch=4,
+                             overlap=True, bucket_cap_mb=0.001) as trainer:
+            assert trainer.plan.plan.num_buckets > 1
+            for step, rank_indices in trainer.iterator.epoch(0):
+                if step < 2:
+                    trainer.train_step(rank_indices)
+        assert started_threads() == []
+
+    def test_later_batch_the_engine_rejects_falls_back_mid_run(self):
+        """A clean batch validates the engine; a later batch carrying
+        ``ignore_index`` targets must not crash the run after optimizer
+        state has advanced — it takes the serial loop, and the engine
+        is back for the next clean batch."""
+        rng = np.random.default_rng(0)
+        x = rng.integers(0, 64, (96, 32))
+        y = rng.integers(0, 64, (96, 32))
+        y[32:64, ::3] = -100  # the samples of step 1 (sequential sharding below)
+
+        def run(overlap):
+            model = MiniBERT(rng=np.random.default_rng(0))
+            dopt = DistributedOptimizer(model, lambda ps: Adam(ps, 1e-3), 4,
+                                        op=ReduceOpType.ADASUM)
+            trainer = ParallelTrainer(
+                model, nn.CrossEntropyLoss(ignore_index=-100), dopt, x, y,
+                microbatch=8, overlap=overlap, bucket_cap_mb=0.01)
+            for step in range(3):
+                block = np.arange(32 * step, 32 * (step + 1))
+                trainer.train_step(np.split(block, 4))
+            return model, dopt, trainer
+
+        m_phased, _, _ = run(False)
+        m_overlap, dopt, trainer = run(True)
+        assert trainer.executor._validated and trainer.executor.engine is not None
+        assert [o.step_count for o in dopt.rank_optimizers] == [3] * 4
+        _assert_bit_identical(m_phased, m_overlap)
+
+    @pytest.mark.parametrize("kwargs", [{"accumulation": 2}, {"probe": True}],
+                             ids=["accumulation", "probe"])
+    def test_nothing_runs_early_without_readiness(self, kwargs):
+        """Accumulated rows are rescaled after the last microbatch and a
+        probe needs raw rows: the plan then runs every bucket after
+        compute — still bit-identical to phased."""
+        from repro.core import OrthogonalityProbe
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((128, 12)).astype(np.float32)
+        y = rng.integers(0, 4, 128)
+        models, probes = [], []
+        for overlap in (False, True):
+            model = MLP((12, 32, 4), rng=np.random.default_rng(0))
+            dopt = DistributedOptimizer(model, lambda ps: Adam(ps, 1e-3), 4,
+                                        op=ReduceOpType.ADASUM)
+            kw = dict(kwargs)
+            if kw.pop("probe", False):
+                kw["probe"] = OrthogonalityProbe()
+            trainer = ParallelTrainer(model, nn.CrossEntropyLoss(), dopt, x, y,
+                                      microbatch=4, overlap=overlap,
+                                      bucket_cap_mb=0.0005, **kw)
+            for step, rank_indices in trainer.iterator.epoch(0):
+                if step < 3:
+                    trainer.train_step(rank_indices)
+            assert trainer.global_step == 3 and trainer.phase_seconds["compute"] > 0
+            models.append(model)
+            probes.append(trainer.probe and trainer.probe.history)
+        _assert_bit_identical(*models)
+        assert probes[0] == probes[1]  # the probe saw raw gradients either way
 
 
 class TestOverlapCheckpoint:
@@ -198,7 +262,7 @@ class TestOverlapCheckpoint:
 
         _, ovl_opt, ovl = build(True)
         try:
-            assert ovl._sched.overlapped and ovl._sched.mirror is not None
+            assert ovl.plan.plan.num_buckets > 1 and ovl.plan.mirror is not None
             for idx in batches[:3]:
                 ovl.train_step(idx)
             assert ovl_opt.lr == lr_after_3

@@ -54,7 +54,7 @@ def _run(reduce_mode, op="adasum", num_ranks=4, topology="tree_any", steps=2,
                 break
             losses.append(trainer.train_step(rank_indices))
         phases = dict(trainer.phase_seconds)
-        phase_steps = trainer.phase_steps
+        phase_steps = trainer.global_step
     finally:
         trainer.close()
     params = {n: p.data.copy() for n, p in model.named_parameters()}
