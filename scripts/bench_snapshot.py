@@ -33,11 +33,6 @@ serial backend by ``--proc-speedup`` (default 1.2x) on LeNet at
 ``min(4, os.cpu_count())`` ranks (the ``lenet_guard_serial`` /
 ``lenet_guard_procs`` pair); it auto-skips on single-core hosts, where
 one OS process per rank cannot outrun anything.
-``--reduce-guard`` requires the worker-parallel in-shm tree reduce
-(``reduce_mode="workers"``) to beat the parent-driven reduce by
-``--reduce-speedup`` (default 1.3x) on the 8-rank MiniBERT reduce
-phase; it auto-skips on hosts with fewer than 8 cores, where the
-eight rank workers cannot actually combine concurrently.
 ``--wire-guard`` requires the lossy codec stack (fp16+int8+topk:0.01)
 to ship at most ``--wire-ratio`` (default 0.5) of the fp16-only
 encoded bytes per step on the 8-rank MiniBERT wire pair; the bytes are
@@ -89,7 +84,6 @@ _TRAINER_MODES = {
     "serial": {},
     "overlap": {"overlap": True, "bucket_cap_mb": 0.01},
     "procs": {"execution": "processes"},
-    "procs_workers": {"execution": "processes", "reduce_mode": "workers"},
 }
 
 # Trainers whose teardown matters (the process backend owns worker
@@ -277,13 +271,6 @@ def build_ops():
         ("minibert_train_step_r4", train_step_setup(_minibert_trainer, "serial")),
         ("minibert_train_step_r4_overlap", train_step_setup(_minibert_trainer, "overlap")),
         ("minibert_step_procs_4", train_step_setup(_minibert_trainer, "procs", 4)),
-        # The 8-rank reduce-phase pair: identical compute, identical
-        # model; only who runs the combines differs.  Their reduce_s
-        # sub-timings are what --reduce-guard compares.
-        ("reduce_phase_procs_8r_parent",
-         train_step_setup(_minibert_trainer, "procs", 8)),
-        ("reduce_phase_procs_8r",
-         train_step_setup(_minibert_trainer, "procs_workers", 8)),
         # The 8-rank wire-codec pair: identical model and step; only the
         # codec stack on the flat wire differs.  Their modeled
         # wire_bytes are what --wire-guard compares (and the timings
@@ -352,16 +339,6 @@ def main(argv=None) -> int:
                         help="required serial/procs mean ratio for "
                              "--proc-guard (1.2 = procs at least 1.2x "
                              "faster than serial)")
-    parser.add_argument("--reduce-guard", action="store_true",
-                        help="require the worker-parallel reduce to beat the "
-                             "parent-driven reduce by --reduce-speedup on the "
-                             "8-rank MiniBERT reduce phase; auto-skipped on "
-                             "hosts with fewer than 8 cores, where 8 rank "
-                             "workers cannot combine concurrently")
-    parser.add_argument("--reduce-speedup", type=float, default=1.3,
-                        help="required parent/workers reduce_s ratio for "
-                             "--reduce-guard (1.3 = workers at least 1.3x "
-                             "faster than the parent reduce)")
     parser.add_argument("--wire-guard", action="store_true",
                         help="require the lossy codec stack "
                              "(fp16+int8+topk:0.01) to ship at most "
@@ -379,7 +356,7 @@ def main(argv=None) -> int:
     # Guard-only invocations (compare / proc-guard) are read-only unless
     # an output path is asked for explicitly.
     write_output = ((args.compare is None and not args.proc_guard
-                     and not args.reduce_guard and not args.wire_guard)
+                     and not args.wire_guard)
                     or args.out is not None)
 
     try:  # hot-loop temporaries should not churn mmap (see docs/performance.md)
@@ -506,35 +483,6 @@ def main(argv=None) -> int:
                       "(OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1) — an "
                       "unpinned BLAS oversubscribes one-process-per-rank",
                       file=sys.stderr)
-                return 1
-
-    if args.reduce_guard:
-        cpus = os.cpu_count() or 1
-        if cpus < 8:
-            print(f"reduce guard SKIPPED: only {cpus} CPU(s) visible — the "
-                  "8 rank workers cannot run pair combines concurrently "
-                  "without 8 cores (guard enforces on multicore CI runners)")
-        else:
-            parent_op = "reduce_phase_procs_8r_parent"
-            workers_op = "reduce_phase_procs_8r"
-            missing = [op for op in (parent_op, workers_op)
-                       if "reduce_s" not in results.get(op, {})]
-            if missing:
-                print(f"reduce guard: missing reduce_s for {missing} (add "
-                      "them via --ops or run the full suite)", file=sys.stderr)
-                return 2
-            parent_s = results[parent_op]["reduce_s"]
-            workers_s = results[workers_op]["reduce_s"]
-            ratio = parent_s / workers_s
-            verdict = "ok" if ratio >= args.reduce_speedup else "FAIL"
-            print(f"reduce guard ({cpus} CPUs, 8 ranks, MiniBERT): parent "
-                  f"reduce {parent_s * 1e3:.3f} ms / workers "
-                  f"{workers_s * 1e3:.3f} ms = {ratio:.2f}x "
-                  f"(need >= {args.reduce_speedup:.2f}x) {verdict}")
-            if ratio < args.reduce_speedup:
-                print(f"FAIL: worker-parallel reduce only {ratio:.2f}x vs "
-                      f"the parent reduce at 8 ranks (required "
-                      f"{args.reduce_speedup:.2f}x)", file=sys.stderr)
                 return 1
 
     if args.wire_guard:

@@ -15,7 +15,14 @@ scaler's state leaves ``src/repro/core`` only as
 ``DynamicScaler.state_dict()``.  Threads are started only by the
 simulated cluster in ``src/repro/comm`` (cyclic collectives need
 concurrent ranks): a training step runs on its caller's thread, so a
-private comm thread cannot creep back into it.  This grep-level check
+private comm thread cannot creep back into it.  Per-rank optimizer
+slots and error-feedback residual rows have their live home in the rank
+workers under ``execution="processes"``; a parent copy may be a step
+old, so they are read only by ``src/repro/core``, the codec pipeline's
+own module and the three files of the pull/push seam (worker bootstrap,
+packed state, checkpoint) — everything else goes through
+``pack_dist_state`` / ``save_checkpoint`` (which pull first) or
+``DistributedOptimizer.pull_rank_state``.  This grep-level check
 keeps the boundaries from eroding: a
 private name that leaks into another package turns the next kernel
 refactor into a cross-package breakage.
@@ -82,6 +89,21 @@ RULES = (
         ("ThreadPoolExecutor", "threading.Thread("),
         (REPO / "src" / "repro" / "comm",),
     ),
+    # Per-rank optimizers and residual rows: under the process backend
+    # the rank workers hold the live copies, so a new reader has to go
+    # through the pull seam (the worker bootstrap, the packed state, the
+    # checkpoint) instead of a parent copy that may be one step old.
+    # (comm/codec.py is where the pipeline's residual attribute lives.)
+    (
+        ("rank_optimizers", "._residuals"),
+        (
+            REPO / "src" / "repro" / "core",
+            REPO / "src" / "repro" / "comm" / "codec.py",
+            REPO / "src" / "repro" / "train" / "trainer.py",
+            REPO / "src" / "repro" / "elastic" / "state.py",
+            REPO / "src" / "repro" / "train" / "checkpoint.py",
+        ),
+    ),
 )
 
 # Everything under these roots is scanned (tests may exercise privates).
@@ -115,8 +137,8 @@ def scan() -> list[str]:
 def main() -> int:
     offenders = scan()
     if offenders:
-        print("private reduction/collective/scaler names or thread creation "
-              "outside their package:")
+        print("private reduction/collective/scaler names, per-rank state or "
+              "thread creation outside their package:")
         for line in offenders:
             print(f"  {line}")
         print(
@@ -124,7 +146,8 @@ def main() -> int:
             "repro.core.make_reducer(...), repro.comm.cluster_allreduce(...), "
             "the public repro.comm.hierarchical_*_allreduce entry points, or "
             "DistributedOptimizer.scaler.state_dict() instead; run step work on "
-            "the calling thread."
+            "the calling thread; read per-rank optimizer state through "
+            "pack_dist_state(...) / DistributedOptimizer.pull_rank_state()."
         )
         return 1
     print("lint_private_imports: no private kernel names outside their package")

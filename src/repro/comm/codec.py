@@ -43,6 +43,7 @@ scaler is injected by the caller or imported lazily), so both
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -155,8 +156,12 @@ class WireCodec:
     #: Elementwise codecs see whole 2-D slabs; others run per layer block.
     elementwise: bool = False
 
-    def begin_step(self) -> None:
-        """Fix per-step state (e.g. the fp16 scale) before any encode."""
+    def begin_step(self, scale: Optional[float] = None) -> None:
+        """Fix per-step state (e.g. the fp16 scale) before any encode.
+
+        ``scale`` is the step's fp16 scale when another process's scaler
+        already fixed it (see :meth:`CodecPipeline.begin_step`).
+        """
 
     def finish_step(self, overflow: bool) -> bool:
         """Consume the step's aggregated overflow verdict; True = skip."""
@@ -225,8 +230,8 @@ class Fp16Codec(WireCodec):
         self.scaler = scaler
         self._step_scale = float(scaler.scale_value)
 
-    def begin_step(self):
-        self._step_scale = float(self.scaler.scale_value)
+    def begin_step(self, scale=None):
+        self._step_scale = float(self.scaler.scale_value if scale is None else scale)
 
     def finish_step(self, overflow):
         return bool(self.scaler.update(overflow))
@@ -383,6 +388,17 @@ class CodecPipeline:
     would decode); error-feedback residuals commit as blocks encode and
     are rolled back by ``end_step`` on a skipped step (or explicitly by
     :meth:`restore_residuals` when a collective fails before applying).
+
+    The two halves of the protocol can live in different processes.
+    Under ``execution="processes"`` each rank worker encodes its own
+    arena row through a one-row pipeline (:meth:`for_row`) — it holds
+    that row's residuals and rollback copy, opens its step at the scale
+    it is told (``begin_step(scale)``) and restores on command — while
+    the parent's pipeline is bound to *zero* rows (nothing allocated,
+    copied or rolled back there) and keeps what is global: the fp16
+    scale it fixes in ``begin_step`` (:attr:`step_scale`), the one
+    ``end_step`` verdict over the OR of the rows' flags, and the byte
+    model.
     """
 
     def __init__(self, codecs: Sequence[WireCodec]):
@@ -409,13 +425,20 @@ class CodecPipeline:
     def error_feedback(self) -> bool:
         return any(c.error_feedback for c in self.codecs)
 
+    def _fp16_stage(self) -> Optional[Fp16Codec]:
+        return next((c for c in self.codecs if isinstance(c, Fp16Codec)), None)
+
     @property
     def scaler(self):
         """The fp16 stage's dynamic scaler, or None."""
-        for c in self.codecs:
-            if isinstance(c, Fp16Codec):
-                return c.scaler
-        return None
+        stage = self._fp16_stage()
+        return None if stage is None else stage.scaler
+
+    @property
+    def step_scale(self) -> Optional[float]:
+        """The fp16 scale :meth:`begin_step` fixed (None without an fp16 stage)."""
+        stage = self._fp16_stage()
+        return None if stage is None else stage._step_scale
 
     # -- layout binding -----------------------------------------------
     def bind(self, num_rows: int, total_size: int, boundaries: Sequence[int]) -> None:
@@ -435,6 +458,33 @@ class CodecPipeline:
         }
         self._saved = {}
 
+    def for_row(
+        self, row: int, total_size: int, boundaries: Sequence[int]
+    ) -> "CodecPipeline":
+        """A one-row pipeline for the process that owns arena row ``row``.
+
+        The same stack over copied stages, bound to a single row whose
+        error-feedback residuals start from this pipeline's row ``row``
+        when it holds one for this layout (a pool rebuilt after a
+        pause), zero otherwise.  This pipeline is left untouched.
+        """
+        own = CodecPipeline([copy.copy(c) for c in self.codecs])
+        own.bind(1, total_size, boundaries)
+        if row < self._num_rows and (self._total, self._boundaries) == (
+            own._total, own._boundaries
+        ):
+            own.set_residual_row(0, self.residual_row(row))
+        return own
+
+    def residual_row(self, row: int) -> Dict[int, np.ndarray]:
+        """Row ``row`` of every error-feedback residual, by stage index."""
+        return {i: r[row] for i, r in self._residuals.items()}
+
+    def set_residual_row(self, row: int, values: Dict[int, np.ndarray]) -> None:
+        """Overwrite row ``row`` of the residuals from :meth:`residual_row`."""
+        for i, value in values.items():
+            self._residuals[i][row] = value
+
     def _blocks(self, lo: int, hi: int) -> List[Tuple[int, int]]:
         """Layer blocks covering columns [lo, hi); splits at boundaries."""
         edges = [b for b in self._boundaries if lo < b < hi]
@@ -442,9 +492,13 @@ class CodecPipeline:
         return list(zip(points[:-1], points[1:]))
 
     # -- step protocol -------------------------------------------------
-    def begin_step(self) -> None:
+    def begin_step(self, scale: Optional[float] = None) -> None:
+        """Open a step.  ``scale`` overrides the fp16 stage's own scaler:
+        a rank process encodes its row at the :attr:`step_scale` the
+        parent's scaler fixed, so every row of a step shares one scale
+        and the parent alone gives the step's verdict."""
         for c in self.codecs:
-            c.begin_step()
+            c.begin_step(scale)
         # Residuals commit as blocks encode; keep the pre-step values so
         # a skipped/failed step can be rolled back without consuming the
         # error memory of gradients that were never applied.

@@ -158,6 +158,13 @@ class DistributedOptimizer:
         self.last_wire_bytes = 0
         self.wire_bytes_total = 0
         self.skipped_steps = 0
+        #: Who finishes rows — Figure-3 rewrite, wire encode — and so
+        #: holds the live per-rank optimizer slots and error-feedback
+        #: residuals: ``None`` is this process; the process backend
+        #: attaches its rank workers (see ``train.trainer._WorkerRows``),
+        #: and :meth:`pull_rank_state` / :meth:`push_rank_state` are then
+        #: the one seam between their state and the copies held here.
+        self.row_home = None
         self.post_optimizer_mode = op is ReduceOpType.ADASUM and not adasum_pre_optimizer
         if self.post_optimizer_mode:
             self.rank_optimizers: List[Optimizer] = [
@@ -206,6 +213,23 @@ class DistributedOptimizer:
         """The fp16 stage's dynamic scaler (``None`` without one)."""
         return self._scaler
 
+    def pull_rank_state(self, residuals: bool = False) -> None:
+        """Make ``rank_optimizers`` (and, with ``residuals``, the codec
+        stack's error-feedback rows) current before they are read.
+
+        A no-op unless rank processes hold the live copies
+        (:attr:`row_home`); every reader of per-rank state — snapshots,
+        checkpoints, a pause — calls this first.
+        """
+        if self.row_home is not None:
+            self.row_home.pull(residuals)
+
+    def push_rank_state(self) -> None:
+        """Hand ``rank_optimizers`` state written here (a checkpoint or
+        snapshot loaded onto a live pool) to whoever holds the live copies."""
+        if self.row_home is not None:
+            self.row_home.push()
+
     def zero_grad(self) -> None:
         self.model.zero_grad()
 
@@ -225,7 +249,8 @@ class DistributedOptimizer:
 
     @contextlib.contextmanager
     def wire_step(
-        self, arena, ranks: Optional[Sequence[int]] = None, reduce_fn=None, plan=None
+        self, arena, ranks: Optional[Sequence[int]] = None, reduce_fn=None, plan=None,
+        raw: bool = False,
     ) -> Iterator[Optional[Callable[[str], None]]]:
         """The one wire step, bracketing whatever fills ``arena``: begin ->
         per bucket [Figure-3 rewrite -> encode -> reduce] -> end -> apply.
@@ -251,6 +276,12 @@ class DistributedOptimizer:
         parameter name once every rank's gradient for it is final, and a
         bucket runs the moment its last gradient lands.  The yield is
         ``None`` when there is nothing to overlap (no plan, one bucket).
+
+        ``raw`` says the body reads the rows as raw per-rank gradients
+        after computing them (an orthogonality probe): nothing may be
+        rewritten or encoded before the body ends, so no readiness
+        callback is yielded and a :attr:`row_home` finishes its rows in
+        a round of their own instead of as part of compute.
         """
         if arena.num_ranks != self.num_ranks:
             raise ValueError(
@@ -262,13 +293,15 @@ class DistributedOptimizer:
         }
         pipe = self.wire_pipeline
         if pipe is not None:
-            pipe.bind(
-                arena.num_ranks, arena.layout.total_size, arena.layout.boundaries()
-            )
+            self._bind_pipeline(arena)
             pipe.begin_step()  # fixes the fp16 scale for every bucket
+        home = self.row_home
+        if home is not None:
+            home.open_step(arena, ctx, early=not raw)
         combined = None
         if plan is not None:
-            yield plan.begin(ctx)
+            on_ready = plan.begin(ctx)
+            yield None if raw else on_ready
             combined = plan.flush()
         else:
             yield None
@@ -286,7 +319,10 @@ class DistributedOptimizer:
         # One scaler verdict per step: an fp16 overflow backs the scale
         # off, rolls error-feedback residuals back and drops the step's
         # gradients.
-        if pipe is not None and pipe.end_step(ctx["overflow"]):
+        skipped = pipe is not None and pipe.end_step(ctx["overflow"])
+        if home is not None:
+            home.close_step(ctx, skipped)
+        if skipped:
             self.skipped_steps += 1
             self.model.zero_grad()
             return
@@ -306,24 +342,44 @@ class DistributedOptimizer:
         With a codec stack the columns then round-trip through the
         pipeline in place and their modeled encoded bytes are booked.
 
+        With a :attr:`row_home` each rank process does both to its own
+        (whole) row — as part of the compute round unless the step is
+        ``raw`` — and what is left here is global: the OR of the rows'
+        overflow flags and the byte booking.  The model never left the
+        shared starting point, so the live parameters are the starts.
+
         Returns False once the step has overflowed: it will be skipped,
         so nothing more needs reducing.
         """
         hi = arena.layout.total_size if hi is None else hi
         ranks = ctx["ranks"]
-        if self.post_optimizer_mode:
-            if ctx["rewrite"] is not None:
-                ctx["rewrite"](lo, hi)
-            else:
-                ctx["starts"] = self._rewrite_rows_to_deltas(arena, ranks)
         pipe = self.wire_pipeline
-        if pipe is None:
-            ctx["nbytes"] += (hi - lo) * arena.dtype.itemsize * len(ranks)
+        if self.row_home is not None:
+            ctx["overflow"] = self.row_home.finish(ctx)
+            if self.post_optimizer_mode:
+                ctx["starts"] = {name: p.data for name, p in self._params.items()}
+                for rank in ranks:  # keeps ``lr`` exact between pulls
+                    self.rank_optimizers[rank].step_count += 1
         else:
-            if pipe.encode_block(arena.data, ranks, lo, hi):
+            if self.post_optimizer_mode:
+                if ctx["rewrite"] is not None:
+                    ctx["rewrite"](lo, hi)
+                else:
+                    ctx["starts"] = self._rewrite_rows_to_deltas(arena, ranks)
+            if pipe is not None and pipe.encode_block(arena.data, ranks, lo, hi):
                 ctx["overflow"] = True
-            ctx["nbytes"] += pipe.wire_nbytes(lo, hi) * len(ranks)
+        width = (hi - lo) * arena.dtype.itemsize if pipe is None else pipe.wire_nbytes(lo, hi)
+        ctx["nbytes"] += width * len(ranks)
         return not ctx["overflow"]
+
+    def _bind_pipeline(self, arena) -> None:
+        """Bind the codec stack to ``arena``'s layout — to zero of its
+        rows when a :attr:`row_home` encodes them, so no residual row is
+        allocated, copied per step or rolled back here."""
+        self.wire_pipeline.bind(
+            0 if self.row_home is not None else arena.num_ranks,
+            arena.layout.total_size, arena.layout.boundaries(),
+        )
 
     def bucket_plan(self, arena, bucket_cap_mb: Optional[float]) -> BucketPlan:
         """The tensor-aligned reverse-order buckets a step reduces ``arena`` in.
@@ -347,9 +403,7 @@ class DistributedOptimizer:
         """
         if self.wire_pipeline is None:
             return arena.layout.total_size * arena.dtype.itemsize
-        self.wire_pipeline.bind(
-            arena.num_ranks, arena.layout.total_size, arena.layout.boundaries()
-        )
+        self._bind_pipeline(arena)
         return self.wire_pipeline.wire_nbytes()
 
     def apply_reduced_flat(self, combined: np.ndarray, arena, ctx: Dict) -> None:

@@ -59,8 +59,10 @@ def pack_dist_state(dist_opt, membership, loan_stash: Dict[int, dict]) -> dict:
     Per-rank (or shared) optimizer slots, the skipped-step counter and
     the fp16 dynamic-scaler state.  ``loan_stash`` holds the states of
     loaned-out ranks; they ride along so a later reclaim restores them
-    unchanged.
+    unchanged.  Reads the live state: under the process backend the
+    rank workers hold it, and it is pulled first.
     """
+    dist_opt.pull_rank_state()
     scaler = dist_opt.scaler
     state = {
         "skipped_steps": dist_opt.skipped_steps,
@@ -81,7 +83,8 @@ def restore_dist_state(dist_opt, membership, state: dict) -> Dict[int, dict]:
 
     Live ranks take their states by global id; returns the new loan
     stash — the states of ranks still out on loan.  States of ranks
-    that left for good (killed) are dropped.
+    that left for good (killed) are dropped.  On a live worker pool
+    the loaded states are pushed to the rank workers.
     """
     dist_opt.skipped_steps = state["skipped_steps"]
     if dist_opt.scaler is not None and state["scaler"] is not None:
@@ -92,6 +95,7 @@ def restore_dist_state(dist_opt, membership, state: dict) -> Dict[int, dict]:
     per_rank = state["per_rank"]
     for opt, g in zip(dist_opt.rank_optimizers, membership):
         restore_optimizer_state(opt, per_rank[g])
+    dist_opt.push_rank_state()
     return {g: per_rank[g] for g in membership.loaned}
 
 

@@ -293,6 +293,13 @@ class ElasticTrainer:
         reclaimed *before* a new world is built: an N→M rebuild respawns
         the pool at the new size over freshly-sized segments, and the
         old segments must not survive as ``/dev/shm`` leaks.
+
+        The rank workers also hold the live per-rank optimizer slots and
+        error-feedback residual rows.  A healthy pool copies them back
+        into ``dist_opt`` on its way out (``executor.close()``), which
+        is what :meth:`pause` and :meth:`close` rely on; a pool whose
+        step failed does not — the rollback restores the snapshot onto a
+        fresh optimizer, and the next pool is built from that.
         """
         if self.executor is not None:
             executor, self.executor = self.executor, None
@@ -443,10 +450,11 @@ class ElasticTrainer:
 
         The full-preemption half of a rank loan: worker processes stop
         and every shared-memory segment this world owns is unlinked, but
-        model, optimizer, cluster, and data cursor stay untouched in
-        memory — :meth:`resume` rebuilds only the execution layer, so a
-        pause/resume round trip is bit-identical to never pausing.
-        Idempotent.
+        model, optimizer, cluster, and data cursor stay in memory — the
+        stopping workers hand their optimizer slots and residual rows
+        back to ``dist_opt`` first — and :meth:`resume` rebuilds only
+        the execution layer from them, so a pause/resume round trip is
+        bit-identical to never pausing.  Idempotent.
         """
         if self._paused:
             return
@@ -472,7 +480,8 @@ class ElasticTrainer:
     # Snapshot / rollback
     # ------------------------------------------------------------------
     def _pack_state(self) -> Dict:
-        """Optimizer-side state by global id, loan stash included."""
+        """Optimizer-side state by global id, loan stash included
+        (pulled from the rank workers when they hold it)."""
         return pack_dist_state(self.dist_opt, self.membership, self._loan_stash)
 
     def _take_snapshot(self) -> None:

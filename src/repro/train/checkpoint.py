@@ -71,6 +71,7 @@ def save_checkpoint(
         arrays[f"model/buffer/{name}"] = np.asarray(buf)
 
     if dist_opt is not None:
+        dist_opt.pull_rank_state()  # rank workers may hold the live slots
         scaler = dist_opt.scaler
         meta["dist"] = {
             "num_ranks": dist_opt.num_ranks,
@@ -171,6 +172,7 @@ def load_checkpoint(
                     )
                 for i, (opt, om) in enumerate(zip(opts, d["optimizers"])):
                     _unpack_optimizer(opt, f"opt{i}", arrays, om)
+            dist_opt.push_rank_state()  # a live worker pool steps its own copies
         elif optimizer is not None:
             _unpack_optimizer(optimizer, "opt0", arrays, meta["opt"])
         return meta.get("extra", {})

@@ -20,7 +20,7 @@ from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, 
 import numpy as np
 
 from repro.comm.tracing import CommTracer
-from repro.comm.transport import ProcessTransport
+from repro.comm.transport import CommError, ProcessTransport
 from repro.core.arena import (
     GradientArena,
     SharedGradientArena,
@@ -266,14 +266,34 @@ class _ProcessRankWorker:
     The compute itself is a :class:`SerialRankExecutor` over the shared
     arena, restricted to this rank's row.
 
-    Besides ``("step", indices)`` the worker serves ``("combine", src,
-    kind, final, n)`` — one scheduled hop of the worker-parallel tree
-    reduce: combine this rank's arena row with rank ``src``'s row in
-    place via the registry strategy named by the spec's
-    :class:`~repro.core.strategies.CombineSpec`, applying
-    ``finalize_pair`` when this is the schedule's root hop.  The
-    strategy resolves lazily (first combine) from the local registry, so
-    nothing of the parent's reducer ever crosses the pipe.
+    The worker also *finishes* its row (:meth:`_finish`), which makes it
+    the live home of this rank's optimizer and of its row of the codec
+    stack's error-feedback residuals.  Both are built from the parent's
+    own objects, which travel in the spec beside the model (fork
+    inherits them, spawn pickles them — an ``optimizer_factory`` never
+    crosses), so a pool built over restored state needs no push.
+
+    Control messages:
+
+    ``("step", indices, finish, scale)``
+        Forward/backward into the row; with ``finish`` the row is
+        finished before the reply ``(loss, overflow)``.
+    ``("finish", scale)``
+        Finish the row as it stands (a probe read it raw first);
+        replies ``overflow``.
+    ``("rollback",)``
+        The step was skipped: restore the pre-step residual row.
+    ``("pull", slots, residuals)`` / ``("push", step_count, state)``
+        Copy the optimizer's ``(step_count, state)`` and/or the residual
+        row out; overwrite the optimizer's from the parent's copy.
+    ``("combine", src, kind, final, n)``
+        One scheduled hop of the worker-parallel tree reduce: combine
+        this rank's arena row with rank ``src``'s row in place via the
+        registry strategy named by the spec's
+        :class:`~repro.core.strategies.CombineSpec`, applying
+        ``finalize_pair`` when this is the schedule's root hop.  The
+        strategy resolves lazily (first combine) from the local
+        registry, so nothing of the parent's reducer crosses the pipe.
     """
 
     def __init__(self, rank: int, spec: Dict):
@@ -286,10 +306,20 @@ class _ProcessRankWorker:
             spec["param_segment"], layout, 1, dtype=spec["param_dtype"]
         )
         self.model = spec["model"]
+        self._named = list(self.model.named_parameters())
         self.local = SerialRankExecutor(
             self.model, spec["loss_fn"], spec["x"], spec["y"],
             spec["microbatch"], spec["accumulation"], self.grads,
         )
+        # This rank's own optimizer (post-optimizer Adasum only), over
+        # this process's replica: its params *are* the model's.
+        optimizers = spec["rank_optimizers"]
+        self.optimizer = optimizers[rank] if optimizers else None
+        pipeline = spec["pipeline"]
+        self.pipeline = None if pipeline is None else pipeline.for_row(
+            rank, layout.total_size, layout.boundaries()
+        )
+        self._row = self.grads.data[rank:rank + 1]  # what the pipeline encodes
         self.combine = spec["combine_spec"]
         self._strategy = None
         self._boundaries = None
@@ -297,6 +327,39 @@ class _ProcessRankWorker:
         # both sides must run the exact same kernels (bit-exactness
         # contract), and a worker does nothing but training steps.
         set_kernel_specialization(True)
+
+    def _load_start(self) -> Dict[str, np.ndarray]:
+        """Reset the replica to the shared start: the parameter row the
+        parent published for this step (returned as per-layer views)."""
+        starts = self.params.views(0)
+        for name, p in self._named:
+            np.copyto(p.data, starts[name])
+        return starts
+
+    def _finish(self, scale: Optional[float]) -> bool:
+        """Turn this rank's gradient row into its wire tensor, in place.
+
+        The row-local half of ``prepare_wire_arena``, expression for
+        expression: for post-optimizer Adasum this rank's optimizer
+        steps from the shared start (the parameter row) and the row
+        becomes ``p.data - start``; with a codec stack the row then
+        round-trips through this rank's pipeline at the fp16 ``scale``
+        the parent fixed for the step.  Returns the row's overflow flag.
+        """
+        if self.optimizer is not None:
+            starts = self._load_start()
+            views = self.grads.views(self.rank)
+            for name, p in self._named:
+                p.grad = views[name]
+            self.optimizer.step()
+            # The local gradient is consumed; its row becomes the delta.
+            for name, p in self._named:
+                np.subtract(p.data, starts[name], out=views[name])
+            self.model.zero_grad()
+        if self.pipeline is None:
+            return False
+        self.pipeline.begin_step(scale)
+        return self.pipeline.encode_block(self._row, (0,))
 
     def _combine(self, src: int, kind: str, final: bool, n: int) -> int:
         if self._strategy is None:
@@ -317,17 +380,33 @@ class _ProcessRankWorker:
         self.grads.bump_progress(self.rank)
         return int(self.grads.progress[self.rank])
 
-    def __call__(self, msg) -> float:
-        if msg[0] == "combine":
+    def __call__(self, msg):
+        op = msg[0]
+        if op == "step":
+            _, indices, finish, scale = msg
+            self._load_start()
+            loss = self.local.compute([indices], ranks=[self.rank])[0]
+            return loss, self._finish(scale) if finish else False
+        if op == "combine":
             return self._combine(*msg[1:])
-        if msg[0] != "step":
-            raise ValueError(f"unknown control message {msg[0]!r}")
-        pviews = self.params.views(0)
-        for name, p in self.model.named_parameters():
-            np.copyto(p.data, pviews[name])
-        return self.local.compute([msg[1]], ranks=[self.rank])[0]
+        if op == "finish":
+            return self._finish(msg[1])
+        if op == "rollback":
+            return self.pipeline.restore_residuals()
+        if op == "pull":
+            _, slots, residuals = msg
+            opt = self.optimizer
+            return (
+                (opt.step_count, opt.state) if slots else None,
+                self.pipeline.residual_row(0) if residuals else None,
+            )
+        if op == "push":
+            self.optimizer.step_count, self.optimizer.state = msg[1:]
+            return None
+        raise ValueError(f"unknown control message {op!r}")
 
     def close(self) -> None:
+        self._row = None  # a live row view would keep the mapping open
         self.grads.close()
         self.params.close()
 
@@ -335,6 +414,167 @@ class _ProcessRankWorker:
 def _process_rank_bootstrap(rank: int, spec: Dict) -> _ProcessRankWorker:
     """Top-level (spawn-picklable) bootstrap handed to the transport."""
     return _ProcessRankWorker(rank, spec)
+
+
+def _param_publisher(model: Module, param_arena: SharedGradientArena) -> Callable[[], None]:
+    """``publish()``: copy the model's current weights into the one-row
+    parameter arena every worker reads its replica from.  A closure over
+    the two only, so handing it around creates no reference cycle."""
+    pviews = param_arena.views(0)
+    named = list(model.named_parameters())
+
+    def publish() -> None:
+        for name, p in named:
+            np.copyto(pviews[name], p.data)
+
+    return publish
+
+
+class _WorkerRows:
+    """Parent-side handle on the rows the rank processes finish and the
+    state they hold doing it: ``DistributedOptimizer.row_home`` under
+    the process backend.
+
+    ``wire_step`` drives the step half — :meth:`open_step`, then
+    :meth:`finish` from ``prepare_wire_arena``, then :meth:`close_step`
+    — and nothing here costs a pipe round on an ordinary step: the
+    compute round's frames carry the finish flag and the fp16 scale, its
+    replies the overflow flags (:meth:`frame_fields` / :meth:`collect`).
+    :meth:`pull` / :meth:`push` are the one seam between the workers'
+    live optimizer slots and residual rows and the parent's copies.
+    """
+
+    def __init__(
+        self,
+        dist_opt: DistributedOptimizer,
+        arena: SharedGradientArena,
+        transport: ProcessTransport,
+        publish_params: Callable[[], None],
+    ):
+        self.dist_opt = dist_opt
+        self.arena = arena
+        self.transport = transport
+        self.publish_params = publish_params
+        self.pipeline = dist_opt.wire_pipeline
+        #: Finishing a row does something (else: no flag, no round).
+        self.active = dist_opt.post_optimizer_mode or self.pipeline is not None
+        self._early: Optional[Dict] = None    # open step compute may finish rows of
+        self._scale: Optional[float] = None
+        self._flags: Dict[int, bool] = {}     # rank -> overflow, rows finished so far
+        self._in_step = False
+        self._dirty = False                   # workers stepped since the last pull
+
+    # -- the step ------------------------------------------------------
+    def open_step(self, arena, ctx: Dict, early: bool) -> None:
+        """A wire step opened over ``ctx["ranks"]``; with ``early`` each
+        of them may finish its row the moment it has computed it."""
+        if arena is not self.arena:
+            raise ValueError(
+                "this optimizer's rows are finished by its rank processes, "
+                "over the executor's shared arena only"
+            )
+        self._in_step = True
+        self._flags = {}
+        self._early = ctx if early and self.active else None
+        self._scale = None if self.pipeline is None else self.pipeline.step_scale
+
+    def frame_fields(self, rank: int) -> Tuple[bool, Optional[float]]:
+        """``(finish, scale)`` of ``rank``'s compute frame: only the open
+        step's participants are finished (a dropped straggler computes,
+        but its optimizer must not step)."""
+        ctx = self._early
+        return ctx is not None and rank in ctx["ranks"], self._scale
+
+    def collect(self, ranks: Sequence[int], replies: Sequence[Tuple[float, bool]]) -> None:
+        """Book the overflow flags of the rows a compute round finished
+        (a non-participant's is never read)."""
+        if self._early is not None:
+            self._flags.update((r, overflow) for r, (_, overflow) in zip(ranks, replies))
+
+    def finish(self, ctx: Dict) -> bool:
+        """Every participating row is finished; returns the OR of their
+        fp16 overflow flags.  Rows the compute round left raw (a probe,
+        or no compute at all) are finished now, in one ``finish`` round
+        of the same worker code."""
+        if not self.active:
+            return False
+        todo = [r for r in ctx["ranks"] if r not in self._flags]
+        if todo:
+            self.publish_params()
+            flags = self.transport.call(
+                [("finish", self._scale)] * len(todo), ranks=todo, op="finish"
+            )
+            self._flags.update(zip(todo, flags))
+        self._dirty = True
+        return any(self._flags[r] for r in ctx["ranks"])
+
+    def close_step(self, ctx: Dict, skipped: bool) -> None:
+        """The step's verdict is in; a skipped step rolls the
+        participants' residual rows back (one round, skipped steps only)."""
+        if skipped and self.pipeline.error_feedback:
+            ranks = ctx["ranks"]
+            self.transport.call(
+                [("rollback",)] * len(ranks), ranks=ranks, op="rollback"
+            )
+        self._early = None
+        self._in_step = False
+
+    # -- the state seam --------------------------------------------------
+    def _sync(self, payloads: Sequence) -> List:
+        """One state round with every worker, outside the fault plan: it
+        is not part of a step, so it must not move what ``after_ops=k``
+        counts."""
+        transport = self.transport
+        faults, transport.faults = transport.faults, None
+        try:
+            return transport.call(payloads, op="sync")
+        finally:
+            transport.faults = faults
+
+    def pull(self, residuals: bool = False) -> None:
+        """Copy the workers' optimizer ``step_count`` and slots — when a
+        step ran since the last pull — and, with ``residuals``, their
+        error-feedback rows back into the parent's objects."""
+        opts = self.dist_opt.rank_optimizers
+        slots = self._dirty and bool(opts)
+        residuals = residuals and self.pipeline is not None and self.pipeline.error_feedback
+        if not (slots or residuals):
+            return
+        arena = self.arena
+        replies = self._sync([("pull", slots, residuals)] * arena.num_ranks)
+        if residuals:
+            self.pipeline.bind(
+                arena.num_ranks, arena.layout.total_size, arena.layout.boundaries()
+            )
+        for rank, (state, row) in enumerate(replies):
+            if slots:
+                opts[rank].step_count = state[0]
+                opts[rank].state.clear()
+                opts[rank].state.update(state[1])
+            if residuals:
+                self.pipeline.set_residual_row(rank, row)
+        self._dirty = False
+
+    def push(self) -> None:
+        """Overwrite the workers' optimizer state with the parent's
+        (a checkpoint or snapshot loaded onto a live pool)."""
+        opts = self.dist_opt.rank_optimizers
+        if opts:
+            self._sync([("push", opt.step_count, opt.state) for opt in opts])
+            self._dirty = False
+
+    def release(self) -> None:
+        """The pool is closing.  A healthy one hands its state back
+        first; one that died inside a step has nothing the parent may
+        use — the failure path restores from a snapshot, never pulls."""
+        if self.dist_opt.row_home is not self:
+            return
+        self.dist_opt.row_home = None
+        if not self._in_step:
+            try:
+                self.pull(residuals=True)
+            except CommError:
+                pass  # a worker died between steps: its state died with it
 
 
 class ProcessRankExecutor:
@@ -345,8 +585,17 @@ class ProcessRankExecutor:
     current weights, every worker reads them before computing) and a
     :class:`~repro.comm.transport.ProcessTransport` whose workers attach
     to both.  A step is two shared-memory writes and ``2 * world`` tiny
-    pipe messages: params out, ``("step", indices)`` per rank, loss
-    floats back — gradient payloads never serialize.
+    pipe messages: params out, ``("step", indices, finish, scale)`` per
+    rank, ``(loss, overflow)`` back — gradient payloads never serialize.
+
+    The workers also *finish* their rows — this rank's optimizer and
+    Figure-3 delta rewrite, this row's wire encode — so they hold the
+    live per-rank optimizer slots and error-feedback residual rows of
+    ``dist_opt``; :attr:`rows` (a :class:`_WorkerRows`, attached as
+    ``dist_opt.row_home``) is the parent's handle on both.  The workers
+    are built from ``dist_opt``'s own objects as they are at
+    construction, and a healthy :meth:`close` copies their state back,
+    so executors can come and go over one optimizer (pause/resume).
 
     With a ``combine_spec`` (``reduce_mode="workers"``) the executor can
     also run phase 2: the parent stops reducing and instead drives the
@@ -373,6 +622,7 @@ class ProcessRankExecutor:
         microbatch: int,
         accumulation: int,
         arena: SharedGradientArena,
+        dist_opt: DistributedOptimizer,
         timeout: float = 60.0,
         faults=None,
         tracer: Optional[CommTracer] = None,
@@ -397,7 +647,7 @@ class ProcessRankExecutor:
             arena.layout, 1, dtype=dtypes.pop()
         )
         self._segments = (arena.name, self.param_arena.name)
-        self._pviews = self.param_arena.views(0)
+        self._publish_params = _param_publisher(model, self.param_arena)
         spec = {
             "model": model,
             "loss_fn": loss_fn,
@@ -412,6 +662,10 @@ class ProcessRankExecutor:
             "microbatch": microbatch,
             "accumulation": accumulation,
             "combine_spec": combine_spec,
+            # The parent's own objects, as they are now: each worker
+            # takes its rank's optimizer and its row of the residuals.
+            "rank_optimizers": dist_opt.rank_optimizers,
+            "pipeline": dist_opt.wire_pipeline,
         }
         try:
             self.transport = ProcessTransport(
@@ -426,6 +680,10 @@ class ProcessRankExecutor:
         except BaseException:
             self.param_arena.unlink()
             raise
+        #: The rows' live home from here to :meth:`close`.
+        self.rows = dist_opt.row_home = _WorkerRows(
+            dist_opt, arena, self.transport, self._publish_params
+        )
 
     def compute(
         self,
@@ -442,12 +700,21 @@ class ProcessRankExecutor:
         payload for partial-world steps; default ``0..len-1``.
         ``on_ready`` is ignored: workers report nothing before their
         whole row is written.
+
+        Inside a wire step that lets them, the participating workers
+        also *finish* their rows before replying (see
+        :class:`_WorkerRows`): the rows then hold wire tensors, not raw
+        gradients, when this returns.
         """
-        for name, p in self.model.named_parameters():
-            np.copyto(self._pviews[name], p.data)
-        payloads = [("step", np.asarray(idx)) for idx in rank_indices]
-        ranks = list(range(len(payloads))) if ranks is None else list(ranks)
-        return self.transport.call(payloads, ranks=ranks)
+        self._publish_params()
+        ranks = list(range(len(rank_indices))) if ranks is None else list(ranks)
+        payloads = [
+            ("step", np.asarray(idx), *self.rows.frame_fields(rank))
+            for rank, idx in zip(ranks, rank_indices)
+        ]
+        replies = self.transport.call(payloads, ranks=ranks)
+        self.rows.collect(ranks, replies)
+        return [loss for loss, _ in replies]
 
     def worker_reduce(self, participants: Optional[Sequence[int]] = None) -> np.ndarray:
         """Drive one worker-parallel tree reduce over the arena rows.
@@ -495,7 +762,8 @@ class ProcessRankExecutor:
         return root
 
     def close(self) -> None:
-        """Stop the workers and unlink both segments (idempotent).
+        """Hand the workers' state back, stop them and unlink both
+        segments (idempotent).
 
         The one teardown of the process backend, however the step ended:
         the unlinks run even when the shutdown raises (e.g. collecting a
@@ -504,7 +772,10 @@ class ProcessRankExecutor:
         paused or rebuilt world must never strand a segment.
         """
         try:
-            self.transport.shutdown()
+            try:
+                self.rows.release()
+            finally:
+                self.transport.shutdown()
         finally:
             try:
                 self.param_arena.unlink()
@@ -603,7 +874,7 @@ def build_rank_executor(
     arena = SharedGradientArena.from_model(model, num_ranks)
     try:
         return ProcessRankExecutor(
-            model, loss_fn, x, y, microbatch, accumulation, arena,
+            model, loss_fn, x, y, microbatch, accumulation, arena, dist_opt,
             timeout=timeout, faults=faults, tracer=tracer,
             start_method=start_method, combine_spec=combine_spec,
         )
@@ -646,11 +917,10 @@ def phased_step(
     arena = executor.arena
     with _specialized_kernels():
         t0 = perf_counter()
-        with dist_opt.wire_step(arena, participants, reduce_fn, plan) as on_ready:
-            losses = executor.compute(
-                rank_indices, ranks=ranks,
-                on_ready=on_ready if probe is None else None,
-            )
+        with dist_opt.wire_step(
+            arena, participants, reduce_fn, plan, raw=probe is not None
+        ) as on_ready:
+            losses = executor.compute(rank_indices, ranks=ranks, on_ready=on_ready)
             t1 = perf_counter()
             if probe is not None:
                 rows = range(len(rank_indices)) if ranks is None else ranks
@@ -717,8 +987,10 @@ class ParallelTrainer:
         single-threaded) or ``"workers"`` (the worker processes run the
         strategy's pair-combine schedule in parallel over shared
         memory; see :meth:`ProcessRankExecutor.worker_reduce`).  The two
-        modes are bit-identical; ``"workers"`` wins on multicore hosts
-        once the model is large enough (see docs/performance.md).
+        modes are bit-identical.  Measured on the 4-rank MiniBERT step
+        on 2 cores they tie (parent/workers 0.94-1.05x over ten
+        repeats, see docs/performance.md): two combine levels of 104k
+        floats are worth about what two more pipe rounds cost.
         Requires the processes backend and a strategy with a pair
         schedule (every registered cell except Adasum-RVH); checked by
         :func:`build_rank_executor`.

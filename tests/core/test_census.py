@@ -7,7 +7,9 @@ one remaining dict entry point, ``DistributedOptimizer.step(dicts)``, to
 the flat ``step_arena`` path it adapts, and the one phased step
 (``phased_step`` over a rank executor) that both trainers run — with
 or without an overlap bucket plan, which has no step, thread or
-validation rule of its own.
+validation rule of its own — and who finishes a row under each backend:
+this process under ``serial``, the rank workers under ``processes``
+(no parent-side optimizer step or encode, no extra pipe round).
 """
 
 import dataclasses
@@ -192,6 +194,59 @@ def test_elastic_attempt_is_one_phased_step(monkeypatch):
     assert len(trainer.recoveries) == 1
     assert len(calls) == trainer.commits + len(trainer.recoveries)
     assert calls.count(2) == 2
+
+
+def _count_calls(monkeypatch, owner, name, calls):
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.mark.parametrize("execution,probe,expected", [
+    # Serial, as at every commit so far: four rank optimizers step and
+    # the whole arena is encoded in one call, all in this process.
+    ("serial", False, {"step": 4, "encode_block": 1, "call": 0}),
+    # Processes: the workers finish their own rows, so none of that runs
+    # here, and it costs no extra pipe round — compute + two combine
+    # levels — unless a probe must read the rows raw first.
+    ("processes", False, {"step": 0, "encode_block": 0, "call": 3}),
+    ("processes", True, {"step": 0, "encode_block": 0, "call": 4}),
+])
+def test_who_finishes_a_row(monkeypatch, execution, probe, expected):
+    from repro.comm.codec import CodecPipeline
+    from repro.comm.transport import ProcessTransport
+    from repro.core.orthogonality import OrthogonalityProbe
+    from repro.optim.optimizer import Optimizer
+
+    calls = dict.fromkeys(expected, 0)
+    _count_calls(monkeypatch, Optimizer, "step", calls)
+    _count_calls(monkeypatch, CodecPipeline, "encode_block", calls)
+    _count_calls(monkeypatch, ProcessTransport, "call", calls)
+    x, y = _task()
+    model = MLP((6, 8, 2), rng=np.random.default_rng(1))
+    config = RunConfig(
+        num_ranks=4, microbatch=4, topology="tree_any", execution=execution,
+        reduce_mode="workers" if execution == "processes" else "parent",
+        wire_codecs=("fp16", "int8", "topk:0.1"),
+    )
+    with ParallelTrainer.from_config(
+        model, nn.CrossEntropyLoss(), lambda ps: Adam(ps, 0.01), x, y, config,
+        probe=OrthogonalityProbe() if probe else None,
+    ) as trainer:
+        batches = [idx for _, idx in trainer.iterator.epoch(0)][:3]
+        for idx in batches:
+            before = dict(calls)
+            trainer.train_step(idx)
+            assert {k: calls[k] - before[k] for k in calls} == expected
+        pipe = trainer.dist_opt.wire_pipeline
+        # Under processes the parent's pipeline is bound to zero rows:
+        # it holds no residual array to allocate, copy or roll back.
+        assert sum(r.size for r in pipe._residuals.values()) == (
+            0 if execution == "processes" else 2 * 4 * trainer.arena.layout.total_size)
 
 
 def test_step_arena_ranks_restricts_the_default_reduce():

@@ -23,6 +23,10 @@ from repro.models import MLP
 from repro.optim import SGD
 from repro.elastic import ElasticTrainer
 from repro.elastic.membership import Membership
+from tests.rank_state import (
+    CODEC_STACKS, OPTIMIZERS, assert_same_bytes, dist_state, residual_rows,
+    step_record,
+)
 
 
 def _task(n=160, seed=0):
@@ -32,11 +36,15 @@ def _task(n=160, seed=0):
     return x, y
 
 
-def _trainer(x, y, num_ranks=8, microbatch=4, **kw):
+def _trainer(x, y, num_ranks=8, microbatch=4, optimizer=None, wire_codecs=(), **kw):
+    """``optimizer`` names an entry of ``OPTIMIZERS`` (default: the
+    stateless ``SGD(0.3)`` the loan-cycle tests were written against)."""
     model = MLP((6, 16, 2), rng=np.random.default_rng(0))
+    factory = OPTIMIZERS[optimizer] if optimizer else (lambda ps: SGD(ps, 0.3))
     trainer = ElasticTrainer(
-        model, nn.CrossEntropyLoss(), lambda ps: SGD(ps, 0.3), x, y,
-        microbatch=microbatch, num_ranks=num_ranks, seed=0, **kw,
+        model, nn.CrossEntropyLoss(), factory, x, y,
+        microbatch=microbatch, num_ranks=num_ranks, seed=0,
+        wire_codecs=wire_codecs, **kw,
     )
     return trainer, model
 
@@ -203,6 +211,59 @@ class TestShrinkRunGrow:
         with pytest.raises(RuntimeError):
             tr.reclaim_ranks()
         tr.close()
+
+
+@pytest.mark.parametrize("reduce_mode", ["parent", "workers"])
+@pytest.mark.parametrize("wire_codecs", CODEC_STACKS, ids=["raw", "lossy"])
+@pytest.mark.parametrize("optimizer", sorted(OPTIMIZERS))
+class TestWorkerHeldStateAcrossPreemption:
+    """Under processes the rank workers hold the live optimizer slots
+    and residual rows.  A pause must bring both back (the resumed pool
+    is built from the parent's objects), a loan must stash what the
+    lent rank's worker held, not a parent copy one step old."""
+
+    def _journey(self, execution, reduce_mode, optimizer, wire_codecs, preempt):
+        x, y = _task(n=96)
+        kw = {"reduce_mode": reduce_mode} if execution == "processes" else {}
+        tr, model = _trainer(x, y, num_ranks=4, optimizer=optimizer,
+                             wire_codecs=wire_codecs, execution=execution, **kw)
+        seen = []
+
+        def steps(n):
+            for loss in _run_steps(tr, n):
+                seen.append((loss, *step_record(tr.dist_opt), tr.num_ranks))
+        try:
+            tr.begin_epoch(0)
+            steps(2)
+            preempt(tr, steps)
+            steps(2)
+            return seen, dist_state(model, tr.dist_opt, tr.membership)
+        finally:
+            tr.close()
+
+    def _check(self, reduce_mode, optimizer, wire_codecs, preempt):
+        ref = self._journey("serial", "parent", optimizer, wire_codecs, preempt)
+        got = self._journey("processes", reduce_mode, optimizer, wire_codecs, preempt)
+        assert_same_bytes(ref, got)
+
+    def test_pause_resume(self, reduce_mode, optimizer, wire_codecs):
+        held = []
+
+        def preempt(tr, steps):
+            tr.pause()
+            # What the parent holds while paused is the whole truth.
+            held.append((dist_state(tr.model, tr.dist_opt, tr.membership),
+                         residual_rows(tr.dist_opt)))
+            tr.resume()
+        self._check(reduce_mode, optimizer, wire_codecs, preempt)
+        assert_same_bytes(*held, "state held while paused")
+
+    def test_lend_two_steps_reclaim(self, reduce_mode, optimizer, wire_codecs):
+        def preempt(tr, steps):
+            assert tr.lend_ranks(1) == [3]
+            steps(2)
+            assert tr.reclaim_ranks() == [3]
+        self._check(reduce_mode, optimizer, wire_codecs, preempt)
 
 
 class TestProcessBackendLoans:

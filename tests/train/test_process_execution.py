@@ -17,9 +17,15 @@ from repro.comm.tracing import CommTracer
 from repro.comm.transport import CommError
 from repro.core import RunConfig, leaked_shared_segments
 from repro.core.arena import SharedGradientArena
+from repro.core.orthogonality import OrthogonalityProbe
 from repro.models.mlp import MLP
 from repro.optim import SGD
+from repro.train.checkpoint import load_checkpoint, save_checkpoint
 from repro.train.trainer import ParallelTrainer
+from tests.rank_state import (
+    CODEC_STACKS, LOSSY, OPTIMIZERS, OVERFLOWING, SpikeLoss, assert_same_bytes,
+    dist_state, residual_rows, step_record,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -29,29 +35,51 @@ def _no_segment_leaks():
     assert leaked_shared_segments() == before
 
 
-def _run(execution, op="adasum", num_ranks=4, topology="tree_any", steps=2,
-         gpus_per_node=1, accumulation=1, **trainer_kwargs):
-    """Train a few steps under one backend; return (losses, params)."""
+def _task():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((128, 12)).astype(np.float32)
     y = (x @ rng.standard_normal((12, 4))).argmax(axis=1)
-    model = MLP((12, 16, 4), rng=np.random.default_rng(3))
+    return x, y, MLP((12, 16, 4), rng=np.random.default_rng(3))
+
+
+def _run(execution, op="adasum", num_ranks=4, topology="tree_any", steps=2,
+         gpus_per_node=1, accumulation=1, optimizer="sgd", wire_codecs=(),
+         loss_fn=None, trace=None, **trainer_kwargs):
+    """Train a few steps under one backend; return (losses, params).
+
+    ``optimizer`` names an entry of ``OPTIMIZERS`` (or is a factory);
+    a ``trace`` dict is filled with what the steps left behind: the lr /
+    wire bytes / skip count after every step, :func:`dist_state` on the
+    live trainer and again after ``close()``, and the residual rows.
+    """
+    x, y, model = _task()
     config = RunConfig(
         op=op, topology=topology, gpus_per_node=gpus_per_node,
         num_ranks=num_ranks, microbatch=2, seed=0, execution=execution,
+        wire_codecs=wire_codecs,
     )
     trainer = ParallelTrainer.from_config(
-        model, nn.CrossEntropyLoss(), lambda ps: SGD(ps, lr=0.1),
+        model, loss_fn or nn.CrossEntropyLoss(),
+        OPTIMIZERS.get(optimizer, optimizer),
         x, y, config, accumulation=accumulation, **trainer_kwargs,
     )
+    dist_opt = trainer.dist_opt
     losses = []
     try:
         for _, rank_indices in trainer.iterator.epoch(0):
             if len(losses) >= steps:
                 break
             losses.append(trainer.train_step(rank_indices))
+            if trace is not None:
+                trace.setdefault("per_step", []).append(step_record(dist_opt))
+        if trace is not None:
+            trace["live"] = dist_state(model, dist_opt)
     finally:
         trainer.close()
+    if trace is not None:
+        trace["losses"] = losses
+        trace["closed"] = dist_state(model, dist_opt)
+        trace["residuals"] = residual_rows(dist_opt)
     return losses, {n: p.data.copy() for n, p in model.named_parameters()}
 
 
@@ -102,6 +130,123 @@ class TestBitExactness:
         _assert_bit_identical(ref_params, params, "processes/spawn")
 
 
+def _traced(execution, **kw):
+    trace = {}
+    _run(execution, trace=trace, **kw)
+    return trace
+
+
+@pytest.mark.parametrize("wire_codecs", CODEC_STACKS, ids=["raw", "lossy"])
+@pytest.mark.parametrize("optimizer", sorted(OPTIMIZERS))
+class TestWorkerHeldState:
+    """Rank workers hold the live optimizer slots and residual rows:
+    every observable — per-step losses, lr, wire bytes and skips, model
+    bytes, ``pack_dist_state`` pulled from the live pool and again after
+    ``close()``, the residual rows — equals the serial run's."""
+
+    def test_plain_steps(self, optimizer, wire_codecs):
+        kw = dict(optimizer=optimizer, wire_codecs=wire_codecs, steps=4)
+        assert_same_bytes(_traced("serial", **kw), _traced("processes", **kw))
+
+    def test_accumulation(self, optimizer, wire_codecs):
+        kw = dict(optimizer=optimizer, wire_codecs=wire_codecs, steps=3,
+                  accumulation=2)
+        assert_same_bytes(_traced("serial", **kw), _traced("processes", **kw))
+
+    def test_probe_reads_raw_gradients(self, optimizer, wire_codecs):
+        # The probe must see gradients, not deltas or decoded rows: the
+        # workers finish their rows in a round of their own, after it.
+        kw = dict(optimizer=optimizer, wire_codecs=wire_codecs, steps=3)
+        probes = {ex: OrthogonalityProbe() for ex in ("serial", "processes")}
+        traces = {ex: _traced(ex, probe=probe, **kw) for ex, probe in probes.items()}
+        assert_same_bytes(traces["serial"], traces["processes"])
+        assert probes["serial"].steps == [0, 1, 2]
+        assert_same_bytes(probes["serial"].history, probes["processes"].history)
+
+    def test_second_trainer_on_the_same_optimizer(self, optimizer, wire_codecs):
+        # close() hands slots and residual rows back to the parent's
+        # objects, and the next pool is built from them: closing one
+        # trainer and opening another over the same optimizer is as
+        # seamless as it is in one process.
+        def two_trainers(execution):
+            x, y, model = _task()
+            config = RunConfig(op="adasum", topology="tree_any", num_ranks=4,
+                               microbatch=2, seed=0, execution=execution,
+                               wire_codecs=wire_codecs)
+            first = ParallelTrainer.from_config(
+                model, nn.CrossEntropyLoss(), OPTIMIZERS[optimizer], x, y, config)
+            batches = [idx for _, idx in first.iterator.epoch(0)][:4]
+            with first:
+                losses = [first.train_step(idx) for idx in batches[:2]]
+            with ParallelTrainer(model, nn.CrossEntropyLoss(), first.dist_opt, x, y,
+                                 microbatch=2, execution=execution) as second:
+                losses += [second.train_step(idx) for idx in batches[2:]]
+                return losses, dist_state(model, second.dist_opt)
+
+        assert_same_bytes(two_trainers("serial"), two_trainers("processes"))
+
+    def test_checkpoint_crosses_backends(self, optimizer, wire_codecs, tmp_path):
+        """3 steps, ``save_checkpoint`` from the still-open trainer,
+        ``load_checkpoint`` into another live trainer (one step into a
+        run of its own, so a live pool holds state the load must
+        replace), 3 more steps: the same bytes whichever backend saved
+        and whichever loaded."""
+        def flow(saver, loader):
+            path = tmp_path / f"{saver}-{loader}.npz"
+            trainers = []
+            try:
+                for execution in (saver, loader):
+                    x, y, model = _task()
+                    config = RunConfig(op="adasum", topology="tree_any", num_ranks=4,
+                                       microbatch=2, seed=0, execution=execution,
+                                       wire_codecs=wire_codecs)
+                    trainers.append(ParallelTrainer.from_config(
+                        model, nn.CrossEntropyLoss(), OPTIMIZERS[optimizer], x, y, config))
+                a, b = trainers
+                batches = [idx for _, idx in a.iterator.epoch(0)][:6]
+                for idx in batches[:3]:
+                    a.train_step(idx)
+                save_checkpoint(path, a.model, dist_opt=a.dist_opt)
+                b.train_step(batches[0])
+                load_checkpoint(path, b.model, dist_opt=b.dist_opt)
+                losses = [b.train_step(idx) for idx in batches[3:]]
+                return losses, dist_state(b.model, b.dist_opt)
+            finally:
+                for trainer in trainers:
+                    trainer.close()
+
+        ref = flow("serial", "serial")
+        if not wire_codecs:  # (residual rows are not part of a checkpoint)
+            straight = _traced("serial", optimizer=optimizer, steps=6)
+            assert ref[0] == straight["losses"][3:]
+            assert_same_bytes(ref[1]["params"], straight["live"]["params"])
+        assert_same_bytes(ref, flow("processes", "serial"), "saved by processes")
+        assert_same_bytes(ref, flow("serial", "processes"), "loaded into processes")
+
+
+@pytest.mark.parametrize("optimizer", sorted(OVERFLOWING))
+def test_forced_fp16_overflow(optimizer):
+    """Overflowing steps are skipped on the one verdict the parent
+    gives: scale backed off, the workers' residual rows rolled back,
+    the rank optimizers advanced — as the serial run does it."""
+    kw = dict(optimizer=OVERFLOWING[optimizer], wire_codecs=LOSSY, steps=12,
+              loss_fn=SpikeLoss(spike=3))
+    ref = _traced("serial", **kw)
+    skipped = ref["closed"]["packed"]["skipped_steps"]
+    assert 0 < skipped < 12, skipped
+    assert ref["closed"]["packed"]["scaler"]["overflow_count"] == skipped
+    assert all(st["step_count"] == 12 for st in ref["closed"]["packed"]["per_rank"].values())
+    assert_same_bytes(ref, _traced("processes", **kw))
+
+
+def test_spawned_workers_hold_state():
+    # Spawn pickles the parent's optimizers and pipeline beside the
+    # model; the (unpicklable) optimizer factory never crosses.
+    kw = dict(optimizer="adam", wire_codecs=LOSSY, steps=3)
+    assert_same_bytes(_traced("serial", **kw),
+                      _traced("processes", start_method="spawn", **kw))
+
+
 class TestLifecycle:
     def test_trainer_uses_shared_arena_and_close_unlinks(self):
         rng = np.random.default_rng(0)
@@ -118,6 +263,29 @@ class TestLifecycle:
         assert leaked_shared_segments()  # grad + param segments live
         trainer.close()
         trainer.close()  # idempotent
+
+    def test_closed_trainer_is_freed_by_refcount(self):
+        # The rows' handle sits between the executor and the optimizer;
+        # a reference cycle there keeps every closed trainer (model,
+        # pulled Adam slots, residual rows) alive until a full GC pass —
+        # tens of MB of peak RSS over a run of short episodes.
+        import gc
+        import weakref
+
+        x, y, model = _task()
+        config = RunConfig(num_ranks=2, microbatch=2, execution="processes",
+                           topology="tree_any", wire_codecs=LOSSY)
+        trainer = ParallelTrainer.from_config(
+            model, nn.CrossEntropyLoss(), OPTIMIZERS["adam"], x, y, config)
+        trainer.train_step(next(iter(trainer.iterator.epoch(0)))[1])
+        refs = [weakref.ref(o) for o in (trainer.executor, trainer.dist_opt, model)]
+        gc.disable()
+        try:
+            trainer.close()
+            del trainer, model
+            assert [r() for r in refs] == [None] * 3
+        finally:
+            gc.enable()
 
     def test_fault_kill_raises_comm_error_and_close_cleans_up(self):
         rng = np.random.default_rng(0)

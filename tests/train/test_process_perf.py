@@ -1,0 +1,88 @@
+"""Process backend vs serial on the step whose rows the workers finish.
+
+The ``bert_procs_codec`` shape of ``BENCHMARK.json``: MiniBERT, 4 ranks,
+Figure-3 Adasum + Adam, the lossy fp16+int8+topk stack.  Besides
+forward/backward, a step of it steps four Adam optimizers, rewrites four
+rows to deltas and encodes them through three codec stages — per-rank,
+row-local work that ``execution="processes"`` runs in the rank workers,
+in parallel, instead of in the parent while they wait on a pipe.
+
+``perf``-marked: skipped in tier-1, run by CI's perf-guard job with the
+BLAS pools pinned to one thread (``OMP_NUM_THREADS=1
+OPENBLAS_NUM_THREADS=1`` — unpinned, every rank process starts its own
+pool and oversubscribes the host; see docs/performance.md).
+"""
+
+import os
+import time
+
+import numpy as np
+import pytest
+
+from repro import nn
+from repro.core import RunConfig
+from repro.models import BertConfig, MiniBERT
+from repro.optim import Adam
+from repro.train import ParallelTrainer
+
+VOCAB, SEQ, SAMPLES = 48, 16, 1024
+
+
+def _trainer(execution):
+    rng = np.random.default_rng(0)
+    tokens = rng.integers(0, VOCAB, (SAMPLES, SEQ))
+    model = MiniBERT(
+        BertConfig(vocab_size=VOCAB, hidden=64, layers=2, heads=4, max_seq_len=SEQ),
+        rng=np.random.default_rng(0),
+    )
+    config = RunConfig(
+        op="adasum", num_ranks=4, microbatch=4, execution=execution,
+        reduce_mode="workers" if execution == "processes" else "parent",
+        wire_codecs=("fp16", "int8", "topk:0.01"),
+    )
+    return ParallelTrainer.from_config(
+        model, nn.CrossEntropyLoss(), lambda ps: Adam(ps, 2e-3), tokens, tokens, config)
+
+
+def _batches(trainer):
+    epoch = 0
+    while True:
+        for _, rank_indices in trainer.iterator.epoch(epoch):
+            yield rank_indices
+        epoch += 1
+
+
+def _step_p10s(trainers, rounds=6, steps=20, warmup=8):
+    """p10 step time of each trainer, measured in alternating blocks of
+    ``steps`` so a busy spell on a shared host lands on every side."""
+    streams = [_batches(t) for t in trainers]
+    times = [[] for _ in trainers]
+    for trainer, stream in zip(trainers, streams):
+        for _ in range(warmup):
+            trainer.train_step(next(stream))
+    for _ in range(rounds):
+        for trainer, stream, out in zip(trainers, streams, times):
+            for _ in range(steps):
+                rank_indices = next(stream)
+                start = time.perf_counter()
+                trainer.train_step(rank_indices)
+                out.append(time.perf_counter() - start)
+    return [sorted(t)[len(t) // 10] for t in times]
+
+
+@pytest.mark.perf
+def test_processes_beat_serial_when_workers_finish_their_rows():
+    """``processes`` step p10 >= 1.3x faster than ``serial``.
+
+    1.10-1.22x when the parent finished every row itself (PR 17);
+    the only skip rule is a host with nothing to run a second process
+    on.
+    """
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("one usable CPU: no parallelism to buy")
+    with _trainer("serial") as serial_trainer, _trainer("processes") as procs_trainer:
+        serial, procs = _step_p10s([serial_trainer, procs_trainer])
+    assert serial >= 1.3 * procs, (
+        f"processes {procs * 1e3:.2f} ms vs serial {serial * 1e3:.2f} ms "
+        f"({serial / procs:.2f}x)"
+    )

@@ -21,6 +21,10 @@ from repro.elastic import ElasticSchedule, ElasticTrainer
 from repro.models.mlp import MLP
 from repro.optim import SGD
 from repro.train.trainer import ParallelTrainer
+from tests.rank_state import (
+    CODEC_STACKS, LOSSY, OPTIMIZERS, OVERFLOWING, SpikeLoss, assert_same_bytes,
+    dist_state, step_record,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -32,8 +36,12 @@ def _no_segment_leaks():
 
 def _run(reduce_mode, op="adasum", num_ranks=4, topology="tree_any", steps=2,
          gpus_per_node=1, execution="processes", wire_codecs=(),
-         **trainer_kwargs):
-    """Train a few steps; return (losses, params, trainer phase stats)."""
+         optimizer="sgd", loss_fn=None, trace=None, **trainer_kwargs):
+    """Train a few steps; return (losses, params, trainer phase stats).
+
+    ``optimizer`` names an entry of ``OPTIMIZERS`` (or is a factory); a
+    ``trace`` dict receives the per-step lr / wire bytes / skips and
+    :func:`dist_state` pulled from the still-open trainer."""
     rng = np.random.default_rng(7)
     x = rng.standard_normal((128, 12)).astype(np.float32)
     y = (x @ rng.standard_normal((12, 4))).argmax(axis=1)
@@ -44,15 +52,21 @@ def _run(reduce_mode, op="adasum", num_ranks=4, topology="tree_any", steps=2,
         reduce_mode=reduce_mode, wire_codecs=wire_codecs,
     )
     trainer = ParallelTrainer.from_config(
-        model, nn.CrossEntropyLoss(), lambda ps: SGD(ps, lr=0.1),
+        model, loss_fn or nn.CrossEntropyLoss(), OPTIMIZERS.get(optimizer, optimizer),
         x, y, config, **trainer_kwargs,
     )
+    dist_opt = trainer.dist_opt
     losses = []
     try:
         for _, rank_indices in trainer.iterator.epoch(0):
             if len(losses) >= steps:
                 break
             losses.append(trainer.train_step(rank_indices))
+            if trace is not None:
+                trace.setdefault("per_step", []).append(step_record(dist_opt))
+        if trace is not None:
+            trace["losses"] = losses
+            trace["live"] = dist_state(model, dist_opt)
         phases = dict(trainer.phase_seconds)
         phase_steps = trainer.global_step
     finally:
@@ -112,6 +126,31 @@ class TestBitExactness:
         _, ref_params, _ = _run("parent", **kw)
         _, params, _ = _run("workers", **kw)
         _assert_bit_identical(ref_params, params, "workers/codec-stack")
+
+    @pytest.mark.parametrize("wire_codecs", CODEC_STACKS, ids=["raw", "lossy"])
+    @pytest.mark.parametrize("optimizer", sorted(OPTIMIZERS))
+    def test_worker_held_state_under_either_reduce(self, optimizer, wire_codecs):
+        # The rows the workers combine are the rows they finished
+        # themselves (own optimizer, own residual row): whoever reduces,
+        # the run equals serial in every observable.
+        kw = dict(optimizer=optimizer, wire_codecs=wire_codecs, steps=4)
+        traces = {}
+        for mode, execution in (("parent", "serial"), ("parent", "processes"),
+                                ("workers", "processes")):
+            traces[mode, execution] = trace = {}
+            _run(mode, execution=execution, trace=trace, **kw)
+        for key in (("parent", "processes"), ("workers", "processes")):
+            assert_same_bytes(traces["parent", "serial"], traces[key], str(key))
+
+    @pytest.mark.parametrize("optimizer", sorted(OVERFLOWING))
+    def test_overflow_skips_before_any_combine(self, optimizer):
+        kw = dict(optimizer=OVERFLOWING[optimizer], wire_codecs=LOSSY, steps=12,
+                  loss_fn=SpikeLoss(spike=3))
+        ref, got = {}, {}
+        _run("parent", execution="serial", trace=ref, **kw)
+        _run("workers", trace=got, **kw)
+        assert 0 < ref["live"]["packed"]["skipped_steps"] < 12
+        assert_same_bytes(ref, got)
 
     def test_phase_timers_populated(self):
         _, _, (phases, steps) = _run("workers", num_ranks=2, steps=3)
