@@ -562,7 +562,7 @@ class CodecPipeline:
         Deterministic (depends only on the bound layout): each stage
         narrows the per-value width and the last stage's payload size is
         what crosses the wire.  This is the figure ``CommTracer`` byte
-        accounting and the perf-guard ``wire_bytes`` report.
+        accounting and ``DistributedOptimizer.last_wire_bytes`` report.
         """
         hi = self._total if hi is None else hi
         sizes = [b - a for a, b in self._blocks(lo, hi)]

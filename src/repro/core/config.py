@@ -179,9 +179,9 @@ class RunConfig:
         The multi-tenant scheduler admits jobs onto a fixed pool of
         ``pool_size`` ranks; a config that demands more than the pool,
         or whose elastic floor exceeds its own width, can never start.
-        Scheduler jobs run under ``ElasticTrainer``, so its topology
-        restriction applies here too.  Returns ``self`` so the
-        call chains.
+        Scheduler jobs run under ``ElasticTrainer``, so what it rejects
+        (the ``rvh`` topology, ``overlap``) is rejected here, at
+        submission.  Returns ``self`` so the call chains.
         """
         if pool_size < 1:
             raise ValueError("pool_size must be >= 1")
@@ -198,6 +198,8 @@ class RunConfig:
             raise ValueError(
                 "the elastic collective does not support the 'rvh' topology"
             )
+        if self.overlap:
+            raise ValueError("ElasticTrainer has no overlap mode: set overlap=False")
         return self
 
     def replace(self, **changes) -> "RunConfig":

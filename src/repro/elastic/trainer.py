@@ -173,6 +173,13 @@ class ElasticTrainer:
             raise ValueError("microbatch must be >= 1")
         if snapshot_every < 1:
             raise ValueError("snapshot_every must be >= 1")
+        if topology == "rvh":
+            # Its group allreduce assumes a fixed power-of-two world;
+            # the first shrink would fail inside the collective and
+            # read as a dead rank.
+            raise ValueError(
+                "the elastic collective does not support the 'rvh' topology"
+            )
         tune_allocator()
         self.model = model
         self.loss_fn = loss_fn
@@ -246,16 +253,17 @@ class ElasticTrainer:
         The config supplies the reduction strategy, world geometry,
         fault schedule (``config.faults``), network model, and wire
         format; elastic-only knobs (``straggler``, ``snapshot_every``,
-        checkpointing, ...) pass through ``kwargs``.  The ``rvh``
-        topology has no elastic collective (its group allreduce assumes
-        a fixed power-of-two world) and is rejected here; the
+        checkpointing, ...) pass through ``kwargs``.  The
         ``hierarchical`` topology is supported — after a kill breaks
         node symmetry, the strategy itself falls back to the flat
-        ``tree_any`` cross-node geometry.
+        ``tree_any`` cross-node geometry.  ``config.overlap`` is
+        rejected: the elastic step has no bucket plan to hand it to
+        (``bucket_cap_mb`` alone buckets the collective).
         """
-        if config.topology == "rvh":
+        if config.overlap:
             raise ValueError(
-                "the elastic collective does not support the 'rvh' topology"
+                "ElasticTrainer has no overlap mode: set overlap=False "
+                "(bucket_cap_mb alone buckets the elastic collective)"
             )
         return cls(
             model,
@@ -663,7 +671,7 @@ class ElasticTrainer:
         over the live ranks, then — only if it returned — the commit."""
         indices = self.iterator.next_step()
         active = [r for r in range(self.membership.size) if len(indices[r])]
-        losses, _, _ = phased_step(
+        losses = phased_step(
             self.executor, self.dist_opt, [indices[r] for r in active],
             ranks=active, participants=self._participants(active),
             reduce_fn=self._reduce, probe=self.probe, step=self.global_step,
@@ -733,7 +741,6 @@ class ElasticTrainer:
                 )
             finally:
                 self.cluster.faults = None
-            self.sim_time += self.cluster.max_clock()
             self._update_stragglers()
         if self.schedule is not None:
             self.schedule.consume(step_id)
@@ -759,26 +766,26 @@ class ElasticTrainer:
         the model untouched (the supervisor rolls back and retries).
         Bit-identical to the whole-row collective: buckets hold whole
         tensors, so per-layer Adasum sees the same slices either way.
+        Every collective is its own ``Cluster.run`` with its own clocks,
+        and the buckets run one after the other, so each adds its
+        ``max_clock()`` to ``sim_time`` (a failed step's share goes with
+        the rollback).
         """
-        reducer = self.dist_opt.reducer
-        if len(self._buckets) == 1:
-            return cluster_reduce(
-                self.cluster,
-                self.arena.data,
-                self.arena.layout.boundaries(),
-                reducer,
-                participants,
-                wire_format=wire_format,
+        def reduce(data, boundaries):
+            combined = cluster_reduce(
+                self.cluster, data, boundaries, self.dist_opt.reducer,
+                participants, wire_format=wire_format,
             )
-        combined = np.empty(self.arena.layout.total_size, dtype=self.arena.dtype)
+            self.sim_time += self.cluster.max_clock()
+            return combined
+
+        arena = self.arena
+        if len(self._buckets) == 1:
+            return reduce(arena.data, arena.layout.boundaries())
+        combined = np.empty(arena.layout.total_size, dtype=arena.dtype)
         for bucket in self._buckets:
-            combined[bucket.start:bucket.stop] = cluster_reduce(
-                self.cluster,
-                self.arena.data[:, bucket.start:bucket.stop],
-                bucket.rel_boundaries(),
-                reducer,
-                participants,
-                wire_format=wire_format,
+            combined[bucket.start:bucket.stop] = reduce(
+                arena.data[:, bucket.start:bucket.stop], bucket.rel_boundaries()
             )
         return combined
 

@@ -14,7 +14,7 @@ encoded bytes actually shipped (``DistributedOptimizer.
 wire_bytes_total``), and fp16 skip counts.  The two derived claims:
 
 * the lossy stack moves **>= 50% fewer encoded bytes** than fp16 alone
-  (``reduction_vs_fp16``; the bench perf guard pins the same bound);
+  (``reduction_vs_fp16``; ``tests/comm/test_codec.py`` pins the same bound);
 * with error feedback it still **converges**, and the JSON states the
   loss gap vs the raw-fp32 run per op (``loss_gap``).
 

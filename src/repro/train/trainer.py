@@ -14,7 +14,6 @@ Figure 1, loss meters) plug in without touching the training loop.
 from __future__ import annotations
 
 import contextlib
-from time import perf_counter
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -894,7 +893,7 @@ def phased_step(
     probe: Optional[OrthogonalityProbe] = None,
     step: int = 0,
     plan: Optional[OverlapScheduler] = None,
-) -> Tuple[List[float], float, float]:
+) -> List[float]:
     """The one data-parallel step: compute -> probe -> buckets -> close -> apply.
 
     Inside one :meth:`~repro.core.DistributedOptimizer.wire_step` every
@@ -911,24 +910,20 @@ def phased_step(
     for whatever ranks are live — what differs between them is only the
     ``reduce_fn`` and what happens around the step.
 
-    Returns ``(losses, compute_seconds, reduce_seconds)``; when the
-    reduce raises, nothing has been applied to the model.
+    Returns the per-rank losses; when the reduce raises, nothing has
+    been applied to the model.
     """
     arena = executor.arena
     with _specialized_kernels():
-        t0 = perf_counter()
         with dist_opt.wire_step(
             arena, participants, reduce_fn, plan, raw=probe is not None
         ) as on_ready:
             losses = executor.compute(rank_indices, ranks=ranks, on_ready=on_ready)
-            t1 = perf_counter()
             if probe is not None:
                 rows = range(len(rank_indices)) if ranks is None else ranks
                 # Zero-copy per-rank views; the reduction itself runs flat.
                 probe.record([arena.views(r) for r in rows], step=step)
-            t2 = perf_counter()
-        t3 = perf_counter()
-    return losses, t1 - t0, t3 - t2
+    return losses
 
 
 class ParallelTrainer:
@@ -1059,10 +1054,6 @@ class ParallelTrainer:
         self.tracer = tracer
         self.time_model = time_model
         self.sim_time = 0.0
-        # Wall-clock phase accounting over all ``global_step`` steps:
-        # "compute" is the executor call (under overlap it contains the
-        # buckets that ran inside it), "reduce" the rest of the step.
-        self.phase_seconds: Dict[str, float] = {"compute": 0.0, "reduce": 0.0}
         # The rank backend and its flat-buffer gradient arena: every
         # rank's gradients live in one preallocated contiguous row (in
         # OS shared memory under the process backend, so workers write
@@ -1163,13 +1154,11 @@ class ParallelTrainer:
         reduce_fn = None  # the parent reduces: reducer.reduce_arena
         if self.reduce_mode == "workers":
             reduce_fn = lambda arena, ctx: self.executor.worker_reduce()
-        losses, compute_s, reduce_s = phased_step(
+        losses = phased_step(
             self.executor, self.dist_opt, rank_indices,
             reduce_fn=reduce_fn, probe=self.probe, step=self.global_step,
             plan=self.plan,
         )
-        self.phase_seconds["compute"] += compute_s
-        self.phase_seconds["reduce"] += reduce_s
         if self.tracer is not None:
             self._trace_step()
         self.global_step += 1

@@ -9,11 +9,17 @@ the flat ``step_arena`` path it adapts, and the one phased step
 or without an overlap bucket plan, which has no step, thread or
 validation rule of its own — and who finishes a row under each backend:
 this process under ``serial``, the rank workers under ``processes``
-(no parent-side optimizer step or encode, no extra pipe round).
+(no parent-side optimizer step or encode, no extra pipe round).  And it
+pins that there is one performance harness: ``perfbench/`` measures,
+``perf``-marked ratio tests guard, and the snapshot script, its records
+and its CI steps are gone for good.
 """
 
 import dataclasses
 import inspect
+import os
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -175,7 +181,6 @@ def test_parallel_trainer_step_is_one_phased_step(monkeypatch):
                 trainer.train_step(rank_indices)
             assert trainer.global_step > 0
             assert calls == list(range(trainer.global_step))
-            assert trainer.phase_seconds["compute"] > 0
 
 
 @pytest.mark.faults
@@ -247,6 +252,39 @@ def test_who_finishes_a_row(monkeypatch, execution, probe, expected):
         # it holds no residual array to allocate, copy or roll back.
         assert sum(r.size for r in pipe._residuals.values()) == (
             0 if execution == "processes" else 2 * 4 * trainer.arena.layout.total_size)
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+# Spelled in halves so that this file passes its own search.
+RETIRED_NAMES = ("bench_" "snapshot", "BENCH_" "PR")
+
+
+def test_the_snapshot_harness_is_gone():
+    """No script, no record, and nothing in the tree still points at
+    either (the per-PR logs that tell the story excepted)."""
+    assert not (ROOT / "scripts" / f"{RETIRED_NAMES[0]}.py").exists()
+    assert not list((ROOT / "results").glob(f"{RETIRED_NAMES[1]}*.json"))
+    logs = {ROOT / name
+            for name in ("CHANGES.md", "ROADMAP.md", "ISSUE.md", "REVIEW.md")}
+    mentions = []
+    for folder, subfolders, files in os.walk(ROOT):
+        subfolders[:] = [d for d in subfolders if d != ".git"]
+        for path in (pathlib.Path(folder, name) for name in files):
+            if path.suffix in (".py", ".yml", ".toml", ".md") and path not in logs:
+                text = path.read_text(errors="replace")
+                if any(retired in text for retired in RETIRED_NAMES):
+                    mentions.append(str(path.relative_to(ROOT)))
+    assert mentions == []
+
+
+def test_ci_perf_guard_is_one_pytest_step():
+    """Beside installing its dependencies the job runs one command, the
+    ``perf``-marked ratio tests: no script, no recorded number."""
+    workflow = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    job = re.split(r"\n  \S", workflow.split("\n  perf-guard:\n")[1])[0]
+    commands = [run for run in re.findall(r"^ +(?:- )?run: *(.*)$", job, re.M)
+                if "pip install" not in run]
+    assert len(commands) == 1 and "pytest -m perf" in commands[0], commands
 
 
 def test_step_arena_ranks_restricts_the_default_reduce():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.comm import NetworkModel
 from repro.core import ReduceOpType
 from repro.elastic import ElasticSchedule, ElasticTrainer
 from repro.models import MLP
@@ -85,7 +86,6 @@ class TestBucketedCollective:
         bucketed.train_epoch(0, max_steps=3)
         _assert_bit_identical(m_whole, m_bucketed)
 
-
     @pytest.mark.parametrize("per_layer", [True, False])
     def test_whole_model_adasum_runs_one_collective(self, monkeypatch, per_layer):
         """Whole-model Adasum's dot products span the full row, so the
@@ -102,6 +102,33 @@ class TestBucketedCollective:
         trainer.train_epoch(0, max_steps=3)
         assert trainer.commits == 3
         assert (len(calls) > 3) if per_layer else (len(calls) == 3)
+
+    def test_sim_time_sums_every_buckets_collective(self, monkeypatch):
+        """Each bucket is its own ``Cluster.run`` with fresh clocks and
+        the buckets run back to back, so the step's simulated time is
+        the sum of their latencies — not the last bucket's alone, which
+        read *less* than the whole-row collective under a per-message
+        latency although the buckets send more messages."""
+        import repro.elastic.trainer as elastic_trainer
+        network = NetworkModel(alpha=1e-5, beta=1e-9)
+        x, y = _data()
+        whole, _ = _trainer(x, y, network=network)
+        bucketed, _ = _trainer(x, y, network=network, bucket_cap_mb=0.0005)
+        clocks = []
+        real = elastic_trainer.cluster_reduce
+
+        def clocked(cluster, *args, **kwargs):
+            combined = real(cluster, *args, **kwargs)
+            if cluster is bucketed.cluster:
+                clocks.append(cluster.max_clock())
+            return combined
+
+        monkeypatch.setattr(elastic_trainer, "cluster_reduce", clocked)
+        whole.train_epoch(0, max_steps=3)
+        bucketed.train_epoch(0, max_steps=3)
+        assert len(clocks) == 3 * len(bucketed._buckets) > 3
+        assert bucketed.sim_time == pytest.approx(sum(clocks), rel=1e-12)
+        assert bucketed.sim_time >= whole.sim_time > 0
 
 
 class TestCodecStack:

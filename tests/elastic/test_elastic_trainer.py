@@ -5,7 +5,7 @@ import pytest
 
 from repro import nn
 from repro.comm import NetworkModel
-from repro.core import DistributedOptimizer, ReduceOpType
+from repro.core import DistributedOptimizer, ReduceOpType, RunConfig
 from repro.core.precision import DynamicScaler
 from repro.models import MLP
 from repro.optim import SGD
@@ -50,6 +50,28 @@ class TestNoFaultParity:
         ref_params = dict(m_ref.named_parameters())
         for name, p in m_el.named_parameters():
             np.testing.assert_array_equal(p.data, ref_params[name].data)
+
+
+class TestRejectedAtConstruction:
+    def test_rvh_topology_is_a_config_error_not_a_dead_rank(self):
+        """The group allreduce of ``rvh`` needs a power-of-two world.
+        Accepted, this run shrank 4 -> 3 on the scheduled kill, failed
+        inside the next collective and evicted healthy rank 0 as dead."""
+        x, y = _task(n=64)
+        with pytest.raises(ValueError, match="rvh"):
+            _elastic(x, y, num_ranks=4, topology="rvh",
+                     schedule=ElasticSchedule().kill(1, 2))
+
+    @pytest.mark.parametrize("field", [{"topology": "rvh"}, {"overlap": True}])
+    def test_from_config_rejects_what_the_elastic_step_cannot_run(self, field):
+        """``overlap`` used to be dropped silently: the trainer built
+        with one whole-row bucket and no overlap plan."""
+        x, y = _task(n=64)
+        config = RunConfig(num_ranks=4, microbatch=4, **field)
+        with pytest.raises(ValueError, match=next(iter(field))):
+            ElasticTrainer.from_config(
+                MLP((6, 16, 2), rng=np.random.default_rng(0)),
+                nn.CrossEntropyLoss(), lambda ps: SGD(ps, 0.3), x, y, config)
 
 
 @pytest.mark.faults

@@ -219,6 +219,11 @@ class TestValidateForPool:
         with pytest.raises(ValueError):
             cfg.validate_for_pool(8)
 
+    @pytest.mark.parametrize("field", [{"topology": "rvh"}, {"overlap": True}])
+    def test_what_the_elastic_trainer_rejects_is_rejected_at_submission(self, field):
+        with pytest.raises(ValueError, match=next(iter(field))):
+            RunConfig(num_ranks=4, **field).validate_for_pool(8)
+
     def test_valid_config_chains(self):
         cfg = RunConfig(num_ranks=4)
         assert cfg.validate_for_pool(8) is cfg

@@ -219,7 +219,7 @@ class TestOverlapTrainer:
             for step, rank_indices in trainer.iterator.epoch(0):
                 if step < 3:
                     trainer.train_step(rank_indices)
-            assert trainer.global_step == 3 and trainer.phase_seconds["compute"] > 0
+            assert trainer.global_step == 3
             models.append(model)
             probes.append(trainer.probe and trainer.probe.history)
         _assert_bit_identical(*models)

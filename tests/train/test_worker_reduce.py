@@ -37,7 +37,7 @@ def _no_segment_leaks():
 def _run(reduce_mode, op="adasum", num_ranks=4, topology="tree_any", steps=2,
          gpus_per_node=1, execution="processes", wire_codecs=(),
          optimizer="sgd", loss_fn=None, trace=None, **trainer_kwargs):
-    """Train a few steps; return (losses, params, trainer phase stats).
+    """Train a few steps; return (losses, params).
 
     ``optimizer`` names an entry of ``OPTIMIZERS`` (or is a factory); a
     ``trace`` dict receives the per-step lr / wire bytes / skips and
@@ -67,12 +67,10 @@ def _run(reduce_mode, op="adasum", num_ranks=4, topology="tree_any", steps=2,
         if trace is not None:
             trace["losses"] = losses
             trace["live"] = dist_state(model, dist_opt)
-        phases = dict(trainer.phase_seconds)
-        phase_steps = trainer.global_step
     finally:
         trainer.close()
     params = {n: p.data.copy() for n, p in model.named_parameters()}
-    return losses, params, (phases, phase_steps)
+    return losses, params
 
 
 def _assert_bit_identical(ref_params, params, context):
@@ -87,11 +85,11 @@ class TestBitExactness:
     @pytest.mark.parametrize("op", ["sum", "average", "adasum"])
     @pytest.mark.parametrize("num_ranks", [2, 3, 5, 8])
     def test_workers_match_parent_and_serial(self, op, num_ranks):
-        ref_losses, ref_params, _ = _run(
+        ref_losses, ref_params = _run(
             "parent", op=op, num_ranks=num_ranks, execution="serial",
         )
         for reduce_mode in ("parent", "workers"):
-            losses, params, _ = _run(reduce_mode, op=op, num_ranks=num_ranks)
+            losses, params = _run(reduce_mode, op=op, num_ranks=num_ranks)
             assert losses == ref_losses, (reduce_mode, op, num_ranks)
             _assert_bit_identical(
                 ref_params, params, f"{reduce_mode}/{op}/world={num_ranks}"
@@ -104,16 +102,16 @@ class TestBitExactness:
     def test_workers_across_topologies(self, topology, gpus_per_node):
         kw = dict(op="adasum", num_ranks=4, topology=topology,
                   gpus_per_node=gpus_per_node)
-        _, ref_params, _ = _run("parent", **kw)
-        _, params, _ = _run("workers", **kw)
+        _, ref_params = _run("parent", **kw)
+        _, params = _run("workers", **kw)
         _assert_bit_identical(ref_params, params, f"workers/{topology}")
 
     def test_workers_with_fp16_wire(self):
         # Workers combine the already-encoded rows; the codec round-trip
         # happens once in the parent, so parity must hold bytewise.
         kw = dict(op="adasum", num_ranks=4, wire_codecs=("fp16",))
-        _, ref_params, _ = _run("parent", **kw)
-        _, params, _ = _run("workers", **kw)
+        _, ref_params = _run("parent", **kw)
+        _, params = _run("workers", **kw)
         _assert_bit_identical(ref_params, params, "workers/fp16-wire")
 
     def test_workers_with_codec_stack(self):
@@ -123,8 +121,8 @@ class TestBitExactness:
         # under a lossy error-feedback stack.
         kw = dict(op="adasum", num_ranks=4,
                   wire_codecs=("fp16", "int8", "topk:0.25"))
-        _, ref_params, _ = _run("parent", **kw)
-        _, params, _ = _run("workers", **kw)
+        _, ref_params = _run("parent", **kw)
+        _, params = _run("workers", **kw)
         _assert_bit_identical(ref_params, params, "workers/codec-stack")
 
     @pytest.mark.parametrize("wire_codecs", CODEC_STACKS, ids=["raw", "lossy"])
@@ -151,12 +149,6 @@ class TestBitExactness:
         _run("workers", trace=got, **kw)
         assert 0 < ref["live"]["packed"]["skipped_steps"] < 12
         assert_same_bytes(ref, got)
-
-    def test_phase_timers_populated(self):
-        _, _, (phases, steps) = _run("workers", num_ranks=2, steps=3)
-        assert steps == 3
-        assert phases["compute"] > 0.0
-        assert phases["reduce"] > 0.0
 
 
 class TestValidation:
