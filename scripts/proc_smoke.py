@@ -7,7 +7,10 @@ over a shared-memory arena, train three steps of Figure-3 Adasum + Adam
 through the lossy codec stack with the workers reducing, check the
 result is bit-identical to the serial backend, write a checkpoint from
 the still-open trainer, shut everything down, and verify no worker
-process or ``/dev/shm`` segment survived.
+process or ``/dev/shm`` segment survived.  A second leg trains MiniBERT
+the same way: each spawned worker builds the model's fused compute
+engine from the registry its fresh interpreter fills lazily, validates
+it at one rank, and must still land on the serial run's bytes.
 
 The rank workers hold the live optimizer slots and error-feedback
 residuals (each finishes its own arena row), so the step count and Adam
@@ -41,19 +44,29 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 from repro import nn  # noqa: E402
 from repro.core import RunConfig, leaked_shared_segments  # noqa: E402
 from repro.core.arena import SharedGradientArena  # noqa: E402
-from repro.models import MLP  # noqa: E402
+from repro.models import MLP, BertConfig, MiniBERT  # noqa: E402
 from repro.optim import Adam  # noqa: E402
-from repro.train import ParallelTrainer  # noqa: E402
+from repro.train import FusedRankExecutor, ParallelTrainer  # noqa: E402
 from repro.train.checkpoint import save_checkpoint  # noqa: E402
 
 STEPS, RANKS = 3, 2
 
 
-def _train(execution: str, start_method=None, checkpoint=None):
+def _mlp_task():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((32, 12)).astype(np.float32)
     y = (x @ rng.standard_normal((12, 4))).argmax(axis=1)
-    model = MLP((12, 16, 4), rng=np.random.default_rng(3))
+    return x, y, MLP((12, 16, 4), rng=np.random.default_rng(3))
+
+
+def _bert_task():
+    tokens = np.random.default_rng(7).integers(0, 24, (32, 8))
+    config = BertConfig(vocab_size=24, hidden=16, layers=1, heads=2, max_seq_len=8)
+    return tokens, tokens, MiniBERT(config, rng=np.random.default_rng(3))
+
+
+def _train(execution: str, start_method=None, checkpoint=None, task=_mlp_task):
+    x, y, model = task()
     config = RunConfig(
         op="adasum", topology="tree_any", num_ranks=RANKS, microbatch=2, seed=0,
         execution=execution, wire_codecs=("fp16", "int8", "topk:0.1"),
@@ -70,6 +83,10 @@ def _train(execution: str, start_method=None, checkpoint=None):
             assert leaked_shared_segments(), "expected live shm segments"
         batches = [idx for _, idx in trainer.iterator.epoch(0)][:STEPS]
         losses = [trainer.train_step(rank_indices) for rank_indices in batches]
+        if execution == "serial" and task is _bert_task:
+            # The reference ran the engine too, validated on this host.
+            assert isinstance(trainer.executor, FusedRankExecutor)
+            assert trainer.executor.engine is not None, "fused engine demoted"
         if checkpoint is not None:
             save_checkpoint(checkpoint, model, dist_opt=trainer.dist_opt)
     finally:
@@ -95,6 +112,16 @@ def _check_worker_state_reached_the_file(path) -> None:
             assert opt["state_keys"], f"rank {rank}: no optimizer slots in the file"
 
 
+def _assert_bit_identical(reference, got) -> None:
+    (ref_losses, ref_params), (losses, params) = reference, got
+    assert losses == ref_losses, f"losses diverged: {losses} != {ref_losses}"
+    for name in ref_params:
+        np.testing.assert_array_equal(
+            ref_params[name].view(np.uint8), params[name].view(np.uint8),
+            err_msg=f"parameter {name} diverged from serial",
+        )
+
+
 def main() -> int:
     start_method = "spawn" if "spawn" in multiprocessing.get_all_start_methods() else None
     print(f"proc smoke: python {sys.version.split()[0]}, "
@@ -108,12 +135,11 @@ def main() -> int:
                                 checkpoint=checkpoint)
         _check_worker_state_reached_the_file(checkpoint)
 
-    assert losses == ref_losses, f"losses diverged: {losses} != {ref_losses}"
-    for name in ref_params:
-        np.testing.assert_array_equal(
-            ref_params[name].view(np.uint8), params[name].view(np.uint8),
-            err_msg=f"parameter {name} diverged from serial",
-        )
+    _assert_bit_identical((ref_losses, ref_params), (losses, params))
+    bert_losses, bert_params = _train("processes", start_method=start_method,
+                                      task=_bert_task)
+    _assert_bit_identical(_train("serial", task=_bert_task),
+                          (bert_losses, bert_params))
     leaked = [s for s in leaked_shared_segments() if s not in before]
     assert not leaked, f"leaked /dev/shm segments: {leaked}"
 
@@ -124,6 +150,9 @@ def main() -> int:
           f"bit-identical to serial (loss={losses[-1]:.6f}), worker-held "
           f"optimizer state in the checkpoint, no leaked segments, no stray "
           f"workers")
+    print(f"proc smoke OK: MiniBERT, fused engine built in each "
+          f"{start_method or 'default'}-started worker, {STEPS} steps "
+          f"bit-identical to serial (loss={bert_losses[-1]:.6f})")
     return 0
 
 

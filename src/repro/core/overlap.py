@@ -7,7 +7,7 @@ reduction starts the moment its last tensor is ready.
 ranks' :class:`~repro.core.arena.GradientArena`: ``dist_opt.bucket_plan``
 slices the fused layout into size-capped, tensor-aligned buckets in
 reverse layer order; the compute side (a rank executor: autograd with
-grad-ready hooks, or a fused engine such as
+grad-ready hooks, or the model's fused engine, e.g.
 :class:`~repro.models.fused_bert.FusedBertRankCompute`) marks
 parameters ready as their gradients land; and a bucket's rewrite, wire
 encode and reduction run on the calling thread the moment its last
@@ -17,8 +17,9 @@ There is no comm thread.  Horovod's overlap wins because the NIC is a
 second resource; here compute and communication share one interpreter,
 and a private comm thread measured *slower* than running the buckets
 inline (GIL ping-pong; numbers in docs/performance.md).  What overlap
-mode buys on this simulator is the cheaper fused compute engine and the
-flat mirror rewrite; the schedule is nonetheless faithful (and
+mode buys on this simulator is the flat mirror rewrite — the fused
+compute engines registered below follow from the model and serve every
+executor, overlapped or not; the schedule is nonetheless faithful (and
 measurable in the overlap Chrome trace).
 
 Bit-exactness with a whole-row ``step_arena`` is structural — both are
@@ -62,19 +63,20 @@ _FUSED_ENGINES: List = []
 
 
 def register_fused_engine(
-    predicate: Callable[[object], bool], factory: Callable[[object, int], object]
+    predicate: Callable[[object], bool], factory: Callable[[object], object]
 ) -> None:
     """Register a fused compute engine for :func:`build_fused_engine`.
 
-    ``predicate(model)`` says whether ``factory(model, num_ranks)`` can
-    build an engine with a ``step(x, y, rank_views, ready_cb)`` method
-    returning per-rank losses (see
+    ``predicate(model)`` says whether ``factory(model)`` can build an
+    engine with a ``step(x, y, rank_views, ready_cb)`` method that
+    computes ``len(rank_views)`` stacked equal-sized microbatches and
+    returns per-rank losses (see
     :class:`~repro.models.fused_bert.FusedBertRankCompute`).
     """
     _FUSED_ENGINES.append((predicate, factory))
 
 
-def build_fused_engine(model, num_ranks: int):
+def build_fused_engine(model):
     """Best registered fused engine for ``model``, or ``None``.
 
     A factory raising ``ValueError``/``TypeError`` (unsupported config,
@@ -84,7 +86,7 @@ def build_fused_engine(model, num_ranks: int):
     for predicate, factory in _FUSED_ENGINES:
         try:
             if predicate(model):
-                return factory(model, num_ranks)
+                return factory(model)
         except (ValueError, TypeError):
             continue
     return None

@@ -1,20 +1,23 @@
-"""Rank-fused forward/backward for :class:`MiniBERT` (overlap fast path).
+"""Rank-fused forward/backward for :class:`MiniBERT` (the fast compute path).
 
-The overlap scheduler wants two things from the compute side that the
-generic autograd loop cannot give cheaply: all ranks' gradients for a
-layer available *at the same moment* (so a bucket can launch the
-instant backward passes it), and minimal Python dispatch overhead (the
-simulated ranks' microbatches share every weight, so their forward and
-backward passes are the same kernels over stacked batch blocks).
+The generic autograd loop pays Python dispatch per op per rank, and can
+report a layer's gradient only when the *last* rank's backward reaches
+it.  The simulated ranks' microbatches share every weight, so their
+forward and backward passes are the same kernels over stacked batch
+blocks.
 
 :class:`FusedBertRankCompute` runs one hand-written forward + backward
-over the concatenated batch of all ranks and writes each rank's
-gradients straight into its arena row, firing a grad-ready callback per
-parameter in backward completion order.
+over the concatenated batch of however many ranks a call lists — one in
+a rank worker process, the world in a serial step, the live ranks in an
+elastic one — and writes each rank's gradients straight into its arena
+row, firing a grad-ready callback per parameter in backward completion
+order (all listed ranks' gradients for a layer land at the same moment,
+so an overlap bucket can launch the instant backward passes it).
 
-Bit-exactness contract (validated at runtime by the scheduler's
-first-step byte comparison, with permanent fallback to the serial
-path on mismatch):
+Bit-exactness contract (validated at runtime, once per call shape, by
+:class:`~repro.train.trainer.FusedRankExecutor`'s byte comparison
+against the per-rank loop, with permanent fallback to that loop on
+mismatch):
 
 * elementwise ops, softmax, layer norm and the gelu/CE math are
   row-local — fusing batch blocks cannot change their bits;
@@ -46,11 +49,9 @@ class FusedBertRankCompute:
     ----------
     model:
         The shared :class:`MiniBERT` replica.
-    num_ranks:
-        Number of simulated ranks whose microbatches are fused.
     """
 
-    def __init__(self, model: MiniBERT, num_ranks: int):
+    def __init__(self, model: MiniBERT):
         if not isinstance(model, MiniBERT):
             raise TypeError("FusedBertRankCompute requires a MiniBERT model")
         if model.cfg.dropout > 0.0:
@@ -61,7 +62,6 @@ class FusedBertRankCompute:
         if any(True for _ in model.named_buffers()):
             raise ValueError("rank-fused compute does not support buffers")
         self.model = model
-        self.num_ranks = int(num_ranks)
 
     # ------------------------------------------------------------------
     def step(
@@ -73,14 +73,15 @@ class FusedBertRankCompute:
     ) -> List[float]:
         """Forward+backward over the concatenated batch of all ranks.
 
-        ``x``/``y`` hold the ranks' microbatches stacked along axis 0
-        (rank ``r`` owns rows ``[r*b, (r+1)*b)``).  Per-rank gradients
-        are written into ``rank_views[r]`` (arena views) and
-        ``ready_cb(name)`` fires once per parameter when *all* ranks'
-        gradients for it have landed.  Returns the per-rank losses.
+        ``x``/``y`` hold the ``R = len(rank_views)`` ranks' equal-sized
+        microbatches stacked along axis 0 (block ``r`` owns rows
+        ``[r*b, (r+1)*b)``).  Per-rank gradients are written into
+        ``rank_views[r]`` (arena views) and ``ready_cb(name)`` fires
+        once per parameter when *all* ranks' gradients for it have
+        landed.  Returns the per-rank losses.
         """
         m = self.model
-        R = self.num_ranks
+        R = len(rank_views)
         x = np.asarray(x)
         y = np.asarray(y)
         B, S = x.shape

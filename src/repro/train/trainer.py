@@ -189,18 +189,21 @@ class SerialRankExecutor:
 
 
 class FusedRankExecutor(SerialRankExecutor):
-    """The serial backend plus a rank-fused engine for readiness-driven steps.
+    """The serial backend plus the model's rank-fused engine.
 
     ``engine`` (see :func:`~repro.core.overlap.build_fused_engine`) runs
-    all ranks' forward/backward as one pass over the stacked
+    the listed ranks' forward/backward as one pass over their stacked
     microbatches into the same arena rows, firing ``on_ready(name)`` the
-    moment every rank's gradient for a parameter has landed.  It serves
-    whole-world steps that ask for readiness; every other call runs the
-    inherited per-rank loop.
+    moment every listed rank's gradient for a parameter has landed.  It
+    serves every call with ``accumulation == 1`` and equal-length rank
+    blocks — any ``ranks`` subset, with or without ``on_ready``; every
+    other call runs the inherited per-rank loop.
 
-    The first batch the engine accepts is computed both ways and
-    compared byte for byte; a mismatch demotes it for good (``engine``
-    becomes ``None``).  A batch it rejects — it checks its preconditions
+    The first call of each shape ``(number of blocks, stacked batch
+    shape)`` — the GEMM row count the engine's BLAS row-independence
+    assumption is about — is computed both ways and compared byte for
+    byte; a mismatch demotes the engine for good (``engine`` becomes
+    ``None``).  A batch it rejects — it checks its preconditions
     (``ValueError``/``TypeError``, e.g. ``ignore_index`` targets) before
     touching the arena — takes the per-rank loop, bit-identical by that
     validation.
@@ -209,7 +212,7 @@ class FusedRankExecutor(SerialRankExecutor):
     def __init__(self, engine, *args):
         super().__init__(*args)
         self.engine = engine
-        self._validated = False
+        self._validated = set()  # call shapes byte-compared so far
 
     def compute(
         self,
@@ -217,23 +220,28 @@ class FusedRankExecutor(SerialRankExecutor):
         ranks: Optional[Sequence[int]] = None,
         on_ready: Optional[Callable[[str], None]] = None,
     ) -> List[float]:
-        num_ranks = self.arena.num_ranks
         if (
-            self.engine is not None and on_ready is not None and ranks is None
-            and len(rank_indices) == num_ranks and self.accumulation == 1
+            self.engine is not None and self.accumulation == 1
+            and len({len(idx) for idx in rank_indices}) == 1
         ):
+            rows = list(range(len(rank_indices)) if ranks is None else ranks)
             x = np.concatenate([self.x[idx] for idx in rank_indices])
             y = np.concatenate([self.y[idx] for idx in rank_indices])
-            views = [self.arena.views(r) for r in range(num_ranks)]
+            views = [self.arena.views(r) for r in rows]
+            shape = (len(rows), x.shape)
             marked = []
-
-            def ready(name):
-                marked.append(name)
-                on_ready(name)
+            ready = None
+            if on_ready is not None:
+                def ready(name):
+                    marked.append(name)
+                    on_ready(name)
 
             try:
-                if not self._validated:
-                    self._validate(rank_indices, x, y, views)
+                if shape not in self._validated:
+                    losses = self._validate(rank_indices, rows, x, y, views)
+                    self._validated.add(shape)
+                    if on_ready is None:
+                        return losses
                 if self.engine is not None:
                     return self.engine.step(x, y, views, ready_cb=ready)
             except (ValueError, TypeError):
@@ -241,17 +249,30 @@ class FusedRankExecutor(SerialRankExecutor):
                     raise
         return super().compute(rank_indices, ranks, on_ready)
 
-    def _validate(self, rank_indices, x, y, views) -> None:
+    def _validate(self, rank_indices, rows, x, y, views) -> List[float]:
         """Byte-compare the engine with the per-rank loop on one batch
-        (one extra forward/backward, once); demote it on any mismatch."""
+        (one extra forward/backward, once per call shape); demote it on
+        any mismatch.  Returns the loop's losses — its rows are what the
+        arena is left holding."""
         fused_losses = self.engine.step(x, y, views, ready_cb=None)
-        fused_rows = self.arena.data.copy()
-        serial_losses = super().compute(rank_indices)
-        self._validated = True
-        if fused_losses != serial_losses or not np.array_equal(
-            fused_rows.view(np.uint8), self.arena.data.view(np.uint8)
+        fused_rows = self.arena.data[rows]
+        serial_losses = super().compute(rank_indices, rows)
+        if fused_losses != serial_losses or any(  # row by row: no second copy
+            fused.tobytes() != self.arena.row(r).tobytes()
+            for fused, r in zip(fused_rows, rows)
         ):
             self.engine = None
+        return serial_losses
+
+
+def _in_process_executor(model: Module, *args) -> SerialRankExecutor:
+    """The one place "engine or plain loop" is decided, by the model
+    alone: a :class:`FusedRankExecutor` when a fused engine is
+    registered for it, else the plain :class:`SerialRankExecutor`."""
+    engine = build_fused_engine(model)
+    if engine is None:
+        return SerialRankExecutor(model, *args)
+    return FusedRankExecutor(engine, model, *args)
 
 
 class _ProcessRankWorker:
@@ -262,8 +283,9 @@ class _ProcessRankWorker:
     is the gradient destination) and to a one-row parameter arena the
     parent refreshes before every dispatch, so model replicas stay
     byte-identical across processes without any per-step serialization.
-    The compute itself is a :class:`SerialRankExecutor` over the shared
-    arena, restricted to this rank's row.
+    The compute itself is the serial backend's executor over the shared
+    arena (the model's fused engine at one rank, where it has one),
+    restricted to this rank's row.
 
     The worker also *finishes* its row (:meth:`_finish`), which makes it
     the live home of this rank's optimizer and of its row of the codec
@@ -306,7 +328,7 @@ class _ProcessRankWorker:
         )
         self.model = spec["model"]
         self._named = list(self.model.named_parameters())
-        self.local = SerialRankExecutor(
+        self.local = _in_process_executor(
             self.model, spec["loss_fn"], spec["x"], spec["y"],
             spec["microbatch"], spec["accumulation"], self.grads,
         )
@@ -820,7 +842,7 @@ def build_rank_executor(
     """The one place a rank backend (and its arena) is chosen and checked.
 
     ``execution="serial"`` gives a :class:`SerialRankExecutor` over a
-    heap :class:`~repro.core.arena.GradientArena` — with ``overlap``, a
+    heap :class:`~repro.core.arena.GradientArena` — a
     :class:`FusedRankExecutor` when a fused engine is registered for
     the model; ``execution="processes"`` a :class:`ProcessRankExecutor`
     over a :class:`~repro.core.arena.SharedGradientArena`, with
@@ -853,14 +875,10 @@ def build_rank_executor(
         )
     num_ranks = dist_opt.num_ranks
     if execution == "serial":
-        args = (
+        return _in_process_executor(
             model, loss_fn, x, y, microbatch, accumulation,
             GradientArena.from_model(model, num_ranks),
         )
-        engine = build_fused_engine(model, num_ranks) if overlap else None
-        if engine is not None:
-            return FusedRankExecutor(engine, *args)
-        return SerialRankExecutor(*args)
     _check_parallel_safe(model)
     combine_spec = None
     if reduce_mode == "workers":
@@ -994,7 +1012,7 @@ class ParallelTrainer:
         an :class:`~repro.core.overlap.OverlapScheduler` plan and each
         arena bucket is rewritten, encoded and reduced — on this thread
         — the moment its last gradient lands (grad-ready hooks on the
-        last rank, or a registered fused compute engine; see
+        last rank, or the model's fused compute engine; see
         :class:`FusedRankExecutor`), the rest when compute returns.
         Results are bit-identical to the whole-row step.  Nothing runs
         early when an orthogonality probe is attached (it needs raw

@@ -30,9 +30,11 @@ import repro.train.trainer as train_trainer
 from repro import nn
 from repro.core import DistributedOptimizer, GradientArena, ReduceOpType
 from repro.core.config import EXECUTIONS, RunConfig
+from repro.core.overlap import build_fused_engine
 from repro.core.strategies import OPS, TOPOLOGIES, registered_cells
 from repro.elastic import ElasticSchedule, ElasticTrainer
 from repro.models import MLP, MiniBERT
+from repro.models.fused_bert import FusedBertRankCompute
 from repro.optim import SGD, Adam
 from repro.train.trainer import (
     FusedRankExecutor,
@@ -176,7 +178,7 @@ def test_parallel_trainer_step_is_one_phased_step(monkeypatch):
                                       microbatch=4, overlap=overlap,
                                       bucket_cap_mb=0.001)
             assert isinstance(trainer.executor, FusedRankExecutor) == (
-                overlap and isinstance(model, MiniBERT))
+                build_fused_engine(model) is not None)
             for _, rank_indices in trainer.iterator.epoch(0):
                 trainer.train_step(rank_indices)
             assert trainer.global_step > 0
@@ -275,6 +277,22 @@ def test_the_snapshot_harness_is_gone():
                 if any(retired in text for retired in RETIRED_NAMES):
                     mentions.append(str(path.relative_to(ROOT)))
     assert mentions == []
+
+
+def test_the_engine_is_chosen_in_one_place():
+    """"Engine or plain loop" follows from the model in one helper that
+    the serial builder and the rank workers share: ``src/`` calls the
+    registry exactly once outside its definition, and neither the
+    registry nor the engine takes a world size."""
+    calls = [
+        f"{path.relative_to(ROOT)}:{number}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if "build_fused_engine(" in line and not line.startswith("def ")
+    ]
+    assert len(calls) == 1 and calls[0].startswith("src/repro/train/trainer.py"), calls
+    assert list(inspect.signature(build_fused_engine).parameters) == ["model"]
+    assert list(inspect.signature(FusedBertRankCompute).parameters) == ["model"]
 
 
 def test_ci_perf_guard_is_one_pytest_step():

@@ -316,8 +316,8 @@ class TestFusedEngineRegistry:
     def test_minibert_gets_engine_mlp_does_not(self):
         from repro.models import MiniBERT
         bert = MiniBERT(rng=np.random.default_rng(0))
-        assert build_fused_engine(bert, 4) is not None
-        assert build_fused_engine(MLP((4, 4), rng=np.random.default_rng(0)), 4) is None
+        assert build_fused_engine(bert) is not None
+        assert build_fused_engine(MLP((4, 4), rng=np.random.default_rng(0))) is None
 
 
 class TestOverlapTracer:

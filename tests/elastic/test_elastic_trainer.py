@@ -7,8 +7,9 @@ from repro import nn
 from repro.comm import NetworkModel
 from repro.core import DistributedOptimizer, ReduceOpType, RunConfig
 from repro.core.precision import DynamicScaler
-from repro.models import MLP
-from repro.optim import SGD
+import repro.train.trainer as train_trainer
+from repro.models import MLP, BertConfig, MiniBERT
+from repro.optim import SGD, Adam
 from repro.train import ParallelTrainer
 from repro.elastic import ElasticSchedule, ElasticTrainer, StragglerPolicy
 
@@ -88,6 +89,47 @@ class TestKillRecovery:
         assert tr.recoveries[0]["kind"] == "kill"
         assert tr.recoveries[0]["dead_global_ranks"] == [3]
         assert tr.recovery_seconds and tr.recovery_seconds[0] > 0
+
+    def test_minibert_engine_follows_the_live_world(self, monkeypatch):
+        """MiniBERT computes through its fused engine at whatever ranks
+        are live: a kill shrinks 4 -> 3 (a new call shape, validated
+        anew by the rebuilt executor) and the epoch's last chunk deals
+        ragged blocks ``[2, 1, 1]`` (the per-rank loop).  Bit-identical
+        to the same run with no engine registered."""
+        tokens = np.random.default_rng(0).integers(0, 24, (30, 8))
+        blocks = []
+        compute = train_trainer.FusedRankExecutor.compute
+
+        def recording(self, rank_indices, ranks=None, on_ready=None):
+            blocks.append([len(idx) for idx in rank_indices])
+            return compute(self, rank_indices, ranks, on_ready)
+
+        monkeypatch.setattr(train_trainer.FusedRankExecutor, "compute", recording)
+        runs = []
+        for engine in (True, False):
+            if not engine:
+                monkeypatch.setattr(train_trainer, "build_fused_engine", lambda model: None)
+            model = MiniBERT(BertConfig(vocab_size=24, hidden=16, layers=1, heads=2,
+                                        max_seq_len=8), rng=np.random.default_rng(0))
+            tr = ElasticTrainer(
+                model, nn.CrossEntropyLoss(), lambda ps: Adam(ps, 0.01), tokens, tokens,
+                microbatch=2, num_ranks=4, seed=0, timeout=10.0,
+                wire_codecs=("fp16",), schedule=ElasticSchedule().kill(1, 2),
+            )
+            losses = [tr.train_epoch(epoch) for epoch in range(2)]
+            assert tr.num_ranks == 3 and len(tr.recoveries) == 1
+            assert sorted(tr.epoch_visited) == list(range(len(tokens)))
+            if engine:
+                executor = tr.executor
+                assert isinstance(executor, train_trainer.FusedRankExecutor)
+                assert executor.engine is not None
+                assert executor._validated == {(3, (6, 8))}
+            runs.append((losses, [p.data.tobytes() for p in model.parameters()]))
+        # Both worlds, the ragged tail, and nothing the reference run
+        # (plain SerialRankExecutor) could have added to the record.
+        assert [2, 2, 2, 2] in blocks and [2, 2, 2] in blocks and [2, 1, 1] in blocks
+        assert sum(map(sum, blocks)) == 8 + 8 + 22 + 30
+        assert runs[0] == runs[1]
 
     def test_shrink_8_to_5_final_loss_within_tolerance(self):
         # The acceptance scenario: kills shrink the world 8 -> 7 -> 5

@@ -8,6 +8,8 @@ normal close, fault-plan kill mid-step — no ``/dev/shm`` segment may
 survive it.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -16,12 +18,16 @@ from repro.comm.faults import FaultPlan
 from repro.comm.tracing import CommTracer
 from repro.comm.transport import CommError
 from repro.core import RunConfig, leaked_shared_segments
-from repro.core.arena import SharedGradientArena
+from repro.core.arena import GradientArena, SharedGradientArena
 from repro.core.orthogonality import OrthogonalityProbe
+from repro.models import BertConfig, MiniBERT
 from repro.models.mlp import MLP
 from repro.optim import SGD
 from repro.train.checkpoint import load_checkpoint, save_checkpoint
-from repro.train.trainer import ParallelTrainer
+from repro.train.trainer import (
+    FusedRankExecutor, ParallelTrainer, SerialRankExecutor, _param_publisher,
+    _ProcessRankWorker,
+)
 from tests.rank_state import (
     CODEC_STACKS, LOSSY, OPTIMIZERS, OVERFLOWING, SpikeLoss, assert_same_bytes,
     dist_state, residual_rows, step_record,
@@ -245,6 +251,86 @@ def test_spawned_workers_hold_state():
     kw = dict(optimizer="adam", wire_codecs=LOSSY, steps=3)
     assert_same_bytes(_traced("serial", **kw),
                       _traced("processes", start_method="spawn", **kw))
+
+
+def _bert_task():
+    tokens = np.random.default_rng(7).integers(0, 24, (64, 8))
+    config = BertConfig(vocab_size=24, hidden=16, layers=1, heads=2, max_seq_len=8)
+    return tokens, MiniBERT(config, rng=np.random.default_rng(3))
+
+
+def _bert_run(execution, reduce_mode="parent", demote=False, **trainer_kwargs):
+    """Three Adam steps of MiniBERT through the ``bert_procs_codec``
+    stack; ``(losses, dist_state, executor)`` off the live trainer."""
+    tokens, model = _bert_task()
+    config = RunConfig(
+        op="adasum", topology="tree_any", num_ranks=4, microbatch=2, seed=0,
+        execution=execution, reduce_mode=reduce_mode,
+        wire_codecs=("fp16", "int8", "topk:0.01"),
+    )
+    with ParallelTrainer.from_config(
+        model, nn.CrossEntropyLoss(), OPTIMIZERS["adam"], tokens, tokens, config,
+        **trainer_kwargs,
+    ) as trainer:
+        if demote:
+            trainer.executor.engine = None
+        batches = [idx for _, idx in trainer.iterator.epoch(0)][:3]
+        losses = [trainer.train_step(idx) for idx in batches]
+        return losses, dist_state(model, trainer.dist_opt), trainer.executor
+
+
+@pytest.mark.parametrize("reduce_mode,start_method", [
+    ("parent", None), ("workers", None), ("workers", "spawn"),
+])
+def test_minibert_processes_match_serial_with_and_without_the_engine(
+        reduce_mode, start_method):
+    """MiniBERT computes through its fused engine in a phased serial
+    step (four ranks stacked) and in every rank worker (one rank each):
+    ``processes`` ≡ ``serial`` ≡ ``serial`` with the engine demoted, in
+    model bytes and ``pack_dist_state``."""
+    *ref, executor = _bert_run("serial")
+    assert isinstance(executor, FusedRankExecutor) and executor.engine is not None
+    assert executor._validated == {(4, (8, 8))}
+    *loop, executor = _bert_run("serial", demote=True)
+    assert executor.engine is None and not executor._validated
+    assert_same_bytes(ref, loop, "engine demoted")
+    *procs, _ = _bert_run("processes", reduce_mode, start_method=start_method)
+    assert_same_bytes(ref, procs, f"processes/{reduce_mode}/{start_method}")
+
+
+def test_rank_worker_validates_and_keeps_the_engine():
+    """A ``_ProcessRankWorker`` driven in this process, built from a
+    pickle of its spec as ``spawn`` would: after its first step it holds
+    an engine validated at one rank, and its row holds the loop's bytes."""
+    tokens, model = _bert_task()
+    grads = SharedGradientArena.from_model(model, 3)
+    params = SharedGradientArena(grads.layout, 1, dtype=np.float32)
+    worker = None
+    try:
+        spec = {
+            "model": model, "loss_fn": nn.CrossEntropyLoss(), "x": tokens, "y": tokens,
+            "layout": grads.layout, "grad_segment": grads.name,
+            "param_segment": params.name, "num_ranks": 3,
+            "grad_dtype": grads.dtype, "param_dtype": params.dtype,
+            "microbatch": 2, "accumulation": 1, "combine_spec": None,
+            "rank_optimizers": [], "pipeline": None,
+        }
+        worker = _ProcessRankWorker(1, pickle.loads(pickle.dumps(spec)))
+        _param_publisher(model, params)()
+        heap = GradientArena.from_model(model, 3)
+        loop = SerialRankExecutor(model, spec["loss_fn"], tokens, tokens, 2, 1, heap)
+        for step, idx in enumerate((np.arange(2), np.arange(2, 4))):
+            loss, overflow = worker(("step", idx, False, None))
+            assert [loss] == loop.compute([idx], ranks=[1]) and not overflow
+            assert grads.row(1).tobytes() == heap.row(1).tobytes(), step
+            assert isinstance(worker.local, FusedRankExecutor)
+            assert worker.local.engine is not None
+            assert worker.local._validated == {(1, (2, 8))}
+    finally:
+        if worker is not None:
+            worker.close()
+        params.unlink()
+        grads.unlink()
 
 
 class TestLifecycle:
