@@ -6,8 +6,9 @@ reduction starts the moment its last tensor is ready.
 :class:`OverlapScheduler` reproduces that *schedule* over the simulated
 ranks' :class:`~repro.core.arena.GradientArena`: ``dist_opt.bucket_plan``
 slices the fused layout into size-capped, tensor-aligned buckets in
-reverse layer order; the compute side (a rank executor: autograd with
-grad-ready hooks, or the model's fused engine, e.g.
+reverse layer order; the compute side (a rank executor: rank-stacked
+autograd or the per-rank loop with grad-ready hooks, or the model's
+fused engine, e.g.
 :class:`~repro.models.fused_bert.FusedBertRankCompute`) marks
 parameters ready as their gradients land; and a bucket's rewrite, wire
 encode and reduction run on the calling thread the moment its last
@@ -70,8 +71,11 @@ def register_fused_engine(
     ``predicate(model)`` says whether ``factory(model)`` can build an
     engine with a ``step(x, y, rank_views, ready_cb)`` method that
     computes ``len(rank_views)`` stacked equal-sized microbatches and
-    returns per-rank losses (see
-    :class:`~repro.models.fused_bert.FusedBertRankCompute`).
+    returns per-rank losses, and a ``min_blocks`` attribute, the fewest
+    ranks a call it serves may list (see
+    :class:`~repro.models.fused_bert.FusedBertRankCompute`).  A model
+    with no registered engine computes through rank-stacked autograd
+    when it is rank-order-free (:class:`~repro.train.trainer.StackedAutograd`).
     """
     _FUSED_ENGINES.append((predicate, factory))
 

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from repro import nn
-from repro.tensor import Tensor
+from repro.tensor import Tensor, functional as F
 
 
 @dataclasses.dataclass
@@ -87,5 +87,4 @@ class MiniBERT(nn.Module):
             x = layer(x, attention_mask=attention_mask)
         x = self.ln_f(x)
         # Weight-tied MLM head.
-        logits = x.matmul(self.tok_emb.weight.transpose()) + self.mlm_bias
-        return logits
+        return F.linear(x, self.tok_emb.weight, self.mlm_bias)

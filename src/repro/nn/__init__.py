@@ -20,6 +20,7 @@ from repro.nn.layers import (
     Flatten,
     Identity,
     MultiHeadAttention,
+    rank_order_hazard,
 )
 from repro.nn.losses import CrossEntropyLoss, MSELoss
 from repro.nn import init
@@ -42,6 +43,7 @@ __all__ = [
     "Flatten",
     "Identity",
     "MultiHeadAttention",
+    "rank_order_hazard",
     "CrossEntropyLoss",
     "MSELoss",
     "init",

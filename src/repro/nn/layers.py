@@ -34,10 +34,7 @@ class Linear(Module):
         self.bias = Parameter(init.uniform_bias((out_features,), in_features, rng)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x.matmul(self.weight.transpose())
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return F.linear(x, self.weight, self.bias)
 
     def __repr__(self) -> str:
         return f"Linear({self.in_features}, {self.out_features})"
@@ -157,6 +154,23 @@ class Dropout(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return F.dropout(x, self.p, training=self.training, rng=self.rng)
+
+
+def rank_order_hazard(model: Module) -> Optional[str]:
+    """What makes ``model``'s forward pass depend on the order its
+    simulated ranks run in, or ``None`` when nothing does.
+
+    ``"buffers"``: registered buffers (BatchNorm running statistics)
+    update once per rank, in rank order.  ``"dropout"``: active dropout
+    draws every rank's mask from one shared RNG, in rank order.  A model
+    free of both may run its ranks concurrently (rank processes) or
+    stacked in one pass (a rank-fused engine, rank-stacked autograd).
+    """
+    if any(True for _ in model.named_buffers()):
+        return "buffers"
+    if any(isinstance(mod, Dropout) and mod.p > 0.0 for mod in model.modules()):
+        return "dropout"
+    return None
 
 
 class ReLU(Module):

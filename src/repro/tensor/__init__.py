@@ -14,13 +14,24 @@ Public API
     Convenience constructor.
 ``no_grad()``
     Context manager disabling graph construction.
+``rank_blocks(R)``
+    Context manager computing ``R`` stacked rank blocks in one pass,
+    with one parameter-gradient row per block (``RankBlocksError`` when
+    an op cannot keep them apart).
 ``functional``
     Higher-level differentiable functions (conv2d, softmax, ...).
 ``gradcheck``
     Numerical gradient checking used throughout the test-suite.
 """
 
-from repro.tensor.tensor import Tensor, tensor, no_grad, is_grad_enabled
+from repro.tensor.tensor import (
+    RankBlocksError,
+    Tensor,
+    is_grad_enabled,
+    no_grad,
+    rank_blocks,
+    tensor,
+)
 from repro.tensor import functional
 from repro.tensor.functional import (
     clear_kernel_caches,
@@ -37,6 +48,8 @@ __all__ = [
     "tensor",
     "no_grad",
     "is_grad_enabled",
+    "rank_blocks",
+    "RankBlocksError",
     "functional",
     "clear_kernel_caches",
     "kernel_cache_stats",

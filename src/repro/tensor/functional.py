@@ -24,7 +24,15 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.tensor.tensor import Tensor, _unbroadcast
+from repro.tensor.tensor import (
+    RankBlocksError,
+    Tensor,
+    _unbroadcast,
+    _unbroadcast_blocks,
+    per_block,
+    rank_block_count,
+    split_blocks,
+)
 
 _ALLOCATOR_TUNED = False
 
@@ -404,6 +412,56 @@ def _col2im(
 
 
 # ----------------------------------------------------------------------
+# Affine map
+# ----------------------------------------------------------------------
+def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """``x @ weight.T + bias`` with ``weight`` of shape ``(out, in)``.
+
+    Outside :func:`~repro.tensor.rank_blocks` this is literally
+    ``x.matmul(weight.transpose()) (+ bias)``.  Inside, it records the
+    same three tape nodes — so a weight used at several places (an
+    LSTM's recurrent matrix) collects its contributions in the same
+    order — with block-aware closures: the three GEMMs (forward, data
+    gradient, weight gradient) run per rank block at the single-rank
+    shapes and strides (one NumPy matmul over the block axis, see
+    :func:`~repro.tensor.tensor.split_blocks`), because a BLAS GEMM
+    with few rows is not row-independent and one stacked GEMM would not
+    reproduce the per-rank bytes.
+    """
+    blocks = rank_block_count()
+    if blocks is None:
+        out = x.matmul(weight.transpose())
+        return out if bias is None else out + bias
+    if x.ndim < 2:
+        raise RankBlocksError("linear over rank blocks needs a batch axis")
+    a, w = x.data, weight.data
+    wt = Tensor._make(
+        w.transpose(), (weight,), lambda g: weight._accumulate(g.swapaxes(-1, -2))
+    )
+    data = (split_blocks(a, blocks) @ wt.data).reshape(a.shape[:-1] + wt.shape[-1:])
+
+    def matmul_backward(g: np.ndarray) -> None:
+        gb = split_blocks(g, blocks)
+        if x.requires_grad:
+            x._accumulate((gb @ w).reshape(a.shape))
+        if wt.requires_grad:
+            wt._accumulate(_unbroadcast_blocks(
+                split_blocks(a, blocks).swapaxes(-1, -2) @ gb, wt.shape))
+
+    out = Tensor._make(data, (x, wt), matmul_backward)
+    if bias is None:
+        return out
+
+    def add_backward(g: np.ndarray) -> None:
+        if out.requires_grad:
+            out._accumulate(g)
+        if bias.requires_grad:
+            bias._accumulate(_unbroadcast_blocks(split_blocks(g, blocks), bias.shape))
+
+    return Tensor._make(data + bias.data, (out, bias), add_backward)
+
+
+# ----------------------------------------------------------------------
 # Convolution / pooling
 # ----------------------------------------------------------------------
 def conv2d(
@@ -424,13 +482,27 @@ def conv2d(
     cols, out_h, out_w = _im2col(x.data, kh, kw, stride, padding)
     f = c * kh * kw
     w2 = weight.data.reshape(oc, f)
+    # Inside rank_blocks every contraction with the weight runs per rank
+    # block (the shapes einsum_cached validated for one rank); im2col,
+    # col2im and the bias add are per-sample and run stacked.
+    blocks = rank_block_count()
+
+    def with_weight(subscripts, batched, shape):
+        """``einsum_cached(subscripts, w2, batched)``, per rank block."""
+        if blocks is None:
+            return einsum_cached(subscripts, w2, batched)
+        res = np.empty(shape, dtype=np.result_type(w2, batched))
+        for dest, block in zip(split_blocks(res, blocks), split_blocks(batched, blocks)):
+            dest[...] = einsum_cached(subscripts, w2, block)
+        return res
+
     # einsum_cached defines the result: the contraction kernel
     # np.einsum picks varies with operand shapes, and its single-GEMM
     # rewrite is bit-identical on some conv geometries (LeNet's) but not
     # others (ResNet's).  einsum_cached proves equality per shape on
     # first use and only then switches kernels, so either way the bytes
     # match the plain np.einsum(optimize=True) call.
-    out = einsum_cached("of,nfl->nol", w2, cols)
+    out = with_weight("of,nfl->nol", cols, (n, oc, out_h * out_w))
     out = out.reshape(n, oc, out_h, out_w)
     if bias is not None:
         out = out + bias.data.reshape(1, oc, 1, 1)
@@ -440,12 +512,14 @@ def conv2d(
     def backward(g: np.ndarray) -> None:
         g2 = g.reshape(n, oc, -1)
         if bias is not None and bias.requires_grad:
-            bias._accumulate(g2.sum(axis=(0, 2)))
+            bias._accumulate(per_block(lambda gs: gs.sum(axis=(0, 2)), blocks, g2))
         if weight.requires_grad:
-            gw = einsum_cached("nol,nfl->of", g2, cols)
-            weight._accumulate(gw.reshape(weight.shape))
+            weight._accumulate(per_block(
+                lambda gs, cs: einsum_cached("nol,nfl->of", gs, cs).reshape(weight.shape),
+                blocks, g2, cols,
+            ))
         if x.requires_grad:
-            gcols = einsum_cached("of,nol->nfl", w2, g2)
+            gcols = with_weight("of,nol->nfl", g2, cols.shape)
             gx = _col2im(gcols, x.shape, kh, kw, stride, padding)
             x._accumulate(gx)
 
@@ -573,6 +647,9 @@ def cross_entropy(
 
     ``ignore_index`` positions contribute zero loss and zero gradient
     (used for masked-LM objectives where only masked positions count).
+
+    Inside :func:`~repro.tensor.rank_blocks` the loss is the ``(R,)``
+    vector of per-block means, each over its own block's (valid) count.
     """
     targets = np.asarray(targets)
     if logits.ndim > 2:
@@ -585,15 +662,22 @@ def cross_entropy(
 
     if ignore_index is not None:
         valid = targets != ignore_index
-        count = max(int(valid.sum()), 1)
         safe_targets = np.where(valid, targets, 0)
     else:
         valid = np.ones(n, dtype=bool)
-        count = n
         safe_targets = targets
 
-    picked = logp[np.arange(n), safe_targets]
-    loss_val = -(picked * valid).sum() / count
+    picked = logp[np.arange(n), safe_targets] * valid
+    blocks = rank_block_count()
+    if blocks is None:
+        count = max(int(valid.sum()), 1) if ignore_index is not None else n
+        counts, loss_val = (count,), -picked.sum() / count
+    else:
+        counts = [
+            max(int(v.sum()), 1) if ignore_index is not None else n // blocks
+            for v in split_blocks(valid, blocks)
+        ]
+        loss_val = [-p.sum() / c for p, c in zip(split_blocks(picked, blocks), counts)]
     src = logits
 
     def backward(g: np.ndarray) -> None:
@@ -601,7 +685,9 @@ def cross_entropy(
         grad = soft.copy()
         grad[np.arange(n), safe_targets] -= 1.0
         grad *= valid[:, None]
-        grad *= float(g) / count
+        rows = grad[None] if blocks is None else split_blocks(grad, blocks)
+        for block, count, gr in zip(rows, counts, g.reshape(-1)):
+            block *= float(gr) / count
         src._accumulate(grad.astype(src.dtype))
 
     return Tensor._make(np.asarray(loss_val, dtype=logits.dtype), (logits,), backward)
@@ -632,13 +718,18 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
     out = xhat * gamma.data + beta.data
-    d = x.shape[-1]
+    blocks = rank_block_count()
+
+    def reduce_to(grad, shape):
+        if blocks is None:
+            return _unbroadcast(grad, shape)
+        return _unbroadcast_blocks(split_blocks(grad, blocks), shape)
 
     def backward(g: np.ndarray) -> None:
         if beta.requires_grad:
-            beta._accumulate(_unbroadcast(g, beta.shape))
+            beta._accumulate(reduce_to(g, beta.shape))
         if gamma.requires_grad:
-            gamma._accumulate(_unbroadcast(g * xhat, gamma.shape))
+            gamma._accumulate(reduce_to(g * xhat, gamma.shape))
         if x.requires_grad:
             gxhat = g * gamma.data
             gx = (
@@ -710,11 +801,15 @@ def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
     """Gather rows of ``weight`` (V, D) at integer ``indices`` (...)."""
     indices = np.asarray(indices)
     out = weight.data[indices]
+    blocks = rank_block_count()
+
+    def scatter(idx: np.ndarray, gs: np.ndarray) -> np.ndarray:
+        gw = np.zeros_like(weight.data)
+        np.add.at(gw, idx.reshape(-1), gs.reshape(-1, weight.shape[-1]))
+        return gw
 
     def backward(g: np.ndarray) -> None:
-        gw = np.zeros_like(weight.data)
-        np.add.at(gw, indices.reshape(-1), g.reshape(-1, weight.shape[-1]))
-        weight._accumulate(gw)
+        weight._accumulate(per_block(scatter, blocks, indices, g))
 
     return Tensor._make(out, (weight,), backward)
 

@@ -18,6 +18,17 @@ Design notes
 * A module-level switch (:func:`no_grad`) disables graph construction
   for inference and for the distributed-communication code paths, which
   operate on raw gradients.
+* Beside it, :func:`rank_blocks` computes several simulated ranks in
+  one pass: the leading axis of every batch tensor is ``R`` equal
+  contiguous blocks, one per rank, and every parameter leaf receives an
+  ``(R, *shape)`` gradient — one row per rank.  Only the ops that reduce
+  the batch into a parameter gradient know about blocks (``linear``,
+  ``conv2d``, ``layer_norm``, ``embedding`` and ``cross_entropy`` in
+  :mod:`repro.tensor.functional`); they run each GEMM that touches a
+  parameter per block, at the single-rank shapes.  Everything else runs
+  stacked, unchanged.  A leaf that receives any other gradient shape —
+  a parameter used through a generic op — raises
+  :class:`RankBlocksError` before anything is written.
 """
 
 from __future__ import annotations
@@ -28,12 +39,20 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-_GRAD_STATE = threading.local()
+
+class _GradState(threading.local):
+    # Class-level defaults: a thread that never set a switch reads them
+    # without the AttributeError a getattr default would cost per op.
+    enabled = True
+    rank_blocks: Optional[int] = None
+
+
+_GRAD_STATE = _GradState()
 
 
 def is_grad_enabled() -> bool:
     """Return whether operations currently record the autograd graph."""
-    return getattr(_GRAD_STATE, "enabled", True)
+    return _GRAD_STATE.enabled
 
 
 @contextlib.contextmanager
@@ -45,6 +64,63 @@ def no_grad():
         yield
     finally:
         _GRAD_STATE.enabled = prev
+
+
+class RankBlocksError(RuntimeError):
+    """An op or loss cannot keep rank blocks apart (see :func:`rank_blocks`)."""
+
+
+def rank_block_count() -> Optional[int]:
+    """``R`` inside :func:`rank_blocks`, else ``None``."""
+    return _GRAD_STATE.rank_blocks
+
+
+@contextlib.contextmanager
+def rank_blocks(num_blocks: int):
+    """Context manager: batch axes are ``num_blocks`` equal rank blocks.
+
+    Inside it, block-aware ops keep each block's contribution to a
+    parameter gradient apart, so every parameter leaf receives an
+    ``(num_blocks, *shape)`` gradient whose row ``r`` holds the bytes a
+    pass over block ``r`` alone would produce.  Thread-local, like
+    :func:`no_grad`.
+    """
+    if num_blocks < 1:
+        raise ValueError(f"rank_blocks needs at least one block, got {num_blocks}")
+    prev = rank_block_count()
+    _GRAD_STATE.rank_blocks = int(num_blocks)
+    try:
+        yield
+    finally:
+        _GRAD_STATE.rank_blocks = prev
+
+
+def split_blocks(arr: np.ndarray, num_blocks: int) -> np.ndarray:
+    """``arr`` viewed as ``(num_blocks, n // num_blocks, ...)``.
+
+    Row ``r`` is rank block ``r``, with exactly the strides of a
+    single-rank array — so a NumPy matmul over the block axis runs one
+    GEMM per block at the single-rank shapes (NumPy loops stacked
+    matmuls over their leading axes; it never folds them into the row
+    count).
+    """
+    n = arr.shape[0]
+    if n % num_blocks:
+        raise RankBlocksError(f"batch axis {n} does not split into {num_blocks} rank blocks")
+    return arr.reshape((num_blocks, n // num_blocks) + arr.shape[1:])
+
+
+def per_block(
+    fn: Callable[..., np.ndarray], num_blocks: Optional[int], *arrays: np.ndarray
+) -> np.ndarray:
+    """``fn`` applied to each rank block of ``arrays``, stacked: ``(R, ...)``.
+
+    With ``num_blocks`` ``None`` (outside :func:`rank_blocks`) it is
+    just ``fn(*arrays)``: the one-rank parameter gradient.
+    """
+    if num_blocks is None:
+        return fn(*arrays)
+    return np.stack([fn(*block) for block in zip(*(split_blocks(a, num_blocks) for a in arrays))])
 
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
@@ -74,6 +150,19 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+def _unbroadcast_blocks(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
+    """:func:`_unbroadcast` of every block of ``grad`` ``(R, ...)``, in
+    one reduction over the block axis: ``(R, *shape)``, bit for bit the
+    per-block results stacked."""
+    extra = grad.ndim - 1 - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(1, 1 + extra)))
+    axes = tuple(i + 1 for i, s in enumerate(shape) if s == 1 and grad.shape[i + 1] != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad.reshape(grad.shape[:1] + tuple(shape))
 
 
 class Tensor:
@@ -199,6 +288,15 @@ class Tensor:
         if not self.requires_grad:
             return
         grad = np.asarray(grad, dtype=self.data.dtype)
+        blocks = _GRAD_STATE.rank_blocks
+        if blocks is not None and self._backward is None:
+            if grad.shape != (blocks,) + self.data.shape:
+                raise RankBlocksError(
+                    f"leaf {self.name or tuple(self.data.shape)} received a "
+                    f"{grad.shape} gradient, not one row per rank block "
+                    f"({blocks},) + {self.data.shape}: an op that is not "
+                    "block-aware reduced the batch into it"
+                )
         if self.grad is None:
             # Gradients are only ever replaced (never mutated in place), so
             # sharing the incoming buffer is safe; materialize views though.

@@ -14,7 +14,9 @@ Figure 1, loss meters) plug in without touching the training loop.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -30,8 +32,13 @@ from repro.core.distributed_optimizer import DistributedOptimizer
 from repro.core.orthogonality import OrthogonalityProbe
 from repro.core.overlap import OverlapScheduler, build_fused_engine
 from repro.data.sampler import BatchIterator, ShardedSampler
-from repro.nn.module import Module
-from repro.tensor import set_kernel_specialization, tune_allocator
+from repro.nn import Module, rank_order_hazard
+from repro.tensor import (
+    RankBlocksError,
+    rank_blocks,
+    set_kernel_specialization,
+    tune_allocator,
+)
 from repro.train.metrics import Meter
 from repro.train.simclock import TrainingTimeModel
 
@@ -58,10 +65,10 @@ def compute_grads_into(
     loss_fn: Callable,
     xb: np.ndarray,
     yb: np.ndarray,
-    out: Mapping[str, np.ndarray],
+    out: Union[Mapping[str, np.ndarray], Sequence[Mapping[str, np.ndarray]]],
     accumulate: bool = False,
     on_ready: Optional[Callable[[str], None]] = None,
-) -> float:
+) -> Union[float, List[float]]:
     """Forward + backward writing gradients into preallocated buffers.
 
     The zero-copy variant of :func:`compute_grads`: ``out`` maps layer
@@ -72,7 +79,29 @@ def compute_grads_into(
     (overwriting only) each gradient is copied the moment backward
     completes it and ``on_ready(name)`` reports it, instead of all of
     them after backward — same bytes, earlier.  Returns the loss value.
+
+    Given a *sequence* of ``R >= 2`` such mappings (one per rank, e.g.
+    arena views of ``R`` rows), ``xb``/``yb`` hold the ranks' equal
+    microbatches stacked along axis 0 and the pass runs once, inside
+    :func:`~repro.tensor.rank_blocks`: rank ``r``'s gradients land in
+    ``out[r]`` (``on_ready`` fires once per parameter, when every rank's
+    gradient for it has landed) and the ``R`` losses are returned.  A
+    model that mixes blocks in a way rank-stacked autograd cannot see
+    (a parameter used through a generic op, a loss that is not
+    block-aware) raises :class:`~repro.tensor.RankBlocksError`; one that
+    mixes them silently (a cross-batch statistic) gets wrong bytes, which
+    is why :class:`FusedRankExecutor` byte-checks this against the
+    per-rank loop before trusting it.
     """
+    if accumulate and on_ready is not None:
+        raise ValueError(
+            "compute_grads_into: on_ready reports overwritten gradients; "
+            "accumulate=True cannot report readiness"
+        )
+    if not isinstance(out, Mapping):
+        if accumulate:
+            raise ValueError("compute_grads_into over rank views overwrites them")
+        return _compute_rank_blocks(model, loss_fn, xb, yb, list(out), on_ready)
     if on_ready is not None:
         def hook(name, p):
             np.copyto(out[name], p.grad)
@@ -94,6 +123,51 @@ def compute_grads_into(
             else:
                 np.copyto(dest, p.grad)
     return float(loss.data)
+
+
+def _compute_rank_blocks(
+    model: Module,
+    loss_fn: Callable,
+    xb: np.ndarray,
+    yb: np.ndarray,
+    views: List[Mapping[str, np.ndarray]],
+    on_ready: Optional[Callable[[str], None]],
+) -> List[float]:
+    """:func:`compute_grads_into` over ``len(views)`` stacked rank blocks."""
+    blocks = len(views)
+    if blocks < 2 or len(xb) % blocks:
+        raise ValueError(
+            "compute_grads_into over rank blocks needs >= 2 rank views and "
+            f"a batch of equal blocks (got {blocks} views, {len(xb)} samples)"
+        )
+
+    def land(name, grad):
+        for dest, row in zip(views, grad):
+            np.copyto(dest[name], row)
+
+    if on_ready is not None:
+        def hook(name, p):
+            land(name, p.grad)
+            on_ready(name)
+
+        model.register_grad_ready_hook(hook)
+    model.zero_grad()
+    try:
+        with rank_blocks(blocks):
+            loss = loss_fn(model(xb), yb)
+            if loss.shape != (blocks,):
+                raise RankBlocksError(
+                    f"loss of shape {loss.shape} is not one value per rank "
+                    f"block ({blocks},): the loss function is not block-aware"
+                )
+            loss.backward(np.ones(blocks, dtype=loss.dtype))
+    finally:
+        if on_ready is not None:
+            model.clear_grad_ready_hooks()
+    if on_ready is None:
+        for name, p in model.named_parameters():
+            land(name, p.grad)
+    return [float(v) for v in loss.data]
 
 
 @contextlib.contextmanager
@@ -188,25 +262,53 @@ class SerialRankExecutor:
         """Nothing to release: the arena is ordinary process memory."""
 
 
-class FusedRankExecutor(SerialRankExecutor):
-    """The serial backend plus the model's rank-fused engine.
+class StackedAutograd:
+    """The generic rank-fused engine: rank-stacked autograd.
 
-    ``engine`` (see :func:`~repro.core.overlap.build_fused_engine`) runs
-    the listed ranks' forward/backward as one pass over their stacked
-    microbatches into the same arena rows, firing ``on_ready(name)`` the
-    moment every listed rank's gradient for a parameter has landed.  It
-    serves every call with ``accumulation == 1`` and equal-length rank
-    blocks — any ``ranks`` subset, with or without ``on_ready``; every
-    other call runs the inherited per-rank loop.
+    One :func:`compute_grads_into` over the listed ranks' stacked
+    microbatches, inside :func:`~repro.tensor.rank_blocks` — the model's
+    own forward and the tensor library's backward, with every GEMM that
+    touches a parameter run per rank block.  What every rank-order-free
+    model without a registered engine computes through, behind
+    :class:`FusedRankExecutor`'s byte validation.  One rank is the plain
+    loop already, so it serves calls of two ranks or more.
+    """
+
+    min_blocks = 2
+
+    def __init__(self, model: Module, loss_fn: Callable):
+        self.model = model
+        self.loss_fn = loss_fn
+
+    def step(self, x, y, rank_views, ready_cb=None) -> List[float]:
+        return compute_grads_into(
+            self.model, self.loss_fn, x, y, rank_views, on_ready=ready_cb
+        )
+
+
+class FusedRankExecutor(SerialRankExecutor):
+    """The serial backend plus a rank-fused engine.
+
+    ``engine`` — the model's registered engine (see
+    :func:`~repro.core.overlap.build_fused_engine`) or
+    :class:`StackedAutograd` — runs the listed ranks' forward/backward
+    as one pass over their stacked microbatches into the same arena
+    rows, firing ``on_ready(name)`` the moment every listed rank's
+    gradient for a parameter has landed.  It serves every call of at
+    least ``engine.min_blocks`` ranks with ``accumulation == 1`` and
+    equal-length rank blocks — any ``ranks`` subset, with or without
+    ``on_ready``; every other call runs the inherited per-rank loop.
 
     The first call of each shape ``(number of blocks, stacked batch
-    shape)`` — the GEMM row count the engine's BLAS row-independence
-    assumption is about — is computed both ways and compared byte for
-    byte; a mismatch demotes the engine for good (``engine`` becomes
-    ``None``).  A batch it rejects — it checks its preconditions
-    (``ValueError``/``TypeError``, e.g. ``ignore_index`` targets) before
-    touching the arena — takes the per-rank loop, bit-identical by that
-    validation.
+    shape)`` is computed both ways and compared byte for byte; a
+    mismatch demotes the engine for good (``engine`` becomes ``None``),
+    and so does a :class:`~repro.tensor.RankBlocksError` (an op the
+    stacked pass cannot keep per rank).  A batch it rejects — it checks
+    its preconditions (``ValueError``/``TypeError``, e.g.
+    ``ignore_index`` targets for the MiniBERT engine) before touching
+    the arena — takes the per-rank loop, bit-identical by that
+    validation.  Once a readiness callback has fired, any error
+    propagates: buckets have already run on the reported rows.
     """
 
     def __init__(self, engine, *args):
@@ -222,6 +324,7 @@ class FusedRankExecutor(SerialRankExecutor):
     ) -> List[float]:
         if (
             self.engine is not None and self.accumulation == 1
+            and len(rank_indices) >= self.engine.min_blocks
             and len({len(idx) for idx in rank_indices}) == 1
         ):
             rows = list(range(len(rank_indices)) if ranks is None else ranks)
@@ -244,9 +347,11 @@ class FusedRankExecutor(SerialRankExecutor):
                         return losses
                 if self.engine is not None:
                     return self.engine.step(x, y, views, ready_cb=ready)
-            except (ValueError, TypeError):
+            except (RankBlocksError, ValueError, TypeError) as exc:
                 if marked:  # not a precondition: buckets have already run
                     raise
+                if isinstance(exc, RankBlocksError):
+                    self.engine = None  # an op it cannot stack, for good
         return super().compute(rank_indices, ranks, on_ready)
 
     def _validate(self, rank_indices, rows, x, y, views) -> List[float]:
@@ -265,14 +370,18 @@ class FusedRankExecutor(SerialRankExecutor):
         return serial_losses
 
 
-def _in_process_executor(model: Module, *args) -> SerialRankExecutor:
-    """The one place "engine or plain loop" is decided, by the model
-    alone: a :class:`FusedRankExecutor` when a fused engine is
-    registered for it, else the plain :class:`SerialRankExecutor`."""
+def _in_process_executor(model: Module, loss_fn: Callable, *args) -> SerialRankExecutor:
+    """The one place the compute path is chosen, by the model alone: a
+    :class:`FusedRankExecutor` over the model's registered fused engine
+    (MiniBERT), else over :class:`StackedAutograd` when the model is
+    rank-order-free (:func:`~repro.nn.rank_order_hazard`), else the
+    plain :class:`SerialRankExecutor`."""
     engine = build_fused_engine(model)
+    if engine is None and rank_order_hazard(model) is None:
+        engine = StackedAutograd(model, loss_fn)
     if engine is None:
-        return SerialRankExecutor(model, *args)
-    return FusedRankExecutor(engine, model, *args)
+        return SerialRankExecutor(model, loss_fn, *args)
+    return FusedRankExecutor(engine, model, loss_fn, *args)
 
 
 class _ProcessRankWorker:
@@ -806,21 +915,25 @@ class ProcessRankExecutor:
         assert not leaked, f"executor close leaked shared segments: {sorted(leaked)}"
 
 
+_PARALLEL_HAZARDS = {
+    "buffers": (
+        'execution="processes" requires a model without registered '
+        "buffers: running stats update in rank order under serial "
+        "execution, which concurrent ranks cannot reproduce"
+    ),
+    "dropout": (
+        'execution="processes" requires inactive dropout '
+        "(p == 0): serial ranks consume the dropout RNG in rank "
+        "order, which concurrent ranks cannot reproduce"
+    ),
+}
+
+
 def _check_parallel_safe(model: Module) -> None:
     """Reject models whose forward pass has rank-order-dependent effects."""
-    if any(True for _ in model.named_buffers()):
-        raise ValueError(
-            'execution="processes" requires a model without registered '
-            "buffers: running stats update in rank order under serial "
-            "execution, which concurrent ranks cannot reproduce"
-        )
-    for mod in model.modules():
-        if type(mod).__name__ == "Dropout" and getattr(mod, "p", 0.0) > 0.0:
-            raise ValueError(
-                'execution="processes" requires inactive dropout '
-                "(p == 0): serial ranks consume the dropout RNG in rank "
-                "order, which concurrent ranks cannot reproduce"
-            )
+    hazard = rank_order_hazard(model)
+    if hazard is not None:
+        raise ValueError(_PARALLEL_HAZARDS[hazard])
 
 
 def build_rank_executor(
@@ -843,8 +956,9 @@ def build_rank_executor(
 
     ``execution="serial"`` gives a :class:`SerialRankExecutor` over a
     heap :class:`~repro.core.arena.GradientArena` — a
-    :class:`FusedRankExecutor` when a fused engine is registered for
-    the model; ``execution="processes"`` a :class:`ProcessRankExecutor`
+    :class:`FusedRankExecutor` when the model has a registered fused
+    engine or is rank-order-free (see :func:`_in_process_executor`);
+    ``execution="processes"`` a :class:`ProcessRankExecutor`
     over a :class:`~repro.core.arena.SharedGradientArena`, with
     ``timeout``/``faults``/``tracer``/``start_method`` forwarded to its
     transport (the serial backend has none).  The world size and — for
@@ -1011,9 +1125,11 @@ class ParallelTrainer:
         Reduce in buckets as backprop produces them: the step is handed
         an :class:`~repro.core.overlap.OverlapScheduler` plan and each
         arena bucket is rewritten, encoded and reduced — on this thread
-        — the moment its last gradient lands (grad-ready hooks on the
-        last rank, or the model's fused compute engine; see
-        :class:`FusedRankExecutor`), the rest when compute returns.
+        — the moment its last gradient lands (the rank-fused engine's
+        readiness callback — the model's registered engine or
+        rank-stacked autograd, see :class:`FusedRankExecutor` — or
+        grad-ready hooks on the last rank of the per-rank loop), the
+        rest when compute returns.
         Results are bit-identical to the whole-row step.  Nothing runs
         early when an orthogonality probe is attached (it needs raw
         per-rank gradients before the Figure-3 delta rewrite) or when

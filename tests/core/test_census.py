@@ -41,6 +41,7 @@ from repro.train.trainer import (
     ParallelTrainer,
     ProcessRankExecutor,
     SerialRankExecutor,
+    StackedAutograd,
 )
 
 RUN_CONFIG_FIELDS = (
@@ -162,8 +163,8 @@ def _task(n=96):
 
 
 def test_parallel_trainer_step_is_one_phased_step(monkeypatch):
-    """Whole rows or an overlap plan, grad-ready hooks or the fused
-    engine: a ``train_step`` is exactly one ``phased_step``."""
+    """Whole rows or an overlap plan, rank-stacked autograd or the
+    registered engine: a ``train_step`` is exactly one ``phased_step``."""
     calls = _count_phased_steps(monkeypatch)
     x, y = _task()
     tokens = np.random.default_rng(0).integers(0, 64, (64, 16))
@@ -177,8 +178,13 @@ def test_parallel_trainer_step_is_one_phased_step(monkeypatch):
             trainer = ParallelTrainer(model, nn.CrossEntropyLoss(), dist, *data,
                                       microbatch=4, overlap=overlap,
                                       bucket_cap_mb=0.001)
+            # FusedRankExecutor <=> a rank-order-free model; its engine
+            # is the registered one when there is one.
             assert isinstance(trainer.executor, FusedRankExecutor) == (
-                build_fused_engine(model) is not None)
+                nn.rank_order_hazard(model) is None)
+            registered = build_fused_engine(model)
+            assert type(trainer.executor.engine) is (
+                StackedAutograd if registered is None else type(registered))
             for _, rank_indices in trainer.iterator.epoch(0):
                 trainer.train_step(rank_indices)
             assert trainer.global_step > 0

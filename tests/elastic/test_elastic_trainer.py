@@ -9,6 +9,7 @@ from repro.core import DistributedOptimizer, ReduceOpType, RunConfig
 from repro.core.precision import DynamicScaler
 import repro.train.trainer as train_trainer
 from repro.models import MLP, BertConfig, MiniBERT
+from repro.models.fused_bert import FusedBertRankCompute
 from repro.optim import SGD, Adam
 from repro.train import ParallelTrainer
 from repro.elastic import ElasticSchedule, ElasticTrainer, StragglerPolicy
@@ -95,18 +96,18 @@ class TestKillRecovery:
         are live: a kill shrinks 4 -> 3 (a new call shape, validated
         anew by the rebuilt executor) and the epoch's last chunk deals
         ragged blocks ``[2, 1, 1]`` (the per-rank loop).  Bit-identical
-        to the same run with no engine registered."""
+        to the same run with no engine registered, which computes
+        through rank-stacked autograd on the same rule."""
         tokens = np.random.default_rng(0).integers(0, 24, (30, 8))
-        blocks = []
+        blocks = {True: [], False: []}
         compute = train_trainer.FusedRankExecutor.compute
-
-        def recording(self, rank_indices, ranks=None, on_ready=None):
-            blocks.append([len(idx) for idx in rank_indices])
-            return compute(self, rank_indices, ranks, on_ready)
-
-        monkeypatch.setattr(train_trainer.FusedRankExecutor, "compute", recording)
         runs = []
         for engine in (True, False):
+            def recording(self, rank_indices, ranks=None, on_ready=None, _run=engine):
+                blocks[_run].append([len(idx) for idx in rank_indices])
+                return compute(self, rank_indices, ranks, on_ready)
+
+            monkeypatch.setattr(train_trainer.FusedRankExecutor, "compute", recording)
             if not engine:
                 monkeypatch.setattr(train_trainer, "build_fused_engine", lambda model: None)
             model = MiniBERT(BertConfig(vocab_size=24, hidden=16, layers=1, heads=2,
@@ -119,16 +120,18 @@ class TestKillRecovery:
             losses = [tr.train_epoch(epoch) for epoch in range(2)]
             assert tr.num_ranks == 3 and len(tr.recoveries) == 1
             assert sorted(tr.epoch_visited) == list(range(len(tokens)))
-            if engine:
-                executor = tr.executor
-                assert isinstance(executor, train_trainer.FusedRankExecutor)
-                assert executor.engine is not None
-                assert executor._validated == {(3, (6, 8))}
+            # FusedRankExecutor <=> a rank-order-free model; its engine
+            # is the registered one when there is one.
+            executor = tr.executor
+            assert isinstance(executor, train_trainer.FusedRankExecutor)
+            assert type(executor.engine) is (
+                FusedBertRankCompute if engine else train_trainer.StackedAutograd)
+            assert executor._validated == {(3, (6, 8))}
             runs.append((losses, [p.data.tobytes() for p in model.parameters()]))
-        # Both worlds, the ragged tail, and nothing the reference run
-        # (plain SerialRankExecutor) could have added to the record.
-        assert [2, 2, 2, 2] in blocks and [2, 2, 2] in blocks and [2, 1, 1] in blocks
-        assert sum(map(sum, blocks)) == 8 + 8 + 22 + 30
+        # Both worlds and the ragged tail, in each run.
+        for record in blocks.values():
+            assert [2, 2, 2, 2] in record and [2, 2, 2] in record and [2, 1, 1] in record
+            assert sum(map(sum, record)) == 8 + 8 + 22 + 30
         assert runs[0] == runs[1]
 
     def test_shrink_8_to_5_final_loss_within_tolerance(self):

@@ -234,6 +234,35 @@ class TestEmbeddingDropout:
         np.testing.assert_allclose((x.grad > 0), (out.data > 0))
 
 
+def _spelled_linear(x, w, b):
+    """What ``nn.Linear`` spelled out before ``F.linear`` existed."""
+    return x.matmul(w.transpose()) + b
+
+
+class TestLinear:
+    @pytest.mark.parametrize("batch_shape", [(6,), (3, 4)])
+    def test_is_the_three_node_expression(self, rng, batch_shape):
+        """Bytes and grad-ready hook order equal the spelled-out
+        expression's — with a weight used twice (a tied layer), whose
+        hook fires on the contribution that completes it."""
+        x = rng.standard_normal(batch_shape + (5,)).astype(np.float32)
+        targets = rng.integers(0, 5, batch_shape)
+        start = [rng.standard_normal(s).astype(np.float32) for s in ((5, 5), (5,), (5,))]
+        runs = []
+        for linear in (F.linear, _spelled_linear):
+            w, b1, b2 = (Tensor(a.copy(), requires_grad=True) for a in start)
+            fired = []
+            for name, p in (("w", w), ("b1", b1), ("b2", b2)):
+                p._grad_hook = lambda t, _n=name: fired.append(_n)
+            h = linear(Tensor(x), w, b1).tanh()
+            loss = F.cross_entropy(linear(h, w, b2), targets)
+            loss.backward()
+            runs.append((loss.data.tobytes(), fired,
+                         [p.grad.tobytes() for p in (w, b1, b2)]))
+        assert runs[0] == runs[1]
+        assert runs[0][1] == ["b2", "b1", "w"]
+
+
 class TestKernelSpecialization:
     """The opt-in validated-GEMM switch (see docs/performance.md)."""
 

@@ -1,40 +1,75 @@
-"""The fused engine ≡ the per-rank loop, as a property of the executor.
+"""Rank-fused engines ≡ the per-rank loop, as a property of the executor.
 
-``FusedRankExecutor`` serves every call with ``accumulation == 1`` and
-equal-length rank blocks through the model's fused engine — a rank
-worker at one rank, a serial step at the world, an elastic step at
-whatever ranks are live — after byte-comparing each distinct call shape
-against the inherited per-rank loop once.  The reference here is that
-loop on its own (``SerialRankExecutor`` over a second arena); Hypothesis
-draws the world, the rows, the block length, whether readiness is asked
-for and how many calls follow one another.
+``FusedRankExecutor`` serves every call of at least ``engine.min_blocks``
+ranks with ``accumulation == 1`` and equal-length rank blocks through
+its engine — MiniBERT's registered engine (one rank and up: a rank
+worker, a serial step at the world, an elastic step at whatever ranks
+are live) or rank-stacked autograd (``StackedAutograd``: any
+rank-order-free model, two ranks and up) — after byte-comparing each
+distinct call shape against the inherited per-rank loop once.  The
+reference here is that loop on its own (``SerialRankExecutor`` over a
+second arena); Hypothesis draws the model, the world, the rows, the
+block length, whether readiness is asked for and how many calls follow
+one another.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.train.trainer as train_trainer
 from repro import nn
 from repro.core import DistributedOptimizer, GradientArena
 from repro.core.overlap import build_fused_engine
-from repro.models import BertConfig, MiniBERT
+from repro.models import MLP, BertConfig, LeNet5, MiniBERT, ResNetCIFAR, TinyLSTMClassifier
 from repro.optim import Adam
+from repro.tensor import RankBlocksError, Tensor
 from repro.train import ParallelTrainer
-from repro.train.trainer import FusedRankExecutor, SerialRankExecutor
+from repro.train.trainer import (
+    FusedRankExecutor,
+    SerialRankExecutor,
+    StackedAutograd,
+    _in_process_executor,
+)
 
 VOCAB, SEQ, SAMPLES = 12, 4, 40
 CONFIG = BertConfig(vocab_size=VOCAB, hidden=8, layers=1, heads=2, max_seq_len=SEQ)
 MODEL = MiniBERT(CONFIG, rng=np.random.default_rng(0))
 TOKENS = np.random.default_rng(1).integers(0, VOCAB, (SAMPLES, SEQ))
 TARGETS = np.random.default_rng(2).integers(0, VOCAB, (SAMPLES, SEQ))
+MASKED = np.where(np.random.default_rng(3).random(TARGETS.shape) < 0.5, -100, TARGETS)
+
+_rng = np.random.default_rng(4)
+#: 7 input features: a block of an odd number of samples starts off a
+#: 16-byte boundary, in the inputs and in every activation after them.
+FEATURES = _rng.standard_normal((SAMPLES, 7)).astype(np.float32)
+LABELS = _rng.integers(0, 5, SAMPLES)
+IMAGES = _rng.standard_normal((SAMPLES, 1, 28, 28)).astype(np.float32)
+DIGITS = _rng.integers(0, 10, SAMPLES)
+SEQUENCES = _rng.integers(0, 16, (SAMPLES, 5))
+
+#: name -> (model, x, y, loss) for the rank-stacked autograd property.
+STACKED = {
+    "lenet": (LeNet5(rng=np.random.default_rng(0)), IMAGES, DIGITS, nn.CrossEntropyLoss()),
+    "mlp_relu": (MLP((7, 13, 5), rng=np.random.default_rng(0)), FEATURES, LABELS,
+                 nn.CrossEntropyLoss()),
+    "mlp_tanh": (MLP((7, 13, 9, 5), activation="tanh", rng=np.random.default_rng(0)),
+                 FEATURES, LABELS, nn.CrossEntropyLoss()),
+    "lstm": (TinyLSTMClassifier(vocab_size=16, embed_dim=5, hidden_size=7, num_classes=5,
+                                rng=np.random.default_rng(0)),
+             SEQUENCES, LABELS, nn.CrossEntropyLoss()),
+    "minibert": (MODEL, TOKENS, TARGETS, nn.CrossEntropyLoss()),
+    "minibert_masked": (MODEL, TOKENS, MASKED, nn.CrossEntropyLoss(ignore_index=-100)),
+}
 
 
 class _Spy:
     """An engine that counts its passes, optionally corrupting them, and
-    checks that a batch it rejects left the arena as it found it."""
+    checks that a call it rejects left the arena as it found it."""
 
-    def __init__(self, arena, flip_bit=False):
-        self.engine = build_fused_engine(MODEL)
+    def __init__(self, engine, arena, flip_bit=False):
+        self.engine = engine
+        self.min_blocks = engine.min_blocks
         self.arena = arena
         self.flip_bit = flip_bit
         self.passes = 0
@@ -43,7 +78,7 @@ class _Spy:
         before = self.arena.data.copy()
         try:
             losses = self.engine.step(x, y, rank_views, ready_cb)
-        except (ValueError, TypeError):
+        except (RankBlocksError, ValueError, TypeError):
             assert self.arena.data.tobytes() == before.tobytes()
             raise
         self.passes += 1
@@ -52,14 +87,17 @@ class _Spy:
         return losses
 
 
-def _executors(world, y=TARGETS, accumulation=1, loss_fn=None, flip_bit=False):
+def _executors(world, y=TARGETS, accumulation=1, loss_fn=None, flip_bit=False,
+               model=MODEL, x=TOKENS, stacked=False):
     """``(fused, reference, spy, loop_calls)`` over two garbage-filled
     arenas; ``loop_calls`` lists the rank of every per-rank loop pass
-    the fused executor makes."""
+    the fused executor makes.  The engine is ``model``'s registered one,
+    or rank-stacked autograd with ``stacked``."""
     loss_fn = loss_fn or nn.CrossEntropyLoss()
-    arenas = [GradientArena.from_model(MODEL, world) for _ in range(2)]
-    spy = _Spy(arenas[0], flip_bit)
-    args = (MODEL, loss_fn, TOKENS, y, 3, accumulation)
+    arenas = [GradientArena.from_model(model, world) for _ in range(2)]
+    engine = StackedAutograd(model, loss_fn) if stacked else build_fused_engine(model)
+    spy = _Spy(engine, arenas[0], flip_bit)
+    args = (model, loss_fn, x, y, 3, accumulation)
     fused = FusedRankExecutor(spy, *args, arenas[0])
     reference = SerialRankExecutor(*args, arenas[1])
     garbage = np.random.default_rng(3).standard_normal(arenas[0].data.shape)
@@ -93,8 +131,8 @@ def _checking_ready(fused, reference, rows, fired):
 
 
 @st.composite
-def _cases(draw):
-    world = draw(st.integers(1, 6))
+def _calls(draw, min_world=1):
+    world = draw(st.integers(min_world, 6))
     calls = []
     for _ in range(draw(st.integers(1, 3))):
         rows = draw(st.lists(st.integers(0, world - 1), min_size=1, unique=True))
@@ -102,15 +140,14 @@ def _cases(draw):
     return world, calls, draw(st.integers(0, 2 ** 31 - 1))
 
 
-@settings(max_examples=60, deadline=None)
-@given(_cases())
-def test_engine_equals_the_per_rank_loop(case):
-    world, calls, seed = case
-    fused, reference, spy, loop_calls = _executors(world)
+def _check_calls(fused, reference, spy, loop_calls, calls, seed, model):
+    """Run ``calls`` through both executors: same losses and rows, the
+    engine kept, and exactly the passes the validation rule allows."""
     rng = np.random.default_rng(seed)
+    samples = len(fused.x)
     seen = set()
     for rows, block, readiness in calls:
-        rank_indices = [rng.integers(0, SAMPLES, block) for _ in rows]
+        rank_indices = [rng.integers(0, samples, block) for _ in rows]
         expected = reference.compute(rank_indices, rows)
         fired = []
         on_ready = _checking_ready(fused, reference, rows, fired) if readiness else None
@@ -120,6 +157,9 @@ def test_engine_equals_the_per_rank_loop(case):
         assert losses == expected
         _assert_same_rows(fused, reference, (rows, block, readiness))
         assert fused.engine is spy, "a faithful engine was demoted"
+        if len(rows) < spy.min_blocks:  # the loop's call: nothing to validate
+            assert spy.passes == passes and loop_calls == rows
+            continue
         # First call of a shape: one engine pass and one loop pass, whose
         # result is returned as it sits — a third pass only to report
         # readiness.  Later calls of that shape: the engine alone.
@@ -128,8 +168,28 @@ def test_engine_equals_the_per_rank_loop(case):
         assert spy.passes - passes == (1 + (first and readiness))
         assert loop_calls == (rows if first else [])
         if readiness and not first:
-            assert sorted(fired) == sorted(n for n, _ in MODEL.named_parameters())
+            assert sorted(fired) == sorted(n for n, _ in model.named_parameters())
     assert len(fused._validated) == len(seen)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_calls())
+def test_engine_equals_the_per_rank_loop(case):
+    world, calls, seed = case
+    _check_calls(*_executors(world), calls, seed, MODEL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(STACKED)), _calls(min_world=2))
+def test_stacked_autograd_equals_the_per_rank_loop(name, case):
+    """LeNet-5, MLPs, the LSTM and MiniBERT (dense and masked-LM
+    targets) computed by rank-stacked autograd: byte-equal to the loop,
+    readiness once per parameter after every row holds its bytes, and a
+    one-rank call is the loop's, never validated."""
+    world, calls, seed = case
+    model, x, y, loss_fn = STACKED[name]
+    executors = _executors(world, y, loss_fn=loss_fn, model=model, x=x, stacked=True)
+    _check_calls(*executors, calls, seed, model)
 
 
 @pytest.mark.parametrize("why", ["ragged", "accumulation", "ignore_index"])
@@ -175,20 +235,102 @@ def test_a_corrupting_engine_is_demoted_on_its_first_call(readiness):
 
 def test_a_failure_after_readiness_fired_propagates():
     """Once a bucket may have run on a reported gradient the step cannot
-    be quietly recomputed by the loop: the engine's error surfaces."""
+    be quietly recomputed by the loop: the engine's error surfaces —
+    a rejection or an op rank-stacked autograd cannot keep per rank."""
     fused, _, spy, loop_calls = _executors(2)
     rank_indices = [np.arange(2), np.arange(2, 4)]
     fused.compute(rank_indices)  # validates the shape
 
-    def failing(x, y, rank_views, ready_cb=None):
-        ready_cb("mlm_bias")
-        raise ValueError("mid-backward")
+    for error in (ValueError, RankBlocksError):
+        def failing(x, y, rank_views, ready_cb=None):
+            ready_cb("mlm_bias")
+            raise error("mid-backward")
 
-    spy.step = failing
-    del loop_calls[:]
-    with pytest.raises(ValueError, match="mid-backward"):
-        fused.compute(rank_indices, None, lambda name: None)
-    assert loop_calls == []
+        spy.step = failing
+        del loop_calls[:]
+        with pytest.raises(error, match="mid-backward"):
+            fused.compute(rank_indices, None, lambda name: None)
+        assert loop_calls == []
+
+
+class _Scaled(nn.Module):
+    """A parameter used through a generic op: ``x * self.scale``."""
+
+    def __init__(self):
+        super().__init__()
+        self.fc = nn.Linear(7, 5, rng=np.random.default_rng(0))
+        self.scale = nn.Parameter(np.linspace(0.5, 1.5, 5, dtype=np.float32))
+
+    def forward(self, x):
+        return self.fc(Tensor(x)) * self.scale
+
+
+class _Centered(nn.Module):
+    """A cross-block op: each sample is centred on the *stacked* batch."""
+
+    def __init__(self):
+        super().__init__()
+        self.fc = nn.Linear(7, 5, rng=np.random.default_rng(0))
+
+    def forward(self, x):
+        x = Tensor(x)
+        return self.fc(x - x.mean(axis=0))
+
+
+@pytest.mark.parametrize("case", ["generic_op", "mse_loss", "cross_block"])
+def test_an_unstackable_model_is_demoted_on_its_first_call(case, monkeypatch):
+    """A parameter gradient an op reduced over every block and a loss
+    that is not one value per block raise ``RankBlocksError`` inside the
+    first (validating) pass; an op mixing blocks silently fails the byte
+    comparison.  Either way the engine is demoted on that call, the mode
+    is never entered again, and every call returns the loop's bytes."""
+    entered = []
+    real = train_trainer.rank_blocks
+
+    def counting(blocks):
+        entered.append(blocks)
+        return real(blocks)
+
+    monkeypatch.setattr(train_trainer, "rank_blocks", counting)
+    model, y, loss_fn = {
+        "generic_op": (_Scaled(), LABELS, nn.CrossEntropyLoss()),
+        "mse_loss": (MLP((7, 13, 5), rng=np.random.default_rng(0)),
+                     np.eye(5, dtype=np.float32)[LABELS], nn.MSELoss()),
+        "cross_block": (_Centered(), LABELS, nn.CrossEntropyLoss()),
+    }[case]
+    fused, reference, spy, _ = _executors(
+        4, y, loss_fn=loss_fn, model=model, x=FEATURES, stacked=True)
+    rng = np.random.default_rng(6)
+    for call in range(3):
+        rank_indices = [rng.integers(0, SAMPLES, 3) for _ in range(4)]
+        expected = reference.compute(rank_indices)
+        assert fused.compute(rank_indices) == expected
+        _assert_same_rows(fused, reference, f"call {call}")
+        assert fused.engine is None
+    assert entered == [4] and spy.passes == (case == "cross_block")
+
+
+def test_the_compute_path_follows_from_the_model():
+    """``FusedRankExecutor`` ⇔ a rank-order-free model, and its engine is
+    the registered one when there is one: ResNet (BatchNorm buffers) and
+    MiniBERT with active dropout keep the plain loop."""
+    dropout = BertConfig(vocab_size=VOCAB, hidden=8, layers=1, heads=2,
+                         max_seq_len=SEQ, dropout=0.1)
+    for model, hazard, engine_type in (
+        (ResNetCIFAR(), "buffers", None),
+        (MiniBERT(dropout), "dropout", None),
+        (LeNet5(), None, StackedAutograd),
+        (MODEL, None, type(build_fused_engine(MODEL))),
+    ):
+        assert nn.rank_order_hazard(model) == hazard
+        executor = _in_process_executor(
+            model, nn.CrossEntropyLoss(), None, None, 2, 1,
+            GradientArena.from_model(model, 2))
+        if engine_type is None:
+            assert type(executor) is SerialRankExecutor
+        else:
+            assert isinstance(executor, FusedRankExecutor)
+            assert type(executor.engine) is engine_type
 
 
 def _bert_trainer(overlap, demote):

@@ -2,7 +2,7 @@
 
 Covers the fused MiniBERT executor (validated once against serial
 autograd, then trusted; a batch it rejects takes the hook-driven loop),
-the serial grad-ready-hook path for models without a fused engine, and
+rank-stacked autograd's grad-ready hooks for models without one, and
 the acceptance bit-identity of overlapped vs phased training at fp32
 wire dtype.
 """
@@ -16,7 +16,7 @@ from repro.models import MLP, LeNet5, MiniBERT
 from repro.optim import SGD, Adam, LinearWarmupDecay
 from repro.train import ParallelTrainer
 from repro.train.checkpoint import load_checkpoint, save_checkpoint
-from repro.train.trainer import FusedRankExecutor, SerialRankExecutor
+from repro.train.trainer import FusedRankExecutor, StackedAutograd
 
 
 def _assert_bit_identical(m1, m2):
@@ -57,8 +57,8 @@ class TestOverlapTrainer:
         _assert_bit_identical(m_phased, m_overlap)
 
     def test_lenet_serial_hooks_match_phased(self):
-        """LeNet has no fused engine — overlap runs serial autograd with
-        grad-ready hooks, still bit-identical."""
+        """LeNet has no registered engine — overlap runs rank-stacked
+        autograd with grad-ready hooks, still bit-identical."""
         rng = np.random.default_rng(0)
         x = rng.standard_normal((64, 1, 28, 28)).astype(np.float32)
         y = rng.integers(0, 10, 64)
@@ -68,7 +68,10 @@ class TestOverlapTrainer:
                                  adasum_pre_optimizer=True)
         m_overlap, trainer, l2 = _train(*args, overlap=True, steps=2,
                                         adasum_pre_optimizer=True)
-        assert type(trainer.executor) is SerialRankExecutor
+        # FusedRankExecutor <=> a rank-order-free model; no registered
+        # engine, so rank-stacked autograd (validated, never demoted).
+        assert isinstance(trainer.executor, FusedRankExecutor)
+        assert type(trainer.executor.engine) is StackedAutograd
         assert l1 == l2
         _assert_bit_identical(m_phased, m_overlap)
 

@@ -7,7 +7,7 @@ from repro import nn
 from repro.core import DistributedOptimizer, OrthogonalityProbe, ReduceOpType
 from repro.models import MLP
 from repro.optim import SGD
-from repro.train import ParallelTrainer, accuracy, compute_grads, Meter
+from repro.train import ParallelTrainer, accuracy, compute_grads, compute_grads_into, Meter
 
 
 def _task(n=128, seed=0):
@@ -44,6 +44,29 @@ class TestComputeGrads:
             model, nn.CrossEntropyLoss(), np.ones((2, 4), dtype=np.float32), np.array([0, 1])
         )
         assert isinstance(loss, float)
+
+
+class TestComputeGradsInto:
+    def test_accumulate_with_readiness_is_rejected(self):
+        """The readiness hook copies each gradient as it lands, so with
+        ``accumulate=True`` a second microbatch used to *overwrite* the
+        row it was meant to add into — silently."""
+        x, y = _task(n=16)
+        model = MLP((6, 16, 2), rng=np.random.default_rng(0))
+        row = {n: np.zeros_like(p.data) for n, p in model.named_parameters()}
+        compute_grads_into(model, nn.CrossEntropyLoss(), x[:8], y[:8], row)
+        with pytest.raises(ValueError, match="accumulate"):
+            compute_grads_into(model, nn.CrossEntropyLoss(), x[8:], y[8:], row,
+                               accumulate=True, on_ready=lambda name: None)
+
+    @pytest.mark.parametrize("views,samples", [(1, 8), (3, 8)])
+    def test_rank_views_need_two_ranks_of_equal_blocks(self, views, samples):
+        x, y = _task(n=samples)
+        model = MLP((6, 16, 2), rng=np.random.default_rng(0))
+        rows = [{n: np.zeros_like(p.data) for n, p in model.named_parameters()}
+                for _ in range(views)]
+        with pytest.raises(ValueError, match="rank views"):
+            compute_grads_into(model, nn.CrossEntropyLoss(), x, y, rows)
 
 
 class TestParallelTrainer:
