@@ -30,7 +30,9 @@ Layer granularity
 -----------------
 Non-elementwise codecs (``int8``'s scale, ``topk``'s k) compute their
 statistics **per layer block** (the arena's tensor boundaries), never
-per bucket or per whole row.  Overlap buckets and elastic bucketed
+per bucket or per whole row.  A stage still makes one pass over a row's
+span: it is handed the span's block starts and keeps only its
+statistics (and top-k's selection) per block.  Overlap buckets and elastic bucketed
 collectives are tensor-aligned, so every execution path sees the same
 blocks and the encoded values are structurally identical across the
 phased, overlap, and elastic paths — the same trick per-layer Adasum
@@ -113,9 +115,14 @@ def parse_wire_codecs(specs) -> Tuple[str, ...]:
 def topk_select(adjusted: np.ndarray, ratio: float) -> Tuple[np.ndarray, np.ndarray]:
     """Indices and values of the ``k = max(round(n*ratio), 1)``
     largest-magnitude elements of a flat array (argpartition order)."""
-    k = max(int(round(adjusted.size * ratio)), 1)
-    idx = np.argpartition(np.abs(adjusted), -k)[-k:]
+    idx = _topk_indices(np.abs(adjusted), ratio)
     return idx, adjusted[idx]
+
+
+def _topk_indices(magnitudes: np.ndarray, ratio: float) -> np.ndarray:
+    # ``round`` is Python's: half to even.
+    k = max(int(round(magnitudes.size * ratio)), 1)
+    return np.argpartition(magnitudes, -k)[-k:]
 
 
 def onebit_stats(adjusted: np.ndarray) -> Tuple[np.ndarray, float, float]:
@@ -134,6 +141,45 @@ def int8_quantize(adjusted: np.ndarray) -> Tuple[np.ndarray, float]:
     return q, scale
 
 
+#: The smallest magnitude ``astype(float16)`` rounds to infinity.
+FP16_ROUND_LIMIT = 65520.0
+
+
+def _fp16_round_magnitudes(values: np.ndarray) -> np.ndarray:
+    """``|values.astype(float16).astype(float32)|`` without the float16
+    dtype, bit for bit, for float32 ``values`` with every ``|x| < 65520``;
+    >= 65536, inf or NaN wherever not ``|x| < 65520``.
+
+    ``|x| + M - M`` with ``M = max(2^e(|x|) * 2^13, 0.5)`` rounds ``|x|``
+    to the fp16 grid: the sum lies in ``M``'s binade, whose float32 ulp
+    is the fp16 ulp at ``|x|`` (``2^-24`` on the subnormal floor, where
+    ``M`` is 0.5), and float32 addition rounds to nearest-even exactly
+    as the fp16 cast does, carry into the next binade included.  Every
+    step is a float32 or uint32 pass that NumPy vectorizes (its float16
+    conversions, ``copysign`` and uint32 ``maximum`` are not vectorized
+    on every build: see "Wire codecs" in docs/performance.md).
+    """
+    big = values.view(np.uint32) & np.uint32(0x7F800000)  # 2^e(|x|), as bits
+    big += np.uint32(13 << 23)
+    big = big.view(np.float32)
+    np.maximum(big, np.float32(0.5), out=big)  # the subnormal floor
+    out = np.abs(values)
+    out += big
+    out -= big
+    return out
+
+
+def _copy_sign(magnitudes: np.ndarray, values: np.ndarray) -> np.ndarray:
+    # ``np.copysign(magnitudes, values, out=magnitudes)`` as two uint32 passes.
+    bits = magnitudes.view(np.uint32)
+    bits |= values.view(np.uint32) & np.uint32(0x80000000)
+    return magnitudes
+
+
+def _block_ends(starts, n: int) -> List[int]:
+    return [int(b) for b in starts[1:]] + [n]
+
+
 # ----------------------------------------------------------------------
 # Codecs
 # ----------------------------------------------------------------------
@@ -141,11 +187,15 @@ def int8_quantize(adjusted: np.ndarray) -> Tuple[np.ndarray, float]:
 class WireCodec:
     """One stage of the wire pipeline.
 
-    Subclasses set the contract flags and implement the block
+    Subclasses set the contract flags and implement the span
     round-trip plus the stateless payload encode/decode used for
-    transport-level sends.  ``roundtrip(flat, residual)`` mutates
-    ``flat`` in place to ``decode(encode(flat + residual))`` and
-    updates ``residual`` (ignored when ``error_feedback`` is False).
+    transport-level sends.  ``roundtrip(span, residual, starts)``
+    mutates ``span`` in place to ``decode(encode(span + residual))``
+    layer block by layer block and updates ``residual`` (ignored when
+    ``error_feedback`` is False).  ``starts`` are the offsets in
+    ``span`` where its layer blocks begin (``starts[0] == 0``; the
+    default is one block): a stage makes one pass over the span and
+    keeps only its statistics per block.
     """
 
     name: str = ""
@@ -153,7 +203,8 @@ class WireCodec:
     bit_exact: bool = False
     #: Needs per-element residual state (bounded-error contract).
     error_feedback: bool = False
-    #: Elementwise codecs see whole 2-D slabs; others run per layer block.
+    #: Elementwise codecs see whole 2-D slabs and ignore ``starts``;
+    #: others see one row's span at a time.
     elementwise: bool = False
 
     def begin_step(self, scale: Optional[float] = None) -> None:
@@ -168,8 +219,10 @@ class WireCodec:
         return False
 
     # -- in-place round-trip (the wire boundary of the arena paths) ----
-    def roundtrip(self, flat: np.ndarray, residual: Optional[np.ndarray]) -> bool:
-        """Round-trip ``flat`` in place; returns True on overflow."""
+    def roundtrip(
+        self, span: np.ndarray, residual: Optional[np.ndarray] = None, starts=(0,)
+    ) -> bool:
+        """Round-trip ``span`` in place; returns True on overflow."""
         raise NotImplementedError
 
     # -- stateless payload form (transport leaf hops, baselines) -------
@@ -196,7 +249,7 @@ class IdentityCodec(WireCodec):
     bit_exact = True
     elementwise = True
 
-    def roundtrip(self, flat, residual):
+    def roundtrip(self, span, residual=None, starts=(0,)):
         return False
 
     def encode(self, flat):
@@ -236,12 +289,18 @@ class Fp16Codec(WireCodec):
     def finish_step(self, overflow):
         return bool(self.scaler.update(overflow))
 
-    def roundtrip(self, flat, residual):
+    def roundtrip(self, span, residual=None, starts=(0,)):
         scale = self._step_scale
-        with np.errstate(over="ignore"):
-            enc = (flat * scale).astype(np.float16)
-            overflow = not bool(np.isfinite(enc).all())
-        np.multiply(enc.astype(np.float32), 1.0 / scale, out=flat)
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = span * scale
+            rounded = _fp16_round_magnitudes(scaled)
+            # ``not <`` also catches NaN.
+            overflow = not np.max(rounded, initial=0.0) < FP16_ROUND_LIMIT
+            if overflow:  # the step is skipped: round through float16 itself
+                rounded = scaled.astype(np.float16).astype(np.float32)
+            else:
+                _copy_sign(rounded, scaled)
+        np.multiply(rounded, 1.0 / scale, out=span)
         return overflow
 
     def encode(self, flat):
@@ -261,17 +320,26 @@ class Int8Codec(WireCodec):
     name = "int8"
     error_feedback = True
 
-    def roundtrip(self, flat, residual):
-        # errstate: an fp16 overflow upstream leaves inf in the block;
-        # the step is then skipped and the residuals rolled back, so the
-        # transient inf-inf is never observed.
-        with np.errstate(invalid="ignore", over="ignore"):
-            adjusted = flat + residual if residual is not None else flat.copy()
-            q, scale = int8_quantize(adjusted)
-            decoded = q.astype(np.float32) * np.float32(scale)
+    def roundtrip(self, span, residual=None, starts=(0,)):
+        # :func:`int8_quantize` per block, as whole-span passes: only the
+        # block maxima and scales are per block.  errstate: an fp16
+        # overflow upstream leaves inf in the span; the step is then
+        # skipped and the residuals rolled back, so the transient inf-inf
+        # is never observed.  A block whose maximum is a float32
+        # subnormal has a zero scale; its quotients clip to +-127.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            adjusted = span + residual if residual is not None else span.copy()
+            amax = np.maximum.reduceat(np.abs(adjusted), starts)
+            scale = np.where(amax > 0.0, amax.astype(np.float64) / 127.0, 1.0)
+            sizes = np.diff(starts, append=span.size)
+            scales = np.repeat(scale.astype(np.float32), sizes)
+            q = np.divide(adjusted, scales)
+            np.rint(q, out=q)
+            np.clip(q, -127, 127, out=q)
+            span[...] = q.astype(np.int8)
+            span *= scales
             if residual is not None:
-                np.subtract(adjusted, decoded, out=residual)
-            flat[:] = decoded
+                np.subtract(adjusted, span, out=residual)
         return False
 
     def encode(self, flat):
@@ -297,19 +365,26 @@ class TopKCodec(WireCodec):
         self.ratio = float(ratio)
         self.name = f"topk:{ratio:g}"
 
-    def roundtrip(self, flat, residual):
+    def roundtrip(self, span, residual=None, starts=(0,)):
+        # One selection per block, on the block's own slice, so
+        # ``argpartition`` breaks magnitude ties as :func:`topk_select`
+        # does; everything else is one pass over the span.
         with np.errstate(invalid="ignore", over="ignore"):  # see Int8Codec
-            adjusted = flat + residual if residual is not None else flat.copy()
-            idx, values = topk_select(adjusted, self.ratio)
-            flat[:] = 0.0
-            flat[idx] = values
+            adjusted = span + residual if residual is not None else span.copy()
+            magnitudes = np.abs(adjusted)
+            keep = np.concatenate([
+                a + _topk_indices(magnitudes[a:b], self.ratio)
+                for a, b in zip(starts, _block_ends(starts, span.size))
+            ])
+            span[:] = 0.0
+            span[keep] = adjusted[keep]
             if residual is not None:
-                np.subtract(adjusted, flat, out=residual)
+                np.subtract(adjusted, span, out=residual)
         return False
 
     def encode(self, flat):
         idx, values = topk_select(np.asarray(flat, dtype=np.float32), self.ratio)
-        return idx.astype(np.int64), values
+        return idx.astype(np.int32), values
 
     def decode(self, payload, size):
         idx, values = payload
@@ -330,14 +405,18 @@ class OneBitCodec(WireCodec):
     name = "onebit"
     error_feedback = True
 
-    def roundtrip(self, flat, residual):
-        with np.errstate(invalid="ignore", over="ignore"):  # see Int8Codec
-            adjusted = flat + residual if residual is not None else flat.copy()
-            pos, pos_mean, neg_mean = onebit_stats(adjusted)
-            decoded = np.where(pos, pos_mean, neg_mean).astype(np.float32)
-            if residual is not None:
-                np.subtract(adjusted, decoded, out=residual)
-            flat[:] = decoded
+    def roundtrip(self, span, residual=None, starts=(0,)):
+        # Per block: vectorizing would change the float32 means'
+        # pairwise summation order.
+        for a, b in zip(starts, _block_ends(starts, span.size)):
+            flat = span[a:b]
+            with np.errstate(invalid="ignore", over="ignore"):  # see Int8Codec
+                adjusted = flat + residual[a:b] if residual is not None else flat.copy()
+                pos, pos_mean, neg_mean = onebit_stats(adjusted)
+                decoded = np.where(pos, pos_mean, neg_mean).astype(np.float32)
+                if residual is not None:
+                    np.subtract(adjusted, decoded, out=residual[a:b])
+                flat[:] = decoded
         return False
 
     def encode(self, flat):
@@ -349,7 +428,7 @@ class OneBitCodec(WireCodec):
 
     def block_nbytes(self, sizes, itemsize):
         # One bit per element plus two scales per layer block.
-        return sum(n // 8 + 8 for n in sizes), itemsize
+        return sum((n + 7) // 8 + 8 for n in sizes), itemsize
 
 
 def build_codec(spec: str, scaler=None) -> WireCodec:
@@ -514,28 +593,19 @@ class CodecPipeline:
         passes the verdict to :meth:`end_step` exactly once per step.
         """
         hi = self._total if hi is None else hi
+        if hi <= lo:
+            return False
         rows = list(rows)
-        all_rows = len(rows) == data.shape[0]
+        starts = np.array([a - lo for a, _ in self._blocks(lo, hi)])
         overflow = False
-        blocks = None
         for i, codec in enumerate(self.codecs):
-            if codec.elementwise:
-                if all_rows:
-                    if codec.roundtrip(data[:, lo:hi], None):
-                        overflow = True
-                else:
-                    for r in rows:
-                        if codec.roundtrip(data[r, lo:hi], None):
-                            overflow = True
+            if codec.elementwise and len(rows) == data.shape[0]:
+                overflow |= codec.roundtrip(data[:, lo:hi], None, starts)
                 continue
-            if blocks is None:
-                blocks = self._blocks(lo, hi)
             residual = self._residuals.get(i)
             for r in rows:
-                for a, b in blocks:
-                    res = residual[r, a:b] if residual is not None else None
-                    if codec.roundtrip(data[r, a:b], res):
-                        overflow = True
+                res = residual[r, lo:hi] if residual is not None else None
+                overflow |= codec.roundtrip(data[r, lo:hi], res, starts)
         return overflow
 
     def end_step(self, overflow: bool) -> bool:

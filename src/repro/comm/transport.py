@@ -839,12 +839,15 @@ def _transport_worker_main(rank: int, conn, bootstrap, spec) -> None:
     Bootstrap order matters: per-process kernel/allocator state is reset
     *before* user code runs, so neither a forked copy of the parent's
     GEMM verdict cache nor an untuned spawned heap leaks into gradient
-    computation (see :func:`repro.tensor.reset_process_state`).
+    computation (see :func:`repro.tensor.reset_process_state`), and the
+    worker pins its own BLAS pool to one thread
+    (:func:`repro.tensor.pin_blas_threads`).
     """
-    from repro.tensor import reset_process_state, tune_allocator
+    from repro.tensor import pin_blas_threads, reset_process_state, tune_allocator
 
     reset_process_state()
     tune_allocator()
+    pin_blas_threads()
     handler = None
     try:
         handler = bootstrap(rank, spec)

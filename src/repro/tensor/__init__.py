@@ -37,6 +37,7 @@ from repro.tensor.functional import (
     clear_kernel_caches,
     kernel_cache_stats,
     kernel_specialization_enabled,
+    pin_blas_threads,
     reset_process_state,
     set_kernel_specialization,
     tune_allocator,
@@ -54,6 +55,7 @@ __all__ = [
     "clear_kernel_caches",
     "kernel_cache_stats",
     "kernel_specialization_enabled",
+    "pin_blas_threads",
     "reset_process_state",
     "set_kernel_specialization",
     "tune_allocator",

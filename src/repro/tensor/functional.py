@@ -65,6 +65,35 @@ def tune_allocator() -> bool:
     return ok
 
 
+def pin_blas_threads() -> bool:
+    """Pin the OpenBLAS that NumPy bundles to one thread in this process.
+
+    A rank worker is one of several processes sharing the host's CPUs;
+    each unpinned pool starts a thread per CPU and they oversubscribe
+    the host (docs/performance.md).  Calls
+    ``scipy_openblas_set_num_threads64_`` in ``numpy.libs``; when that
+    library or symbol is missing (another BLAS build) it changes
+    nothing, warns and returns ``False``.
+    """
+    import ctypes
+    import glob
+    import warnings
+
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*.so")):
+        try:
+            set_threads = ctypes.CDLL(path).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        set_threads(1)
+        return True
+    warnings.warn(
+        "BLAS pool not pinned: no scipy_openblas_set_num_threads64_ in numpy.libs",
+        RuntimeWarning,
+    )
+    return False
+
+
 # ----------------------------------------------------------------------
 # im2col helpers
 # ----------------------------------------------------------------------

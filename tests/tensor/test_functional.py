@@ -319,3 +319,33 @@ class TestKernelSpecialization:
             set_kernel_specialization(prior)
         clear_kernel_caches()
         assert kernel_cache_stats()["gemm_verdicts"]["entries"] == 0
+
+
+class TestPinBlasThreads:
+    """Rank workers pin NumPy's bundled OpenBLAS pool themselves."""
+
+    def test_pins_the_bundled_openblas(self):
+        # In a child process: the pin would outlive this test here.
+        import glob
+        import os
+        import subprocess
+        import sys
+
+        libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+        if not glob.glob(os.path.join(libs, "libscipy_openblas*.so")):
+            pytest.skip("this NumPy build bundles no scipy-openblas")
+        code = ("import warnings; warnings.simplefilter('error'); "
+                "from repro.tensor import pin_blas_threads; "
+                "print(pin_blas_threads())")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "True"
+
+    def test_missing_library_warns_and_changes_nothing(self, monkeypatch):
+        import glob
+
+        from repro.tensor import pin_blas_threads
+
+        monkeypatch.setattr(glob, "glob", lambda pattern: [])
+        with pytest.warns(RuntimeWarning, match="BLAS pool not pinned"):
+            assert pin_blas_threads() is False
