@@ -134,8 +134,6 @@ class TestFp16:
         x_tr, y_tr, x_te, y_te = train_test_split(x, y, 0.25, seed=1)
 
         def train(fp16: bool) -> float:
-            from repro.train.trainer import compute_grads
-
             model = MLP((784, 32, 10), rng=np.random.default_rng(0))
             # An overflowing step is skipped inside the optimizer (one
             # scaler verdict per step), exactly as training does it.
@@ -144,14 +142,11 @@ class TestFp16:
                 op=ReduceOpType.ADASUM, adasum_pre_optimizer=True,
                 wire_codecs=("fp16",) if fp16 else (),
             )
-            loss_fn = nn.CrossEntropyLoss()
+            tr = ParallelTrainer(model, nn.CrossEntropyLoss(), dist, x_tr, y_tr,
+                                 microbatch=8)
             rng = np.random.default_rng(0)
             for step in range(90):
-                idx = rng.integers(0, len(x_tr), size=(8, 8))
-                dist.step([
-                    compute_grads(model, loss_fn, x_tr[idx[r]], y_tr[idx[r]])[1]
-                    for r in range(8)
-                ])
+                tr.train_step(rng.integers(0, len(x_tr), size=(8, 8)))
             return accuracy(model, x_te, y_te)
 
         acc16 = benchmark.pedantic(train, args=(True,), rounds=1, iterations=1)

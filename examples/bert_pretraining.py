@@ -13,12 +13,12 @@ Run:  python examples/bert_pretraining.py
 import numpy as np
 
 from repro import nn
-from repro.core import DistributedOptimizer, ReduceOpType
-from repro.data import SyntheticTextCorpus, mask_tokens
+from repro.core import ReduceOpType, RunConfig
+from repro.data import SyntheticTextCorpus, masked_lm_stream
 from repro.models import BertConfig, MiniBERT
 from repro.optim import LAMB, PolynomialDecay
+from repro.train import ParallelTrainer
 from repro.train.metrics import masked_lm_accuracy
-from repro.utils import grads_to_dict
 
 VOCAB = 48
 RANKS = 4
@@ -30,36 +30,30 @@ TARGET = 0.55
 
 def pretrain(op: ReduceOpType, label: str) -> None:
     corpus = SyntheticTextCorpus(vocab_size=VOCAB, seed=0)
-    rng = np.random.default_rng(7)
-    eval_toks = corpus.sample_batch(128, SEQ_LEN, np.random.default_rng(100))
-    eval_inp, eval_tgt = mask_tokens(
-        eval_toks, np.random.default_rng(100), vocab_size=VOCAB
+    stream = masked_lm_stream(
+        corpus, np.random.default_rng(7), STEPS, RANKS, MICROBATCH, SEQ_LEN
     )
+    # Held-out set: its tokens and its mask from one generator.
+    held_out = masked_lm_stream(corpus, np.random.default_rng(100), 1, 1, 128, SEQ_LEN)
 
     cfg = BertConfig(vocab_size=VOCAB, hidden=32, layers=2, heads=4, max_seq_len=SEQ_LEN)
     model = MiniBERT(cfg, rng=np.random.default_rng(0))
     schedule = PolynomialDecay(0.02, total_steps=STEPS, warmup_frac=0.1)
-    dist_opt = DistributedOptimizer(
-        model, lambda ps: LAMB(ps, schedule, weight_decay=0.0), num_ranks=RANKS, op=op
-    )
-    loss_fn = nn.CrossEntropyLoss(ignore_index=-100)
 
     print(f"--- {label} ---")
     reached = None
-    for step in range(1, STEPS + 1):
-        grad_dicts = []
-        for _ in range(RANKS):
-            toks = corpus.sample_batch(MICROBATCH, SEQ_LEN, rng)
-            inp, tgt = mask_tokens(toks, rng, vocab_size=VOCAB)
-            model.zero_grad()
-            loss_fn(model(inp), tgt).backward()
-            grad_dicts.append(grads_to_dict(model))
-        dist_opt.step(grad_dicts)
-        if step % 20 == 0:
-            acc = masked_lm_accuracy(model, eval_inp, eval_tgt)
-            print(f"  step {step:4d}: masked-LM accuracy {acc:.3f}")
-            if reached is None and acc >= TARGET:
-                reached = step
+    with ParallelTrainer.from_config(
+        model, nn.CrossEntropyLoss(ignore_index=-100),
+        lambda ps: LAMB(ps, schedule, weight_decay=0.0), stream.inputs, stream.targets,
+        RunConfig(op=op, num_ranks=RANKS, microbatch=MICROBATCH),
+    ) as trainer:
+        for step, rank_indices in enumerate(stream.indices, 1):
+            trainer.train_step(rank_indices)
+            if step % 20 == 0:
+                acc = masked_lm_accuracy(model, held_out.inputs, held_out.targets)
+                print(f"  step {step:4d}: masked-LM accuracy {acc:.3f}")
+                if reached is None and acc >= TARGET:
+                    reached = step
     print(f"  steps to {TARGET:.2f}: {reached if reached else 'not reached'}\n")
 
 

@@ -22,7 +22,12 @@ old, so they are read only by ``src/repro/core``, the codec pipeline's
 own module and the three files of the pull/push seam (worker bootstrap,
 packed state, checkpoint) — everything else goes through
 ``pack_dist_state`` / ``save_checkpoint`` (which pull first) or
-``DistributedOptimizer.pull_rank_state``.  This grep-level check
+``DistributedOptimizer.pull_rank_state``.  And there is one training
+loop: backward runs only inside the tensor library, the layers, the
+trainer and Figure 2's exact-Hessian gradient function
+(``repro.utils.make_flat_grad_fn``) — an experiment or example that
+needs gradients drives ``ParallelTrainer.train_step`` instead of
+hand-rolling a per-rank loop.  This grep-level check
 keeps the boundaries from eroding: a
 private name that leaks into another package turns the next kernel
 refactor into a cross-package breakage.
@@ -104,10 +109,21 @@ RULES = (
             REPO / "src" / "repro" / "train" / "checkpoint.py",
         ),
     ),
+    # One training loop: gradients are computed by the trainer, not by
+    # a per-rank loop hand-rolled in an experiment, benchmark or example.
+    (
+        (".backward(",),
+        (
+            REPO / "src" / "repro" / "tensor",
+            REPO / "src" / "repro" / "nn",
+            REPO / "src" / "repro" / "train",
+            REPO / "src" / "repro" / "utils.py",
+        ),
+    ),
 )
 
 # Everything under these roots is scanned (tests may exercise privates).
-SCAN_ROOTS = ("src", "benchmarks", "scripts")
+SCAN_ROOTS = ("src", "benchmarks", "scripts", "examples")
 
 
 def _allowed(path: pathlib.Path, prefixes) -> bool:
@@ -137,8 +153,8 @@ def scan() -> list[str]:
 def main() -> int:
     offenders = scan()
     if offenders:
-        print("private reduction/collective/scaler names, per-rank state or "
-              "thread creation outside their package:")
+        print("private reduction/collective/scaler names, per-rank state, "
+              "thread creation or backward passes outside their package:")
         for line in offenders:
             print(f"  {line}")
         print(
@@ -147,7 +163,8 @@ def main() -> int:
             "the public repro.comm.hierarchical_*_allreduce entry points, or "
             "DistributedOptimizer.scaler.state_dict() instead; run step work on "
             "the calling thread; read per-rank optimizer state through "
-            "pack_dist_state(...) / DistributedOptimizer.pull_rank_state()."
+            "pack_dist_state(...) / DistributedOptimizer.pull_rank_state(); "
+            "compute gradients through ParallelTrainer.train_step."
         )
         return 1
     print("lint_private_imports: no private kernel names outside their package")

@@ -1,10 +1,14 @@
 """Horovod-style ``DistributedOptimizer`` (paper Sections 4.1 and Figure 3).
 
-Usage mirrors Horovod::
+Usage mirrors Horovod; :class:`~repro.train.ParallelTrainer` builds one
+and drives it::
 
-    opt = DistributedOptimizer(model, make_opt, num_ranks=8, op=ReduceOpType.ADASUM)
-    ...
-    opt.step(grad_dicts)          # one {layer: grad} dict per rank
+    trainer = ParallelTrainer.from_config(
+        model, loss_fn, make_opt, x, y, RunConfig(op="adasum", num_ranks=8))
+    trainer.train_step(rank_indices)   # one sample-index array per rank
+
+With per-rank gradients already in hand, ``opt.step_arena(arena)``
+applies one update from a :class:`~repro.core.arena.GradientArena`.
 
 Semantics
 ---------
@@ -34,7 +38,6 @@ import numpy as np
 
 from repro.comm.bucketing import BucketPlan
 from repro.comm.codec import build_pipeline, parse_wire_codecs
-from repro.core.arena import GradientArena
 from repro.core.precision import DynamicScaler
 from repro.core.strategies import GradientReducer, StrategyReducer
 from repro.nn.module import Module
@@ -233,17 +236,10 @@ class DistributedOptimizer:
     def zero_grad(self) -> None:
         self.model.zero_grad()
 
-    def step(self, grad_dicts: Sequence[Mapping[str, np.ndarray]]) -> None:
-        """Apply one distributed update from per-rank gradient dicts.
-
-        The dict convenience over :meth:`step_arena`: packs the dicts
-        into a fresh arena and runs the one flat step path.
-        """
-        self.step_arena(GradientArena.from_grad_dicts(grad_dicts))
-
     def step_arena(self, arena, reduce_fn=None, ranks: Optional[Sequence[int]] = None) -> None:
-        """Apply one distributed update from a filled :class:`GradientArena`:
-        a whole-row :meth:`wire_step` with nothing left to compute."""
+        """Apply one distributed update from a filled
+        :class:`~repro.core.arena.GradientArena`: a whole-row
+        :meth:`wire_step` with nothing left to compute."""
         with self.wire_step(arena, ranks, reduce_fn):
             pass
 

@@ -20,7 +20,7 @@ from repro.data.synthetic import (
     make_command_sequences,
     train_test_split,
 )
-from repro.data.text_like import SyntheticTextCorpus, mask_tokens
+from repro.data.text_like import SyntheticTextCorpus, mask_tokens, masked_lm_stream
 from repro.data.sampler import BatchIterator, ElasticBatchIterator, ShardedSampler
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "train_test_split",
     "SyntheticTextCorpus",
     "mask_tokens",
+    "masked_lm_stream",
     "ShardedSampler",
     "BatchIterator",
     "ElasticBatchIterator",

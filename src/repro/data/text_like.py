@@ -9,7 +9,7 @@ chance as training proceeds.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -106,3 +106,49 @@ def mask_tokens(
         FIRST_REGULAR_TOKEN, vocab_size, size=int(to_random.sum())
     )
     return inputs, targets
+
+
+class MaskedLMStream(NamedTuple):
+    """A materialised masked-LM sample stream (see :func:`masked_lm_stream`)."""
+
+    inputs: np.ndarray
+    targets: np.ndarray
+    #: ``(steps, ranks, accumulation * microbatch)`` rows of ``inputs``:
+    #: ``indices[s]`` is step ``s``'s per-rank sample indices.
+    indices: np.ndarray
+    #: ``rng.bit_generator.state`` after each step's draws.
+    states: List[Dict]
+
+
+def masked_lm_stream(
+    corpus: SyntheticTextCorpus,
+    rng: np.random.Generator,
+    steps: int,
+    ranks: int,
+    microbatch: int,
+    seq_len: int,
+    accumulation: int = 1,
+) -> MaskedLMStream:
+    """Draw ``steps`` steps of masked-LM microbatches up front.
+
+    The draw order is per step, per rank, per accumulation slot:
+    :meth:`SyntheticTextCorpus.sample_batch` then :func:`mask_tokens`,
+    all from ``rng``.  A trainer fed ``indices[s]`` at step ``s`` sees
+    exactly the batches of a loop drawing them as it goes.  A caller
+    that stops after step ``s`` resumes that loop's stream by restoring
+    ``rng.bit_generator.state = states[s]``.
+    """
+    per_rank = accumulation * microbatch
+    inputs = np.empty((steps * ranks * per_rank, seq_len), dtype=np.int64)
+    targets = np.empty_like(inputs)
+    states = []
+    for step in range(steps):
+        for block in range(step * ranks * accumulation, (step + 1) * ranks * accumulation):
+            rows = slice(block * microbatch, (block + 1) * microbatch)
+            tokens = corpus.sample_batch(microbatch, seq_len, rng)
+            inputs[rows], targets[rows] = mask_tokens(
+                tokens, rng, vocab_size=corpus.vocab_size
+            )
+        states.append(rng.bit_generator.state)
+    indices = np.arange(len(inputs)).reshape(steps, ranks, per_rank)
+    return MaskedLMStream(inputs, targets, indices, states)

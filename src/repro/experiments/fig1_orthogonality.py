@@ -15,12 +15,11 @@ from typing import Dict, List
 import numpy as np
 
 from repro import nn
-from repro.core import DistributedOptimizer, OrthogonalityProbe, ReduceOpType
-from repro.data import SyntheticTextCorpus, make_image_classification, mask_tokens
+from repro.core import DistributedOptimizer, OrthogonalityProbe, ReduceOpType, RunConfig
+from repro.data import SyntheticTextCorpus, make_image_classification, masked_lm_stream
 from repro.models import BertConfig, MiniBERT, ResNetCIFAR
 from repro.optim import SGD, Adam, StepDecay
 from repro.train import ParallelTrainer
-from repro.utils import grads_to_dict
 
 
 @dataclasses.dataclass
@@ -83,28 +82,22 @@ def run_fig1_bert(
     """Figure 1b analogue: MiniBERT masked-LM with an LR drop."""
     if not fast:
         steps *= 2
-    rng = np.random.default_rng(seed)
     cfg = BertConfig(vocab_size=48, hidden=32, layers=2, heads=4, max_seq_len=seq_len)
     model = MiniBERT(cfg, rng=np.random.default_rng(seed))
     corpus = SyntheticTextCorpus(vocab_size=48, seed=seed)
-    loss_fn = nn.CrossEntropyLoss(ignore_index=-100)
+    stream = masked_lm_stream(
+        corpus, np.random.default_rng(seed), steps, ranks, microbatch, seq_len
+    )
     drops = [steps // 2]
     schedule = StepDecay(0.01, milestones=drops, gamma=0.1)
     probe = OrthogonalityProbe(every=2)
-    dopt = DistributedOptimizer(
-        model, lambda ps: Adam(ps, schedule), num_ranks=ranks, op=ReduceOpType.ADASUM
-    )
-    for step in range(steps):
-        grad_dicts = []
-        for r in range(ranks):
-            toks = corpus.sample_batch(microbatch, seq_len, rng)
-            inp, tgt = mask_tokens(toks, rng, vocab_size=48)
-            model.zero_grad()
-            loss = loss_fn(model(inp), tgt)
-            loss.backward()
-            grad_dicts.append(grads_to_dict(model))
-        probe.record(grad_dicts, step=step)
-        dopt.step(grad_dicts)
+    with ParallelTrainer.from_config(
+        model, nn.CrossEntropyLoss(ignore_index=-100), lambda ps: Adam(ps, schedule),
+        stream.inputs, stream.targets,
+        RunConfig(op="adasum", num_ranks=ranks, microbatch=microbatch), probe=probe,
+    ) as trainer:
+        for rank_indices in stream.indices:
+            trainer.train_step(rank_indices)
     return Fig1Result(
         steps=probe.steps,
         average=probe.average_curve(size_weighted=True),

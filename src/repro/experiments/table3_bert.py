@@ -25,17 +25,18 @@ NVIDIA recipe.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro import nn
-from repro.core import DistributedOptimizer, ReduceOpType
-from repro.data import SyntheticTextCorpus, mask_tokens
+from repro.core import RunConfig
+from repro.data import SyntheticTextCorpus, masked_lm_stream
 from repro.models import BertConfig, MiniBERT
 from repro.optim import Adam, LAMB, PolynomialDecay
+from repro.train import ParallelTrainer
 from repro.train.metrics import masked_lm_accuracy
-from repro.utils import grads_to_dict
 
 VOCAB = 48
 RANKS = 4
@@ -51,6 +52,14 @@ DEFAULT_LRS = {
     "baseline-lamb": 0.02,
     "adasum-adam": 0.01,
     "adasum-lamb": 0.02,
+}
+
+#: Each variant's reduction op and optimizer ``(params, lr)``.
+VARIANTS = {
+    "baseline-adam": ("average", Adam),
+    "baseline-lamb": ("average", functools.partial(LAMB, weight_decay=0.0)),
+    "adasum-adam": ("adasum", Adam),
+    "adasum-lamb": ("adasum", functools.partial(LAMB, weight_decay=0.0)),
 }
 
 
@@ -83,82 +92,41 @@ class Table3Result:
         ]
 
 
-def _make_eval_set(corpus: SyntheticTextCorpus, seq_len: int, seed: int):
-    rng = np.random.default_rng(seed)
-    toks = corpus.sample_batch(128, seq_len, rng)
-    return mask_tokens(toks, rng, vocab_size=VOCAB)
-
-
-def _make_dopt(variant: str, model: MiniBERT, lr_schedule,
-               ranks: int = RANKS) -> DistributedOptimizer:
-    if variant == "baseline-adam":
-        return DistributedOptimizer(
-            model, lambda ps: Adam(ps, lr_schedule), num_ranks=ranks,
-            op=ReduceOpType.AVERAGE,
-        )
-    if variant == "baseline-lamb":
-        return DistributedOptimizer(
-            model, lambda ps: LAMB(ps, lr_schedule, weight_decay=0.0), num_ranks=ranks,
-            op=ReduceOpType.AVERAGE,
-        )
-    if variant == "adasum-adam":
-        return DistributedOptimizer(
-            model, lambda ps: Adam(ps, lr_schedule), num_ranks=ranks,
-            op=ReduceOpType.ADASUM,
-        )
-    if variant == "adasum-lamb":
-        return DistributedOptimizer(
-            model, lambda ps: LAMB(ps, lr_schedule, weight_decay=0.0), num_ranks=ranks,
-            op=ReduceOpType.ADASUM,
-        )
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-def _rank_gradient(model, loss_fn, corpus, seq_len, rng):
-    """One rank's gradient: the mean of ACCUMULATION microbatches."""
-    total = None
-    for _ in range(ACCUMULATION):
-        toks = corpus.sample_batch(MICROBATCH, seq_len, rng)
-        inp, tgt = mask_tokens(toks, rng, vocab_size=VOCAB)
-        model.zero_grad()
-        loss = loss_fn(model(inp), tgt)
-        loss.backward()
-        if not np.isfinite(loss.data):
-            return None
-        g = grads_to_dict(model)
-        total = g if total is None else {k: total[k] + g[k] for k in g}
-    return {k: v / ACCUMULATION for k, v in total.items()}
-
-
 def _train_phase(
     model: MiniBERT,
-    dopt: DistributedOptimizer,
+    variant: str,
+    schedule: PolynomialDecay,
     corpus: SyntheticTextCorpus,
     seq_len: int,
     target: float,
-    max_steps: int,
     eval_every: int,
     rng: np.random.Generator,
     eval_seed: int,
     ranks: int = RANKS,
 ) -> Tuple[Optional[int], float]:
-    """Train until held-out masked-LM accuracy ≥ target; (iters, best)."""
-    loss_fn = nn.CrossEntropyLoss(ignore_index=-100)
-    eval_inp, eval_tgt = _make_eval_set(corpus, seq_len, eval_seed)
+    """Train for up to ``schedule.total_steps`` until held-out masked-LM
+    accuracy ≥ target; (iters, best).  ``rng`` is left where the phase
+    stopped drawing, so the next phase continues its stream."""
+    op, make_opt = VARIANTS[variant]
+    max_steps = schedule.total_steps
+    stream = masked_lm_stream(corpus, rng, max_steps, ranks, MICROBATCH, seq_len, ACCUMULATION)
+    eval_set = masked_lm_stream(corpus, np.random.default_rng(eval_seed), 1, 1, 128, seq_len)
     best = 0.0
-    for step in range(1, max_steps + 1):
-        grad_dicts = []
-        for _ in range(ranks):
-            g = _rank_gradient(model, loss_fn, corpus, seq_len, rng)
-            if g is None:
+    with ParallelTrainer.from_config(
+        model, nn.CrossEntropyLoss(ignore_index=-100), lambda ps: make_opt(ps, schedule),
+        stream.inputs, stream.targets,
+        RunConfig(op=op, num_ranks=ranks, microbatch=MICROBATCH),
+        accumulation=ACCUMULATION,
+    ) as trainer:
+        for step, rank_indices in enumerate(stream.indices, 1):
+            if not np.isfinite(trainer.train_step(rank_indices)):
                 return None, best  # diverged
-            grad_dicts.append(g)
-        dopt.step(grad_dicts)
-        if step % eval_every == 0 or step == max_steps:
-            acc = masked_lm_accuracy(model, eval_inp, eval_tgt)
-            best = max(best, acc)
-            if acc >= target:
-                return step, best
+            if step % eval_every == 0 or step == max_steps:
+                acc = masked_lm_accuracy(model, eval_set.inputs, eval_set.targets)
+                best = max(best, acc)
+                if acc >= target:
+                    rng.bit_generator.state = stream.states[step - 1]
+                    return step, best
     return None, best
 
 
@@ -179,10 +147,10 @@ def run_table3(
     if not fast:
         max_steps1, max_steps2 = max_steps1 * 2, max_steps2 * 2
     lrs = {**DEFAULT_LRS, **(lrs or {})}
-    variants = variants or list(DEFAULT_LRS)
-    unknown = [v for v in variants if v not in lrs]
+    variants = variants or list(VARIANTS)
+    unknown = [v for v in variants if v not in VARIANTS]
     if unknown:
-        raise ValueError(f"unknown variants {unknown}; choose from {list(DEFAULT_LRS)}")
+        raise ValueError(f"unknown variants {unknown}; choose from {list(VARIANTS)}")
     corpus = SyntheticTextCorpus(vocab_size=VOCAB, seed=seed)
     outcomes = {}
     for variant in variants:
@@ -190,9 +158,8 @@ def run_table3(
         cfg = BertConfig(vocab_size=VOCAB, hidden=32, layers=2, heads=4, max_seq_len=seq2)
         model = MiniBERT(cfg, rng=np.random.default_rng(seed))
         sched1 = PolynomialDecay(lrs[variant], total_steps=max_steps1, warmup_frac=0.1)
-        dopt = _make_dopt(variant, model, sched1)
         it1, best1 = _train_phase(
-            model, dopt, corpus, seq1, target1, max_steps1, eval_every, rng,
+            model, variant, sched1, corpus, seq1, target1, eval_every, rng,
             eval_seed=seed + 100,
         )
         if it1 is None:
@@ -200,9 +167,8 @@ def run_table3(
             continue
         # Phase 2: fresh warmup+decay schedule, as in the NVIDIA recipe.
         sched2 = PolynomialDecay(lrs[variant] / 2, total_steps=max_steps2, warmup_frac=0.15)
-        dopt2 = _make_dopt(variant, model, sched2)
         it2, best2 = _train_phase(
-            model, dopt2, corpus, seq2, target2, max_steps2, eval_every, rng,
+            model, variant, sched2, corpus, seq2, target2, eval_every, rng,
             eval_seed=seed + 200,
         )
         outcomes[variant] = VariantOutcome(variant, it1, it2, max(best1, best2))
@@ -238,7 +204,6 @@ def run_table3_extensions(
     max_steps2: int = 120,
     eval_every: int = 10,
     seed: int = 0,
-    fast: bool = True,
 ) -> ExtensionResult:
     """The paper's two Adasum-LAMB variations.
 
@@ -258,26 +223,22 @@ def run_table3_extensions(
     cfg = BertConfig(vocab_size=VOCAB, hidden=32, layers=2, heads=4, max_seq_len=seq2)
     model = MiniBERT(cfg, rng=np.random.default_rng(seed))
     sched1 = PolynomialDecay(lr, total_steps=reduced_steps, warmup_frac=0.1)
-    dopt = _make_dopt("adasum-lamb", model, sched1)
     _, best1 = _train_phase(
-        model, dopt, corpus, seq1, target=2.0, max_steps=reduced_steps,
+        model, "adasum-lamb", sched1, corpus, seq1, target=2.0,
         eval_every=eval_every, rng=rng, eval_seed=seed + 100,
     )
     sched2 = PolynomialDecay(lr / 2, total_steps=max_steps2, warmup_frac=0.15)
-    dopt2 = _make_dopt("adasum-lamb", model, sched2)
     it2, best2 = _train_phase(
-        model, dopt2, corpus, seq2, target=target2, max_steps=max_steps2,
+        model, "adasum-lamb", sched2, corpus, seq2, target=target2,
         eval_every=eval_every, rng=rng, eval_seed=seed + 200,
     )
 
     # Variation 2: doubled effective batch (8 ranks).
     rng = np.random.default_rng(seed + 7)
     model_2x = MiniBERT(cfg, rng=np.random.default_rng(seed))
-    max1 = 200
-    sched = PolynomialDecay(lr, total_steps=max1, warmup_frac=0.1)
-    dopt_2x = _make_dopt("adasum-lamb", model_2x, sched, ranks=2 * RANKS)
+    sched = PolynomialDecay(lr, total_steps=200, warmup_frac=0.1)
     it_2x, best_2x = _train_phase(
-        model_2x, dopt_2x, corpus, seq1, target=0.60, max_steps=max1,
+        model_2x, "adasum-lamb", sched, corpus, seq1, target=0.60,
         eval_every=eval_every, rng=rng, eval_seed=seed + 100, ranks=2 * RANKS,
     )
     return ExtensionResult(

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -53,11 +53,6 @@ def make_flat_grad_fn(
         return flatten_grads(model)
 
     return fn
-
-
-def grads_to_dict(model: Module) -> Dict[str, np.ndarray]:
-    """Named copy of the model's current gradients."""
-    return {name: np.array(p.grad, copy=True) for name, p in model.named_parameters()}
 
 
 def format_table(headers: List[str], rows: List[Tuple]) -> str:

@@ -208,39 +208,3 @@ class TestProcessBackendGuards:
                 model, nn.CrossEntropyLoss(), dopt, x, y, microbatch=4,
                 execution="processes",
             )
-
-
-class TestOptimizerArenaPath:
-    def test_step_arena_matches_step_dicts(self, rng):
-        for post in (False, True):
-            models = []
-            for _ in range(2):
-                models.append(LeNet5(rng=np.random.default_rng(11)))
-            opts = []
-            for m in models:
-                if post:
-                    opts.append(
-                        DistributedOptimizer(
-                            m, lambda ps: Adam(ps, 1e-3), num_ranks=2,
-                            op=ReduceOpType.ADASUM,
-                        )
-                    )
-                else:
-                    opts.append(
-                        DistributedOptimizer(
-                            m, lambda ps: SGD(ps, 0.05, momentum=0.9), num_ranks=2,
-                            op=ReduceOpType.ADASUM, adasum_pre_optimizer=True,
-                        )
-                    )
-            dicts = [
-                {n: rng.standard_normal(p.shape).astype(np.float32)
-                 for n, p in models[0].named_parameters()}
-                for _ in range(2)
-            ]
-            opts[0].step([{n: g.copy() for n, g in d.items()} for d in dicts])
-            arena = GradientArena.from_grad_dicts(dicts)
-            opts[1].step_arena(arena)
-            for (n, p), (_, q) in zip(
-                models[0].named_parameters(), models[1].named_parameters()
-            ):
-                assert np.array_equal(p.data, q.data), (post, n)

@@ -2,9 +2,10 @@
 
 Every ``RunConfig`` field, execution backend and registry cell is a
 configuration the test matrix has to cover, so growing any of them is a
-decision, not an accident: this file pins the counts.  It also pins the
-one remaining dict entry point, ``DistributedOptimizer.step(dicts)``, to
-the flat ``step_arena`` path it adapts, and the one phased step
+decision, not an accident: this file pins the counts.  It also pins that
+there is one training loop — ``train_step`` over explicit per-rank
+indices is the per-rank loop the experiments used to hand-roll, whose
+dict entry points are gone — and the one phased step
 (``phased_step`` over a rank executor) that both trainers run — with
 or without an overlap bucket plan, which has no step, thread or
 validation rule of its own — and who finishes a row under each backend:
@@ -27,6 +28,7 @@ import pytest
 import repro.core.config
 import repro.elastic.trainer as elastic_trainer
 import repro.train.trainer as train_trainer
+import repro.utils
 from repro import nn
 from repro.core import DistributedOptimizer, GradientArena, ReduceOpType
 from repro.core.config import EXECUTIONS, RunConfig
@@ -42,6 +44,7 @@ from repro.train.trainer import (
     ProcessRankExecutor,
     SerialRankExecutor,
     StackedAutograd,
+    compute_grads,
 )
 
 RUN_CONFIG_FIELDS = (
@@ -69,35 +72,46 @@ def test_registry_cells():
 
 @pytest.mark.parametrize("op", list(ReduceOpType))
 @pytest.mark.parametrize("pre_optimizer", [False, True])
-def test_step_dicts_is_step_arena(op, pre_optimizer):
-    """``step(dicts)`` only packs an arena: the update is byte-identical
-    to ``step_arena`` (pre-optimizer SGD and post-optimizer Adam deltas)."""
-    rng = np.random.default_rng(0)
+@pytest.mark.parametrize("accumulation", [1, 2])
+def test_train_step_is_the_per_rank_loop(op, pre_optimizer, accumulation):
+    """``train_step`` over explicit per-rank indices is byte-identical to
+    per-rank ``compute_grads`` (accumulated, then averaged) followed by
+    ``step_arena(from_grad_dicts)`` — the equivalence the ported
+    experiments rely on (pre-optimizer SGD and post-optimizer Adam deltas)."""
+    x, y = _task()
+    loss_fn = nn.CrossEntropyLoss()
     factory = (lambda ps: SGD(ps, 0.1, momentum=0.9)) if pre_optimizer else (
         lambda ps: Adam(ps, 0.01))
-    models, dists = [], []
-    for _ in range(2):
-        model = MLP((6, 8, 3), rng=np.random.default_rng(1))
-        models.append(model)
-        dists.append(DistributedOptimizer(
-            model, factory, num_ranks=4, op=op,
-            adasum_pre_optimizer=pre_optimizer))
-    assert dists[0].post_optimizer_mode is (
-        op is ReduceOpType.ADASUM and not pre_optimizer)
+    models = [MLP((6, 8, 3), rng=np.random.default_rng(1)) for _ in range(2)]
+    config = RunConfig(op=op, num_ranks=4, microbatch=4,
+                       adasum_pre_optimizer=pre_optimizer)
+    trainer = ParallelTrainer.from_config(models[0], loss_fn, factory, x, y, config,
+                                          accumulation=accumulation)
+    dist = DistributedOptimizer.from_config(models[1], factory, config)
+    assert dist.post_optimizer_mode is (op is ReduceOpType.ADASUM and not pre_optimizer)
+    rng = np.random.default_rng(0)
     for _ in range(3):
-        dicts = [
-            {n: rng.standard_normal(p.shape).astype(np.float32)
-             for n, p in models[0].named_parameters()}
-            for _ in range(4)
-        ]
-        dists[0].step(dicts)
-        arena = GradientArena.from_model(models[1], 4)
-        arena.load_dicts(dicts)
-        dists[1].step_arena(arena)
+        rank_indices = rng.integers(0, len(x), size=(4, 4 * accumulation))
+        trainer.train_step(rank_indices)
+        dicts = []
+        for idx in rank_indices:
+            total = None
+            for sub in np.split(idx, accumulation):
+                g = compute_grads(models[1], loss_fn, x[sub], y[sub])[1]
+                total = g if total is None else {k: total[k] + g[k] for k in g}
+            dicts.append({k: v / accumulation for k, v in total.items()})
+        dist.step_arena(GradientArena.from_grad_dicts(dicts))
         for (name, p), (_, q) in zip(models[0].named_parameters(),
                                      models[1].named_parameters()):
             np.testing.assert_array_equal(
                 p.data.view(np.uint8), q.data.view(np.uint8), err_msg=name)
+
+
+def test_the_dict_entry_points_are_gone():
+    """One training loop: no ``step(grad_dicts)`` adapter on the
+    optimizer, no helper copying a model's gradients into a dict."""
+    assert not hasattr(DistributedOptimizer, "step")
+    assert not hasattr(repro.utils, "grads_to_dict")
 
 
 def test_kernel_specialization_is_not_a_knob():

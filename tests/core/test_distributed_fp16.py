@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.core import DistributedOptimizer, ReduceOpType
+from repro.core import DistributedOptimizer, GradientArena, ReduceOpType
 from repro.models import MLP
 from repro.optim import SGD, Adam
 from repro.tensor import Tensor
@@ -34,8 +34,8 @@ class TestFp16PreOptimizer:
             op=ReduceOpType.ADASUM, adasum_pre_optimizer=True,
         )
         gd = _grad_dicts(m16, rng, 2)
-        d16.step([dict(g) for g in gd])
-        d32.step(gd)
+        d16.step_arena(GradientArena.from_grad_dicts([dict(g) for g in gd]))
+        d32.step_arena(GradientArena.from_grad_dicts(gd))
         for (n1, p1), (n2, p2) in zip(m16.named_parameters(), m32.named_parameters()):
             np.testing.assert_allclose(p1.data, p2.data, atol=2e-4)
 
@@ -48,7 +48,7 @@ class TestFp16PreOptimizer:
         )
         scale0 = d._scaler.scale_value
         huge = _grad_dicts(m, rng, 2, scale=1e6)
-        d.step(huge)
+        d.step_arena(GradientArena.from_grad_dicts(huge))
         assert d.skipped_steps == 1
         assert d._scaler.scale_value < scale0
         for n, p in m.named_parameters():
@@ -63,8 +63,8 @@ class TestFp16PostOptimizer:
         d32 = DistributedOptimizer(m32, lambda ps: Adam(ps, 0.01), num_ranks=2,
                                    op=ReduceOpType.ADASUM)
         gd = _grad_dicts(m16, rng, 2)
-        d16.step([dict(g) for g in gd])
-        d32.step(gd)
+        d16.step_arena(GradientArena.from_grad_dicts([dict(g) for g in gd]))
+        d32.step_arena(GradientArena.from_grad_dicts(gd))
         for (n1, p1), (n2, p2) in zip(m16.named_parameters(), m32.named_parameters()):
             np.testing.assert_allclose(p1.data, p2.data, atol=5e-4)
 
@@ -76,7 +76,7 @@ class TestFp16PostOptimizer:
                                  op=ReduceOpType.ADASUM, wire_codecs=("fp16",))
         d._scaler.scale_value = 2.0 ** 24
         gd = _grad_dicts(m, np.random.default_rng(0), 2, scale=10.0)
-        d.step(gd)
+        d.step_arena(GradientArena.from_grad_dicts(gd))
         assert d.skipped_steps == 1
         for n, p in m.named_parameters():
             np.testing.assert_array_equal(p.data, w0[n])
@@ -97,5 +97,5 @@ class TestFp16PostOptimizer:
                 loss.backward()
                 gds.append({n: np.array(p.grad) for n, p in m.named_parameters()})
             losses.append(float(loss.data))
-            d.step(gds)
+            d.step_arena(GradientArena.from_grad_dicts(gds))
         assert losses[-1] < losses[0]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import DistributedOptimizer, ReduceOpType, adasum_per_layer
+from repro.core import DistributedOptimizer, GradientArena, ReduceOpType, adasum_per_layer
 from repro.models import MLP
 from repro.optim import SGD, Adam
 from repro.tensor import Tensor
@@ -31,7 +31,7 @@ class TestValidation:
         m = _model()
         d = DistributedOptimizer(m, lambda ps: SGD(ps, 0.1), num_ranks=4)
         with pytest.raises(ValueError):
-            d.step(_grad_dicts(m, rng, 2))
+            d.step_arena(GradientArena.from_grad_dicts(_grad_dicts(m, rng, 2)))
 
 
 class TestPreOptimizerModes:
@@ -40,7 +40,7 @@ class TestPreOptimizerModes:
         w0 = {n: p.data.copy() for n, p in m.named_parameters()}
         d = DistributedOptimizer(m, lambda ps: SGD(ps, 0.1), num_ranks=2, op=ReduceOpType.SUM)
         gd = _grad_dicts(m, rng, 2)
-        d.step(gd)
+        d.step_arena(GradientArena.from_grad_dicts(gd))
         for n, p in m.named_parameters():
             expected = w0[n] - 0.1 * (gd[0][n] + gd[1][n])
             np.testing.assert_allclose(p.data, expected, rtol=1e-5)
@@ -50,7 +50,7 @@ class TestPreOptimizerModes:
         w0 = {n: p.data.copy() for n, p in m.named_parameters()}
         d = DistributedOptimizer(m, lambda ps: SGD(ps, 0.2), num_ranks=4, op=ReduceOpType.AVERAGE)
         gd = _grad_dicts(m, rng, 4)
-        d.step(gd)
+        d.step_arena(GradientArena.from_grad_dicts(gd))
         for n, p in m.named_parameters():
             expected = w0[n] - 0.2 * np.mean([g[n] for g in gd], axis=0)
             np.testing.assert_allclose(p.data, expected, rtol=1e-5)
@@ -66,7 +66,7 @@ class TestPreOptimizerModes:
         assert not d.post_optimizer_mode
         gd = _grad_dicts(m, rng, 4)
         combined = adasum_per_layer(gd)
-        d.step(gd)
+        d.step_arena(GradientArena.from_grad_dicts(gd))
         for n, p in m.named_parameters():
             np.testing.assert_allclose(p.data, w0[n] - 0.1 * combined[n], rtol=1e-5)
 
@@ -81,7 +81,7 @@ class TestPostOptimizerMode:
         gd = _grad_dicts(m, rng, 2)
         deltas = [{n: -0.1 * g[n] for n in g} for g in gd]
         expected = adasum_per_layer(deltas)
-        d.step(gd)
+        d.step_arena(GradientArena.from_grad_dicts(gd))
         for n, p in m.named_parameters():
             np.testing.assert_allclose(p.data, w0[n] + expected[n], rtol=1e-4, atol=1e-7)
 
@@ -90,7 +90,7 @@ class TestPostOptimizerMode:
         m = _model()
         d = DistributedOptimizer(m, lambda ps: Adam(ps, 0.01), num_ranks=2, op=ReduceOpType.ADASUM)
         gd = _grad_dicts(m, rng, 2)
-        d.step(gd)
+        d.step_arena(GradientArena.from_grad_dicts(gd))
         m0 = d.rank_optimizers[0].state[0]["m"]
         m1 = d.rank_optimizers[1].state[0]["m"]
         assert not np.allclose(m0, m1)
@@ -106,8 +106,8 @@ class TestPostOptimizerMode:
         d_single = DistributedOptimizer(
             m_single, lambda ps: SGD(ps, 0.1), num_ranks=1, op=ReduceOpType.ADASUM
         )
-        d_multi.step([dict(g) for _ in range(4)])
-        d_single.step([g])
+        d_multi.step_arena(GradientArena.from_grad_dicts([dict(g) for _ in range(4)]))
+        d_single.step_arena(GradientArena.from_grad_dicts([g]))
         for (n1, p1), (n2, p2) in zip(
             m_multi.named_parameters(), m_single.named_parameters()
         ):
@@ -127,7 +127,7 @@ class TestPostOptimizerMode:
                 loss = loss_fn(m(Tensor(x)), y)
                 loss.backward()
                 gds.append({n: np.array(p.grad) for n, p in m.named_parameters()})
-            d.step(gds)
+            d.step_arena(GradientArena.from_grad_dicts(gds))
         for p in m.parameters():
             assert np.isfinite(p.data).all()
 

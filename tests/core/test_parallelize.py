@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import PartitionedAdasumEngine, make_reducer, partition_layers
+from repro.core import GradientArena, PartitionedAdasumEngine, make_reducer, partition_layers
 from repro.core.distributed_optimizer import DistributedOptimizer, ReduceOpType
 from repro.models import MLP
 from repro.optim import Adam
@@ -87,7 +87,7 @@ class TestEngine:
         local = self._grads(model_a, rng)
         remote = self._grads(model_a, rng)
         # The unpartitioned reference computes both ranks' deltas itself.
-        dist.step([local, remote])
+        dist.step_arena(GradientArena.from_grad_dicts([local, remote]))
         # For the engine, derive the remote delta with an identical fresh Adam.
         model_c = MLP((4, 8, 2), rng=np.random.default_rng(2))
         opt_c = Adam(model_c.parameters(), lr=0.05)

@@ -1,4 +1,4 @@
-"""Tests for repro.utils (flattening, grad helpers, table formatting)."""
+"""Tests for repro.utils (flattening, the flat gradient function, table formatting)."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from repro.utils import (
     flatten_grads,
     flatten_params,
     format_table,
-    grads_to_dict,
     make_flat_grad_fn,
     set_flat_params,
 )
@@ -62,19 +61,6 @@ class TestFlatGradFn:
         fn = make_flat_grad_fn(model, nn.CrossEntropyLoss(), x, y)
         w = flatten_params(model)
         np.testing.assert_array_equal(fn(w), fn(w))
-
-
-class TestGradsToDict:
-    def test_copies(self):
-        model = MLP((3, 2), rng=np.random.default_rng(0))
-        nn.CrossEntropyLoss()(
-            model(np.ones((2, 3), dtype=np.float32)), np.array([0, 1])
-        ).backward()
-        d = grads_to_dict(model)
-        name = next(iter(d))
-        d[name] += 99
-        p = dict(model.named_parameters())[name]
-        assert not np.allclose(d[name], p.grad)
 
 
 class TestFormatTable:
