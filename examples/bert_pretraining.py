@@ -4,8 +4,14 @@ Pre-trains MiniBERT on the synthetic masked-LM corpus with the LAMB
 optimizer, comparing the gradient-averaging baseline against the
 post-optimizer Adasum combination of Figure 3 (per-rank optimizer
 steps, Adasum of the model deltas).  Prints held-out masked-LM accuracy
-over training for both — Adasum-LAMB should reach the bar in fewer
-steps (the paper's 20-30% claim).
+over training for both, and the step each first reaches ``TARGET``.
+
+At this scale (4 ranks x 32 sequences, 120 steps, hidden 32) it shows
+the two pipelines running side by side, not the paper's result: neither
+run reaches the 0.55 bar (both end near 0.19), and the baseline is
+slightly ahead from step 60 on.  The reproduced Table 3 — Adasum-LAMB
+at 120 phase-1 iterations against Baseline-LAMB's 190, the paper's
+20-30% claim — is ``python -m repro table3`` (EXPERIMENTS.md).
 
 Run:  python examples/bert_pretraining.py
 """

@@ -33,9 +33,9 @@ nor the readiness order can change bytes:
 * Figure-3 post-optimizer mode rewrites each bucket's rows from local
   gradients to post-optimizer deltas with a
   :class:`FlatOptimizerMirror` — a flat, rank-vectorized replay of the
-  per-rank optimizers' exact update arithmetic (same expressions, same
-  dtypes, same rounding points), so the wire tensors are bit-identical
-  to ``_rewrite_rows_to_deltas``;
+  per-rank optimizers' exact update arithmetic (same operations, order
+  and rounding points, written in place), so the wire tensors are
+  bit-identical to ``_rewrite_rows_to_deltas``;
 * the wire codec stack (:mod:`repro.comm.codec`) applies per bucket:
   an fp16 stage runs with the step's scale fixed up front and the
   dynamic scaler sees one aggregated overflow verdict per step, while
@@ -125,12 +125,15 @@ class FlatOptimizerMirror:
     ops, which is what lets a bucket's rewrite run in the middle of
     backprop.
 
-    Every expression matches the scalar optimizers' update arithmetic
-    exactly (same association order, same dtypes, same
-    ``.astype(float32)`` rounding points, same start/delta
-    double-rounding), and all ops are elementwise, so vectorizing
-    across ranks cannot change bits — property-tested against the
-    phased path in ``tests/core/test_overlap.py``.
+    The rewrite performs the scalar optimizers' operations in their
+    order and at their float32 rounding points (same operands, same
+    start/delta double rounding), written in place: each ufunc stores
+    into the ``m`` / ``v`` / momentum slices, the bucket's own arena
+    rows, or one ``(ranks, widest range)`` scratch block the mirror
+    owns, so a step allocates nothing bucket-sized.  All ops are
+    elementwise, so vectorizing across ranks cannot change bits —
+    property-tested against ``_rewrite_rows_to_deltas`` for any bucket
+    split and against the phased path in ``tests/core/test_overlap.py``.
 
     The mirror's flat arrays *are* the rank optimizers' state: the first
     step installs per-parameter views of its rows as their slot arrays
@@ -160,6 +163,7 @@ class FlatOptimizerMirror:
             self._t = np.zeros((arena.num_ranks, len(opt.params)), dtype=np.int64)
         elif opt.momentum:
             self._buf = np.zeros(shape, dtype=np.float32)
+        self._scratch = np.empty(0, dtype=np.float32)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -216,36 +220,69 @@ class FlatOptimizerMirror:
         if self._kind == "adam":
             self._t[:] = self._steps
 
+    def _scratch_block(self, width: int) -> np.ndarray:
+        """A contiguous ``(ranks, width)`` float32 block of the scratch,
+        which grows to the widest range rewritten and is then reused."""
+        need = self._arena.num_ranks * width
+        if self._scratch.size < need:
+            self._scratch = np.empty(need, dtype=np.float32)
+        return self._scratch[:need].reshape(self._arena.num_ranks, width)
+
     def rewrite(self, lo: int, hi: int) -> None:
-        """In place: arena columns ``[lo, hi)`` gradient rows -> delta rows."""
+        """In place: arena columns ``[lo, hi)`` gradient rows -> delta rows.
+
+        The comments give the optimizer expression each group of ufuncs
+        reproduces.
+        """
         rows = self._arena.data[:, lo:hi]
         start = self.starts[lo:hi]
         opt = self._opt
-        g = rows
+        a = self._scratch_block(hi - lo)
         if opt.weight_decay:
-            g = g + opt.weight_decay * start
+            # g = g + wd * p
+            np.multiply(start, opt.weight_decay, out=a[0])
+            rows += a[0]
+        direction = rows
         if self._kind == "adam":
-            m = opt.beta1 * self._m[:, lo:hi] + (1 - opt.beta1) * g
-            v = opt.beta2 * self._v[:, lo:hi] + (1 - opt.beta2) * g * g
-            self._m[:, lo:hi] = m
-            self._v[:, lo:hi] = v
+            # v = b2 * v + (1 - b2) * g * g
+            v = self._v[:, lo:hi]
+            v *= opt.beta2
+            np.multiply(rows, 1 - opt.beta2, out=a)
+            a *= rows
+            v += a
+            # m = b1 * m + (1 - b1) * g: g's last use, so (1 - b1) * g
+            # is formed in its rows
+            m = self._m[:, lo:hi]
+            m *= opt.beta1
+            rows *= 1 - opt.beta1
+            m += rows
+            # d = (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)
             t = self._steps
-            mhat = m / (1 - opt.beta1 ** t)
-            vhat = v / (1 - opt.beta2 ** t)
-            direction = mhat / (np.sqrt(vhat) + opt.eps)
+            np.divide(m, 1 - opt.beta1 ** t, out=rows)
+            np.divide(v, 1 - opt.beta2 ** t, out=a)
+            np.sqrt(a, out=a)
+            a += opt.eps
+            rows /= a
         elif opt.momentum:
+            # buf = g.copy() on the first step, else momentum * buf + g
+            buf = self._buf[:, lo:hi]
             if self._steps == 1:
-                buf = g.astype(np.float32).copy()
+                np.copyto(buf, rows)
             else:
-                buf = opt.momentum * self._buf[:, lo:hi] + g
-            self._buf[:, lo:hi] = buf
-            direction = g + opt.momentum * buf if opt.nesterov else buf
-        else:
-            direction = g
-        # p.data -= (lr * d).astype(f32); delta = p.data - start: keep
-        # the serial path's double rounding.
-        new = start - (self._lr * direction).astype(rows.dtype)
-        np.subtract(new, start, out=rows)
+                buf *= opt.momentum
+                buf += rows
+            if opt.nesterov:
+                # d = g + momentum * buf
+                np.multiply(buf, opt.momentum, out=a)
+                rows += a
+            else:
+                # d = buf: the slot is read, never written, from here on
+                direction = buf
+        # p -= lr * d; delta = p - start: keep the per-rank optimizers'
+        # double rounding.
+        np.multiply(direction, self._lr, out=rows)
+        np.subtract(start, rows, out=rows)
+        rows -= start
 
 
 class OverlapScheduler:
