@@ -308,6 +308,42 @@ def _expression_rewrite(mirror, lo, hi):
     np.subtract(new, start, out=rows)
 
 
+def _check_mirror(optimizer, lr, ranks, order, steps, seed, extreme):
+    """Bucket by bucket, in ``order``, the mirror leaves the rows and
+    every slot (``m``, ``v``, ``t``, ``momentum``) byte for byte where
+    the real per-rank optimizers (``_rewrite_rows_to_deltas``) do."""
+    rng = np.random.default_rng(seed)
+    sides = []
+    for _ in range(2):
+        model = MLP(LAYERS, rng=np.random.default_rng(seed))
+        dopt = DistributedOptimizer(
+            model, lambda ps: MIRRORED[optimizer](ps, lr), ranks,
+            op=ReduceOpType.ADASUM)
+        sides.append((model, dopt, GradientArena.from_model(model, ranks)))
+    (_, real, real_arena), (_, mirrored, arena) = sides
+    assert arena.layout.total_size == TOTAL
+    mirror = FlatOptimizerMirror.build(mirrored, arena)
+    assert mirror is not None
+    for step in range(steps):
+        grads = _mirror_grads(rng, arena.data.shape, extreme)
+        real_arena.data[:] = grads
+        real._rewrite_rows_to_deltas(real_arena, range(ranks))
+        arena.data[:] = grads
+        mirror.begin_step()
+        for lo, hi in order:
+            mirror.rewrite(lo, hi)
+        assert arena.data.tobytes() == real_arena.data.tobytes(), (
+            f"delta rows differ at step {step}")
+        for rank, (a, b) in enumerate(zip(real.rank_optimizers,
+                                          mirrored.rank_optimizers)):
+            assert a.step_count == b.step_count
+            _assert_same_bytes(a.state, b.state, f"rank {rank} slots, step {step}")
+        # Both models take rank 0's delta: the next step starts elsewhere.
+        for model, _, deltas in sides:
+            for name, p in model.named_parameters():
+                p.data += deltas.views(0)[name]
+
+
 class TestFlatOptimizerMirror:
     @given(
         optimizer=st.sampled_from(sorted(MIRRORED)),
@@ -334,39 +370,21 @@ class TestFlatOptimizerMirror:
     @settings(max_examples=100, deadline=None)
     def test_rewrite_matches_the_rank_optimizers(self, optimizer, lr, ranks, order,
                                                  steps, seed, extreme):
-        """Bucket by bucket, in any order, the mirror leaves the rows and
-        every slot (``m``, ``v``, ``t``, ``momentum``) byte for byte where
-        the real per-rank optimizers (``_rewrite_rows_to_deltas``) do."""
-        rng = np.random.default_rng(seed)
-        sides = []
-        for _ in range(2):
-            model = MLP(LAYERS, rng=np.random.default_rng(seed))
-            dopt = DistributedOptimizer(
-                model, lambda ps: MIRRORED[optimizer](ps, lr), ranks,
-                op=ReduceOpType.ADASUM)
-            sides.append((model, dopt, GradientArena.from_model(model, ranks)))
-        (_, real, real_arena), (_, mirrored, arena) = sides
-        assert arena.layout.total_size == TOTAL
-        mirror = FlatOptimizerMirror.build(mirrored, arena)
-        assert mirror is not None
-        for step in range(steps):
-            grads = _mirror_grads(rng, arena.data.shape, extreme)
-            real_arena.data[:] = grads
-            real._rewrite_rows_to_deltas(real_arena, range(ranks))
-            arena.data[:] = grads
-            mirror.begin_step()
-            for lo, hi in order:
-                mirror.rewrite(lo, hi)
-            assert arena.data.tobytes() == real_arena.data.tobytes(), (
-                f"delta rows differ at step {step}")
-            for rank, (a, b) in enumerate(zip(real.rank_optimizers,
-                                              mirrored.rank_optimizers)):
-                assert a.step_count == b.step_count
-                _assert_same_bytes(a.state, b.state, f"rank {rank} slots, step {step}")
-            # Both models take rank 0's delta: the next step starts elsewhere.
-            for model, _, rows in sides:
-                for name, p in model.named_parameters():
-                    p.data += rows.views(0)[name]
+        """Any bucket split, rewrite order, world size, learning-rate
+        schedule and gradient range."""
+        _check_mirror(optimizer, lr, ranks, order, steps, seed, extreme)
+
+    # The same four configurations as tests of their own: three ranks,
+    # two buckets rewritten out of order, three steps.
+    def test_sgd_momentum(self):
+        _check_mirror("momentum", 0.05, 3, THIRDS, 3, 1, False)
+
+    def test_adam(self):
+        _check_mirror("adam", 1e-3, 3, THIRDS, 3, 1, False)
+
+    def test_sgd_plain_and_nesterov(self):
+        _check_mirror("sgd", 0.1, 3, THIRDS, 3, 1, False)
+        _check_mirror("nesterov+wd", 0.1, 3, THIRDS, 3, 1, False)
 
     @pytest.mark.parametrize("optimizer", sorted(MIRRORED))
     def test_rewrite_allocates_nothing_bucket_sized(self, optimizer):
