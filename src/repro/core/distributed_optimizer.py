@@ -422,16 +422,34 @@ class DistributedOptimizer:
         post-optimizer model delta, in place; returns the start params."""
         starts = {name: p.data.copy() for name, p in self._params.items()}
         for rank in ranks:
-            views = arena.views(rank)
-            for name, p in self._params.items():
-                np.copyto(p.data, starts[name])
-                p.grad = views[name]
-            self.rank_optimizers[rank].step()
-            # The local gradient is consumed; its row becomes the delta.
-            for name, p in self._params.items():
-                np.subtract(p.data, starts[name], out=views[name])
+            optimizer_delta(
+                self.rank_optimizers[rank], self._params.items(), starts,
+                arena.views(rank),
+            )
         # Leave the model at the shared starting point until apply.
         for name, p in self._params.items():
             np.copyto(p.data, starts[name])
         self.model.zero_grad()
         return starts
+
+
+def optimizer_delta(
+    optimizer: Optimizer, params, starts: Mapping[str, np.ndarray],
+    grads: Mapping[str, np.ndarray],
+) -> None:
+    """Figure 3's local half for one rank, through the real optimizer.
+
+    From the shared ``starts`` the ``(name, Parameter)`` pairs in
+    ``params`` (iterated twice) take one ``optimizer`` step on ``grads``
+    (named views of the rank's row), and the row becomes the delta
+    ``p - start``.  The parameters are left stepped and their ``.grad``
+    bound to the row.  This is the path for optimizers a
+    :class:`~repro.core.overlap.FlatOptimizerMirror` cannot replay.
+    """
+    for name, p in params:
+        np.copyto(p.data, starts[name])
+        p.grad = grads[name]
+    optimizer.step()
+    # The local gradient is consumed; its row becomes the delta.
+    for name, p in params:
+        np.subtract(p.data, starts[name], out=grads[name])

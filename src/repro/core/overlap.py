@@ -51,6 +51,7 @@ from typing import Callable, Dict, List, Optional, Set
 import numpy as np
 
 from repro.comm.bucketing import Bucket
+from repro.comm.fusion import layout_of
 from repro.comm.tracing import CommTracer
 from repro.core.arena import GradientArena
 from repro.core.distributed_optimizer import DistributedOptimizer
@@ -114,127 +115,203 @@ def _register_builtin_engines() -> None:
 
 
 class FlatOptimizerMirror:
-    """Rank-vectorized flat replay of the per-rank optimizers (Figure 3).
+    """Rank-vectorized flat replay of per-rank optimizers (Figure 3).
 
-    ``_rewrite_rows_to_deltas`` walks parameters per rank through the
-    real :class:`~repro.optim.optimizer.Optimizer` objects — correct,
-    but serialized after backward and dominated by Python dispatch.
-    The mirror keeps the per-rank optimizer state as ``(ranks, size)``
-    flat arrays and rewrites any column range ``[lo, hi)`` of the arena
-    from gradients to post-optimizer deltas in a handful of vectorized
-    ops, which is what lets a bucket's rewrite run in the middle of
-    backprop.
+    The real :class:`~repro.optim.optimizer.Optimizer` walks parameters
+    one by one and rebinds fresh slot arrays on every step — correct,
+    but dominated by Python dispatch and temporaries.  The mirror keeps
+    the optimizers' state as ``(ranks, size)`` flat arrays and rewrites
+    any column range ``[lo, hi)`` of ``rows`` from gradients to
+    post-optimizer deltas (``p - start``) in a handful of vectorized
+    ops.  The overlap scheduler mirrors every rank optimizer over the
+    arena's rows, which lets a bucket's rewrite run in the middle of
+    backprop; a rank worker mirrors its own optimizer over its own row
+    of the shared arena, with the shared parameter row as the starts.
 
     The rewrite performs the scalar optimizers' operations in their
     order and at their float32 rounding points (same operands, same
     start/delta double rounding), written in place: each ufunc stores
-    into the ``m`` / ``v`` / momentum slices, the bucket's own arena
-    rows, or one ``(ranks, widest range)`` scratch block the mirror
-    owns, so a step allocates nothing bucket-sized.  All ops are
-    elementwise, so vectorizing across ranks cannot change bits —
-    property-tested against ``_rewrite_rows_to_deltas`` for any bucket
-    split and against the phased path in ``tests/core/test_overlap.py``.
+    into the ``m`` / ``v`` / momentum slices, the range's own rows, or
+    one ``(ranks, widest range)`` scratch block the mirror owns, so a
+    step allocates nothing row-sized.  All ops are elementwise, so
+    vectorizing across ranks cannot change bits — property-tested
+    against the real optimizers (``_rewrite_rows_to_deltas``) for any
+    bucket split in ``tests/core/test_overlap.py`` and, inside rank
+    workers, in ``tests/train/test_worker_finish.py``.
 
-    The mirror's flat arrays *are* the rank optimizers' state: the first
-    step installs per-parameter views of its rows as their slot arrays
-    and every step advances their ``step_count``, so checkpoints and
-    ``dist_opt.lr`` see exactly what a phased run would have.  It must
-    still be driven for *every* step of a run (the scheduler guarantees
-    this): a real ``Optimizer.step`` rebinds its slots to fresh arrays
-    and would fork the state.
+    **Who owns the state.**  Between steps the optimizer objects are
+    the source of truth: their ``step_count`` and the slot dicts a
+    checkpoint, a snapshot, a pull or a push reads and writes.  The
+    mirror's flat arrays are an in-place cache of that state — it
+    installs per-parameter views of them as the slot arrays and advances
+    every ``step_count``, so readers see exactly what the real
+    optimizers would have left.  When a step opens (:meth:`begin_step`)
+    it re-syncs if anyone wrote an optimizer from outside (a slot that
+    is not its own view, or a ``step_count`` other than the one it
+    left): the present slots are copied into its rows, its counters come
+    from ``step_count`` (and Adam's ``t``), and a parameter with no slot
+    yet takes its first step — SGD's ``buf = g.copy()``, which differs
+    from ``0.9 * 0 + g`` on ``-0.0``.  A real ``Optimizer.step`` between
+    mirrored steps is such an outside write.  The mirrored optimizers
+    replay in lockstep: state on which they disagree (``step_count``,
+    Adam's ``t``, a first step for some slots only) is rejected with a
+    ``ValueError``.
+
+    Parameters
+    ----------
+    optimizers:
+        One optimizer per row, all built by one factory over ``params``.
+    params:
+        ``(name, Parameter)`` pairs in the rows' (declaration) layout.
+    rows:
+        ``(len(optimizers), size)`` float32 rows rewritten in place.
+    starts:
+        ``(size,)`` shared starting parameters the deltas are taken
+        from; whoever owns it fills it before a step.
     """
 
-    def __init__(self, dist_opt: DistributedOptimizer, arena: GradientArena):
-        self._opts = dist_opt.rank_optimizers
+    def __init__(self, optimizers, params, rows: np.ndarray, starts: np.ndarray):
+        self._opts = list(optimizers)
         opt = self._opt = self._opts[0]
         self._kind = "adam" if type(opt) is Adam else "sgd"
-        self._arena = arena
-        total = arena.layout.total_size
-        self.starts = np.empty(total, dtype=arena.dtype)
-        self.start_views: Dict[str, np.ndarray] = arena.unpack(self.starts, copy=False)
-        self._params = dist_opt._params
-        self._steps = 0
-        self._lr = 0.0
-        shape = (arena.num_ranks, total)
+        layout = layout_of([(name, p.data) for name, p in params])
+        position = {id(p): i for i, (_, p) in enumerate(params)}
+        total = layout.total_size
+        if rows.shape != (len(self._opts), total) or starts.shape != (total,):
+            raise ValueError(
+                f"{len(self._opts)} optimizers over {total} parameters need "
+                f"({len(self._opts)}, {total}) rows and ({total},) starts, got "
+                f"{rows.shape} and {starts.shape}"
+            )
+        self._rows = rows
+        self.starts = starts
+        # Each slot's (lo, hi, shape) in the rows, in ``opt.params`` order.
+        self._slots = [
+            (*layout.slices[position[id(p)]], layout.shapes[position[id(p)]])
+            for p in opt.params
+        ]
+        shape = rows.shape
+        #: The slot arrays, as flat rows: ``{key: (ranks, size)}``.
+        self._flat: Dict[str, np.ndarray] = {}
         if self._kind == "adam":
-            self._m = np.zeros(shape, dtype=np.float32)
-            self._v = np.zeros(shape, dtype=np.float32)
+            self._m = self._flat["m"] = np.zeros(shape, dtype=np.float32)
+            self._v = self._flat["v"] = np.zeros(shape, dtype=np.float32)
             # Adam's per-slot step counter: one column per parameter.
-            self._t = np.zeros((arena.num_ranks, len(opt.params)), dtype=np.int64)
+            self._t = np.zeros((len(self._opts), len(self._slots)), dtype=np.int64)
         elif opt.momentum:
-            self._buf = np.zeros(shape, dtype=np.float32)
+            self._buf = self._flat["momentum"] = np.zeros(shape, dtype=np.float32)
+        # Per rank: (index, slot dict, its (key, view) pairs) as installed.
+        self._installed: List[List[tuple]] = []
+        self._left: Optional[int] = None  # the step_count this mirror left
+        self._first = False  # this step creates the momentum buffer
+        self._steps = 0      # this step's Adam ``t``
+        self._lr = 0.0
         self._scratch = np.empty(0, dtype=np.float32)
 
     # ------------------------------------------------------------------
     @staticmethod
-    def build(
-        dist_opt: DistributedOptimizer, arena: GradientArena
-    ) -> Optional["FlatOptimizerMirror"]:
-        """Mirror for ``dist_opt``'s rank optimizers, or ``None``.
+    def build(optimizers, params, rows: np.ndarray, starts: np.ndarray
+              ) -> Optional["FlatOptimizerMirror"]:
+        """Mirror of ``optimizers``, or ``None`` when it cannot replay them.
 
-        Supported: fresh (never-stepped) plain :class:`Adam` and
-        :class:`SGD` instances.  Subclasses (e.g. AdamW) are excluded by
+        Supported: exact :class:`Adam` and :class:`SGD` (with or without
+        momentum, Nesterov and weight decay), in any state — the first
+        step re-syncs from it.  Subclasses (e.g. AdamW) are excluded by
         exact type check — they override the update rule.
         """
-        opts = dist_opt.rank_optimizers
-        if not opts:
+        if not optimizers or type(optimizers[0]) not in (Adam, SGD):
             return None
-        if type(opts[0]) not in (Adam, SGD):
-            return None
-        if any(o.step_count != 0 or o.state for o in opts):
-            return None
-        return FlatOptimizerMirror(dist_opt, arena)
+        return FlatOptimizerMirror(optimizers, params, rows, starts)
 
     # ------------------------------------------------------------------
-    def _install_state(self) -> None:
-        """Make the flat rows the rank optimizers' slot arrays (views)."""
-        if self._kind == "adam":
-            rows = {"m": self._m, "v": self._v}
-        elif self._opt.momentum:
-            rows = {"momentum": self._buf}
-        else:
-            return
-        names = {id(p): name for name, p in self._params.items()}
+    def _owns_state(self) -> bool:
+        """No one wrote the optimizers since this mirror's last step."""
+        if self._left is None:
+            return False
+        for opt, installed in zip(self._opts, self._installed):
+            if opt.step_count != self._left:
+                return False
+            get = opt.state.get
+            for index, slot, views in installed:
+                if get(index) is not slot:
+                    return False
+                for key, view in views:
+                    if slot.get(key) is not view:
+                        return False
+        return True
+
+    def _sync(self) -> bool:
+        """Copy the optimizers' present state into the flat rows and
+        install views of them as the slot arrays (see the class
+        docstring); returns whether there was no slot yet."""
+        keys = tuple(self._flat)  # () for plain SGD: no slots at all
+        counts, present, ts = set(), set(), set()
+        for opt in self._opts:
+            counts.add(opt.step_count)
+            for index in range(len(self._slots) if keys else 0):
+                slot = opt.state.get(index, {})
+                has = slot.get(keys[0]) is not None
+                present.add(has)
+                if self._kind == "adam":
+                    ts.add(int(slot["t"][0]) if has else 0)
+        if len(counts) > 1 or len(present) > 1 or len(ts) > 1:
+            raise ValueError(
+                "FlatOptimizerMirror replays its optimizers in lockstep, but "
+                f"their state disagrees: step_count {sorted(counts)}, Adam t "
+                f"{sorted(ts)}, first step for some slots only: {len(present) > 1}"
+            )
+        fresh = True not in present
+        self._installed = []
         for rank, opt in enumerate(self._opts):
-            views = {
-                key: self._arena.unpack(flat[rank], copy=False)
-                for key, flat in rows.items()
-            }
-            for index, p in enumerate(opt.params):
+            installed = []
+            for index, (lo, hi, shape) in enumerate(self._slots if keys else ()):
                 slot = opt.state_for(index)
-                for key in rows:
-                    slot[key] = views[key][names[id(p)]]
+                for key, flat in self._flat.items():
+                    view = flat[rank, lo:hi].reshape(shape)
+                    if fresh:
+                        view.fill(0)
+                    else:
+                        np.copyto(view, slot[key])
+                    slot[key] = view
                 if self._kind == "adam":
                     slot["t"] = self._t[rank, index:index + 1]
+                installed.append((index, slot, tuple(slot.items())))
+            self._installed.append(installed)
+        if self._kind == "adam":
+            self._t[:] = ts.pop()
+        self._left = counts.pop()
+        return fresh
 
     def begin_step(self) -> None:
-        """Snapshot shared starting params; fix this step's lr and t."""
-        for name, p in self._params.items():
-            np.copyto(self.start_views[name], p.data)
-        self._lr = self._opt.lr_schedule(self._steps)
-        if self._steps == 0:
-            self._install_state()
-        self._steps += 1
+        """Open a step: re-sync from the optimizers if they were written
+        from outside, then fix this step's lr and counters and advance
+        every ``step_count``, as a real step would."""
+        self._first = not self._owns_state() and self._sync()
+        count = self._left
+        self._lr = self._opt.lr_schedule(count)
+        self._left = count + 1
         for opt in self._opts:
-            opt.step_count = self._steps
+            opt.step_count = count + 1
         if self._kind == "adam":
-            self._t[:] = self._steps
+            self._t += 1
+            self._steps = int(self._t[0, 0])
 
     def _scratch_block(self, width: int) -> np.ndarray:
         """A contiguous ``(ranks, width)`` float32 block of the scratch,
         which grows to the widest range rewritten and is then reused."""
-        need = self._arena.num_ranks * width
+        ranks = self._rows.shape[0]
+        need = ranks * width
         if self._scratch.size < need:
             self._scratch = np.empty(need, dtype=np.float32)
-        return self._scratch[:need].reshape(self._arena.num_ranks, width)
+        return self._scratch[:need].reshape(ranks, width)
 
     def rewrite(self, lo: int, hi: int) -> None:
-        """In place: arena columns ``[lo, hi)`` gradient rows -> delta rows.
+        """In place: columns ``[lo, hi)`` of the rows, gradients -> deltas.
 
         The comments give the optimizer expression each group of ufuncs
         reproduces.
         """
-        rows = self._arena.data[:, lo:hi]
+        rows = self._rows[:, lo:hi]
         start = self.starts[lo:hi]
         opt = self._opt
         a = self._scratch_block(hi - lo)
@@ -266,7 +343,7 @@ class FlatOptimizerMirror:
         elif opt.momentum:
             # buf = g.copy() on the first step, else momentum * buf + g
             buf = self._buf[:, lo:hi]
-            if self._steps == 1:
+            if self._first:
                 np.copyto(buf, rows)
             else:
                 buf *= opt.momentum
@@ -335,11 +412,16 @@ class OverlapScheduler:
         self.dist_opt = dist_opt
         self.arena = arena
         self.tracer = tracer
-        self.mirror: Optional[FlatOptimizerMirror] = (
-            FlatOptimizerMirror.build(dist_opt, arena)
-            if dist_opt.post_optimizer_mode
-            else None
-        )
+        self.mirror: Optional[FlatOptimizerMirror] = None
+        if dist_opt.post_optimizer_mode:
+            # The shared start every rank's delta is taken from, copied
+            # from the live parameters when a step begins.
+            self._params = list(dist_opt.model.named_parameters())
+            starts = np.empty(arena.layout.total_size, dtype=arena.dtype)
+            self._starts = arena.unpack(starts, copy=False)
+            self.mirror = FlatOptimizerMirror.build(
+                dist_opt.rank_optimizers, self._params, arena.data, starts
+            )
         whole_rows = dist_opt.post_optimizer_mode and self.mirror is None
         self.plan = dist_opt.bucket_plan(arena, None if whole_rows else bucket_cap_mb)
         self._bucket_of: Dict[str, Bucket] = {
@@ -368,8 +450,10 @@ class OverlapScheduler:
         self._ctx = ctx
         self._t_base = perf_counter()
         if self.mirror is not None:
+            for name, p in self._params:
+                np.copyto(self._starts[name], p.data)
             self.mirror.begin_step()
-            ctx["starts"], ctx["rewrite"] = self.mirror.start_views, self.mirror.rewrite
+            ctx["starts"], ctx["rewrite"] = self._starts, self.mirror.rewrite
         self._pending = {b.index: set(b.names) for b in self.plan.buckets}
         return self.mark_ready if len(self._pending) > 1 else None
 

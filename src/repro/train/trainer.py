@@ -28,9 +28,9 @@ from repro.core.arena import (
     leaked_shared_segments,
 )
 from repro.core.config import parse_execution
-from repro.core.distributed_optimizer import DistributedOptimizer
+from repro.core.distributed_optimizer import DistributedOptimizer, optimizer_delta
 from repro.core.orthogonality import OrthogonalityProbe
-from repro.core.overlap import OverlapScheduler, build_fused_engine
+from repro.core.overlap import FlatOptimizerMirror, OverlapScheduler, build_fused_engine
 from repro.data.sampler import BatchIterator, ShardedSampler
 from repro.nn import Module, rank_order_hazard
 from repro.tensor import (
@@ -441,15 +441,19 @@ class _ProcessRankWorker:
             self.model, spec["loss_fn"], spec["x"], spec["y"],
             spec["microbatch"], spec["accumulation"], self.grads,
         )
+        self._row = self.grads.data[rank:rank + 1]  # what finishing rewrites
         # This rank's own optimizer (post-optimizer Adasum only), over
-        # this process's replica: its params *are* the model's.
+        # this process's replica: its params *are* the model's.  Adam and
+        # SGD replay in place on the row, from the shared parameter row.
         optimizers = spec["rank_optimizers"]
         self.optimizer = optimizers[rank] if optimizers else None
+        self.mirror = None if self.optimizer is None else FlatOptimizerMirror.build(
+            [self.optimizer], self._named, self._row, self.params.data[0]
+        )
         pipeline = spec["pipeline"]
         self.pipeline = None if pipeline is None else pipeline.for_row(
             rank, layout.total_size, layout.boundaries()
         )
-        self._row = self.grads.data[rank:rank + 1]  # what the pipeline encodes
         self.combine = spec["combine_spec"]
         self._strategy = None
         self._boundaries = None
@@ -458,13 +462,12 @@ class _ProcessRankWorker:
         # contract), and a worker does nothing but training steps.
         set_kernel_specialization(True)
 
-    def _load_start(self) -> Dict[str, np.ndarray]:
+    def _load_start(self) -> None:
         """Reset the replica to the shared start: the parameter row the
-        parent published for this step (returned as per-layer views)."""
+        parent published for this step."""
         starts = self.params.views(0)
         for name, p in self._named:
             np.copyto(p.data, starts[name])
-        return starts
 
     def _finish(self, scale: Optional[float]) -> bool:
         """Turn this rank's gradient row into its wire tensor, in place.
@@ -472,19 +475,21 @@ class _ProcessRankWorker:
         The row-local half of ``prepare_wire_arena``, expression for
         expression: for post-optimizer Adasum this rank's optimizer
         steps from the shared start (the parameter row) and the row
-        becomes ``p.data - start``; with a codec stack the row then
-        round-trips through this rank's pipeline at the fp16 ``scale``
-        the parent fixed for the step.  Returns the row's overflow flag.
+        becomes ``p.data - start`` — replayed in place on the row by
+        the :class:`~repro.core.overlap.FlatOptimizerMirror` for Adam
+        and SGD, through the real optimizer otherwise; with a codec
+        stack the row then round-trips through this rank's pipeline at
+        the fp16 ``scale`` the parent fixed for the step.  Returns the
+        row's overflow flag.
         """
-        if self.optimizer is not None:
-            starts = self._load_start()
-            views = self.grads.views(self.rank)
-            for name, p in self._named:
-                p.grad = views[name]
-            self.optimizer.step()
-            # The local gradient is consumed; its row becomes the delta.
-            for name, p in self._named:
-                np.subtract(p.data, starts[name], out=views[name])
+        if self.mirror is not None:
+            self.mirror.begin_step()
+            self.mirror.rewrite(0, self._row.shape[1])
+        elif self.optimizer is not None:
+            optimizer_delta(
+                self.optimizer, self._named, self.params.views(0),
+                self.grads.views(self.rank),
+            )
             self.model.zero_grad()
         if self.pipeline is None:
             return False
@@ -536,7 +541,9 @@ class _ProcessRankWorker:
         raise ValueError(f"unknown control message {op!r}")
 
     def close(self) -> None:
-        self._row = None  # a live row view would keep the mapping open
+        # Live views of the rows (the mirror rewrites one, reads the
+        # other) would keep the mappings open.
+        self._row = self.mirror = None
         self.grads.close()
         self.params.close()
 

@@ -26,10 +26,10 @@ from repro.core import DistributedOptimizer, ReduceOpType
 from repro.core.arena import GradientArena
 from repro.core.overlap import FlatOptimizerMirror, OverlapScheduler, build_fused_engine
 from repro.core.precision import DynamicScaler
-from repro.elastic.state import pack_dist_state
+from repro.elastic.state import pack_dist_state, pack_optimizer_state, restore_optimizer_state
 from repro.models import MLP, MiniBERT
 from repro.models.transformer import BertConfig
-from repro.optim import SGD, Adam, LinearWarmupDecay
+from repro.optim import LAMB, SGD, Adam, AdamW, LinearWarmupDecay
 from repro.tensor import tune_allocator
 
 LAYERS = (6, 10, 8, 4)
@@ -262,25 +262,39 @@ def _mirror_grads(rng, shape, extreme):
     return g.astype(np.float32)
 
 
+def _mirror(dopt, arena):
+    """A mirror of ``dopt``'s rank optimizers over ``arena``'s rows, and
+    the ``begin()`` that opens its step from the live parameters (the
+    start snapshot is the overlap scheduler's part)."""
+    params = list(dopt.model.named_parameters())
+    starts = np.empty(arena.layout.total_size, dtype=np.float32)
+    mirror = FlatOptimizerMirror.build(dopt.rank_optimizers, params, arena.data, starts)
+    assert mirror is not None
+
+    def begin():
+        np.copyto(starts, np.concatenate([p.data.ravel() for _, p in params]))
+        mirror.begin_step()
+    return mirror, begin
+
+
 def _bert_overlap_mirror(opt_factory):
     """The ``bert_overlap`` shape: MiniBERT (hidden 64, 2 layers,
-    vocabulary 48) on 8 ranks, cap 0.01 MB: the mirror, its 19 buckets
-    and the arena."""
+    vocabulary 48) on 8 ranks, cap 0.01 MB: the mirror, its step
+    opener, its 19 buckets and the arena."""
     model = MiniBERT(BertConfig(vocab_size=48, hidden=64, layers=2, heads=4,
                                 max_seq_len=16), rng=np.random.default_rng(0))
     dopt = DistributedOptimizer(model, opt_factory, 8, op=ReduceOpType.ADASUM)
     arena = GradientArena.from_model(model, 8)
-    sched = OverlapScheduler(dopt, arena, bucket_cap_mb=0.01)
-    buckets = [(b.start, b.stop) for b in sched.plan.buckets]
-    assert len(buckets) == 19 and sched.mirror is not None
-    return sched.mirror, buckets, arena
+    buckets = [(b.start, b.stop) for b in dopt.bucket_plan(arena, 0.01).buckets]
+    assert len(buckets) == 19
+    return (*_mirror(dopt, arena), buckets, arena)
 
 
 def _expression_rewrite(mirror, lo, hi):
     """The rewrite as NumPy expressions, one temporary per operation:
     the reference the in-place :meth:`FlatOptimizerMirror.rewrite` is
     timed against."""
-    rows = mirror._arena.data[:, lo:hi]
+    rows = mirror._rows[:, lo:hi]
     start = mirror.starts[lo:hi]
     opt = mirror._opt
     g = rows
@@ -296,7 +310,7 @@ def _expression_rewrite(mirror, lo, hi):
         vhat = v / (1 - opt.beta2 ** t)
         direction = mhat / (np.sqrt(vhat) + opt.eps)
     elif opt.momentum:
-        if mirror._steps == 1:
+        if mirror._first:
             buf = g.astype(np.float32).copy()
         else:
             buf = opt.momentum * mirror._buf[:, lo:hi] + g
@@ -308,10 +322,14 @@ def _expression_rewrite(mirror, lo, hi):
     np.subtract(new, start, out=rows)
 
 
-def _check_mirror(optimizer, lr, ranks, order, steps, seed, extreme):
+def _check_mirror(optimizer, lr, ranks, order, steps, seed, extreme, rollback=None):
     """Bucket by bucket, in ``order``, the mirror leaves the rows and
     every slot (``m``, ``v``, ``t``, ``momentum``) byte for byte where
-    the real per-rank optimizers (``_rewrite_rows_to_deltas``) do."""
+    the real per-rank optimizers (``_rewrite_rows_to_deltas``) do.
+
+    ``rollback=(a, b)`` packs the optimizers' state before step ``a``
+    and loads it into both sides before step ``b`` (``a == 0``: a
+    never-stepped state), which the mirror must re-sync from."""
     rng = np.random.default_rng(seed)
     sides = []
     for _ in range(2):
@@ -322,14 +340,20 @@ def _check_mirror(optimizer, lr, ranks, order, steps, seed, extreme):
         sides.append((model, dopt, GradientArena.from_model(model, ranks)))
     (_, real, real_arena), (_, mirrored, arena) = sides
     assert arena.layout.total_size == TOTAL
-    mirror = FlatOptimizerMirror.build(mirrored, arena)
-    assert mirror is not None
+    mirror, begin = _mirror(mirrored, arena)
+    saved = None
     for step in range(steps):
+        if rollback is not None and step == rollback[0]:
+            saved = [pack_optimizer_state(o) for o in real.rank_optimizers]
+        if rollback is not None and step == rollback[1]:
+            for side in (real, mirrored):
+                for opt, packed in zip(side.rank_optimizers, saved):
+                    restore_optimizer_state(opt, packed)
         grads = _mirror_grads(rng, arena.data.shape, extreme)
         real_arena.data[:] = grads
         real._rewrite_rows_to_deltas(real_arena, range(ranks))
         arena.data[:] = grads
-        mirror.begin_step()
+        begin()
         for lo, hi in order:
             mirror.rewrite(lo, hi)
         assert arena.data.tobytes() == real_arena.data.tobytes(), (
@@ -357,22 +381,28 @@ class TestFlatOptimizerMirror:
         steps=st.integers(1, 4),
         seed=st.integers(0, 2 ** 31 - 1),
         extreme=st.booleans(),
+        rollback=st.one_of(st.none(), st.tuples(st.integers(0, 3), st.integers(0, 3))
+                           .map(sorted).map(tuple)),
     )
     # The configurations pinned before this property existed.
     @example(optimizer="momentum", lr=0.05, ranks=3, order=THIRDS, steps=3, seed=1,
-             extreme=False)
+             extreme=False, rollback=None)
     @example(optimizer="adam", lr=1e-3, ranks=3, order=THIRDS, steps=3, seed=1,
-             extreme=False)
+             extreme=False, rollback=None)
     @example(optimizer="sgd", lr=0.1, ranks=3, order=THIRDS, steps=3, seed=1,
-             extreme=False)
+             extreme=False, rollback=None)
     @example(optimizer="nesterov+wd", lr=0.1, ranks=3, order=THIRDS, steps=3,
-             seed=1, extreme=False)
+             seed=1, extreme=False, rollback=None)
+    # A never-stepped state loaded mid-run: "no slot yet" is a first step
+    # again (SGD's buf = g.copy() keeps a -0.0 gradient's sign).
+    @example(optimizer="momentum", lr=0.05, ranks=3, order=THIRDS, steps=3, seed=1,
+             extreme=True, rollback=(0, 2))
     @settings(max_examples=100, deadline=None)
     def test_rewrite_matches_the_rank_optimizers(self, optimizer, lr, ranks, order,
-                                                 steps, seed, extreme):
+                                                 steps, seed, extreme, rollback):
         """Any bucket split, rewrite order, world size, learning-rate
-        schedule and gradient range."""
-        _check_mirror(optimizer, lr, ranks, order, steps, seed, extreme)
+        schedule, gradient range and state loaded from outside."""
+        _check_mirror(optimizer, lr, ranks, order, steps, seed, extreme, rollback)
 
     # The same four configurations as tests of their own: three ranks,
     # two buckets rewritten out of order, three steps.
@@ -392,15 +422,15 @@ class TestFlatOptimizerMirror:
         ``bert_overlap`` plan peak under 256 KiB of traced allocation
         (the expression form: 3,586 KiB for Adam; one bucket is up to
         8 x 16,384 floats, 512 KiB)."""
-        mirror, buckets, arena = _bert_overlap_mirror(
+        mirror, begin, buckets, arena = _bert_overlap_mirror(
             lambda ps: MIRRORED[optimizer](ps, 2e-3))
         grads = _mirror_grads(np.random.default_rng(0), arena.data.shape, False)
         arena.data[:] = grads
-        mirror.begin_step()
+        begin()
         for lo, hi in buckets:  # warm-up: the scratch grows to the widest bucket
             mirror.rewrite(lo, hi)
         arena.data[:] = grads
-        mirror.begin_step()
+        begin()
         tracemalloc.start()
         try:
             for lo, hi in buckets:
@@ -410,12 +440,29 @@ class TestFlatOptimizerMirror:
             tracemalloc.stop()
         assert peak < 256 * 1024, f"{optimizer}: peak {peak / 1024:.0f} KiB"
 
-    def test_build_rejects_stepped_or_subclassed(self):
+    def test_build_rejects_only_other_update_rules(self):
+        """Exact Adam / SGD in any state (a stepped one re-syncs at its
+        first step); subclasses and other optimizers override the rule."""
         model = MLP(LAYERS, rng=np.random.default_rng(0))
-        dopt = DistributedOptimizer(model, _sgd, 2, op=ReduceOpType.ADASUM)
-        dopt.rank_optimizers[0].step_count = 1
-        arena = GradientArena.from_model(model, 2)
-        assert FlatOptimizerMirror.build(dopt, arena) is None
+        params = list(model.named_parameters())
+        rows, starts = np.zeros((2, TOTAL), np.float32), np.zeros(TOTAL, np.float32)
+        for factory in (lambda ps: AdamW(ps, 1e-3), lambda ps: LAMB(ps, 1e-3)):
+            opts = [factory(model.parameters()) for _ in range(2)]
+            assert FlatOptimizerMirror.build(opts, params, rows, starts) is None
+        opts = [_sgd(model.parameters()) for _ in range(2)]
+        for opt in opts:
+            opt.step_count = 1
+        assert FlatOptimizerMirror.build(opts, params, rows, starts) is not None
+
+    def test_optimizers_out_of_lockstep_are_rejected(self):
+        """Rank optimizers that disagree on ``step_count`` (e.g. loaded
+        from a run that dropped a straggler) cannot share one replay."""
+        model = MLP(LAYERS, rng=np.random.default_rng(0))
+        dopt = DistributedOptimizer(model, _adam, 2, op=ReduceOpType.ADASUM)
+        dopt.rank_optimizers[1].step_count = 3
+        mirror, begin = _mirror(dopt, GradientArena.from_model(model, 2))
+        with pytest.raises(ValueError, match=r"lockstep.*step_count \[0, 3\]"):
+            begin()
 
 
 @pytest.mark.perf
@@ -426,18 +473,18 @@ def test_mirror_rewrite_beats_the_expression_form():
     mirrors take the same gradients step by step, their states evolving
     alike."""
     tune_allocator()  # as in a trainer: temporaries recycle, no mmap each
-    (fast, buckets, arena), (slow, _, ref) = (
+    (fast, fast_begin, buckets, arena), (slow, slow_begin, _, ref) = (
         _bert_overlap_mirror(lambda ps: Adam(ps, 2e-3)) for _ in range(2))
     rng = np.random.default_rng(0)
     in_place, expression = [], []
     for _ in range(120):
         grads = _mirror_grads(rng, arena.data.shape, False)
-        for mirror, rows, rewrite, times in (
-            (fast, arena, fast.rewrite, in_place),
-            (slow, ref, lambda lo, hi: _expression_rewrite(slow, lo, hi), expression),
+        for begin, rows, rewrite, times in (
+            (fast_begin, arena, fast.rewrite, in_place),
+            (slow_begin, ref, lambda lo, hi: _expression_rewrite(slow, lo, hi), expression),
         ):
             rows.data[:] = grads
-            mirror.begin_step()
+            begin()
             start = time.perf_counter()
             for lo, hi in buckets:
                 rewrite(lo, hi)

@@ -12,6 +12,8 @@ import pytest
 
 from repro import nn
 from repro.core import DistributedOptimizer, ReduceOpType
+from repro.elastic.membership import Membership
+from repro.elastic.state import pack_dist_state, restore_dist_state
 from repro.models import MLP, LeNet5, MiniBERT
 from repro.optim import SGD, Adam, LinearWarmupDecay
 from repro.train import ParallelTrainer
@@ -229,43 +231,54 @@ class TestOverlapTrainer:
         assert probes[0] == probes[1]  # the probe saw raw gradients either way
 
 
-class TestOverlapCheckpoint:
-    """An overlapped Figure-3 run's checkpoint carries the *stepped*
-    per-rank optimizer state (the mirror's flat arrays are that state),
-    so it resumes under the phased path as if it had never overlapped."""
+OPTIMIZER_KINDS = pytest.mark.parametrize("opt_cls, opt_kw", [
+    (Adam, {}), (SGD, {"momentum": 0.9}),
+], ids=["adam", "momentum-sgd"])
 
-    @pytest.mark.parametrize("opt_cls, opt_kw", [
-        (Adam, {}), (SGD, {"momentum": 0.9}),
-    ], ids=["adam", "momentum-sgd"])
-    def test_overlap_checkpoint_resumes_phased(self, tmp_path, opt_cls, opt_kw):
+
+class TestOverlapCheckpoint:
+    """The optimizer objects own the Figure-3 per-rank state between
+    steps and the overlap mirror's flat arrays are an in-place cache of
+    it: an overlapped run's checkpoint carries the *stepped* state, so
+    it resumes under the phased path as if it had never overlapped, and
+    state loaded into an overlap trainer is what its next step uses."""
+
+    @staticmethod
+    def _build(opt_cls, opt_kw, overlap):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((256, 12)).astype(np.float32)
         y = rng.integers(0, 4, 256)
+        model = MLP((12, 32, 4), rng=np.random.default_rng(0))
+        dopt = DistributedOptimizer(
+            model,
+            lambda ps: opt_cls(ps, LinearWarmupDecay(0.05, 8, 0.5), **opt_kw),
+            4, op=ReduceOpType.ADASUM,
+        )
+        trainer = ParallelTrainer(model, nn.CrossEntropyLoss(), dopt, x, y,
+                                  microbatch=8, overlap=overlap,
+                                  bucket_cap_mb=0.0005)
+        if overlap:
+            assert trainer.plan.plan.num_buckets > 1 and trainer.plan.mirror is not None
+        return model, dopt, trainer
 
-        def build(overlap):
-            model = MLP((12, 32, 4), rng=np.random.default_rng(0))
-            dopt = DistributedOptimizer(
-                model,
-                lambda ps: opt_cls(ps, LinearWarmupDecay(0.05, 8, 0.5), **opt_kw),
-                4, op=ReduceOpType.ADASUM,
-            )
-            trainer = ParallelTrainer(model, nn.CrossEntropyLoss(), dopt, x, y,
-                                      microbatch=8, overlap=overlap,
-                                      bucket_cap_mb=0.0005)
-            return model, dopt, trainer
-
-        batches = [idx for _, (_, idx) in zip(range(6), build(False)[2].iterator.epoch(0))]
-
-        ref_model, ref_opt, ref = build(False)
+    def _straight(self, opt_cls, opt_kw):
+        """Six phased steps: the batches, the lr after three, the run."""
+        batches = [idx for _, (_, idx) in
+                   zip(range(6), self._build(opt_cls, opt_kw, False)[2].iterator.epoch(0))]
+        ref_model, ref_opt, ref = self._build(opt_cls, opt_kw, False)
         for idx in batches[:3]:
             ref.train_step(idx)
         lr_after_3 = ref_opt.lr
         for idx in batches[3:]:
             ref.train_step(idx)
+        return batches, lr_after_3, ref_model, ref_opt
 
-        _, ovl_opt, ovl = build(True)
+    @OPTIMIZER_KINDS
+    def test_overlap_checkpoint_resumes_phased(self, tmp_path, opt_cls, opt_kw):
+        batches, lr_after_3, ref_model, ref_opt = self._straight(opt_cls, opt_kw)
+
+        _, ovl_opt, ovl = self._build(opt_cls, opt_kw, True)
         try:
-            assert ovl.plan.plan.num_buckets > 1 and ovl.plan.mirror is not None
             for idx in batches[:3]:
                 ovl.train_step(idx)
             assert ovl_opt.lr == lr_after_3
@@ -275,10 +288,59 @@ class TestOverlapCheckpoint:
         finally:
             ovl.close()
 
-        model, dopt, resumed = build(False)
+        model, dopt, resumed = self._build(opt_cls, opt_kw, False)
         load_checkpoint(tmp_path / "ovl", model, dist_opt=dopt)
         assert dopt.lr == lr_after_3
         for idx in batches[3:]:
             resumed.train_step(idx)
         assert dopt.lr == ref_opt.lr
+        _assert_bit_identical(ref_model, model)
+
+    @OPTIMIZER_KINDS
+    def test_checkpoint_resumes_into_overlap(self, tmp_path, opt_cls, opt_kw):
+        """A phased checkpoint loaded into an overlap trainer, whose
+        mirror exists already: its first step re-syncs from the loaded
+        slots and ``step_count`` instead of starting from zero."""
+        batches, _, ref_model, ref_opt = self._straight(opt_cls, opt_kw)
+
+        _, phased_opt, phased = self._build(opt_cls, opt_kw, False)
+        for idx in batches[:3]:
+            phased.train_step(idx)
+        save_checkpoint(tmp_path / "phased", phased.model, dist_opt=phased_opt)
+
+        model, dopt, resumed = self._build(opt_cls, opt_kw, True)
+        try:
+            load_checkpoint(tmp_path / "phased", model, dist_opt=dopt)
+            for idx in batches[3:]:
+                resumed.train_step(idx)
+        finally:
+            resumed.close()
+        assert dopt.lr == ref_opt.lr
+        assert [o.step_count for o in dopt.rank_optimizers] == [6] * 4
+        _assert_bit_identical(ref_model, model)
+
+    @OPTIMIZER_KINDS
+    def test_restored_dist_state_rolls_overlap_back(self, opt_cls, opt_kw):
+        """``restore_dist_state`` onto a running overlap trainer (an
+        elastic-style rollback of two steps): the steps replayed after
+        it are the straight run's."""
+        batches, _, ref_model, ref_opt = self._straight(opt_cls, opt_kw)
+        model, dopt, trainer = self._build(opt_cls, opt_kw, True)
+        try:
+            for idx in batches[:3]:
+                trainer.train_step(idx)
+            world = Membership(4)
+            snapshot = ({n: p.data.copy() for n, p in model.named_parameters()},
+                        pack_dist_state(dopt, world, {}))
+            for idx in batches[3:5]:
+                trainer.train_step(idx)
+            for name, p in model.named_parameters():
+                np.copyto(p.data, snapshot[0][name])
+            restore_dist_state(dopt, world, snapshot[1])
+            for idx in batches[3:]:
+                trainer.train_step(idx)
+        finally:
+            trainer.close()
+        assert dopt.lr == ref_opt.lr
+        assert [o.step_count for o in dopt.rank_optimizers] == [6] * 4
         _assert_bit_identical(ref_model, model)
