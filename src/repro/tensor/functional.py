@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import os
-import time
 from typing import Optional, Tuple
 
 import numpy as np
@@ -29,6 +28,7 @@ from repro.tensor.tensor import (
     Tensor,
     _unbroadcast,
     _unbroadcast_blocks,
+    is_grad_enabled,
     per_block,
     rank_block_count,
     split_blocks,
@@ -241,15 +241,6 @@ def kernel_specialization_enabled() -> bool:
     return _specialize_kernels
 
 
-def _bench_once(fn, reps: int = 3) -> float:
-    best = float("inf")
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
 def _misaligned_copy(op: np.ndarray) -> np.ndarray:
     """Copy of ``op`` whose data pointer is offset by one element."""
     buf = np.empty(op.size + 1, dtype=op.dtype)
@@ -305,9 +296,11 @@ def einsum_cached(subscripts: str, *operands: np.ndarray) -> np.ndarray:
     agrees with it bit for bit on some geometries but not others.
     Rather than guess, the first call for each (subscripts, shapes,
     dtypes) key runs :func:`_gemm_is_bit_stable` on the caller's real
-    data: only when the GEMM formulation is proven byte-identical across
-    alignments — and measures faster — do later calls take it.  Every
-    other shape keeps the einsum kernel.
+    data: when the GEMM formulation is proven byte-identical across
+    alignments, later calls take it; every other shape keeps the einsum
+    kernel.  The verdict reads no clock, so which kernel runs — and with
+    it the allocation pattern later calls see — is the same in every run
+    of the same program.
     """
     if not _specialize_kernels:
         return _einsum_ref(subscripts, operands)
@@ -322,14 +315,9 @@ def einsum_cached(subscripts: str, *operands: np.ndarray) -> np.ndarray:
     ref = _einsum_ref(subscripts, operands)
     if verdict is None:
         candidate = _GEMM_CANDIDATES.get(subscripts)
-        use = False
-        if candidate is not None and _gemm_is_bit_stable(
+        _gemm_verdict[key] = candidate is not None and _gemm_is_bit_stable(
             subscripts, candidate, operands
-        ):
-            use = _bench_once(lambda: candidate(*operands)) < _bench_once(
-                lambda: _einsum_ref(subscripts, operands)
-            )
-        _gemm_verdict[key] = use
+        )
     return ref
 
 
@@ -423,21 +411,27 @@ def _col2im(
     n, c, h, w = x_shape
     out_h = (h + 2 * padding - kh) // stride + 1
     out_w = (w + 2 * padding - kw) // stride + 1
-    xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    hp, wp = h + 2 * padding, w + 2 * padding
     # Strided slice-adds over kernel positions replace ``np.add.at``:
     # contributions to any target pixel still accumulate in ascending
-    # kernel-position order (the ufunc.at iteration order), so the sums
-    # are bit-identical while avoiding the buffered scatter (~5x faster).
-    cr = cols.reshape(n, c, kh * kw, out_h, out_w)
+    # kernel-position order (the ufunc.at iteration order), 0 + slab_0 +
+    # slab_1 + ..., so the sums are bit-identical while avoiding the
+    # buffered scatter.  The buffer is channel-last, (hp, wp, n, c), and
+    # the slabs are copied once to (kh*kw, out_h, out_w, n, c), so each
+    # add runs over rows of out_w * n * c floats, not out_w.
+    xp = np.zeros((hp, wp, n, c), dtype=cols.dtype)
+    slabs = np.ascontiguousarray(
+        cols.reshape(n, c, kh * kw, out_h, out_w).transpose(2, 3, 4, 0, 1)
+    )
     p = 0
     for di in range(kh):
         for dj in range(kw):
-            xp[:, :, di : di + stride * out_h : stride,
-               dj : dj + stride * out_w : stride] += cr[:, :, p]
+            xp[di : di + stride * out_h : stride,
+               dj : dj + stride * out_w : stride] += slabs[p]
             p += 1
-    if padding > 0:
-        return xp[:, :, padding:-padding, padding:-padding]
-    return xp
+    return np.ascontiguousarray(
+        xp[padding : hp - padding, padding : wp - padding].transpose(2, 3, 0, 1)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -516,13 +510,25 @@ def conv2d(
     # col2im and the bias add are per-sample and run stacked.
     blocks = rank_block_count()
 
-    def with_weight(subscripts, batched, shape):
-        """``einsum_cached(subscripts, w2, batched)``, per rank block."""
+    def with_weight(subscripts, batched, shape, add=None):
+        """``einsum_cached(subscripts, w2, batched) (+ add)``, per rank
+        block, into one fresh C-contiguous array — or einsum's own result
+        when there is neither a block nor an addend."""
         if blocks is None:
-            return einsum_cached(subscripts, w2, batched)
-        res = np.empty(shape, dtype=np.result_type(w2, batched))
+            part = einsum_cached(subscripts, w2, batched)
+            if add is None:
+                return part
+            # Allocated after the contraction, whose operand copy is gone.
+            dest = np.empty(shape, dtype=np.result_type(part, add))
+            return np.add(part, add, out=dest)
+        operands = (w2, batched) if add is None else (w2, batched, add)
+        res = np.empty(shape, dtype=np.result_type(*operands))
         for dest, block in zip(split_blocks(res, blocks), split_blocks(batched, blocks)):
-            dest[...] = einsum_cached(subscripts, w2, block)
+            part = einsum_cached(subscripts, w2, block)
+            if add is None:
+                dest[...] = part
+            else:
+                np.add(part, add, out=dest)
         return res
 
     # einsum_cached defines the result: the contraction kernel
@@ -530,11 +536,13 @@ def conv2d(
     # rewrite is bit-identical on some conv geometries (LeNet's) but not
     # others (ResNet's).  einsum_cached proves equality per shape on
     # first use and only then switches kernels, so either way the bytes
-    # match the plain np.einsum(optimize=True) call.
-    out = with_weight("of,nfl->nol", cols, (n, oc, out_h * out_w))
-    out = out.reshape(n, oc, out_h, out_w)
-    if bias is not None:
-        out = out + bias.data.reshape(1, oc, 1, 1)
+    # match the plain np.einsum(optimize=True) call.  The bias is added
+    # straight from the contraction's (n, o, l) result into the NCHW
+    # output: one pass, and a C-contiguous activation.
+    out = with_weight(
+        "of,nfl->nol", cols, (n, oc, out_h * out_w),
+        None if bias is None else bias.data.reshape(1, oc, 1),
+    ).reshape(n, oc, out_h, out_w)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
@@ -553,6 +561,21 @@ def conv2d(
             x._accumulate(gx)
 
     return Tensor._make(out.astype(x.dtype, copy=False), parents, backward)
+
+
+def _window_fold(op, a: np.ndarray, k: int, rows: int, out_w: int) -> np.ndarray:
+    """``op`` folded over every k x k window of ``a`` (an NCHW array with
+    ``rows = n·c·out_h``), row-major: along w over a flat (-1, k) view,
+    then along h over (rows, k, out_w) — long inner loops, not out_w."""
+    flat = a.reshape(-1, k)
+    acc = flat[:, 0]
+    for j in range(1, k):
+        acc = op(acc, flat[:, j])
+    acc = acc.reshape(rows, k, out_w)
+    out = acc[:, 0]
+    for i in range(1, k):
+        out = op(out, acc[:, i])
+    return out
 
 
 def max_pool2d(x: Tensor, kernel_size: int, stride: Optional[int] = None) -> Tensor:
@@ -579,38 +602,46 @@ def max_pool2d(x: Tensor, kernel_size: int, stride: Optional[int] = None) -> Ten
 
         return Tensor._make(out.astype(x.dtype), (x,), backward)
 
-    # Fast non-overlapping path.  Window maxima fold over the k*k window
-    # slices elementwise instead of reducing strided axes of the 6-D
-    # view (which NumPy's reduce machinery handles an order of magnitude
-    # slower).  The fold associates exactly like the historical
-    # ``xr.max(axis=(3, 5))`` and max is exact, so results are
-    # bit-identical.
+    # Fast non-overlapping path.  ``np.maximum`` returns its first
+    # operand's NaN if either is NaN, else its second operand unless the
+    # first is strictly larger; so a fold yields "the first NaN, else the
+    # last maximal element" in fold order, however it associates.  The
+    # window fold walks (i, j) row-major, the order of the historical
+    # ``xr.max(axis=(3, 5))``, so results are bit-identical, signed zeros
+    # and NaN payloads included.
     out_h, out_w = h // k, w // k
-    xr = x.data.reshape(n, c, out_h, k, out_w, k)
-    out = None
-    for i in range(k):
-        row = xr[:, :, :, i, :, 0]
-        for j in range(1, k):
-            row = np.maximum(row, xr[:, :, :, i, :, j])
-        out = row if out is None else np.maximum(out, row)
-    mask = xr == out[:, :, :, None, :, None]
+    rows = n * c * out_h
+    if not (x.requires_grad and is_grad_enabled()):
+        # No tape: fold each window position into the output in place,
+        # with no temporaries and no backward-only tie mask.
+        windows = x.data.reshape(rows, k, out_w, k)  # (n·c·oh, i, ow, j)
+        out = windows[:, 0, :, 0].copy()
+        for p in range(1, k * k):
+            np.maximum(out, windows[:, p // k, :, p % k], out=out)
+        return Tensor._make(out.reshape(n, c, out_h, out_w), (x,), None)
+    # With a tape the window fold runs over flat views (faster, with
+    # temporaries), and a copy keeps k == 1 from aliasing the input.
+    out = _window_fold(np.maximum, x.data, k, rows, out_w)
+    if k == 1:
+        out = out.copy()
+    # Tie mask in x's own layout, (n·c·oh, i, w), against the window
+    # maxima repeated along w.
+    mask = x.data.reshape(rows, k, w) == np.repeat(out, k, axis=1)[:, None, :]
 
     def backward(g: np.ndarray) -> None:
-        # Integer tie counts are exact in any order.  The fp64 division
-        # happens on the small pooled grid and rounds to the input dtype
-        # *before* the 0/1-mask broadcast: multiplying by exactly 1.0 or
-        # 0.0 commutes with the rounding, so this matches the historical
-        # full-size fp64 product bit for bit.
-        counts = np.zeros((n, c, out_h, out_w), dtype=np.int64)
-        for i in range(k):
-            for j in range(k):
-                counts += mask[:, :, :, i, :, j]
-        counts = counts[:, :, :, None, :, None]
-        d = (g[:, :, :, None, :, None] / np.maximum(counts, 1)).astype(x.dtype)
-        gx = mask * d
-        x._accumulate(gx.reshape(x.shape))
+        # Integer tie counts are exact in any order.  The division by the
+        # count happens in fp64 (as ``g / int64`` always has) on the small
+        # pooled grid and rounds to the input dtype *before* the 0/1-mask
+        # product: multiplying by exactly 1.0 or 0.0 commutes with the
+        # rounding, so this matches the historical full-size fp64 product
+        # bit for bit.
+        ones = mask.view(np.uint8) if k * k < 256 else mask.astype(np.int64)
+        counts = _window_fold(np.add, ones, k, rows, out_w)
+        d = g.reshape(rows, out_w) / np.maximum(counts, 1).astype(np.int64)
+        d = np.repeat(d.astype(x.dtype), k, axis=1)
+        x._accumulate((mask * d[:, None, :]).reshape(x.shape))
 
-    return Tensor._make(out.astype(x.dtype), (x,), backward)
+    return Tensor._make(out.reshape(n, c, out_h, out_w), (x,), backward)
 
 
 def avg_pool2d(x: Tensor, kernel_size: int, stride: Optional[int] = None) -> Tensor:

@@ -665,9 +665,12 @@ class Tensor:
         # np.maximum(x, 0.0) matches np.where(x > 0, x, 0.0) bit for bit
         # (including the sign of zero) and avoids ``where``'s much slower
         # select loop; the 0/1-mask product in backward likewise keeps
-        # kept gradients bitwise unchanged.
-        mask = self.data > 0
+        # kept gradients bitwise unchanged.  Off the tape (no_grad, or an
+        # input that needs no gradient) the mask is never built.
         data = np.maximum(self.data, 0.0).astype(self.data.dtype, copy=False)
+        if not (self.requires_grad and is_grad_enabled()):
+            return Tensor._make(data, (self,), None)
+        mask = self.data > 0
 
         def backward(g: np.ndarray) -> None:
             self._accumulate((mask * g).astype(self.data.dtype, copy=False))

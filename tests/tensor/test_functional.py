@@ -320,6 +320,53 @@ class TestKernelSpecialization:
         clear_kernel_caches()
         assert kernel_cache_stats()["gemm_verdicts"]["entries"] == 0
 
+    def test_gemm_verdict_does_not_read_the_clock(self, rng, monkeypatch):
+        """A clock that makes the single-GEMM candidate look slower in one
+        run and faster in the next changes neither the verdicts nor the
+        bytes: which kernel runs is the same in every run."""
+        import time
+
+        from repro.tensor import (
+            clear_kernel_caches,
+            kernel_cache_stats,
+            set_kernel_specialization,
+        )
+
+        x = Tensor(rng.standard_normal((8, 6, 14, 14)).astype(np.float32),
+                   requires_grad=True)
+        w = Tensor(rng.standard_normal((16, 6, 5, 5)).astype(np.float32),
+                   requires_grad=True)
+        clock = {"t": 0.0, "calls": 0, "candidate_slow": True}
+
+        def perf_counter():
+            # Each side of a timing race reads the clock six times, the
+            # candidate first: slow in one run, fast in the other.
+            first_side = clock["calls"] // 6 % 2 == 0
+            clock["calls"] += 1
+            clock["t"] += 1.0 if first_side == clock["candidate_slow"] else 1e-3
+            return clock["t"]
+
+        monkeypatch.setattr(time, "perf_counter", perf_counter)
+        runs = []
+        prior = set_kernel_specialization(True)
+        try:
+            for candidate_slow in (True, False):
+                clock.update(calls=0, candidate_slow=candidate_slow)
+                clear_kernel_caches()
+                x.grad = w.grad = None
+                outs = []
+                for _ in range(2):  # the second pass runs the verdicts
+                    out = F.conv2d(x, w)
+                    out.sum().backward()
+                    outs.append(out.data.tobytes())
+                runs.append((kernel_cache_stats()["gemm_verdicts"], outs,
+                             x.grad.tobytes(), w.grad.tobytes()))
+        finally:
+            set_kernel_specialization(prior)
+            clear_kernel_caches()
+        assert runs[0][0]["fast"] > 0
+        assert runs[0] == runs[1]
+
 
 class TestPinBlasThreads:
     """Rank workers pin NumPy's bundled OpenBLAS pool themselves."""
