@@ -14,8 +14,7 @@ from benchmarks.conftest import announce
 from repro import nn
 from repro.comm import FusionBuffer, NetworkModel
 from repro.core import (
-    DistributedOptimizer,
-    ReduceOpType,
+    RunConfig,
     adasum_linear,
     adasum_tree,
 )
@@ -75,13 +74,11 @@ class TestPerLayerVsWholeModel:
 
         def train(per_layer: bool) -> float:
             model = MLP((784, 32, 10), rng=np.random.default_rng(0))
-            dopt = DistributedOptimizer(
-                model, lambda ps: SGD(ps, 0.01, momentum=0.9), num_ranks=8,
-                op=ReduceOpType.ADASUM, adasum_pre_optimizer=True,
-                per_layer=per_layer,
-            )
-            tr = ParallelTrainer(model, nn.CrossEntropyLoss(), dopt, x_tr, y_tr,
-                                 microbatch=8, seed=0)
+            config = RunConfig(op="adasum", adasum_pre_optimizer=True,
+                               per_layer=per_layer, num_ranks=8, microbatch=8)
+            tr = ParallelTrainer(model, nn.CrossEntropyLoss(),
+                                 lambda ps: SGD(ps, 0.01, momentum=0.9),
+                                 x_tr, y_tr, config)
             for e in range(4):
                 tr.train_epoch(e)
             return accuracy(model, x_te, y_te)
@@ -107,12 +104,10 @@ class TestPrePostOptimizer:
 
         def train(pre: bool) -> float:
             model = MLP((784, 32, 10), rng=np.random.default_rng(0))
-            dopt = DistributedOptimizer(
-                model, lambda ps: Adam(ps, 0.002), num_ranks=8,
-                op=ReduceOpType.ADASUM, adasum_pre_optimizer=pre,
-            )
-            tr = ParallelTrainer(model, nn.CrossEntropyLoss(), dopt, x_tr, y_tr,
-                                 microbatch=8, seed=0)
+            config = RunConfig(op="adasum", adasum_pre_optimizer=pre,
+                               num_ranks=8, microbatch=8)
+            tr = ParallelTrainer(model, nn.CrossEntropyLoss(),
+                                 lambda ps: Adam(ps, 0.002), x_tr, y_tr, config)
             for e in range(6):
                 tr.train_epoch(e)
             return accuracy(model, x_te, y_te)
@@ -137,13 +132,12 @@ class TestFp16:
             model = MLP((784, 32, 10), rng=np.random.default_rng(0))
             # An overflowing step is skipped inside the optimizer (one
             # scaler verdict per step), exactly as training does it.
-            dist = DistributedOptimizer(
-                model, lambda ps: SGD(ps, 0.01, momentum=0.9), num_ranks=8,
-                op=ReduceOpType.ADASUM, adasum_pre_optimizer=True,
-                wire_codecs=("fp16",) if fp16 else (),
-            )
-            tr = ParallelTrainer(model, nn.CrossEntropyLoss(), dist, x_tr, y_tr,
-                                 microbatch=8)
+            config = RunConfig(op="adasum", adasum_pre_optimizer=True,
+                               wire_codecs=("fp16",) if fp16 else (),
+                               num_ranks=8, microbatch=8)
+            tr = ParallelTrainer(model, nn.CrossEntropyLoss(),
+                                 lambda ps: SGD(ps, 0.01, momentum=0.9),
+                                 x_tr, y_tr, config)
             rng = np.random.default_rng(0)
             for step in range(90):
                 tr.train_step(rng.integers(0, len(x_tr), size=(8, 8)))

@@ -12,7 +12,7 @@ import numpy as np
 from benchmarks.conftest import announce
 from repro import nn
 from repro.baselines import AsyncSGDSimulator, OneBitCompressor, TopKCompressor
-from repro.core import DistributedOptimizer, ReduceOpType, make_reducer
+from repro.core import RunConfig, make_reducer
 from repro.models import MLP
 from repro.optim import SGD
 from repro.train import ParallelTrainer, accuracy
@@ -33,12 +33,11 @@ def _task(seed=0, n=256):
 
 def _run_sync_adasum(x, y, seed=0):
     model = MLP((6, 16, 2), rng=np.random.default_rng(1))
-    dopt = DistributedOptimizer(
-        model, lambda ps: SGD(ps, LR / RANKS, momentum=0.0), num_ranks=RANKS,
-        op=ReduceOpType.ADASUM, adasum_pre_optimizer=True,
-    )
-    trainer = ParallelTrainer(model, nn.CrossEntropyLoss(), dopt, x, y,
-                              microbatch=16, seed=seed)
+    config = RunConfig(op="adasum", adasum_pre_optimizer=True, num_ranks=RANKS,
+                       microbatch=16, seed=seed)
+    trainer = ParallelTrainer(model, nn.CrossEntropyLoss(),
+                              lambda ps: SGD(ps, LR / RANKS, momentum=0.0),
+                              x, y, config)
     done, epoch = 0, 0
     while done < STEPS // RANKS:
         take = min(STEPS // RANKS - done, trainer.steps_per_epoch())

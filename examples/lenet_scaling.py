@@ -11,7 +11,7 @@ Run:  python examples/lenet_scaling.py
 import numpy as np
 
 from repro import nn
-from repro.core import DistributedOptimizer, ReduceOpType
+from repro.core import RunConfig
 from repro.data import make_mnist_like, train_test_split
 from repro.models import LeNet5
 from repro.optim import SGD, LinearWarmupDecay
@@ -28,15 +28,13 @@ def train(method: str, ranks: int, x_tr, y_tr, x_te, y_te) -> float:
     model = LeNet5(rng=np.random.default_rng(0))
     steps = EPOCHS * (len(x_tr) // (ranks * MICROBATCH))
     schedule = LinearWarmupDecay(MAX_LR, total_steps=steps, warmup_frac=WARMUP)
-    dist_opt = DistributedOptimizer(
-        model,
-        lambda ps: SGD(ps, schedule, momentum=0.9),
-        num_ranks=ranks,
-        op=ReduceOpType.SUM if method == "sum" else ReduceOpType.ADASUM,
-        adasum_pre_optimizer=True,
+    config = RunConfig(
+        op=method, adasum_pre_optimizer=True, num_ranks=ranks,
+        microbatch=MICROBATCH, seed=0,
     )
     trainer = ParallelTrainer(
-        model, nn.CrossEntropyLoss(), dist_opt, x_tr, y_tr, microbatch=MICROBATCH, seed=0
+        model, nn.CrossEntropyLoss(), lambda ps: SGD(ps, schedule, momentum=0.9),
+        x_tr, y_tr, config,
     )
     for epoch in range(EPOCHS):
         trainer.train_epoch(epoch)

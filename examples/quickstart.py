@@ -14,7 +14,7 @@ Run:  python examples/quickstart.py
 import numpy as np
 
 from repro import nn
-from repro.core import DistributedOptimizer, ReduceOpType, adasum
+from repro.core import ReduceOpType, RunConfig, adasum
 from repro.data import make_mnist_like, train_test_split
 from repro.models import MLP
 from repro.optim import SGD
@@ -38,15 +38,13 @@ def train(op: ReduceOpType, label: str, ranks: int = 8, epochs: int = 4) -> floa
 
     # The only change between the runs is `op=...` — exactly the
     # one-flag switch the paper's Horovod integration exposes.
-    dist_opt = DistributedOptimizer(
-        model,
-        lambda params: SGD(params, lr=0.02, momentum=0.9),
-        num_ranks=ranks,
-        op=op,
-        adasum_pre_optimizer=True,
+    config = RunConfig(
+        op=op, adasum_pre_optimizer=True, num_ranks=ranks, microbatch=16, seed=0
     )
     trainer = ParallelTrainer(
-        model, nn.CrossEntropyLoss(), dist_opt, x_tr, y_tr, microbatch=16, seed=0
+        model, nn.CrossEntropyLoss(),
+        lambda params: SGD(params, lr=0.02, momentum=0.9),
+        x_tr, y_tr, config,
     )
     print(f"--- {label} ({ranks} simulated ranks) ---")
     acc = 0.0

@@ -32,7 +32,7 @@ DEFAULT_BUDGET_S = 120.0
 ELASTIC_SCENARIO = """
 import numpy as np
 from repro import nn
-from repro.core import ReduceOpType
+from repro.core import RunConfig
 from repro.models import MLP
 from repro.optim import SGD
 from repro.elastic import ElasticSchedule, ElasticTrainer
@@ -43,10 +43,10 @@ y = (x @ rng.standard_normal((8, 3))).argmax(axis=1)
 
 def run(schedule):
     model = MLP((8, 24, 3), rng=np.random.default_rng(0))
+    config = RunConfig(op="adasum", topology="tree_any", num_ranks=8,
+                       microbatch=4, seed=0, faults=schedule)
     tr = ElasticTrainer(model, nn.CrossEntropyLoss(),
-                        lambda ps: SGD(ps, lr=0.25), x, y,
-                        microbatch=4, num_ranks=8, op=ReduceOpType.ADASUM,
-                        seed=0, schedule=schedule, timeout=10.0)
+                        lambda ps: SGD(ps, lr=0.25), x, y, config)
     losses = []
     for epoch in range(3):
         losses.append(tr.train_epoch(epoch))

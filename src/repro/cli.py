@@ -322,13 +322,14 @@ def _elastic_main(argv) -> int:
     parser.add_argument("--topology",
                         choices=("tree", "tree_any", "linear", "ring",
                                  "hierarchical"),
-                        default="tree",
-                        help="reduction recursion order (the elastic runtime "
-                             "widens 'tree' to 'tree_any' so shrunk worlds "
-                             "keep reducing; 'hierarchical' sums within nodes "
-                             "of --gpus-per-node and applies Adasum across "
-                             "them, falling back to tree_any when a kill "
-                             "breaks node symmetry)")
+                        default="tree_any",
+                        help="reduction recursion order; an elastic world "
+                             "can shrink to any size, so the Adasum tree is "
+                             "'tree_any' ('tree' needs power-of-two worlds: "
+                             "at most 2 ranks here); 'hierarchical' sums "
+                             "within nodes of --gpus-per-node and applies "
+                             "Adasum across them, falling back to tree_any "
+                             "when a kill breaks node symmetry")
     parser.add_argument("--gpus-per-node", type=int, default=1,
                         help="node width for --topology hierarchical")
     parser.add_argument("--wire-codecs", default=None, metavar="STACK",
@@ -388,16 +389,20 @@ def _elastic_main(argv) -> int:
         if args.straggle is not None else None
     )
     # One declarative config from the parsed flags; the trainer (and its
-    # DistributedOptimizer) consume it through from_config.
-    config = RunConfig(
-        op=args.op, topology=args.topology, gpus_per_node=args.gpus_per_node,
-        wire_codecs=args.wire_codecs or (),
-        bucket_cap_mb=args.bucket_cap_mb,
-        num_ranks=args.ranks, microbatch=args.microbatch, seed=args.seed,
-        faults=schedule if have_faults else None,
-        network=network, timeout=args.timeout, min_ranks=args.min_ranks,
-        execution=args.execution,
-    )
+    # DistributedOptimizer) is built from it alone.  An invalid flag
+    # combination is a usage error.
+    try:
+        config = RunConfig(
+            op=args.op, topology=args.topology, gpus_per_node=args.gpus_per_node,
+            wire_codecs=args.wire_codecs or (),
+            bucket_cap_mb=args.bucket_cap_mb,
+            num_ranks=args.ranks, microbatch=args.microbatch, seed=args.seed,
+            faults=schedule if have_faults else None,
+            network=network, timeout=args.timeout, min_ranks=args.min_ranks,
+            execution=args.execution,
+        ).validate_for_pool(args.ranks)
+    except ValueError as exc:
+        parser.error(str(exc))
     trainer = ElasticTrainer.from_config(
         model, nn.CrossEntropyLoss(), lambda ps: SGD(ps, lr=args.lr), x, y,
         config,

@@ -16,13 +16,23 @@ aborting:
 3. **rewind** model, optimizer states, fp16 scaler, and data cursor to
    the in-memory last-good-step :class:`WorldSnapshot`;
 4. **rebuild** the world for the new size — fresh cluster, a
-   ``DistributedOptimizer`` on the ``tree_any`` geometry (the Adasum
-   tree re-grows for any survivor count), a rank executor over a
-   re-shaped gradient arena, and per-rank optimizer states
-   re-partitioned from the snapshot by global id;
+   ``DistributedOptimizer`` over the config's own cell at the survivor
+   count (``RunConfig.validate_for_pool`` admitted only cells that
+   reduce every size the world can shrink to, such as ``tree_any``), a
+   rank executor over a re-shaped gradient arena, and per-rank
+   optimizer states re-partitioned from the snapshot by global id;
 5. **retry** the interrupted step: the uncommitted cursor region is
    re-dealt over the survivors, so every sample is still visited
    exactly once per epoch.
+
+A rebuild resets the wire codecs' error-feedback residuals to zero (a
+safe state — pending error mass is dropped, never double-applied) and,
+under ``execution="processes"``, tears down the worker pool and its
+shared segments and respawns both at the new size.  Nothing is applied
+before every bucket's collective (``bucket_cap_mb``) or every combine
+round (``reduce_mode="workers"``, where scheduled kills bite at combine
+dispatch) has succeeded, so a failed step always rolls back with the
+model untouched.
 
 Failure-free elastic runs are bit-identical to ``ParallelTrainer`` with
 the same seed (same serial gradient order, same dealt batches when the
@@ -45,9 +55,9 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.comm.faults import RankKilledError
-from repro.comm.netmodel import NetworkModel
 from repro.comm.transport import Cluster, CommError
-from repro.core.distributed_optimizer import DistributedOptimizer, ReduceOpType
+from repro.core.config import RunConfig
+from repro.core.distributed_optimizer import DistributedOptimizer
 from repro.core.orthogonality import OrthogonalityProbe
 from repro.data.sampler import ElasticBatchIterator
 from repro.nn.module import Module
@@ -80,64 +90,22 @@ from repro.elastic.state import (
 class ElasticTrainer:
     """Failure-surviving data-parallel training over the simulated cluster.
 
-    Parameters mirror :class:`~repro.train.trainer.ParallelTrainer`
-    where they overlap; the elastic-specific ones:
+    Built from a :class:`~repro.core.config.RunConfig` alone, whose
+    fields are documented there; the trainer keeps ``config`` and checks
+    it with ``config.validate_for_pool(config.num_ranks)``, so it runs
+    the config's own cell at every world size (an Adasum tree that may
+    shrink below a power of two names ``tree_any``).  The keywords are
+    its own:
 
-    schedule:
-        Optional :class:`ElasticSchedule` of step-indexed faults
-        (kills, drops, delays by global rank id).
     straggler:
         :class:`StragglerPolicy`; default waits (pure synchronous).
-    network:
-        :class:`NetworkModel` costing the collective's messages.  A
-        nonzero model is required for straggler *detection* (rates need
-        durations); correctness never depends on it.
-    timeout:
-        Wall-clock hang-detection budget per collective.
     snapshot_every:
         Committed steps between in-memory snapshots (1 = every step;
         larger values trade rollback distance for snapshot cost).
     checkpoint_path / checkpoint_every:
         Optional on-disk checkpointing cadence (committed steps).
-    min_ranks:
-        Abort (re-raise) if recovery would shrink the world below this.
-    wire_codecs:
-        Declarative wire-codec stack (see :mod:`repro.comm.codec`),
-        e.g. ``("fp16",)`` or ``("fp16", "int8", "topk:0.01")``.  Each
-        step the arena rows round-trip through the stack in place
-        *and* original-row sends on the simulated transport ship in
-        encoded form at the encoded byte cost (leaf hops only; see
-        :mod:`repro.elastic.collective`).  Error-feedback residuals
-        live in the per-world pipeline: an N→M rebuild resets them to
-        zero (a safe EF state — pending error mass is dropped, never
-        double-applied), and a failed collective rolls the whole step
-        back before any residual-consuming update is applied.
-    execution:
-        Phase-1 compute backend: ``"serial"`` (default) or
-        ``"processes"`` (one worker process per rank writing into a
-        :class:`~repro.core.arena.SharedGradientArena`; bit-identical).
-        Every N→M rebuild tears down the worker pool and its shared
-        segments and respawns both at the new size.
-    reduce_mode:
-        Who runs phase 2 under ``execution="processes"`` —
-        ``"parent"`` (default: the reduction runs as a collective on the
-        simulated cluster) or ``"workers"`` (the worker processes replay
-        the strategy's pair-combine schedule in parallel over shared
-        memory; see
-        :meth:`~repro.train.trainer.ProcessRankExecutor.worker_reduce`).
-        Bit-identical results; non-power-of-two survivor worlds
-        decompose through the same ``tree_any`` power-of-two blocks the
-        cluster collective uses.  Scheduled kills bite at combine
-        dispatch, so a rank dying mid-combine rolls the step back with
-        the model untouched, exactly like a failed collective.
-    bucket_cap_mb:
-        Opt-in bucketed reduction: phase 2 runs one collective per
-        tensor-aligned bucket of the arena (reverse layer order) instead
-        of one whole-row collective.  Results are bit-identical; the
-        combined update is applied only after *every* bucket's
-        collective has succeeded, so a rank killed mid-bucket rolls the
-        step back with the model untouched.  ``None`` (default) keeps
-        the single whole-row collective.
+    probe:
+        Optional orthogonality probe sampled on raw per-rank gradients.
     """
 
     def __init__(
@@ -147,73 +115,34 @@ class ElasticTrainer:
         optimizer_factory: Callable,
         x: np.ndarray,
         y: np.ndarray,
-        microbatch: int,
-        num_ranks: int,
-        op: ReduceOpType = ReduceOpType.ADASUM,
-        adasum_pre_optimizer: bool = False,
-        per_layer: bool = True,
-        topology: str = "tree",
-        gpus_per_node: int = 1,
-        seed: int = 0,
-        schedule: Optional[ElasticSchedule] = None,
+        config: RunConfig,
+        *,
         straggler: Optional[StragglerPolicy] = None,
-        network: Optional[NetworkModel] = None,
-        timeout: float = 10.0,
         snapshot_every: int = 1,
         checkpoint_path=None,
         checkpoint_every: Optional[int] = None,
-        min_ranks: int = 1,
         probe: Optional[OrthogonalityProbe] = None,
-        wire_codecs=None,
-        bucket_cap_mb: Optional[float] = None,
-        execution: str = "serial",
-        reduce_mode: str = "parent",
     ):
-        if microbatch < 1:
-            raise ValueError("microbatch must be >= 1")
+        config.validate_for_pool(config.num_ranks)
         if snapshot_every < 1:
             raise ValueError("snapshot_every must be >= 1")
-        if topology == "rvh":
-            # Its group allreduce assumes a fixed power-of-two world;
-            # the first shrink would fail inside the collective and
-            # read as a dead rank.
-            raise ValueError(
-                "the elastic collective does not support the 'rvh' topology"
-            )
         tune_allocator()
+        self.config = config
         self.model = model
         self.loss_fn = loss_fn
         self.optimizer_factory = optimizer_factory
         self.x, self.y = x, y
-        self.microbatch = microbatch
-        self.op = op
-        self.adasum_pre_optimizer = adasum_pre_optimizer
-        self.per_layer = per_layer
-        # Widen 'tree' to the any-count geometry up front: the elastic
-        # world can shrink to any survivor count mid-run.
-        if topology == "tree":
-            topology = "tree_any"
-        self.topology = topology
-        self.gpus_per_node = int(gpus_per_node)
-        self.wire_codecs = wire_codecs
-        self.bucket_cap_mb = bucket_cap_mb
-        self.seed = seed
-        self.schedule = schedule
         self.straggler = straggler or StragglerPolicy()
-        self.network = network
-        self.timeout = timeout
         self.snapshot_every = snapshot_every
         self.checkpoint_path = checkpoint_path
         self.checkpoint_every = checkpoint_every
-        self.min_ranks = min_ranks
         self.probe = probe
-        self.execution = execution
-        self.reduce_mode = reduce_mode
         self.executor = None
 
-        self.membership = Membership(num_ranks)
+        self.membership = Membership(config.num_ranks)
         self.iterator = ElasticBatchIterator(
-            len(x), microbatch, num_ranks, seed=seed, drop_tail=False
+            len(x), config.microbatch, config.num_ranks, seed=config.seed,
+            drop_tail=False,
         )
         self.loss_meter = Meter("loss")
         self.global_step = 0
@@ -244,51 +173,11 @@ class ElasticTrainer:
         optimizer_factory: Callable,
         x: np.ndarray,
         y: np.ndarray,
-        config,
+        config: RunConfig,
         **kwargs,
     ) -> "ElasticTrainer":
-        """Build the elastic trainer from a
-        :class:`repro.core.config.RunConfig`.
-
-        The config supplies the reduction strategy, world geometry,
-        fault schedule (``config.faults``), network model, and wire
-        format; elastic-only knobs (``straggler``, ``snapshot_every``,
-        checkpointing, ...) pass through ``kwargs``.  The
-        ``hierarchical`` topology is supported — after a kill breaks
-        node symmetry, the strategy itself falls back to the flat
-        ``tree_any`` cross-node geometry.  ``config.overlap`` is
-        rejected: the elastic step has no bucket plan to hand it to
-        (``bucket_cap_mb`` alone buckets the collective).
-        """
-        if config.overlap:
-            raise ValueError(
-                "ElasticTrainer has no overlap mode: set overlap=False "
-                "(bucket_cap_mb alone buckets the elastic collective)"
-            )
-        return cls(
-            model,
-            loss_fn,
-            optimizer_factory,
-            x,
-            y,
-            microbatch=config.microbatch,
-            num_ranks=config.num_ranks,
-            op=config.reduce_op,
-            adasum_pre_optimizer=config.adasum_pre_optimizer,
-            per_layer=config.per_layer,
-            topology=config.topology,
-            gpus_per_node=config.gpus_per_node,
-            seed=config.seed,
-            schedule=config.faults,
-            network=config.network,
-            timeout=config.timeout,
-            min_ranks=config.min_ranks,
-            wire_codecs=config.wire_codecs,
-            bucket_cap_mb=config.bucket_cap_mb,
-            execution=kwargs.pop("execution", config.execution),
-            reduce_mode=kwargs.pop("reduce_mode", config.reduce_mode),
-            **kwargs,
-        )
+        """The constructor, under the name the benchmark harness times."""
+        return cls(model, loss_fn, optimizer_factory, x, y, config, **kwargs)
 
     # ------------------------------------------------------------------
     # World lifecycle
@@ -320,18 +209,11 @@ class ElasticTrainer:
         self._teardown_execution()
         size = self.membership.size
         self.cluster = Cluster(
-            size, network=self.network, timeout=self.timeout, trace=True
+            size, network=self.config.network, timeout=self.config.timeout,
+            trace=True,
         )
-        self.dist_opt = DistributedOptimizer(
-            self.model,
-            self.optimizer_factory,
-            num_ranks=size,
-            op=self.op,
-            adasum_pre_optimizer=self.adasum_pre_optimizer,
-            per_layer=self.per_layer,
-            wire_codecs=self.wire_codecs,
-            topology=self.topology,
-            gpus_per_node=self.gpus_per_node if self.topology == "hierarchical" else None,
+        self.dist_opt = DistributedOptimizer.from_config(
+            self.model, self.optimizer_factory, self.config, num_ranks=size
         )
         if state is not None:
             self._loan_stash = restore_dist_state(
@@ -350,12 +232,10 @@ class ElasticTrainer:
         is then bit-exact by construction.
         """
         self.executor = build_rank_executor(
-            self.model, self.loss_fn, self.dist_opt, self.x, self.y,
-            self.microbatch, execution=self.execution,
-            reduce_mode=self.reduce_mode, timeout=self.timeout,
+            self.model, self.loss_fn, self.dist_opt, self.x, self.y, self.config
         )
         self._buckets = self.dist_opt.bucket_plan(
-            self.executor.arena, self.bucket_cap_mb
+            self.executor.arena, self.config.bucket_cap_mb
         ).buckets
 
     @property
@@ -379,7 +259,7 @@ class ElasticTrainer:
 
     @property
     def effective_batch(self) -> int:
-        return self.microbatch * self.membership.size
+        return self.config.microbatch * self.membership.size
 
     def steps_per_epoch(self) -> int:
         return self.iterator.steps_per_epoch()
@@ -413,7 +293,7 @@ class ElasticTrainer:
             raise RuntimeError("cannot lend ranks while paused")
         if count < 1:
             raise ValueError("must lend at least one rank")
-        floor = max(1, self.min_ranks)
+        floor = self.config.min_ranks
         if self.membership.size - count < floor:
             raise ValueError(
                 f"lending {count} of {self.membership.size} ranks would "
@@ -536,7 +416,7 @@ class ElasticTrainer:
         )
         if not dead_global:
             raise exc  # unclassifiable: nothing safe to evict
-        if size - len(dead_global) < self.min_ranks:
+        if size - len(dead_global) < self.config.min_ranks:
             raise exc  # recovery would shrink below the floor
         if self._recovering_since is None:
             self._recovering_since = time.perf_counter()
@@ -657,10 +537,10 @@ class ElasticTrainer:
             try:
                 return self._attempt_step()
             except (CommError, RankKilledError) as exc:
-                if self.schedule is not None:
+                if self.config.faults is not None:
                     # One-shot faults fired (or died with their target);
                     # the retry must not re-kill the same step forever.
-                    self.schedule.consume(self.global_step)
+                    self.config.faults.consume(self.global_step)
                 attempts += 1
                 if attempts > self.membership.initial_size:
                     raise
@@ -711,11 +591,12 @@ class ElasticTrainer:
         step_id = self.global_step
         size = self.membership.size
         participants = ctx["ranks"]
+        schedule = self.config.faults
         plan = (
-            self.schedule.plan_for(step_id, self.membership)
-            if self.schedule is not None else None
+            schedule.plan_for(step_id, self.membership)
+            if schedule is not None else None
         )
-        if self.reduce_mode == "workers":
+        if self.config.reduce_mode == "workers":
             # Scheduled kills attach to the real transport for the
             # duration of the combine rounds: a due kill terminates the
             # worker's OS process at (or between) combine dispatches and
@@ -742,12 +623,12 @@ class ElasticTrainer:
             finally:
                 self.cluster.faults = None
             self._update_stragglers()
-        if self.schedule is not None:
-            self.schedule.consume(step_id)
+        if schedule is not None:
+            schedule.consume(step_id)
         # Drop-and-renormalize: Adasum and Average renormalize by
         # construction (they combine, not accumulate); a partial SUM
         # must be scaled back up to the full world's magnitude.
-        if self.op is ReduceOpType.SUM and len(participants) < size:
+        if self.config.op == "sum" and len(participants) < size:
             combined = (combined * (size / len(participants))).astype(
                 combined.dtype
             )

@@ -32,7 +32,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro import nn
-from repro.core import DistributedOptimizer, ReduceOpType
+from repro.core import RunConfig
 from repro.data import make_mnist_like, train_test_split
 from repro.models import LeNet5
 from repro.optim import SGD, LinearWarmupDecay
@@ -154,17 +154,15 @@ def _train_cell(
     steps_per_epoch = len(x_tr) // (ranks * microbatch)
     schedule = LinearWarmupDecay(max_lr, total_steps=epochs * steps_per_epoch,
                                  warmup_frac=warmup_frac)
-    dopt = DistributedOptimizer(
-        model, lambda ps: SGD(ps, schedule, momentum=0.9),
-        num_ranks=ranks,
-        op=ReduceOpType(op),
-        adasum_pre_optimizer=op == "adasum",
-        wire_codecs=stack,
+    config = RunConfig(
+        op=op, adasum_pre_optimizer=op == "adasum", wire_codecs=stack,
+        num_ranks=ranks, microbatch=microbatch, seed=seed,
     )
     trainer = ParallelTrainer(
-        model, nn.CrossEntropyLoss(), dopt, x_tr, y_tr,
-        microbatch=microbatch, seed=seed,
+        model, nn.CrossEntropyLoss(), lambda ps: SGD(ps, schedule, momentum=0.9),
+        x_tr, y_tr, config,
     )
+    dopt = trainer.dist_opt
     loss = float("nan")
     for e in range(epochs):
         loss = trainer.train_epoch(e)

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro import nn
 from repro.comm import NetworkModel
-from repro.core import ReduceOpType
+from repro.core import RunConfig
 from repro.data import train_test_split
 from repro.models import MLP
 from repro.optim import SGD
@@ -99,11 +99,13 @@ def _run_one(
     network: Optional[NetworkModel] = None,
 ) -> ElasticOutcome:
     model = MLP((x.shape[1], 32, 3), rng=np.random.default_rng(seed))
+    config = RunConfig(
+        op="adasum", topology="tree_any", num_ranks=num_ranks,
+        microbatch=microbatch, seed=seed, faults=schedule, network=network,
+    )
     trainer = ElasticTrainer(
-        model, nn.CrossEntropyLoss(), lambda ps: SGD(ps, lr=0.2),
-        x, y, microbatch=microbatch, num_ranks=num_ranks,
-        op=ReduceOpType.ADASUM, seed=seed, schedule=schedule,
-        straggler=straggler, network=network, timeout=10.0,
+        model, nn.CrossEntropyLoss(), lambda ps: SGD(ps, lr=0.2), x, y, config,
+        straggler=straggler,
     )
     sizes = [trainer.num_ranks]
     final_loss = float("nan")

@@ -15,7 +15,7 @@ from typing import Dict, List
 import numpy as np
 
 from repro import nn
-from repro.core import DistributedOptimizer, OrthogonalityProbe, ReduceOpType, RunConfig
+from repro.core import OrthogonalityProbe, RunConfig
 from repro.data import SyntheticTextCorpus, make_image_classification, masked_lm_stream
 from repro.models import BertConfig, MiniBERT, ResNetCIFAR
 from repro.optim import SGD, Adam, StepDecay
@@ -53,13 +53,13 @@ def run_fig1_resnet(
     drops = [total // 2, 3 * total // 4]
     schedule = StepDecay(0.2, milestones=drops, gamma=0.1)
     probe = OrthogonalityProbe(every=2)
-    dopt = DistributedOptimizer(
-        model, lambda ps: SGD(ps, schedule, momentum=0.9),
-        num_ranks=ranks, op=ReduceOpType.ADASUM, adasum_pre_optimizer=True,
+    config = RunConfig(
+        op="adasum", adasum_pre_optimizer=True, num_ranks=ranks,
+        microbatch=microbatch, seed=seed,
     )
     trainer = ParallelTrainer(
-        model, nn.CrossEntropyLoss(), dopt, x, y, microbatch=microbatch,
-        probe=probe, seed=seed,
+        model, nn.CrossEntropyLoss(), lambda ps: SGD(ps, schedule, momentum=0.9),
+        x, y, config, probe=probe,
     )
     for e in range(epochs):
         trainer.train_epoch(e)

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro import nn
 from repro.comm import NetworkModel
-from repro.core import DistributedOptimizer, ReduceOpType
+from repro.core import RunConfig
 from repro.data import make_image_classification, train_test_split
 from repro.models import ResNetCIFAR
 from repro.optim import SGD, StepDecay
@@ -84,18 +84,13 @@ def _train_config(
     model = ResNetCIFAR(n=1, width=8, rng=np.random.default_rng(seed))
     steps_per_epoch = max(len(x_tr) // (ranks * microbatch), 1)
     schedule = StepDecay(lr, milestones=[], warmup_steps=warmup_epochs * steps_per_epoch)
-    if method == "sum":
-        dopt = DistributedOptimizer(
-            model, lambda ps: SGD(ps, schedule, momentum=0.9), num_ranks=ranks,
-            op=ReduceOpType.SUM,
-        )
-    else:
-        dopt = DistributedOptimizer(
-            model, lambda ps: SGD(ps, schedule, momentum=0.9), num_ranks=ranks,
-            op=ReduceOpType.ADASUM, adasum_pre_optimizer=True,
-        )
+    config = RunConfig(
+        op=method, adasum_pre_optimizer=method != "sum", num_ranks=ranks,
+        microbatch=microbatch, seed=seed,
+    )
     trainer = ParallelTrainer(
-        model, nn.CrossEntropyLoss(), dopt, x_tr, y_tr, microbatch=microbatch, seed=seed
+        model, nn.CrossEntropyLoss(), lambda ps: SGD(ps, schedule, momentum=0.9),
+        x_tr, y_tr, config,
     )
     return run_to_accuracy(trainer, x_te, y_te, target=target, max_epochs=max_epochs)
 

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import nn
-from repro.core import DistributedOptimizer, ReduceOpType
+from repro.core import RunConfig
 from repro.data import make_mnist_like, train_test_split
 from repro.models import LeNet5
 from repro.optim import SGD, LinearWarmupDecay
@@ -87,18 +87,13 @@ def _train_once(
     steps_per_epoch = len(x_tr) // (ranks * microbatch)
     schedule = LinearWarmupDecay(max_lr, total_steps=epochs * steps_per_epoch,
                                  warmup_frac=warmup_frac)
-    if method == "sum":
-        dopt = DistributedOptimizer(
-            model, lambda ps: SGD(ps, schedule, momentum=0.9),
-            num_ranks=ranks, op=ReduceOpType.SUM,
-        )
-    else:
-        dopt = DistributedOptimizer(
-            model, lambda ps: SGD(ps, schedule, momentum=0.9),
-            num_ranks=ranks, op=ReduceOpType.ADASUM, adasum_pre_optimizer=True,
-        )
+    config = RunConfig(
+        op=method, adasum_pre_optimizer=method != "sum", num_ranks=ranks,
+        microbatch=microbatch, seed=seed,
+    )
     trainer = ParallelTrainer(
-        model, nn.CrossEntropyLoss(), dopt, x_tr, y_tr, microbatch=microbatch, seed=seed
+        model, nn.CrossEntropyLoss(), lambda ps: SGD(ps, schedule, momentum=0.9),
+        x_tr, y_tr, config,
     )
     for e in range(epochs):
         trainer.train_epoch(e)

@@ -20,6 +20,7 @@ from typing import (
 
 import numpy as np
 
+from repro.comm.faults import FaultPlan
 from repro.comm.tracing import CommTracer
 from repro.comm.transport import CommError, ProcessTransport
 from repro.core.arena import (
@@ -27,7 +28,7 @@ from repro.core.arena import (
     SharedGradientArena,
     leaked_shared_segments,
 )
-from repro.core.config import parse_execution
+from repro.core.config import RunConfig
 from repro.core.distributed_optimizer import DistributedOptimizer, optimizer_delta
 from repro.core.orthogonality import OrthogonalityProbe
 from repro.core.overlap import FlatOptimizerMirror, OverlapScheduler, build_fused_engine
@@ -760,7 +761,7 @@ class ProcessRankExecutor:
         accumulation: int,
         arena: SharedGradientArena,
         dist_opt: DistributedOptimizer,
-        timeout: float = 60.0,
+        timeout: float,
         faults=None,
         tracer: Optional[CommTracer] = None,
         start_method: Optional[str] = None,
@@ -874,8 +875,6 @@ class ProcessRankExecutor:
         any level raises before anything is applied to the model, so a
         failed combine leaves training state untouched.
         """
-        if self.combine_spec is None:
-            raise ValueError("worker_reduce needs reduce_mode='workers'")
         parts = (
             list(range(self.arena.num_ranks)) if participants is None
             else list(participants)
@@ -884,7 +883,7 @@ class ProcessRankExecutor:
         root = self.arena.row(parts[0])
         if n == 1:
             return root
-        # build_rank_executor checked the cell has a schedule.
+        # RunConfig checked the cell has a schedule at every world size.
         levels = self.combine_spec.schedule(n)
         self.arena.reset_progress()
         last = len(levels) - 1
@@ -949,71 +948,46 @@ def build_rank_executor(
     dist_opt: DistributedOptimizer,
     x: np.ndarray,
     y: np.ndarray,
-    microbatch: int,
+    config: RunConfig,
     accumulation: int = 1,
-    execution: str = "serial",
-    reduce_mode: str = "parent",
-    timeout: float = 60.0,
-    faults=None,
+    *,
+    faults: Optional[FaultPlan] = None,
     tracer: Optional[CommTracer] = None,
     start_method: Optional[str] = None,
-    overlap: bool = False,
 ):
-    """The one place a rank backend (and its arena) is chosen and checked.
+    """The one place a rank backend (and its arena) is chosen.
 
-    ``execution="serial"`` gives a :class:`SerialRankExecutor` over a
-    heap :class:`~repro.core.arena.GradientArena` — a
+    ``config.execution="serial"`` gives a :class:`SerialRankExecutor`
+    over a heap :class:`~repro.core.arena.GradientArena` — a
     :class:`FusedRankExecutor` when the model has a registered fused
     engine or is rank-order-free (see :func:`_in_process_executor`);
-    ``execution="processes"`` a :class:`ProcessRankExecutor`
-    over a :class:`~repro.core.arena.SharedGradientArena`, with
-    ``timeout``/``faults``/``tracer``/``start_method`` forwarded to its
-    transport (the serial backend has none).  The world size and — for
-    ``reduce_mode="workers"`` — the reduction cell the workers replay
-    come from ``dist_opt``.  The returned executor owns its arena(s);
-    ``close()`` releases them.
-
-    :class:`~repro.core.config.RunConfig` rejects the same invalid
-    combinations declaratively; this is the check for callers that
-    construct a trainer directly.
+    ``"processes"`` a :class:`ProcessRankExecutor` over a
+    :class:`~repro.core.arena.SharedGradientArena`, whose transport
+    gets ``config.timeout`` as its collect deadline and ``faults`` (a
+    :class:`~repro.comm.faults.FaultPlan`), ``tracer`` and
+    ``start_method`` as given — the serial backend has no transport.
+    ``faults`` is not read from the config: an elastic config's faults
+    are the schedule its supervisor injects itself.  The world size
+    and — for ``config.reduce_mode="workers"`` — the reduction cell the
+    workers replay come from ``dist_opt``.  The returned executor owns
+    its arena(s); ``close()`` releases them.  ``config`` was validated
+    when it was built, so nothing about it is checked here.
     """
-    execution = parse_execution(execution)
-    if overlap and execution != "serial":
-        raise ValueError(
-            f"overlap and execution={execution!r} are mutually exclusive: "
-            "rank processes report no per-layer readiness, so there is "
-            "nothing to overlap"
-        )
-    if reduce_mode not in ("parent", "workers"):
-        raise ValueError(
-            f"reduce_mode must be 'parent' or 'workers', got {reduce_mode!r}"
-        )
-    if reduce_mode == "workers" and execution != "processes":
-        raise ValueError(
-            "reduce_mode='workers' needs execution='processes' "
-            f"(got {execution!r}): only worker processes can run "
-            "pair combines in parallel over shared memory"
-        )
     num_ranks = dist_opt.num_ranks
-    if execution == "serial":
+    if config.execution == "serial":
         return _in_process_executor(
-            model, loss_fn, x, y, microbatch, accumulation,
+            model, loss_fn, x, y, config.microbatch, accumulation,
             GradientArena.from_model(model, num_ranks),
         )
     _check_parallel_safe(model)
-    combine_spec = None
-    if reduce_mode == "workers":
-        combine_spec = dist_opt.reducer.combine_spec()
-        if combine_spec.schedule(num_ranks) is None:
-            raise ValueError(
-                f"strategy ({combine_spec.op!r}, {combine_spec.topology!r}) "
-                "has no pair-combine schedule; use reduce_mode='parent'"
-            )
+    combine_spec = (
+        dist_opt.reducer.combine_spec() if config.reduce_mode == "workers" else None
+    )
     arena = SharedGradientArena.from_model(model, num_ranks)
     try:
         return ProcessRankExecutor(
-            model, loss_fn, x, y, microbatch, accumulation, arena, dist_opt,
-            timeout=timeout, faults=faults, tracer=tracer,
+            model, loss_fn, x, y, config.microbatch, accumulation, arena,
+            dist_opt, timeout=config.timeout, faults=faults, tracer=tracer,
             start_method=start_method, combine_spec=combine_spec,
         )
     except BaseException:
@@ -1066,7 +1040,16 @@ def phased_step(
 
 
 class ParallelTrainer:
-    """Simulates ``num_ranks`` data-parallel workers over one model.
+    """Simulates ``config.num_ranks`` data-parallel workers over one model.
+
+    Built from a :class:`~repro.core.config.RunConfig` alone: the
+    reduction cell, world size, microbatch, seed, wire format and the
+    execution strategy (``execution``, ``reduce_mode``, ``overlap``,
+    ``bucket_cap_mb``, ``timeout``, ``faults``) are its fields and are
+    documented there.  The trainer builds its optimizer with
+    :meth:`DistributedOptimizer.from_config
+    <repro.core.distributed_optimizer.DistributedOptimizer.from_config>`
+    and keeps ``config``; the keywords below are its own.
 
     Parameters
     ----------
@@ -1074,20 +1057,20 @@ class ParallelTrainer:
         Shared replica (identical across simulated ranks).
     loss_fn:
         ``loss_fn(logits, targets) -> scalar Tensor``.
-    dist_opt:
-        Update rule (Sum / Average / Adasum, pre/post-optimizer).
+    optimizer_factory:
+        ``f(params) -> Optimizer``; called once per rank in Figure-3
+        (post-optimizer) mode and once total otherwise.
     x, y:
         Full training set; sharded across ranks per epoch.
-    microbatch:
-        Per-rank examples per step.  The *effective batch* is
-        ``microbatch * num_ranks (* local accumulation if used)``.
+    config:
+        The run.  Its ``faults`` may be a
+        :class:`~repro.comm.faults.FaultPlan` (handed to the process
+        transport), not an elastic schedule.
     accumulation:
         Microbatches locally accumulated (summed) before reduction —
         plain gradient accumulation, not the local-SGD variant.
     probe:
         Optional orthogonality probe sampled on raw per-rank gradients.
-    seed:
-        Shuffling seed.
     tracer:
         Optional :class:`~repro.comm.tracing.CommTracer`; each step
         records one ``compute`` and one ``allreduce`` event per
@@ -1097,99 +1080,53 @@ class ParallelTrainer:
         Optional :class:`~repro.train.simclock.TrainingTimeModel` that
         stamps trace durations; without it events are zero-duration
         (ordering only).
-    execution:
-        Rank execution backend — ``"serial"`` (default: a loop in this
-        process) or ``"processes"`` (one OS process per rank writing
-        gradients into a :class:`~repro.core.arena.SharedGradientArena`;
-        sidesteps the GIL entirely — see :class:`ProcessRankExecutor`).
-        Under either backend each rank writes only its own arena row and
-        the reduction runs after a barrier in fixed rank order, so
-        results are bit-identical to serial execution.  The process
-        backend rejects models whose forward pass mutates shared state
-        in a rank-order-dependent way (registered buffers such as
-        BatchNorm running stats, or active Dropout consuming a shared
-        RNG), since serial execution orders those effects.
-    start_method, comm_timeout, faults, comm_tracer:
-        Process-backend knobs forwarded to the
-        :class:`~repro.comm.transport.ProcessTransport`: multiprocessing
-        start method (default fork where available), per-round collect
-        deadline, fault plan whose kills terminate real worker
-        processes, and a wall-clock tracer of control-plane traffic.
-    reduce_mode:
-        Who runs phase 2 under ``execution="processes"`` —
-        ``"parent"`` (default: the parent reduces the arena rows
-        single-threaded) or ``"workers"`` (the worker processes run the
-        strategy's pair-combine schedule in parallel over shared
-        memory; see :meth:`ProcessRankExecutor.worker_reduce`).  The two
-        modes are bit-identical.  Measured on the 4-rank MiniBERT step
-        on 2 cores they tie (parent/workers 0.94-1.05x over ten
-        repeats, see docs/performance.md): two combine levels of 104k
-        floats are worth about what two more pipe rounds cost.
-        Requires the processes backend and a strategy with a pair
-        schedule (every registered cell except Adasum-RVH); checked by
-        :func:`build_rank_executor`.
-    overlap:
-        Reduce in buckets as backprop produces them: the step is handed
-        an :class:`~repro.core.overlap.OverlapScheduler` plan and each
-        arena bucket is rewritten, encoded and reduced — on this thread
-        — the moment its last gradient lands (the rank-fused engine's
-        readiness callback — the model's registered engine or
-        rank-stacked autograd, see :class:`FusedRankExecutor` — or
-        grad-ready hooks on the last rank of the per-rank loop), the
-        rest when compute returns.
-        Results are bit-identical to the whole-row step.  Nothing runs
-        early when an orthogonality probe is attached (it needs raw
-        per-rank gradients before the Figure-3 delta rewrite) or when
-        ``accumulation > 1``: every bucket then waits for compute.
-        Mutually exclusive with ``execution="processes"``.
-    bucket_cap_mb:
-        Overlap fusion bucket size cap (see
-        :class:`~repro.comm.bucketing.BucketPlan`).
     overlap_tracer:
         Optional :class:`~repro.comm.tracing.CommTracer` recording the
         wall-clock overlap timeline (compute lane vs per-bucket
         reduction lane); keep it distinct from ``tracer``, whose clock
         is simulated.
+    comm_tracer, start_method:
+        Process-backend knobs forwarded to the
+        :class:`~repro.comm.transport.ProcessTransport`: a wall-clock
+        tracer of control-plane traffic and the multiprocessing start
+        method (default fork where available).
     """
 
     def __init__(
         self,
         model: Module,
         loss_fn: Callable,
-        dist_opt: DistributedOptimizer,
+        optimizer_factory: Callable,
         x: np.ndarray,
         y: np.ndarray,
-        microbatch: int,
+        config: RunConfig,
+        *,
         accumulation: int = 1,
         probe: Optional[OrthogonalityProbe] = None,
-        seed: int = 0,
         tracer: Optional[CommTracer] = None,
         time_model: Optional[TrainingTimeModel] = None,
-        overlap: bool = False,
-        bucket_cap_mb: float = 1.0,
         overlap_tracer: Optional[CommTracer] = None,
-        execution: str = "serial",
-        start_method: Optional[str] = None,
-        comm_timeout: float = 60.0,
-        faults=None,
         comm_tracer: Optional[CommTracer] = None,
-        reduce_mode: str = "parent",
+        start_method: Optional[str] = None,
     ):
         if accumulation < 1:
             raise ValueError("accumulation must be >= 1")
-        self.execution = parse_execution(execution)
-        self.reduce_mode = reduce_mode
+        if config.faults is not None and not isinstance(config.faults, FaultPlan):
+            raise ValueError(
+                "ParallelTrainer takes faults as a FaultPlan; an "
+                "ElasticSchedule is injected by ElasticTrainer"
+            )
+        self.config = config
+        self.dist_opt = DistributedOptimizer.from_config(model, optimizer_factory, config)
         tune_allocator()
         self.model = model
         self.loss_fn = loss_fn
-        self.dist_opt = dist_opt
         self.x, self.y = x, y
-        self.microbatch = microbatch
         self.accumulation = accumulation
         self.probe = probe
-        self.num_ranks = dist_opt.num_ranks
-        self.sampler = ShardedSampler(len(x), self.num_ranks, seed=seed)
-        self.iterator = BatchIterator(self.sampler, microbatch * accumulation)
+        self.num_ranks = config.num_ranks
+        self.sampler = ShardedSampler(len(x), self.num_ranks, seed=config.seed)
+        self.iterator = BatchIterator(self.sampler, config.microbatch * accumulation)
         self.loss_meter = Meter("loss")
         self.global_step = 0
         self.tracer = tracer
@@ -1200,19 +1137,18 @@ class ParallelTrainer:
         # OS shared memory under the process backend, so workers write
         # them directly) and reduction runs flat kernels over the rows.
         self.executor = build_rank_executor(
-            model, loss_fn, dist_opt, x, y, microbatch, accumulation,
-            execution=self.execution, reduce_mode=reduce_mode,
-            timeout=comm_timeout, faults=faults, tracer=comm_tracer,
-            start_method=start_method, overlap=overlap,
+            model, loss_fn, self.dist_opt, x, y, config, accumulation,
+            faults=config.faults, tracer=comm_tracer, start_method=start_method,
         )
-        self.overlap = overlap
         #: The bucket plan every step is handed (``None``: whole rows).
+        #: An overlap run without a cap buckets at 1 MB.
         self.plan: Optional[OverlapScheduler] = (
             OverlapScheduler(
-                dist_opt, self.arena, bucket_cap_mb=bucket_cap_mb,
+                self.dist_opt, self.arena,
+                bucket_cap_mb=1.0 if config.bucket_cap_mb is None else config.bucket_cap_mb,
                 tracer=overlap_tracer,
             )
-            if overlap else None
+            if config.overlap else None
         )
 
     @classmethod
@@ -1223,33 +1159,15 @@ class ParallelTrainer:
         optimizer_factory: Callable,
         x: np.ndarray,
         y: np.ndarray,
-        config,
+        config: RunConfig,
         **kwargs,
     ) -> "ParallelTrainer":
-        """Build the trainer (and its optimizer) from a
-        :class:`repro.core.config.RunConfig`.
-
-        The config supplies the reduction strategy, world size,
-        microbatch, seed, and execution strategy
-        (``overlap`` / ``execution`` / ``bucket_cap_mb``); remaining
-        trainer keywords (``accumulation``, ``probe``, tracers, ...)
-        pass through ``kwargs``.
-        """
-        dist_opt = DistributedOptimizer.from_config(model, optimizer_factory, config)
-        kwargs.setdefault("seed", config.seed)
-        kwargs.setdefault("overlap", config.overlap)
-        kwargs.setdefault("execution", config.execution)
-        if config.execution == "processes":
-            kwargs.setdefault("comm_timeout", config.timeout)
-            kwargs.setdefault("faults", config.faults)
-            kwargs.setdefault("reduce_mode", config.reduce_mode)
-        if config.bucket_cap_mb is not None:
-            kwargs.setdefault("bucket_cap_mb", config.bucket_cap_mb)
-        return cls(model, loss_fn, dist_opt, x, y, config.microbatch, **kwargs)
+        """The constructor, under the name the benchmark harness calls."""
+        return cls(model, loss_fn, optimizer_factory, x, y, config, **kwargs)
 
     @property
     def effective_batch(self) -> int:
-        return self.microbatch * self.accumulation * self.num_ranks
+        return self.config.microbatch * self.accumulation * self.num_ranks
 
     def steps_per_epoch(self) -> int:
         return self.iterator.steps_per_epoch()
@@ -1293,7 +1211,7 @@ class ParallelTrainer:
                 f"{self.num_ranks}, got {len(rank_indices)}"
             )
         reduce_fn = None  # the parent reduces: reducer.reduce_arena
-        if self.reduce_mode == "workers":
+        if self.config.reduce_mode == "workers":
             reduce_fn = lambda arena, ctx: self.executor.worker_reduce()
         losses = phased_step(
             self.executor, self.dist_opt, rank_indices,
@@ -1318,7 +1236,7 @@ class ParallelTrainer:
         """
         tm = self.time_model
         compute_s = (
-            tm.seconds_per_example * self.microbatch * self.accumulation
+            tm.seconds_per_example * self.config.microbatch * self.accumulation
             if tm is not None else 0.0
         )
         comm_s = tm.allreduce_seconds() if tm is not None else 0.0

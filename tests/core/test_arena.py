@@ -14,9 +14,8 @@ from hypothesis import given, settings, strategies as st
 from repro import nn
 from repro.comm.fusion import layout_of
 from repro.core import (
-    DistributedOptimizer,
     GradientArena,
-    ReduceOpType,
+    RunConfig,
     adasum,
     adasum_flat,
     get_strategy,
@@ -181,14 +180,11 @@ class TestProcessBackendGuards:
         rng = np.random.default_rng(0)
         x = rng.standard_normal((16, 3, 8, 8)).astype(np.float32)
         y = rng.integers(0, 10, 16)
-        dopt = DistributedOptimizer(
-            model, lambda ps: SGD(ps, 0.01), num_ranks=2,
-            op=ReduceOpType.ADASUM, adasum_pre_optimizer=True,
-        )
+        config = RunConfig(op="adasum", adasum_pre_optimizer=True, num_ranks=2,
+                           microbatch=4, execution="processes")
         with pytest.raises(ValueError, match="buffers"):
             ParallelTrainer(
-                model, nn.CrossEntropyLoss(), dopt, x, y, microbatch=4,
-                execution="processes",
+                model, nn.CrossEntropyLoss(), lambda ps: SGD(ps, 0.01), x, y, config,
             )
 
     def test_rejects_active_dropout(self):
@@ -200,11 +196,9 @@ class TestProcessBackendGuards:
         rng = np.random.default_rng(0)
         x = rng.integers(0, cfg.vocab_size, (8, 16))
         y = rng.integers(0, cfg.vocab_size, (8, 16))
-        dopt = DistributedOptimizer(
-            model, lambda ps: Adam(ps, 1e-3), num_ranks=2, op=ReduceOpType.ADASUM
-        )
+        config = RunConfig(op="adasum", num_ranks=2, microbatch=4,
+                           execution="processes")
         with pytest.raises(ValueError, match="dropout"):
             ParallelTrainer(
-                model, nn.CrossEntropyLoss(), dopt, x, y, microbatch=4,
-                execution="processes",
+                model, nn.CrossEntropyLoss(), lambda ps: Adam(ps, 1e-3), x, y, config,
             )

@@ -70,6 +70,87 @@ def test_registry_cells():
     assert len(registered_cells()) == len(OPS) * len(TOPOLOGIES) == 18
 
 
+#: Trainer-side parameters that share a ``RunConfig`` field's name, and why.
+SAME_NAME_AS_A_FIELD = {
+    ("build_rank_executor", "faults"): (
+        "the process transport's FaultPlan, passed by ParallelTrainer from "
+        "config.faults; an elastic config's faults is the ElasticSchedule "
+        "its supervisor injects itself, so ElasticTrainer passes none"
+    ),
+}
+
+
+@pytest.mark.parametrize("fn,count", [
+    (ParallelTrainer.__init__, 14),
+    (ElasticTrainer.__init__, 12),
+    (train_trainer.build_rank_executor, 10),
+])
+def test_no_keyword_copies_a_config_field(fn, count):
+    """A trainer is built from a ``RunConfig`` alone: no parameter
+    repeats one of its fields (counting ``self``)."""
+    params = inspect.signature(fn).parameters
+    assert len(params) == count
+    owner = fn.__qualname__.split(".")[0]
+    copies = {(owner, name) for name in params} & {
+        (owner, f.name) for f in dataclasses.fields(RunConfig)}
+    assert copies == {key for key in SAME_NAME_AS_A_FIELD if key[0] == owner}
+
+
+#: One line of each rule about which runs are valid; each is stated
+#: once under ``src/`` (in ``core/config.py``).
+RULES = (
+    "per-layer readiness, so there is",           # overlap x processes
+    "reduce_mode must be 'parent' or 'workers'",  # reduce_mode values
+    "only worker processes can run pair combines",  # workers need processes
+    "pair-combine schedule at",                   # a cell with no schedule
+    "ElasticTrainer has no overlap mode",         # elastic x overlap
+    "an elastic step over",                       # the elastic world rule
+    "microbatch must be >= 1",
+)
+#: The copies and the hard-coded clause the rules replaced.
+RETIRED_RULES = (
+    "the elastic collective does not support the 'rvh' topology",
+    "worker_reduce needs reduce_mode",
+    "needs execution='processes' ",
+)
+
+
+def _src_text():
+    """Every source file but the samplers, which guard their own
+    constructor arguments (a ``BatchIterator`` needs ``microbatch >= 1``
+    whoever builds it)."""
+    sampler = ROOT / "src" / "repro" / "data" / "sampler.py"
+    return "\n".join(path.read_text() for path in sorted((ROOT / "src").rglob("*.py"))
+                     if path != sampler)
+
+
+def test_every_rule_is_stated_once():
+    text = _src_text()
+    assert {rule: text.count(rule) for rule in RULES} == dict.fromkeys(RULES, 1)
+    assert {rule: text.count(rule) for rule in RETIRED_RULES} == (
+        dict.fromkeys(RETIRED_RULES, 0))
+    config_py = (ROOT / "src" / "repro" / "core" / "config.py").read_text()
+    assert all(rule in config_py for rule in RULES)
+
+
+@pytest.mark.parametrize("topology,num_ranks,gpus_per_node", [
+    ("tree", 2, 1), ("rvh", 2, 1), ("tree_any", 4, 1), ("linear", 3, 1),
+    ("ring", 3, 1), ("hierarchical", 4, 2),
+])
+def test_elastic_trainer_runs_the_configs_cell(topology, num_ranks, gpus_per_node):
+    """No widening behind the config's back, at the first world or a
+    rebuilt one."""
+    x, y = _task()
+    config = RunConfig(topology=topology, num_ranks=num_ranks,
+                       gpus_per_node=gpus_per_node, microbatch=4)
+    with ElasticTrainer(MLP((6, 8, 2), rng=np.random.default_rng(1)),
+                        nn.CrossEntropyLoss(), lambda ps: SGD(ps, 0.1), x, y,
+                        config) as trainer:
+        assert trainer.dist_opt.topology == config.topology
+        trainer.lend_ranks(1)
+        assert trainer.dist_opt.topology == config.topology
+
+
 @pytest.mark.parametrize("op", list(ReduceOpType))
 @pytest.mark.parametrize("pre_optimizer", [False, True])
 @pytest.mark.parametrize("accumulation", [1, 2])
@@ -147,9 +228,8 @@ def test_overlap_left_no_second_step_behind():
     own, and the overlap x processes rule has no function of its own."""
     x, y = _task()
     model = MLP((6, 8, 2), rng=np.random.default_rng(1))
-    dist = DistributedOptimizer(model, lambda ps: SGD(ps, 0.1), num_ranks=4)
-    trainer = ParallelTrainer(model, nn.CrossEntropyLoss(), dist, x, y,
-                              microbatch=4, overlap=True)
+    trainer = ParallelTrainer(model, nn.CrossEntropyLoss(), lambda ps: SGD(ps, 0.1),
+                              x, y, RunConfig(num_ranks=4, microbatch=4, overlap=True))
     for name in ("_overlap_step", "_overlap_compute_serial", "_validate_fused",
                  "_overlap_active", "_sched", "_fused", "_fused_validated"):
         assert not hasattr(trainer, name), name
@@ -188,10 +268,10 @@ def test_parallel_trainer_step_is_one_phased_step(monkeypatch):
             (MiniBERT(rng=np.random.default_rng(1)), (tokens, tokens)),
         ):
             del calls[:]
-            dist = DistributedOptimizer(model, lambda ps: SGD(ps, 0.1), num_ranks=4)
-            trainer = ParallelTrainer(model, nn.CrossEntropyLoss(), dist, *data,
-                                      microbatch=4, overlap=overlap,
-                                      bucket_cap_mb=0.001)
+            config = RunConfig(num_ranks=4, microbatch=4, overlap=overlap,
+                               bucket_cap_mb=0.001)
+            trainer = ParallelTrainer(model, nn.CrossEntropyLoss(),
+                                      lambda ps: SGD(ps, 0.1), *data, config)
             # FusedRankExecutor <=> a rank-order-free model; its engine
             # is the registered one when there is one.
             assert isinstance(trainer.executor, FusedRankExecutor) == (
@@ -212,10 +292,10 @@ def test_elastic_attempt_is_one_phased_step(monkeypatch):
     calls = _count_phased_steps(monkeypatch)
     x, y = _task()
     model = MLP((6, 8, 2), rng=np.random.default_rng(1))
+    config = RunConfig(topology="tree_any", num_ranks=4, microbatch=4,
+                       faults=ElasticSchedule().kill(2, 1))
     trainer = ElasticTrainer(
-        model, nn.CrossEntropyLoss(), lambda ps: SGD(ps, 0.1), x, y,
-        microbatch=4, num_ranks=4,
-        schedule=ElasticSchedule().kill(2, 1),
+        model, nn.CrossEntropyLoss(), lambda ps: SGD(ps, 0.1), x, y, config,
     )
     trainer.train_epoch(0)
     assert len(trainer.recoveries) == 1

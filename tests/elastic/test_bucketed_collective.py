@@ -12,7 +12,7 @@ import pytest
 
 from repro import nn
 from repro.comm import NetworkModel
-from repro.core import ReduceOpType
+from repro.core import RunConfig
 from repro.elastic import ElasticSchedule, ElasticTrainer
 from repro.models import MLP
 from repro.optim import SGD
@@ -27,12 +27,14 @@ def _data(n=256, d=12, classes=4, seed=1):
     return x, y
 
 
-def _trainer(x, y, **kw):
+def _trainer(x, y, schedule=None, **kw):
+    """An elastic run; ``kw`` are config fields."""
     model = MLP((x.shape[1], 32, 16, int(y.max()) + 1),
                 rng=np.random.default_rng(0))
+    config = RunConfig(op="adasum", topology="tree_any", num_ranks=RANKS,
+                       microbatch=4, seed=0, faults=schedule, **kw)
     trainer = ElasticTrainer(
-        model, nn.CrossEntropyLoss(), lambda ps: SGD(ps, lr=0.05), x, y,
-        microbatch=4, num_ranks=RANKS, op=ReduceOpType.ADASUM, seed=0, **kw,
+        model, nn.CrossEntropyLoss(), lambda ps: SGD(ps, lr=0.05), x, y, config,
     )
     return trainer, model
 

@@ -1,11 +1,13 @@
 """End-to-end elastic training: parity, recovery, re-sharding, resume."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro import nn
 from repro.comm import NetworkModel
-from repro.core import DistributedOptimizer, ReduceOpType, RunConfig
+from repro.core import ReduceOpType, RunConfig
 from repro.core.precision import DynamicScaler
 import repro.train.trainer as train_trainer
 from repro.models import MLP, BertConfig, MiniBERT
@@ -22,12 +24,19 @@ def _task(n=160, seed=0):
     return x, y
 
 
-def _elastic(x, y, num_ranks=8, microbatch=4, op=ReduceOpType.ADASUM, **kw):
+_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
+
+
+def _elastic(x, y, num_ranks=8, microbatch=4, op=ReduceOpType.ADASUM,
+             topology="tree_any", schedule=None, **kw):
+    """An elastic MLP run; ``kw`` holds config fields and trainer keywords."""
     model = MLP((6, 16, 2), rng=np.random.default_rng(0))
+    config = RunConfig(
+        op=op, topology=topology, num_ranks=num_ranks, microbatch=microbatch,
+        seed=0, faults=schedule, **{k: kw.pop(k) for k in _FIELDS & set(kw)},
+    )
     trainer = ElasticTrainer(
-        model, nn.CrossEntropyLoss(), lambda ps: SGD(ps, 0.3), x, y,
-        microbatch=microbatch, num_ranks=num_ranks, op=op, seed=0,
-        timeout=10.0, **kw,
+        model, nn.CrossEntropyLoss(), lambda ps: SGD(ps, 0.3), x, y, config, **kw,
     )
     return trainer, model
 
@@ -40,10 +49,8 @@ class TestNoFaultParity:
         # batches, identical gradients, identical reduction bytes.
         x, y = _task(n=128)
         m_ref = MLP((6, 16, 2), rng=np.random.default_rng(0))
-        dopt = DistributedOptimizer(m_ref, lambda ps: SGD(ps, 0.3),
-                                    num_ranks=4, op=op)
-        ref = ParallelTrainer(m_ref, nn.CrossEntropyLoss(), dopt, x, y,
-                              microbatch=8, seed=0)
+        ref = ParallelTrainer(m_ref, nn.CrossEntropyLoss(), lambda ps: SGD(ps, 0.3),
+                              x, y, RunConfig(op=op, num_ranks=4, microbatch=8))
         tr, m_el = _elastic(x, y, num_ranks=4, microbatch=8, op=op)
         for epoch in range(2):
             ref_loss = ref.train_epoch(epoch)
@@ -74,6 +81,22 @@ class TestRejectedAtConstruction:
             ElasticTrainer.from_config(
                 MLP((6, 16, 2), rng=np.random.default_rng(0)),
                 nn.CrossEntropyLoss(), lambda ps: SGD(ps, 0.3), x, y, config)
+
+
+@pytest.mark.faults
+@pytest.mark.parametrize("topology", ["tree", "rvh"])
+def test_strict_cell_on_two_ranks_survives_a_kill(topology):
+    """What the elastic world rule newly admits: a power-of-two-only
+    cell whose world can only shrink to one rank.  Killed down to 1, the
+    epoch still visits every sample exactly once, on the config's cell."""
+    x, y = _task(n=64)
+    tr, _ = _elastic(x, y, num_ranks=2, topology=topology,
+                     schedule=ElasticSchedule().kill(2, 1))
+    loss = tr.train_epoch(0)
+    assert np.isfinite(loss)
+    assert tr.num_ranks == 1 and len(tr.recoveries) == 1
+    assert sorted(tr.epoch_visited) == list(range(len(x)))
+    assert tr.dist_opt.topology == topology
 
 
 @pytest.mark.faults
@@ -112,10 +135,13 @@ class TestKillRecovery:
                 monkeypatch.setattr(train_trainer, "build_fused_engine", lambda model: None)
             model = MiniBERT(BertConfig(vocab_size=24, hidden=16, layers=1, heads=2,
                                         max_seq_len=8), rng=np.random.default_rng(0))
+            config = RunConfig(
+                topology="tree_any", num_ranks=4, microbatch=2,
+                wire_codecs=("fp16",), faults=ElasticSchedule().kill(1, 2),
+            )
             tr = ElasticTrainer(
                 model, nn.CrossEntropyLoss(), lambda ps: Adam(ps, 0.01), tokens, tokens,
-                microbatch=2, num_ranks=4, seed=0, timeout=10.0,
-                wire_codecs=("fp16",), schedule=ElasticSchedule().kill(1, 2),
+                config,
             )
             losses = [tr.train_epoch(epoch) for epoch in range(2)]
             assert tr.num_ranks == 3 and len(tr.recoveries) == 1

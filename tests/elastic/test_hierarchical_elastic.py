@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.core import DistributedOptimizer, ReduceOpType, RunConfig
+from repro.core import RunConfig
 from repro.models import MLP
 from repro.optim import SGD
 from repro.train import ParallelTrainer
@@ -27,13 +27,15 @@ def _model():
     return MLP((6, 16, 2), rng=np.random.default_rng(0))
 
 
-def _hier_elastic(x, y, num_ranks=8, gpus_per_node=2, microbatch=4, **kw):
+def _hier_elastic(x, y, num_ranks=8, gpus_per_node=2, microbatch=4,
+                  schedule=None, **kw):
     model = _model()
+    config = RunConfig(
+        op="adasum", topology="hierarchical", gpus_per_node=gpus_per_node,
+        num_ranks=num_ranks, microbatch=microbatch, seed=0, faults=schedule,
+    )
     trainer = ElasticTrainer(
-        model, nn.CrossEntropyLoss(), lambda ps: SGD(ps, 0.3), x, y,
-        microbatch=microbatch, num_ranks=num_ranks, op=ReduceOpType.ADASUM,
-        topology="hierarchical", gpus_per_node=gpus_per_node,
-        seed=0, timeout=10.0, **kw,
+        model, nn.CrossEntropyLoss(), lambda ps: SGD(ps, 0.3), x, y, config, **kw,
     )
     return trainer, model
 
@@ -44,12 +46,10 @@ class TestHierarchicalNoFaultParity:
         # ParallelTrainer: same node sums, same cross-node Adasum.
         x, y = _task(n=128)
         m_ref = _model()
-        dopt = DistributedOptimizer(
-            m_ref, lambda ps: SGD(ps, 0.3), num_ranks=8,
-            op=ReduceOpType.ADASUM, topology="hierarchical", gpus_per_node=2,
-        )
-        ref = ParallelTrainer(m_ref, nn.CrossEntropyLoss(), dopt, x, y,
-                              microbatch=4, seed=0)
+        config = RunConfig(op="adasum", topology="hierarchical", gpus_per_node=2,
+                           num_ranks=8, microbatch=4)
+        ref = ParallelTrainer(m_ref, nn.CrossEntropyLoss(), lambda ps: SGD(ps, 0.3),
+                              x, y, config)
         tr, m_el = _hier_elastic(x, y)
         for epoch in range(2):
             assert tr.train_epoch(epoch) == ref.train_epoch(epoch)

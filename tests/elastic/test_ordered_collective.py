@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from repro import nn
 from repro.comm import Cluster, CommError, FaultPlan, NetworkModel
 from repro.comm.codec import build_pipeline
-from repro.core import ReduceOpType
+from repro.core import RunConfig
 from repro.core.distributed_optimizer import make_reducer
 from repro.elastic import (
     ElasticSchedule,
@@ -144,10 +144,10 @@ def _task(n=160, seed=0):
 def _elastic(num_ranks=8, **kw):
     x, y = _task()
     model = MLP((6, 16, 2), rng=np.random.default_rng(0))
+    config = RunConfig(op="adasum", topology="tree_any", num_ranks=num_ranks,
+                       microbatch=4, seed=0, **kw)
     trainer = ElasticTrainer(
-        model, nn.CrossEntropyLoss(), lambda ps: SGD(ps, 0.3), x, y,
-        microbatch=4, num_ranks=num_ranks, op=ReduceOpType.ADASUM, seed=0,
-        timeout=10.0, **kw,
+        model, nn.CrossEntropyLoss(), lambda ps: SGD(ps, 0.3), x, y, config,
     )
     trainer.begin_epoch(0)
     return trainer, model
@@ -201,7 +201,7 @@ class TestKilledStep:
         assert {victim for victim, _ in points} == set(range(world))
         for victim, after_ops in points:
             schedule = ElasticSchedule().kill(0, victim, after_ops=after_ops)
-            trainer, model = _elastic(world, schedule=schedule)
+            trainer, model = _elastic(world, faults=schedule)
             error = _failed_attempt(trainer, model)
             assert set(error.rank_errors) == {victim}, (victim, after_ops)
             report = classify_failure(error)
@@ -212,14 +212,14 @@ class TestKilledStep:
         # The fault_smoke case: ranks 0 and 6 both due at the same step.
         for _ in range(5):
             schedule = ElasticSchedule().kill(0, 0).kill(0, 6)
-            trainer, model = _elastic(8, schedule=schedule)
+            trainer, model = _elastic(8, faults=schedule)
             error = _failed_attempt(trainer, model)
             assert sorted(error.rank_errors) == [0, 6]
             assert classify_failure(error).dead_local_ranks == [0, 6]
 
     def test_two_kills_in_one_step_recover_in_one_rebuild(self):
         schedule = ElasticSchedule().kill(1, 0).kill(1, 6)
-        trainer, _ = _elastic(8, schedule=schedule)
+        trainer, _ = _elastic(8, faults=schedule)
         for _ in range(3):
             trainer.train_step()
         assert trainer.num_ranks == 6
@@ -230,10 +230,11 @@ class TestTracerStaysBounded:
     def test_tracer_holds_one_step_after_300_commits(self):
         x, y = _task(n=320)
         model = MLP((6, 16, 2), rng=np.random.default_rng(0))
+        config = RunConfig(op="adasum", topology="tree_any", num_ranks=8,
+                           microbatch=4, seed=0, network=NETWORK)
         trainer = ElasticTrainer(
-            model, nn.CrossEntropyLoss(), lambda ps: SGD(ps, 0.3), x, y,
-            microbatch=4, num_ranks=8, op=ReduceOpType.ADASUM, seed=0,
-            network=NETWORK, straggler=StragglerPolicy(mode="drop"),
+            model, nn.CrossEntropyLoss(), lambda ps: SGD(ps, 0.3), x, y, config,
+            straggler=StragglerPolicy(mode="drop"),
         )
         trainer.begin_epoch(0)
         trainer.train_step()

@@ -215,5 +215,5 @@ def test_threads_execution_rejected():
     with pytest.raises(ValueError, match="serial.*processes|processes.*serial"):
         ElasticTrainer(
             model, nn.CrossEntropyLoss(), lambda ps: SGD(ps, lr=0.1),
-            x, y, microbatch=4, num_ranks=2, execution="threads",
+            x, y, RunConfig(num_ranks=2, microbatch=4, execution="threads"),
         )

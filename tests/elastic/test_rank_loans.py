@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.core import RunConfig
 from repro.core.arena import leaked_shared_segments
 from repro.models import MLP
 from repro.optim import SGD
@@ -41,11 +42,9 @@ def _trainer(x, y, num_ranks=8, microbatch=4, optimizer=None, wire_codecs=(), **
     stateless ``SGD(0.3)`` the loan-cycle tests were written against)."""
     model = MLP((6, 16, 2), rng=np.random.default_rng(0))
     factory = OPTIMIZERS[optimizer] if optimizer else (lambda ps: SGD(ps, 0.3))
-    trainer = ElasticTrainer(
-        model, nn.CrossEntropyLoss(), factory, x, y,
-        microbatch=microbatch, num_ranks=num_ranks, seed=0,
-        wire_codecs=wire_codecs, **kw,
-    )
+    config = RunConfig(topology="tree_any", num_ranks=num_ranks,
+                       microbatch=microbatch, wire_codecs=wire_codecs, **kw)
+    trainer = ElasticTrainer(model, nn.CrossEntropyLoss(), factory, x, y, config)
     return trainer, model
 
 
@@ -173,7 +172,7 @@ class TestShrinkRunGrow:
         tr = ElasticTrainer(
             model, nn.CrossEntropyLoss(),
             lambda ps: SGD(ps, 0.3, momentum=0.9), x, y,
-            microbatch=4, num_ranks=8, seed=0,
+            RunConfig(topology="tree_any", num_ranks=8, microbatch=4),
         )
         tr.begin_epoch(0)
         _run_steps(tr, 2)

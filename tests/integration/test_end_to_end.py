@@ -13,8 +13,8 @@ import pytest
 from repro import nn
 from repro.comm import FusionBuffer
 from repro.core import (
-    DistributedOptimizer,
     ReduceOpType,
+    RunConfig,
     allreduce_adasum_cluster,
 )
 from repro.core.distributed_optimizer import make_reducer
@@ -36,11 +36,9 @@ class TestTrainingConvergence:
         y = (x[:, :2].sum(axis=1) > 0).astype(np.int64)
         model = MLP((8, 16, 2), rng=np.random.default_rng(1))
         lr = 0.05 if op is ReduceOpType.SUM else 0.2
-        dopt = DistributedOptimizer(
-            model, lambda ps: SGD(ps, lr, momentum=0.9), num_ranks=4, op=op,
-            adasum_pre_optimizer=True,
-        )
-        tr = ParallelTrainer(model, nn.CrossEntropyLoss(), dopt, x, y, microbatch=8)
+        config = RunConfig(op=op, adasum_pre_optimizer=True, num_ranks=4, microbatch=8)
+        tr = ParallelTrainer(model, nn.CrossEntropyLoss(),
+                             lambda ps: SGD(ps, lr, momentum=0.9), x, y, config)
         for e in range(4):
             tr.train_epoch(e)
         assert accuracy(model, x, y) > 0.85
@@ -54,9 +52,8 @@ class TestTrainingConvergence:
         x = rng.standard_normal((256, 8)).astype(np.float32)
         y = (x[:, 0] > 0).astype(np.int64)
         model = MLP((8, 16, 2), rng=np.random.default_rng(1))
-        dopt = DistributedOptimizer(model, opt_factory, num_ranks=4,
-                                    op=ReduceOpType.ADASUM)
-        tr = ParallelTrainer(model, nn.CrossEntropyLoss(), dopt, x, y, microbatch=8)
+        config = RunConfig(op="adasum", num_ranks=4, microbatch=8)
+        tr = ParallelTrainer(model, nn.CrossEntropyLoss(), opt_factory, x, y, config)
         for e in range(6):
             tr.train_epoch(e)
         assert accuracy(model, x, y) > 0.8
@@ -65,11 +62,10 @@ class TestTrainingConvergence:
         x, y = make_mnist_like(256, noise=0.2, seed=0)
         x_tr, y_tr, x_te, y_te = train_test_split(x, y, 0.25, seed=1)
         model = LeNet5(rng=np.random.default_rng(0))
-        dopt = DistributedOptimizer(
-            model, lambda ps: SGD(ps, 0.1, momentum=0.9), num_ranks=2,
-            op=ReduceOpType.ADASUM, adasum_pre_optimizer=True,
-        )
-        tr = ParallelTrainer(model, nn.CrossEntropyLoss(), dopt, x_tr, y_tr, microbatch=8)
+        config = RunConfig(op="adasum", adasum_pre_optimizer=True, num_ranks=2,
+                           microbatch=8)
+        tr = ParallelTrainer(model, nn.CrossEntropyLoss(),
+                             lambda ps: SGD(ps, 0.1, momentum=0.9), x_tr, y_tr, config)
         first = tr.train_epoch(0)
         last = tr.train_epoch(1)
         assert last < first
@@ -158,10 +154,8 @@ class TestSimulationEquivalences:
         m1 = MLP((6, 8, 2), rng=np.random.default_rng(3))
         m2 = MLP((6, 8, 2), rng=np.random.default_rng(3))
         loss_fn = nn.CrossEntropyLoss()
-        dopt = DistributedOptimizer(
-            m1, lambda ps: SGD(ps, 0.1), num_ranks=1, op=ReduceOpType.ADASUM
-        )
-        tr = ParallelTrainer(m1, loss_fn, dopt, x, y, microbatch=8, seed=5)
+        config = RunConfig(op="adasum", num_ranks=1, microbatch=8, seed=5)
+        tr = ParallelTrainer(m1, loss_fn, lambda ps: SGD(ps, 0.1), x, y, config)
         tr.train_epoch(0)
 
         opt2 = SGD(m2.parameters(), 0.1)

@@ -225,5 +225,5 @@ class TestValidateForPool:
             RunConfig(num_ranks=4, **field).validate_for_pool(8)
 
     def test_valid_config_chains(self):
-        cfg = RunConfig(num_ranks=4)
+        cfg = RunConfig(topology="tree_any", num_ranks=4)
         assert cfg.validate_for_pool(8) is cfg

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.core import DistributedOptimizer, ReduceOpType
+from repro.core import DistributedOptimizer, ReduceOpType, RunConfig
 from repro.models import MLP, ResNetCIFAR
 from repro.optim import Adam, SGD
 from repro.train import (
@@ -24,12 +24,11 @@ def _task(seed=0):
 
 def _trainer(model, op=ReduceOpType.ADASUM, wire_codecs=(), seed=0):
     x, y = _task(seed)
-    dopt = DistributedOptimizer(
-        model, lambda ps: Adam(ps, 0.01), num_ranks=2, op=op,
-        wire_codecs=wire_codecs,
-    )
-    return ParallelTrainer(model, nn.CrossEntropyLoss(), dopt, x, y,
-                           microbatch=8, seed=seed), dopt
+    config = RunConfig(op=op, wire_codecs=wire_codecs, num_ranks=2, microbatch=8,
+                       seed=seed)
+    trainer = ParallelTrainer(model, nn.CrossEntropyLoss(), lambda ps: Adam(ps, 0.01),
+                              x, y, config)
+    return trainer, trainer.dist_opt
 
 
 class TestBareOptimizer:
@@ -180,10 +179,11 @@ class TestRankMap:
 
     def _trained_checkpoint(self, tmp_path, num_ranks=4):
         model = MLP((6, 8, 2), rng=np.random.default_rng(0))
-        dopt = _dopt_ranks(model, num_ranks)
         x, y = _task()
-        tr = ParallelTrainer(model, nn.CrossEntropyLoss(), dopt, x, y,
-                             microbatch=8, seed=0)
+        tr = ParallelTrainer(model, nn.CrossEntropyLoss(), lambda ps: Adam(ps, 0.01),
+                             x, y, RunConfig(topology="tree_any", num_ranks=num_ranks,
+                                             microbatch=8))
+        dopt = tr.dist_opt
         tr.train_epoch(0, max_steps=3)
         path = tmp_path / "ckpt.npz"
         save_checkpoint(path, model, dist_opt=dopt)

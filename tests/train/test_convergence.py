@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro import nn
-from repro.core import DistributedOptimizer, ReduceOpType
+from repro.core import RunConfig
 from repro.models import MLP
 from repro.optim import SGD
 from repro.train import ParallelTrainer, run_to_accuracy
@@ -14,10 +14,9 @@ def _setup(lr=0.5, seed=0):
     x = rng.standard_normal((128, 6)).astype(np.float32)
     y = (x[:, 0] > 0).astype(np.int64)
     model = MLP((6, 16, 2), rng=np.random.default_rng(seed))
-    dopt = DistributedOptimizer(
-        model, lambda ps: SGD(ps, lr), num_ranks=2, op=ReduceOpType.AVERAGE
-    )
-    tr = ParallelTrainer(model, nn.CrossEntropyLoss(), dopt, x, y, microbatch=8, seed=seed)
+    config = RunConfig(op="average", num_ranks=2, microbatch=8, seed=seed)
+    tr = ParallelTrainer(model, nn.CrossEntropyLoss(), lambda ps: SGD(ps, lr), x, y,
+                         config)
     return tr, x, y
 
 

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro.train.trainer as train_trainer
 from repro import nn
-from repro.core import DistributedOptimizer, GradientArena
+from repro.core import GradientArena, RunConfig
 from repro.core.overlap import build_fused_engine
 from repro.models import MLP, BertConfig, LeNet5, MiniBERT, ResNetCIFAR, TinyLSTMClassifier
 from repro.optim import Adam
@@ -335,9 +335,9 @@ def test_the_compute_path_follows_from_the_model():
 
 def _bert_trainer(overlap, demote):
     model = MiniBERT(CONFIG, rng=np.random.default_rng(0))
-    dist_opt = DistributedOptimizer(model, lambda ps: Adam(ps, 1e-2), num_ranks=2)
-    trainer = ParallelTrainer(model, nn.CrossEntropyLoss(), dist_opt, TOKENS, TARGETS,
-                              microbatch=4, overlap=overlap, bucket_cap_mb=1e-4)
+    config = RunConfig(num_ranks=2, microbatch=4, overlap=overlap, bucket_cap_mb=1e-4)
+    trainer = ParallelTrainer(model, nn.CrossEntropyLoss(), lambda ps: Adam(ps, 1e-2),
+                              TOKENS, TARGETS, config)
     if demote:
         trainer.executor.engine = None
     return trainer

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.core import DistributedOptimizer, ReduceOpType
+from repro.core import RunConfig
 from repro.elastic.membership import Membership
 from repro.elastic.state import pack_dist_state, restore_dist_state
 from repro.models import MLP, LeNet5, MiniBERT
@@ -30,14 +30,13 @@ def _assert_bit_identical(m1, m2):
 
 
 def _train(model_fn, data_fn, opt_factory, overlap, steps=3, seed=0,
-           loss_fn=None, **dopt_kw):
+           loss_fn=None, **config_kw):
     model = model_fn()
     x, y = data_fn()
-    dopt = DistributedOptimizer(model, opt_factory, 4,
-                                op=ReduceOpType.ADASUM, **dopt_kw)
-    trainer = ParallelTrainer(model, loss_fn or nn.CrossEntropyLoss(), dopt, x, y,
-                              microbatch=8, seed=seed, overlap=overlap,
-                              bucket_cap_mb=0.01)
+    config = RunConfig(op="adasum", num_ranks=4, microbatch=8, seed=seed,
+                       overlap=overlap, bucket_cap_mb=0.01, **config_kw)
+    trainer = ParallelTrainer(model, loss_fn or nn.CrossEntropyLoss(), opt_factory,
+                              x, y, config)
     losses = []
     for step, rank_indices in trainer.iterator.epoch(0):
         if step >= steps:
@@ -115,14 +114,13 @@ class TestOverlapTrainer:
     def test_overlap_with_process_backend_rejected(self):
         rng = np.random.default_rng(0)
         model = MLP((8, 4), rng=rng)
-        dopt = DistributedOptimizer(model, lambda ps: SGD(ps, 0.1), 4,
-                                    op=ReduceOpType.ADASUM)
         with pytest.raises(ValueError, match="mutually exclusive"):
             ParallelTrainer(
-                model, nn.CrossEntropyLoss(), dopt,
+                model, nn.CrossEntropyLoss(), lambda ps: SGD(ps, 0.1),
                 rng.standard_normal((32, 8)).astype(np.float32),
-                rng.integers(0, 4, 32), microbatch=8,
-                overlap=True, execution="processes",
+                rng.integers(0, 4, 32),
+                RunConfig(num_ranks=4, microbatch=8, overlap=True,
+                          execution="processes"),
             )
 
     @pytest.mark.parametrize("overlap", [False, True])
@@ -133,10 +131,9 @@ class TestOverlapTrainer:
         x = rng.standard_normal((64, 12)).astype(np.float32)
         y = rng.integers(0, 4, 64)
         model = MLP((12, 16, 4), rng=np.random.default_rng(0))
-        dopt = DistributedOptimizer(model, lambda ps: SGD(ps, 0.05), 4,
-                                    op=ReduceOpType.ADASUM)
-        trainer = ParallelTrainer(model, nn.CrossEntropyLoss(), dopt, x, y,
-                                  microbatch=8, overlap=overlap)
+        trainer = ParallelTrainer(model, nn.CrossEntropyLoss(), lambda ps: SGD(ps, 0.05),
+                                  x, y, RunConfig(num_ranks=4, microbatch=8,
+                                                  overlap=overlap))
         try:
             _, rank_indices = next(iter(trainer.iterator.epoch(0)))
             before = {n: p.data.copy() for n, p in model.named_parameters()}
@@ -162,10 +159,10 @@ class TestOverlapTrainer:
         else:
             net = MiniBERT(rng=np.random.default_rng(0))
             x = y = rng.integers(0, 64, (64, 16))
-        dopt = DistributedOptimizer(net, lambda ps: Adam(ps, 1e-3), 4,
-                                    op=ReduceOpType.ADASUM, wire_codecs=wire_codecs)
-        with ParallelTrainer(net, nn.CrossEntropyLoss(), dopt, x, y, microbatch=4,
-                             overlap=True, bucket_cap_mb=0.001) as trainer:
+        config = RunConfig(num_ranks=4, microbatch=4, wire_codecs=wire_codecs,
+                           overlap=True, bucket_cap_mb=0.001)
+        with ParallelTrainer(net, nn.CrossEntropyLoss(), lambda ps: Adam(ps, 1e-3),
+                             x, y, config) as trainer:
             assert trainer.plan.plan.num_buckets > 1
             for step, rank_indices in trainer.iterator.epoch(0):
                 if step < 2:
@@ -184,15 +181,15 @@ class TestOverlapTrainer:
 
         def run(overlap):
             model = MiniBERT(rng=np.random.default_rng(0))
-            dopt = DistributedOptimizer(model, lambda ps: Adam(ps, 1e-3), 4,
-                                        op=ReduceOpType.ADASUM)
             trainer = ParallelTrainer(
-                model, nn.CrossEntropyLoss(ignore_index=-100), dopt, x, y,
-                microbatch=8, overlap=overlap, bucket_cap_mb=0.01)
+                model, nn.CrossEntropyLoss(ignore_index=-100),
+                lambda ps: Adam(ps, 1e-3), x, y,
+                RunConfig(num_ranks=4, microbatch=8, overlap=overlap,
+                          bucket_cap_mb=0.01))
             for step in range(3):
                 block = np.arange(32 * step, 32 * (step + 1))
                 trainer.train_step(np.split(block, 4))
-            return model, dopt, trainer
+            return model, trainer.dist_opt, trainer
 
         m_phased, _, _ = run(False)
         m_overlap, dopt, trainer = run(True)
@@ -213,14 +210,13 @@ class TestOverlapTrainer:
         models, probes = [], []
         for overlap in (False, True):
             model = MLP((12, 32, 4), rng=np.random.default_rng(0))
-            dopt = DistributedOptimizer(model, lambda ps: Adam(ps, 1e-3), 4,
-                                        op=ReduceOpType.ADASUM)
             kw = dict(kwargs)
             if kw.pop("probe", False):
                 kw["probe"] = OrthogonalityProbe()
-            trainer = ParallelTrainer(model, nn.CrossEntropyLoss(), dopt, x, y,
-                                      microbatch=4, overlap=overlap,
-                                      bucket_cap_mb=0.0005, **kw)
+            config = RunConfig(num_ranks=4, microbatch=4, overlap=overlap,
+                               bucket_cap_mb=0.0005)
+            trainer = ParallelTrainer(model, nn.CrossEntropyLoss(),
+                                      lambda ps: Adam(ps, 1e-3), x, y, config, **kw)
             for step, rank_indices in trainer.iterator.epoch(0):
                 if step < 3:
                     trainer.train_step(rank_indices)
@@ -249,17 +245,15 @@ class TestOverlapCheckpoint:
         x = rng.standard_normal((256, 12)).astype(np.float32)
         y = rng.integers(0, 4, 256)
         model = MLP((12, 32, 4), rng=np.random.default_rng(0))
-        dopt = DistributedOptimizer(
-            model,
+        trainer = ParallelTrainer(
+            model, nn.CrossEntropyLoss(),
             lambda ps: opt_cls(ps, LinearWarmupDecay(0.05, 8, 0.5), **opt_kw),
-            4, op=ReduceOpType.ADASUM,
+            x, y, RunConfig(num_ranks=4, microbatch=8, overlap=overlap,
+                            bucket_cap_mb=0.0005),
         )
-        trainer = ParallelTrainer(model, nn.CrossEntropyLoss(), dopt, x, y,
-                                  microbatch=8, overlap=overlap,
-                                  bucket_cap_mb=0.0005)
         if overlap:
             assert trainer.plan.plan.num_buckets > 1 and trainer.plan.mirror is not None
-        return model, dopt, trainer
+        return model, trainer.dist_opt, trainer
 
     def _straight(self, opt_cls, opt_kw):
         """Six phased steps: the batches, the lr after three, the run."""

@@ -17,16 +17,17 @@ from repro import nn
 from repro.comm.faults import FaultPlan
 from repro.comm.tracing import CommTracer
 from repro.comm.transport import CommError
-from repro.core import RunConfig, leaked_shared_segments
+from repro.core import DistributedOptimizer, RunConfig, leaked_shared_segments
 from repro.core.arena import GradientArena, SharedGradientArena
 from repro.core.orthogonality import OrthogonalityProbe
+from repro.data.sampler import BatchIterator, ShardedSampler
 from repro.models import BertConfig, MiniBERT
 from repro.models.mlp import MLP
 from repro.optim import SGD
 from repro.train.checkpoint import load_checkpoint, save_checkpoint
 from repro.train.trainer import (
     FusedRankExecutor, ParallelTrainer, SerialRankExecutor, _param_publisher,
-    _ProcessRankWorker,
+    _ProcessRankWorker, build_rank_executor, phased_step,
 )
 from tests.rank_state import (
     CODEC_STACKS, LOSSY, OPTIMIZERS, OVERFLOWING, SpikeLoss, assert_same_bytes,
@@ -172,24 +173,30 @@ class TestWorkerHeldState:
     def test_second_trainer_on_the_same_optimizer(self, optimizer, wire_codecs):
         # close() hands slots and residual rows back to the parent's
         # objects, and the next pool is built from them: closing one
-        # trainer and opening another over the same optimizer is as
-        # seamless as it is in one process.
-        def two_trainers(execution):
+        # executor and opening another over the same optimizer is as
+        # seamless as it is in one process.  Hand-wired, as a trainer
+        # builds its own optimizer.
+        def two_executors(execution):
             x, y, model = _task()
             config = RunConfig(op="adasum", topology="tree_any", num_ranks=4,
                                microbatch=2, seed=0, execution=execution,
                                wire_codecs=wire_codecs)
-            first = ParallelTrainer.from_config(
-                model, nn.CrossEntropyLoss(), OPTIMIZERS[optimizer], x, y, config)
-            batches = [idx for _, idx in first.iterator.epoch(0)][:4]
-            with first:
-                losses = [first.train_step(idx) for idx in batches[:2]]
-            with ParallelTrainer(model, nn.CrossEntropyLoss(), first.dist_opt, x, y,
-                                 microbatch=2, execution=execution) as second:
-                losses += [second.train_step(idx) for idx in batches[2:]]
-                return losses, dist_state(model, second.dist_opt)
+            dist_opt = DistributedOptimizer.from_config(
+                model, OPTIMIZERS[optimizer], config)
+            sampler = ShardedSampler(len(x), 4, seed=0)
+            batches = [idx for _, idx in BatchIterator(sampler, 2).epoch(0)][:4]
+            losses = []
+            for chunk in (batches[:2], batches[2:]):
+                executor = build_rank_executor(
+                    model, nn.CrossEntropyLoss(), dist_opt, x, y, config)
+                try:
+                    losses += [float(np.mean(phased_step(executor, dist_opt, idx)))
+                               for idx in chunk]
+                finally:
+                    executor.close()
+            return losses, dist_state(model, dist_opt)
 
-        assert_same_bytes(two_trainers("serial"), two_trainers("processes"))
+        assert_same_bytes(two_executors("serial"), two_executors("processes"))
 
     def test_checkpoint_crosses_backends(self, optimizer, wire_codecs, tmp_path):
         """3 steps, ``save_checkpoint`` from the still-open trainer,
@@ -379,10 +386,11 @@ class TestLifecycle:
         y = rng.integers(0, 4, 64)
         model = MLP((12, 8, 4))
         config = RunConfig(num_ranks=3, microbatch=2, execution="processes",
-                           topology="tree_any")
+                           topology="tree_any",
+                           faults=FaultPlan().kill_rank(1, after_ops=0))
         trainer = ParallelTrainer.from_config(
             model, nn.CrossEntropyLoss(), lambda ps: SGD(ps, lr=0.1),
-            x, y, config, faults=FaultPlan().kill_rank(1, after_ops=0),
+            x, y, config,
         )
         with pytest.raises(CommError) as err:
             for _, rank_indices in trainer.iterator.epoch(0):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.core import DistributedOptimizer, OrthogonalityProbe, ReduceOpType
+from repro.core import OrthogonalityProbe, ReduceOpType, RunConfig
 from repro.models import MLP
 from repro.optim import SGD
 from repro.train import ParallelTrainer, accuracy, compute_grads, compute_grads_into, Meter
@@ -21,10 +21,10 @@ def _trainer(num_ranks=2, microbatch=8, accumulation=1, op=ReduceOpType.AVERAGE,
              probe=None, lr=0.3, seed=0):
     x, y = _task(seed=seed)
     model = MLP((6, 16, 2), rng=np.random.default_rng(seed))
-    dopt = DistributedOptimizer(model, lambda ps: SGD(ps, lr), num_ranks=num_ranks, op=op)
+    config = RunConfig(op=op, num_ranks=num_ranks, microbatch=microbatch, seed=seed)
     return ParallelTrainer(
-        model, nn.CrossEntropyLoss(), dopt, x, y,
-        microbatch=microbatch, accumulation=accumulation, probe=probe, seed=seed,
+        model, nn.CrossEntropyLoss(), lambda ps: SGD(ps, lr), x, y, config,
+        accumulation=accumulation, probe=probe,
     ), x, y
 
 
@@ -126,13 +126,11 @@ class TestParallelTrainer:
 
         x, y = _task(seed=0)
         model = MLP((6, 16, 2), rng=np.random.default_rng(0))
-        dopt = DistributedOptimizer(model, lambda ps: SGD(ps, 0.3),
-                                    num_ranks=2, op=ReduceOpType.ADASUM)
         tracer = CommTracer()
         tmodel = TrainingTimeModel(seconds_per_example=1e-4,
                                    model_bytes=4096, num_workers=2)
-        tr = ParallelTrainer(model, nn.CrossEntropyLoss(), dopt, x, y,
-                             microbatch=8, seed=0,
+        tr = ParallelTrainer(model, nn.CrossEntropyLoss(), lambda ps: SGD(ps, 0.3),
+                             x, y, RunConfig(op="adasum", num_ranks=2, microbatch=8),
                              tracer=tracer, time_model=tmodel)
         tr.train_epoch(0, max_steps=3)
         # One compute + one allreduce span per rank per step.
@@ -151,10 +149,9 @@ class TestParallelTrainer:
         tr_a, _, _ = _trainer(num_ranks=2, seed=3)
         x, y = _task(seed=3)
         model = MLP((6, 16, 2), rng=np.random.default_rng(3))
-        dopt = DistributedOptimizer(model, lambda ps: SGD(ps, 0.3),
-                                    num_ranks=2, op=ReduceOpType.AVERAGE)
-        tr_b = ParallelTrainer(model, nn.CrossEntropyLoss(), dopt, x, y,
-                               microbatch=8, seed=3, tracer=CommTracer())
+        config = RunConfig(op="average", num_ranks=2, microbatch=8, seed=3)
+        tr_b = ParallelTrainer(model, nn.CrossEntropyLoss(), lambda ps: SGD(ps, 0.3),
+                               x, y, config, tracer=CommTracer())
         tr_a.train_epoch(0, max_steps=3)
         tr_b.train_epoch(0, max_steps=3)
         for (_, p1), (_, p2) in zip(tr_a.model.named_parameters(),

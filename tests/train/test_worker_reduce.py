@@ -177,13 +177,13 @@ class TestFaultDuringCombine:
         config = RunConfig(
             num_ranks=4, microbatch=2, execution="processes",
             topology="tree_any", reduce_mode="workers",
+            # op 1 is the compute step; op 2 is the level-0 combine, where
+            # rank 1 is the src half of pair (0, 1).
+            faults=FaultPlan().kill_rank(1, after_ops=1),
         )
         trainer = ParallelTrainer.from_config(
             model, nn.CrossEntropyLoss(), lambda ps: SGD(ps, lr=0.1),
             x, y, config,
-            # op 1 is the compute step; op 2 is the level-0 combine, where
-            # rank 1 is the src half of pair (0, 1).
-            faults=FaultPlan().kill_rank(1, after_ops=1),
         )
         try:
             with pytest.raises(CommError) as err:
