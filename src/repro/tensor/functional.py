@@ -5,13 +5,14 @@ pooling are implemented with im2col-style reshuffles so the heavy
 arithmetic stays inside BLAS calls, following the vectorization idiom of
 the project's coding guide.
 
-Hot-path kernels keep persistent caches (im2col gather indices, einsum
-contraction paths) keyed by shape/kernel/stride/padding; use
+Hot-path kernels keep persistent caches (einsum contraction paths and
+plans, GEMM verdicts) keyed by subscripts and shapes; use
 :func:`clear_kernel_caches` to reset them (exposed as
 ``repro.tensor.clear_kernel_caches``).  All fast paths are bit-exact
 with the reference formulations they replaced — the scatter in
 :func:`_col2im` accumulates per-target contributions in the same order
-``np.ufunc.at`` did, and the im2col gather is a pure reindexing — so
+``np.ufunc.at`` did, im2col is a pure reindexing, and every GEMM reads
+an operand of the shape, strides and memory order it always read — so
 cached kernels never perturb experiment results.
 """
 
@@ -95,37 +96,8 @@ def pin_blas_threads() -> bool:
 
 
 # ----------------------------------------------------------------------
-# im2col helpers
+# Contraction kernels
 # ----------------------------------------------------------------------
-@functools.lru_cache(maxsize=256)
-def _im2col_indices_cached(
-    c: int, h: int, w: int, kh: int, kw: int, stride: int, padding: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-    """Gather indices for im2col; independent of the batch dimension."""
-    out_h = (h + 2 * padding - kh) // stride + 1
-    out_w = (w + 2 * padding - kw) // stride + 1
-
-    i0 = np.repeat(np.arange(kh), kw)
-    i0 = np.tile(i0, c)
-    i1 = stride * np.repeat(np.arange(out_h), out_w)
-    j0 = np.tile(np.arange(kw), kh * c)
-    j1 = stride * np.tile(np.arange(out_w), out_h)
-    i = i0.reshape(-1, 1) + i1.reshape(1, -1)
-    j = j0.reshape(-1, 1) + j1.reshape(1, -1)
-    k = np.repeat(np.arange(c), kh * kw).reshape(-1, 1)
-    for arr in (k, i, j):
-        arr.setflags(write=False)
-    return k, i, j, out_h, out_w
-
-
-def _im2col_indices(
-    x_shape: Tuple[int, int, int, int], kh: int, kw: int, stride: int, padding: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-    """Compute gather indices for im2col on an NCHW tensor (cached)."""
-    _n, c, h, w = x_shape
-    return _im2col_indices_cached(c, h, w, kh, kw, stride, padding)
-
-
 @functools.lru_cache(maxsize=256)
 def _einsum_path(subscripts: str, *shapes: Tuple[int, ...]):
     """Precomputed ``np.einsum_path`` contraction path for fixed shapes."""
@@ -166,14 +138,38 @@ def _einsum_plan(subscripts: str, *shapes: Tuple[int, ...]):
     return tuple(inds), pair_subscripts
 
 
+def _as_rows(cols: np.ndarray) -> np.ndarray:
+    """``cols`` ``(n, f, l)`` as the view of a C-contiguous ``(n, l, f)``
+    array — a copy unless it is one already.
+
+    That array is the ``(n·l, f)`` operand the forward contraction's
+    plan (``nfl->nlf``, then a reshape) hands its GEMM: given it, the
+    plan's reshape is a view of the array it would otherwise copy out of
+    a C-contiguous ``cols``.  At ``n == 1`` the plan reads ``cols``
+    itself, so that case gets the C-contiguous ``(1, f, l)``.
+    """
+    if cols.shape[0] == 1:
+        return np.ascontiguousarray(cols)
+    return np.ascontiguousarray(cols.transpose(0, 2, 1)).transpose(0, 2, 1)
+
+
 def _einsum_ref(subscripts: str, operands) -> np.ndarray:
     """``np.einsum(..., optimize=True)`` with all per-call dispatch hoisted.
 
-    Bit-identical to the plain call: single-pair contractions invoke the
-    same pairwise kernel ``np.einsum`` would (with the contraction
-    resolved once per (subscripts, shapes) instead of every call);
-    anything else falls back to ``np.einsum`` with a cached path.
+    Bit-identical to the plain call on C-contiguous operands: single-pair
+    contractions invoke the same pairwise kernel ``np.einsum`` would
+    (with the contraction resolved once per (subscripts, shapes) instead
+    of every call); anything else falls back to ``np.einsum`` with a
+    cached path.  ``cols`` arrives as a view of im2col's buffer (see
+    :func:`_im2col`), not C-contiguous: the weight-gradient plan reads
+    that view as the very ``(f, n·l)`` matrix it copied out before, and
+    the forward plan gets it through :func:`_as_rows` — on a plain view
+    it would run a GEMM with the other transposition flag, whose bytes
+    differ (BLAS's gemv at one output channel, its small-matrix kernels
+    on small ones).
     """
+    if subscripts == "of,nfl->nol":
+        operands = (operands[0], _as_rows(operands[1]))
     plan = _einsum_plan(subscripts, *(op.shape for op in operands))
     if plan is not None:
         inds, pair_subscripts = plan
@@ -185,19 +181,23 @@ def _einsum_ref(subscripts: str, operands) -> np.ndarray:
 
 
 def _conv_fwd_gemm(w2: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Single-GEMM candidate for ``of,nfl->nol``."""
+    """Single-GEMM candidate for ``of,nfl->nol``; returns the ``(n, o, l)``
+    view of the GEMM's ``(o, n·l)`` result, which the caller lays out
+    once (``conv2d`` does it in its bias add)."""
     o, f = w2.shape
     n, _, l = cols.shape
     out = w2 @ cols.transpose(1, 0, 2).reshape(f, n * l)
-    return np.ascontiguousarray(out.reshape(o, n, l).transpose(1, 0, 2))
+    return out.reshape(o, n, l).transpose(1, 0, 2)
 
 
 def _conv_gcols_gemm(w2: np.ndarray, g2: np.ndarray) -> np.ndarray:
-    """Single-GEMM candidate for ``of,nol->nfl``."""
+    """Single-GEMM candidate for ``of,nol->nfl``; returns the ``(n, f, l)``
+    view of the GEMM's ``(f, n·l)`` result (``_col2im`` reads any
+    layout, and ``conv2d``'s per-block copy lays it out)."""
     o, f = w2.shape
     n, _, l = g2.shape
     out = w2.T @ g2.transpose(1, 0, 2).reshape(o, n * l)
-    return np.ascontiguousarray(out.reshape(f, n, l).transpose(1, 0, 2))
+    return out.reshape(f, n, l).transpose(1, 0, 2)
 
 
 def _conv_gw_gemm(g2: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -242,9 +242,14 @@ def kernel_specialization_enabled() -> bool:
 
 
 def _misaligned_copy(op: np.ndarray) -> np.ndarray:
-    """Copy of ``op`` whose data pointer is offset by one element."""
+    """Copy of ``op`` in ``op``'s own memory order (its axes laid out in
+    the order of its strides, so a dense view gets equal strides) whose
+    data pointer is offset by one element: the probe must run the BLAS
+    calls — transposition flags, leading dimensions — the real operand
+    gets."""
+    order = sorted(range(op.ndim), key=lambda axis: -abs(op.strides[axis]))
     buf = np.empty(op.size + 1, dtype=op.dtype)
-    mis = buf[1:].reshape(op.shape)
+    mis = buf[1:].reshape([op.shape[axis] for axis in order]).transpose(np.argsort(order))
     mis[...] = op
     return mis
 
@@ -322,12 +327,11 @@ def einsum_cached(subscripts: str, *operands: np.ndarray) -> np.ndarray:
 
 
 def clear_kernel_caches() -> None:
-    """Drop all persistent kernel caches (im2col indices, einsum plans).
+    """Drop all persistent kernel caches (einsum paths and plans, GEMM verdicts).
 
     Escape hatch for tests and for long-lived processes that sweep many
     one-off shapes; correctness never depends on cache state.
     """
-    _im2col_indices_cached.cache_clear()
     _einsum_path.cache_clear()
     _einsum_plan.cache_clear()
     _gemm_verdict.clear()
@@ -347,7 +351,7 @@ def reset_process_state() -> None:
     * the GEMM specialization verdicts are dropped: they were validated
       against the parent's allocator/alignment state, which a fork
       child's heap immediately diverges from;
-    * the im2col/einsum plan caches are cleared (pure shape caches, but
+    * the einsum path/plan caches are cleared (pure shape caches, but
       rebuilding them is cheap and keeps the child's cache statistics
       meaningful);
     * kernel specialization reverts to the conservative default (off);
@@ -369,7 +373,8 @@ if hasattr(os, "register_at_fork"):  # not on Windows
 def kernel_cache_stats() -> dict:
     """Cache hit/miss counters for the persistent kernel caches."""
     return {
-        "im2col_indices": _im2col_indices_cached.cache_info()._asdict(),
+        # No cache left behind this key; perfbench/child.py still reads it.
+        "im2col_indices": {"hits": 0, "misses": 0, "maxsize": 256, "currsize": 0},
         "einsum_path": _einsum_path.cache_info()._asdict(),
         "einsum_plan": _einsum_plan.cache_info()._asdict(),
         "gemm_verdicts": {
@@ -379,25 +384,85 @@ def kernel_cache_stats() -> dict:
     }
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
+def _padded(x: np.ndarray, padding: int) -> np.ndarray:
+    if padding == 0:
+        return x
+    # Zero-fill + slice assign: what np.pad(constant) computes, minus its
+    # per-call python machinery.
     n, c, h, w = x.shape
-    if padding > 0:
-        # Zero-fill + slice assign: what np.pad(constant) computes, minus
-        # its per-call python machinery.
-        xp = np.zeros(
-            (n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype
-        )
-        xp[:, :, padding:-padding, padding:-padding] = x
-    else:
-        xp = x
-    out_h = (h + 2 * padding - kh) // stride + 1
-    out_w = (w + 2 * padding - kw) // stride + 1
-    # Sliding-window view + transpose-copy: a pure reindexing, bit-exact
-    # with the historical fancy-index gather but ~2-3x faster.
+    xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+    xp[:, :, padding:-padding, padding:-padding] = x
+    return xp
+
+
+def _blocks_of(r: int, block: Tuple[int, ...], dtype) -> np.ndarray:
+    """Uninitialised ``(r, *block)`` array of ``r`` C-contiguous blocks
+    spaced a multiple of 64 bytes apart: every block sits at the
+    alignment of block 0 — a GEMM reading a block in place reads it at
+    the alignment the verdict probe tested, as it did a fresh copy."""
+    size = int(np.prod(block))
+    per = max(1, 64 // np.dtype(dtype).itemsize)
+    step = -(-size // per) * per if r > 1 else size
+    return np.empty((r, step), dtype=dtype)[:, :size].reshape((r,) + block)
+
+
+def _im2col(
+    x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
+    blocks: Optional[int] = None,
+):
+    """``cols`` of an NCHW batch, written once in rank-block-major order.
+
+    The buffer's memory order is ``(R, c, kh, kw, b, out_h, out_w)``,
+    i.e. ``(R, f, b, l)`` with ``f = c·kh·kw``, ``l = out_h·out_w``,
+    ``R = blocks`` and ``b = n // R``.  Returns ``(cols, out_h, out_w)``:
+    with ``blocks=None`` the ``(n, f, l)`` view of the one C-contiguous
+    ``(f, n, l)`` block, else the ``(R, b, f, l)`` view whose block ``r``
+    is C-contiguous in ``(f, b, l)`` — so the ``(f, b·l)`` matrix the
+    single-GEMM candidates and the weight-gradient plan multiply is a
+    view of each block, with the strides it had as a copy.
+    """
+    n, c, _, _ = x.shape
+    r = 1 if blocks is None else blocks
+    b = n // r
+    xp = _padded(x, padding)
+    out_h = (xp.shape[2] - kh) // stride + 1
+    out_w = (xp.shape[3] - kw) // stride + 1
+    # Sliding-window view + one transposing copy: a pure reindexing.
     v = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
     v = v[:, :, ::stride, ::stride]  # (n, c, out_h, out_w, kh, kw)
-    cols = v.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, out_h * out_w)
-    return cols, out_h, out_w
+    buf = _blocks_of(r, (c, kh, kw, b, out_h, out_w), x.dtype)
+    buf[...] = v.reshape(r, b, c, out_h, out_w, kh, kw).transpose(0, 2, 5, 6, 1, 3, 4)
+    cols = buf.reshape(r, c * kh * kw, b, out_h * out_w).transpose(0, 2, 1, 3)
+    return (cols[0] if blocks is None else cols), out_h, out_w
+
+
+def _im2col_rows(
+    x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
+    blocks: Optional[int] = None,
+):
+    """:func:`_im2col`'s ``cols`` with each block C-contiguous in
+    ``(b, l, f)`` instead: the ``(b·l, f)`` rows the forward
+    contraction's plan hands its GEMM (see :func:`_as_rows`), written
+    straight from the input.
+
+    A kernel row — ``kw`` adjacent input pixels — is adjacent in both
+    the input and the rows, so the copy moves one opaque ``kw``-pixel
+    item per (sample, output pixel, channel, kernel row) instead of
+    ``kw`` scalars.
+    """
+    xp = np.ascontiguousarray(_padded(x, padding))
+    n, c, hp, wp = xp.shape
+    r = 1 if blocks is None else blocks
+    b = n // r
+    out_h, out_w = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    run = np.dtype((np.void, xp.itemsize * kw))
+    sn, sc, sh, sw = xp.strides
+    src = np.ndarray((r, b, out_h, out_w, c, kh), dtype=run, buffer=xp,
+                     strides=(b * sn, sn, stride * sh, stride * sw, sc, sh))
+    rows = _blocks_of(r, (b, out_h, out_w, c, kh, kw), xp.dtype)
+    rows.view(run)[..., 0] = src
+    cols = rows.reshape(r, b, out_h * out_w, c * kh * kw).transpose(0, 1, 3, 2)
+    return (cols[0] if blocks is None else cols), out_h, out_w
 
 
 def _col2im(
@@ -502,28 +567,37 @@ def conv2d(
     oc, ic, kh, kw = weight.shape
     if ic != c:
         raise ValueError(f"conv2d channel mismatch: input {c}, weight {ic}")
-    cols, out_h, out_w = _im2col(x.data, kh, kw, stride, padding)
-    f = c * kh * kw
-    w2 = weight.data.reshape(oc, f)
     # Inside rank_blocks every contraction with the weight runs per rank
-    # block (the shapes einsum_cached validated for one rank); im2col,
-    # col2im and the bias add are per-sample and run stacked.
+    # block (the shapes einsum_cached validated for one rank); col2im and
+    # the bias add are per-sample and run stacked.
     blocks = rank_block_count()
+    if blocks is not None and n % blocks:
+        raise RankBlocksError(f"batch axis {n} does not split into {blocks} rank blocks")
+    f = c * kh * kw
+    # No candidate and no weight gradient: einsum's forward plan is cols'
+    # one reader, so im2col writes that plan's rows.
+    rows = n // (blocks or 1) > 1 and not (
+        kernel_specialization_enabled() or (weight.requires_grad and is_grad_enabled())
+    )
+    im2col = _im2col_rows if rows else _im2col
+    cols, out_h, out_w = im2col(x.data, kh, kw, stride, padding, blocks)
+    w2 = weight.data.reshape(oc, f)
 
     def with_weight(subscripts, batched, shape, add=None):
         """``einsum_cached(subscripts, w2, batched) (+ add)``, per rank
-        block, into one fresh C-contiguous array — or einsum's own result
-        when there is neither a block nor an addend."""
+        block of ``batched`` (``(R, b, ...)`` inside rank_blocks), into
+        one fresh C-contiguous array — or einsum's own result when there
+        is neither a block nor an addend."""
         if blocks is None:
             part = einsum_cached(subscripts, w2, batched)
             if add is None:
                 return part
-            # Allocated after the contraction, whose operand copy is gone.
+            # Allocated after the contraction, whose temporaries are gone.
             dest = np.empty(shape, dtype=np.result_type(part, add))
             return np.add(part, add, out=dest)
         operands = (w2, batched) if add is None else (w2, batched, add)
         res = np.empty(shape, dtype=np.result_type(*operands))
-        for dest, block in zip(split_blocks(res, blocks), split_blocks(batched, blocks)):
+        for dest, block in zip(split_blocks(res, blocks), batched):
             part = einsum_cached(subscripts, w2, block)
             if add is None:
                 dest[...] = part
@@ -538,7 +612,8 @@ def conv2d(
     # first use and only then switches kernels, so either way the bytes
     # match the plain np.einsum(optimize=True) call.  The bias is added
     # straight from the contraction's (n, o, l) result into the NCHW
-    # output: one pass, and a C-contiguous activation.
+    # output: one pass that also lays out the candidate's (o, n·l)
+    # GEMM result, and a C-contiguous activation.
     out = with_weight(
         "of,nfl->nol", cols, (n, oc, out_h * out_w),
         None if bias is None else bias.data.reshape(1, oc, 1),
@@ -551,12 +626,16 @@ def conv2d(
         if bias is not None and bias.requires_grad:
             bias._accumulate(per_block(lambda gs: gs.sum(axis=(0, 2)), blocks, g2))
         if weight.requires_grad:
-            weight._accumulate(per_block(
-                lambda gs, cs: einsum_cached("nol,nfl->of", gs, cs).reshape(weight.shape),
-                blocks, g2, cols,
-            ))
+            def weight_grad(gs, cs):
+                return einsum_cached("nol,nfl->of", gs, cs).reshape(weight.shape)
+
+            weight._accumulate(weight_grad(g2, cols) if blocks is None else np.stack(
+                [weight_grad(gs, cs) for gs, cs in zip(split_blocks(g2, blocks), cols)]))
         if x.requires_grad:
-            gcols = with_weight("of,nol->nfl", g2, cols.shape)
+            gcols = with_weight(
+                "of,nol->nfl", g2 if blocks is None else split_blocks(g2, blocks),
+                (n, f, out_h * out_w),
+            )
             gx = _col2im(gcols, x.shape, kh, kw, stride, padding)
             x._accumulate(gx)
 

@@ -286,6 +286,20 @@ class TestKernelSpecialization:
             set_kernel_specialization(False)
         assert kernel_specialization_enabled() is False
 
+    @pytest.mark.parametrize("axes", [(1, 0, 2), (0, 1, 2)], ids=["transposed", "c_order"])
+    def test_misaligned_copy_keeps_the_memory_order(self, rng, axes):
+        """The verdict probe's misaligned variant of an operand is laid
+        out like the operand — a transposed view of im2col's ``(f, n, l)``
+        buffer stays one — so it runs the BLAS call (transposition flags,
+        leading dimension) the real operand gets, one element off an
+        aligned allocation."""
+        op = rng.standard_normal((25, 8, 100)).astype(np.float32).transpose(axes)
+        mis = F._misaligned_copy(op)
+        assert mis.strides == op.strides
+        assert np.array_equal(mis, op)
+        assert op.ctypes.data % 16 == 0
+        assert mis.ctypes.data % 16 == op.itemsize
+
     def test_specialized_conv_bit_equal_and_verdicts_cached(self, rng):
         from repro.tensor import (
             clear_kernel_caches,
