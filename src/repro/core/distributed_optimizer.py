@@ -38,6 +38,7 @@ import numpy as np
 
 from repro.comm.bucketing import BucketPlan
 from repro.comm.codec import build_pipeline, parse_wire_codecs
+from repro.core.overlap import FlatOptimizerMirror
 from repro.core.precision import DynamicScaler
 from repro.core.strategies import GradientReducer, StrategyReducer
 from repro.nn.module import Module
@@ -177,6 +178,11 @@ class DistributedOptimizer:
         else:
             self.optimizer = optimizer_factory(model.parameters())
             self.rank_optimizers = []
+        # The arena the mirror rewrites, the mirror, and its starts as
+        # named views (see :meth:`optimizer_mirror`).
+        self._mirror_arena = None
+        self._mirror: Optional[FlatOptimizerMirror] = None
+        self._mirror_starts: Dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     @classmethod
@@ -285,7 +291,7 @@ class DistributedOptimizer:
             )
         ctx: Dict = {
             "ranks": list(range(arena.num_ranks)) if ranks is None else list(ranks),
-            "starts": None, "rewrite": None, "overflow": False, "nbytes": 0,
+            "starts": None, "overflow": False, "nbytes": 0,
         }
         pipe = self.wire_pipeline
         if pipe is not None:
@@ -331,12 +337,17 @@ class DistributedOptimizer:
 
         For post-optimizer Adasum (Figure 3) each participating rank's
         row is rewritten in place from its local gradient to its
-        post-optimizer model delta — by the plan's
-        :class:`~repro.core.overlap.FlatOptimizerMirror` for any column
-        range, or by the real per-rank optimizers for whole rows (the
-        model is restored to the shared starting point afterwards).
-        With a codec stack the columns then round-trip through the
-        pipeline in place and their modeled encoded bytes are booked.
+        post-optimizer model delta by this optimizer's
+        :class:`~repro.core.overlap.FlatOptimizerMirror`
+        (:meth:`optimizer_mirror`), the one path for Adam and SGD: the
+        step's first call snapshots the live parameters as the starts
+        and opens the mirror's step over exactly the listed rows, and
+        every call rewrites its columns.  The rank optimizers the mirror
+        rejects (LAMB, LARS, AdamW) step for real on whole rows instead,
+        and the model is restored to the shared starting point
+        afterwards.  With a codec stack the columns then round-trip
+        through the pipeline in place and their modeled encoded bytes
+        are booked.
 
         With a :attr:`row_home` each rank process does both to its own
         (whole) row — as part of the compute round unless the step is
@@ -358,15 +369,36 @@ class DistributedOptimizer:
                     self.rank_optimizers[rank].step_count += 1
         else:
             if self.post_optimizer_mode:
-                if ctx["rewrite"] is not None:
-                    ctx["rewrite"](lo, hi)
-                else:
+                mirror = self.optimizer_mirror(arena)
+                if mirror is None:
                     ctx["starts"] = self._rewrite_rows_to_deltas(arena, ranks)
+                else:
+                    if ctx["starts"] is None:  # the step's first columns
+                        ctx["starts"] = starts = self._mirror_starts
+                        for name, p in self._params.items():
+                            np.copyto(starts[name], p.data)
+                        mirror.begin_step(ranks)
+                    mirror.rewrite(lo, hi)
             if pipe is not None and pipe.encode_block(arena.data, ranks, lo, hi):
                 ctx["overflow"] = True
         width = (hi - lo) * arena.dtype.itemsize if pipe is None else pipe.wire_nbytes(lo, hi)
         ctx["nbytes"] += width * len(ranks)
         return not ctx["overflow"]
+
+    def optimizer_mirror(self, arena) -> Optional[FlatOptimizerMirror]:
+        """The :class:`~repro.core.overlap.FlatOptimizerMirror` that
+        rewrites ``arena``'s rows in Figure-3 mode, built the first time
+        a step runs over this arena (one per arena); ``None`` outside
+        Figure-3 mode and for rank optimizers it cannot replay."""
+        if arena is not self._mirror_arena:
+            self._mirror_arena, self._mirror = arena, None
+            if self.post_optimizer_mode:
+                starts = np.empty(arena.layout.total_size, dtype=arena.dtype)
+                self._mirror = FlatOptimizerMirror.build(
+                    self.rank_optimizers, list(self._params.items()), arena.data, starts
+                )
+                self._mirror_starts = arena.unpack(starts, copy=False)
+        return self._mirror
 
     def _bind_pipeline(self, arena) -> None:
         """Bind the codec stack to ``arena``'s layout — to zero of its

@@ -68,53 +68,6 @@ def adasum(
 # ----------------------------------------------------------------------
 # Flat-buffer kernels (fused-tensor path, paper §4.4.3)
 # ----------------------------------------------------------------------
-def _flat_pair_scales(
-    a: np.ndarray, b: np.ndarray, boundaries: Sequence[int]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-layer ``(s1, s2)`` scale vectors for two float64 flat rows.
-
-    Each layer's dot/norms are plain ``np.dot`` over the contiguous
-    float64 slice — the identical accumulation the reference operator
-    performs on ``g.reshape(-1).astype(np.float64)``, so scale factors
-    match bit for bit.
-    """
-    n_layers = len(boundaries) - 1
-    s1 = np.empty(n_layers)
-    s2 = np.empty(n_layers)
-    for layer in range(n_layers):
-        lo, hi = boundaries[layer], boundaries[layer + 1]
-        x, y = a[lo:hi], b[lo:hi]
-        dot = float(x @ y)
-        n1 = float(x @ x)
-        n2 = float(y @ y)
-        s1[layer] = 1.0 - dot / (2.0 * n1) if n1 > _EPS else 1.0
-        s2[layer] = 1.0 - dot / (2.0 * n2) if n2 > _EPS else 1.0
-    return s1, s2
-
-
-def _adasum_flat_pair(
-    a: np.ndarray,
-    b: np.ndarray,
-    boundaries: Sequence[int],
-    tmp: np.ndarray,
-    out: np.ndarray,
-) -> None:
-    """In-place pairwise Adasum of float64 rows ``a``, ``b`` into ``out``.
-
-    ``out`` may alias ``a``.  ``tmp`` is a caller-provided float64
-    scratch row.  Each layer slice is scaled by its float64 scalar — the
-    same multiplication the reference operator performs per layer — so
-    results are bit-identical while the row-wide add stays a single
-    fused pass.
-    """
-    s1, s2 = _flat_pair_scales(a, b, boundaries)
-    for layer in range(len(boundaries) - 1):
-        lo, hi = boundaries[layer], boundaries[layer + 1]
-        np.multiply(b[lo:hi], s2[layer], out=tmp[lo:hi])
-        np.multiply(a[lo:hi], s1[layer], out=out[lo:hi])
-    out += tmp
-
-
 def _flat_boundaries(size: int, boundaries) -> List[int]:
     if boundaries is None:
         return [0, size]
@@ -135,33 +88,33 @@ def adasum_flat(
     ``boundaries`` delimits layers in the flat buffer
     (``layout.boundaries()``); ``None`` treats the whole buffer as one
     layer (whole-model Adasum).  Equivalent to slicing both buffers per
-    layer and calling :func:`adasum` on each slice, but runs in-place
-    vectorized kernels over the full row.
+    layer and calling :func:`adasum` on each slice, but runs on the
+    cached :class:`_FlatReducePlan` of its geometry — the same kernel a
+    flat tree reduce combines each pair with, so a pairwise hop (an
+    elastic tree collective's, a rank worker's combine, ``tree_any``'s
+    non-power-of-two tail) allocates no float64 scratch.  ``out`` may
+    alias either input.
     """
     if g1.shape != g2.shape or g1.ndim != 1:
         raise ValueError(f"flat buffers required: {g1.shape} vs {g2.shape}")
     bounds = _flat_boundaries(g1.size, boundaries)
-    a = g1.astype(np.float64)
-    b = g2.astype(np.float64, copy=False)
-    tmp = np.empty(g1.size)
-    _adasum_flat_pair(a, b, bounds, tmp, out=a)
     if out is None:
-        return a.astype(g1.dtype, copy=False)
-    np.copyto(out, a, casting="same_kind")
+        out = np.empty_like(g1)
+    _flat_reduce_plan(g1.size, bounds, 1, out.dtype).combine(g1, g2, out)
     return out
 
 
 class _FlatReducePlan:
     """Reusable scratch rows + prebound per-layer kernels for one geometry.
 
-    The pairwise combine is called ``ranks - 1`` times per reduction and
-    every call runs 3 dots + 2 scalings per layer; for models with many
-    small layers the NumPy dispatch cost of those calls rivals the
-    arithmetic.  The plan owns the two float64 scratch rows, the
-    storage-dtype winner buffer, and — since the scratches are reused
-    for every pair — the per-layer slice *views* and their bound
-    ``ndarray.dot`` methods, so the hot loop does no view construction
-    and no attribute lookups.
+    The pairwise combine is called ``ranks - 1`` times per reduction
+    (and once per :func:`adasum_flat` hop) and every call runs 3 dots +
+    2 scalings per layer; for models with many small layers the NumPy
+    dispatch cost of those calls rivals the arithmetic.  The plan owns
+    the two float64 scratch rows, the storage-dtype winner buffer, and —
+    since the scratches are reused for every pair — the per-layer slice
+    *views* and their bound ``ndarray.dot`` methods, so the hot loop does
+    no view construction and no attribute lookups.
     """
 
     __slots__ = ("key", "ab", "a64", "b64", "win", "layers")

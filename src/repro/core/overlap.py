@@ -18,10 +18,11 @@ There is no comm thread.  Horovod's overlap wins because the NIC is a
 second resource; here compute and communication share one interpreter,
 and a private comm thread measured *slower* than running the buckets
 inline (GIL ping-pong; numbers in docs/performance.md).  What overlap
-mode buys on this simulator is the flat mirror rewrite — the fused
-compute engines registered below follow from the model and serve every
-executor, overlapped or not; the schedule is nonetheless faithful (and
-measurable in the overlap Chrome trace).
+mode adds on this simulator is the schedule, faithful and measurable in
+the overlap Chrome trace: the flat mirror rewrite it once had to itself
+serves every in-process Figure-3 step, and the fused compute engines
+registered below follow from the model and serve every executor,
+overlapped or not.
 
 Bit-exactness with a whole-row ``step_arena`` is structural — both are
 the same ``DistributedOptimizer.wire_step`` — and neither the bucket cap
@@ -31,11 +32,12 @@ nor the readiness order can change bytes:
   same per-layer slices either way (whole-model Adasum degenerates to a
   single bucket);
 * Figure-3 post-optimizer mode rewrites each bucket's rows from local
-  gradients to post-optimizer deltas with a
-  :class:`FlatOptimizerMirror` — a flat, rank-vectorized replay of the
-  per-rank optimizers' exact update arithmetic (same operations, order
-  and rounding points, written in place), so the wire tensors are
-  bit-identical to ``_rewrite_rows_to_deltas``;
+  gradients to post-optimizer deltas with the distributed optimizer's
+  :class:`FlatOptimizerMirror`, the one that rewrites whole-row steps —
+  a flat, rank-vectorized replay of the per-rank optimizers' exact
+  update arithmetic (same operations, order and rounding points, written
+  in place), so the wire tensors are bit-identical to
+  ``_rewrite_rows_to_deltas``;
 * the wire codec stack (:mod:`repro.comm.codec`) applies per bucket:
   an fp16 stage runs with the step's scale fixed up front and the
   dynamic scaler sees one aggregated overflow verdict per step, while
@@ -46,7 +48,7 @@ nor the readiness order can change bytes:
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -54,9 +56,11 @@ from repro.comm.bucketing import Bucket
 from repro.comm.fusion import layout_of
 from repro.comm.tracing import CommTracer
 from repro.core.arena import GradientArena
-from repro.core.distributed_optimizer import DistributedOptimizer
 from repro.optim.adam import Adam
 from repro.optim.sgd import SGD
+
+if TYPE_CHECKING:  # the distributed optimizer owns the mirror defined here
+    from repro.core.distributed_optimizer import DistributedOptimizer
 
 
 #: Registry of fused rank-compute engines: ``(predicate, factory)``
@@ -121,12 +125,15 @@ class FlatOptimizerMirror:
     one by one and rebinds fresh slot arrays on every step — correct,
     but dominated by Python dispatch and temporaries.  The mirror keeps
     the optimizers' state as ``(ranks, size)`` flat arrays and rewrites
-    any column range ``[lo, hi)`` of ``rows`` from gradients to
-    post-optimizer deltas (``p - start``) in a handful of vectorized
-    ops.  The overlap scheduler mirrors every rank optimizer over the
-    arena's rows, which lets a bucket's rewrite run in the middle of
-    backprop; a rank worker mirrors its own optimizer over its own row
-    of the shared arena, with the shared parameter row as the starts.
+    any column range ``[lo, hi)`` of the rows a step lists from
+    gradients to post-optimizer deltas (``p - start``) in a handful of
+    vectorized ops.  :class:`~repro.core.distributed_optimizer.DistributedOptimizer`
+    owns one per arena and runs every in-process Figure-3 rewrite
+    through it: the whole rows of a serial, elastic or scheduler step,
+    and the buckets of an overlapped one, whose rewrite runs in the
+    middle of backprop.  A rank worker mirrors its own optimizer over
+    its own row of the shared arena, with the shared parameter row as
+    the starts.
 
     The rewrite performs the scalar optimizers' operations in their
     order and at their float32 rounding points (same operands, same
@@ -136,26 +143,35 @@ class FlatOptimizerMirror:
     step allocates nothing row-sized.  All ops are elementwise, so
     vectorizing across ranks cannot change bits — property-tested
     against the real optimizers (``_rewrite_rows_to_deltas``) for any
-    bucket split in ``tests/core/test_overlap.py`` and, inside rank
-    workers, in ``tests/train/test_worker_finish.py``.
+    bucket split and any subset of rows in ``tests/core/test_overlap.py``
+    and, inside rank workers, in ``tests/train/test_worker_finish.py``.
 
     **Who owns the state.**  Between steps the optimizer objects are
     the source of truth: their ``step_count`` and the slot dicts a
     checkpoint, a snapshot, a pull or a push reads and writes.  The
     mirror's flat arrays are an in-place cache of that state — it
     installs per-parameter views of them as the slot arrays and advances
-    every ``step_count``, so readers see exactly what the real
+    each ``step_count``, so readers see exactly what the real
     optimizers would have left.  When a step opens (:meth:`begin_step`)
     it re-syncs if anyone wrote an optimizer from outside (a slot that
     is not its own view, or a ``step_count`` other than the one it
-    left): the present slots are copied into its rows, its counters come
-    from ``step_count`` (and Adam's ``t``), and a parameter with no slot
-    yet takes its first step — SGD's ``buf = g.copy()``, which differs
-    from ``0.9 * 0 + g`` on ``-0.0``.  A real ``Optimizer.step`` between
-    mirrored steps is such an outside write.  The mirrored optimizers
-    replay in lockstep: state on which they disagree (``step_count``,
-    Adam's ``t``, a first step for some slots only) is rejected with a
-    ``ValueError``.
+    left): the present slots are copied into its rows and its counters
+    come from ``step_count`` (and Adam's ``t``).  A real
+    ``Optimizer.step`` between mirrored steps is such an outside write.
+
+    **Per-row counters.**  A step lists the rows it rewrites, and a row
+    left out keeps its state, as an optimizer that did not step does.
+    So each row has its own ``step_count`` (hence its own learning
+    rate), its own Adam ``t`` and its own first-step flag: a row with no
+    slot yet gets its slot views at its first step, where SGD takes
+    ``buf = g.copy()`` (which differs from ``0.9 * 0 + g`` on ``-0.0``).
+    Per-row scalars enter the ufuncs as float32 ``(rows, 1)`` columns,
+    which under NEP 50 is the arithmetic the optimizers do with their
+    Python-float learning rates and bias corrections.  The listed rows
+    are rewritten as runs of adjacent rows.  An optimizer whose own
+    slots disagree (one stepped more often than another) has no row
+    counter and is rejected with a ``ValueError``; no ``step`` with every
+    gradient set leaves that state.
 
     Parameters
     ----------
@@ -177,10 +193,11 @@ class FlatOptimizerMirror:
         layout = layout_of([(name, p.data) for name, p in params])
         position = {id(p): i for i, (_, p) in enumerate(params)}
         total = layout.total_size
-        if rows.shape != (len(self._opts), total) or starts.shape != (total,):
+        ranks = len(self._opts)
+        if rows.shape != (ranks, total) or starts.shape != (total,):
             raise ValueError(
-                f"{len(self._opts)} optimizers over {total} parameters need "
-                f"({len(self._opts)}, {total}) rows and ({total},) starts, got "
+                f"{ranks} optimizers over {total} parameters need "
+                f"({ranks}, {total}) rows and ({total},) starts, got "
                 f"{rows.shape} and {starts.shape}"
             )
         self._rows = rows
@@ -197,15 +214,19 @@ class FlatOptimizerMirror:
             self._m = self._flat["m"] = np.zeros(shape, dtype=np.float32)
             self._v = self._flat["v"] = np.zeros(shape, dtype=np.float32)
             # Adam's per-slot step counter: one column per parameter.
-            self._t = np.zeros((len(self._opts), len(self._slots)), dtype=np.int64)
+            self._t = np.zeros((ranks, len(self._slots)), dtype=np.int64)
+            # This step's bias corrections 1 - beta**t, per row.
+            self._c1 = np.ones((ranks, 1), dtype=np.float32)
+            self._c2 = np.ones((ranks, 1), dtype=np.float32)
         elif opt.momentum:
             self._buf = self._flat["momentum"] = np.zeros(shape, dtype=np.float32)
-        # Per rank: (index, slot dict, its (key, view) pairs) as installed.
-        self._installed: List[List[tuple]] = []
-        self._left: Optional[int] = None  # the step_count this mirror left
-        self._first = False  # this step creates the momentum buffer
-        self._steps = 0      # this step's Adam ``t``
-        self._lr = 0.0
+        # Per row: (index, slot dict, its (key, view) pairs) as installed;
+        # empty for a row with no slot yet.
+        self._installed: List[List[tuple]] = [[] for _ in self._opts]
+        self._left: Optional[List[int]] = None  # each row's step_count as left
+        self._lr = np.zeros((ranks, 1), dtype=np.float32)  # this step's, per row
+        # This step's runs of adjacent listed rows: (row slice, first step).
+        self._runs: List[tuple] = []
         self._scratch = np.empty(0, dtype=np.float32)
 
     # ------------------------------------------------------------------
@@ -228,9 +249,13 @@ class FlatOptimizerMirror:
         """No one wrote the optimizers since this mirror's last step."""
         if self._left is None:
             return False
-        for opt, installed in zip(self._opts, self._installed):
-            if opt.step_count != self._left:
+        for opt, installed, left in zip(self._opts, self._installed, self._left):
+            if opt.step_count != left:
                 return False
+            if not installed:
+                if self._flat and any(opt.state.values()):
+                    return False  # slots loaded into a row that had none
+                continue
             get = opt.state.get
             for index, slot, views in installed:
                 if get(index) is not slot:
@@ -240,61 +265,81 @@ class FlatOptimizerMirror:
                         return False
         return True
 
-    def _sync(self) -> bool:
-        """Copy the optimizers' present state into the flat rows and
-        install views of them as the slot arrays (see the class
-        docstring); returns whether there was no slot yet."""
-        keys = tuple(self._flat)  # () for plain SGD: no slots at all
-        counts, present, ts = set(), set(), set()
-        for opt in self._opts:
-            counts.add(opt.step_count)
-            for index in range(len(self._slots) if keys else 0):
-                slot = opt.state.get(index, {})
-                has = slot.get(keys[0]) is not None
-                present.add(has)
-                if self._kind == "adam":
-                    ts.add(int(slot["t"][0]) if has else 0)
-        if len(counts) > 1 or len(present) > 1 or len(ts) > 1:
-            raise ValueError(
-                "FlatOptimizerMirror replays its optimizers in lockstep, but "
-                f"their state disagrees: step_count {sorted(counts)}, Adam t "
-                f"{sorted(ts)}, first step for some slots only: {len(present) > 1}"
-            )
-        fresh = True not in present
-        self._installed = []
-        for rank, opt in enumerate(self._opts):
-            installed = []
-            for index, (lo, hi, shape) in enumerate(self._slots if keys else ()):
-                slot = opt.state_for(index)
-                for key, flat in self._flat.items():
-                    view = flat[rank, lo:hi].reshape(shape)
-                    if fresh:
-                        view.fill(0)
-                    else:
-                        np.copyto(view, slot[key])
-                    slot[key] = view
-                if self._kind == "adam":
-                    slot["t"] = self._t[rank, index:index + 1]
-                installed.append((index, slot, tuple(slot.items())))
-            self._installed.append(installed)
-        if self._kind == "adam":
-            self._t[:] = ts.pop()
-        self._left = counts.pop()
-        return fresh
+    def _install(self, row: int, copy: bool) -> None:
+        """Make views of row ``row`` of the flat arrays its optimizer's
+        slot arrays, copying the present slots in first with ``copy``."""
+        opt = self._opts[row]
+        installed = []
+        for index, (lo, hi, shape) in enumerate(self._slots):
+            slot = opt.state_for(index)
+            for key, flat in self._flat.items():
+                view = flat[row, lo:hi].reshape(shape)
+                if copy:
+                    np.copyto(view, slot[key])
+                slot[key] = view
+            if self._kind == "adam":
+                slot["t"] = self._t[row, index:index + 1]
+            installed.append((index, slot, tuple(slot.items())))
+        self._installed[row] = installed
 
-    def begin_step(self) -> None:
-        """Open a step: re-sync from the optimizers if they were written
-        from outside, then fix this step's lr and counters and advance
-        every ``step_count``, as a real step would."""
-        self._first = not self._owns_state() and self._sync()
-        count = self._left
-        self._lr = self._opt.lr_schedule(count)
-        self._left = count + 1
-        for opt in self._opts:
-            opt.step_count = count + 1
-        if self._kind == "adam":
-            self._t += 1
-            self._steps = int(self._t[0, 0])
+    def _sync(self) -> None:
+        """Copy the optimizers' present state into the flat rows and
+        install views of it as their slot arrays; a row with no slot yet
+        is zeroed and gets its views at its first step."""
+        keys = tuple(self._flat)  # () for plain SGD: no slots at all
+        self._left = []
+        for row, opt in enumerate(self._opts):
+            self._left.append(opt.step_count)
+            self._installed[row] = []
+            if not keys:
+                continue
+            slots = [opt.state.get(index, {}) for index in range(len(self._slots))]
+            present = {slot.get(keys[0]) is not None for slot in slots}
+            ts = {int(slot["t"][0]) if "t" in slot else 0 for slot in slots
+                  } if self._kind == "adam" else {0}
+            if len(present) > 1 or len(ts) > 1:
+                raise ValueError(
+                    f"FlatOptimizerMirror keeps one step counter per row, but row "
+                    f"{row}'s optimizer slots disagree: Adam t {sorted(ts)}, first "
+                    f"step for some slots only: {len(present) > 1}"
+                )
+            if self._kind == "adam":
+                self._t[row] = ts.pop()
+            if True in present:
+                self._install(row, copy=True)
+            else:
+                for flat in self._flat.values():
+                    flat[row].fill(0)
+
+    def begin_step(self, rows: Optional[Sequence[int]] = None) -> None:
+        """Open a step over ``rows`` (default: all): re-sync from the
+        optimizers if they were written from outside, then fix each
+        listed row's lr and counters and advance its ``step_count``, as
+        a real step would."""
+        if not self._owns_state():
+            self._sync()
+        listed = range(len(self._opts)) if rows is None else sorted(rows)
+        left, lr, adam = self._left, self._lr, self._kind == "adam"
+        runs: List[list] = []
+        for row in listed:
+            opt = self._opts[row]
+            count = left[row]
+            lr[row] = opt.lr_schedule(count)
+            left[row] = opt.step_count = count + 1
+            first = bool(self._flat) and not self._installed[row]
+            if first:
+                self._install(row, copy=False)
+            if adam:
+                self._t[row] += 1
+                t = int(self._t[row, 0])
+                self._c1[row] = 1 - opt.beta1 ** t
+                self._c2[row] = 1 - opt.beta2 ** t
+                first = False  # m = v = 0: the first step is no special case
+            if runs and runs[-1][1] == row and runs[-1][2] == first:
+                runs[-1][1] = row + 1
+            else:
+                runs.append([row, row + 1, first])
+        self._runs = [(slice(a, b), first) for a, b, first in runs]
 
     def _scratch_block(self, width: int) -> np.ndarray:
         """A contiguous ``(ranks, width)`` float32 block of the scratch,
@@ -306,15 +351,19 @@ class FlatOptimizerMirror:
         return self._scratch[:need].reshape(ranks, width)
 
     def rewrite(self, lo: int, hi: int) -> None:
-        """In place: columns ``[lo, hi)`` of the rows, gradients -> deltas.
+        """In place: columns ``[lo, hi)`` of the step's rows, gradients -> deltas."""
+        scratch = self._scratch_block(hi - lo)
+        for rows, first in self._runs:
+            self._rewrite_run(rows, first, lo, hi, scratch[:rows.stop - rows.start])
 
-        The comments give the optimizer expression each group of ufuncs
-        reproduces.
-        """
-        rows = self._rows[:, lo:hi]
+    def _rewrite_run(self, run: slice, first: bool, lo: int, hi: int,
+                     a: np.ndarray) -> None:
+        """Columns ``[lo, hi)`` of the adjacent rows ``run``, with ``a``
+        as scratch.  The comments give the optimizer expression each
+        group of ufuncs reproduces."""
+        rows = self._rows[run, lo:hi]
         start = self.starts[lo:hi]
         opt = self._opt
-        a = self._scratch_block(hi - lo)
         if opt.weight_decay:
             # g = g + wd * p
             np.multiply(start, opt.weight_decay, out=a[0])
@@ -322,28 +371,27 @@ class FlatOptimizerMirror:
         direction = rows
         if self._kind == "adam":
             # v = b2 * v + (1 - b2) * g * g
-            v = self._v[:, lo:hi]
+            v = self._v[run, lo:hi]
             v *= opt.beta2
             np.multiply(rows, 1 - opt.beta2, out=a)
             a *= rows
             v += a
             # m = b1 * m + (1 - b1) * g: g's last use, so (1 - b1) * g
             # is formed in its rows
-            m = self._m[:, lo:hi]
+            m = self._m[run, lo:hi]
             m *= opt.beta1
             rows *= 1 - opt.beta1
             m += rows
             # d = (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)
-            t = self._steps
-            np.divide(m, 1 - opt.beta1 ** t, out=rows)
-            np.divide(v, 1 - opt.beta2 ** t, out=a)
+            np.divide(m, self._c1[run], out=rows)
+            np.divide(v, self._c2[run], out=a)
             np.sqrt(a, out=a)
             a += opt.eps
             rows /= a
         elif opt.momentum:
             # buf = g.copy() on the first step, else momentum * buf + g
-            buf = self._buf[:, lo:hi]
-            if self._first:
+            buf = self._buf[run, lo:hi]
+            if first:
                 np.copyto(buf, rows)
             else:
                 buf *= opt.momentum
@@ -357,7 +405,7 @@ class FlatOptimizerMirror:
                 direction = buf
         # p -= lr * d; delta = p - start: keep the per-rank optimizers'
         # double rounding.
-        np.multiply(direction, self._lr, out=rows)
+        np.multiply(direction, self._lr[run], out=rows)
         np.subtract(start, rows, out=rows)
         rows -= start
 
@@ -412,17 +460,8 @@ class OverlapScheduler:
         self.dist_opt = dist_opt
         self.arena = arena
         self.tracer = tracer
-        self.mirror: Optional[FlatOptimizerMirror] = None
-        if dist_opt.post_optimizer_mode:
-            # The shared start every rank's delta is taken from, copied
-            # from the live parameters when a step begins.
-            self._params = list(dist_opt.model.named_parameters())
-            starts = np.empty(arena.layout.total_size, dtype=arena.dtype)
-            self._starts = arena.unpack(starts, copy=False)
-            self.mirror = FlatOptimizerMirror.build(
-                dist_opt.rank_optimizers, self._params, arena.data, starts
-            )
-        whole_rows = dist_opt.post_optimizer_mode and self.mirror is None
+        whole_rows = (dist_opt.post_optimizer_mode
+                      and dist_opt.optimizer_mirror(arena) is None)
         self.plan = dist_opt.bucket_plan(arena, None if whole_rows else bucket_cap_mb)
         self._bucket_of: Dict[str, Bucket] = {
             n: b for b in self.plan.buckets for n in b.names
@@ -449,11 +488,6 @@ class OverlapScheduler:
         callback, or ``None`` when a single bucket leaves nothing to overlap."""
         self._ctx = ctx
         self._t_base = perf_counter()
-        if self.mirror is not None:
-            for name, p in self._params:
-                np.copyto(self._starts[name], p.data)
-            self.mirror.begin_step()
-            ctx["starts"], ctx["rewrite"] = self._starts, self.mirror.rewrite
         self._pending = {b.index: set(b.names) for b in self.plan.buckets}
         return self.mark_ready if len(self._pending) > 1 else None
 

@@ -314,23 +314,41 @@ def _count_calls(monkeypatch, owner, name, calls):
 
 
 @pytest.mark.parametrize("execution,probe,expected", [
-    # Serial, as at every commit so far: four rank optimizers step and
-    # the whole arena is encoded in one call, all in this process.
-    ("serial", False, {"step": 4, "encode_block": 1, "call": 0}),
+    # Serial: the distributed optimizer's mirror rewrites all four rows
+    # in one call, no rank optimizer steps for real, and the whole
+    # arena is encoded in one call, all in this process.
+    ("serial", False, {"step": 0, "rewrite": 1, "encode_block": 1, "call": 0}),
     # Processes: the workers finish their own rows, so none of that runs
     # here, and it costs no extra pipe round — compute + two combine
     # levels — unless a probe must read the rows raw first.
-    ("processes", False, {"step": 0, "encode_block": 0, "call": 3}),
-    ("processes", True, {"step": 0, "encode_block": 0, "call": 4}),
+    ("processes", False, {"step": 0, "rewrite": 0, "encode_block": 0, "call": 3}),
+    ("processes", True, {"step": 0, "rewrite": 0, "encode_block": 0, "call": 4}),
 ])
 def test_who_finishes_a_row(monkeypatch, execution, probe, expected):
+    _count_row_finishers(monkeypatch, execution, probe, expected,
+                         lambda ps: Adam(ps, 0.01))
+
+
+def test_who_finishes_a_row_the_mirror_rejects(monkeypatch):
+    """LAMB (Table 3's Adasum-LAMB) is no update rule the mirror
+    replays: its four rank optimizers step for real."""
+    from repro.optim import LAMB
+
+    _count_row_finishers(monkeypatch, "serial", False,
+                         {"step": 4, "rewrite": 0, "encode_block": 1, "call": 0},
+                         lambda ps: LAMB(ps, 0.01))
+
+
+def _count_row_finishers(monkeypatch, execution, probe, expected, make_opt):
     from repro.comm.codec import CodecPipeline
     from repro.comm.transport import ProcessTransport
     from repro.core.orthogonality import OrthogonalityProbe
+    from repro.core.overlap import FlatOptimizerMirror
     from repro.optim.optimizer import Optimizer
 
     calls = dict.fromkeys(expected, 0)
     _count_calls(monkeypatch, Optimizer, "step", calls)
+    _count_calls(monkeypatch, FlatOptimizerMirror, "rewrite", calls)
     _count_calls(monkeypatch, CodecPipeline, "encode_block", calls)
     _count_calls(monkeypatch, ProcessTransport, "call", calls)
     x, y = _task()
@@ -341,7 +359,7 @@ def test_who_finishes_a_row(monkeypatch, execution, probe, expected):
         wire_codecs=("fp16", "int8", "topk:0.1"),
     )
     with ParallelTrainer.from_config(
-        model, nn.CrossEntropyLoss(), lambda ps: Adam(ps, 0.01), x, y, config,
+        model, nn.CrossEntropyLoss(), make_opt, x, y, config,
         probe=OrthogonalityProbe() if probe else None,
     ) as trainer:
         batches = [idx for _, idx in trainer.iterator.epoch(0)][:3]

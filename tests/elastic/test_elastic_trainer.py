@@ -12,7 +12,7 @@ from repro.core.precision import DynamicScaler
 import repro.train.trainer as train_trainer
 from repro.models import MLP, BertConfig, MiniBERT
 from repro.models.fused_bert import FusedBertRankCompute
-from repro.optim import SGD, Adam
+from repro.optim import SGD, Adam, LinearWarmupDecay
 from repro.train import ParallelTrainer
 from repro.elastic import ElasticSchedule, ElasticTrainer, StragglerPolicy
 
@@ -28,7 +28,8 @@ _FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 
 
 def _elastic(x, y, num_ranks=8, microbatch=4, op=ReduceOpType.ADASUM,
-             topology="tree_any", schedule=None, **kw):
+             topology="tree_any", schedule=None, make_opt=lambda ps: SGD(ps, 0.3),
+             **kw):
     """An elastic MLP run; ``kw`` holds config fields and trainer keywords."""
     model = MLP((6, 16, 2), rng=np.random.default_rng(0))
     config = RunConfig(
@@ -36,7 +37,7 @@ def _elastic(x, y, num_ranks=8, microbatch=4, op=ReduceOpType.ADASUM,
         seed=0, faults=schedule, **{k: kw.pop(k) for k in _FIELDS & set(kw)},
     )
     trainer = ElasticTrainer(
-        model, nn.CrossEntropyLoss(), lambda ps: SGD(ps, 0.3), x, y, config, **kw,
+        model, nn.CrossEntropyLoss(), make_opt, x, y, config, **kw,
     )
     return trainer, model
 
@@ -59,6 +60,72 @@ class TestNoFaultParity:
         ref_params = dict(m_ref.named_parameters())
         for name, p in m_el.named_parameters():
             np.testing.assert_array_equal(p.data, ref_params[name].data)
+
+
+class _RealSGD(SGD):
+    """No exact type the mirror replays: its Figure-3 rewrite steps the
+    real optimizers (``_rewrite_rows_to_deltas``)."""
+
+
+class _RealAdam(Adam):
+    """The same for Adam."""
+
+
+@pytest.mark.parametrize("mirrored,real", [
+    (lambda ps: SGD(ps, LinearWarmupDecay(0.3, 30), momentum=0.9),
+     lambda ps: _RealSGD(ps, LinearWarmupDecay(0.3, 30), momentum=0.9)),
+    (lambda ps: Adam(ps, LinearWarmupDecay(0.02, 30)),
+     lambda ps: _RealAdam(ps, LinearWarmupDecay(0.02, 30))),
+], ids=["momentum", "adam"])
+def test_mirror_replays_an_elastic_run_byte_for_byte(monkeypatch, tmp_path, mirrored, real):
+    """The shrink geometry (8 -> 7 -> 5 through three kills, epochs whose
+    last step lists a strict subset of the ranks) through the
+    distributed optimizer's mirror lands on the same parameter bytes as
+    through the real rank optimizers.  So does the mirrored run with a
+    detour: a checkpoint saved mid-epoch, the epoch finished, and the
+    checkpoint loaded back onto the live trainer, whose mirror must see
+    the loaded state as an outside write."""
+    from repro.core.distributed_optimizer import DistributedOptimizer
+    from repro.core.overlap import FlatOptimizerMirror
+
+    listed, rewrites = [], []
+    begin = FlatOptimizerMirror.begin_step
+    rewrite = DistributedOptimizer._rewrite_rows_to_deltas
+
+    def begin_step(self, rows=None):
+        listed.append((len(self._opts), list(rows)))
+        return begin(self, rows)
+
+    def rewrite_rows(self, *args):
+        rewrites.append(1)
+        return rewrite(self, *args)
+
+    monkeypatch.setattr(FlatOptimizerMirror, "begin_step", begin_step)
+    monkeypatch.setattr(DistributedOptimizer, "_rewrite_rows_to_deltas", rewrite_rows)
+    x, y = _task(n=200)
+    ckpt = str(tmp_path / "detour.npz")
+
+    def run(make_opt, detour=False):
+        schedule = ElasticSchedule().kill(2, 3).kill(9, 0).kill(9, 6)
+        tr, model = _elastic(x, y, schedule=schedule, make_opt=make_opt)
+        tr.train_epoch(0)
+        tr.train_epoch(1)
+        if detour:
+            tr.train_epoch(2, max_steps=2)
+            tr.save_checkpoint(ckpt)
+            tr.finish_epoch()
+            tr.restore_from_checkpoint(ckpt)
+            tr.finish_epoch()
+        else:
+            tr.train_epoch(2)
+        assert tr.num_ranks == 5
+        return [p.data.tobytes() for _, p in model.named_parameters()]
+
+    straight = run(mirrored)
+    assert rewrites == [] and any(len(rows) < world for world, rows in listed)
+    assert run(real) == straight
+    assert rewrites
+    assert run(mirrored, detour=True) == straight
 
 
 class TestRejectedAtConstruction:

@@ -234,8 +234,8 @@ OPTIMIZER_KINDS = pytest.mark.parametrize("opt_cls, opt_kw", [
 
 class TestOverlapCheckpoint:
     """The optimizer objects own the Figure-3 per-rank state between
-    steps and the overlap mirror's flat arrays are an in-place cache of
-    it: an overlapped run's checkpoint carries the *stepped* state, so
+    steps and the mirror's flat arrays are an in-place cache of it: an
+    overlapped run's checkpoint carries the *stepped* state, so
     it resumes under the phased path as if it had never overlapped, and
     state loaded into an overlap trainer is what its next step uses."""
 
@@ -252,7 +252,8 @@ class TestOverlapCheckpoint:
                             bucket_cap_mb=0.0005),
         )
         if overlap:
-            assert trainer.plan.plan.num_buckets > 1 and trainer.plan.mirror is not None
+            assert trainer.plan.plan.num_buckets > 1
+        assert trainer.dist_opt.optimizer_mirror(trainer.arena) is not None
         return model, trainer.dist_opt, trainer
 
     def _straight(self, opt_cls, opt_kw):
