@@ -19,7 +19,7 @@ Run:  python examples/bert_pretraining.py
 import numpy as np
 
 from repro import nn
-from repro.core import ReduceOpType, RunConfig
+from repro.core import RunConfig
 from repro.data import SyntheticTextCorpus, masked_lm_stream
 from repro.models import BertConfig, MiniBERT
 from repro.optim import LAMB, PolynomialDecay
@@ -34,7 +34,7 @@ STEPS = 120
 TARGET = 0.55
 
 
-def pretrain(op: ReduceOpType, label: str) -> None:
+def pretrain(op: str, label: str) -> None:
     corpus = SyntheticTextCorpus(vocab_size=VOCAB, seed=0)
     stream = masked_lm_stream(
         corpus, np.random.default_rng(7), STEPS, RANKS, MICROBATCH, SEQ_LEN
@@ -64,8 +64,8 @@ def pretrain(op: ReduceOpType, label: str) -> None:
 
 
 def main() -> None:
-    pretrain(ReduceOpType.ADASUM, "Adasum-LAMB (Figure 3: post-optimizer deltas)")
-    pretrain(ReduceOpType.AVERAGE, "Baseline-LAMB (gradient averaging)")
+    pretrain("adasum", "Adasum-LAMB (Figure 3: post-optimizer deltas)")
+    pretrain("average", "Baseline-LAMB (gradient averaging)")
 
 
 if __name__ == "__main__":

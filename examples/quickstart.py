@@ -14,7 +14,7 @@ Run:  python examples/quickstart.py
 import numpy as np
 
 from repro import nn
-from repro.core import ReduceOpType, RunConfig, adasum
+from repro.core import RunConfig, adasum
 from repro.data import make_mnist_like, train_test_split
 from repro.models import MLP
 from repro.optim import SGD
@@ -31,7 +31,7 @@ def demo_operator() -> None:
     print()
 
 
-def train(op: ReduceOpType, label: str, ranks: int = 8, epochs: int = 4) -> float:
+def train(op: str, label: str, ranks: int = 8, epochs: int = 4) -> float:
     x, y = make_mnist_like(2048, noise=0.3, seed=0)
     x_tr, y_tr, x_te, y_te = train_test_split(x, y, 0.25, seed=1)
     model = MLP((28 * 28, 64, 10), rng=np.random.default_rng(42))
@@ -58,8 +58,8 @@ def train(op: ReduceOpType, label: str, ranks: int = 8, epochs: int = 4) -> floa
 
 def main() -> None:
     demo_operator()
-    adasum_acc = train(ReduceOpType.ADASUM, "Adasum")
-    sum_acc = train(ReduceOpType.SUM, "Sum (synchronous SGD)")
+    adasum_acc = train("adasum", "Adasum")
+    sum_acc = train("sum", "Sum (synchronous SGD)")
     print(f"final accuracy — Adasum: {adasum_acc:.4f}   Sum: {sum_acc:.4f}")
 
 

@@ -27,7 +27,11 @@ loop: backward runs only inside the tensor library, the layers, the
 trainer and Figure 2's exact-Hessian gradient function
 (``repro.utils.make_flat_grad_fn``) — an experiment or example that
 needs gradients drives ``ParallelTrainer.train_step`` instead of
-hand-rolling a per-rank loop.  This grep-level check
+hand-rolling a per-rank loop.  What an op is lives in the strategy
+registry: outside ``src/repro/core/strategies.py`` and the experiment
+definitions (which name their arms) no code compares op names or
+spells the deleted ``ReduceOpType`` — it reads the facts a strategy
+declares.  This grep-level check
 keeps the boundaries from eroding: a
 private name that leaks into another package turns the next kernel
 refactor into a cross-package breakage.
@@ -109,6 +113,24 @@ RULES = (
             REPO / "src" / "repro" / "train" / "checkpoint.py",
         ),
     ),
+    # What an op does is a fact its strategy declares
+    # (``post_optimizer``, ``scales_with_world``), never a comparison
+    # of op names; experiment definitions name their arms.
+    (
+        (
+            "ReduceOpType",
+            '== "adasum"',
+            '== "sum"',
+            '== "average"',
+            '!= "adasum"',
+            '!= "sum"',
+            '("sum", "average")',
+        ),
+        (
+            REPO / "src" / "repro" / "core" / "strategies.py",
+            REPO / "src" / "repro" / "experiments",
+        ),
+    ),
     # One training loop: gradients are computed by the trainer, not by
     # a per-rank loop hand-rolled in an experiment, benchmark or example.
     (
@@ -154,14 +176,17 @@ def main() -> int:
     offenders = scan()
     if offenders:
         print("private reduction/collective/scaler names, per-rank state, "
-              "thread creation or backward passes outside their package:")
+              "op-name comparisons, thread creation or backward passes "
+              "outside their package:")
         for line in offenders:
             print(f"  {line}")
         print(
             "\nroute through repro.core.strategies.get_strategy(...), "
             "repro.core.make_reducer(...), repro.comm.cluster_allreduce(...), "
             "the public repro.comm.hierarchical_*_allreduce entry points, or "
-            "DistributedOptimizer.scaler.state_dict() instead; run step work on "
+            "DistributedOptimizer.scaler.state_dict() instead; read an op's "
+            "declared facts (strategy.post_optimizer / scales_with_world) "
+            "instead of comparing its name; run step work on "
             "the calling thread; read per-rank optimizer state through "
             "pack_dist_state(...) / DistributedOptimizer.pull_rank_state(); "
             "compute gradients through ParallelTrainer.train_step."

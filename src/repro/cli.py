@@ -297,6 +297,19 @@ def _trace_main(argv) -> int:
     return status
 
 
+def _add_cell_args(parser, topology: str, topology_help: str = None) -> None:
+    """``--op`` / ``--topology``, choosing among the registered cells
+    (:func:`~repro.core.strategies.registered_cells`), so an op or
+    topology added to the registry is selectable here with no edit."""
+    from repro.core.strategies import registered_cells
+
+    cells = registered_cells()
+    parser.add_argument("--op", choices=sorted({op for op, _ in cells}),
+                        default="adasum")
+    parser.add_argument("--topology", choices=sorted({t for _, t in cells}),
+                        default=topology, help=topology_help)
+
+
 def _elastic_main(argv) -> int:
     """``python -m repro elastic``: elastic training run with injected kills."""
     from repro import nn
@@ -317,19 +330,14 @@ def _elastic_main(argv) -> int:
     parser.add_argument("--samples", type=int, default=480)
     parser.add_argument("--microbatch", type=int, default=4)
     parser.add_argument("--lr", type=float, default=0.2)
-    parser.add_argument("--op", choices=("adasum", "sum", "average"),
-                        default="adasum")
-    parser.add_argument("--topology",
-                        choices=("tree", "tree_any", "linear", "ring",
-                                 "hierarchical"),
-                        default="tree_any",
-                        help="reduction recursion order; an elastic world "
-                             "can shrink to any size, so the Adasum tree is "
-                             "'tree_any' ('tree' needs power-of-two worlds: "
-                             "at most 2 ranks here); 'hierarchical' sums "
-                             "within nodes of --gpus-per-node and applies "
-                             "Adasum across them, falling back to tree_any "
-                             "when a kill breaks node symmetry")
+    _add_cell_args(parser, "tree_any",
+                   "reduction recursion order; an elastic world "
+                   "can shrink to any size, so the Adasum tree is "
+                   "'tree_any' ('tree' needs power-of-two worlds: "
+                   "at most 2 ranks here); 'hierarchical' sums "
+                   "within nodes of --gpus-per-node and applies "
+                   "Adasum across them, falling back to tree_any "
+                   "when a kill breaks node symmetry")
     parser.add_argument("--gpus-per-node", type=int, default=1,
                         help="node width for --topology hierarchical")
     parser.add_argument("--wire-codecs", default=None, metavar="STACK",
@@ -466,12 +474,7 @@ def _train_main(argv) -> int:
     parser.add_argument("--samples", type=int, default=512)
     parser.add_argument("--microbatch", type=int, default=4)
     parser.add_argument("--lr", type=float, default=0.1)
-    parser.add_argument("--op", choices=("adasum", "sum", "average"),
-                        default="adasum")
-    parser.add_argument("--topology",
-                        choices=("tree", "tree_any", "linear", "ring",
-                                 "hierarchical"),
-                        default="tree_any")
+    _add_cell_args(parser, "tree_any")
     parser.add_argument("--gpus-per-node", type=int, default=1)
     parser.add_argument("--start-method", default=None,
                         choices=("fork", "spawn", "forkserver"),
@@ -557,13 +560,8 @@ def _overlap_main(argv) -> int:
     parser.add_argument("--samples", type=int, default=640)
     parser.add_argument("--microbatch", type=int, default=4)
     parser.add_argument("--lr", type=float, default=0.1)
-    parser.add_argument("--op", choices=("adasum", "sum", "average"),
-                        default="adasum")
-    parser.add_argument("--topology",
-                        choices=("tree", "tree_any", "linear", "ring",
-                                 "hierarchical"),
-                        default="tree",
-                        help="reduction recursion order for the flat kernels")
+    _add_cell_args(parser, "tree",
+                   "reduction recursion order for the flat kernels")
     parser.add_argument("--gpus-per-node", type=int, default=1,
                         help="node width for --topology hierarchical")
     parser.add_argument("--bucket-cap-mb", type=float, default=1.0,

@@ -165,56 +165,25 @@ def cluster_allreduce(
     op: str = "sum",
     topology: str = "ring",
     boundaries: Sequence[int] = None,
-    gpus_per_node: int = 1,
+    gpus_per_node: int = None,
 ) -> np.ndarray:
-    """Declarative cluster allreduce: dispatch ``(op, topology)`` to the
-    matching collective.
+    """Declarative cluster allreduce: the registered ``(op, topology)``
+    cell's cluster form, ``get_strategy(op, topology).combine_comm``.
 
-    ``adasum`` routes through the strategy registry's cluster form
-    (``get_strategy(op, topology).combine_comm`` — AdasumRVH or the
-    ring/linear chain, with per-layer ``boundaries``); ``sum`` and
-    ``average`` run the elementwise collectives here (``ring``,
-    recursive doubling for ``tree``/``tree_any``, reduce-scatter +
-    allgather for ``rvh``), dividing by the rank count for ``average``.
-    The ``hierarchical`` topology composes intra-node reduce-scatter /
-    allgather with a cross-node reduction over node peers, with
-    ``gpus_per_node`` ranks per node (bound onto the registry cell for
-    ``adasum``).  This is the entry point the CLI ``trace`` command
-    drives, so every traced collective goes through the same dispatcher
-    as training.
+    Every cell that has one runs here — AdasumRVH, the Adasum ring
+    chain, the elementwise sum / average collectives (ring, recursive
+    doubling, vector halving) and the two-level ``hierarchical`` cells
+    with ``gpus_per_node`` ranks per node; per-layer ``boundaries``
+    reach the Adasum dot products.  This is the entry point the CLI
+    ``trace`` command drives, so every traced collective goes through
+    the same registry as training.
     """
-    op = str(getattr(op, "value", op)).lower()
-    topology = str(topology).lower()
-    if op == "adasum":
-        # Lazy import: repro.comm.__init__ imports this module, and the
-        # strategies module imports repro.comm.transport back.
-        from repro.core.strategies import get_strategy
+    # Lazy import: repro.comm.__init__ imports this module, and the
+    # strategies module imports repro.comm.transport back.
+    from repro.core.strategies import get_strategy
 
-        strategy = get_strategy(op, topology)
-        if topology == "hierarchical":
-            strategy = strategy.bind(gpus_per_node=gpus_per_node)
-        return strategy.combine_comm(comm, x, boundaries)
-    if op not in ("sum", "average"):
-        raise ValueError(f"unknown reduction op {op!r} for cluster_allreduce")
-    if topology == "ring":
-        result = allreduce_ring(comm, x)
-    elif topology in ("tree", "tree_any", "linear"):
-        result = allreduce_recursive_doubling(comm, x)
-    elif topology == "rvh":
-        piece, slice_range = reduce_scatter_halving(comm, x)
-        result = allgather_doubling(comm, piece, slice_range, x.size).reshape(x.shape)
-    elif topology == "hierarchical":
-        from repro.comm.hierarchical import hierarchical_sum_allreduce
-
-        g = gpus_per_node if gpus_per_node and comm.size % gpus_per_node == 0 else 1
-        return hierarchical_sum_allreduce(
-            comm, x, g, average=op == "average"
-        ).reshape(x.shape)
-    else:
-        raise ValueError(f"unknown topology {topology!r} for cluster_allreduce")
-    if op == "average":
-        result = result / comm.size
-    return result
+    strategy = get_strategy(op, topology).bind(gpus_per_node=gpus_per_node)
+    return strategy.combine_comm(comm, x, boundaries)
 
 
 def broadcast(comm: Comm, x: np.ndarray, root: int = 0) -> np.ndarray:

@@ -77,7 +77,7 @@ from repro.core.adasum_ring import (
     adasum_ring_cost,
     allreduce_adasum_ring_cluster,
 )
-from repro.core.distributed_optimizer import DistributedOptimizer, ReduceOpType
+from repro.core.distributed_optimizer import DistributedOptimizer
 from repro.core.local_sgd import LocalStepWorker
 from repro.core.precision import DynamicScaler
 from repro.core.parallelize import PartitionedAdasumEngine, partition_layers
@@ -123,7 +123,6 @@ __all__ = [
     "adasum_ring_cost",
     "allreduce_adasum_ring_cluster",
     "DistributedOptimizer",
-    "ReduceOpType",
     "LocalStepWorker",
     "DynamicScaler",
     "PartitionedAdasumEngine",

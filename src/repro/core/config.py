@@ -19,41 +19,34 @@ from typing import Optional, Tuple
 
 from repro.comm.codec import parse_wire_codecs
 from repro.comm.faults import FaultPlan
-from repro.core.distributed_optimizer import ReduceOpType
 from repro.core.strategies import (
-    OPS,
-    TOPOLOGIES,
     ReduceStrategy,
     StrategyReducer,
+    cell_name,
+    registered_cells,
 )
 
 
-def parse_op(value) -> ReduceOpType:
-    """Parse a CLI/user-facing op name into a :class:`ReduceOpType`.
+def _parse_cell_axis(value, axis: int, what: str) -> str:
+    name = cell_name(value)
+    names = sorted({cell[axis] for cell in registered_cells()})
+    if name not in names:
+        raise ValueError(f"unknown {what} {value!r}; choose from {names}")
+    return name
 
-    Accepts the enum itself, its value, or any case variant of the
-    name; raises ``ValueError`` listing the valid ops otherwise.
-    """
-    if isinstance(value, ReduceOpType):
-        return value
-    try:
-        return ReduceOpType(str(getattr(value, "value", value)).lower())
-    except ValueError:
-        raise ValueError(
-            f"unknown reduction op {value!r}; choose from {sorted(OPS)}"
-        ) from None
+
+def parse_op(value) -> str:
+    """Parse a CLI/user-facing op name into its registered spelling
+    (:func:`~repro.core.strategies.cell_name`); raises ``ValueError``
+    listing the registered ops otherwise."""
+    return _parse_cell_axis(value, 0, "reduction op")
 
 
 def parse_topology(value) -> str:
-    """Parse/validate a topology name (``tree``/``tree_any``/``linear``/
-    ``rvh``/``ring``/``hierarchical``); case-insensitive, ``-`` accepted
-    for ``_``."""
-    topology = str(value).lower().replace("-", "_")
-    if topology not in TOPOLOGIES:
-        raise ValueError(
-            f"unknown topology {value!r}; choose from {sorted(TOPOLOGIES)}"
-        )
-    return topology
+    """Parse a topology name into its registered spelling
+    (case-insensitive, ``-`` accepted for ``_``); raises ``ValueError``
+    listing the registered topologies otherwise."""
+    return _parse_cell_axis(value, 1, "topology")
 
 
 #: Valid execution backends: in-process serial loop, or one OS process
@@ -84,8 +77,9 @@ class RunConfig:
     step time.  Use :meth:`replace` for modified copies.
 
     op:
-        ``"adasum"`` (default), ``"sum"`` or ``"average"``; any case,
-        or a :class:`~repro.core.distributed_optimizer.ReduceOpType`.
+        A registered op: ``"adasum"`` (default), ``"sum"``,
+        ``"average"``, or one added with
+        :func:`~repro.core.strategies.register_strategy`; any case.
     topology:
         The registered reduction cell's recursion order: ``"tree"``
         (default; Adasum needs a power-of-two world), ``"tree_any"``
@@ -180,7 +174,7 @@ class RunConfig:
     min_ranks: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "op", parse_op(self.op).value)
+        object.__setattr__(self, "op", parse_op(self.op))
         object.__setattr__(self, "topology", parse_topology(self.topology))
         # Wire codecs: parse/validate the stack exactly once so every
         # consumer downstream sees only the normalized tuple.
@@ -261,11 +255,6 @@ class RunConfig:
             )
 
     # -- derived views -------------------------------------------------
-    @property
-    def reduce_op(self) -> ReduceOpType:
-        """The op as the :class:`ReduceOpType` enum."""
-        return ReduceOpType(self.op)
-
     def make_reducer(self) -> StrategyReducer:
         """Build the registry-backed reducer this config describes."""
         return StrategyReducer(

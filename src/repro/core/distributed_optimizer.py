@@ -12,9 +12,14 @@ applies one update from a :class:`~repro.core.arena.GradientArena`.
 
 Semantics
 ---------
-* ``SUM`` / ``AVERAGE`` — synchronous SGD: gradients are reduced
+An op is its registered name (``"sum"``, ``"average"``, ``"adasum"``,
+or any op added with :func:`~repro.core.strategies.register_strategy`),
+and where it reduces is the fact its strategy declares
+(:attr:`~repro.core.strategies.ReduceStrategy.post_optimizer`):
+
+* ``sum`` / ``average`` — synchronous SGD: gradients are reduced
   *before* the (single, shared) optimizer update.
-* ``ADASUM`` — the paper's subtlety (Figure 3): each rank applies its
+* ``adasum`` — the paper's subtlety (Figure 3): each rank applies its
   *own* optimizer (with its own state) to its local gradient starting
   from the shared model, the resulting model *deltas* (effective
   gradients) are combined with Adasum, and the shared model moves by
@@ -31,7 +36,6 @@ what the ResNet-50 experiments use.
 from __future__ import annotations
 
 import contextlib
-import enum
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence
 
 import numpy as np
@@ -45,27 +49,17 @@ from repro.nn.module import Module
 from repro.optim.optimizer import Optimizer
 
 
-class ReduceOpType(enum.Enum):
-    """Reduction op selector, mirroring ``hvd.Sum`` / ``hvd.Average`` /
-    ``hvd.Adasum``."""
-
-    SUM = "sum"
-    AVERAGE = "average"
-    ADASUM = "adasum"
-
-
 def make_reducer(
-    op,
+    op: str,
     per_layer: bool = True,
     topology: str = "tree",
     gpus_per_node: int = None,
 ) -> GradientReducer:
     """Build the registry-backed reducer implementing ``op``.
 
-    ``op`` is a :class:`ReduceOpType` or its string value.  ``topology``
-    names a registered cell (``"tree"`` / ``"tree_any"`` / ``"linear"``
-    / ``"rvh"`` / ``"ring"`` / ``"hierarchical"``); ``gpus_per_node``
-    parameterizes the hierarchical topology.
+    ``op`` and ``topology`` name a registered cell (``"adasum"``,
+    ``"tree_any"``, ...); ``gpus_per_node`` parameterizes the
+    hierarchical topology.
     """
     return StrategyReducer(
         op=op, topology=topology, per_layer=per_layer, gpus_per_node=gpus_per_node
@@ -74,7 +68,7 @@ def make_reducer(
 
 def allreduce(
     grad_dicts: Sequence[Mapping[str, np.ndarray]],
-    op: ReduceOpType = ReduceOpType.ADASUM,
+    op: str = "adasum",
     per_layer: bool = True,
 ) -> Dict[str, np.ndarray]:
     """Fine-grained ``hvd.allreduce`` equivalent over simulated ranks.
@@ -95,15 +89,17 @@ class DistributedOptimizer:
         The shared model replica (all ranks are kept identical, as the
         paper requires the user to guarantee).
     optimizer_factory:
-        ``f(params) -> Optimizer``; called once per rank in ADASUM mode
-        (per-rank optimizer state) and once total otherwise.
+        ``f(params) -> Optimizer``; called once per rank in Figure-3
+        mode (per-rank optimizer state) and once total otherwise.
     num_ranks:
         Simulated data-parallel world size.
     op:
-        Reduction operation.
+        Reduction op: a registered name.  An op whose strategy declares
+        ``post_optimizer`` reduces Figure-3 deltas by default.
     adasum_pre_optimizer:
-        Apply Adasum to raw gradients before a single shared optimizer
-        step (valid for SGD-family optimizers; Figure 3 mode otherwise).
+        Reduce raw gradients before a single shared optimizer step even
+        for such an op (valid for SGD-family optimizers; Figure 3 mode
+        otherwise).
     per_layer:
         Adasum application granularity (per layer, or whole model).
     topology, gpus_per_node:
@@ -128,7 +124,7 @@ class DistributedOptimizer:
         model: Module,
         optimizer_factory: Callable[[list], Optimizer],
         num_ranks: int,
-        op: ReduceOpType = ReduceOpType.ADASUM,
+        op: str = "adasum",
         adasum_pre_optimizer: bool = False,
         per_layer: bool = True,
         topology: str = "tree",
@@ -137,15 +133,13 @@ class DistributedOptimizer:
     ):
         if num_ranks < 1:
             raise ValueError("num_ranks must be >= 1")
-        if isinstance(op, str):
-            op = ReduceOpType(op.lower())
         self.model = model
         self.num_ranks = num_ranks
-        self.op = op
         self.per_layer = per_layer
         self.reducer = make_reducer(
             op, per_layer=per_layer, topology=topology, gpus_per_node=gpus_per_node
         )
+        self.op = self.reducer.op
         self.topology = self.reducer.topology
         self.gpus_per_node = getattr(self.reducer, "gpus_per_node", 1)
         self.adasum_pre_optimizer = adasum_pre_optimizer
@@ -169,7 +163,7 @@ class DistributedOptimizer:
         #: and :meth:`pull_rank_state` / :meth:`push_rank_state` are then
         #: the one seam between their state and the copies held here.
         self.row_home = None
-        self.post_optimizer_mode = op is ReduceOpType.ADASUM and not adasum_pre_optimizer
+        self.post_optimizer_mode = self.reducer.post_optimizer and not adasum_pre_optimizer
         if self.post_optimizer_mode:
             self.rank_optimizers: List[Optimizer] = [
                 optimizer_factory(model.parameters()) for _ in range(num_ranks)
@@ -203,7 +197,7 @@ class DistributedOptimizer:
             model,
             optimizer_factory,
             num_ranks=config.num_ranks if num_ranks is None else num_ranks,
-            op=ReduceOpType(config.op),
+            op=config.op,
             adasum_pre_optimizer=config.adasum_pre_optimizer,
             per_layer=config.per_layer,
             wire_codecs=config.wire_codecs,
@@ -413,13 +407,11 @@ class DistributedOptimizer:
         """The tensor-aligned reverse-order buckets a step reduces ``arena`` in.
 
         The one place a cap becomes a plan: ``None`` is a single
-        whole-row bucket, and so is any cap under whole-model Adasum
-        (``per_layer=False``), whose dot products span the full row.
+        whole-row bucket, and so is any cap under a whole-model op
+        (``per_layer=False``), which combines the full row as one vector.
         """
         row_bytes = arena.layout.total_size * arena.dtype.itemsize
-        whole = bucket_cap_mb is None or (
-            self.op is ReduceOpType.ADASUM and not self.per_layer
-        )
+        whole = bucket_cap_mb is None or not self.per_layer
         cap_bytes = row_bytes if whole else max(1, int(bucket_cap_mb * (1 << 20)))
         return BucketPlan.for_layout(
             arena.layout, cap_bytes, itemsize=arena.dtype.itemsize

@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.strategies import GradientReducer
+from repro.core.strategies import StrategyReducer
 from repro.nn.module import Module
 from repro.optim.optimizer import Optimizer
 
@@ -84,7 +84,7 @@ class LocalSGDCluster:
         optimizer_factory: Callable[[list], Optimizer],
         num_ranks: int,
         local_steps: int,
-        reducer: GradientReducer,
+        reducer: StrategyReducer,
     ):
         if local_steps < 1:
             raise ValueError("local_steps must be >= 1")
@@ -131,12 +131,11 @@ class LocalSGDCluster:
     def _communicate(self) -> None:
         deltas = [w.delta() for w in self.workers]
         combined = self.reducer.reduce(deltas)
-        if not self.reducer.post_optimizer:
-            # Sum/Average baselines operate on deltas too; Sum of deltas
-            # over-counts by N, so normalize to the average (the standard
-            # gradient-accumulation baseline).
-            if self.reducer.name == "sum":
-                combined = {n: v / self.num_ranks for n, v in combined.items()}
+        if self.reducer.strategy.scales_with_world:
+            # Sum/Average baselines operate on deltas too; a sum of
+            # deltas over-counts by N, so normalize to the average (the
+            # standard gradient-accumulation baseline).
+            combined = {n: v / self.num_ranks for n, v in combined.items()}
         for w in self.workers:
             w.apply_combined(combined)
         self._steps_in_round = 0

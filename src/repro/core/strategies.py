@@ -33,8 +33,12 @@ Bit-exactness contracts (property-tested in
   by a group allreduce), so its results match ``tree`` only to
   floating-point association (``allclose``, not bit-equal).
 
-Adding a topology means writing one ``ReduceStrategy`` subclass in this
-file and calling :func:`register_strategy` — see docs/architecture.md.
+What an op *is* is decided here and nowhere else: every layer reads
+the two facts a strategy declares (:attr:`ReduceStrategy.post_optimizer`,
+:attr:`ReduceStrategy.scales_with_world`) instead of comparing op names,
+and an op is its registered name everywhere.  Adding an op or a
+topology means one module with a ``ReduceStrategy`` subclass and a
+:func:`register_strategy` call, plus tests — see docs/architecture.md.
 """
 
 from __future__ import annotations
@@ -51,7 +55,8 @@ from repro.core.operator import (
     largest_pow2_below,
 )
 
-#: The registered ops / topologies (the declared matrix).
+#: The built-in ops / topologies (the matrix registered below); what is
+#: *registered* — built-in or not — is :func:`registered_cells`.
 OPS: Tuple[str, ...] = ("sum", "average", "adasum")
 TOPOLOGIES: Tuple[str, ...] = (
     "tree",
@@ -113,6 +118,11 @@ def pair_schedule(n: int) -> List[List[Tuple[int, int]]]:
     return [list(level) for level in cached]
 
 
+def _uniform_schedule(n: int, kind: str = "pair") -> List[List[Tuple[int, int, str]]]:
+    """:func:`pair_schedule` as ``(dst, src, kind)`` hops of one kind."""
+    return [[(d, s, kind) for d, s in lvl] for lvl in pair_schedule(n)]
+
+
 def _flat_sum(data: np.ndarray, boundaries: Sequence[int] = None) -> np.ndarray:
     """Pairwise-tree axis-0 sum of flat rows, in the storage dtype.
 
@@ -144,12 +154,20 @@ class ReduceStrategy:
     arithmetic truth.  Cluster-form strategies additionally implement
     ``combine_comm`` (one rank's half of the collective, given a
     :class:`~repro.comm.transport.Comm`), and pairwise strategies
-    implement ``combine_pair`` (one tree hop, used by the elastic
-    collective).
+    implement ``combine_pair`` and :meth:`pair_schedule` (the hops the
+    rank workers and the elastic collective replay).
     """
 
     op: str = "base"
     topology: str = "base"
+    #: The op reduces each rank's post-optimizer model delta by default
+    #: (paper Figure 3: every rank steps its own optimizer, the deltas
+    #: are combined) instead of raw gradients before one shared step.
+    post_optimizer: bool = False
+    #: The result grows with the number of rows combined (a sum): a
+    #: step that reduced only some of the world's rows is rescaled to
+    #: the full world, and a Local-SGD round divides by the world size.
+    scales_with_world: bool = False
 
     # -- validation ----------------------------------------------------
     def validate_world(self, n: int) -> None:
@@ -199,6 +217,9 @@ class ReduceStrategy:
         selects the per-pair arithmetic for mixed-op topologies
         (``hierarchical``: intra-node ``"local"`` sums feeding
         cross-node ``"pair"`` Adasum); uniform cells use ``"pair"``.
+        Every pair has ``dst < src``, so descending rank order is a
+        topological order of the sends (the elastic collective runs the
+        schedule as an ordered replay).
         """
         return None
 
@@ -260,14 +281,18 @@ def register_strategy(strategy: ReduceStrategy) -> ReduceStrategy:
     return strategy
 
 
-def get_strategy(op, topology: str = "tree") -> ReduceStrategy:
-    """Look up the strategy for ``(op, topology)``.
+def cell_name(value) -> str:
+    """The one spelling of an op or topology name: case-insensitive,
+    ``-`` accepted for ``_`` (``"Tree-Any"`` is ``"tree_any"``)."""
+    return str(value).lower().replace("-", "_")
 
-    ``op`` may be a string or a
-    :class:`~repro.core.distributed_optimizer.ReduceOpType`.  Unknown
-    cells raise ``ValueError`` listing what is registered.
+
+def get_strategy(op: str, topology: str = "tree") -> ReduceStrategy:
+    """Look up the strategy for ``(op, topology)``, spelled any way
+    :func:`cell_name` accepts.  Unknown cells raise ``ValueError``
+    listing what is registered.
     """
-    key = (str(getattr(op, "value", op)).lower(), str(topology).lower())
+    key = (cell_name(op), cell_name(topology))
     try:
         return _REGISTRY[key]
     except KeyError:
@@ -288,7 +313,7 @@ def registered_cells() -> List[Tuple[str, str]]:
 def reduce_flat(
     data: np.ndarray,
     boundaries: Sequence[int] = None,
-    op="sum",
+    op: str = "sum",
     topology: str = "tree",
 ) -> np.ndarray:
     """Dispatch a flat ``(ranks, size)`` reduction through the registry."""
@@ -297,7 +322,7 @@ def reduce_flat(
 
 def reduce_dicts(
     grad_dicts: Sequence[Mapping[str, np.ndarray]],
-    op="sum",
+    op: str = "sum",
     topology: str = "tree",
     per_layer: bool = True,
 ) -> Dict[str, np.ndarray]:
@@ -321,6 +346,7 @@ class _SumStrategy(ReduceStrategy):
     """
 
     op = "sum"
+    scales_with_world = True
 
     def __init__(self, topology: str):
         self.topology = topology
@@ -335,7 +361,28 @@ class _SumStrategy(ReduceStrategy):
         return out
 
     def pair_schedule(self, n):
-        return [[(d, s, "pair") for d, s in lvl] for lvl in pair_schedule(n)]
+        return _uniform_schedule(n)
+
+    def combine_comm(self, comm, row, boundaries=None):
+        """The elementwise collective named by the topology: the ring,
+        vector halving + doubling for ``rvh``, recursive doubling for
+        the trees and ``linear``.  The last two need a power-of-two
+        world; any other world runs the ring, as the cross-node stage
+        of the hierarchical sum does."""
+        from repro.comm.collectives import (
+            allgather_doubling,
+            allreduce_recursive_doubling,
+            allreduce_ring,
+            reduce_scatter_halving,
+        )
+
+        n = comm.size
+        if self.topology == "ring" or n & (n - 1):
+            return allreduce_ring(comm, row)
+        if self.topology == "rvh":
+            piece, span = reduce_scatter_halving(comm, row)
+            return allgather_doubling(comm, piece, span, row.size)
+        return allreduce_recursive_doubling(comm, row)
 
 
 class _AverageStrategy(_SumStrategy):
@@ -347,6 +394,7 @@ class _AverageStrategy(_SumStrategy):
     """
 
     op = "average"
+    scales_with_world = False
 
     def combine_flat(self, data, boundaries=None):
         total = _flat_sum(data, boundaries).astype(data.dtype)
@@ -356,11 +404,24 @@ class _AverageStrategy(_SumStrategy):
         acc[...] = (acc.astype(np.float64) / n).astype(acc.dtype)
         return acc
 
+    def combine_comm(self, comm, row, boundaries=None):
+        return super().combine_comm(comm, row, boundaries) / comm.size
 
-class _AdasumTreeStrategy(ReduceStrategy):
-    """Strict binary-tree Adasum (AdasumRVH recursion order, §3.4)."""
+
+class _AdasumStrategy(ReduceStrategy):
+    """What every Adasum cell shares: the op reduces Figure-3
+    post-optimizer deltas, and one pairwise hop is :func:`adasum_flat`."""
 
     op = "adasum"
+    post_optimizer = True
+
+    def combine_pair(self, acc, other, boundaries=None, out=None):
+        return adasum_flat(acc, other, boundaries, out=out)
+
+
+class _AdasumTreeStrategy(_AdasumStrategy):
+    """Strict binary-tree Adasum (AdasumRVH recursion order, §3.4)."""
+
     topology = "tree"
 
     def validate_world(self, n: int) -> None:
@@ -372,16 +433,13 @@ class _AdasumTreeStrategy(ReduceStrategy):
         self.validate_world(data.shape[0])
         return _adasum_flat_reduce(data, boundaries, tree=True)
 
-    def combine_pair(self, acc, other, boundaries=None, out=None):
-        return adasum_flat(acc, other, boundaries, out=out)
-
     def pair_schedule(self, n):
         if n & (n - 1):
             return None  # strict tree is power-of-two only
-        return [[(d, s, "pair") for d, s in lvl] for lvl in pair_schedule(n)]
+        return _uniform_schedule(n)
 
 
-class _AdasumTreeAnyStrategy(ReduceStrategy):
+class _AdasumTreeAnyStrategy(_AdasumStrategy):
     """Binary-tree Adasum for *any* rank count (elastic world geometry).
 
     Non-power-of-two counts split at the largest power of two below
@@ -390,7 +448,6 @@ class _AdasumTreeAnyStrategy(ReduceStrategy):
     tree.
     """
 
-    op = "adasum"
     topology = "tree_any"
 
     def combine_flat(self, data, boundaries=None):
@@ -403,25 +460,18 @@ class _AdasumTreeAnyStrategy(ReduceStrategy):
         right = self.combine_flat(data[p:], boundaries)
         return adasum_flat(left, right, boundaries, out=left)
 
-    def combine_pair(self, acc, other, boundaries=None, out=None):
-        return adasum_flat(acc, other, boundaries, out=out)
-
     def pair_schedule(self, n):
-        return [[(d, s, "pair") for d, s in lvl] for lvl in pair_schedule(n)]
+        return _uniform_schedule(n)
 
 
-class _AdasumLinearStrategy(ReduceStrategy):
+class _AdasumLinearStrategy(_AdasumStrategy):
     """Linear (left-fold) Adasum — the arithmetic of the §4.2.3 ring."""
 
-    op = "adasum"
     topology = "linear"
 
     def combine_flat(self, data, boundaries=None):
         self.validate_world(data.shape[0])
         return _adasum_flat_reduce(data, boundaries, tree=False)
-
-    def combine_pair(self, acc, other, boundaries=None, out=None):
-        return adasum_flat(acc, other, boundaries, out=out)
 
     def pair_schedule(self, n):
         # The left fold is inherently sequential: one pair per level.
@@ -446,7 +496,7 @@ class _AdasumRingStrategy(_AdasumLinearStrategy):
         return _ring_flat(comm, row, boundaries)
 
 
-class _AdasumRVHStrategy(ReduceStrategy):
+class _AdasumRVHStrategy(_AdasumStrategy):
     """Algorithm 1 — recursive vector halving with Adasum (§4.2.1).
 
     The genuinely distributed cell: per-layer dot products are computed
@@ -458,7 +508,6 @@ class _AdasumRVHStrategy(ReduceStrategy):
     the matrix.
     """
 
-    op = "adasum"
     topology = "rvh"
 
     def validate_world(self, n: int) -> None:
@@ -546,7 +595,7 @@ class _HierarchicalAverageStrategy(_HierarchicalMixin, _AverageStrategy):
         return hierarchical_sum_allreduce(comm, row, g, average=True)
 
 
-class _HierarchicalAdasumStrategy(_HierarchicalMixin, ReduceStrategy):
+class _HierarchicalAdasumStrategy(_HierarchicalMixin, _AdasumStrategy):
     """§4.2.2/§4.3 production cell: intra-node sum, Adasum across nodes.
 
     ``combine_flat`` is the arithmetic reference: rows are grouped into
@@ -561,8 +610,6 @@ class _HierarchicalAdasumStrategy(_HierarchicalMixin, ReduceStrategy):
     an elastic re-shard can leave behind — degenerate to the flat
     ``tree_any`` recursion over all rows (every rank its own node).
     """
-
-    op = "adasum"
 
     def combine_flat(self, data, boundaries=None):
         n = data.shape[0]
@@ -582,18 +629,13 @@ class _HierarchicalAdasumStrategy(_HierarchicalMixin, ReduceStrategy):
         )
         return tree_any.combine_flat(node_rows, boundaries)
 
-    def combine_pair(self, acc, other, boundaries=None, out=None):
-        return adasum_flat(acc, other, boundaries, out=out)
-
     def pair_schedule(self, n):
         g = self.gpus_per_node
         if g <= 1 or n % g or n == g:
             if n == g and n > 1:
                 # Single node: the whole reduction is the local sum.
-                return [
-                    [(d, s, "local") for d, s in lvl] for lvl in pair_schedule(n)
-                ]
-            return [[(d, s, "pair") for d, s in lvl] for lvl in pair_schedule(n)]
+                return _uniform_schedule(n, "local")
+            return _uniform_schedule(n)
         levels: List[List[Tuple[int, int, str]]] = []
         # Intra-node phase: every node runs the same tree sum over its
         # block, concurrently; the node leader (position k*g) ends up
@@ -715,12 +757,9 @@ class StrategyReducer(GradientReducer):
 
     Parameters
     ----------
-    op:
-        ``"sum"`` / ``"average"`` / ``"adasum"`` (string or
-        :class:`~repro.core.distributed_optimizer.ReduceOpType`).
-    topology:
-        Any registered topology (``"tree"``, ``"tree_any"``,
-        ``"linear"``, ``"rvh"``, ``"ring"``, ``"hierarchical"``).
+    op, topology:
+        A registered cell, spelled any way :func:`get_strategy` accepts
+        (``"adasum"``, ``"tree_any"``, ...).
     per_layer:
         Apply the op independently per layer (paper default, §3.6);
         ``False`` combines the whole flattened model as one vector.
@@ -729,30 +768,26 @@ class StrategyReducer(GradientReducer):
         :meth:`ReduceStrategy.bind`); other topologies reject values
         other than ``None``/``1``.
 
-    Attributes: ``name`` (the op), ``post_optimizer``, ``tree``
-    (topology is a tree recursion — selects the pairwise cluster
-    collective in :func:`repro.elastic.collective.cluster_reduce`).
+    Attributes: ``op`` / ``name`` and ``topology`` (the registered
+    names), ``post_optimizer`` (the cell's declared fact), ``strategy``
+    (the bound cell).
     """
 
     def __init__(
         self,
-        op="adasum",
+        op: str = "adasum",
         topology: str = "tree",
         per_layer: bool = True,
         gpus_per_node: Optional[int] = None,
     ):
-        op = str(getattr(op, "value", op)).lower()
-        topology = str(topology).lower()
         self.strategy = get_strategy(op, topology)
         if gpus_per_node is not None and int(gpus_per_node) != 1:
             self.strategy = self.strategy.bind(gpus_per_node=int(gpus_per_node))
         self.gpus_per_node = getattr(self.strategy, "gpus_per_node", 1)
-        self.op = op
-        self.name = op
-        self.topology = topology
+        self.op = self.name = self.strategy.op
+        self.topology = self.strategy.topology
         self.per_layer = per_layer
-        self.post_optimizer = op == "adasum"
-        self.tree = topology in ("tree", "tree_any")
+        self.post_optimizer = self.strategy.post_optimizer
 
     def reduce(self, grad_dicts):
         """The dict adapter: pack an arena, run the flat kernel, unpack."""

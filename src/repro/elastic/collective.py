@@ -7,18 +7,15 @@ point is where failures bite: an injected kill, a hang, or a straggler
 delay all surface inside :meth:`Cluster.run` here and nowhere else.
 
 Bit-exactness contract (tested in ``tests/elastic/test_collective.py``):
-
-* Adasum tree mode runs pairwise divide-and-conquer over the
-  participants — rank ``lo`` combines its subtree with the subtree
-  received from rank ``lo + p`` via the registry's pairwise Adasum —
-  which reproduces ``get_strategy("adasum", "tree_any")`` (and therefore
-  the reference ``adasum_tree`` for power-of-two counts) bit for bit,
-  because both recursions split at the same point and
-  ``adasum_flat``'s float64 accumulation is deterministic.
-* Sum / Average / linear-Adasum gather the participant rows to the
-  subgroup root in rank order and apply the reducer's own
-  ``reduce_flat`` on the stacked rows — trivially identical to the
-  in-process path.
+the collective replays the cell's own pair schedule
+(:meth:`~repro.core.strategies.ReduceStrategy.pair_schedule`) over the
+participants — the schedule the process backend's rank workers replay —
+each hop a send from ``src`` to ``dst`` and the cell's ``pair_combine``
+there, then ``finalize_pair`` at the root.  The replay reproduces the
+cell's ``combine_flat`` byte for byte, for every op and topology that
+has a schedule.  Only a cell without one (``rvh``) gathers the
+participant rows to the subgroup root in rank order and applies the
+reducer's own ``reduce_flat`` on the stacked rows.
 
 Only the subgroup root ends up with the combined row (the supervisor
 applies it centrally); a broadcast would only add simulated latency.
@@ -33,8 +30,8 @@ precision loss.  The codec-backed format *verifies* the round trip and
 falls back to raw float32 when the row is off-grid, so the
 bit-exactness contract holds by construction.  Combined partials at
 interior tree hops are never grid-resident, so they stay fp32:
-compression applies to leaf hops only (every send in gather mode, the
-bottom level in tree mode), mirroring fp16-wire/fp32-accumulate mixed
+compression applies to a sender that has absorbed nothing yet (every
+send of the gather), mirroring fp16-wire/fp32-accumulate mixed
 precision (§4.4.1).
 """
 
@@ -45,8 +42,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.comm.transport import Cluster, GroupComm
-from repro.core.operator import largest_pow2_below
-from repro.core.strategies import GradientReducer, get_strategy
+from repro.core.strategies import StrategyReducer
 
 
 def _send_encoded(sub, row: np.ndarray, dst: int, wire, bounds) -> None:
@@ -65,47 +61,11 @@ def _recv_decoded(sub, src: int, wire) -> np.ndarray:
     return payload if wire is None else wire.decode(payload)
 
 
-def _tree_combine(
-    sub, acc: np.ndarray, bounds, lo: int, hi: int, pairwise,
-    wire=None, wire_bounds=None,
-) -> np.ndarray:
-    """Divide-and-conquer Adasum over subgroup ranks [lo, hi).
-
-    Every rank walks the same recursion but acts only in its own half;
-    afterwards subgroup rank ``lo`` holds ``adasum_tree_any`` of the
-    participants' rows.  Non-power-of-two spans split at the largest
-    power of two below ``n``, exactly like
-    :func:`~repro.core.operator.adasum_tree_any`.  ``pairwise`` is the
-    registry's ``combine_pair``, resolved once per collective.
-    """
-    n = hi - lo
-    if n <= 1:
-        return acc
-    p = n // 2 if n & (n - 1) == 0 else largest_pow2_below(n)
-    if sub.rank < lo + p:
-        acc = _tree_combine(sub, acc, bounds, lo, lo + p, pairwise, wire, wire_bounds)
-        if sub.rank == lo:
-            other = _recv_decoded(sub, lo + p, wire)
-            sub.compute(acc.nbytes, label="adasum")
-            pairwise(acc, other, bounds, out=acc)
-    else:
-        acc = _tree_combine(sub, acc, bounds, lo + p, hi, pairwise, wire, wire_bounds)
-        if sub.rank == lo + p:
-            # Leaf hop (single-rank subtree): the payload is this rank's
-            # original row, exactly representable in encoded form.
-            # Interior hops carry combined partials and stay fp32.
-            if hi - (lo + p) == 1:
-                _send_encoded(sub, acc, lo, wire, wire_bounds)
-            else:
-                sub.send(acc, lo)
-    return acc
-
-
 def cluster_reduce(
     cluster: Cluster,
     data: np.ndarray,
     boundaries: Optional[Sequence[int]],
-    reducer: GradientReducer,
+    reducer: StrategyReducer,
     participants: Optional[Sequence[int]] = None,
     wire_format=None,
 ) -> np.ndarray:
@@ -118,8 +78,8 @@ def cluster_reduce(
     collective propagate as the :class:`CommError` of
     :meth:`Cluster.run` for the supervisor to classify.
 
-    Both shapes (the tree and the gather) only ever send from a higher
-    subgroup rank to a lower one, so descending rank order is a
+    Both shapes (the schedule replay and the gather) only ever send from
+    a higher subgroup rank to a lower one, so descending rank order is a
     topological order of the sends and the collective runs as an
     ordered replay (:meth:`Cluster.run` with ``order=``) — no rank
     threads.
@@ -139,38 +99,54 @@ def cluster_reduce(
     if not participants:
         raise ValueError("need at least one participant")
     part_set = set(participants)
-    adasum_tree_mode = getattr(reducer, "name", None) == "adasum" and getattr(
-        reducer, "tree", False
-    )
-    # Whole-model Adasum ignores layer boundaries (one flat block).
-    bounds = boundaries if getattr(reducer, "per_layer", True) else None
-    pairwise = (
-        get_strategy("adasum", "tree_any").combine_pair if adasum_tree_mode else None
-    )
+    n = len(participants)
+    strategy = reducer.strategy
+    # Whole-model reduction ignores layer boundaries (one flat block).
+    bounds = boundaries if reducer.per_layer else None
+    levels = strategy.pair_schedule(n)
+    if levels is not None:
+        # Each position's hops in schedule order: the rows it absorbs,
+        # then (every position but the root) where it sends its own.
+        absorbs: List[list] = [[] for _ in range(n)]
+        send_to: List[Optional[int]] = [None] * n
+        for level in levels:
+            for dst, src, kind in level:
+                absorbs[dst].append((src, kind))
+                send_to[src] = dst
 
     def fn(comm):
         if comm.rank not in part_set:
             return None
         acc = data[comm.rank].copy()
-        if len(participants) == 1:
+        if n == 1:
             return acc
         sub = GroupComm(comm, participants, presorted=True)
-        if adasum_tree_mode:
-            acc = _tree_combine(
-                sub, acc, bounds, 0, sub.size, pairwise, wire_format, boundaries
-            )
-            return acc if sub.rank == 0 else None
-        # Gather rows to the subgroup root, reduce with the in-process
-        # kernel (rank order matches the row-stack order exactly).
-        # Every gathered row is an original contribution: all sends
-        # compress.
-        if sub.rank == 0:
-            rows: List[np.ndarray] = [acc]
-            for src in range(1, sub.size):
-                rows.append(_recv_decoded(sub, src, wire_format))
-            sub.compute(acc.nbytes * (sub.size - 1), label=reducer.name)
-            return reducer.reduce_flat(np.stack(rows), boundaries)
-        _send_encoded(sub, acc, 0, wire_format, boundaries)
+        if levels is None:
+            # No schedule: gather the rows to the subgroup root and
+            # reduce them with the in-process kernel (rank order matches
+            # the row-stack order).  Every gathered row is original.
+            if sub.rank == 0:
+                rows: List[np.ndarray] = [acc]
+                for src in range(1, sub.size):
+                    rows.append(_recv_decoded(sub, src, wire_format))
+                sub.compute(acc.nbytes * (sub.size - 1), label=strategy.op)
+                return reducer.reduce_flat(np.stack(rows), boundaries)
+            _send_encoded(sub, acc, 0, wire_format, boundaries)
+            return None
+        me = sub.rank
+        for src, kind in absorbs[me]:
+            other = _recv_decoded(sub, src, wire_format)
+            sub.compute(acc.nbytes, label=strategy.op)
+            strategy.pair_combine(kind, acc, other, bounds, out=acc)
+        dst = send_to[me]
+        if dst is None:
+            return strategy.finalize_pair(acc, n)
+        # Only an original row is exactly representable in encoded
+        # form; a partial that absorbed others travels as fp32.
+        if absorbs[me]:
+            sub.send(acc, dst)
+        else:
+            _send_encoded(sub, acc, dst, wire_format, boundaries)
         return None
 
     results = cluster.run(fn, order=range(cluster.size - 1, -1, -1))

@@ -626,9 +626,11 @@ class ElasticTrainer:
         if schedule is not None:
             schedule.consume(step_id)
         # Drop-and-renormalize: Adasum and Average renormalize by
-        # construction (they combine, not accumulate); a partial SUM
-        # must be scaled back up to the full world's magnitude.
-        if self.config.op == "sum" and len(participants) < size:
+        # construction (they combine, not accumulate); an op whose
+        # result scales with the world (a sum) is scaled back up to the
+        # full world's magnitude.
+        strategy = self.dist_opt.reducer.strategy
+        if strategy.scales_with_world and len(participants) < size:
             combined = (combined * (size / len(participants))).astype(
                 combined.dtype
             )

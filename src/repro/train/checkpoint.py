@@ -75,7 +75,7 @@ def save_checkpoint(
         scaler = dist_opt.scaler
         meta["dist"] = {
             "num_ranks": dist_opt.num_ranks,
-            "op": dist_opt.op.value,
+            "op": dist_opt.op,
             "post_optimizer": dist_opt.post_optimizer_mode,
             "skipped_steps": dist_opt.skipped_steps,
             "fp16_scale": scaler.scale_value if scaler is not None else None,

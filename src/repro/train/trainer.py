@@ -1250,5 +1250,5 @@ class ParallelTrainer:
             self.tracer.record(rank, "compute", t0, t1, grad_bytes,
                                label=f"step-{self.global_step}")
             self.tracer.record(rank, "allreduce", t1, t2, wire_bytes,
-                               label=self.dist_opt.op.value)
+                               label=self.dist_opt.op)
         self.sim_time = t2

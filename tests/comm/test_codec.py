@@ -38,7 +38,7 @@ from repro.comm.codec import (
     parse_wire_codecs,
     topk_select,
 )
-from repro.core import DistributedOptimizer, ReduceOpType
+from repro.core import DistributedOptimizer
 from repro.core.arena import GradientArena
 from repro.core.precision import DynamicScaler
 from repro.models import MLP, BertConfig, MiniBERT
@@ -361,7 +361,7 @@ def _phased_run(num_ranks, steps=3, seed=0, prepare=None, **opt_kw):
     model = MLP((6, 10, 4), rng=np.random.default_rng(seed))
     dopt = DistributedOptimizer(
         model, lambda ps: SGD(ps, lr=0.05, momentum=0.9), num_ranks,
-        op=ReduceOpType.ADASUM, topology="tree_any", **opt_kw,
+        op="adasum", topology="tree_any", **opt_kw,
     )
     arena = GradientArena.from_model(model, num_ranks)
     rng = np.random.default_rng(seed + 1)

@@ -5,13 +5,16 @@ import pytest
 
 from repro.comm import (
     Cluster,
+    CommError,
     allgather_doubling,
     allreduce_recursive_doubling,
     allreduce_ring,
     allreduce_group,
     broadcast,
+    cluster_allreduce,
     reduce_scatter_halving,
 )
+from repro.core.strategies import ReduceStrategy, get_strategy, registered_cells
 
 
 def _rank_vectors(size, n, seed=0):
@@ -171,3 +174,51 @@ class TestBroadcast:
         results = Cluster(5).run(fn)
         for r in results:
             np.testing.assert_array_equal(r, payload)
+
+
+#: Cells whose only distributed form is the pair schedule the elastic
+#: collective replays; every other registered cell has a cluster form.
+PAIRWISE_ONLY = {("adasum", "tree"), ("adasum", "tree_any"), ("adasum", "linear")}
+
+
+class TestClusterAllreduce:
+    """``cluster_allreduce`` is the registered cell's ``combine_comm``,
+    at every world size the cell accepts."""
+
+    @pytest.mark.parametrize(
+        "op,topology",
+        [cell for cell in registered_cells() if cell not in PAIRWISE_ONLY],
+    )
+    def test_every_cluster_form_matches_the_flat_kernel(self, op, topology):
+        strategy = get_strategy(op, topology)
+        assert type(strategy).combine_comm is not ReduceStrategy.combine_comm
+        bounds = [0, 16, 20, 21]
+        for n in range(1, 10):
+            try:
+                strategy.validate_world(n)
+            except ValueError:
+                continue
+            rows = np.stack(_rank_vectors(n, bounds[-1], seed=n))
+            expected = strategy.combine_flat(rows.copy(), bounds)
+            results = Cluster(n, timeout=10.0).run(
+                lambda c, row: cluster_allreduce(c, row, op, topology, bounds),
+                rank_args=[(row,) for row in rows],
+            )
+            for got in results:
+                np.testing.assert_allclose(got, expected, rtol=1e-4, atol=1e-5,
+                                           err_msg=f"{n} ranks")
+
+    def test_average_tree_any_on_three_ranks(self):
+        rows = _rank_vectors(3, 7)
+        results = Cluster(3).run(
+            lambda c, row: cluster_allreduce(c, row, "average", "tree_any"),
+            rank_args=[(row,) for row in rows],
+        )
+        for got in results:
+            np.testing.assert_allclose(got, np.mean(rows, axis=0), rtol=1e-5)
+
+    def test_a_cell_without_a_cluster_form_says_so(self):
+        with pytest.raises(CommError, match="cluster-collective form"):
+            Cluster(2).run(
+                lambda c: cluster_allreduce(c, np.ones(3, np.float32), "adasum", "tree")
+            )

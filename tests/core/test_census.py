@@ -30,7 +30,7 @@ import repro.elastic.trainer as elastic_trainer
 import repro.train.trainer as train_trainer
 import repro.utils
 from repro import nn
-from repro.core import DistributedOptimizer, GradientArena, ReduceOpType
+from repro.core import DistributedOptimizer, GradientArena
 from repro.core.config import EXECUTIONS, RunConfig
 from repro.core.overlap import build_fused_engine
 from repro.core.strategies import OPS, TOPOLOGIES, registered_cells
@@ -151,7 +151,7 @@ def test_elastic_trainer_runs_the_configs_cell(topology, num_ranks, gpus_per_nod
         assert trainer.dist_opt.topology == config.topology
 
 
-@pytest.mark.parametrize("op", list(ReduceOpType))
+@pytest.mark.parametrize("op", ["sum", "average", "adasum"])
 @pytest.mark.parametrize("pre_optimizer", [False, True])
 @pytest.mark.parametrize("accumulation", [1, 2])
 def test_train_step_is_the_per_rank_loop(op, pre_optimizer, accumulation):
@@ -169,7 +169,7 @@ def test_train_step_is_the_per_rank_loop(op, pre_optimizer, accumulation):
     trainer = ParallelTrainer.from_config(models[0], loss_fn, factory, x, y, config,
                                           accumulation=accumulation)
     dist = DistributedOptimizer.from_config(models[1], factory, config)
-    assert dist.post_optimizer_mode is (op is ReduceOpType.ADASUM and not pre_optimizer)
+    assert dist.post_optimizer_mode is (op == "adasum" and not pre_optimizer)
     rng = np.random.default_rng(0)
     for _ in range(3):
         rank_indices = rng.integers(0, len(x), size=(4, 4 * accumulation))
@@ -430,12 +430,12 @@ def test_step_arena_ranks_restricts_the_default_reduce():
     grads = rng.standard_normal((4, 6 * 8 + 8 + 8 * 3 + 3)).astype(np.float32)
     models = [MLP((6, 8, 3), rng=np.random.default_rng(1)) for _ in range(2)]
     wide = DistributedOptimizer(models[0], lambda ps: SGD(ps, 0.1), num_ranks=4,
-                                op=ReduceOpType.SUM)
+                                op="sum")
     arena = GradientArena.from_model(models[0], 4)
     arena.data[:] = grads
     wide.step_arena(arena, ranks=[0, 2])
     narrow = DistributedOptimizer(models[1], lambda ps: SGD(ps, 0.1), num_ranks=2,
-                                  op=ReduceOpType.SUM)
+                                  op="sum")
     arena2 = GradientArena.from_model(models[1], 2)
     arena2.data[:] = grads[[0, 2]]
     narrow.step_arena(arena2)

@@ -17,8 +17,8 @@ from repro import nn
 from repro.comm.faults import FaultPlan
 from repro.core import (
     DistributedOptimizer,
-    ReduceOpType,
     RunConfig,
+    make_reducer,
     parse_op,
     parse_topology,
 )
@@ -34,15 +34,15 @@ class TestParsers:
     @pytest.mark.parametrize(
         "value,expected",
         [
-            ("sum", ReduceOpType.SUM),
-            ("SUM", ReduceOpType.SUM),
-            ("Average", ReduceOpType.AVERAGE),
-            ("adasum", ReduceOpType.ADASUM),
-            (ReduceOpType.ADASUM, ReduceOpType.ADASUM),
+            ("sum", "sum"),
+            ("SUM", "sum"),
+            ("Average", "average"),
+            ("adasum", "adasum"),
+            ("ADASUM", "adasum"),
         ],
     )
     def test_parse_op(self, value, expected):
-        assert parse_op(value) is expected
+        assert parse_op(value) == expected
 
     def test_parse_op_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown reduction op"):
@@ -63,6 +63,18 @@ class TestParsers:
     def test_parse_topology(self, value, expected):
         assert parse_topology(value) == expected
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda topology: RunConfig(topology=topology).topology,
+            lambda topology: make_reducer("adasum", topology=topology).topology,
+        ],
+        ids=["RunConfig", "make_reducer"],
+    )
+    @pytest.mark.parametrize("spelling", ["tree-any", "Tree-Any", "TREE_ANY"])
+    def test_every_entry_point_spells_a_topology_alike(self, entry, spelling):
+        assert entry(spelling) == "tree_any"
+
     def test_parse_topology_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown topology"):
             parse_topology("torus")
@@ -79,10 +91,9 @@ class TestRunConfig:
         cfg = RunConfig()
         assert cfg.op == "adasum"
         assert cfg.topology == "tree"
-        assert cfg.reduce_op is ReduceOpType.ADASUM
 
     def test_normalizes_op_and_topology(self):
-        cfg = RunConfig(op=ReduceOpType.SUM, topology="Tree-Any")
+        cfg = RunConfig(op="SUM", topology="Tree-Any")
         assert cfg.op == "sum"
         assert cfg.topology == "tree_any"
 
@@ -172,7 +183,7 @@ class TestFromConfig:
             model,
             lambda ps: SGD(ps, 0.05),
             num_ranks=4,
-            op=ReduceOpType.ADASUM,
+            op="adasum",
             per_layer=False,
             wire_codecs=("fp16",),
             topology="tree_any",
@@ -194,7 +205,7 @@ class TestFromConfig:
             model_b,
             DistributedOptimizer(
                 model_b, lambda ps: SGD(ps, 0.05), num_ranks=4,
-                op=ReduceOpType.ADASUM,
+                op="adasum",
             ),
             x,
             y,
@@ -233,7 +244,7 @@ class TestFromConfig:
             model_b,
             DistributedOptimizer(
                 model_b, lambda ps: SGD(ps, 0.05), num_ranks=8,
-                op=ReduceOpType.ADASUM, topology="hierarchical",
+                op="adasum", topology="hierarchical",
                 gpus_per_node=2,
             ),
             x,

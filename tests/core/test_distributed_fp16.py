@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.core import DistributedOptimizer, GradientArena, ReduceOpType
+from repro.core import DistributedOptimizer, GradientArena
 from repro.models import MLP
 from repro.optim import SGD, Adam
 from repro.tensor import Tensor
@@ -27,11 +27,11 @@ class TestFp16PreOptimizer:
         m16, m32 = _model(1), _model(1)
         d16 = DistributedOptimizer(
             m16, lambda ps: SGD(ps, 0.1), num_ranks=2,
-            op=ReduceOpType.ADASUM, adasum_pre_optimizer=True, wire_codecs=("fp16",),
+            op="adasum", adasum_pre_optimizer=True, wire_codecs=("fp16",),
         )
         d32 = DistributedOptimizer(
             m32, lambda ps: SGD(ps, 0.1), num_ranks=2,
-            op=ReduceOpType.ADASUM, adasum_pre_optimizer=True,
+            op="adasum", adasum_pre_optimizer=True,
         )
         gd = _grad_dicts(m16, rng, 2)
         d16.step_arena(GradientArena.from_grad_dicts([dict(g) for g in gd]))
@@ -44,7 +44,7 @@ class TestFp16PreOptimizer:
         w0 = {n: p.data.copy() for n, p in m.named_parameters()}
         d = DistributedOptimizer(
             m, lambda ps: SGD(ps, 0.1), num_ranks=2,
-            op=ReduceOpType.ADASUM, adasum_pre_optimizer=True, wire_codecs=("fp16",),
+            op="adasum", adasum_pre_optimizer=True, wire_codecs=("fp16",),
         )
         scale0 = d._scaler.scale_value
         huge = _grad_dicts(m, rng, 2, scale=1e6)
@@ -59,9 +59,9 @@ class TestFp16PostOptimizer:
     def test_tracks_fp32_update(self, rng):
         m16, m32 = _model(2), _model(2)
         d16 = DistributedOptimizer(m16, lambda ps: Adam(ps, 0.01), num_ranks=2,
-                                   op=ReduceOpType.ADASUM, wire_codecs=("fp16",))
+                                   op="adasum", wire_codecs=("fp16",))
         d32 = DistributedOptimizer(m32, lambda ps: Adam(ps, 0.01), num_ranks=2,
-                                   op=ReduceOpType.ADASUM)
+                                   op="adasum")
         gd = _grad_dicts(m16, rng, 2)
         d16.step_arena(GradientArena.from_grad_dicts([dict(g) for g in gd]))
         d32.step_arena(GradientArena.from_grad_dicts(gd))
@@ -73,7 +73,7 @@ class TestFp16PostOptimizer:
         w0 = {n: p.data.copy() for n, p in m.named_parameters()}
         # Force the scale so high the deltas overflow fp16.
         d = DistributedOptimizer(m, lambda ps: SGD(ps, 1e5), num_ranks=2,
-                                 op=ReduceOpType.ADASUM, wire_codecs=("fp16",))
+                                 op="adasum", wire_codecs=("fp16",))
         d._scaler.scale_value = 2.0 ** 24
         gd = _grad_dicts(m, np.random.default_rng(0), 2, scale=10.0)
         d.step_arena(GradientArena.from_grad_dicts(gd))
@@ -84,7 +84,7 @@ class TestFp16PostOptimizer:
     def test_training_converges_under_fp16(self, rng):
         m = _model(4)
         d = DistributedOptimizer(m, lambda ps: Adam(ps, 0.02), num_ranks=2,
-                                 op=ReduceOpType.ADASUM, wire_codecs=("fp16",))
+                                 op="adasum", wire_codecs=("fp16",))
         loss_fn = nn.CrossEntropyLoss()
         x = rng.standard_normal((32, 4)).astype(np.float32)
         y = (x[:, 0] > 0).astype(np.int64)

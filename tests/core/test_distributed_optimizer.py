@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import DistributedOptimizer, GradientArena, ReduceOpType, adasum_per_layer
+from repro.core import DistributedOptimizer, GradientArena, adasum_per_layer
 from repro.models import MLP
 from repro.optim import SGD, Adam
 from repro.tensor import Tensor
@@ -38,7 +38,7 @@ class TestPreOptimizerModes:
     def test_sum_equals_manual(self, rng):
         m = _model()
         w0 = {n: p.data.copy() for n, p in m.named_parameters()}
-        d = DistributedOptimizer(m, lambda ps: SGD(ps, 0.1), num_ranks=2, op=ReduceOpType.SUM)
+        d = DistributedOptimizer(m, lambda ps: SGD(ps, 0.1), num_ranks=2, op="sum")
         gd = _grad_dicts(m, rng, 2)
         d.step_arena(GradientArena.from_grad_dicts(gd))
         for n, p in m.named_parameters():
@@ -48,7 +48,7 @@ class TestPreOptimizerModes:
     def test_average_equals_manual(self, rng):
         m = _model()
         w0 = {n: p.data.copy() for n, p in m.named_parameters()}
-        d = DistributedOptimizer(m, lambda ps: SGD(ps, 0.2), num_ranks=4, op=ReduceOpType.AVERAGE)
+        d = DistributedOptimizer(m, lambda ps: SGD(ps, 0.2), num_ranks=4, op="average")
         gd = _grad_dicts(m, rng, 4)
         d.step_arena(GradientArena.from_grad_dicts(gd))
         for n, p in m.named_parameters():
@@ -61,7 +61,7 @@ class TestPreOptimizerModes:
         w0 = {n: p.data.copy() for n, p in m.named_parameters()}
         d = DistributedOptimizer(
             m, lambda ps: SGD(ps, 0.1), num_ranks=4,
-            op=ReduceOpType.ADASUM, adasum_pre_optimizer=True,
+            op="adasum", adasum_pre_optimizer=True,
         )
         assert not d.post_optimizer_mode
         gd = _grad_dicts(m, rng, 4)
@@ -76,7 +76,7 @@ class TestPostOptimizerMode:
         """Post-optimizer Adasum on plain SGD == Adasum of (-lr·g) deltas."""
         m = _model()
         w0 = {n: p.data.copy() for n, p in m.named_parameters()}
-        d = DistributedOptimizer(m, lambda ps: SGD(ps, 0.1), num_ranks=2, op=ReduceOpType.ADASUM)
+        d = DistributedOptimizer(m, lambda ps: SGD(ps, 0.1), num_ranks=2, op="adasum")
         assert d.post_optimizer_mode
         gd = _grad_dicts(m, rng, 2)
         deltas = [{n: -0.1 * g[n] for n in g} for g in gd]
@@ -88,7 +88,7 @@ class TestPostOptimizerMode:
     def test_per_rank_optimizer_state_independent(self, rng):
         """Each rank's Adam moments are driven by its own gradients."""
         m = _model()
-        d = DistributedOptimizer(m, lambda ps: Adam(ps, 0.01), num_ranks=2, op=ReduceOpType.ADASUM)
+        d = DistributedOptimizer(m, lambda ps: Adam(ps, 0.01), num_ranks=2, op="adasum")
         gd = _grad_dicts(m, rng, 2)
         d.step_arena(GradientArena.from_grad_dicts(gd))
         m0 = d.rank_optimizers[0].state[0]["m"]
@@ -101,10 +101,10 @@ class TestPostOptimizerMode:
         m_multi, m_single = _model(3), _model(3)
         g = _grad_dicts(m_multi, rng, 1)[0]
         d_multi = DistributedOptimizer(
-            m_multi, lambda ps: SGD(ps, 0.1), num_ranks=4, op=ReduceOpType.ADASUM
+            m_multi, lambda ps: SGD(ps, 0.1), num_ranks=4, op="adasum"
         )
         d_single = DistributedOptimizer(
-            m_single, lambda ps: SGD(ps, 0.1), num_ranks=1, op=ReduceOpType.ADASUM
+            m_single, lambda ps: SGD(ps, 0.1), num_ranks=1, op="adasum"
         )
         d_multi.step_arena(GradientArena.from_grad_dicts([dict(g) for _ in range(4)]))
         d_single.step_arena(GradientArena.from_grad_dicts([g]))
@@ -117,7 +117,7 @@ class TestPostOptimizerMode:
         """A few real forward/backward Adasum-Adam steps stay finite."""
         m = _model()
         loss_fn = nn.CrossEntropyLoss()
-        d = DistributedOptimizer(m, lambda ps: Adam(ps, 0.01), num_ranks=2, op=ReduceOpType.ADASUM)
+        d = DistributedOptimizer(m, lambda ps: Adam(ps, 0.01), num_ranks=2, op="adasum")
         x = rng.standard_normal((8, 4)).astype(np.float32)
         y = rng.integers(0, 2, 8)
         for _ in range(5):

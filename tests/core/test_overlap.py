@@ -23,7 +23,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro import nn
 from repro.comm.codec import Fp16Codec
-from repro.core import DistributedOptimizer, ReduceOpType
+from repro.core import DistributedOptimizer
 from repro.core.arena import GradientArena
 from repro.core.overlap import FlatOptimizerMirror, OverlapScheduler, build_fused_engine
 from repro.core.precision import DynamicScaler
@@ -69,7 +69,7 @@ def _fill_and_mark(arena, grads, names=None):
     return compute
 
 
-def _run_pair(op=ReduceOpType.ADASUM, num_ranks=4, opt_factory=_sgd, steps=3,
+def _run_pair(op="adasum", num_ranks=4, opt_factory=_sgd, steps=3,
               bucket_cap_mb=0.0005, wire_codecs=(), adasum_pre_optimizer=False,
               per_layer=True, seed=0, marks=None, grad_scale=1.0):
     """Drive phased and overlapped pipelines on identical inputs.
@@ -142,7 +142,7 @@ class TestOverlapBitIdentity:
 
     @given(
         seed=st.integers(min_value=0, max_value=2 ** 31 - 1),
-        op=st.sampled_from(list(ReduceOpType)),
+        op=st.sampled_from(["sum", "average", "adasum"]),
         adasum_pre_optimizer=st.booleans(),
         per_layer=st.booleans(),
         optimizer=st.sampled_from(sorted(OPTIMIZERS)),
@@ -172,8 +172,7 @@ class TestOverlapBitIdentity:
         _assert_same_state(phased, overlapped)
 
     # Pinned draws of the property (reverse-layer marking, momentum SGD).
-    @pytest.mark.parametrize("op", [ReduceOpType.SUM, ReduceOpType.AVERAGE,
-                                    ReduceOpType.ADASUM])
+    @pytest.mark.parametrize("op", ["sum", "average", "adasum"])
     def test_ops_post_optimizer(self, op):
         _assert_same_state(*_run_pair(op))
 
@@ -197,7 +196,7 @@ class TestOverlapBitIdentity:
         skipped, so no bucket after it is reduced — the one-bucket case
         of which is the phased rule that a skipped step never reduces."""
         model = MLP(LAYERS, rng=np.random.default_rng(0))
-        dopt = DistributedOptimizer(model, _sgd, 4, op=ReduceOpType.SUM,
+        dopt = DistributedOptimizer(model, _sgd, 4, op="sum",
                                     wire_codecs=("fp16",))
         arena = GradientArena.from_model(model, 4)
         sched = OverlapScheduler(dopt, arena, bucket_cap_mb=1e-5)
@@ -220,7 +219,7 @@ class TestOverlapBitIdentity:
         rng = np.random.default_rng(0)
         model = MLP(LAYERS, rng=rng)
         dopt = DistributedOptimizer(
-            model, _sgd, 4, op=ReduceOpType.ADASUM, per_layer=False,
+            model, _sgd, 4, op="adasum", per_layer=False,
         )
         arena = GradientArena.from_model(model, 4)
         sched = OverlapScheduler(dopt, arena, bucket_cap_mb=1e-5)
@@ -287,7 +286,7 @@ def _bert_overlap_mirror(opt_factory):
     opener, its 19 buckets and the arena."""
     model = MiniBERT(BertConfig(vocab_size=48, hidden=64, layers=2, heads=4,
                                 max_seq_len=16), rng=np.random.default_rng(0))
-    dopt = DistributedOptimizer(model, opt_factory, 8, op=ReduceOpType.ADASUM)
+    dopt = DistributedOptimizer(model, opt_factory, 8, op="adasum")
     arena = GradientArena.from_model(model, 8)
     buckets = [(b.start, b.stop) for b in dopt.bucket_plan(arena, 0.01).buckets]
     assert len(buckets) == 19
@@ -344,7 +343,7 @@ def _check_mirror(optimizer, lr, ranks, order, steps, seed, extreme, rollback=No
         model = MLP(LAYERS, rng=np.random.default_rng(seed))
         dopt = DistributedOptimizer(
             model, lambda ps: MIRRORED[optimizer](ps, lr), ranks,
-            op=ReduceOpType.ADASUM)
+            op="adasum")
         sides.append((model, dopt, GradientArena.from_model(model, ranks)))
     (_, real, real_arena), (_, mirrored, arena) = sides
     assert arena.layout.total_size == TOTAL
@@ -465,7 +464,7 @@ class TestFlatOptimizerMirror:
         it at an unchanged ``step_count`` is an outside write as well: its
         next step continues the loaded momentum, not a first step."""
         model = MLP(LAYERS, rng=np.random.default_rng(0))
-        dopt = DistributedOptimizer(model, _sgd, 2, op=ReduceOpType.ADASUM)
+        dopt = DistributedOptimizer(model, _sgd, 2, op="adasum")
         arena = GradientArena.from_model(model, 2)
         mirror, begin = _mirror(dopt, arena)
         row0, row1 = dopt.rank_optimizers
@@ -484,7 +483,7 @@ class TestFlatOptimizerMirror:
         """One optimizer's slots stepped unequally (a real step with some
         gradients unset) have no one row counter to replay them with."""
         model = MLP(LAYERS, rng=np.random.default_rng(0))
-        dopt = DistributedOptimizer(model, _adam, 2, op=ReduceOpType.ADASUM)
+        dopt = DistributedOptimizer(model, _adam, 2, op="adasum")
         opt = dopt.rank_optimizers[1]
         opt.params[0].grad = np.ones_like(opt.params[0].data)
         opt.step()
@@ -592,7 +591,7 @@ def test_whole_row_rewrite_through_the_mirror_beats_the_rank_optimizers():
     for factory in (SGD, _RealSGD):
         model = MLP((16, 32, 4), rng=np.random.default_rng(0))
         dopt = DistributedOptimizer(model, lambda ps, f=factory: f(ps, 0.05), 8,
-                                    op=ReduceOpType.ADASUM)
+                                    op="adasum")
         sides.append((dopt, GradientArena.from_model(model, 8), []))
     assert sides[0][0].optimizer_mirror(sides[0][1]) is not None
     assert sides[1][0].optimizer_mirror(sides[1][1]) is None
@@ -664,7 +663,7 @@ class TestOverlapTracer:
         from repro.comm import CommTracer
         tracer = CommTracer()
         model = MLP(LAYERS, rng=np.random.default_rng(0))
-        dopt = DistributedOptimizer(model, _sgd, 4, op=ReduceOpType.ADASUM)
+        dopt = DistributedOptimizer(model, _sgd, 4, op="adasum")
         arena = GradientArena.from_model(model, 4)
         sched = OverlapScheduler(dopt, arena, bucket_cap_mb=1e-4,
                                  tracer=tracer)
@@ -683,7 +682,7 @@ class TestOverlapTracer:
         from repro.comm import CommTracer
         tracer = CommTracer()
         model = MLP(LAYERS, rng=np.random.default_rng(0))
-        dopt = DistributedOptimizer(model, _sgd, 4, op=ReduceOpType.ADASUM)
+        dopt = DistributedOptimizer(model, _sgd, 4, op="adasum")
         arena = GradientArena.from_model(model, 4)
         sched = OverlapScheduler(dopt, arena, bucket_cap_mb=1e-4, tracer=tracer)
         grads = np.ones(arena.data.shape, dtype=np.float32)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import GradientArena, PartitionedAdasumEngine, make_reducer, partition_layers
-from repro.core.distributed_optimizer import DistributedOptimizer, ReduceOpType
+from repro.core.distributed_optimizer import DistributedOptimizer
 from repro.models import MLP
 from repro.optim import Adam
 
@@ -81,7 +81,7 @@ class TestEngine:
 
         model_b = MLP((4, 8, 2), rng=np.random.default_rng(2))
         dist = DistributedOptimizer(
-            model_b, lambda ps: Adam(ps, lr=0.05), num_ranks=2, op=ReduceOpType.ADASUM
+            model_b, lambda ps: Adam(ps, lr=0.05), num_ranks=2, op="adasum"
         )
 
         local = self._grads(model_a, rng)

@@ -7,7 +7,7 @@ import pytest
 
 from repro import nn
 from repro.comm import NetworkModel
-from repro.core import ReduceOpType, RunConfig
+from repro.core import RunConfig
 from repro.core.precision import DynamicScaler
 import repro.train.trainer as train_trainer
 from repro.models import MLP, BertConfig, MiniBERT
@@ -27,7 +27,7 @@ def _task(n=160, seed=0):
 _FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 
 
-def _elastic(x, y, num_ranks=8, microbatch=4, op=ReduceOpType.ADASUM,
+def _elastic(x, y, num_ranks=8, microbatch=4, op="adasum",
              topology="tree_any", schedule=None, make_opt=lambda ps: SGD(ps, 0.3),
              **kw):
     """An elastic MLP run; ``kw`` holds config fields and trainer keywords."""
@@ -43,7 +43,7 @@ def _elastic(x, y, num_ranks=8, microbatch=4, op=ReduceOpType.ADASUM,
 
 
 class TestNoFaultParity:
-    @pytest.mark.parametrize("op", [ReduceOpType.ADASUM, ReduceOpType.AVERAGE])
+    @pytest.mark.parametrize("op", ["adasum", "average"])
     def test_bit_exact_with_parallel_trainer(self, op):
         # Failure-free elastic == ParallelTrainer, same seed, divisible
         # world (128 samples / (4 ranks * 8 microbatch)): identical
@@ -317,14 +317,14 @@ class TestStraggler:
         # gradient back to full-world magnitude: dropping one of 4 equal
         # rows must still apply 4x the row, not 3x.
         x, y = _task(n=64)
-        tr, model = _elastic(x, y, num_ranks=4, op=ReduceOpType.SUM)
+        tr, model = _elastic(x, y, num_ranks=4, op="sum")
         tr.iterator.begin_epoch(0)
         before = {n: p.data.copy() for n, p in model.named_parameters()}
         tr._dropped = {3: 2}
         tr._step_with_recovery()
         after_drop = {n: p.data.copy() for n, p in model.named_parameters()}
 
-        tr2, model2 = _elastic(x, y, num_ranks=4, op=ReduceOpType.SUM)
+        tr2, model2 = _elastic(x, y, num_ranks=4, op="sum")
         tr2.iterator.begin_epoch(0)
         tr2._step_with_recovery()
         # Not equal to the full-world step (different rows), but the

@@ -13,7 +13,6 @@ import pytest
 from repro import nn
 from repro.comm import FusionBuffer
 from repro.core import (
-    ReduceOpType,
     RunConfig,
     allreduce_adasum_cluster,
 )
@@ -28,14 +27,13 @@ from repro.train.trainer import compute_grads
 class TestTrainingConvergence:
     """Every (model, optimizer, reducer) combination must train."""
 
-    @pytest.mark.parametrize("op", [ReduceOpType.SUM, ReduceOpType.AVERAGE,
-                                    ReduceOpType.ADASUM])
+    @pytest.mark.parametrize("op", ["sum", "average", "adasum"])
     def test_mlp_all_reducers(self, op):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((256, 8)).astype(np.float32)
         y = (x[:, :2].sum(axis=1) > 0).astype(np.int64)
         model = MLP((8, 16, 2), rng=np.random.default_rng(1))
-        lr = 0.05 if op is ReduceOpType.SUM else 0.2
+        lr = 0.05 if op == "sum" else 0.2
         config = RunConfig(op=op, adasum_pre_optimizer=True, num_ranks=4, microbatch=8)
         tr = ParallelTrainer(model, nn.CrossEntropyLoss(),
                              lambda ps: SGD(ps, lr, momentum=0.9), x, y, config)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.core import DistributedOptimizer, ReduceOpType, RunConfig
+from repro.core import DistributedOptimizer, RunConfig
 from repro.models import MLP, ResNetCIFAR
 from repro.optim import Adam, SGD
 from repro.train import (
@@ -22,7 +22,7 @@ def _task(seed=0):
     return x, y
 
 
-def _trainer(model, op=ReduceOpType.ADASUM, wire_codecs=(), seed=0):
+def _trainer(model, op="adasum", wire_codecs=(), seed=0):
     x, y = _task(seed)
     config = RunConfig(op=op, wire_codecs=wire_codecs, num_ranks=2, microbatch=8,
                        seed=seed)
@@ -170,7 +170,7 @@ class TestDistributedOptimizer:
 def _dopt_ranks(model, num_ranks):
     return DistributedOptimizer(
         model, lambda ps: Adam(ps, 0.01), num_ranks=num_ranks,
-        op=ReduceOpType.ADASUM, topology="tree_any",
+        op="adasum", topology="tree_any",
     )
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.core import OrthogonalityProbe, ReduceOpType, RunConfig
+from repro.core import OrthogonalityProbe, RunConfig
 from repro.models import MLP
 from repro.optim import SGD
 from repro.train import ParallelTrainer, accuracy, compute_grads, compute_grads_into, Meter
@@ -17,7 +17,7 @@ def _task(n=128, seed=0):
     return x, y
 
 
-def _trainer(num_ranks=2, microbatch=8, accumulation=1, op=ReduceOpType.AVERAGE,
+def _trainer(num_ranks=2, microbatch=8, accumulation=1, op="average",
              probe=None, lr=0.3, seed=0):
     x, y = _task(seed=seed)
     model = MLP((6, 16, 2), rng=np.random.default_rng(seed))
@@ -116,7 +116,7 @@ class TestParallelTrainer:
             np.testing.assert_allclose(p1.data, p2.data, rtol=1e-4, atol=1e-6)
 
     def test_adasum_trainer_runs(self):
-        tr, x, y = _trainer(op=ReduceOpType.ADASUM, lr=0.3)
+        tr, x, y = _trainer(op="adasum", lr=0.3)
         loss = tr.train_epoch(0, max_steps=4)
         assert np.isfinite(loss)
 
