@@ -9,13 +9,16 @@ checks the contracts the control plane must never break:
 * every rank loan is settled — none outstanding at the horizon;
 * the loans policy wastes zero samples (exactly-once across preemption);
 * the full metrics payload is byte-stable across independent runs
-  (same seed → same JSON);
+  (same seed → same JSON), also when the rerun follows an unrelated
+  trace in the same process — nothing process-wide (the module walk
+  and hop-plan caches) leaks from one scheduler into the next;
 * no ``/dev/shm`` segment survives the run (jobs own real
   ``ElasticTrainer`` instances, so leaked execution state would show
   up here first).
 
-A second tiny trace runs under ``policy="kill"`` to confirm the
-baseline policy still requeues and completes.
+A second tiny trace runs under ``policy="kill"``, between the two
+loans runs, to confirm the baseline policy still requeues and
+completes.
 
 Usage::
 
@@ -46,10 +49,12 @@ def main() -> int:
 
     before = leaked_shared_segments()
 
-    a = _run_trace("loans", n_jobs=40, seed=17)
-    b = _run_trace("loans", n_jobs=40, seed=17)
+    a = _run_trace("loans", n_jobs=40, seed=17)  # fresh: first in the process
+    kill = _run_trace("kill", n_jobs=16, seed=3)["aggregate"]
+    b = _run_trace("loans", n_jobs=40, seed=17)  # right after an unrelated trace
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True), (
-        "same trace, same seed produced different metrics payloads"
+        "same trace, same seed produced different metrics payloads "
+        "after an unrelated trace ran in the same process"
     )
 
     agg = a["aggregate"]
@@ -69,7 +74,6 @@ def main() -> int:
     )
     assert 0 < agg["utilization"]["active"] <= 1
 
-    kill = _run_trace("kill", n_jobs=16, seed=3)["aggregate"]
     assert kill["jobs"]["completed"] + kill["jobs"]["rejected"] == 16
     assert kill["loans"]["total"] == 0
 

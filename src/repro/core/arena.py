@@ -120,6 +120,29 @@ class GradientArena:
     def view(self, rank: int, name: str) -> np.ndarray:
         return self._views[rank][name]
 
+    def rank_rows(self, rows: Sequence[int]) -> "RankRows":
+        """The listed rows as the destination of one rank-stacked pass:
+        each maximal run of consecutive rows is one ``(k, *shape)`` view
+        per parameter, so a gradient stacked over the listed ranks lands
+        with one write per run — one write for a full world or any
+        prefix of it."""
+        views = [self._views[r] for r in rows]
+        runs: Dict[str, list] = {name: [] for name in self.layout.names}
+        start = 0
+        for i in range(1, len(rows) + 1):
+            if i < len(rows) and rows[i] == rows[i - 1] + 1:
+                continue
+            block = self.data[rows[start]:rows[i - 1] + 1]
+            sl = slice(start, i)
+            for name, (lo, hi), shape in zip(
+                self.layout.names, self.layout.slices, self.layout.shapes
+            ):
+                dest = block[:, lo:hi].reshape((i - start,) + tuple(shape))
+                assert np.may_share_memory(dest, self.data), "landing view is a copy"
+                runs[name].append((sl, dest))
+            start = i
+        return RankRows(views, runs)
+
     def __iter__(self) -> Iterator[Dict[str, np.ndarray]]:
         return iter(self._views)
 
@@ -175,6 +198,46 @@ class GradientArena:
             f"GradientArena(ranks={self.num_ranks}, layers={self.num_layers}, "
             f"size={self.layout.total_size}, dtype={self.dtype})"
         )
+
+
+class RankRows(Sequence):
+    """Where a rank-stacked gradient pass writes: ``R`` ranks' named
+    destinations (``rows[i][name]``, a :class:`Sequence` of mappings)
+    plus, per parameter, the runs :meth:`land` writes an ``(R, *shape)``
+    gradient through — ``(block slice, (k, *shape) destination)`` pairs
+    covering the ``R`` blocks in order."""
+
+    def __init__(
+        self,
+        views: Sequence[Mapping[str, np.ndarray]],
+        runs: Mapping[str, Sequence[Tuple[slice, np.ndarray]]],
+    ):
+        self._views = tuple(views)
+        self._runs = {name: tuple(r) for name, r in runs.items()}
+
+    @classmethod
+    def of(cls, views: Sequence[Mapping[str, np.ndarray]]) -> "RankRows":
+        """``views`` as destinations: unchanged when they already are,
+        else one run per rank (arbitrary per-rank arrays share no
+        memory a single write could span)."""
+        if isinstance(views, RankRows):
+            return views
+        views = list(views)
+        return cls(views, {
+            name: [(slice(i, i + 1), v[name][None]) for i, v in enumerate(views)]
+            for name in (views[0] if views else ())
+        })
+
+    def land(self, name: str, grad: np.ndarray) -> None:
+        """Write the ``(R, *shape)`` gradient of ``name`` into its rows."""
+        for sl, dest in self._runs[name]:
+            np.copyto(dest, grad[sl])
+
+    def __getitem__(self, i):
+        return self._views[i]
+
+    def __len__(self) -> int:
+        return len(self._views)
 
 
 #: Name prefix of every shared-memory segment this module creates; leak

@@ -47,9 +47,15 @@ def make_mnist_like(
     x = np.empty((n_samples, 1, s, s), dtype=np.float32)
     shifts = rng.integers(-2, 3, size=(n_samples, 2))
     amps = rng.uniform(0.7, 1.3, size=n_samples).astype(np.float32)
-    for i in range(n_samples):
-        img = np.roll(templates[labels[i]], tuple(shifts[i]), axis=(0, 1))
-        x[i, 0] = amps[i] * img
+    # Every (class, shift) image rolled once, indexed by shift + 2.
+    rolled = np.empty((num_classes, 5, 5, s, s), dtype=np.float32)
+    for dy in range(-2, 3):
+        for dx in range(-2, 3):
+            rolled[:, dy + 2, dx + 2] = np.roll(templates, (dy, dx), axis=(1, 2))
+    np.multiply(
+        amps[:, None, None], rolled[labels, shifts[:, 0] + 2, shifts[:, 1] + 2],
+        out=x[:, 0],
+    )
     x += noise * rng.standard_normal(x.shape).astype(np.float32)
     np.clip(x, 0.0, 1.5, out=x)
     return x, labels.astype(np.int64)

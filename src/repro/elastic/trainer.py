@@ -560,7 +560,7 @@ class ElasticTrainer:
         # Commit: only now do the step's samples count as visited.
         self.iterator.commit()
         for r in active:
-            self.epoch_visited.extend(int(i) for i in indices[r])
+            self.epoch_visited.extend(indices[r].tolist())
         self.global_step += 1
         self.commits += 1
         mean_loss = float(np.mean(losses))

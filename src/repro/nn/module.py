@@ -4,6 +4,15 @@ The distributed machinery of the paper operates *per layer* (Section
 3.6: per-layer Adasum; Section 4.3: layer-aligned partitioning), so the
 module system exposes stable, ordered ``named_parameters`` that all
 reduction code keys on.
+
+Every walk (``named_parameters``, ``parameters``, ``named_buffers``,
+``modules``, ``zero_grad``, the grad-ready hooks) iterates a flattened
+tuple each module keeps until the structure of *any* module changes.
+The structure changes only at the three registration points —
+:meth:`Module.__setattr__` of a :class:`Parameter` or :class:`Module`,
+:meth:`Module.register_buffer` and :meth:`Sequential.__init__` — and
+each replaces one process-wide epoch token, which retires every cache
+at once: a child cannot tell its parents that it changed.
 """
 
 from __future__ import annotations
@@ -14,6 +23,17 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.tensor import Tensor
+
+#: The structure epoch: a fresh token each time any module registers a
+#: parameter, a child module or a buffer.  A cache is valid while it
+#: holds the current token; tokens are compared by identity, so a cache
+#: pickled into another process or deep-copied never matches.
+_epoch = object()
+
+
+def _structure_changed() -> None:
+    global _epoch
+    _epoch = object()
 
 
 class Parameter(Tensor):
@@ -35,6 +55,7 @@ class Module:
         object.__setattr__(self, "_modules", OrderedDict())
         object.__setattr__(self, "_buffers", OrderedDict())
         object.__setattr__(self, "training", True)
+        object.__setattr__(self, "_flat_cache", None)
 
     # ------------------------------------------------------------------
     # Registration
@@ -43,38 +64,48 @@ class Module:
         if isinstance(value, Parameter):
             self._parameters[name] = value
             value.name = name
+            _structure_changed()
         elif isinstance(value, Module):
             self._modules[name] = value
+            _structure_changed()
         object.__setattr__(self, name, value)
 
     def register_buffer(self, name: str, value: np.ndarray) -> None:
         """Register non-trainable state (e.g. BatchNorm running stats)."""
         self._buffers[name] = value
         object.__setattr__(self, name, value)
+        _structure_changed()
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+    def _flat(self) -> "_Flat":
+        """This module's tree, flattened: rebuilt by one recursive walk
+        the first time it is asked for in a new structure epoch."""
+        flat = self._flat_cache
+        if flat is None or flat.epoch is not _epoch:
+            flat = _Flat(self)
+            object.__setattr__(self, "_flat_cache", flat)
+        return flat
+
     def named_parameters(self, prefix: str = "") -> Iterator[Tuple[str, Parameter]]:
         """Yield ``(qualified_name, parameter)`` in deterministic order."""
-        for name, p in self._parameters.items():
-            yield (prefix + name, p)
-        for mname, mod in self._modules.items():
-            yield from mod.named_parameters(prefix + mname + ".")
+        named = self._flat().named_parameters
+        if not prefix:
+            return iter(named)
+        return ((prefix + name, p) for name, p in named)
 
     def parameters(self) -> List[Parameter]:
-        return [p for _, p in self.named_parameters()]
+        return list(self._flat().parameters)
 
     def named_buffers(self, prefix: str = "") -> Iterator[Tuple[str, np.ndarray]]:
-        for name in self._buffers:
-            yield (prefix + name, getattr(self, name))
-        for mname, mod in self._modules.items():
-            yield from mod.named_buffers(prefix + mname + ".")
+        # The attribute's current object: a buffer may be reassigned.
+        for name, mod, attr in self._flat().buffers:
+            yield (prefix + name, getattr(self if mod is None else mod, attr))
 
     def modules(self) -> Iterator["Module"]:
         yield self
-        for mod in self._modules.values():
-            yield from mod.modules()
+        yield from self._flat().descendants
 
     def num_parameters(self) -> int:
         """Total number of scalar parameters."""
@@ -92,7 +123,7 @@ class Module:
         return self.train(False)
 
     def zero_grad(self) -> None:
-        for p in self.parameters():
+        for p in self._flat().parameters:
             p.zero_grad()
 
     # ------------------------------------------------------------------
@@ -108,12 +139,12 @@ class Module:
         One hook per parameter: registering again replaces the previous
         hook; ``clear_grad_ready_hooks`` removes them.
         """
-        for name, p in self.named_parameters():
+        for name, p in self._flat().named_parameters:
             p._grad_hook = (lambda t, _n=name: fn(_n, t))
 
     def clear_grad_ready_hooks(self) -> None:
         """Remove grad-ready hooks from every parameter."""
-        for _, p in self.named_parameters():
+        for p in self._flat().parameters:
             p._grad_hook = None
 
     # ------------------------------------------------------------------
@@ -159,6 +190,7 @@ class Sequential(Module):
         self.layers = list(layers)
         for i, layer in enumerate(layers):
             self._modules[str(i)] = layer
+        _structure_changed()
 
     def forward(self, x: Tensor) -> Tensor:
         for layer in self.layers:
@@ -170,3 +202,38 @@ class Sequential(Module):
 
     def __getitem__(self, idx: int) -> Module:
         return self.layers[idx]
+
+
+class _Flat:
+    """One recursive walk of a module tree, in registration order:
+    ``(qualified_name, parameter)`` pairs, the parameters alone,
+    ``(qualified_name, owner, attribute)`` per buffer and the modules
+    below the root (pre-order).  The root itself is never referenced
+    (its buffers' owner is ``None``), so the cache it keeps makes no
+    reference cycle and a dropped model is freed by refcount.  Shared
+    modules and tied parameters appear once per place they are
+    registered, as the walk meets them."""
+
+    __slots__ = ("epoch", "named_parameters", "parameters", "buffers", "descendants")
+
+    def __init__(self, root: Module):
+        self.epoch = _epoch
+        named: List[Tuple[str, Parameter]] = []
+        buffers: List[Tuple[str, Optional[Module], str]] = []
+        modules: List[Module] = []
+        # Pre-order with an explicit stack: a recursive closure would be
+        # a reference cycle holding ``root``.
+        stack: List[Tuple[Module, str]] = [(root, "")]
+        while stack:
+            mod, prefix = stack.pop()
+            owner = None if mod is root else mod
+            named.extend((prefix + n, p) for n, p in mod._parameters.items())
+            buffers.extend((prefix + n, owner, n) for n in mod._buffers)
+            children = [(child, prefix + n + ".") for n, child in mod._modules.items()]
+            stack.extend(reversed(children))
+            if owner is not None:
+                modules.append(mod)
+        self.named_parameters = tuple(named)
+        self.parameters = tuple(p for _, p in named)
+        self.buffers = tuple(buffers)
+        self.descendants = tuple(modules)

@@ -25,6 +25,7 @@ from repro.comm.tracing import CommTracer
 from repro.comm.transport import CommError, ProcessTransport
 from repro.core.arena import (
     GradientArena,
+    RankRows,
     SharedGradientArena,
     leaked_shared_segments,
 )
@@ -102,7 +103,7 @@ def compute_grads_into(
     if not isinstance(out, Mapping):
         if accumulate:
             raise ValueError("compute_grads_into over rank views overwrites them")
-        return _compute_rank_blocks(model, loss_fn, xb, yb, list(out), on_ready)
+        return _compute_rank_blocks(model, loss_fn, xb, yb, RankRows.of(out), on_ready)
     if on_ready is not None:
         def hook(name, p):
             np.copyto(out[name], p.grad)
@@ -131,21 +132,25 @@ def _compute_rank_blocks(
     loss_fn: Callable,
     xb: np.ndarray,
     yb: np.ndarray,
-    views: List[Mapping[str, np.ndarray]],
+    dests: RankRows,
     on_ready: Optional[Callable[[str], None]],
 ) -> List[float]:
-    """:func:`compute_grads_into` over ``len(views)`` stacked rank blocks."""
-    blocks = len(views)
+    """:func:`compute_grads_into` over ``len(dests)`` stacked rank blocks.
+
+    Each parameter's ``(R, *shape)`` gradient lands with
+    :meth:`RankRows.land <repro.core.arena.RankRows.land>`: one write
+    per run of consecutive arena rows when ``dests`` came from
+    :meth:`GradientArena.rank_rows
+    <repro.core.arena.GradientArena.rank_rows>`, one per rank for any
+    other sequence of mappings.
+    """
+    blocks = len(dests)
     if blocks < 2 or len(xb) % blocks:
         raise ValueError(
             "compute_grads_into over rank blocks needs >= 2 rank views and "
             f"a batch of equal blocks (got {blocks} views, {len(xb)} samples)"
         )
-
-    def land(name, grad):
-        for dest, row in zip(views, grad):
-            np.copyto(dest[name], row)
-
+    land = dests.land
     if on_ready is not None:
         def hook(name, p):
             land(name, p.grad)
@@ -168,7 +173,7 @@ def _compute_rank_blocks(
     if on_ready is None:
         for name, p in model.named_parameters():
             land(name, p.grad)
-    return [float(v) for v in loss.data]
+    return loss.data.tolist()
 
 
 @contextlib.contextmanager
@@ -316,6 +321,7 @@ class FusedRankExecutor(SerialRankExecutor):
         super().__init__(*args)
         self.engine = engine
         self._validated = set()  # call shapes byte-compared so far
+        self._dests: Dict[Tuple[int, ...], RankRows] = {}  # rows -> landing views
 
     def compute(
         self,
@@ -328,10 +334,12 @@ class FusedRankExecutor(SerialRankExecutor):
             and len(rank_indices) >= self.engine.min_blocks
             and len({len(idx) for idx in rank_indices}) == 1
         ):
-            rows = list(range(len(rank_indices)) if ranks is None else ranks)
-            x = np.concatenate([self.x[idx] for idx in rank_indices])
-            y = np.concatenate([self.y[idx] for idx in rank_indices])
-            views = [self.arena.views(r) for r in rows]
+            rows = tuple(range(len(rank_indices)) if ranks is None else ranks)
+            idx = np.concatenate(rank_indices)
+            x, y = self.x[idx], self.y[idx]
+            views = self._dests.get(rows)
+            if views is None:
+                views = self._dests[rows] = self.arena.rank_rows(rows)
             shape = (len(rows), x.shape)
             marked = []
             ready = None
@@ -361,7 +369,7 @@ class FusedRankExecutor(SerialRankExecutor):
         any mismatch.  Returns the loop's losses — its rows are what the
         arena is left holding."""
         fused_losses = self.engine.step(x, y, views, ready_cb=None)
-        fused_rows = self.arena.data[rows]
+        fused_rows = self.arena.data[list(rows)]
         serial_losses = super().compute(rank_indices, rows)
         if fused_losses != serial_losses or any(  # row by row: no second copy
             fused.tobytes() != self.arena.row(r).tobytes()

@@ -45,6 +45,47 @@ class TestMnistLike:
         diff = sims[y[:, None] != y[None, :]].mean()
         assert same > diff + 0.1
 
+    @pytest.mark.parametrize("n, noise, kwargs", [
+        (6144, 0.6, {}),
+        (512, 0.35, {}),
+        (1000, 0.2, {}),
+        (7, 0.0, {"num_classes": 3, "image_size": 12}),
+    ])
+    def test_bytes_match_the_per_sample_roll(self, n, noise, kwargs):
+        x, y = make_mnist_like(n, noise=noise, seed=3, **kwargs)
+        x_ref, y_ref = _mnist_like_per_sample(n, noise=noise, seed=3, **kwargs)
+        assert x.tobytes() == x_ref.tobytes()
+        assert x.shape == x_ref.shape and x.dtype == x_ref.dtype
+        np.testing.assert_array_equal(y, y_ref)
+
+
+def _mnist_like_per_sample(n_samples, num_classes=10, image_size=28, noise=0.35, seed=0):
+    """``make_mnist_like`` as it was written first: one ``np.roll`` per
+    sample.  The reference the indexed version must match byte for byte."""
+    rng = np.random.default_rng(seed)
+    s = image_size
+    yy, xx = np.mgrid[0:s, 0:s] / s
+    templates = np.zeros((num_classes, s, s), dtype=np.float32)
+    for c in range(num_classes):
+        for _ in range(3):
+            fx, fy = rng.uniform(1.0, 4.0, size=2)
+            px, py = rng.uniform(0, 2 * np.pi, size=2)
+            templates[c] += np.sin(2 * np.pi * fx * xx + px) * np.cos(
+                2 * np.pi * fy * yy + py
+            )
+        templates[c] -= templates[c].min()
+        templates[c] /= templates[c].max()
+    labels = rng.integers(0, num_classes, size=n_samples)
+    x = np.empty((n_samples, 1, s, s), dtype=np.float32)
+    shifts = rng.integers(-2, 3, size=(n_samples, 2))
+    amps = rng.uniform(0.7, 1.3, size=n_samples).astype(np.float32)
+    for i in range(n_samples):
+        img = np.roll(templates[labels[i]], tuple(shifts[i]), axis=(0, 1))
+        x[i, 0] = amps[i] * img
+    x += noise * rng.standard_normal(x.shape).astype(np.float32)
+    np.clip(x, 0.0, 1.5, out=x)
+    return x, labels.astype(np.int64)
+
 
 class TestImageClassification:
     def test_shapes(self):
