@@ -11,7 +11,7 @@ checks the contracts the control plane must never break:
 * the full metrics payload is byte-stable across independent runs
   (same seed → same JSON), also when the rerun follows an unrelated
   trace in the same process — nothing process-wide (the module walk
-  and hop-plan caches) leaks from one scheduler into the next;
+  caches) leaks from one scheduler into the next;
 * no ``/dev/shm`` segment survives the run (jobs own real
   ``ElasticTrainer`` instances, so leaked execution state would show
   up here first).

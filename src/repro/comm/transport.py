@@ -331,20 +331,15 @@ class GroupComm:
     the benchmarks read.
     """
 
-    def __init__(self, base: Comm, group, presorted: bool = False, positions=None):
+    def __init__(self, base: Comm, group, presorted: bool = False):
         # ``presorted``: the caller sorted one list for all its ranks.
-        # ``positions``: that list's ``{global rank: local rank}`` map,
-        # which a caller reusing the group builds once.
         if not presorted:
             group = sorted(group)
-        if positions is None:
-            positions = {g: i for i, g in enumerate(group)}
-        rank = positions.get(base.rank)
-        if rank is None:
+        if base.rank not in group:
             raise ValueError(f"rank {base.rank} not in group {group}")
         self._base = base
         self._group = group
-        self.rank = rank
+        self.rank = group.index(base.rank)
         self.size = len(group)
 
     @property

@@ -20,11 +20,6 @@ reducer's own ``reduce_flat`` on the stacked rows.
 Only the subgroup root ends up with the combined row (the supervisor
 applies it centrally); a broadcast would only add simulated latency.
 
-The hops are planned once per world, not per call: each participant
-tuple's positions, rank map and per-position hop lists are kept on the
-strategy instance that planned them (:func:`_hop_plan`), so a steady
-step builds no schedule and no rank map.
-
 Wire compression (``wire_format``): when the supervisor has already
 round-tripped the rows through the wire codec stack
 (``wire_codecs``, :mod:`repro.comm.codec`), every element is exactly
@@ -42,7 +37,7 @@ precision (§4.4.1).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -64,42 +59,6 @@ def _recv_decoded(sub, src: int, wire) -> np.ndarray:
     """Receive and decode a contribution; raw fp32 passes through."""
     payload = sub.recv(src)
     return payload if wire is None else wire.decode(payload)
-
-
-class _HopPlan:
-    """One participant tuple's replay, built once per strategy instance:
-    the group, its ``{global rank: position}`` map, and — for a cell
-    with a pair schedule — each position's hops in schedule order: the
-    ``(src, kind)`` rows it absorbs, then where it sends its own
-    (``None`` at the root).  ``absorbs`` is ``None`` for a cell without
-    a schedule (the gather)."""
-
-    __slots__ = ("group", "positions", "absorbs", "send_to")
-
-    def __init__(self, strategy, group: Tuple[int, ...]):
-        self.group = list(group)
-        self.positions = {g: i for i, g in enumerate(group)}
-        n = len(group)
-        levels = strategy.pair_schedule(n) if n > 1 else None
-        self.absorbs: Optional[List[list]] = None
-        self.send_to: List[Optional[int]] = [None] * n
-        if levels is not None:
-            self.absorbs = [[] for _ in range(n)]
-            for level in levels:
-                for dst, src, kind in level:
-                    self.absorbs[dst].append((src, kind))
-                    self.send_to[src] = dst
-
-
-def _hop_plan(strategy, participants: Tuple[int, ...]) -> _HopPlan:
-    """The plan of ``participants`` kept on ``strategy`` itself, never
-    by ``id()``: :meth:`~repro.core.strategies.ReduceStrategy.bind` may
-    return a transient copy whose id a later copy reuses."""
-    plans = vars(strategy).setdefault("_hop_plans", {})
-    plan = plans.get(participants)
-    if plan is None:
-        plan = plans[participants] = _HopPlan(strategy, participants)
-    return plan
 
 
 def cluster_reduce(
@@ -134,38 +93,47 @@ def cluster_reduce(
         raise ValueError(
             f"data has {data.shape[0]} rows for a {cluster.size}-rank cluster"
         )
-    group = tuple(sorted(participants)) if participants is not None else tuple(
-        range(cluster.size)
+    participants = (
+        sorted(participants) if participants is not None else list(range(cluster.size))
     )
-    if not group:
+    if not participants:
         raise ValueError("need at least one participant")
+    part_set = set(participants)
+    n = len(participants)
     strategy = reducer.strategy
-    plan = _hop_plan(strategy, group)
-    positions, absorbs, send_to = plan.positions, plan.absorbs, plan.send_to
-    n = len(group)
     # Whole-model reduction ignores layer boundaries (one flat block).
     bounds = boundaries if reducer.per_layer else None
+    levels = strategy.pair_schedule(n)
+    if levels is not None:
+        # Each position's hops in schedule order: the rows it absorbs,
+        # then (every position but the root) where it sends its own.
+        absorbs: List[list] = [[] for _ in range(n)]
+        send_to: List[Optional[int]] = [None] * n
+        for level in levels:
+            for dst, src, kind in level:
+                absorbs[dst].append((src, kind))
+                send_to[src] = dst
 
     def fn(comm):
-        me = positions.get(comm.rank)
-        if me is None:
+        if comm.rank not in part_set:
             return None
         acc = data[comm.rank].copy()
         if n == 1:
             return acc
-        sub = GroupComm(comm, plan.group, presorted=True, positions=positions)
-        if absorbs is None:
+        sub = GroupComm(comm, participants, presorted=True)
+        if levels is None:
             # No schedule: gather the rows to the subgroup root and
             # reduce them with the in-process kernel (rank order matches
             # the row-stack order).  Every gathered row is original.
-            if me == 0:
+            if sub.rank == 0:
                 rows: List[np.ndarray] = [acc]
-                for src in range(1, n):
+                for src in range(1, sub.size):
                     rows.append(_recv_decoded(sub, src, wire_format))
-                sub.compute(acc.nbytes * (n - 1), label=strategy.op)
+                sub.compute(acc.nbytes * (sub.size - 1), label=strategy.op)
                 return reducer.reduce_flat(np.stack(rows), boundaries)
             _send_encoded(sub, acc, 0, wire_format, boundaries)
             return None
+        me = sub.rank
         for src, kind in absorbs[me]:
             other = _recv_decoded(sub, src, wire_format)
             sub.compute(acc.nbytes, label=strategy.op)
@@ -182,6 +150,6 @@ def cluster_reduce(
         return None
 
     results = cluster.run(fn, order=range(cluster.size - 1, -1, -1))
-    combined = results[group[0]]
+    combined = results[participants[0]]
     assert combined is not None, "subgroup root returned no reduction"
     return combined

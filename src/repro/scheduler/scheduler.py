@@ -104,9 +104,6 @@ class Scheduler:
         self.ledger = RankLedger(pool_size)
         self.queue = AdmissionQueue()
         self.jobs: Dict[str, Job] = {}
-        #: Admitted and not yet completed: every job that holds ranks is
-        #: here (a killed, requeued one stays, filtered out by phase).
-        self._live: Dict[str, Job] = {}
         self.now = 0.0
         self._events: List[Tuple[float, int, str, str, int]] = []
         self._seq = 0
@@ -159,7 +156,7 @@ class Scheduler:
         if dt > 0:
             active = sum(
                 j.width
-                for j in self._live.values()
+                for j in self.jobs.values()
                 if j.phase in (JobPhase.RUNNING, JobPhase.SHRUNK)
             )
             self._active_area += active * dt
@@ -231,14 +228,12 @@ class Scheduler:
         self._admit_seq += 1
         job.start()
         job.phase = JobPhase.RUNNING
-        self._live[job.name] = job
         self.ledger.check()
         self._schedule_step(job)
 
     def _complete(self, job: Job) -> None:
         job.finish_t = self.now
         job.phase = JobPhase.COMPLETED
-        del self._live[job.name]
         for loan in list(job.borrowed):
             self._settle(loan)
         self.ledger.release_all(job.name)
@@ -253,7 +248,7 @@ class Scheduler:
         (no loan chains), lowest tier first then most recently admitted."""
         victims = [
             j
-            for j in self._live.values()
+            for j in self.jobs.values()
             if j.phase in (JobPhase.RUNNING, JobPhase.SHRUNK)
             and j.spec.priority < cand.spec.priority
             and not j.borrowed

@@ -1,9 +1,8 @@
 """What a steady elastic step no longer re-derives, counted.
 
 Once a world is built, a step walks no module tree (the flattened
-lists are cached until the structure changes), builds no pair schedule
-(the collective's hop plan is kept per participant tuple), and lands
-each parameter's rank-stacked gradient in the arena with one write.
+lists are cached until the structure changes) and lands each
+parameter's rank-stacked gradient in the arena with one write.
 The counts come from monkeypatching the primitives themselves, so the
 guard measures the work, not a counter the code under test keeps.
 """
@@ -13,7 +12,6 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
-import repro.core.strategies as strategies
 from repro import nn
 from repro.core import RunConfig
 from repro.elastic import ElasticTrainer
@@ -80,19 +78,6 @@ def test_steady_steps_walk_no_module_tree(trainer, monkeypatch):
             object.__setattr__(mod, attr, _CountingDict(getattr(mod, attr)))
     _steps(trainer)
     assert walks[0] == 0
-
-
-def test_steady_steps_build_no_pair_schedule(trainer, monkeypatch):
-    calls = []
-    strategy = trainer.dist_opt.reducer.strategy
-    method = type(strategy).pair_schedule
-    function = strategies.pair_schedule
-    monkeypatch.setattr(type(strategy), "pair_schedule",
-                        lambda self, n: calls.append(n) or method(self, n))
-    monkeypatch.setattr(strategies, "pair_schedule",
-                        lambda n: calls.append(n) or function(n))
-    _steps(trainer)
-    assert calls == []
 
 
 def test_each_parameter_lands_with_one_write(trainer, monkeypatch):

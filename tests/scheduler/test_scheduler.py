@@ -227,48 +227,3 @@ class TestValidateForPool:
     def test_valid_config_chains(self):
         cfg = RunConfig(topology="tree_any", num_ranks=4)
         assert cfg.validate_for_pool(8) is cfg
-
-
-class _AllJobsScheduler(Scheduler):
-    """The scheduler before it kept its live jobs: every event's
-    utilization integral and every victim search scanned all submitted
-    jobs.  Frozen here as the reference the live-job bookkeeping must
-    match byte for byte."""
-
-    def _integrate(self, t):
-        dt = t - self._last_t
-        if dt > 0:
-            active = sum(
-                j.width
-                for j in self.jobs.values()
-                if j.phase in (JobPhase.RUNNING, JobPhase.SHRUNK)
-            )
-            self._active_area += active * dt
-            self._alloc_area += (self.pool_size - self.ledger.free_count) * dt
-        self._last_t = t
-
-    def _victims_for(self, cand):
-        victims = [
-            j
-            for j in self.jobs.values()
-            if j.phase in (JobPhase.RUNNING, JobPhase.SHRUNK)
-            and j.spec.priority < cand.spec.priority
-            and not j.borrowed
-        ]
-        victims.sort(key=lambda j: (j.spec.priority, -j.admitted_seq, j.name))
-        return victims
-
-
-class TestLiveJobBookkeeping:
-    @pytest.mark.parametrize("policy", ["loans", "kill"])
-    @pytest.mark.parametrize("seed", [5, 23])
-    def test_payload_matches_the_all_jobs_scan(self, policy, seed):
-        def run(cls):
-            with cls(pool_size=8, policy=policy) as sched:
-                sched.submit_all(generate_trace(n_jobs=30, pool_size=8, seed=seed))
-                return sched.run()
-
-        live, frozen = run(Scheduler), run(_AllJobsScheduler)
-        assert json.dumps(live, sort_keys=True) == json.dumps(frozen, sort_keys=True)
-        assert live["aggregate"]["preemptions"] > 0  # victims were searched
-        assert live["aggregate"]["utilization"]["active"] > 0
