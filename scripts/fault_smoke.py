@@ -6,9 +6,11 @@ injection) as a subprocess and kills it if it exceeds the budget —
 the suite exercises deliberately-hung ranks, so a regression in hang
 detection would otherwise stall CI instead of failing it.  A second
 phase then runs the elastic kill -> recover -> converge scenario
-end-to-end: ranks are killed mid-epoch, the supervisor must evict
-them, re-shard, finish every epoch at the full sample budget, and land
-within a loss tolerance of the failure-free run.
+end-to-end, once over raw fp32 and once under an error-feedback codec
+stack (``fp16,int8``): ranks are killed mid-epoch, the supervisor must
+evict them, re-shard, finish every epoch at the full sample budget, and
+land within a loss tolerance of the failure-free run under the same
+stack.
 
 Usage::
 
@@ -41,10 +43,11 @@ rng = np.random.default_rng(0)
 x = rng.standard_normal((320, 8)).astype(np.float32)
 y = (x @ rng.standard_normal((8, 3))).argmax(axis=1)
 
-def run(schedule):
+def run(schedule, wire_codecs):
     model = MLP((8, 24, 3), rng=np.random.default_rng(0))
     config = RunConfig(op="adasum", topology="tree_any", num_ranks=8,
-                       microbatch=4, seed=0, faults=schedule)
+                       microbatch=4, seed=0, faults=schedule,
+                       wire_codecs=wire_codecs)
     tr = ElasticTrainer(model, nn.CrossEntropyLoss(),
                         lambda ps: SGD(ps, lr=0.25), x, y, config)
     losses = []
@@ -54,20 +57,23 @@ def run(schedule):
             "samples dropped or duplicated after recovery")
     return tr, losses
 
-clean, clean_losses = run(None)
-sched = ElasticSchedule().kill(2, 3).kill(12, 0).kill(12, 6)
-faulty, faulty_losses = run(sched)
+# Raw fp32, then an error-feedback stack whose residuals a rebuild resets.
+for wire_codecs in ((), ("fp16", "int8")):
+    label = ",".join(wire_codecs) or "fp32"
+    clean, clean_losses = run(None, wire_codecs)
+    sched = ElasticSchedule().kill(2, 3).kill(12, 0).kill(12, 6)
+    faulty, faulty_losses = run(sched, wire_codecs)
 
-assert faulty.num_ranks == 5, faulty.num_ranks
-assert len(faulty.recoveries) == 2, faulty.recoveries
-assert faulty.recovery_seconds, "recovery overhead not recorded"
-assert faulty_losses[-1] < faulty_losses[0], "kill run did not converge"
-gap = abs(faulty_losses[-1] - clean_losses[-1])
-assert gap < 0.1, f"final loss gap {gap:.4f} vs failure-free run"
-print(f"elastic scenario: 8 -> 7 -> 5 ranks, final loss "
-      f"{faulty_losses[-1]:.4f} (failure-free {clean_losses[-1]:.4f}, "
-      f"gap {gap:.4f}), max recovery "
-      f"{max(faulty.recovery_seconds) * 1e3:.1f} ms")
+    assert faulty.num_ranks == 5, faulty.num_ranks
+    assert len(faulty.recoveries) == 2, faulty.recoveries
+    assert faulty.recovery_seconds, "recovery overhead not recorded"
+    assert faulty_losses[-1] < faulty_losses[0], f"{label} kill run did not converge"
+    gap = abs(faulty_losses[-1] - clean_losses[-1])
+    assert gap < 0.1, f"{label}: final loss gap {gap:.4f} vs failure-free run"
+    print(f"elastic scenario ({label} wire): 8 -> 7 -> 5 ranks, final loss "
+          f"{faulty_losses[-1]:.4f} (failure-free {clean_losses[-1]:.4f}, "
+          f"gap {gap:.4f}), max recovery "
+          f"{max(faulty.recovery_seconds) * 1e3:.1f} ms")
 """
 
 

@@ -192,20 +192,19 @@ def _trace_collective_fn(name: str, gpus_per_node: int) -> Callable:
     tracing exercises the same strategy-registry path as training.
     """
     from repro.comm.collectives import cluster_allreduce
-    from repro.comm.hierarchical import hierarchical_adasum_allreduce
 
-    dispatch = {
+    op, topology = {
         "adasum_rvh": ("adasum", "rvh"),
         "adasum_ring": ("adasum", "ring"),
         "ring": ("sum", "ring"),
         "rd": ("sum", "tree"),
-    }
-    if name == "hierarchical":
-        return lambda comm, g: hierarchical_adasum_allreduce(
-            comm, g, gpus_per_node
-        )
-    op, topology = dispatch[name]
-    return lambda comm, g: cluster_allreduce(comm, g, op=op, topology=topology)
+        "hierarchical": ("adasum", "hierarchical"),
+    }[name]
+    # Only the hierarchical cell takes a node width.
+    width = gpus_per_node if topology == "hierarchical" else None
+    return lambda comm, g: cluster_allreduce(
+        comm, g, op=op, topology=topology, gpus_per_node=width
+    )
 
 
 def _trace_main(argv) -> int:
@@ -244,6 +243,9 @@ def _trace_main(argv) -> int:
                         help="write a Chrome-trace JSON here")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
+    if args.collective == "hierarchical" and args.ranks % args.gpus_per_node:
+        parser.error(f"--ranks {args.ranks} is not a multiple of "
+                     f"--gpus-per-node {args.gpus_per_node}")
 
     plan = None
     if args.straggler is not None or args.kill is not None:
@@ -344,9 +346,6 @@ def _elastic_main(argv) -> int:
                         help="comma-separated wire-codec stack for the "
                              "collective, e.g. 'fp16' or 'fp16,int8,topk:0.01' "
                              "(lossy codecs carry error-feedback residuals)")
-    parser.add_argument("--bucket-cap-mb", type=float, default=None,
-                        help="run the phase-2 collective per bucket of at most "
-                             "this many MB (default: one whole-row collective)")
     parser.add_argument("--kill", action="append", default=[],
                         metavar="STEP:RANK",
                         help="kill global RANK during the reduction of STEP "
@@ -403,7 +402,6 @@ def _elastic_main(argv) -> int:
         config = RunConfig(
             op=args.op, topology=args.topology, gpus_per_node=args.gpus_per_node,
             wire_codecs=args.wire_codecs or (),
-            bucket_cap_mb=args.bucket_cap_mb,
             num_ranks=args.ranks, microbatch=args.microbatch, seed=args.seed,
             faults=schedule if have_faults else None,
             network=network, timeout=args.timeout, min_ranks=args.min_ranks,

@@ -1,28 +1,34 @@
 """Composable wire codecs: the one home of the wire-format boundary.
 
-The wire format is a declarative codec stack.  A :class:`WireCodec` turns a
-flat float32 gradient block into a wire payload and back; a
-:class:`CodecPipeline` chains codecs in declared order, so
+The wire format is a declarative codec stack.  A :class:`WireCodec` is
+two methods: :meth:`~WireCodec.roundtrip` rewrites a flat float32
+gradient block in place to exactly what a receiver would decode, and
+:meth:`~WireCodec.block_nbytes` models the bytes its payload would
+take.  A :class:`CodecPipeline` chains codecs in declared order, so
 ``("fp16", "int8", "topk:0.01")`` means scale-to-fp16, then dynamic
 int8 quantization, then magnitude top-k sparsification, each stage
-round-tripping the previous stage's output.
+round-tripping the previous stage's output.  The simulator then ships
+the round-tripped float32 rows and charges them the stack's modeled
+size (:meth:`CodecPipeline.wire_nbytes`); there is no separate payload
+form to keep in step with the round trip.
 
 Contracts
 ---------
 Every codec declares one of two contracts:
 
-* **bit-exact** (``identity``, ``fp16``): ``decode(encode(x)) == x``
-  for representable inputs.  fp16 is bit-exact *on values that
-  round-trip* — the dynamic scaler keeps gradients inside fp16 range
-  and a power-of-two scale makes the scale/unscale multiply lossless,
-  so a row that survives the overflow check decodes to exactly the
-  grid value every consumer then agrees on.
+* **bit-exact** (``identity``, ``fp16``): ``roundtrip`` leaves a value
+  the wire can represent unchanged, so it loses nothing beyond that
+  rounding.  fp16 is bit-exact *on values that round-trip* — the
+  dynamic scaler keeps gradients inside fp16 range and a power-of-two
+  scale makes the scale/unscale multiply lossless, so a row that
+  survives the overflow check holds exactly the grid value every
+  consumer then agrees on.
 * **bounded-error with error feedback** (``int8``, ``topk``,
   ``onebit``): the round-trip loses information, and the per-element
   residual (``adjusted = x + residual; residual' = adjusted -
-  decode(encode(adjusted))``) is carried into the next step so the
-  lost mass is eventually transmitted (EF-SGD).  Codecs with this
-  contract MUST run with residual state or convergence degrades —
+  roundtrip(adjusted)``) is carried into the next step so the lost
+  mass is eventually transmitted (EF-SGD).  Codecs with this contract
+  MUST run with residual state or convergence degrades —
   :class:`CodecPipeline` allocates per-row residual arrays
   automatically.
 
@@ -32,11 +38,11 @@ Non-elementwise codecs (``int8``'s scale, ``topk``'s k) compute their
 statistics **per layer block** (the arena's tensor boundaries), never
 per bucket or per whole row.  A stage still makes one pass over a row's
 span: it is handed the span's block starts and keeps only its
-statistics (and top-k's selection) per block.  Overlap buckets and elastic bucketed
-collectives are tensor-aligned, so every execution path sees the same
-blocks and the encoded values are structurally identical across the
-phased, overlap, and elastic paths — the same trick per-layer Adasum
-uses for bit-exactness.
+statistics (and top-k's selection) per block.  Overlap buckets are
+tensor-aligned, so every execution path sees the same blocks and the
+encoded values are structurally identical across the phased, overlap,
+and elastic paths — the same trick per-layer Adasum uses for
+bit-exactness.
 
 Import direction: this module depends only on NumPy (the dynamic
 scaler is injected by the caller or imported lazily), so both
@@ -187,19 +193,19 @@ def _block_ends(starts, n: int) -> List[int]:
 class WireCodec:
     """One stage of the wire pipeline.
 
-    Subclasses set the contract flags and implement the span
-    round-trip plus the stateless payload encode/decode used for
-    transport-level sends.  ``roundtrip(span, residual, starts)``
-    mutates ``span`` in place to ``decode(encode(span + residual))``
-    layer block by layer block and updates ``residual`` (ignored when
-    ``error_feedback`` is False).  ``starts`` are the offsets in
+    Subclasses set the contract flags and implement two methods.
+    ``roundtrip(span, residual, starts)`` mutates ``span`` in place to
+    what a receiver would decode from ``span + residual``, layer block
+    by layer block, and updates ``residual`` (ignored when
+    ``error_feedback`` is False); :meth:`block_nbytes` models the
+    payload's size.  ``starts`` are the offsets in
     ``span`` where its layer blocks begin (``starts[0] == 0``; the
     default is one block): a stage makes one pass over the span and
     keeps only its statistics per block.
     """
 
     name: str = ""
-    #: Contract: decode(encode(x)) == x for representable x.
+    #: Contract: ``roundtrip`` leaves a representable value unchanged.
     bit_exact: bool = False
     #: Needs per-element residual state (bounded-error contract).
     error_feedback: bool = False
@@ -208,7 +214,7 @@ class WireCodec:
     elementwise: bool = False
 
     def begin_step(self, scale: Optional[float] = None) -> None:
-        """Fix per-step state (e.g. the fp16 scale) before any encode.
+        """Fix per-step state (e.g. the fp16 scale) before any round trip.
 
         ``scale`` is the step's fp16 scale when another process's scaler
         already fixed it (see :meth:`CodecPipeline.begin_step`).
@@ -218,20 +224,10 @@ class WireCodec:
         """Consume the step's aggregated overflow verdict; True = skip."""
         return False
 
-    # -- in-place round-trip (the wire boundary of the arena paths) ----
     def roundtrip(
         self, span: np.ndarray, residual: Optional[np.ndarray] = None, starts=(0,)
     ) -> bool:
         """Round-trip ``span`` in place; returns True on overflow."""
-        raise NotImplementedError
-
-    # -- stateless payload form (transport leaf hops, baselines) -------
-    def encode(self, flat: np.ndarray):
-        """Payload for an (already round-tripped) block; no residual."""
-        raise NotImplementedError
-
-    def decode(self, payload, size: int) -> np.ndarray:
-        """Invert :meth:`encode` into a flat float32 array."""
         raise NotImplementedError
 
     def block_nbytes(self, sizes: Sequence[int], itemsize: int) -> Tuple[int, int]:
@@ -251,12 +247,6 @@ class IdentityCodec(WireCodec):
 
     def roundtrip(self, span, residual=None, starts=(0,)):
         return False
-
-    def encode(self, flat):
-        return np.asarray(flat, dtype=np.float32)
-
-    def decode(self, payload, size):
-        return np.asarray(payload, dtype=np.float32)
 
     def block_nbytes(self, sizes, itemsize):
         return sum(sizes) * itemsize, itemsize
@@ -303,13 +293,6 @@ class Fp16Codec(WireCodec):
         np.multiply(rounded, 1.0 / scale, out=span)
         return overflow
 
-    def encode(self, flat):
-        with np.errstate(over="ignore"):
-            return (flat * self._step_scale).astype(np.float16)
-
-    def decode(self, payload, size):
-        return payload.astype(np.float32) * (1.0 / self._step_scale)
-
     def block_nbytes(self, sizes, itemsize):
         return sum(sizes) * 2, 2
 
@@ -341,13 +324,6 @@ class Int8Codec(WireCodec):
             if residual is not None:
                 np.subtract(adjusted, span, out=residual)
         return False
-
-    def encode(self, flat):
-        return int8_quantize(flat)
-
-    def decode(self, payload, size):
-        q, scale = payload
-        return q.astype(np.float32) * np.float32(scale)
 
     def block_nbytes(self, sizes, itemsize):
         # One byte per element plus a 4-byte scale per layer block.
@@ -382,16 +358,6 @@ class TopKCodec(WireCodec):
                 np.subtract(adjusted, span, out=residual)
         return False
 
-    def encode(self, flat):
-        idx, values = topk_select(np.asarray(flat, dtype=np.float32), self.ratio)
-        return idx.astype(np.int32), values
-
-    def decode(self, payload, size):
-        idx, values = payload
-        out = np.zeros(size, dtype=np.float32)
-        out[idx] = values
-        return out
-
     def block_nbytes(self, sizes, itemsize):
         # int32 index + one value at the upstream width per kept element.
         k_total = sum(max(int(round(n * self.ratio)), 1) for n in sizes)
@@ -418,13 +384,6 @@ class OneBitCodec(WireCodec):
                     np.subtract(adjusted, decoded, out=residual[a:b])
                 flat[:] = decoded
         return False
-
-    def encode(self, flat):
-        return onebit_stats(np.asarray(flat, dtype=np.float32))
-
-    def decode(self, payload, size):
-        pos, pos_mean, neg_mean = payload
-        return np.where(pos, pos_mean, neg_mean).astype(np.float32)
 
     def block_nbytes(self, sizes, itemsize):
         # One bit per element plus two scales per layer block.
@@ -631,8 +590,9 @@ class CodecPipeline:
 
         Deterministic (depends only on the bound layout): each stage
         narrows the per-value width and the last stage's payload size is
-        what crosses the wire.  This is the figure ``CommTracer`` byte
-        accounting and ``DistributedOptimizer.last_wire_bytes`` report.
+        what crosses the wire.  This is the figure
+        ``DistributedOptimizer.last_wire_bytes`` books per row and the
+        elastic collective charges each send of an original row.
         """
         hi = self._total if hi is None else hi
         sizes = [b - a for a, b in self._blocks(lo, hi)]
@@ -642,11 +602,6 @@ class CodecPipeline:
             nbytes, itemsize = codec.block_nbytes(sizes, itemsize)
         return nbytes
 
-    # -- transport leaf format ----------------------------------------
-    def leaf_format(self) -> "PipelineWireFormat":
-        """Wire format for transport-level sends of round-tripped rows."""
-        return PipelineWireFormat(self)
-
 
 def build_pipeline(specs, scaler=None) -> Optional[CodecPipeline]:
     """Build a :class:`CodecPipeline` from spec strings; ``None`` when
@@ -655,65 +610,3 @@ def build_pipeline(specs, scaler=None) -> Optional[CodecPipeline]:
     if not specs:
         return None
     return CodecPipeline([build_codec(s, scaler=scaler) for s in specs])
-
-
-# ----------------------------------------------------------------------
-# Transport wire formats (elastic leaf-hop compression)
-# ----------------------------------------------------------------------
-
-class PipelineWireFormat:
-    """Compress original-row transport sends through the codec stack.
-
-    The arena rows were already round-tripped by
-    :meth:`CodecPipeline.encode_block`, so a leaf hop's payload only
-    needs *some* exact re-encoding of the grid-resident row.  The
-    format re-encodes statelessly (no residuals) per layer block,
-    **verifies** the decode reproduces the row bit-for-bit, and falls
-    back to raw float32 (at raw cost) when it does not — the
-    bit-exactness contract of the elastic collective is enforced by
-    construction, whatever the stack.  Reported bytes come from the
-    pipeline's modeled :meth:`CodecPipeline.wire_nbytes` (a real system
-    would ship quantized ints + scales; the simulator ships exact
-    floats and costs the modeled size).
-    """
-
-    _TAG = "__wire_codec__"
-
-    def __init__(self, pipeline: CodecPipeline):
-        self.pipeline = pipeline
-
-    def _block_spans(self, n: int, boundaries) -> List[Tuple[int, int]]:
-        edges = [int(b) for b in (boundaries or ()) if 0 < int(b) < n]
-        points = [0] + edges + [n]
-        return list(zip(points[:-1], points[1:]))
-
-    def encode(self, row: np.ndarray, boundaries=None):
-        final = self.pipeline.codecs[-1]
-        spans = self._block_spans(row.size, boundaries)
-        chunks = []
-        decoded = np.empty_like(row)
-        for a, b in spans:
-            payload = final.encode(row[a:b])
-            decoded[a:b] = final.decode(payload, b - a)
-            chunks.append((a, b, payload))
-        if not np.array_equal(decoded, row):
-            # Off-grid content (e.g. interior partials, or a stage whose
-            # re-encode is not idempotent on this data): honest fallback
-            # at raw cost, contract intact.
-            return row, row.nbytes
-        sizes = [b - a for a, b in spans]
-        itemsize = 4
-        nbytes = sum(sizes) * itemsize
-        for codec in self.pipeline.codecs:
-            nbytes, itemsize = codec.block_nbytes(sizes, itemsize)
-        return (self._TAG, row.size, chunks), nbytes
-
-    def decode(self, payload) -> np.ndarray:
-        if not (isinstance(payload, tuple) and len(payload) == 3 and payload[0] == self._TAG):
-            return payload
-        _, size, chunks = payload
-        final = self.pipeline.codecs[-1]
-        out = np.empty(size, dtype=np.float32)
-        for a, b, chunk in chunks:
-            out[a:b] = final.decode(chunk, b - a)
-        return out

@@ -102,10 +102,8 @@ class RunConfig:
         ``("fp16", "int8", "topk:0.01")``; parsed once, here, to a
         normalized tuple (see :mod:`repro.comm.codec`).
     bucket_cap_mb:
-        Bucket size cap.  With ``overlap`` it sizes the overlap
-        buckets, and ``None`` buckets at 1 MB; in an elastic run it
-        splits the phase-2 collective into one collective per bucket,
-        and ``None`` keeps one whole-row collective.
+        The overlap plan's bucket size cap; ``None`` buckets at 1 MB.
+        Read only by an ``overlap`` run.
     overlap:
         Reduce in buckets as backprop produces them: each step is
         handed an :class:`~repro.core.overlap.OverlapScheduler` plan,
@@ -291,7 +289,7 @@ class RunConfig:
         if self.overlap:
             raise ValueError(
                 "ElasticTrainer has no overlap mode: set overlap=False "
-                "(bucket_cap_mb alone buckets the elastic collective)"
+                "(an elastic step runs one whole-row collective)"
             )
         if isinstance(self.faults, FaultPlan):
             raise ValueError(

@@ -262,8 +262,9 @@ class DistributedOptimizer:
         buffer`` swaps out *who reduces* the prepared rows — the process
         backend's worker-parallel tree reduce and the elastic runtime's
         cluster collective plug in here, reading the participants
-        (``ctx["ranks"]``) and the transport ``ctx["wire_format"]`` from
-        the step context.  It is not called on a skipped step (fp16
+        (``ctx["ranks"]``) and the modeled per-row wire bytes of the codec
+        stack (``ctx["leaf_nbytes"]``, ``None`` without one) from the step
+        context.  It is not called on a skipped step (fp16
         overflow).
 
         A ``plan`` (an :class:`~repro.core.overlap.OverlapScheduler`
@@ -285,7 +286,7 @@ class DistributedOptimizer:
             )
         ctx: Dict = {
             "ranks": list(range(arena.num_ranks)) if ranks is None else list(ranks),
-            "starts": None, "overflow": False, "nbytes": 0,
+            "starts": None, "overflow": False, "nbytes": 0, "leaf_nbytes": None,
         }
         pipe = self.wire_pipeline
         if pipe is not None:
@@ -303,7 +304,7 @@ class DistributedOptimizer:
             yield None
             if self.prepare_wire_arena(arena, ctx):
                 if pipe is not None:
-                    ctx["wire_format"] = pipe.leaf_format()
+                    ctx["leaf_nbytes"] = pipe.wire_nbytes()
                 if reduce_fn is not None:
                     combined = reduce_fn(arena, ctx)
                 elif ranks is None:

@@ -20,19 +20,15 @@ reducer's own ``reduce_flat`` on the stacked rows.
 Only the subgroup root ends up with the combined row (the supervisor
 applies it centrally); a broadcast would only add simulated latency.
 
-Wire compression (``wire_format``): when the supervisor has already
-round-tripped the rows through the wire codec stack
-(``wire_codecs``, :mod:`repro.comm.codec`), every element is exactly
-what a receiver would decode, so a rank's *original* contribution can
-be sent in encoded form and decoded exactly — fewer bytes on the wire
-(and proportionally less simulated transmission cost) with zero extra
-precision loss.  The codec-backed format *verifies* the round trip and
-falls back to raw float32 when the row is off-grid, so the
-bit-exactness contract holds by construction.  Combined partials at
-interior tree hops are never grid-resident, so they stay fp32:
-compression applies to a sender that has absorbed nothing yet (every
-send of the gather), mirroring fp16-wire/fp32-accumulate mixed
-precision (§4.4.1).
+Wire bytes (``leaf_nbytes``): with a codec stack (``wire_codecs``,
+:mod:`repro.comm.codec`) the rows were already round-tripped by the
+pipeline, so each holds exactly what a receiver would decode.  A send
+carries the row itself, and a send of a row that has absorbed nothing
+yet (every send of the gather, every leaf hop of a tree) is charged
+the stack's modeled per-row bytes (:meth:`CodecPipeline.wire_nbytes`).
+Combined partials at interior tree hops are never grid-resident, so
+they are charged at raw fp32, mirroring fp16-wire/fp32-accumulate
+mixed precision (§4.4.1).
 """
 
 from __future__ import annotations
@@ -45,29 +41,13 @@ from repro.comm.transport import Cluster, GroupComm
 from repro.core.strategies import StrategyReducer
 
 
-def _send_encoded(sub, row: np.ndarray, dst: int, wire, bounds) -> None:
-    """Send an original (grid-resident) contribution, compressed when a
-    wire format is active; the costed size is the encoded payload's."""
-    if wire is None:
-        sub.send(row, dst)
-        return
-    payload, nbytes = wire.encode(row, bounds)
-    sub.send(payload, dst, nbytes=nbytes)
-
-
-def _recv_decoded(sub, src: int, wire) -> np.ndarray:
-    """Receive and decode a contribution; raw fp32 passes through."""
-    payload = sub.recv(src)
-    return payload if wire is None else wire.decode(payload)
-
-
 def cluster_reduce(
     cluster: Cluster,
     data: np.ndarray,
     boundaries: Optional[Sequence[int]],
     reducer: StrategyReducer,
     participants: Optional[Sequence[int]] = None,
-    wire_format=None,
+    leaf_nbytes: Optional[int] = None,
 ) -> np.ndarray:
     """Reduce ``data`` rows over ``cluster``; returns the combined row.
 
@@ -84,10 +64,9 @@ def cluster_reduce(
     ordered replay (:meth:`Cluster.run` with ``order=``) — no rank
     threads.
 
-    ``wire_format`` enables lossless compression of original-row sends
-    (see module docstring): pass the wire format of the codec stack the
-    rows were already round-tripped through
-    (:meth:`CodecPipeline.leaf_format`), or ``None`` for raw fp32.
+    ``leaf_nbytes`` is the costed size of a send of an original row
+    (see module docstring): the per-row modeled bytes of the codec stack
+    the rows were round-tripped through, or ``None`` for raw fp32.
     """
     if data.shape[0] != cluster.size:
         raise ValueError(
@@ -128,25 +107,21 @@ def cluster_reduce(
             if sub.rank == 0:
                 rows: List[np.ndarray] = [acc]
                 for src in range(1, sub.size):
-                    rows.append(_recv_decoded(sub, src, wire_format))
+                    rows.append(sub.recv(src))
                 sub.compute(acc.nbytes * (sub.size - 1), label=strategy.op)
                 return reducer.reduce_flat(np.stack(rows), boundaries)
-            _send_encoded(sub, acc, 0, wire_format, boundaries)
+            sub.send(acc, 0, nbytes=leaf_nbytes)
             return None
         me = sub.rank
         for src, kind in absorbs[me]:
-            other = _recv_decoded(sub, src, wire_format)
+            other = sub.recv(src)
             sub.compute(acc.nbytes, label=strategy.op)
             strategy.pair_combine(kind, acc, other, bounds, out=acc)
         dst = send_to[me]
         if dst is None:
             return strategy.finalize_pair(acc, n)
-        # Only an original row is exactly representable in encoded
-        # form; a partial that absorbed others travels as fp32.
-        if absorbs[me]:
-            sub.send(acc, dst)
-        else:
-            _send_encoded(sub, acc, dst, wire_format, boundaries)
+        # A partial that absorbed others is charged as fp32.
+        sub.send(acc, dst, nbytes=None if absorbs[me] else leaf_nbytes)
         return None
 
     results = cluster.run(fn, order=range(cluster.size - 1, -1, -1))

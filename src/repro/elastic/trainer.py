@@ -29,8 +29,8 @@ A rebuild resets the wire codecs' error-feedback residuals to zero (a
 safe state — pending error mass is dropped, never double-applied) and,
 under ``execution="processes"``, tears down the worker pool and its
 shared segments and respawns both at the new size.  Nothing is applied
-before every bucket's collective (``bucket_cap_mb``) or every combine
-round (``reduce_mode="workers"``, where scheduled kills bite at combine
+before the step's one whole-row collective or every combine round
+(``reduce_mode="workers"``, where scheduled kills bite at combine
 dispatch) has succeeded, so a failed step always rolls back with the
 model untouched.
 
@@ -234,9 +234,6 @@ class ElasticTrainer:
         self.executor = build_rank_executor(
             self.model, self.loss_fn, self.dist_opt, self.x, self.y, self.config
         )
-        self._buckets = self.dist_opt.bucket_plan(
-            self.executor.arena, self.config.bucket_cap_mb
-        ).buckets
 
     @property
     def arena(self):
@@ -613,13 +610,11 @@ class ElasticTrainer:
                 transport.faults = None
         else:
             self.cluster.faults = plan
-            # The tracer holds one step's events (all its buckets): the
-            # straggler detector reads nothing older.
+            # The tracer holds one step's events: the straggler detector
+            # reads nothing older.
             self.cluster.tracer.reset()
             try:
-                combined = self._run_collective(
-                    participants, ctx.get("wire_format")
-                )
+                combined = self._run_collective(participants, ctx["leaf_nbytes"])
             finally:
                 self.cluster.faults = None
             self._update_stragglers()
@@ -637,39 +632,22 @@ class ElasticTrainer:
         return combined
 
     def _run_collective(
-        self, participants: Sequence[int], wire_format=None
+        self, participants: Sequence[int], leaf_nbytes: Optional[int]
     ) -> np.ndarray:
-        """Phase-2 reduction on the cluster: one collective per bucket.
+        """Phase-2 reduction on the cluster: one whole-row collective.
 
-        ``dist_opt.bucket_plan`` decides the buckets (one whole-row
-        bucket without a cap, or under whole-model Adasum).  Each
-        tensor-aligned column range is reduced with its own collective
-        and the combined row only *assembled* — nothing is applied
-        here, so a failure in any bucket abandons the whole step with
-        the model untouched (the supervisor rolls back and retries).
-        Bit-identical to the whole-row collective: buckets hold whole
-        tensors, so per-layer Adasum sees the same slices either way.
-        Every collective is its own ``Cluster.run`` with its own clocks,
-        and the buckets run one after the other, so each adds its
-        ``max_clock()`` to ``sim_time`` (a failed step's share goes with
-        the rollback).
+        Only the combined row comes back — nothing is applied here, so a
+        failure abandons the step with the model untouched (the
+        supervisor rolls back and retries).  ``leaf_nbytes`` is the
+        costed size of an original row's send (``None``: raw fp32).
+        The collective's ``max_clock()`` is added to ``sim_time``.
         """
-        def reduce(data, boundaries):
-            combined = cluster_reduce(
-                self.cluster, data, boundaries, self.dist_opt.reducer,
-                participants, wire_format=wire_format,
-            )
-            self.sim_time += self.cluster.max_clock()
-            return combined
-
         arena = self.arena
-        if len(self._buckets) == 1:
-            return reduce(arena.data, arena.layout.boundaries())
-        combined = np.empty(arena.layout.total_size, dtype=arena.dtype)
-        for bucket in self._buckets:
-            combined[bucket.start:bucket.stop] = reduce(
-                arena.data[:, bucket.start:bucket.stop], bucket.rel_boundaries()
-            )
+        combined = cluster_reduce(
+            self.cluster, arena.data, arena.layout.boundaries(),
+            self.dist_opt.reducer, participants, leaf_nbytes=leaf_nbytes,
+        )
+        self.sim_time += self.cluster.max_clock()
         return combined
 
     # ------------------------------------------------------------------

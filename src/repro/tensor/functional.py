@@ -420,6 +420,12 @@ def _im2col(
     is C-contiguous in ``(f, b, l)`` — so the ``(f, b·l)`` matrix the
     single-GEMM candidates and the weight-gradient plan multiply is a
     view of each block, with the strides it had as a copy.
+
+    One output pixel (``l = 1``) is the exception: each block is
+    C-contiguous in ``(b, f, 1)``.  A contraction over a size-1 axis
+    leaves BLAS for einsum's own loops, and with one output channel those
+    sum in memory order, so only the ``(b, f)`` rows give the bytes of
+    the C-contiguous ``cols`` the kernels are held to.
     """
     n, c, _, _ = x.shape
     r = 1 if blocks is None else blocks
@@ -430,6 +436,11 @@ def _im2col(
     # Sliding-window view + one transposing copy: a pure reindexing.
     v = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
     v = v[:, :, ::stride, ::stride]  # (n, c, out_h, out_w, kh, kw)
+    if out_h * out_w == 1:
+        buf = _blocks_of(r, (b, c, kh, kw), x.dtype)
+        buf[...] = v.reshape(r, b, c, kh, kw)
+        cols = buf.reshape(r, b, c * kh * kw, 1)
+        return (cols[0] if blocks is None else cols), out_h, out_w
     buf = _blocks_of(r, (c, kh, kw, b, out_h, out_w), x.dtype)
     buf[...] = v.reshape(r, b, c, out_h, out_w, kh, kw).transpose(0, 2, 5, 6, 1, 3, 4)
     cols = buf.reshape(r, c * kh * kw, b, out_h * out_w).transpose(0, 2, 1, 3)

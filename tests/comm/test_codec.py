@@ -13,8 +13,6 @@ Covers the acceptance contracts of :mod:`repro.comm.codec`:
   no-codec path, and ``wire_codecs=("fp16",)`` is bit-identical to the
   scale -> fp16 cast -> decode arithmetic of §4.4.1 applied by hand
   (pinned across world sizes including non-powers-of-two);
-* the transport leaf format re-encodes grid-resident rows exactly and
-  falls back to raw fp32 on off-grid content;
 * the whole-row stages (one pass per stage over a row's span, only the
   statistics per layer block) are byte-equal to the per-block
   formulations they replaced, kept here as the reference.
@@ -30,7 +28,6 @@ from repro.comm.codec import (
     CodecPipeline,
     Fp16Codec,
     IdentityCodec,
-    PipelineWireFormat,
     build_codec,
     build_pipeline,
     int8_quantize,
@@ -183,23 +180,6 @@ class TestCodecContracts:
         np.testing.assert_array_equal(
             flat, np.where(pos, pos_mean, neg_mean).astype(np.float32)
         )
-
-    @settings(max_examples=25, deadline=None)
-    @given(seeds, sizes)
-    def test_stateless_encode_decode_matches_roundtrip(self, seed, n):
-        """decode(encode(x)) equals the in-place roundtrip of x for
-        every codec — the transport leaf form agrees with the arena
-        form on the same input.  (Re-encoding the *output* need not be
-        idempotent — e.g. onebit's float32 mean of its own two levels —
-        which is exactly why the leaf format verifies and falls back.)"""
-        x = _flat(seed, n)
-        for spec in ("identity", "fp16", "int8", "topk:0.25", "onebit"):
-            codec = build_codec(spec)
-            codec.begin_step()
-            flat = x.copy()
-            codec.roundtrip(flat, None)
-            decoded = codec.decode(codec.encode(x), n)
-            np.testing.assert_array_equal(decoded, flat, err_msg=spec)
 
 
 # ----------------------------------------------------------------------
@@ -417,42 +397,6 @@ class TestLegacyParity:
             assert np.isfinite(p.data).all()
         raw = 3 * 4 * d.wire_pipeline._total * 4  # steps * ranks * n * fp32
         assert 0 < d.wire_bytes_total < raw
-
-
-# ----------------------------------------------------------------------
-# Transport leaf formats
-# ----------------------------------------------------------------------
-
-class TestWireFormats:
-    def test_pipeline_format_exact_on_grid_rows(self):
-        """Rows already round-tripped by the pipeline re-encode exactly
-        at the modeled (compressed) byte cost."""
-        pipe = build_pipeline(("fp16", "topk:0.25"))
-        pipe.bind(1, 16, (10, 16))
-        data = _flat(7, 16)[None, :].copy()
-        pipe.begin_step()
-        pipe.encode_block(data, [0])
-        pipe.end_step(False)
-        wf = pipe.leaf_format()
-        row = data[0]
-        payload, nbytes = wf.encode(row, (10, 16))
-        assert nbytes == pipe.wire_nbytes()
-        assert nbytes < row.nbytes
-        np.testing.assert_array_equal(wf.decode(payload), row)
-        # The payload ships the int32 indices the byte model charges for.
-        assert all(idx.dtype == np.int32 for _, _, (idx, _) in payload[2])
-
-    def test_pipeline_format_falls_back_on_off_grid_rows(self):
-        """Interior-partial content that does not re-encode exactly
-        ships raw at raw cost — bit-exactness by construction."""
-        pipe = build_pipeline(("fp16", "topk:0.25"))
-        pipe.bind(1, 16, (10, 16))
-        pipe.begin_step()
-        wf = pipe.leaf_format()
-        row = _flat(9, 16)  # never round-tripped: dense, off-grid
-        payload, nbytes = wf.encode(row, (10, 16))
-        assert nbytes == row.nbytes
-        np.testing.assert_array_equal(wf.decode(payload), row)
 
 
 # ----------------------------------------------------------------------

@@ -117,13 +117,13 @@ NETWORK = NetworkModel(alpha=2e-6, beta=1e-9, gamma=3e-10, name="test")
 
 def _fp16_rows(data):
     """Round-trip ``data`` through the fp16 stack in place; returns the
-    leaf wire format that re-encodes such rows exactly."""
+    stack's modeled per-row bytes, what an original row's send costs."""
     pipe = build_pipeline(("fp16",))
     pipe.bind(data.shape[0], data.shape[1], BOUNDS[1:])
     pipe.begin_step()
     pipe.encode_block(data, list(range(data.shape[0])))
     pipe.end_step(False)
-    return pipe.leaf_format()
+    return pipe.wire_nbytes()
 
 
 def _observe(cluster, result):
@@ -141,7 +141,7 @@ class TestEveryCell:
                                                   gpus_per_node, wire):
         reducer = make_reducer(op, topology=topology, gpus_per_node=gpus_per_node)
         data = _rows(8, seed=3)
-        wire_format = _fp16_rows(data) if wire else None
+        leaf_nbytes = _fp16_rows(data) if wire else None
         checked = 0
         for participants in SUBSETS:
             try:
@@ -149,19 +149,20 @@ class TestEveryCell:
             except ValueError:
                 continue
             got = cluster_reduce(Cluster(8, timeout=10.0), data, BOUNDS, reducer,
-                                 participants, wire_format=wire_format)
+                                 participants, leaf_nbytes=leaf_nbytes)
             expected = reducer.reduce_flat(data[participants].copy(), BOUNDS)
             assert got.tobytes() == expected.tobytes(), participants
             checked += 1
         assert checked >= 4
 
 
-def _parent_tree_reduce(cluster, data, boundaries, reducer, participants, wire):
+def _parent_tree_reduce(cluster, data, boundaries, reducer, participants,
+                        leaf_nbytes):
     """Frozen copy of the collective ``cluster_reduce`` ran for the
     Adasum trees before it replayed the cell's pair schedule: every
     subgroup rank walks the divide-and-conquer recursion over ``[lo,
     hi)``, splitting at the largest power of two below the span, and
-    only a single-rank subtree's send is encoded."""
+    only a single-rank subtree's send is charged ``leaf_nbytes``."""
     bounds = boundaries if reducer.per_layer else None
     pairwise = get_strategy("adasum", "tree_any").combine_pair
     part_set = set(participants)
@@ -174,16 +175,14 @@ def _parent_tree_reduce(cluster, data, boundaries, reducer, participants, wire):
         if sub.rank < lo + p:
             acc = combine(sub, acc, lo, lo + p)
             if sub.rank == lo:
-                payload = sub.recv(lo + p)
-                other = payload if wire is None else wire.decode(payload)
+                other = sub.recv(lo + p)
                 sub.compute(acc.nbytes, label="adasum")
                 pairwise(acc, other, bounds, out=acc)
         else:
             acc = combine(sub, acc, lo + p, hi)
             if sub.rank == lo + p:
-                if hi - (lo + p) == 1 and wire is not None:
-                    payload, nbytes = wire.encode(acc, boundaries)
-                    sub.send(payload, lo, nbytes=nbytes)
+                if hi - (lo + p) == 1:
+                    sub.send(acc, lo, nbytes=leaf_nbytes)
                 else:
                     sub.send(acc, lo)
         return acc
@@ -212,7 +211,7 @@ class TestAdasumTreesKeepTheirCost:
         reducer = make_reducer("adasum", per_layer=per_layer, topology=topology)
         for world in (1, 2, 3, 5, 8, 9):
             data = _rows(world, size=BOUNDS[-1], seed=world)
-            wire_format = _fp16_rows(data) if wire else None
+            leaf_nbytes = _fp16_rows(data) if wire else None
             for participants in [list(range(world))] + [
                 s for s in SUBSETS if s[-1] < world
             ]:
@@ -223,6 +222,6 @@ class TestAdasumTreesKeepTheirCost:
                     cluster = Cluster(world, network=NETWORK, timeout=10.0,
                                       trace=True)
                     result = collective(cluster, data, BOUNDS, reducer,
-                                        participants, wire_format)
+                                        participants, leaf_nbytes)
                     observed.append(_observe(cluster, result))
                 assert observed[0] == observed[1], (world, participants)

@@ -272,6 +272,20 @@ class TestKillRecovery:
         assert tr.num_ranks == 7
         assert sorted(tr.epoch_visited) == list(range(len(x)))
 
+    def test_kill_on_first_op_rolls_back(self):
+        """A kill at the step's first collective op: the failed attempt
+        leaves the model as it found it, so the retry on the 7 survivors
+        commits exactly the step a fresh 7-rank world takes."""
+        x, y = _task(n=160)
+        tr, model = _elastic(x, y, schedule=ElasticSchedule().kill(0, 3))
+        ref, m_ref = _elastic(x, y, num_ranks=7)
+        tr.train_epoch(0, max_steps=1)
+        ref.train_epoch(0, max_steps=1)
+        assert tr.num_ranks == 7 and tr.commits == 1
+        assert len(tr.recoveries) == 1
+        for p, q in zip(model.parameters(), m_ref.parameters()):
+            np.testing.assert_array_equal(p.data, q.data)
+
     def test_snapshot_every_multiple_steps(self):
         # Coarser snapshots roll further back but must still converge
         # and still visit every sample exactly once after recovery.
@@ -281,6 +295,81 @@ class TestKillRecovery:
         tr.train_epoch(0)
         assert tr.num_ranks == 7
         assert sorted(tr.epoch_visited) == list(range(len(x)))
+
+
+#: Error-feedback and fp16 stacks, one stage each and the full chain.
+STACKS = [("fp16",), ("int8",), ("topk:0.1",), ("onebit",), ("fp16", "int8", "topk:0.01")]
+
+
+class TestCodecStacks:
+    """The elastic collective ships round-tripped rows and charges every
+    send of an original row the stack's modeled per-row bytes."""
+
+    @pytest.mark.parametrize("stack", STACKS, ids=",".join)
+    def test_step_charges_leaves_the_modeled_bytes(self, stack):
+        """An 8-rank ``tree_any`` step sends 4 original rows and 3
+        partials, a 7-rank one (after a kill) 4 and 2: the leaves cost
+        ``pipe.wire_nbytes()`` each, the partials raw fp32."""
+        x, y = _task()
+        for schedule, world, partials in ((None, 8, 3),
+                                          (ElasticSchedule().kill(0, 3), 7, 2)):
+            tr, _ = _elastic(x, y, wire_codecs=stack, schedule=schedule)
+            tr.begin_epoch(0)
+            tr.train_step()
+            assert tr.num_ranks == world and tr.commits == 1
+            raw = tr.arena.layout.total_size * tr.arena.dtype.itemsize
+            leaf = tr.dist_opt.wire_pipeline.wire_nbytes()
+            assert leaf < raw
+            assert tr.cluster.total_bytes() == 4 * leaf + partials * raw
+
+    def test_fp16_wire_halves_leaf_bytes(self):
+        """fp16 wire compresses the leaf hops (original rows) of the
+        tree; interior combined partials stay fp32."""
+        x, y = _task()
+        t32, _ = _elastic(x, y)
+        t16, _ = _elastic(x, y, wire_codecs=("fp16",))
+        t32.train_epoch(0, max_steps=4)
+        t16.train_epoch(0, max_steps=4)
+        b32, b16 = t32.cluster.total_bytes(), t16.cluster.total_bytes()
+        # 8-rank tree: 4 of 7 hops are leaves, so 5/7 of the fp32 bytes.
+        assert b16 < 0.85 * b32
+        assert b16 > 0.5 * b32  # not everything compressed (interior fp32)
+
+    def test_lossy_stack_cuts_leaf_bytes_below_fp16(self):
+        """fp16+int8+topk ships far fewer leaf-hop bytes than fp16
+        alone; the interior partials still travel fp32 either way."""
+        x, y = _task()
+        t16, _ = _elastic(x, y, wire_codecs=("fp16",))
+        lossy, m = _elastic(x, y, wire_codecs=("fp16", "int8", "topk:0.01"))
+        t16.train_epoch(0, max_steps=4)
+        lossy.train_epoch(0, max_steps=4)
+        assert lossy.cluster.total_bytes() < t16.cluster.total_bytes()
+        for p in m.parameters():
+            assert np.isfinite(p.data).all()
+
+    def test_kill_under_lossy_stack_starts_clean(self):
+        """A rank killed under an error-feedback stack: the failed
+        attempt leaves the model untouched and the rebuilt world's
+        residuals start from zero, so the retried step equals a fresh
+        7-rank world's first step — parameters and residuals."""
+        x, y = _task()
+        stack = ("fp16", "int8", "topk:0.05")
+        tr, model = _elastic(x, y, wire_codecs=stack,
+                             schedule=ElasticSchedule().kill(0, 3))
+        ref, m_ref = _elastic(x, y, wire_codecs=stack, num_ranks=7)
+        tr.train_epoch(0, max_steps=1)
+        ref.train_epoch(0, max_steps=1)
+        assert tr.num_ranks == 7 and tr.commits == 1
+        assert len(tr.recoveries) == 1
+        for p, q in zip(model.parameters(), m_ref.parameters()):
+            np.testing.assert_array_equal(p.data, q.data)
+        got = tr.dist_opt.wire_pipeline
+        want = ref.dist_opt.wire_pipeline
+        for row in range(7):
+            residuals = got.residual_row(row)
+            assert residuals  # int8 and topk carry residuals
+            for stage, values in want.residual_row(row).items():
+                np.testing.assert_array_equal(residuals[stage], values)
 
 
 @pytest.mark.faults

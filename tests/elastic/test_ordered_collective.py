@@ -61,13 +61,13 @@ class ThreadedCluster(Cluster):
 
 def _fp16_rows(data):
     """Round-trip ``data`` through the fp16 stack in place; returns the
-    leaf wire format that re-encodes such rows exactly."""
+    pipeline, whose ``wire_nbytes`` an original row's send costs."""
     pipe = build_pipeline(("fp16",))
     pipe.bind(data.shape[0], data.shape[1], BOUNDS[1:])
     pipe.begin_step()
     pipe.encode_block(data, list(range(data.shape[0])))
     pipe.end_step(False)
-    return pipe.leaf_format()
+    return pipe
 
 
 def _trace(cluster):
@@ -95,7 +95,7 @@ def _cases(draw):
             i = draw(st.integers(1, len(members) - 1))
             dst = members[draw(st.sampled_from([0, i & (i - 1)]))]
             plan.drop_messages(members[i], dst, count=draw(st.integers(1, 2)))
-    # Bucketed collectives reduce tensor-aligned column ranges.
+    # Any tensor-aligned column range is a valid row set to reduce.
     lo = draw(st.integers(0, len(BOUNDS) - 2))
     hi = draw(st.integers(lo + 1, len(BOUNDS) - 1))
     return {
@@ -115,8 +115,9 @@ class TestOrderedMatchesThreaded:
     def test_everything_observable_is_identical(self, case):
         rng = np.random.default_rng(case["seed"])
         data = rng.standard_normal((case["world"], BOUNDS[-1])).astype(np.float32)
-        wire = _fp16_rows(data) if case["wire"] else None
+        pipe = _fp16_rows(data) if case["wire"] else None
         start, stop = case["columns"]
+        leaf_nbytes = None if pipe is None else pipe.wire_nbytes(start, stop)
         columns = data[:, start:stop]
         bounds = [b - start for b in BOUNDS if start <= b <= stop]
         reducer = REDUCERS[case["reducer"]]()
@@ -133,7 +134,7 @@ class TestOrderedMatchesThreaded:
             )
             result = cluster_reduce(
                 cluster, columns, bounds, reducer, case["participants"],
-                wire_format=wire,
+                leaf_nbytes=leaf_nbytes,
             )
             observed.append(
                 (result.tobytes(), cluster.max_clock(), cluster.total_bytes(),
@@ -192,9 +193,9 @@ def _failed_attempt(trainer, model):
     rows = {}
     run_collective = trainer._run_collective
 
-    def spy(participants, wire_format=None):
+    def spy(participants, leaf_nbytes=None):
         rows["entry"] = trainer.arena.data.copy()
-        return run_collective(participants, wire_format)
+        return run_collective(participants, leaf_nbytes)
 
     trainer._run_collective = spy
     with pytest.raises(CommError) as info:
@@ -263,9 +264,9 @@ class TestTracerStaysBounded:
 
 
 class TestNoRankThreads:
-    @pytest.mark.parametrize("bucket_cap_mb", [None, 0.0005])
-    def test_elastic_step_starts_no_rank_thread(self, started_threads, bucket_cap_mb):
-        trainer, _ = _elastic(8, bucket_cap_mb=bucket_cap_mb)
+    @pytest.mark.parametrize("wire_codecs", [None, ("fp16", "int8")])
+    def test_elastic_step_starts_no_rank_thread(self, started_threads, wire_codecs):
+        trainer, _ = _elastic(8, wire_codecs=wire_codecs)
         for _ in range(3):
             trainer.train_step()
         assert started_threads("rank-") == []

@@ -59,3 +59,24 @@ class TestTraceCommand:
     def test_trace_unknown_collective(self, capsys):
         with pytest.raises(SystemExit):
             main(["trace", "--collective", "nope"])
+
+    def test_trace_hierarchical_runs_the_registered_cell(self, capsys):
+        """``--collective hierarchical`` is the ``("adasum",
+        "hierarchical")`` cell through ``cluster_allreduce``; its cost is
+        the direct two-level collective's."""
+        code = main(["trace", "--collective", "hierarchical", "--ranks", "8",
+                     "--gpus-per-node", "2"])
+        assert code == 0
+        assert ("hierarchical over 8 ranks completed: simulated latency "
+                "0.021 ms, 229952 bytes on the wire") in capsys.readouterr().out
+
+    def test_trace_hierarchical_rejects_an_indivisible_world(self, capsys):
+        # A usage error (2), not a comm failure (3) from every rank.
+        with pytest.raises(SystemExit) as info:
+            main(["trace", "--collective", "hierarchical", "--ranks", "6",
+                  "--gpus-per-node", "4"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "not a multiple of --gpus-per-node 4" in err
+        assert "CommError" not in err
+
