@@ -12,7 +12,8 @@ import pytest
 
 from benchmarks.conftest import announce
 from repro import nn
-from repro.comm import FusionBuffer, NetworkModel
+from repro.comm import BucketPlan, NetworkModel
+from repro.comm.fusion import layout_of
 from repro.core import (
     RunConfig,
     adasum_linear,
@@ -158,12 +159,11 @@ class TestFusionThreshold:
         rng = np.random.default_rng(0)
         tensors = [(f"l{i}", rng.standard_normal(40_000).astype(np.float32))
                    for i in range(16)]  # 160 KB each
-        buf = FusionBuffer(threshold_bytes=threshold_kb * 1024)
-        groups = buf.plan(tensors)
+        plan = BucketPlan.for_layout(layout_of(tensors), cap_bytes=threshold_kb * 1024)
         if threshold_kb == 64:
-            assert len(groups) == 16  # each over threshold -> own group
+            assert plan.num_buckets == 16  # each over threshold -> own group
         else:
-            assert len(groups) < 16
+            assert plan.num_buckets < 16
 
     def test_fusion_latency_model(self, save_result):
         """Modeled latency: fused beats unfused for many small tensors."""

@@ -10,10 +10,6 @@ import pytest
 
 from benchmarks.conftest import announce
 from repro.comm import Cluster, NetworkModel
-from repro.comm.fusion import layout_of
-from repro.core import allreduce_adasum_cluster
-from repro.core.adasum_ring import adasum_ring
-from repro.core.adasum_rvh import adasum_rvh
 from repro.core.strategies import get_strategy
 from repro.experiments import run_fig4, validate_rvh_simulation
 from repro.utils import format_table
@@ -24,11 +20,6 @@ HEADERS = ["tensor (bytes)", "Adasum (ms)", "NCCL sum (ms)", "ratio"]
 def rvh_flat(comm, row, boundaries=None):
     """Registry-backed flat AdasumRVH (per-rank cluster entry point)."""
     return get_strategy("adasum", "rvh").combine_comm(comm, row, boundaries)
-
-
-def ring_flat(comm, row, boundaries=None):
-    """Registry-backed flat Adasum ring (per-rank cluster entry point)."""
-    return get_strategy("adasum", "ring").combine_comm(comm, row, boundaries)
 
 
 def test_fig4_latency_sweep(benchmark, save_result):
@@ -62,9 +53,9 @@ def test_fig4_trace_matches_cost_tracker(results_dir):
     grads = [rng.standard_normal(4096).astype(np.float32) for _ in range(8)]
 
     traced = Cluster(8, network=net, trace=True)
-    traced_out = traced.run(adasum_rvh, rank_args=[(g,) for g in grads])
+    traced_out = traced.run(rvh_flat, rank_args=[(g,) for g in grads])
     plain = Cluster(8, network=net)
-    plain_out = plain.run(adasum_rvh, rank_args=[(g,) for g in grads])
+    plain_out = plain.run(rvh_flat, rank_args=[(g,) for g in grads])
 
     tracer = traced.tracer
     # Exact fidelity: the trace reconstructs the cost model's numbers.
@@ -83,9 +74,8 @@ def test_fig4_trace_matches_cost_tracker(results_dir):
 def test_fig4_executed_allreduce_benchmark(benchmark):
     """Time the actual Algorithm 1 execution (8 ranks, 64 KiB).
 
-    Uses the flat entry point over raw rows — the arena form the
-    trainers feed — so the benchmark measures the collective, not
-    dict/layout packing.
+    Runs over raw rows with fused-layer boundaries — the arena form the
+    trainers feed.
     """
     rng = np.random.default_rng(0)
     grads = [rng.standard_normal(16384).astype(np.float32) for _ in range(8)]
@@ -100,35 +90,6 @@ def test_fig4_executed_allreduce_benchmark(benchmark):
 
     out = benchmark(run)
     assert np.isfinite(out).all()
-
-
-@pytest.mark.parametrize("ranks", [4, 8])
-def test_fig4_flat_entry_points_bit_exact(ranks):
-    """The registry's flat ``combine_comm`` paths over raw rows +
-    boundaries are bit-identical to the layout (dict-derived) paths."""
-    rng = np.random.default_rng(3)
-    named = [(f"l{i}", rng.standard_normal((32, 16)).astype(np.float32))
-             for i in range(6)]
-    layout = layout_of(named)
-    total = layout.total_size
-    grads = [rng.standard_normal(total).astype(np.float32)
-             for _ in range(ranks)]
-    boundaries = layout.boundaries()
-
-    for dict_fn, flat_fn in ((adasum_rvh, rvh_flat),
-                             (adasum_ring, ring_flat)):
-        via_layout = Cluster(ranks).run(
-            dict_fn, rank_args=[(g, layout) for g in grads]
-        )
-        via_flat = Cluster(ranks).run(
-            flat_fn, rank_args=[(g, boundaries) for g in grads]
-        )
-        for r in range(ranks):
-            np.testing.assert_array_equal(
-                via_layout[r].view(np.uint32), via_flat[r].view(np.uint32),
-                err_msg=f"{flat_fn.__name__} diverges from layout path "
-                        f"on rank {r}",
-            )
 
 
 HIER_HEADERS = ["ranks", "tensor", "hier Adasum (ms)", "hier sum (ms)",

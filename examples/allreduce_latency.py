@@ -10,8 +10,8 @@ Run:  python examples/allreduce_latency.py
 
 import numpy as np
 
-from repro.comm import NetworkModel
-from repro.core import adasum_tree, allreduce_adasum_cluster
+from repro.comm import Cluster, NetworkModel, cluster_allreduce
+from repro.core import adasum_tree
 from repro.experiments import run_fig4, validate_rvh_simulation
 from repro.utils import format_table
 
@@ -21,7 +21,11 @@ def main() -> None:
     rng = np.random.default_rng(0)
     grads = [rng.standard_normal(1000).astype(np.float32) for _ in range(8)]
     reference = adasum_tree(grads)
-    result, latency = allreduce_adasum_cluster(grads, network=NetworkModel.infiniband())
+    cluster = Cluster(len(grads), network=NetworkModel.infiniband())
+    result = cluster.run(
+        cluster_allreduce, rank_args=[(g, "adasum", "rvh") for g in grads]
+    )[0]
+    latency = cluster.max_clock()
     err = float(np.abs(result - reference).max())
     print(f"AdasumRVH vs sequential tree: max |diff| = {err:.2e} "
           f"(simulated latency {latency * 1e6:.1f} µs)\n")

@@ -11,8 +11,9 @@ This package replaces MPI/NCCL for the reproduction.  It provides:
 * an α–β network cost model with presets for the paper's hardware
   (NVLink/NCCL, InfiniBand, PCIe, slow TCP) plus analytic latency
   formulas for each collective (:mod:`repro.comm.netmodel`);
-* the tensor-fusion buffer with per-tensor boundary bookkeeping that
-  Adasum needs for per-layer dot products (:mod:`repro.comm.fusion`);
+* the fused-tensor layout with per-tensor boundary bookkeeping that
+  Adasum needs for per-layer dot products (:mod:`repro.comm.fusion`)
+  and its size-capped buckets (:mod:`repro.comm.bucketing`);
 * robustness and observability: hang detection with per-rank blocked
   state (:mod:`repro.comm.transport`), deterministic fault injection —
   stragglers, message drops with retry, rank kills
@@ -53,9 +54,8 @@ from repro.comm.collectives import (
     reduce_scatter_halving,
     allgather_doubling,
     broadcast,
-    allreduce_group,
 )
-from repro.comm.fusion import FusionBuffer, FusedTensorLayout
+from repro.comm.fusion import FusedTensorLayout
 from repro.comm.bucketing import Bucket, BucketPlan
 from repro.comm.codec import (
     CodecPipeline,
@@ -88,8 +88,6 @@ __all__ = [
     "reduce_scatter_halving",
     "allgather_doubling",
     "broadcast",
-    "allreduce_group",
-    "FusionBuffer",
     "FusedTensorLayout",
     "CodecPipeline",
     "WireCodec",

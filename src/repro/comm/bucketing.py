@@ -66,7 +66,8 @@ class BucketPlan:
     ``buckets[0]`` holds the *last* tensors of the layout (the first
     gradients backward completes); successive buckets walk toward the
     front of the model.  A single tensor larger than the cap gets its
-    own bucket, mirroring :class:`~repro.comm.fusion.FusionBuffer`.
+    own bucket.  With the cap set to Horovod's fusion threshold, the
+    buckets are its fusion groups.
     """
 
     layout: FusedTensorLayout

@@ -139,14 +139,6 @@ def onebit_stats(adjusted: np.ndarray) -> Tuple[np.ndarray, float, float]:
     return pos, pos_mean, neg_mean
 
 
-def int8_quantize(adjusted: np.ndarray) -> Tuple[np.ndarray, float]:
-    """Symmetric dynamic int8 quantization of a flat block."""
-    amax = float(np.max(np.abs(adjusted))) if adjusted.size else 0.0
-    scale = amax / 127.0 if amax > 0.0 else 1.0
-    q = np.clip(np.rint(adjusted / scale), -127, 127).astype(np.int8)
-    return q, scale
-
-
 #: The smallest magnitude ``astype(float16)`` rounds to infinity.
 FP16_ROUND_LIMIT = 65520.0
 
@@ -304,8 +296,9 @@ class Int8Codec(WireCodec):
     error_feedback = True
 
     def roundtrip(self, span, residual=None, starts=(0,)):
-        # :func:`int8_quantize` per block, as whole-span passes: only the
-        # block maxima and scales are per block.  errstate: an fp16
+        # Symmetric dynamic int8 quantization per block (scale = block
+        # |max| / 127), as whole-span passes: only the block maxima and
+        # scales are per block.  errstate: an fp16
         # overflow upstream leaves inf in the span; the step is then
         # skipped and the residuals rolled back, so the transient inf-inf
         # is never observed.  A block whose maximum is a float32

@@ -11,17 +11,11 @@ simulated-latency measurements.
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.comm.transport import Comm
-
-ReduceOp = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
-def _sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a + b
 
 
 def _require_power_of_two(size: int, what: str) -> int:
@@ -31,7 +25,7 @@ def _require_power_of_two(size: int, what: str) -> int:
     return levels
 
 
-def allreduce_ring(comm: Comm, x: np.ndarray, op: ReduceOp = _sum) -> np.ndarray:
+def allreduce_ring(comm: Comm, x: np.ndarray) -> np.ndarray:
     """Ring allreduce: reduce-scatter ring then allgather ring.
 
     Works for any rank count; the vector is split into ``size`` chunks.
@@ -51,7 +45,7 @@ def allreduce_ring(comm: Comm, x: np.ndarray, op: ReduceOp = _sum) -> np.ndarray
         comm.send(flat[chunks[send_idx]], right)
         incoming = comm.recv(left)
         comm.compute(incoming.nbytes, label="reduce")
-        flat[chunks[recv_idx]] = op(flat[chunks[recv_idx]], incoming)
+        flat[chunks[recv_idx]] = flat[chunks[recv_idx]] + incoming
     # Allgather: circulate the reduced chunks.
     for step in range(p - 1):
         send_idx = (r - step + 1) % p
@@ -61,48 +55,32 @@ def allreduce_ring(comm: Comm, x: np.ndarray, op: ReduceOp = _sum) -> np.ndarray
     return x
 
 
-def allreduce_recursive_doubling(comm: Comm, x: np.ndarray, op: ReduceOp = _sum) -> np.ndarray:
+def allreduce_recursive_doubling(
+    comm: Comm, x: np.ndarray, group: Optional[Sequence[int]] = None
+) -> np.ndarray:
     """Recursive-doubling allreduce: log p full-vector exchanges.
 
-    Latency-optimal for small messages (used for the partial dot
-    products inside Algorithm 1).  Requires power-of-two ranks.
+    Latency-optimal for small messages.  ``group`` (global ranks, this
+    rank included, power-of-two sized) restricts the sum to those
+    ranks — the ``ALLREDUCE(v, +, group)`` primitive on line 17 of the
+    paper's Algorithm 1, which finishes the partial dot products; the
+    default is every rank, which must then be a power of two.
     """
-    levels = _require_power_of_two(comm.size, "recursive doubling")
-    x = x.copy()
-    for level in range(levels):
-        peer = comm.rank ^ (1 << level)
-        incoming = comm.sendrecv(x, peer)
-        comm.compute(incoming.nbytes)
-        x = op(x, incoming)
-    return x
-
-
-def allreduce_group(
-    comm: Comm, x: np.ndarray, group: Sequence[int], op: ReduceOp = _sum
-) -> np.ndarray:
-    """Allreduce among the ranks in ``group`` (power-of-two sized).
-
-    This is the ``ALLREDUCE(v, +, group)`` primitive on line 17 of the
-    paper's Algorithm 1, used to finish the partial dot products.
-    """
-    group = sorted(group)
+    group = range(comm.size) if group is None else sorted(group)
     if comm.rank not in group:
-        raise ValueError(f"rank {comm.rank} not in group {group}")
-    g = len(group)
-    if g == 1:
-        return x.copy()
-    levels = _require_power_of_two(g, "group allreduce")
-    my_pos = group.index(comm.rank)
+        raise ValueError(f"rank {comm.rank} not in group {list(group)}")
+    levels = _require_power_of_two(len(group), "recursive doubling")
+    pos = group.index(comm.rank)
     x = x.copy()
     for level in range(levels):
-        peer = group[my_pos ^ (1 << level)]
+        peer = group[pos ^ (1 << level)]
         incoming = comm.sendrecv(x, peer)
         comm.compute(incoming.nbytes)
-        x = op(x, incoming)
+        x = x + incoming
     return x
 
 
-def reduce_scatter_halving(comm: Comm, x: np.ndarray, op: ReduceOp = _sum):
+def reduce_scatter_halving(comm: Comm, x: np.ndarray):
     """Recursive-vector-halving reduce-scatter.
 
     Returns ``(slice_data, slice_range)`` where ``slice_range`` is the
@@ -122,7 +100,7 @@ def reduce_scatter_halving(comm: Comm, x: np.ndarray, op: ReduceOp = _sum):
             incoming = comm.recv(peer)
             data = data[: mid - start]
             comm.compute(incoming.nbytes)
-            data = op(data, incoming)
+            data = data + incoming
             stop = mid
         else:  # right neighbor: keeps the right half
             peer = rank - d
@@ -130,7 +108,7 @@ def reduce_scatter_halving(comm: Comm, x: np.ndarray, op: ReduceOp = _sum):
             incoming = comm.recv(peer)
             data = data[mid - start :]
             comm.compute(incoming.nbytes)
-            data = op(data, incoming)
+            data = data + incoming
             start = mid
         d *= 2
     return data, (start, stop)

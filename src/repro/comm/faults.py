@@ -86,7 +86,7 @@ class FaultPlan:
         return self
 
     def kill_rank(self, rank: int, after_ops: int = 0) -> "FaultPlan":
-        """Kill ``rank`` on its ``after_ops + 1``-th comm op (send/recv/barrier)."""
+        """Kill ``rank`` on its ``after_ops + 1``-th comm op (send/recv)."""
         if after_ops < 0:
             raise ValueError("after_ops must be >= 0")
         self._kills[rank] = after_ops

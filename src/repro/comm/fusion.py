@@ -3,9 +3,11 @@
 Horovod fuses many small per-layer tensors into one buffer before
 calling allreduce, amortizing per-message latency.  Plain summation can
 ignore tensor boundaries, but Adasum needs them: dot products and norms
-must be computed *per layer* (paper §3.6).  :class:`FusionBuffer`
-implements the copy-in / reduce / copy-out cycle and records the layout
-(:class:`FusedTensorLayout`) that the Adasum reduction consults.
+must be computed *per layer* (paper §3.6).  :class:`FusedTensorLayout`
+records those boundaries; :class:`~repro.core.arena.GradientArena` packs
+gradients into one flat row per rank over it, and
+:class:`~repro.comm.bucketing.BucketPlan` splits it into size-capped
+fusion groups (``HOROVOD_FUSION_THRESHOLD``).
 
 Because every rank fuses the same set of tensors with the same layer
 sizes, the layout is identical everywhere and never needs to be
@@ -16,7 +18,7 @@ communication overheads" property of the paper).
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -67,8 +69,7 @@ class FusedTensorLayout:
 def layout_of(tensors: Sequence[Tuple[str, np.ndarray]]) -> FusedTensorLayout:
     """Build a :class:`FusedTensorLayout` covering *all* named tensors.
 
-    Unlike :meth:`FusionBuffer.plan` there is no size threshold — the
-    result is the single contiguous layout used by
+    The result is the single contiguous layout used by
     :class:`~repro.core.arena.GradientArena` to give every rank one flat
     gradient buffer with named zero-copy views.
     """
@@ -80,75 +81,3 @@ def layout_of(tensors: Sequence[Tuple[str, np.ndarray]]) -> FusedTensorLayout:
         slices.append((offset, offset + int(arr.size)))
         offset += int(arr.size)
     return FusedTensorLayout(tuple(names), tuple(slices), tuple(shapes))
-
-
-class FusionBuffer:
-    """Reusable fusion buffer with a byte-size threshold.
-
-    Mirrors ``HOROVOD_FUSION_THRESHOLD``: tensors are greedily packed in
-    arrival order until adding the next one would exceed the threshold;
-    each full (or flushed) buffer forms one fusion *group* that is
-    reduced with a single collective call.
-    """
-
-    def __init__(self, threshold_bytes: int = 2 * 1024 * 1024, dtype=np.float32):
-        if threshold_bytes <= 0:
-            raise ValueError("fusion threshold must be positive")
-        self.threshold_bytes = threshold_bytes
-        self.dtype = np.dtype(dtype)
-
-    def plan(self, tensors: Sequence[Tuple[str, np.ndarray]]) -> List[FusedTensorLayout]:
-        """Split named tensors into fusion groups under the threshold.
-
-        A single tensor larger than the threshold gets its own group
-        (it is never split).
-        """
-        groups: List[List[Tuple[str, np.ndarray]]] = []
-        current: List[Tuple[str, np.ndarray]] = []
-        current_bytes = 0
-        for name, arr in tensors:
-            nbytes = arr.size * self.dtype.itemsize
-            if current and current_bytes + nbytes > self.threshold_bytes:
-                groups.append(current)
-                current, current_bytes = [], 0
-            current.append((name, arr))
-            current_bytes += nbytes
-        if current:
-            groups.append(current)
-
-        layouts = []
-        for group in groups:
-            names, slices, shapes = [], [], []
-            offset = 0
-            for name, arr in group:
-                names.append(name)
-                shapes.append(arr.shape)
-                slices.append((offset, offset + arr.size))
-                offset += arr.size
-            layouts.append(
-                FusedTensorLayout(tuple(names), tuple(slices), tuple(shapes))
-            )
-        return layouts
-
-    def pack(
-        self, layout: FusedTensorLayout, tensors: Dict[str, np.ndarray]
-    ) -> np.ndarray:
-        """Copy named tensors into one flat buffer per ``layout``."""
-        buf = np.empty(layout.total_size, dtype=self.dtype)
-        for name, (lo, hi), shape in zip(layout.names, layout.slices, layout.shapes):
-            arr = tensors[name]
-            if arr.shape != shape:
-                raise ValueError(f"tensor {name!r} shape {arr.shape} != layout {shape}")
-            buf[lo:hi] = arr.reshape(-1)
-        return buf
-
-    def unpack(
-        self, layout: FusedTensorLayout, buf: np.ndarray
-    ) -> Dict[str, np.ndarray]:
-        """Split a reduced flat buffer back into named, shaped tensors."""
-        if buf.size != layout.total_size:
-            raise ValueError(f"buffer size {buf.size} != layout {layout.total_size}")
-        return {
-            name: buf[lo:hi].reshape(shape).copy()
-            for name, (lo, hi), shape in zip(layout.names, layout.slices, layout.shapes)
-        }

@@ -144,17 +144,13 @@ def hierarchical_allreduce(
 ) -> np.ndarray:
     """Two-level allreduce: intra-node sum, cross-node ``cross_node`` op.
 
-    ``cross_node(group_comm, slice)`` runs over a :class:`GroupComm`
-    spanning the ranks that hold this slice position on every node, so
-    any single-level allreduce (AdasumRVH, recursive doubling, ...)
-    plugs in unmodified.  Requires ``comm.size % gpus_per_node == 0``.
-
-    ``boundaries`` (fused layer boundaries over the whole vector) are
-    rebased into each rank's slice and passed as a third argument —
-    ``cross_node(group_comm, slice, slice_boundaries)`` — so per-layer
-    Adasum dot products respect tensor-fusion layouts.  When
-    ``boundaries`` is ``None`` the two-argument form is used, keeping
-    plain elementwise cross-node ops (and existing callers) unchanged.
+    ``cross_node(group_comm, slice, slice_boundaries)`` runs over a
+    :class:`GroupComm` spanning the ranks that hold this slice position
+    on every node, so any registry cell's ``combine_comm`` (AdasumRVH,
+    ...) plugs in unmodified.  Requires ``comm.size % gpus_per_node ==
+    0``.  ``boundaries`` (fused layer boundaries over the whole vector)
+    are rebased into each rank's slice (``None`` stays ``None``), so
+    per-layer Adasum dot products respect tensor-fusion layouts.
     """
     from repro.comm.transport import GroupComm
 
@@ -174,12 +170,9 @@ def hierarchical_allreduce(
     peers = cross_node_peers(comm.rank, comm.size, gpus_per_node)
     sub = GroupComm(comm, peers)
     lo, hi = slice_range
-    if boundaries is None:
-        reduced = cross_node(sub, piece.astype(flat.dtype))
-    else:
-        reduced = cross_node(
-            sub, piece.astype(flat.dtype), _rebase_boundaries(boundaries, lo, hi)
-        )
+    reduced = cross_node(
+        sub, piece.astype(flat.dtype), _rebase_boundaries(boundaries, lo, hi)
+    )
 
     if gpus_per_node == 1:
         return np.asarray(reduced, dtype=flat.dtype)
@@ -217,7 +210,6 @@ def hierarchical_adasum_allreduce(
     x: np.ndarray,
     gpus_per_node: int,
     boundaries: Optional[Sequence[int]] = None,
-    cross_topology: Optional[str] = None,
 ) -> np.ndarray:
     """§4.2.2 packaged: intra-node NCCL-style sum + cross-node Adasum.
 
@@ -230,12 +222,10 @@ def hierarchical_adasum_allreduce(
     The tests assert equality with per-slice ``adasum_tree`` over the
     node sums.
 
-    ``cross_topology`` selects the cross-node geometry: ``"rvh"``
-    (Algorithm 1, the paper's production choice — requires a
-    power-of-two node count) or ``"tree_any"`` (pow2-block tree, any
-    node count).  ``None`` picks RVH when the node count is a power of
-    two and ``tree_any`` otherwise, which is exactly the fallback an
-    elastic world needs after losing whole nodes.
+    The node count picks the cross-node geometry: RVH (Algorithm 1, the
+    paper's production choice) at a power of two, the pow2-block
+    ``tree_any`` otherwise — exactly the fallback an elastic world
+    needs after losing whole nodes.
     """
     from repro.core.strategies import get_strategy
 
@@ -244,21 +234,10 @@ def hierarchical_adasum_allreduce(
             f"world size {comm.size} not divisible by gpus_per_node {gpus_per_node}"
         )
     nodes = comm.size // gpus_per_node
-    if cross_topology is None:
-        cross_topology = "rvh" if nodes & (nodes - 1) == 0 else "tree_any"
-    cross_topology = str(cross_topology).lower()
-    if cross_topology == "rvh":
-        rvh = get_strategy("adasum", "rvh")
-
-        def cross(sub, piece, bounds=None):
-            return rvh.combine_comm(sub, piece, bounds)
-    elif cross_topology in ("tree", "tree_any"):
-        cross = _cross_node_adasum_tree
+    if nodes & (nodes - 1) == 0:
+        cross = get_strategy("adasum", "rvh").combine_comm
     else:
-        raise ValueError(
-            f"unknown hierarchical cross topology {cross_topology!r}; "
-            "choose 'rvh' or 'tree_any'"
-        )
+        cross = _cross_node_adasum_tree
     return hierarchical_allreduce(
         comm, x, gpus_per_node, cross_node=cross, boundaries=boundaries
     )
@@ -274,7 +253,7 @@ def hierarchical_sum_allreduce(
     """
     nodes = comm.size // max(gpus_per_node, 1)
 
-    def cross(sub, piece):
+    def cross(sub, piece, _boundaries):
         if nodes & (nodes - 1):
             return allreduce_ring(sub, piece)
         return allreduce_recursive_doubling(sub, piece)

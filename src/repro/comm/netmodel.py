@@ -196,9 +196,7 @@ def adasum_ring_cost(nbytes: int, p: int, net: NetworkModel) -> float:
     P-1 full-vector hops plus a binomial broadcast.
 
     Lives beside :func:`adasum_rvh_cost` so the Figure 4 style
-    comparisons draw every analytic model from one module (historically
-    this was defined next to the executable ring in
-    ``repro.core.adasum_ring``, which still re-exports it).
+    comparisons draw every analytic model from one module.
     """
     if p == 1:
         return 0.0

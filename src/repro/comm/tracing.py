@@ -2,8 +2,8 @@
 
 When a :class:`CommTracer` is attached to a
 :class:`~repro.comm.transport.Cluster`, every clock-advancing operation
-(send, dropped transmission attempt, recv, compute, advance, barrier)
-is recorded with its simulated start/end timestamps and payload size.
+(send, dropped transmission attempt, recv, compute, advance) is
+recorded with its simulated start/end timestamps and payload size.
 Recording is strictly observational: the tracer never touches clocks,
 queues, or cost accounting, so enabling it cannot perturb the cost
 model — the invariants
@@ -37,7 +37,7 @@ class TraceEvent:
 
     ``t0``/``t1`` are simulated seconds (``t1 >= t0``); ``peer`` is the
     global rank on the other side of a point-to-point op, ``None`` for
-    local ops and barriers.
+    local ops.
     """
 
     rank: int
@@ -143,7 +143,7 @@ class CommTracer:
                 args["label"] = ev.label
             trace_events.append({
                 "name": ev.label or ev.op,
-                "cat": "comm" if ev.op in ("send", "recv", "drop", "barrier") else "local",
+                "cat": "comm" if ev.op in ("send", "recv", "drop") else "local",
                 "ph": "X",
                 "pid": 0,
                 "tid": ev.rank,

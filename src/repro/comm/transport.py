@@ -7,22 +7,22 @@ carries a virtual clock advanced by the α–β :class:`NetworkModel`; a
 receive synchronizes the receiver's clock with the message's arrival
 time, so ``max(clock)`` after a collective is its simulated latency.
 
-Robustness contract (``tests/comm/test_hang_detection.py``): all
-blocking waits — mailbox receives and barriers — share one wall-clock
-deadline per :meth:`Cluster.run`.  A rank blocked past the deadline
-raises a diagnostic :class:`CommError` naming itself, its blocking op,
-its peer, and its simulated clock; the first failure on any rank aborts
-every other blocked rank promptly.  ``run`` never returns partial
-results: an unjoined thread is itself a :class:`CommError`.  Runs are
-generation-tagged so a stale thread left over from a timed-out run can
-never touch a later run's queues or barriers.
+Robustness contract (``tests/comm/test_hang_detection.py``): the only
+blocking wait is a mailbox receive, and all of one :meth:`Cluster.run`'s
+receives share one wall-clock deadline.  A rank blocked past the
+deadline raises a diagnostic :class:`CommError` naming itself, its
+blocking op, its peer, and its simulated clock; the first failure on
+any rank aborts every other blocked rank promptly.  ``run`` never
+returns partial results: an unjoined thread is itself a
+:class:`CommError`.  Runs are generation-tagged so a stale thread left
+over from a timed-out run can never touch a later run's queues.
 
 A collective whose sends form an acyclic graph needs none of that: its
 author passes ``order=`` to :meth:`Cluster.run` and the ranks run to
 completion one after another on the calling thread, with the same
 :class:`Comm` accounting and no waiting at all (an empty mailbox is an
-immediate :class:`CommOrderError`).  Cyclic collectives — ring, RVH,
-anything with a barrier — stay on threads.
+immediate :class:`CommOrderError`).  Cyclic collectives — ring, RVH —
+stay on threads.
 
 Fault injection (:class:`~repro.comm.faults.FaultPlan`) and opt-in
 tracing (:class:`~repro.comm.tracing.CommTracer`) hook in here; see
@@ -87,7 +87,7 @@ class CommTimeoutError(CommError):
     """A blocking wait exceeded the run deadline (diagnostics attached).
 
     ``rank``/``op``/``peer`` identify the blocked wait structurally
-    (``peer`` is ``None`` for barriers).
+    (``peer`` is ``None`` for a process-transport collect).
     """
 
     def __init__(
@@ -107,15 +107,14 @@ class CommOrderError(CommError):
     """An ordered run reached a wait that nothing earlier can satisfy.
 
     Raised at once — never after a deadline — by a ``recv`` whose
-    mailbox is empty, or by a barrier, in :meth:`Cluster.run` with
-    ``order=``: every rank that could have satisfied the wait has
-    either already run or is declared to run later, so the declared
-    order is not a topological order of the collective's sends.
-    ``rank``/``op``/``peer`` identify the wait (``peer`` is ``None``
-    for barriers).
+    mailbox is empty in :meth:`Cluster.run` with ``order=``: every rank
+    that could have satisfied the wait has either already run or is
+    declared to run later, so the declared order is not a topological
+    order of the collective's sends.  ``rank``/``op``/``peer`` identify
+    the wait.
     """
 
-    def __init__(self, message: str, rank: int, op: str, peer: Optional[int] = None):
+    def __init__(self, message: str, rank: int, op: str, peer: int):
         super().__init__(message)
         self.rank = rank
         self.op = op
@@ -139,17 +138,6 @@ class _Message:
         self.payload = payload
         self.arrival = arrival
         self.nbytes = nbytes
-
-
-class _BarrierGroup:
-    """A barrier plus the clock list used to synchronize a rank group."""
-
-    __slots__ = ("barrier", "lock", "clocks")
-
-    def __init__(self, parties: int):
-        self.barrier = threading.Barrier(parties)
-        self.lock = threading.Lock()
-        self.clocks: List[float] = []
 
 
 class Comm:
@@ -191,24 +179,17 @@ class Comm:
     # ------------------------------------------------------------------
     # Point-to-point
     # ------------------------------------------------------------------
-    def send(
-        self,
-        payload: np.ndarray,
-        dst: int,
-        nbytes: Optional[int] = None,
-        retries: Optional[int] = None,
-        backoff: Optional[float] = None,
-    ) -> None:
+    def send(self, payload: np.ndarray, dst: int, nbytes: Optional[int] = None) -> None:
         """Send ``payload`` to rank ``dst`` (non-blocking, buffered).
 
         ``nbytes`` overrides the costed message size (used to model
         large transfers while shipping small placeholder arrays).
 
         Under an active :class:`FaultPlan` a transmission attempt may be
-        dropped; the send then retries up to ``retries`` times (default:
-        the plan's ``max_retries``), charging exponential ``backoff``
-        simulated seconds before each retransmission.  FIFO order is
-        preserved because the retry completes before this call returns.
+        dropped; the send then retries up to the plan's ``max_retries``
+        times, charging the plan's exponential ``backoff`` simulated
+        seconds before each retransmission.  FIFO order is preserved
+        because the retry completes before this call returns.
         """
         if not 0 <= dst < self.size or dst == self.rank:
             raise ValueError(f"rank {self.rank}: invalid destination {dst}")
@@ -222,14 +203,8 @@ class Comm:
         pair_cost = getattr(net, "pair_send_cost", None)
         plan = cluster.faults
         factor = plan.delay_factor(self.rank) if plan is not None else 1.0
-        max_retries = (
-            retries if retries is not None
-            else (plan.max_retries if plan is not None else 0)
-        )
-        retry_backoff = (
-            backoff if backoff is not None
-            else (plan.backoff if plan is not None else 0.0)
-        )
+        max_retries = plan.max_retries if plan is not None else 0
+        retry_backoff = plan.backoff if plan is not None else 0.0
         attempt = 0
         while True:
             attempt += 1
@@ -275,19 +250,10 @@ class Comm:
         return msg.payload
 
     def sendrecv(
-        self,
-        payload: np.ndarray,
-        peer: int,
-        nbytes: Optional[int] = None,
-        retries: Optional[int] = None,
-        backoff: Optional[float] = None,
+        self, payload: np.ndarray, peer: int, nbytes: Optional[int] = None
     ) -> np.ndarray:
-        """Exchange with ``peer`` (send then receive).
-
-        ``retries``/``backoff`` configure drop retransmission for the
-        send side (see :meth:`send`).
-        """
-        self.send(payload, peer, nbytes=nbytes, retries=retries, backoff=backoff)
+        """Exchange with ``peer`` (send then receive)."""
+        self.send(payload, peer, nbytes=nbytes)
         return self.recv(peer)
 
     # ------------------------------------------------------------------
@@ -310,15 +276,6 @@ class Comm:
         self.clock += seconds
         self._cluster._trace(self.rank, "advance", t0, self.clock)
 
-    def barrier(self, group: Optional[Sequence[int]] = None) -> None:
-        """Synchronize ranks (clocks advance to the group max).
-
-        ``group`` (global ranks, this rank included) restricts the
-        barrier to a sub-group; the default synchronizes the whole
-        cluster.  Waits at most until the run deadline.
-        """
-        self._cluster._barrier_sync(self, group)
-
 
 class GroupComm:
     """A sub-communicator view over a subset of ranks.
@@ -327,8 +284,8 @@ class GroupComm:
     ``group`` (a sorted list of global ranks), translating peers to
     global ranks underneath.  This is what lets single-level collectives
     (ring, RVH, AdasumRVH) run unmodified inside the cross-node stage of
-    a hierarchical allreduce — including barriers and the cost counters
-    the benchmarks read.
+    a hierarchical allreduce — including the cost counters the
+    benchmarks read.
     """
 
     def __init__(self, base: Comm, group, presorted: bool = False):
@@ -354,15 +311,14 @@ class GroupComm:
     def messages_sent(self) -> int:
         return self._base.messages_sent
 
-    def send(self, payload, dst: int, nbytes=None, retries=None, backoff=None) -> None:
-        self._base.send(payload, self._group[dst], nbytes=nbytes,
-                        retries=retries, backoff=backoff)
+    def send(self, payload, dst: int, nbytes=None) -> None:
+        self._base.send(payload, self._group[dst], nbytes=nbytes)
 
     def recv(self, src: int):
         return self._base.recv(self._group[src])
 
-    def sendrecv(self, payload, peer: int, nbytes=None, retries=None, backoff=None):
-        self.send(payload, peer, nbytes=nbytes, retries=retries, backoff=backoff)
+    def sendrecv(self, payload, peer: int, nbytes=None):
+        self.send(payload, peer, nbytes=nbytes)
         return self.recv(peer)
 
     def compute(self, nbytes: int, label: Optional[str] = None) -> None:
@@ -370,10 +326,6 @@ class GroupComm:
 
     def advance(self, seconds: float) -> None:
         self._base.advance(seconds)
-
-    def barrier(self) -> None:
-        """Synchronize the ranks of this sub-group only."""
-        self._base.barrier(group=self._group)
 
 
 class Cluster:
@@ -419,9 +371,7 @@ class Cluster:
             collections.defaultdict(collections.deque)
         )
         self._state_lock = threading.Lock()
-        self._blocked: Dict[int, Tuple[str, Optional[int], float]] = {}
-        self._barrier_groups: Dict[Tuple[int, ...], _BarrierGroup] = {}
-        self._active_barriers: List[threading.Barrier] = []
+        self._blocked: Dict[int, Tuple[str, int, float]] = {}
         self._abort = threading.Event()
         self._abort_reason: Optional[Tuple[int, BaseException]] = None
         self._deadline = time.monotonic() + timeout
@@ -430,12 +380,6 @@ class Cluster:
     # ------------------------------------------------------------------
     # Tracing
     # ------------------------------------------------------------------
-    def enable_tracing(self) -> CommTracer:
-        """Attach (or return the existing) :class:`CommTracer`."""
-        if self.tracer is None:
-            self.tracer = CommTracer()
-        return self.tracer
-
     def _trace(self, rank, op, t0, t1, nbytes=0, peer=None, label=None) -> None:
         if self.tracer is not None:
             self.tracer.record(rank, op, t0, t1, nbytes, peer=peer, label=label)
@@ -462,7 +406,7 @@ class Cluster:
     # ------------------------------------------------------------------
     # Blocked-rank bookkeeping (hang diagnostics)
     # ------------------------------------------------------------------
-    def _set_blocked(self, rank: int, op: str, peer: Optional[int], clock: float) -> None:
+    def _set_blocked(self, rank: int, op: str, peer: int, clock: float) -> None:
         with self._state_lock:
             self._blocked[rank] = (op, peer, clock)
 
@@ -478,8 +422,9 @@ class Cluster:
             return "no ranks blocked in comm ops"
         parts = []
         for rank, (op, peer, clock) in entries:
-            where = f"{op}(peer={peer})" if peer is not None else op
-            parts.append(f"rank {rank} blocked on {where} since simulated t={clock:.6g}")
+            parts.append(
+                f"rank {rank} blocked on {op}(peer={peer}) since simulated t={clock:.6g}"
+            )
         return "; ".join(parts)
 
     def _abort_context(self, rank: int, op: str, clock: float) -> str:
@@ -499,30 +444,27 @@ class Cluster:
             if self._abort_reason is None:
                 self._abort_reason = (rank, exc)
             self._abort.set()
-            barriers = list(self._active_barriers)
-        for b in barriers:
-            b.abort()
 
     # ------------------------------------------------------------------
     # Blocking primitives (all share the run deadline)
     # ------------------------------------------------------------------
-    def _ordered_wait_failed(
-        self, comm: Comm, op: str, peer: Optional[int], why: str
-    ) -> Exception:
-        """The error for a wait an ordered run cannot satisfy.
+    def _ordered_recv_failed(self, comm: Comm, src: int) -> Exception:
+        """The error for a receive an ordered run cannot satisfy.
 
         After an earlier rank's failure the empty mailbox is that
         failure's echo (exactly what the abort wake-up is to a blocked
         thread); with no failure on record the declared order itself is
         wrong.
         """
-        where = f"{op}(src={peer})" if peer is not None else op
+        where = f"recv(src={src})"
         if self._abort_reason is not None:
             return _AbortError(self._abort_context(comm.rank, where, comm.clock))
         return CommOrderError(
             f"rank {comm.rank}: {where} cannot complete in an ordered run at "
-            f"simulated t={comm.clock:.6g}: {why}",
-            rank=comm.rank, op=op, peer=peer,
+            f"simulated t={comm.clock:.6g}: rank {src} has sent nothing and "
+            f"every rank declared before rank {comm.rank} already ran — the "
+            f"order is not a topological order of the sends",
+            rank=comm.rank, op="recv", peer=src,
         )
 
     def _wait_recv(self, comm: Comm, src: int) -> _Message:
@@ -530,12 +472,7 @@ class Cluster:
             box = self._inbox.get((src, comm.rank))
             if box:
                 return box.popleft()
-            raise self._ordered_wait_failed(
-                comm, "recv", src,
-                f"rank {src} has sent nothing and every rank declared before "
-                f"rank {comm.rank} already ran — the order is not a "
-                f"topological order of the sends",
-            )
+            raise self._ordered_recv_failed(comm, src)
         q = self._mailbox(src, comm.rank)
         op = f"recv(src={src})"
         self._set_blocked(comm.rank, "recv", src, comm.clock)
@@ -562,77 +499,6 @@ class Cluster:
                     continue
         finally:
             self._clear_blocked(comm.rank)
-
-    def _get_barrier_group(self, comm: Comm, key: Tuple[int, ...]) -> _BarrierGroup:
-        with self._state_lock:
-            if self._abort.is_set():
-                raise _AbortError(self._abort_context(comm.rank, "barrier", comm.clock))
-            grp = self._barrier_groups.get(key)
-            if grp is None:
-                grp = _BarrierGroup(len(key))
-                self._barrier_groups[key] = grp
-                self._active_barriers.append(grp.barrier)
-            return grp
-
-    def _barrier_wait(self, grp: _BarrierGroup, comm: Comm, parties: int) -> int:
-        self._set_blocked(comm.rank, "barrier", None, comm.clock)
-        try:
-            remaining = self._deadline - time.monotonic()
-            if remaining <= 0:
-                raise CommTimeoutError(
-                    f"rank {comm.rank}: barrier timed out after {self.timeout:.3g}s "
-                    f"wall clock (simulated t={comm.clock:.6g}); "
-                    f"{self._stuck_snapshot()}",
-                    rank=comm.rank, op="barrier",
-                )
-            try:
-                return grp.barrier.wait(timeout=remaining)
-            except threading.BrokenBarrierError:
-                if comm._generation != self._generation:
-                    raise _StaleRankError(
-                        f"rank {comm.rank}: stale barrier wait abandoned"
-                    ) from None
-                if self._abort.is_set():
-                    raise _AbortError(
-                        self._abort_context(comm.rank, "barrier", comm.clock)
-                    ) from None
-                raise CommTimeoutError(
-                    f"rank {comm.rank}: barrier desync — gave up after "
-                    f"{self.timeout:.3g}s with {grp.barrier.n_waiting}/{parties} "
-                    f"ranks arrived (simulated t={comm.clock:.6g}); "
-                    f"{self._stuck_snapshot()}",
-                    rank=comm.rank, op="barrier",
-                ) from None
-        finally:
-            self._clear_blocked(comm.rank)
-
-    def _barrier_sync(self, comm: Comm, group: Optional[Sequence[int]] = None) -> None:
-        comm._check_alive("barrier")
-        ranks = tuple(range(self.size)) if group is None else tuple(sorted(group))
-        if comm.rank not in ranks:
-            raise ValueError(f"rank {comm.rank} not in barrier group {list(ranks)}")
-        if len(ranks) == 1:
-            return
-        if comm._ordered:
-            raise self._ordered_wait_failed(
-                comm, "barrier", None,
-                "a barrier waits on ranks that have not run yet — cyclic "
-                "collectives need the threaded Cluster.run(fn)",
-            )
-        t0 = comm.clock
-        grp = self._get_barrier_group(comm, ranks)
-        with grp.lock:
-            grp.clocks.append(comm.clock)
-        self._barrier_wait(grp, comm, len(ranks))
-        with grp.lock:
-            max_clock = max(grp.clocks)
-        comm.clock = max_clock
-        # Second phase so the list can be reset safely once all read it.
-        if self._barrier_wait(grp, comm, len(ranks)) == 0:
-            with grp.lock:
-                grp.clocks.clear()
-        self._barrier_wait(grp, comm, len(ranks))
-        self._trace(comm.rank, "barrier", t0, comm.clock)
 
     # ------------------------------------------------------------------
     # Run
@@ -667,8 +533,6 @@ class Cluster:
         # old objects replaced below.
         self._generation += 1
         generation = self._generation
-        for b in self._active_barriers:
-            b.abort()  # wake leftover waiters from a previous run
         if self.faults is not None:
             self.faults.reset()
         if order is not None:
@@ -677,8 +541,6 @@ class Cluster:
             self._queues = {}
         with self._state_lock:
             self._blocked = {}
-            self._barrier_groups = {}
-            self._active_barriers = []
             self._abort = threading.Event()
             self._abort_reason = None
         self._deadline = time.monotonic() + self.timeout
@@ -743,7 +605,7 @@ class Cluster:
         Sends are buffered, so a rank that only receives from ranks
         declared before it never has to wait: each ``recv`` takes its
         message straight from the mailbox, and an empty mailbox is an
-        immediate error (:meth:`_ordered_wait_failed`), never a wait for
+        immediate error (:meth:`_ordered_recv_failed`), never a wait for
         the deadline.  Clocks, byte counters, fault-plan op counters and
         tracer records are per-rank state advanced by the same
         :class:`Comm` code as under threads, so results, ``max_clock()``,

@@ -16,9 +16,12 @@ Modules
     ``GradientArena`` — one contiguous flat gradient buffer per rank
     with named zero-copy views (the fused-tensor layout of §4.4.3)
     feeding the flat reducer kernels.
-``adasum_rvh``
-    Algorithm 1 — recursive vector halving with Adasum — executed
-    verbatim over the simulated message-passing cluster.
+``adasum_rvh`` / ``adasum_ring``
+    Algorithm 1 — recursive vector halving with Adasum — and the §4.2.3
+    ring chain, executed verbatim over the simulated message-passing
+    cluster as the ``(adasum, rvh)`` / ``(adasum, ring)`` cells'
+    ``combine_comm`` (run them with
+    :func:`repro.comm.collectives.cluster_allreduce`).
 ``distributed_optimizer``
     The Horovod-style ``DistributedOptimizer`` wrapper implementing the
     pre-/post-optimizer application subtlety of Figure 3.
@@ -68,15 +71,6 @@ from repro.core.config import (
     parse_op,
     parse_topology,
 )
-from repro.core.adasum_rvh import (
-    adasum_rvh,
-    allreduce_adasum_cluster,
-)
-from repro.core.adasum_ring import (
-    adasum_ring,
-    adasum_ring_cost,
-    allreduce_adasum_ring_cluster,
-)
 from repro.core.distributed_optimizer import DistributedOptimizer
 from repro.core.local_sgd import LocalStepWorker
 from repro.core.precision import DynamicScaler
@@ -117,11 +111,6 @@ __all__ = [
     "parse_op",
     "parse_topology",
     "GradientReducer",
-    "adasum_rvh",
-    "allreduce_adasum_cluster",
-    "adasum_ring",
-    "adasum_ring_cost",
-    "allreduce_adasum_ring_cluster",
     "DistributedOptimizer",
     "LocalStepWorker",
     "DynamicScaler",

@@ -8,13 +8,14 @@ of a logical vector shared by the ``2·d`` ranks in its group; the ranks
 compute partial dot products ``[a·b, a·a, b·b]``, finish them with a
 small group allreduce, and apply the Adasum combination locally.
 
-Per-layer support: when a :class:`~repro.comm.fusion.FusedTensorLayout`
-is supplied, the partial products are computed *per tensor slice* within
-the owned range, and the combination uses per-layer scale factors
-(Sections 3.6 + 4.4.3 — fusion with boundary bookkeeping).
+Per-layer support: when fused-layer ``boundaries`` are supplied, the
+partial products are computed *per tensor slice* within the owned
+range, and the combination uses per-layer scale factors (Sections 3.6 +
+4.4.3 — fusion with boundary bookkeeping).
 
-The implementation follows the paper's pseudocode line by line and is
-validated against the sequential :func:`repro.core.operator.adasum_tree`
+The implementation follows the paper's pseudocode line by line, runs as
+``get_strategy("adasum", "rvh").combine_comm``, and is validated
+against the sequential :func:`repro.core.operator.adasum_tree`
 reference in ``tests/core/test_adasum_rvh.py``.
 """
 
@@ -24,25 +25,17 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.comm.collectives import allreduce_group
-from repro.comm.fusion import FusedTensorLayout
-from repro.comm.transport import Cluster, Comm
+from repro.comm.collectives import allreduce_recursive_doubling
+from repro.comm.transport import Comm
 
 _EPS = 1e-30
 
 
 def _layer_slices(
-    layout: Optional[FusedTensorLayout],
-    boundaries: Optional[Sequence[int]] = None,
+    boundaries: Optional[Sequence[int]],
 ) -> Optional[Tuple[Tuple[int, int], ...]]:
-    """Normalize either layout form to ``(lo, hi)`` tensor slices.
-
-    The flat entry points speak plain boundary offsets (the
-    ``layout.boundaries()`` convention: ``len = #tensors + 1``) so arena
-    rows never need to be packed back into a named-dict layout.
-    """
-    if layout is not None:
-        return tuple(layout.slices)
+    """Per-tensor ``(lo, hi)`` slices from boundary offsets (the
+    ``layout.boundaries()`` convention: ``len = #tensors + 1``)."""
     if boundaries is None:
         return None
     bs = list(boundaries)
@@ -107,35 +100,20 @@ def _apply_combination(
     return out
 
 
-def adasum_rvh(
-    comm: Comm,
-    x: np.ndarray,
-    layout: Optional[FusedTensorLayout] = None,
-) -> np.ndarray:
-    """AdasumRVH(x): the full Algorithm 1 including the allgather phase.
-
-    Requires a power-of-two cluster.  ``x`` is this rank's flat gradient
-    (or fused gradient buffer); the return value is the Adasum-combined
-    vector, identical on every rank.
-    """
-    return _rvh_flat(comm, x, boundaries=None, _slices=_layer_slices(layout))
-
-
 def _rvh_flat(
     comm: Comm,
     row: np.ndarray,
     boundaries: Optional[Sequence[int]] = None,
-    _slices: Optional[Tuple[Tuple[int, int], ...]] = None,
 ) -> np.ndarray:
-    """AdasumRVH over a flat arena row, no dict/layout packing.
+    """AdasumRVH(x): the full Algorithm 1 including the allgather phase.
 
-    ``row`` is this rank's flat gradient buffer (e.g. one
-    :class:`~repro.core.arena.GradientArena` row); ``boundaries`` are
-    the per-tensor offsets (``layout.boundaries()`` convention) for the
-    per-layer dot products, or ``None`` for whole-vector Adasum.
-    Bit-exact with :func:`adasum_rvh` given the matching layout
-    (asserted in ``tests/core/test_adasum_rvh.py``).  Reached through
-    ``get_strategy("adasum", "rvh").combine_comm``.
+    Requires a power-of-two cluster.  ``row`` is this rank's flat
+    gradient buffer (e.g. one :class:`~repro.core.arena.GradientArena`
+    row); ``boundaries`` are the per-tensor offsets
+    (``layout.boundaries()`` convention) for the per-layer dot
+    products, or ``None`` for whole-vector Adasum.  The return value is
+    the Adasum-combined vector, identical on every rank.  Reached
+    through ``get_strategy("adasum", "rvh").combine_comm``.
     """
     size = comm.size
     if size & (size - 1):
@@ -143,8 +121,9 @@ def _rvh_flat(
     flat = np.ascontiguousarray(row).reshape(-1)
     if size == 1:
         return flat.copy()
-    slices = _slices if _slices is not None else _layer_slices(None, boundaries)
-    return _adasum_rvh_level(comm, flat, d=1, start=0, slices=slices)
+    return _adasum_rvh_level(
+        comm, flat, d=1, start=0, slices=_layer_slices(boundaries)
+    )
 
 
 def _adasum_rvh_level(
@@ -179,7 +158,7 @@ def _adasum_rvh_level(
     v = _partial_products(a, b, ranges)
     comm.compute(3 * a.nbytes, label="dot-products")
     group = [(rank // d2) * d2 + i for i in range(d2)]
-    v = allreduce_group(comm, v, group)
+    v = allreduce_recursive_doubling(comm, v, group)
     # Line 18: apply the Adasum combination on the owned half.
     xp = _apply_combination(a, b, v, ranges)
     comm.compute(2 * xp.nbytes, label="adasum-combine")
@@ -193,22 +172,3 @@ def _adasum_rvh_level(
     if (rank // d) % 2 == 0:
         return np.concatenate([xp, y])
     return np.concatenate([y, xp])
-
-
-def allreduce_adasum_cluster(
-    grads: Sequence[np.ndarray],
-    layout: Optional[FusedTensorLayout] = None,
-    network=None,
-) -> Tuple[np.ndarray, float]:
-    """Convenience driver: run AdasumRVH over a fresh simulated cluster.
-
-    ``grads[r]`` is rank ``r``'s flat gradient.  Returns the combined
-    vector (validated identical across ranks) and the simulated latency.
-    """
-    size = len(grads)
-    cluster = Cluster(size, network=network)
-    results = cluster.run(adasum_rvh, rank_args=[(g, layout) for g in grads])
-    for r in range(1, size):
-        if not np.allclose(results[r], results[0], rtol=1e-5, atol=1e-7):
-            raise AssertionError(f"rank {r} disagrees with rank 0 after AdasumRVH")
-    return results[0], cluster.max_clock()

@@ -43,7 +43,6 @@ topology means one module with a ``ReduceStrategy`` subclass and a
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -682,37 +681,6 @@ register_strategy(_HierarchicalAdasumStrategy())
 
 
 # ----------------------------------------------------------------------
-# Worker-side combine spec
-# ----------------------------------------------------------------------
-@dataclasses.dataclass(frozen=True)
-class CombineSpec:
-    """Picklable recipe for one reduction cell, for out-of-process use.
-
-    A worker process cannot hold the parent's reducer object (it closes
-    over the model and optimizer state); it holds this spec instead and
-    resolves the registry cell locally.  ``schedule(n)`` yields the
-    level-ordered ``(dst, src, kind)`` pair schedule whose replay via
-    ``pair_combine`` + ``finalize_pair`` is byte-identical to the
-    parent's ``reduce_flat`` — the contract the worker-parallel tree
-    reduce of the process backend is built on.
-    """
-
-    op: str
-    topology: str
-    per_layer: bool = True
-    gpus_per_node: int = 1
-
-    def resolve(self) -> ReduceStrategy:
-        strategy = get_strategy(self.op, self.topology)
-        if self.gpus_per_node != 1:
-            strategy = strategy.bind(gpus_per_node=self.gpus_per_node)
-        return strategy
-
-    def schedule(self, n: int) -> Optional[List[List[Tuple[int, int, str]]]]:
-        return self.resolve().pair_schedule(n)
-
-
-# ----------------------------------------------------------------------
 # Reducer interface
 # ----------------------------------------------------------------------
 class GradientReducer:
@@ -770,7 +738,9 @@ class StrategyReducer(GradientReducer):
 
     Attributes: ``op`` / ``name`` and ``topology`` (the registered
     names), ``post_optimizer`` (the cell's declared fact), ``strategy``
-    (the bound cell).
+    (the bound cell).  The reducer is a plain picklable object: the
+    process backend ships it to its rank workers, which replay
+    ``strategy``'s pair schedule on their arena rows.
     """
 
     def __init__(
@@ -797,15 +767,6 @@ class StrategyReducer(GradientReducer):
     def reduce_flat(self, data, boundaries=None):
         bounds = boundaries if self.per_layer else None
         return self.strategy.combine_flat(data, bounds)
-
-    def combine_spec(self) -> CombineSpec:
-        """The picklable :class:`CombineSpec` matching this reducer."""
-        return CombineSpec(
-            op=self.op,
-            topology=self.topology,
-            per_layer=self.per_layer,
-            gpus_per_node=self.gpus_per_node,
-        )
 
     def __repr__(self) -> str:
         extra = (

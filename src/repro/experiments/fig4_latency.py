@@ -18,13 +18,14 @@ import numpy as np
 from typing import Dict, Optional
 
 from repro.comm import (
+    Cluster,
     NetworkModel,
     TwoLevelNetwork,
     adasum_rvh_cost,
+    cluster_allreduce,
     hierarchical_allreduce_cost,
     nccl_allreduce_cost,
 )
-from repro.core import allreduce_adasum_cluster
 
 
 @dataclasses.dataclass
@@ -181,6 +182,7 @@ def validate_rvh_simulation(
     net = NetworkModel.infiniband()
     rng = np.random.default_rng(seed)
     grads = [rng.standard_normal(n_floats).astype(np.float32) for _ in range(ranks)]
-    _, simulated = allreduce_adasum_cluster(grads, network=net)
+    cluster = Cluster(ranks, network=net)
+    cluster.run(cluster_allreduce, rank_args=[(g, "adasum", "rvh") for g in grads])
     analytic = adasum_rvh_cost(n_floats * 4, ranks, net)
-    return simulated, analytic
+    return cluster.max_clock(), analytic

@@ -428,11 +428,10 @@ class _ProcessRankWorker:
     ``("combine", src, kind, final, n)``
         One scheduled hop of the worker-parallel tree reduce: combine
         this rank's arena row with rank ``src``'s row in place via the
-        registry strategy named by the spec's
-        :class:`~repro.core.strategies.CombineSpec`, applying
-        ``finalize_pair`` when this is the schedule's root hop.  The
-        strategy resolves lazily (first combine) from the local
-        registry, so nothing of the parent's reducer crosses the pipe.
+        registry strategy of the spec's reducer (the parent's
+        :class:`~repro.core.strategies.StrategyReducer`, pickled with
+        the spec), applying ``finalize_pair`` when this is the
+        schedule's root hop.
     """
 
     def __init__(self, rank: int, spec: Dict):
@@ -463,9 +462,9 @@ class _ProcessRankWorker:
         self.pipeline = None if pipeline is None else pipeline.for_row(
             rank, layout.total_size, layout.boundaries()
         )
-        self.combine = spec["combine_spec"]
-        self._strategy = None
-        self._boundaries = None
+        reducer = spec["reducer"]
+        self._strategy = reducer.strategy
+        self._boundaries = layout.boundaries() if reducer.per_layer else None
         # The parent computes inside phased_step's specialization scope;
         # both sides must run the exact same kernels (bit-exactness
         # contract), and a worker does nothing but training steps.
@@ -506,16 +505,6 @@ class _ProcessRankWorker:
         return self.pipeline.encode_block(self._row, (0,))
 
     def _combine(self, src: int, kind: str, final: bool, n: int) -> int:
-        if self._strategy is None:
-            if self.combine is None:
-                raise ValueError(
-                    f"rank {self.rank}: no combine spec configured for "
-                    "worker-parallel reduce"
-                )
-            self._strategy = self.combine.resolve()
-            self._boundaries = (
-                self.grads.layout.boundaries() if self.combine.per_layer else None
-            )
         acc = self.grads.row(self.rank)
         other = self.grads.row(src)
         self._strategy.pair_combine(kind, acc, other, self._boundaries, out=acc)
@@ -743,9 +732,9 @@ class ProcessRankExecutor:
     construction, and a healthy :meth:`close` copies their state back,
     so executors can come and go over one optimizer (pause/resume).
 
-    With a ``combine_spec`` (``reduce_mode="workers"``) the executor can
-    also run phase 2: the parent stops reducing and instead drives the
-    strategy's level-by-level pair schedule over the pipes
+    Under ``reduce_mode="workers"`` the executor also runs phase 2: the
+    parent stops reducing and instead drives the reducer's
+    level-by-level pair schedule over the pipes
     (:meth:`worker_reduce`) — at each tree level the surviving worker of
     every pair combines its peer's arena row into its own, in shared
     memory, in place.  The parent only sequences levels and collects
@@ -753,10 +742,8 @@ class ProcessRankExecutor:
     across worker processes.
 
     Built by :func:`build_rank_executor`.  ``faults``/``tracer``/
-    ``timeout``/``start_method`` forward to the transport;
-    ``combine_spec`` (a picklable
-    :class:`~repro.core.strategies.CombineSpec`) names the reduction
-    cell the workers replay.
+    ``timeout``/``start_method`` forward to the transport; the workers
+    replay ``dist_opt.reducer``'s cell.
     """
 
     def __init__(
@@ -773,14 +760,13 @@ class ProcessRankExecutor:
         faults=None,
         tracer: Optional[CommTracer] = None,
         start_method: Optional[str] = None,
-        combine_spec=None,
     ):
         if not isinstance(arena, SharedGradientArena):
             raise TypeError(
                 "ProcessRankExecutor needs a SharedGradientArena; got "
                 f"{type(arena).__name__}"
             )
-        self.combine_spec = combine_spec
+        self.reducer = dist_opt.reducer
         self.model = model
         self.arena = arena
         dtypes = {p.data.dtype for _, p in model.named_parameters()}
@@ -807,7 +793,7 @@ class ProcessRankExecutor:
             "param_dtype": self.param_arena.dtype,
             "microbatch": microbatch,
             "accumulation": accumulation,
-            "combine_spec": combine_spec,
+            "reducer": dist_opt.reducer,
             # The parent's own objects, as they are now: each worker
             # takes its rank's optimizer and its row of the residuals.
             "rank_optimizers": dist_opt.rank_optimizers,
@@ -865,7 +851,7 @@ class ProcessRankExecutor:
     def worker_reduce(self, participants: Optional[Sequence[int]] = None) -> np.ndarray:
         """Drive one worker-parallel tree reduce over the arena rows.
 
-        Replays the combine spec's level-ordered pair schedule: at each
+        Replays the reducer's level-ordered pair schedule: at each
         level every ``(dst, src)`` pair's *dst* worker combines *src*'s
         row into its own in place, and the level's remaining
         participants are listed as ``consult`` ranks so an injected kill
@@ -892,7 +878,7 @@ class ProcessRankExecutor:
         if n == 1:
             return root
         # RunConfig checked the cell has a schedule at every world size.
-        levels = self.combine_spec.schedule(n)
+        levels = self.reducer.strategy.pair_schedule(n)
         self.arena.reset_progress()
         last = len(levels) - 1
         for depth, level in enumerate(levels):
@@ -988,15 +974,12 @@ def build_rank_executor(
             GradientArena.from_model(model, num_ranks),
         )
     _check_parallel_safe(model)
-    combine_spec = (
-        dist_opt.reducer.combine_spec() if config.reduce_mode == "workers" else None
-    )
     arena = SharedGradientArena.from_model(model, num_ranks)
     try:
         return ProcessRankExecutor(
             model, loss_fn, x, y, config.microbatch, accumulation, arena,
             dist_opt, timeout=config.timeout, faults=faults, tracer=tracer,
-            start_method=start_method, combine_spec=combine_spec,
+            start_method=start_method,
         )
     except BaseException:
         arena.unlink()

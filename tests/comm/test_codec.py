@@ -30,7 +30,6 @@ from repro.comm.codec import (
     IdentityCodec,
     build_codec,
     build_pipeline,
-    int8_quantize,
     onebit_stats,
     parse_wire_codecs,
     topk_select,
@@ -403,8 +402,17 @@ class TestLegacyParity:
 # Whole-row stages == the per-block formulations
 # ----------------------------------------------------------------------
 # Each stage's ``roundtrip`` as it was when the pipeline called it once
-# per layer block: fp16 through the float16 dtype, int8 and top-k
-# through the shared per-tensor primitives.
+# per layer block: fp16 through the float16 dtype, int8 through the
+# frozen per-block quantizer below, top-k through the shared per-tensor
+# primitive.
+
+def int8_quantize(adjusted):
+    """Symmetric dynamic int8 quantization of a flat block."""
+    amax = float(np.max(np.abs(adjusted))) if adjusted.size else 0.0
+    scale = amax / 127.0 if amax > 0.0 else 1.0
+    q = np.clip(np.rint(adjusted / scale), -127, 127).astype(np.int8)
+    return q, scale
+
 
 def _per_block_fp16(flat, residual, scale):
     with np.errstate(over="ignore"):

@@ -9,7 +9,6 @@ from repro.comm import (
     allgather_doubling,
     allreduce_recursive_doubling,
     allreduce_ring,
-    allreduce_group,
     broadcast,
     cluster_allreduce,
     reduce_scatter_halving,
@@ -83,7 +82,7 @@ class TestGroupAllreduce:
 
         def fn(comm, v):
             group = [0, 1, 2, 3] if comm.rank < 4 else [4, 5, 6, 7]
-            return allreduce_group(comm, v, group)
+            return allreduce_recursive_doubling(comm, v, group)
 
         results = Cluster(size).run(fn, rank_args=[(v,) for v in vecs])
         lo = np.sum(vecs[:4], axis=0)
@@ -96,11 +95,11 @@ class TestGroupAllreduce:
     def test_rank_must_be_member(self):
         cluster = Cluster(2, timeout=2.0)
         with pytest.raises(Exception):
-            cluster.run(lambda c: allreduce_group(c, np.zeros(2), [0]))
+            cluster.run(lambda c: allreduce_recursive_doubling(c, np.zeros(2), [0]))
 
     def test_singleton_group(self):
         results = Cluster(2).run(
-            lambda c: allreduce_group(c, np.full(3, c.rank + 1.0), [c.rank])
+            lambda c: allreduce_recursive_doubling(c, np.full(3, c.rank + 1.0), [c.rank])
         )
         np.testing.assert_allclose(results[0], 1.0)
         np.testing.assert_allclose(results[1], 2.0)
@@ -207,6 +206,24 @@ class TestClusterAllreduce:
             for got in results:
                 np.testing.assert_allclose(got, expected, rtol=1e-4, atol=1e-5,
                                            err_msg=f"{n} ranks")
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    @pytest.mark.parametrize("bounds", [None, [0, 16, 20, 21]])
+    def test_ring_chain_is_the_linear_kernel_byte_for_byte(self, dtype, bounds):
+        """Every hop of the ring chain combines with the registry's
+        pairwise kernel, so every rank ends with exactly the bytes of the
+        ``(adasum, linear)`` left fold."""
+        linear = get_strategy("adasum", "linear")
+        for n in range(1, 9):
+            rows = np.stack(_rank_vectors(n, 21, seed=n)).astype(dtype)
+            expected = linear.combine_flat(rows.copy(), bounds)
+            results = Cluster(n, timeout=10.0).run(
+                lambda c, row: cluster_allreduce(c, row, "adasum", "ring", bounds),
+                rank_args=[(row,) for row in rows],
+            )
+            for rank, got in enumerate(results):
+                assert got.dtype == expected.dtype
+                assert np.array_equal(got, expected), f"{n} ranks, rank {rank}"
 
     def test_average_tree_any_on_three_ranks(self):
         rows = _rank_vectors(3, 7)

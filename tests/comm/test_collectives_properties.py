@@ -13,9 +13,10 @@ from repro.comm import (
     allreduce_recursive_doubling,
     allreduce_ring,
     broadcast,
+    cluster_allreduce,
     reduce_scatter_halving,
 )
-from repro.core import adasum_tree, allreduce_adasum_cluster
+from repro.core import adasum_tree
 
 ranks_pow2 = st.sampled_from([2, 4, 8])
 ranks_any = st.integers(min_value=1, max_value=7)
@@ -94,13 +95,20 @@ class TestBroadcastProperties:
             np.testing.assert_array_equal(r, payload)
 
 
+def _rvh(vecs):
+    """Rank 0's AdasumRVH result over one vector per rank."""
+    return Cluster(len(vecs)).run(
+        cluster_allreduce, rank_args=[(v, "adasum", "rvh") for v in vecs]
+    )[0]
+
+
 class TestAdasumRVHProperties:
     @settings(max_examples=15, deadline=None)
     @given(ranks_pow2, sizes, seeds)
     def test_rvh_matches_tree(self, p, n, seed):
         vecs = _vectors(p, n, seed)
         expected = adasum_tree(vecs)
-        out, _ = allreduce_adasum_cluster(vecs)
+        out = _rvh(vecs)
         np.testing.assert_allclose(out, expected, rtol=1e-3, atol=1e-5)
 
     @settings(max_examples=15, deadline=None)
@@ -108,5 +116,5 @@ class TestAdasumRVHProperties:
     def test_rvh_identical_inputs_average(self, p, seed):
         rng = np.random.default_rng(seed)
         g = rng.standard_normal(24).astype(np.float32)
-        out, _ = allreduce_adasum_cluster([g.copy() for _ in range(p)])
+        out = _rvh([g.copy() for _ in range(p)])
         np.testing.assert_allclose(out, g, rtol=1e-4, atol=1e-6)

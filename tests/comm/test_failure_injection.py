@@ -8,8 +8,7 @@ offending rank identified, never a silent hang of the test-suite.
 import numpy as np
 import pytest
 
-from repro.comm import Cluster, CommError, allreduce_ring
-from repro.core.adasum_rvh import adasum_rvh
+from repro.comm import Cluster, CommError, allreduce_ring, cluster_allreduce
 
 
 class TestRankCrashes:
@@ -43,7 +42,7 @@ class TestRankCrashes:
         def fn(comm, v):
             if comm.rank == 3:
                 raise ValueError("bad rank")
-            return adasum_rvh(comm, v)
+            return cluster_allreduce(comm, v, "adasum", "rvh")
 
         vecs = [np.ones(8, dtype=np.float32)] * 4
         with pytest.raises(CommError):

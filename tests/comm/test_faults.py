@@ -22,17 +22,16 @@ from repro.comm import (
     allreduce_ring,
     hierarchical_adasum_allreduce,
 )
-from repro.core.adasum_ring import adasum_ring
-from repro.core.adasum_rvh import adasum_rvh
 from repro.core.operator import adasum_tree
+from repro.core.strategies import get_strategy
 
 pytestmark = pytest.mark.faults
 
 COLLECTIVES = {
     "ring": allreduce_ring,
     "recursive_doubling": allreduce_recursive_doubling,
-    "adasum_rvh": adasum_rvh,
-    "adasum_ring": adasum_ring,
+    "adasum_rvh": get_strategy("adasum", "rvh").combine_comm,
+    "adasum_ring": get_strategy("adasum", "ring").combine_comm,
     "hierarchical_adasum": lambda comm, v: hierarchical_adasum_allreduce(comm, v, 2),
 }
 
@@ -96,7 +95,7 @@ class TestStragglers:
         vecs = _vectors(8, n=128, seed=11)
         plan = FaultPlan().delay_rank(3, 10.0)
         cluster = Cluster(8, network=net, faults=plan, trace=True)
-        results = cluster.run(adasum_rvh, rank_args=[(v,) for v in vecs])
+        results = cluster.run(COLLECTIVES["adasum_rvh"], rank_args=[(v,) for v in vecs])
 
         reference = adasum_tree([v.astype(np.float64) for v in vecs])
         for r in results:
@@ -119,7 +118,7 @@ class TestStragglers:
         cluster = Cluster(8, timeout=5.0, faults=plan)
         start = time.monotonic()
         with pytest.raises(CommError, match="rank 5 killed"):
-            cluster.run(adasum_rvh, rank_args=[(v,) for v in vecs])
+            cluster.run(COLLECTIVES["adasum_rvh"], rank_args=[(v,) for v in vecs])
         assert time.monotonic() - start < 5.0
 
 
@@ -200,7 +199,7 @@ class TestPlanReuse:
         def fn(comm):
             if comm.rank == 0:
                 return comm.rank
-            comm.barrier()
+            comm.send(np.zeros(1), 0)
 
         for _ in range(2):
             with pytest.raises(CommError, match="rank 1 killed"):

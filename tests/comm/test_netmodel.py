@@ -8,12 +8,12 @@ from repro.comm import (
     NetworkModel,
     allreduce_ring,
     adasum_rvh_cost,
+    cluster_allreduce,
     hierarchical_adasum_allreduce,
     hierarchical_allreduce_cost,
     ring_allreduce_cost,
     rvh_allreduce_cost,
 )
-from repro.core.adasum_rvh import adasum_rvh
 
 
 class TestBasics:
@@ -116,7 +116,10 @@ class TestSimulationAgreement:
         rng = np.random.default_rng(0)
         vecs = [rng.standard_normal(n).astype(np.float32) for _ in range(p)]
         cluster = Cluster(p, network=net)
-        cluster.run(lambda c, v: adasum_rvh(c, v), rank_args=[(v,) for v in vecs])
+        cluster.run(
+            lambda c, v: cluster_allreduce(c, v, "adasum", "rvh"),
+            rank_args=[(v,) for v in vecs],
+        )
         analytic = adasum_rvh_cost(n * 4, p, net)
         assert cluster.max_clock() == pytest.approx(analytic, rel=0.5)
 

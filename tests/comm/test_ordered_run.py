@@ -21,8 +21,8 @@ from repro.comm import (
     FaultPlan,
     RankKilledError,
     allreduce_ring,
+    cluster_allreduce,
 )
-from repro.core import allreduce_adasum_cluster
 from repro.core.distributed_optimizer import make_reducer
 from repro.elastic import cluster_reduce
 
@@ -89,16 +89,6 @@ class TestWrongOrderFailsFast:
         assert "rank 0" in str(first) and "src=1" in str(first)
         # Ranks 1 and 2 only echo rank 0's failure; rank 3 never waits.
         assert set(info.value.rank_errors) == {0}
-
-    def test_barrier_is_rejected(self):
-        cluster = Cluster(3, timeout=60.0)
-        start = time.monotonic()
-        with pytest.raises(CommError) as info:
-            cluster.run(lambda comm: comm.barrier(), order=range(3))
-        assert time.monotonic() - start < 1.0
-        first = info.value.rank_errors[0]
-        assert isinstance(first, CommOrderError)
-        assert (first.rank, first.op, first.peer) == (0, "barrier", None)
 
     def test_no_partial_results(self):
         with pytest.raises(CommError):
@@ -175,7 +165,9 @@ class TestThreadCensus:
 
     def test_adasum_rvh_keeps_its_threads(self, started_threads, rng):
         grads = [rng.standard_normal(16).astype(np.float32) for _ in range(4)]
-        allreduce_adasum_cluster(grads)
+        Cluster(4).run(
+            cluster_allreduce, rank_args=[(g, "adasum", "rvh") for g in grads]
+        )
         assert sorted(started_threads("rank-")) == [f"rank-{r}" for r in range(4)]
 
 

@@ -124,17 +124,6 @@ class TestClocks:
         results = cluster.run(fn)
         assert results[1] == pytest.approx(100.0)
 
-    def test_barrier_aligns_clocks(self):
-        cluster = Cluster(4)
-
-        def fn(comm):
-            comm.advance(float(comm.rank))
-            comm.barrier()
-            return comm.clock
-
-        results = cluster.run(fn)
-        assert all(r == pytest.approx(3.0) for r in results)
-
     def test_max_clock_and_total_bytes(self):
         net = NetworkModel(alpha=0.0, beta=1.0)
         cluster = Cluster(2, network=net)

@@ -195,6 +195,42 @@ def test_the_dict_entry_points_are_gone():
     assert not hasattr(repro.utils, "grads_to_dict")
 
 
+def test_the_collective_twins_are_gone():
+    """One way to run each simulated collective: a cell's
+    ``combine_comm`` through ``cluster_allreduce`` — no layout-taking
+    twins, one-call wrappers, group allreduce, barrier, per-call retry
+    knobs, second tracing switch, fusion packer or worker combine spec."""
+    import repro.comm
+    import repro.core.adasum_ring
+    import repro.core.adasum_rvh
+    import repro.core.strategies
+    from repro.comm import Cluster, Comm, GroupComm
+
+    gone = {
+        repro.core: ("adasum_rvh", "adasum_ring", "allreduce_adasum_cluster",
+                     "allreduce_adasum_ring_cluster", "adasum_ring_cost"),
+        repro.comm: ("allreduce_group", "FusionBuffer"),
+        repro.core.adasum_rvh: ("adasum_rvh", "allreduce_adasum_cluster"),
+        repro.core.adasum_ring: ("adasum_ring", "allreduce_adasum_ring_cluster",
+                                 "adasum_ring_cost"),
+        repro.core.strategies: ("CombineSpec",),
+    }
+    for package, names in gone.items():
+        for name in names:
+            assert name not in getattr(package, "__all__", ()), name
+            # A submodule of the same name may be imported; nothing else.
+            assert inspect.ismodule(getattr(package, name, inspect)), name
+    for cls in (Comm, GroupComm):
+        assert not hasattr(cls, "barrier")
+        for method in (cls.send, cls.sendrecv):
+            assert not {"retries", "backoff"} & set(
+                inspect.signature(method).parameters)
+    assert not hasattr(Cluster, "enable_tracing")
+    assert "cross_topology" not in inspect.signature(
+        repro.comm.hierarchical_adasum_allreduce).parameters
+    assert not hasattr(repro.core.strategies.StrategyReducer, "combine_spec")
+
+
 def test_kernel_specialization_is_not_a_knob():
     """One value was ever in use: it is a constant of ``phased_step``."""
     for cls in (ParallelTrainer, ElasticTrainer, ProcessRankExecutor,

@@ -11,12 +11,14 @@ pre-rounded by the scaled-fp16 wire format — exactly the states the
 worker reduce sees in elastic and ``wire_codecs=("fp16",)`` runs.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.strategies import (
-    CombineSpec,
+    StrategyReducer,
     get_strategy,
     pair_schedule,
     registered_cells,
@@ -179,20 +181,30 @@ class TestReplayByteIdentity:
 
 
 class TestCombineSpec:
-    def test_spec_roundtrips_through_pickle(self):
-        import pickle
+    """The worker spec's reducer is the combine spec: the parent's
+    :class:`StrategyReducer` crosses to the rank workers by pickle and
+    must arrive with the same bound cell and pair schedule."""
 
-        spec = CombineSpec(op="adasum", topology="hierarchical",
-                           per_layer=True, gpus_per_node=2)
-        clone = pickle.loads(pickle.dumps(spec))
-        assert clone == spec
-        assert clone.schedule(8) == spec.schedule(8)
+    def test_spec_roundtrips_through_pickle(self):
+        reducer = StrategyReducer("adasum", "hierarchical", gpus_per_node=2)
+        clone = pickle.loads(pickle.dumps(reducer))
+        assert repr(clone) == repr(reducer)
+        assert clone.per_layer and clone.post_optimizer == reducer.post_optimizer
+        assert clone.strategy.pair_schedule(8) == reducer.strategy.pair_schedule(8)
 
     def test_spec_resolves_bound_strategy(self):
-        spec = CombineSpec(op="adasum", topology="hierarchical", gpus_per_node=4)
-        assert spec.resolve().gpus_per_node == 4
+        reducer = StrategyReducer("adasum", "hierarchical", gpus_per_node=4)
+        clone = pickle.loads(pickle.dumps(reducer))
+        assert clone.strategy.gpus_per_node == 4
+        assert clone.strategy.pair_schedule(8) == _strategy(
+            "adasum", "hierarchical", 4
+        ).pair_schedule(8)
 
     def test_spec_schedule_matches_strategy(self):
         for op, topology, g in _scheduled_cells():
-            spec = CombineSpec(op=op, topology=topology, gpus_per_node=g)
-            assert spec.schedule(8) == _strategy(op, topology, g).pair_schedule(8)
+            reducer = StrategyReducer(op, topology, per_layer=False, gpus_per_node=g)
+            clone = pickle.loads(pickle.dumps(reducer))
+            assert not clone.per_layer
+            assert clone.strategy.pair_schedule(8) == _strategy(
+                op, topology, g
+            ).pair_schedule(8)

@@ -61,14 +61,21 @@ class TestTraceCommand:
             main(["trace", "--collective", "nope"])
 
     def test_trace_hierarchical_runs_the_registered_cell(self, capsys):
-        """``--collective hierarchical`` is the ``("adasum",
-        "hierarchical")`` cell through ``cluster_allreduce``; its cost is
-        the direct two-level collective's."""
-        code = main(["trace", "--collective", "hierarchical", "--ranks", "8",
-                     "--gpus-per-node", "2"])
-        assert code == 0
-        assert ("hierarchical over 8 ranks completed: simulated latency "
-                "0.021 ms, 229952 bytes on the wire") in capsys.readouterr().out
+        """Every ``--collective`` is its registered cell through
+        ``cluster_allreduce`` (``hierarchical`` the ``("adasum",
+        "hierarchical")`` cell at the default 2 GPUs per node); each
+        line is the modeled cost of the direct collective, pinned."""
+        for collective, ms, nbytes in (
+            ("adasum_rvh", "0.027", 230528),
+            ("adasum_ring", "0.036", 229376),
+            ("ring", "0.031", 229376),
+            ("rd", "0.011", 393216),
+            ("hierarchical", "0.021", 229952),
+        ):
+            assert main(["trace", "--collective", collective]) == 0
+            assert (f"{collective} over 8 ranks completed: simulated latency "
+                    f"{ms} ms, {nbytes} bytes on the wire"
+                    ) in capsys.readouterr().out, collective
 
     def test_trace_hierarchical_rejects_an_indivisible_world(self, capsys):
         # A usage error (2), not a comm failure (3) from every rank.

@@ -11,17 +11,21 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.comm import FusionBuffer
-from repro.core import (
-    RunConfig,
-    allreduce_adasum_cluster,
-)
+from repro.comm import Cluster, cluster_allreduce
+from repro.core import GradientArena, RunConfig
 from repro.core.distributed_optimizer import make_reducer
 from repro.data import make_mnist_like, train_test_split
 from repro.models import LeNet5, MLP
 from repro.optim import SGD, Adam, LAMB
 from repro.train import ParallelTrainer, accuracy
 from repro.train.trainer import compute_grads
+
+
+def _rvh(rows, boundaries=None):
+    """Rank 0's AdasumRVH result over one row per rank."""
+    return Cluster(len(rows)).run(
+        cluster_allreduce, rank_args=[(r, "adasum", "rvh", boundaries) for r in rows]
+    )[0]
 
 
 class TestTrainingConvergence:
@@ -86,7 +90,7 @@ class TestReducerVsMessagePassing:
         flat_ref = np.concatenate([combined[n].reshape(-1) for n in names])
         # ...must equal the flat fused buffer run through AdasumRVH.
         flats = [np.concatenate([d[n].reshape(-1) for n in names]) for d in dicts]
-        out, _ = allreduce_adasum_cluster(flats)
+        out = _rvh(flats)
         np.testing.assert_allclose(out, flat_ref, rtol=1e-4, atol=1e-6)
 
     def test_adasum_reducer_matches_rvh_per_layer(self):
@@ -98,11 +102,8 @@ class TestReducerVsMessagePassing:
             for _ in range(8)
         ]
         combined = make_reducer("adasum", per_layer=True).reduce(dicts)
-        fusion = FusionBuffer()
-        (layout,) = fusion.plan(list(dicts[0].items()))
-        flats = [fusion.pack(layout, d) for d in dicts]
-        out, _ = allreduce_adasum_cluster(flats, layout=layout)
-        back = fusion.unpack(layout, out)
+        arena = GradientArena.from_grad_dicts(dicts)
+        back = arena.unpack(_rvh(arena.data, arena.layout.boundaries()))
         for n in combined:
             np.testing.assert_allclose(back[n], combined[n], rtol=1e-4, atol=1e-6)
 
@@ -116,13 +117,11 @@ class TestReducerVsMessagePassing:
             _, g = compute_grads(model, loss_fn, x[r * 16 : (r + 1) * 16],
                                  y[r * 16 : (r + 1) * 16])
             dicts.append(g)
-        fusion = FusionBuffer()
-        (layout,) = fusion.plan(list(dicts[0].items()))
-        flats = [fusion.pack(layout, d) for d in dicts]
-        out, latency = allreduce_adasum_cluster(flats, layout=layout)
+        arena = GradientArena.from_grad_dicts(dicts)
+        out = _rvh(arena.data, arena.layout.boundaries())
         assert np.isfinite(out).all()
         ref = make_reducer("adasum").reduce(dicts)
-        back = fusion.unpack(layout, out)
+        back = arena.unpack(out)
         for n in ref:
             np.testing.assert_allclose(back[n], ref[n], rtol=1e-3, atol=1e-5)
 

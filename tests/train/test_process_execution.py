@@ -17,7 +17,12 @@ from repro import nn
 from repro.comm.faults import FaultPlan
 from repro.comm.tracing import CommTracer
 from repro.comm.transport import CommError
-from repro.core import DistributedOptimizer, RunConfig, leaked_shared_segments
+from repro.core import (
+    DistributedOptimizer,
+    RunConfig,
+    StrategyReducer,
+    leaked_shared_segments,
+)
 from repro.core.arena import GradientArena, SharedGradientArena
 from repro.core.orthogonality import OrthogonalityProbe
 from repro.data.sampler import BatchIterator, ShardedSampler
@@ -319,7 +324,7 @@ def test_rank_worker_validates_and_keeps_the_engine():
             "layout": grads.layout, "grad_segment": grads.name,
             "param_segment": params.name, "num_ranks": 3,
             "grad_dtype": grads.dtype, "param_dtype": params.dtype,
-            "microbatch": 2, "accumulation": 1, "combine_spec": None,
+            "microbatch": 2, "accumulation": 1, "reducer": StrategyReducer(),
             "rank_optimizers": [], "pipeline": None,
         }
         worker = _ProcessRankWorker(1, pickle.loads(pickle.dumps(spec)))

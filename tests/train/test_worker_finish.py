@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from repro.core import DistributedOptimizer, leaked_shared_segments
+from repro.core import DistributedOptimizer, StrategyReducer, leaked_shared_segments
 from repro.core.arena import GradientArena, SharedGradientArena
 from repro.elastic.state import pack_optimizer_state, restore_optimizer_state
 from repro.models import MLP, BertConfig, MiniBERT
@@ -75,13 +75,13 @@ class _PickledCalls:
 
 def _spec(model, grads, params, rank_optimizers, pipeline):
     """The bootstrap spec a rank worker is built from (finishing only:
-    no data, no loss, no combine)."""
+    no data, no loss; its reducer is never asked to combine)."""
     return {
         "model": model, "loss_fn": None, "x": None, "y": None,
         "layout": grads.layout, "grad_segment": grads.name,
         "param_segment": params.name, "num_ranks": grads.num_ranks,
         "grad_dtype": grads.dtype, "param_dtype": params.dtype,
-        "microbatch": 1, "accumulation": 1, "combine_spec": None,
+        "microbatch": 1, "accumulation": 1, "reducer": StrategyReducer(),
         "rank_optimizers": rank_optimizers, "pipeline": pipeline,
     }
 
