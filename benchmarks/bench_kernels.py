@@ -19,8 +19,14 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import GradientArena, adasum, adasum_flat, adasum_per_layer, adasum_tree
-from repro.core.distributed_optimizer import make_reducer
+from repro.core import (
+    GradientArena,
+    StrategyReducer,
+    adasum,
+    adasum_flat,
+    adasum_per_layer,
+    adasum_tree,
+)
 from repro.models import MLP, BertConfig, LeNet5, MiniBERT
 from repro.tensor import tune_allocator
 
@@ -57,27 +63,27 @@ def test_tree_reduction_16_ranks(benchmark):
 
 def test_per_layer_reducer_lenet_sized(benchmark):
     dicts = _lenet_grad_dicts()
-    reducer = make_reducer("adasum")
+    reducer = StrategyReducer("adasum")
     out = benchmark(reducer.reduce, dicts)
     assert set(out) == set(dicts[0])
 
 
 def test_per_layer_reducer_lenet_flat(benchmark):
     arena = GradientArena.from_grad_dicts(_lenet_grad_dicts())
-    reducer = make_reducer("adasum")
+    reducer = StrategyReducer("adasum")
     out = benchmark(reducer.reduce_arena, arena)
     assert out.shape == (arena.layout.total_size,)
 
 
 def test_sum_reducer_lenet_sized(benchmark):
     dicts = _lenet_grad_dicts()
-    out = benchmark(make_reducer("sum").reduce, dicts)
+    out = benchmark(StrategyReducer("sum").reduce, dicts)
     assert set(out) == set(dicts[0])
 
 
 def test_sum_reducer_lenet_flat(benchmark):
     arena = GradientArena.from_grad_dicts(_lenet_grad_dicts())
-    reducer = make_reducer("sum")
+    reducer = StrategyReducer("sum")
     out = benchmark(reducer.reduce_arena, arena)
     assert out.shape == (arena.layout.total_size,)
 
@@ -114,7 +120,7 @@ def test_flat_adasum_beats_the_per_layer_operator():
     )
     dicts = _grad_dicts(model)
     arena = GradientArena.from_grad_dicts(dicts)
-    reducer = make_reducer("adasum")
+    reducer = StrategyReducer("adasum")
     reference = adasum_per_layer(dicts)
     np.testing.assert_array_equal(
         reducer.reduce_arena(arena),

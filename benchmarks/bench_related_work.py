@@ -12,7 +12,7 @@ import numpy as np
 from benchmarks.conftest import announce
 from repro import nn
 from repro.baselines import AsyncSGDSimulator, OneBitCompressor, TopKCompressor
-from repro.core import RunConfig, make_reducer
+from repro.core import RunConfig, StrategyReducer
 from repro.models import MLP
 from repro.optim import SGD
 from repro.train import ParallelTrainer, accuracy
@@ -69,7 +69,7 @@ def _run_compressed(x, y, compressor_cls, seed=0, **kw):
     model = MLP((6, 16, 2), rng=np.random.default_rng(1))
     opt = SGD(model.parameters(), LR)
     compressors = [compressor_cls(**kw) for _ in range(RANKS)]
-    reducer = make_reducer("adasum")
+    reducer = StrategyReducer("adasum")
     loss_fn = nn.CrossEntropyLoss()
     rng = np.random.default_rng(seed)
     params = dict(model.named_parameters())

@@ -34,14 +34,14 @@ def test_table1_engine_memory_accounting():
     """The measured engine state split backs the memory model."""
     import numpy as np
 
-    from repro.core import PartitionedAdasumEngine, make_reducer
+    from repro.core import PartitionedAdasumEngine, StrategyReducer
     from repro.models import BertConfig, MiniBERT
     from repro.optim import LAMB
 
     cfg = BertConfig(vocab_size=64, hidden=64, layers=2, heads=4, max_seq_len=16)
     model = MiniBERT(cfg, rng=np.random.default_rng(0))
     opt = LAMB(model.parameters(), lr=1e-3)
-    engine = PartitionedAdasumEngine(model, opt, num_gpus=4, reducer=make_reducer("adasum"))
+    engine = PartitionedAdasumEngine(model, opt, num_gpus=4, reducer=StrategyReducer("adasum"))
     grads = {n: np.ones(p.shape, dtype=np.float32) * 1e-3
              for n, p in model.named_parameters()}
     engine.update(grads)

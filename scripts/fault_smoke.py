@@ -45,7 +45,7 @@ y = (x @ rng.standard_normal((8, 3))).argmax(axis=1)
 
 def run(schedule, wire_codecs):
     model = MLP((8, 24, 3), rng=np.random.default_rng(0))
-    config = RunConfig(op="adasum", topology="tree_any", num_ranks=8,
+    config = RunConfig(op="adasum", topology="tree", num_ranks=8,
                        microbatch=4, seed=0, faults=schedule,
                        wire_codecs=wire_codecs)
     tr = ElasticTrainer(model, nn.CrossEntropyLoss(),

@@ -3,9 +3,9 @@
 
 The strategy registry (``repro.core.strategies``) is the single
 dispatch point for every reduction path.  Code outside ``src/repro/core``
-must go through ``get_strategy(...)`` / ``make_reducer(...)`` /
-``cluster_allreduce(...)`` rather than importing the private flat
-kernels directly.  The
+must go through ``get_strategy(...)`` / ``StrategyReducer(...)`` /
+``RunConfig.make_reducer()`` / ``cluster_allreduce(...)`` rather than
+importing the private flat kernels directly.  The
 same boundary holds for the wire-level hierarchical collective: its
 ring-schedule internals (chunk-bound arithmetic, local reduce-scatter /
 allgather stages, the cross-node tree fallback) are private to
@@ -182,7 +182,8 @@ def main() -> int:
             print(f"  {line}")
         print(
             "\nroute through repro.core.strategies.get_strategy(...), "
-            "repro.core.make_reducer(...), repro.comm.cluster_allreduce(...), "
+            "repro.core.StrategyReducer(...), RunConfig.make_reducer(), "
+            "repro.comm.cluster_allreduce(...), "
             "the public repro.comm.hierarchical_*_allreduce entry points, or "
             "DistributedOptimizer.scaler.state_dict() instead; read an op's "
             "declared facts (strategy.post_optimizer / scales_with_world) "

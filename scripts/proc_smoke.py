@@ -68,7 +68,7 @@ def _bert_task():
 def _train(execution: str, start_method=None, checkpoint=None, task=_mlp_task):
     x, y, model = task()
     config = RunConfig(
-        op="adasum", topology="tree_any", num_ranks=RANKS, microbatch=2, seed=0,
+        op="adasum", topology="tree", num_ranks=RANKS, microbatch=2, seed=0,
         execution=execution, wire_codecs=("fp16", "int8", "topk:0.1"),
         reduce_mode="workers" if execution == "processes" else "parent",
     )

@@ -332,14 +332,15 @@ def _elastic_main(argv) -> int:
     parser.add_argument("--samples", type=int, default=480)
     parser.add_argument("--microbatch", type=int, default=4)
     parser.add_argument("--lr", type=float, default=0.2)
-    _add_cell_args(parser, "tree_any",
+    _add_cell_args(parser, "tree",
                    "reduction recursion order; an elastic world "
-                   "can shrink to any size, so the Adasum tree is "
-                   "'tree_any' ('tree' needs power-of-two worlds: "
-                   "at most 2 ranks here); 'hierarchical' sums "
-                   "within nodes of --gpus-per-node and applies "
-                   "Adasum across them, falling back to tree_any "
-                   "when a kill breaks node symmetry")
+                   "can shrink to any size, which 'tree' reduces by "
+                   "splitting at the largest power of two ('rvh' "
+                   "needs power-of-two worlds: at most 2 ranks here); "
+                   "'hierarchical' sums within nodes of "
+                   "--gpus-per-node and applies Adasum across them, "
+                   "falling back to tree when a kill breaks node "
+                   "symmetry")
     parser.add_argument("--gpus-per-node", type=int, default=1,
                         help="node width for --topology hierarchical")
     parser.add_argument("--wire-codecs", default=None, metavar="STACK",
@@ -472,7 +473,7 @@ def _train_main(argv) -> int:
     parser.add_argument("--samples", type=int, default=512)
     parser.add_argument("--microbatch", type=int, default=4)
     parser.add_argument("--lr", type=float, default=0.1)
-    _add_cell_args(parser, "tree_any")
+    _add_cell_args(parser, "tree")
     parser.add_argument("--gpus-per-node", type=int, default=1)
     parser.add_argument("--start-method", default=None,
                         choices=("fork", "spawn", "forkserver"),

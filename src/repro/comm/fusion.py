@@ -51,20 +51,6 @@ class FusedTensorLayout:
             return [0]
         return [s for s, _ in self.slices] + [self.slices[-1][1]]
 
-    def slices_within(self, start: int, stop: int) -> List[Tuple[str, int, int]]:
-        """Per-tensor sub-ranges intersecting the buffer range [start, stop).
-
-        This is what a rank holding a *slice* of the fused buffer (after
-        a reduce-scatter phase) uses to compute per-layer dot products of
-        only the layers it owns.  Returned offsets are absolute.
-        """
-        out = []
-        for name, (lo, hi) in zip(self.names, self.slices):
-            a, b = max(lo, start), min(hi, stop)
-            if a < b:
-                out.append((name, a, b))
-        return out
-
 
 def layout_of(tensors: Sequence[Tuple[str, np.ndarray]]) -> FusedTensorLayout:
     """Build a :class:`FusedTensorLayout` covering *all* named tensors.

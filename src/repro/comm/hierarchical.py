@@ -183,13 +183,13 @@ def hierarchical_allreduce(
 
 def _cross_node_adasum_tree(sub: Comm, piece: np.ndarray,
                             boundaries: Optional[Sequence[int]] = None) -> np.ndarray:
-    """``tree_any`` Adasum across the node group: gather-to-root, one
+    """Tree Adasum across the node group: gather-to-root, one
     in-process pow2-block reduction, binomial broadcast back.
 
     This is the cross-node geometry that survives *any* node count —
     the fallback an elastic hierarchical world drops to when a rank
     kill breaks node symmetry — and it reproduces the registry's
-    ``(adasum, tree_any)`` cell bit for bit over the gathered slices.
+    ``(adasum, tree)`` cell bit for bit over the gathered slices.
     """
     from repro.core.strategies import get_strategy
 
@@ -197,7 +197,7 @@ def _cross_node_adasum_tree(sub: Comm, piece: np.ndarray,
         return piece.copy()
     if sub.rank == 0:
         rows = [piece] + [sub.recv(r) for r in range(1, sub.size)]
-        combined = get_strategy("adasum", "tree_any").combine_flat(
+        combined = get_strategy("adasum", "tree").combine_flat(
             np.stack(rows), boundaries
         )
         return broadcast(sub, combined)
@@ -224,7 +224,7 @@ def hierarchical_adasum_allreduce(
 
     The node count picks the cross-node geometry: RVH (Algorithm 1, the
     paper's production choice) at a power of two, the pow2-block
-    ``tree_any`` otherwise — exactly the fallback an elastic world
+    ``tree`` otherwise — exactly the fallback an elastic world
     needs after losing whole nodes.
     """
     from repro.core.strategies import get_strategy

@@ -97,7 +97,7 @@ def ring_allreduce_cost(nbytes: int, p: int, net: NetworkModel) -> float:
 
 
 def _pow2_block_overhead(nbytes: float, net: NetworkModel, adasum: bool) -> float:
-    """Extra latency of one ``tree_any`` block-combine level.
+    """Extra latency of one ``tree`` block-combine level.
 
     Non-power-of-two rank counts decompose into the largest power-of-two
     block and the remainder (``largest_pow2_below``): the two blocks
@@ -118,7 +118,7 @@ def rvh_allreduce_cost(nbytes: int, p: int, net: NetworkModel) -> float:
     log p allgather rounds with the same sizes — the latency-and-
     bandwidth-optimal algorithm of [10, 35] on hypercubes.
 
-    Non-power-of-two ``p`` is modeled as the ``tree_any`` pow2-block
+    Non-power-of-two ``p`` is modeled as the ``tree`` pow2-block
     decomposition (largest power-of-two block + remainder, reduced in
     parallel, then one full-vector combine/broadcast exchange) instead
     of silently flooring ``log2(p)`` — which used to cost p=6 the same
@@ -163,7 +163,7 @@ def adasum_rvh_cost(nbytes: int, p: int, net: NetworkModel) -> float:
     messages), plus the extra arithmetic of the dot products and scaled
     combination (≈3× the work of a plain sum).
 
-    Non-power-of-two ``p`` uses the same ``tree_any`` pow2-block
+    Non-power-of-two ``p`` uses the same ``tree`` pow2-block
     decomposition as :func:`rvh_allreduce_cost`, with the block-combine
     paying the Adasum pairwise arithmetic.
     """

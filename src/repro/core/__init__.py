@@ -85,7 +85,6 @@ from repro.core.hessian import (
 from repro.core.orthogonality import OrthogonalityProbe
 from repro.core.clipping import clip_grad_norm, clip_grad_value, global_grad_norm
 from repro.core.local_sgd import LocalSGDCluster
-from repro.core.distributed_optimizer import allreduce, make_reducer
 
 __all__ = [
     "adasum",
@@ -123,8 +122,6 @@ __all__ = [
     "hessian_tree_combine",
     "OrthogonalityProbe",
     "LocalSGDCluster",
-    "allreduce",
-    "make_reducer",
     "clip_grad_norm",
     "clip_grad_value",
     "global_grad_norm",

@@ -146,12 +146,6 @@ class GradientArena:
     def __iter__(self) -> Iterator[Dict[str, np.ndarray]]:
         return iter(self._views)
 
-    def zero_(self) -> None:
-        self.data.fill(0)
-
-    def zero_rank_(self, rank: int) -> None:
-        self.data[rank].fill(0)
-
     # ------------------------------------------------------------------
     def load_dicts(self, grad_dicts: Sequence[Mapping[str, np.ndarray]]) -> None:
         """Copy per-rank gradient dicts into the arena rows."""

@@ -82,10 +82,10 @@ class RunConfig:
         :func:`~repro.core.strategies.register_strategy`; any case.
     topology:
         The registered reduction cell's recursion order: ``"tree"``
-        (default; Adasum needs a power-of-two world), ``"tree_any"``
-        (any world size: what an elastic world that may shrink names),
-        ``"linear"``, ``"rvh"`` (Adasum: power-of-two worlds, no
-        pair-combine schedule), ``"ring"`` or ``"hierarchical"``.
+        (default; any world size, split at the largest power of two
+        below a world that is not one), ``"linear"``, ``"rvh"``
+        (Adasum: power-of-two worlds, no pair-combine schedule),
+        ``"ring"`` or ``"hierarchical"``.
     gpus_per_node:
         Node width of the ``hierarchical`` topology (intra-node sum,
         Adasum across nodes); ``num_ranks`` must be a multiple of it.
@@ -308,7 +308,7 @@ class RunConfig:
                     f"{exc}: an elastic step over {self.num_ranks} ranks may "
                     f"reduce {n} of them, which topology={self.topology!r} "
                     "cannot; name a cell that reduces any size, such as "
-                    "'tree_any'"
+                    "'tree'"
                 ) from None
         return self
 

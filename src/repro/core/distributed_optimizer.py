@@ -41,43 +41,11 @@ from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.comm.bucketing import BucketPlan
-from repro.comm.codec import build_pipeline, parse_wire_codecs
+from repro.comm.codec import build_pipeline
 from repro.core.overlap import FlatOptimizerMirror
 from repro.core.precision import DynamicScaler
-from repro.core.strategies import GradientReducer, StrategyReducer
 from repro.nn.module import Module
 from repro.optim.optimizer import Optimizer
-
-
-def make_reducer(
-    op: str,
-    per_layer: bool = True,
-    topology: str = "tree",
-    gpus_per_node: int = None,
-) -> GradientReducer:
-    """Build the registry-backed reducer implementing ``op``.
-
-    ``op`` and ``topology`` name a registered cell (``"adasum"``,
-    ``"tree_any"``, ...); ``gpus_per_node`` parameterizes the
-    hierarchical topology.
-    """
-    return StrategyReducer(
-        op=op, topology=topology, per_layer=per_layer, gpus_per_node=gpus_per_node
-    )
-
-
-def allreduce(
-    grad_dicts: Sequence[Mapping[str, np.ndarray]],
-    op: str = "adasum",
-    per_layer: bool = True,
-) -> Dict[str, np.ndarray]:
-    """Fine-grained ``hvd.allreduce`` equivalent over simulated ranks.
-
-    Combines one gradient dict per rank with the requested op; exposed
-    for users who need custom steps (e.g. gradient clipping) outside a
-    :class:`DistributedOptimizer` (paper Section 4.1).
-    """
-    return make_reducer(op, per_layer=per_layer).reduce(grad_dicts)
 
 
 class DistributedOptimizer:
@@ -91,66 +59,42 @@ class DistributedOptimizer:
     optimizer_factory:
         ``f(params) -> Optimizer``; called once per rank in Figure-3
         mode (per-rank optimizer state) and once total otherwise.
+    config:
+        The :class:`~repro.core.config.RunConfig` whose reduction fields
+        (``op``, ``topology``, ``gpus_per_node``, ``per_layer``,
+        ``adasum_pre_optimizer``, ``wire_codecs``) this optimizer runs.
+        An op whose strategy declares ``post_optimizer`` reduces
+        Figure-3 deltas unless ``adasum_pre_optimizer`` asks for one
+        shared step on reduced raw gradients (valid for SGD-family
+        optimizers).  Each step the participating rows are round-tripped
+        through the codec stack in place at the wire boundary, so
+        reduction arithmetic (Adasum dot products included) stays in
+        full precision over exactly the values a receiver would decode.
+        Bounded-error codecs carry per-row error-feedback residuals; an
+        fp16 stage communicates with dynamic scaling (§4.4.1): an
+        overflow backs the scale off and skips the step (one scaler
+        verdict per step), exactly as the Horovod implementation does.
     num_ranks:
-        Simulated data-parallel world size.
-    op:
-        Reduction op: a registered name.  An op whose strategy declares
-        ``post_optimizer`` reduces Figure-3 deltas by default.
-    adasum_pre_optimizer:
-        Reduce raw gradients before a single shared optimizer step even
-        for such an op (valid for SGD-family optimizers; Figure 3 mode
-        otherwise).
-    per_layer:
-        Adasum application granularity (per layer, or whole model).
-    topology, gpus_per_node:
-        The registered reduction cell (recursion order; ``"tree_any"``
-        accepts non-power-of-two worlds) and the node width of the
-        ``hierarchical`` topology.
-    wire_codecs:
-        Declarative wire-codec stack, e.g. ``("fp16",)`` or ``("fp16",
-        "int8", "topk:0.01")`` — see :mod:`repro.comm.codec`.  Each step the
-        participating rows are round-tripped through the stack in place
-        at the wire boundary, so reduction arithmetic (Adasum dot
-        products included) stays in full precision over exactly the
-        values a receiver would decode.  Bounded-error codecs carry
-        per-row error-feedback residuals; an fp16 stage communicates
-        with dynamic scaling (§4.4.1): an overflow backs the scale off
-        and skips the step (one scaler verdict per step), exactly as
-        the Horovod implementation does.
+        The world size, when it is not ``config.num_ranks``: an elastic
+        world rebuilt at its survivor count.
     """
 
     def __init__(
         self,
         model: Module,
         optimizer_factory: Callable[[list], Optimizer],
-        num_ranks: int,
-        op: str = "adasum",
-        adasum_pre_optimizer: bool = False,
-        per_layer: bool = True,
-        topology: str = "tree",
-        gpus_per_node: int = None,
-        wire_codecs=None,
+        config,
+        num_ranks: Optional[int] = None,
     ):
-        if num_ranks < 1:
-            raise ValueError("num_ranks must be >= 1")
         self.model = model
-        self.num_ranks = num_ranks
-        self.per_layer = per_layer
-        self.reducer = make_reducer(
-            op, per_layer=per_layer, topology=topology, gpus_per_node=gpus_per_node
-        )
+        self.num_ranks = config.num_ranks if num_ranks is None else num_ranks
+        self.reducer = config.make_reducer()
         self.op = self.reducer.op
         self.topology = self.reducer.topology
-        self.gpus_per_node = getattr(self.reducer, "gpus_per_node", 1)
-        self.adasum_pre_optimizer = adasum_pre_optimizer
         self._param_names = [name for name, _ in model.named_parameters()]
         self._params = dict(model.named_parameters())
-        #: Normalized codec stack active at the wire boundary.
-        self.wire_codecs = parse_wire_codecs(wire_codecs)
-        #: An fp16 wire stage (dynamic scaler) is active.
-        self.wire_fp16 = "fp16" in self.wire_codecs
-        self._scaler = DynamicScaler() if self.wire_fp16 else None
-        self.wire_pipeline = build_pipeline(self.wire_codecs, scaler=self._scaler)
+        self._scaler = DynamicScaler() if "fp16" in config.wire_codecs else None
+        self.wire_pipeline = build_pipeline(config.wire_codecs, scaler=self._scaler)
         #: Modeled encoded wire bytes (all participating rows) for the
         #: last prepared step, and accumulated over the run.
         self.last_wire_bytes = 0
@@ -163,10 +107,12 @@ class DistributedOptimizer:
         #: and :meth:`pull_rank_state` / :meth:`push_rank_state` are then
         #: the one seam between their state and the copies held here.
         self.row_home = None
-        self.post_optimizer_mode = self.reducer.post_optimizer and not adasum_pre_optimizer
+        self.post_optimizer_mode = (
+            self.reducer.post_optimizer and not config.adasum_pre_optimizer
+        )
         if self.post_optimizer_mode:
             self.rank_optimizers: List[Optimizer] = [
-                optimizer_factory(model.parameters()) for _ in range(num_ranks)
+                optimizer_factory(model.parameters()) for _ in range(self.num_ranks)
             ]
             self.optimizer: Optional[Optimizer] = None
         else:
@@ -177,33 +123,6 @@ class DistributedOptimizer:
         self._mirror_arena = None
         self._mirror: Optional[FlatOptimizerMirror] = None
         self._mirror_starts: Dict[str, np.ndarray] = {}
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_config(
-        cls,
-        model: Module,
-        optimizer_factory: Callable[[list], Optimizer],
-        config,
-        num_ranks: int = None,
-    ) -> "DistributedOptimizer":
-        """Build from a :class:`repro.core.config.RunConfig`.
-
-        ``config`` is duck-typed (any object with the ``RunConfig``
-        reduction fields works).  ``num_ranks`` overrides
-        ``config.num_ranks``.
-        """
-        return cls(
-            model,
-            optimizer_factory,
-            num_ranks=config.num_ranks if num_ranks is None else num_ranks,
-            op=config.op,
-            adasum_pre_optimizer=config.adasum_pre_optimizer,
-            per_layer=config.per_layer,
-            wire_codecs=config.wire_codecs,
-            topology=config.topology,
-            gpus_per_node=config.gpus_per_node,
-        )
 
     # ------------------------------------------------------------------
     @property
@@ -412,20 +331,11 @@ class DistributedOptimizer:
         (``per_layer=False``), which combines the full row as one vector.
         """
         row_bytes = arena.layout.total_size * arena.dtype.itemsize
-        whole = bucket_cap_mb is None or not self.per_layer
+        whole = bucket_cap_mb is None or not self.reducer.per_layer
         cap_bytes = row_bytes if whole else max(1, int(bucket_cap_mb * (1 << 20)))
         return BucketPlan.for_layout(
             arena.layout, cap_bytes, itemsize=arena.dtype.itemsize
         )
-
-    def wire_row_nbytes(self, arena) -> int:
-        """Modeled per-row wire bytes for one step over ``arena``
-        (encoded size when a codec stack is active, raw fp32 otherwise).
-        """
-        if self.wire_pipeline is None:
-            return arena.layout.total_size * arena.dtype.itemsize
-        self._bind_pipeline(arena)
-        return self.wire_pipeline.wire_nbytes()
 
     def apply_reduced_flat(self, combined: np.ndarray, arena, ctx: Dict) -> None:
         """Apply a reduced flat buffer produced from prepared arena rows."""

@@ -91,7 +91,7 @@ def adasum_flat(
     layer and calling :func:`adasum` on each slice, but runs on the
     cached :class:`_FlatReducePlan` of its geometry — the same kernel a
     flat tree reduce combines each pair with, so a pairwise hop (an
-    elastic tree collective's, a rank worker's combine, ``tree_any``'s
+    elastic tree collective's, a rank worker's combine, the tree's
     non-power-of-two tail) allocates no float64 scratch.  ``out`` may
     alias either input.
     """
@@ -227,24 +227,6 @@ def _adasum_flat_reduce(
     return acc.copy()
 
 
-def adasum_tree(grads: Sequence[np.ndarray]) -> np.ndarray:
-    """Recursive binary-tree application (paper Section 3.4).
-
-    ``Adasum(g[0:n]) = Adasum(Adasum(g[0:n/2]), Adasum(g[n/2:n]))`` —
-    the bandwidth-optimal recursion AdasumRVH implements.  Requires a
-    power-of-two count; emulates exponentially many SGD paths.
-    """
-    n = len(grads)
-    if n == 0:
-        raise ValueError("adasum_tree needs at least one gradient")
-    if n & (n - 1):
-        raise ValueError(f"adasum_tree requires a power-of-two count, got {n}")
-    level: List[np.ndarray] = list(grads)
-    while len(level) > 1:
-        level = [adasum(level[i], level[i + 1]) for i in range(0, len(level), 2)]
-    return level[0]
-
-
 def largest_pow2_below(n: int) -> int:
     """Largest power of two strictly less than ``n`` (``n >= 2``)."""
     if n < 2:
@@ -253,27 +235,31 @@ def largest_pow2_below(n: int) -> int:
     return p if p < n else p // 2
 
 
-def adasum_tree_any(grads: Sequence[np.ndarray]) -> np.ndarray:
-    """Binary-tree Adasum for *any* rank count (elastic world geometry).
+def adasum_tree(grads: Sequence[np.ndarray]) -> np.ndarray:
+    """Recursive binary-tree application (paper Section 3.4).
 
-    A power-of-two count reduces exactly like :func:`adasum_tree`.  A
-    non-power-of-two count ``n`` splits at the largest power of two
-    ``p < n``::
+    ``Adasum(g[0:n]) = Adasum(Adasum(g[0:n/2]), Adasum(g[n/2:n]))`` —
+    the bandwidth-optimal recursion AdasumRVH implements; emulates
+    exponentially many SGD paths.  A count ``n`` that is not a power of
+    two splits at the largest power of two ``p < n``::
 
         Adasum(g[0:n]) = Adasum(Adasum(g[0:p]), Adasum(g[p:n]))
 
-    so every power-of-two block is bit-exact against the reference
-    :func:`adasum_tree` on that block, and shrunk worlds (e.g. 8 -> 5
-    after three rank failures) keep a well-defined tree geometry.  For
-    ``n = 5`` this is ``Adasum(adasum_tree(g[0:4]), g[4])``.
+    so every power-of-two block reduces exactly as it would alone, and
+    shrunk elastic worlds (e.g. 8 -> 5 after three rank failures) keep a
+    well-defined tree geometry.  For ``n = 5`` this is
+    ``Adasum(adasum_tree(g[0:4]), g[4])``.
     """
     n = len(grads)
     if n == 0:
-        raise ValueError("adasum_tree_any needs at least one gradient")
-    if n & (n - 1) == 0:
-        return adasum_tree(grads)
-    p = largest_pow2_below(n)
-    return adasum(adasum_tree_any(grads[:p]), adasum_tree_any(grads[p:]))
+        raise ValueError("adasum_tree needs at least one gradient")
+    if n & (n - 1):
+        p = largest_pow2_below(n)
+        return adasum(adasum_tree(grads[:p]), adasum_tree(grads[p:]))
+    level: List[np.ndarray] = list(grads)
+    while len(level) > 1:
+        level = [adasum(level[i], level[i + 1]) for i in range(0, len(level), 2)]
+    return level[0]
 
 
 def adasum_linear(grads: Sequence[np.ndarray]) -> np.ndarray:
@@ -292,16 +278,12 @@ def adasum_linear(grads: Sequence[np.ndarray]) -> np.ndarray:
 def adasum_per_layer(
     grad_dicts: Sequence[Mapping[str, np.ndarray]],
     tree: bool = True,
-    allow_non_pow2: bool = False,
 ) -> Dict[str, np.ndarray]:
     """Apply Adasum independently per layer (paper Section 3.6).
 
     ``grad_dicts[r]`` maps layer name → gradient on rank ``r``.  The
     per-layer application adapts to each layer's own orthogonality
-    instead of the whole flattened model's.  ``allow_non_pow2`` selects
-    the elastic :func:`adasum_tree_any` geometry so shrunk worlds with a
-    non-power-of-two rank count still reduce (power-of-two counts are
-    unchanged bit for bit).
+    instead of the whole flattened model's.
     """
     if not grad_dicts:
         raise ValueError("need at least one rank's gradients")
@@ -309,10 +291,7 @@ def adasum_per_layer(
     for d in grad_dicts[1:]:
         if list(d.keys()) != names:
             raise ValueError("ranks disagree on layer names/order")
-    if tree:
-        combine = adasum_tree_any if allow_non_pow2 else adasum_tree
-    else:
-        combine = adasum_linear
+    combine = adasum_tree if tree else adasum_linear
     return {name: combine([d[name] for d in grad_dicts]) for name in names}
 
 

@@ -1,8 +1,8 @@
 """One reduction engine: the ``(op, topology)`` strategy registry.
 
 * a :class:`ReduceStrategy` implements one ``(op, topology)`` cell —
-  ``sum`` / ``average`` / ``adasum`` × ``tree`` / ``tree_any`` /
-  ``linear`` / ``rvh`` / ``ring`` / ``hierarchical`` — as a *flat*
+  ``sum`` / ``average`` / ``adasum`` × ``tree`` / ``linear`` /
+  ``rvh`` / ``ring`` / ``hierarchical`` — as a *flat*
   kernel over ``(ranks, size)`` rows
   (:meth:`~ReduceStrategy.combine_flat`, the single source of
   arithmetic truth);
@@ -11,9 +11,8 @@
   bucketed, elastic, and from the CLI;
 * :class:`StrategyReducer` is the canonical
   :class:`GradientReducer` the trainers plug in, backed by a registry
-  lookup instead of a class hierarchy; its ``reduce`` (and the
-  :func:`reduce_dicts` convenience over it) is the one dict adapter:
-  pack an arena, run the flat kernel, unpack.
+  lookup instead of a class hierarchy; its ``reduce`` is the one dict
+  adapter: pack an arena, run the flat kernel, unpack.
 
 Bit-exactness contracts (property-tested in
 ``tests/core/test_strategies.py``):
@@ -59,14 +58,13 @@ from repro.core.operator import (
 OPS: Tuple[str, ...] = ("sum", "average", "adasum")
 TOPOLOGIES: Tuple[str, ...] = (
     "tree",
-    "tree_any",
     "linear",
     "rvh",
     "ring",
     "hierarchical",
 )
 #: Topologies whose cells share the elementwise sum/average kernel.
-_FLAT_TOPOLOGIES: Tuple[str, ...] = ("tree", "tree_any", "linear", "rvh", "ring")
+_FLAT_TOPOLOGIES: Tuple[str, ...] = ("tree", "linear", "rvh", "ring")
 
 
 # ----------------------------------------------------------------------
@@ -87,7 +85,7 @@ def pair_schedule(n: int) -> List[List[Tuple[int, int]]]:
     backend); levels are barriers.  After the last level, position 0
     holds the combined result.
 
-    The shape mirrors :func:`~repro.core.operator.adasum_tree_any`:
+    The shape mirrors :func:`~repro.core.operator.adasum_tree`:
     power-of-two spans pair adjacent survivors level by level, and a
     non-power-of-two span splits at the largest power of two below
     ``n``, combining the two block roots once both blocks finish.  For
@@ -282,8 +280,14 @@ def register_strategy(strategy: ReduceStrategy) -> ReduceStrategy:
 
 def cell_name(value) -> str:
     """The one spelling of an op or topology name: case-insensitive,
-    ``-`` accepted for ``_`` (``"Tree-Any"`` is ``"tree_any"``)."""
-    return str(value).lower().replace("-", "_")
+    ``-`` accepted for ``_``."""
+    name = str(value).lower().replace("-", "_")
+    # The frozen benchmark's elastic workload config
+    # (perfbench/workloads.py, ElasticFaults.config) still spells the
+    # any-size tree "tree_any", which ``tree`` now is.  Mapped without a
+    # warning because the benchmark counts deprecation warnings; this
+    # goes when a benchmark change re-spells that config.
+    return "tree" if name == "tree_any" else name
 
 
 def get_strategy(op: str, topology: str = "tree") -> ReduceStrategy:
@@ -307,26 +311,6 @@ def get_strategy(op: str, topology: str = "tree") -> ReduceStrategy:
 def registered_cells() -> List[Tuple[str, str]]:
     """All registered ``(op, topology)`` keys, sorted."""
     return sorted(_REGISTRY)
-
-
-def reduce_flat(
-    data: np.ndarray,
-    boundaries: Sequence[int] = None,
-    op: str = "sum",
-    topology: str = "tree",
-) -> np.ndarray:
-    """Dispatch a flat ``(ranks, size)`` reduction through the registry."""
-    return get_strategy(op, topology).combine_flat(data, boundaries)
-
-
-def reduce_dicts(
-    grad_dicts: Sequence[Mapping[str, np.ndarray]],
-    op: str = "sum",
-    topology: str = "tree",
-    per_layer: bool = True,
-) -> Dict[str, np.ndarray]:
-    """Reduce one ``{layer: grad}`` dict per rank through the registry."""
-    return StrategyReducer(op, topology, per_layer=per_layer).reduce(grad_dicts)
 
 
 # ----------------------------------------------------------------------
@@ -365,7 +349,7 @@ class _SumStrategy(ReduceStrategy):
     def combine_comm(self, comm, row, boundaries=None):
         """The elementwise collective named by the topology: the ring,
         vector halving + doubling for ``rvh``, recursive doubling for
-        the trees and ``linear``.  The last two need a power-of-two
+        ``tree`` and ``linear``.  The last two need a power-of-two
         world; any other world runs the ring, as the cross-node stage
         of the hierarchical sum does."""
         from repro.comm.collectives import (
@@ -419,35 +403,17 @@ class _AdasumStrategy(ReduceStrategy):
 
 
 class _AdasumTreeStrategy(_AdasumStrategy):
-    """Strict binary-tree Adasum (AdasumRVH recursion order, §3.4)."""
+    """Binary-tree Adasum (AdasumRVH recursion order, §3.4) for any
+    rank count.
 
-    topology = "tree"
-
-    def validate_world(self, n: int) -> None:
-        super().validate_world(n)
-        if n & (n - 1):
-            raise ValueError(f"tree Adasum needs power-of-two ranks, got {n}")
-
-    def combine_flat(self, data, boundaries=None):
-        self.validate_world(data.shape[0])
-        return _adasum_flat_reduce(data, boundaries, tree=True)
-
-    def pair_schedule(self, n):
-        if n & (n - 1):
-            return None  # strict tree is power-of-two only
-        return _uniform_schedule(n)
-
-
-class _AdasumTreeAnyStrategy(_AdasumStrategy):
-    """Binary-tree Adasum for *any* rank count (elastic world geometry).
-
-    Non-power-of-two counts split at the largest power of two below
-    ``n`` (the :func:`~repro.core.operator.adasum_tree_any` recursion),
-    so every power-of-two block stays bit-exact against the strict
-    tree.
+    A power-of-two count is the paper's recursion.  Any other count
+    splits at the largest power of two below ``n`` (the
+    :func:`~repro.core.operator.adasum_tree` recursion), so every
+    power-of-two block reduces exactly as it would alone and an elastic
+    world that shrinks keeps a well-defined tree geometry.
     """
 
-    topology = "tree_any"
+    topology = "tree"
 
     def combine_flat(self, data, boundaries=None):
         n = data.shape[0]
@@ -560,7 +526,7 @@ class _HierarchicalMixin:
         super().validate_world(n)
         # Node symmetry is NOT required: a world whose size is not a
         # multiple of gpus_per_node (an elastic re-shard after losing a
-        # rank) falls back to the flat tree_any geometry.
+        # rank) falls back to the flat tree geometry.
 
     def __repr__(self) -> str:
         return (
@@ -599,7 +565,7 @@ class _HierarchicalAdasumStrategy(_HierarchicalMixin, _AdasumStrategy):
 
     ``combine_flat`` is the arithmetic reference: rows are grouped into
     nodes of ``gpus_per_node``, each node's rows are *summed* (local
-    microbatches act as one larger batch), and the ``tree_any`` Adasum
+    microbatches act as one larger batch), and the ``tree`` Adasum
     recursion combines the node sums.  Node sums round through the
     storage dtype before the Adasum stage, matching the executed
     collective where the reduce-scatter output crosses the wire in the
@@ -607,26 +573,26 @@ class _HierarchicalAdasumStrategy(_HierarchicalMixin, _AdasumStrategy):
 
     Worlds that are not a multiple of ``gpus_per_node`` — the geometry
     an elastic re-shard can leave behind — degenerate to the flat
-    ``tree_any`` recursion over all rows (every rank its own node).
+    ``tree`` recursion over all rows (every rank its own node).
     """
 
     def combine_flat(self, data, boundaries=None):
         n = data.shape[0]
         self.validate_world(n)
         g = self.gpus_per_node
-        tree_any = get_strategy("adasum", "tree_any")
+        tree = get_strategy("adasum", "tree")
         if g <= 1 or n % g or n == g:
             if n == g and n > 1:
                 # Single node: pure local sum, no cross-node Adasum.
                 return _flat_sum(data, boundaries).astype(data.dtype)
-            return tree_any.combine_flat(data, boundaries)
+            return tree.combine_flat(data, boundaries)
         node_rows = np.stack(
             [
                 _flat_sum(data[k * g : (k + 1) * g], boundaries).astype(data.dtype)
                 for k in range(n // g)
             ]
         )
-        return tree_any.combine_flat(node_rows, boundaries)
+        return tree.combine_flat(node_rows, boundaries)
 
     def pair_schedule(self, n):
         g = self.gpus_per_node
@@ -647,7 +613,7 @@ class _HierarchicalAdasumStrategy(_HierarchicalMixin, _AdasumStrategy):
                     for d, s in lvl
                 ]
             )
-        # Cross-node phase: tree_any Adasum over the node leaders.
+        # Cross-node phase: tree Adasum over the node leaders.
         for lvl in pair_schedule(n // g):
             levels.append([(d * g, s * g, "pair") for d, s in lvl])
         return levels
@@ -671,7 +637,6 @@ for _topology in _FLAT_TOPOLOGIES:
     register_strategy(_SumStrategy(_topology))
     register_strategy(_AverageStrategy(_topology))
 register_strategy(_AdasumTreeStrategy())
-register_strategy(_AdasumTreeAnyStrategy())
 register_strategy(_AdasumLinearStrategy())
 register_strategy(_AdasumRingStrategy())
 register_strategy(_AdasumRVHStrategy())
@@ -727,7 +692,7 @@ class StrategyReducer(GradientReducer):
     ----------
     op, topology:
         A registered cell, spelled any way :func:`get_strategy` accepts
-        (``"adasum"``, ``"tree_any"``, ...).
+        (``"adasum"``, ``"ring"``, ...).
     per_layer:
         Apply the op independently per layer (paper default, §3.6);
         ``False`` combines the whole flattened model as one vector.

@@ -88,10 +88,3 @@ class ElasticSchedule:
         """Retire the one-shot faults of ``step`` after its attempt."""
         self._kills.pop(step, None)
         self._drops.pop(step, None)
-
-    def delayed_globals(self, step: int) -> List[int]:
-        """Global ranks under an active delay at ``step`` (for tests)."""
-        return sorted(
-            g for g, _, lo, hi in self._delays
-            if lo <= step and (hi is None or step < hi)
-        )

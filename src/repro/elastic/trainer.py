@@ -18,7 +18,7 @@ aborting:
 4. **rebuild** the world for the new size — fresh cluster, a
    ``DistributedOptimizer`` over the config's own cell at the survivor
    count (``RunConfig.validate_for_pool`` admitted only cells that
-   reduce every size the world can shrink to, such as ``tree_any``), a
+   reduce every size the world can shrink to, such as ``tree``), a
    rank executor over a re-shaped gradient arena, and per-rank
    optimizer states re-partitioned from the snapshot by global id;
 5. **retry** the interrupted step: the uncommitted cursor region is
@@ -58,7 +58,6 @@ from repro.comm.faults import RankKilledError
 from repro.comm.transport import Cluster, CommError
 from repro.core.config import RunConfig
 from repro.core.distributed_optimizer import DistributedOptimizer
-from repro.core.orthogonality import OrthogonalityProbe
 from repro.data.sampler import ElasticBatchIterator
 from repro.nn.module import Module
 from repro.tensor import tune_allocator
@@ -67,7 +66,6 @@ from repro.train.checkpoint import (
     read_checkpoint_meta,
     save_checkpoint,
 )
-from repro.train.metrics import Meter
 from repro.train.trainer import (  # noqa: F401
     build_rank_executor,
     # Not called here (the executor computes), but the name stays a
@@ -93,9 +91,8 @@ class ElasticTrainer:
     Built from a :class:`~repro.core.config.RunConfig` alone, whose
     fields are documented there; the trainer keeps ``config`` and checks
     it with ``config.validate_for_pool(config.num_ranks)``, so it runs
-    the config's own cell at every world size (an Adasum tree that may
-    shrink below a power of two names ``tree_any``).  The keywords are
-    its own:
+    the config's own cell at every world size.  The keywords are its
+    own:
 
     straggler:
         :class:`StragglerPolicy`; default waits (pure synchronous).
@@ -104,8 +101,6 @@ class ElasticTrainer:
         larger values trade rollback distance for snapshot cost).
     checkpoint_path / checkpoint_every:
         Optional on-disk checkpointing cadence (committed steps).
-    probe:
-        Optional orthogonality probe sampled on raw per-rank gradients.
     """
 
     def __init__(
@@ -121,7 +116,6 @@ class ElasticTrainer:
         snapshot_every: int = 1,
         checkpoint_path=None,
         checkpoint_every: Optional[int] = None,
-        probe: Optional[OrthogonalityProbe] = None,
     ):
         config.validate_for_pool(config.num_ranks)
         if snapshot_every < 1:
@@ -136,7 +130,6 @@ class ElasticTrainer:
         self.snapshot_every = snapshot_every
         self.checkpoint_path = checkpoint_path
         self.checkpoint_every = checkpoint_every
-        self.probe = probe
         self.executor = None
 
         self.membership = Membership(config.num_ranks)
@@ -144,7 +137,6 @@ class ElasticTrainer:
             len(x), config.microbatch, config.num_ranks, seed=config.seed,
             drop_tail=False,
         )
-        self.loss_meter = Meter("loss")
         self.global_step = 0
         self.commits = 0
         self.sim_time = 0.0
@@ -212,7 +204,7 @@ class ElasticTrainer:
             size, network=self.config.network, timeout=self.config.timeout,
             trace=True,
         )
-        self.dist_opt = DistributedOptimizer.from_config(
+        self.dist_opt = DistributedOptimizer(
             self.model, self.optimizer_factory, self.config, num_ranks=size
         )
         if state is not None:
@@ -265,11 +257,6 @@ class ElasticTrainer:
     def paused(self) -> bool:
         """True while execution resources are released (see :meth:`pause`)."""
         return self._paused
-
-    @property
-    def loaned_ranks(self) -> List[int]:
-        """Global ids currently lent out (see :meth:`lend_ranks`)."""
-        return sorted(self.membership.loaned)
 
     # ------------------------------------------------------------------
     # Rank loans / pause-resume (the scheduler's preemption hooks)
@@ -551,7 +538,7 @@ class ElasticTrainer:
         losses = phased_step(
             self.executor, self.dist_opt, [indices[r] for r in active],
             ranks=active, participants=self._participants(active),
-            reduce_fn=self._reduce, probe=self.probe, step=self.global_step,
+            reduce_fn=self._reduce, step=self.global_step,
         )
 
         # Commit: only now do the step's samples count as visited.
@@ -561,7 +548,6 @@ class ElasticTrainer:
         self.global_step += 1
         self.commits += 1
         mean_loss = float(np.mean(losses))
-        self.loss_meter.update(mean_loss)
         self._epoch_losses.append(mean_loss)
         if self._recovering_since is not None:
             self.recovery_seconds.append(time.perf_counter() - self._recovering_since)

@@ -100,7 +100,7 @@ def _run_one(
 ) -> ElasticOutcome:
     model = MLP((x.shape[1], 32, 3), rng=np.random.default_rng(seed))
     config = RunConfig(
-        op="adasum", topology="tree_any", num_ranks=num_ranks,
+        op="adasum", topology="tree", num_ranks=num_ranks,
         microbatch=microbatch, seed=seed, faults=schedule, network=network,
     )
     trainer = ElasticTrainer(

@@ -24,7 +24,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.comm import NetworkModel
-from repro.core import PartitionedAdasumEngine, make_reducer
+from repro.core import PartitionedAdasumEngine, StrategyReducer
 from repro.models import BertConfig, MiniBERT
 from repro.optim import LAMB
 
@@ -55,7 +55,7 @@ def _measured_update_speedup(num_gpus: int, seed: int = 0) -> float:
     cfg = BertConfig(vocab_size=64, hidden=64, layers=2, heads=4, max_seq_len=16)
     model = MiniBERT(cfg, rng=np.random.default_rng(seed))
     opt = LAMB(model.parameters(), lr=1e-3)
-    engine = PartitionedAdasumEngine(model, opt, num_gpus=num_gpus, reducer=make_reducer("adasum"))
+    engine = PartitionedAdasumEngine(model, opt, num_gpus=num_gpus, reducer=StrategyReducer("adasum"))
     sizes = {n: p.size for n, p in model.named_parameters()}
     total = sum(sizes.values())
     per_gpu_max = max(sum(sizes[n] for n in part) for part in engine.partitions if part)

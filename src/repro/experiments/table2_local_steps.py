@@ -20,7 +20,7 @@ import numpy as np
 
 from repro import nn
 from repro.comm import NetworkModel
-from repro.core import LocalSGDCluster, make_reducer
+from repro.core import LocalSGDCluster, StrategyReducer
 from repro.data import BatchIterator, ShardedSampler, make_image_classification, train_test_split
 from repro.models import ResNetCIFAR
 from repro.optim import SGD
@@ -75,7 +75,7 @@ def _train_local_sgd(
         lambda ps: SGD(ps, lr, momentum=0.9),
         num_ranks=ranks,
         local_steps=local_steps,
-        reducer=make_reducer("adasum"),
+        reducer=StrategyReducer("adasum"),
     )
     loss_fn = nn.CrossEntropyLoss()
 

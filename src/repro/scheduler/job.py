@@ -86,11 +86,6 @@ class JobSpec:
     def cost_scale(self) -> float:
         return WORKLOADS[self.model].cost_scale
 
-    @property
-    def total_samples(self) -> int:
-        """The job's full sample budget (epochs × dataset)."""
-        return self.epochs * self.n_samples
-
 
 def build_workload(spec: JobSpec):
     """Deterministic ``(model, x, y)`` for a spec (seeded by its config)."""

@@ -60,17 +60,8 @@ class RankLedger:
     def free_count(self) -> int:
         return len(self._free)
 
-    def free_ranks(self) -> List[int]:
-        return sorted(self._free)
-
     def held(self, job: str) -> List[int]:
         return sorted(self._held.get(job, []))
-
-    def holders(self) -> List[str]:
-        return sorted(j for j, rs in self._held.items() if rs)
-
-    def active_loans(self) -> List[Loan]:
-        return [loan for loan in self.loans if loan.active]
 
     # ------------------------------------------------------------------
     def allocate(self, job: str, count: int) -> List[int]:

@@ -64,7 +64,7 @@ def generate_trace(
             rigid = bool(rng.random() < rigid_prob)
             config = RunConfig(
                 op=str(rng.choice(list(ops))),
-                topology="tree_any",
+                topology="tree",
                 num_ranks=num_ranks,
                 microbatch=int(rng.choice(list(microbatches))),
                 seed=int(rng.integers(0, 2**31 - 1)),

@@ -10,7 +10,7 @@ from repro.train.trainer import (
     compute_grads_into,
     phased_step,
 )
-from repro.train.metrics import accuracy, Meter
+from repro.train.metrics import accuracy
 from repro.train.convergence import run_to_accuracy, ConvergenceResult
 from repro.train.simclock import TrainingTimeModel
 from repro.train.checkpoint import load_checkpoint, read_checkpoint_meta, save_checkpoint
@@ -28,7 +28,6 @@ __all__ = [
     "compute_grads",
     "compute_grads_into",
     "accuracy",
-    "Meter",
     "run_to_accuracy",
     "ConvergenceResult",
     "TrainingTimeModel",

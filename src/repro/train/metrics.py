@@ -1,8 +1,6 @@
-"""Evaluation metrics and running meters."""
+"""Evaluation metrics."""
 
 from __future__ import annotations
-
-from typing import Dict, List
 
 import numpy as np
 
@@ -43,29 +41,3 @@ def masked_lm_accuracy(
             total += int(valid.sum())
     model.train()
     return correct / max(total, 1)
-
-
-class Meter:
-    """Running mean with history, for loss/accuracy curves."""
-
-    def __init__(self, name: str = ""):
-        self.name = name
-        self.history: List[float] = []
-        self._sum = 0.0
-        self._count = 0
-
-    def update(self, value: float, n: int = 1) -> None:
-        self._sum += value * n
-        self._count += n
-        self.history.append(value)
-
-    @property
-    def mean(self) -> float:
-        return self._sum / max(self._count, 1)
-
-    def reset(self) -> None:
-        self._sum, self._count = 0.0, 0
-
-    def summary(self) -> Dict[str, float]:
-        h = np.asarray(self.history) if self.history else np.zeros(1)
-        return {"mean": self.mean, "last": float(h[-1]), "min": float(h.min()), "max": float(h.max())}

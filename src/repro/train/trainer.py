@@ -41,8 +41,6 @@ from repro.tensor import (
     set_kernel_specialization,
     tune_allocator,
 )
-from repro.train.metrics import Meter
-from repro.train.simclock import TrainingTimeModel
 
 
 def compute_grads(
@@ -861,7 +859,7 @@ class ProcessRankExecutor:
         next level.  ``participants`` selects the rows taking part
         (default all, in rank order); schedule position ``i`` maps to
         ``participants[i]``, so non-power-of-two subsets decompose
-        through the strategy's own ``tree_any`` blocks.
+        through the strategy's own power-of-two blocks.
 
         Returns the combined flat buffer — ``participants[0]``'s row,
         rewritten in place, byte-identical to
@@ -1038,9 +1036,8 @@ class ParallelTrainer:
     execution strategy (``execution``, ``reduce_mode``, ``overlap``,
     ``bucket_cap_mb``, ``timeout``, ``faults``) are its fields and are
     documented there.  The trainer builds its optimizer with
-    :meth:`DistributedOptimizer.from_config
-    <repro.core.distributed_optimizer.DistributedOptimizer.from_config>`
-    and keeps ``config``; the keywords below are its own.
+    :class:`~repro.core.distributed_optimizer.DistributedOptimizer`
+    from it and keeps ``config``; the keywords below are its own.
 
     Parameters
     ----------
@@ -1062,20 +1059,10 @@ class ParallelTrainer:
         plain gradient accumulation, not the local-SGD variant.
     probe:
         Optional orthogonality probe sampled on raw per-rank gradients.
-    tracer:
-        Optional :class:`~repro.comm.tracing.CommTracer`; each step
-        records one ``compute`` and one ``allreduce`` event per
-        simulated rank (gradient bytes attached), timestamped on a
-        simulated clock.
-    time_model:
-        Optional :class:`~repro.train.simclock.TrainingTimeModel` that
-        stamps trace durations; without it events are zero-duration
-        (ordering only).
     overlap_tracer:
         Optional :class:`~repro.comm.tracing.CommTracer` recording the
         wall-clock overlap timeline (compute lane vs per-bucket
-        reduction lane); keep it distinct from ``tracer``, whose clock
-        is simulated.
+        reduction lane).
     comm_tracer, start_method:
         Process-backend knobs forwarded to the
         :class:`~repro.comm.transport.ProcessTransport`: a wall-clock
@@ -1094,8 +1081,6 @@ class ParallelTrainer:
         *,
         accumulation: int = 1,
         probe: Optional[OrthogonalityProbe] = None,
-        tracer: Optional[CommTracer] = None,
-        time_model: Optional[TrainingTimeModel] = None,
         overlap_tracer: Optional[CommTracer] = None,
         comm_tracer: Optional[CommTracer] = None,
         start_method: Optional[str] = None,
@@ -1108,7 +1093,7 @@ class ParallelTrainer:
                 "ElasticSchedule is injected by ElasticTrainer"
             )
         self.config = config
-        self.dist_opt = DistributedOptimizer.from_config(model, optimizer_factory, config)
+        self.dist_opt = DistributedOptimizer(model, optimizer_factory, config)
         tune_allocator()
         self.model = model
         self.loss_fn = loss_fn
@@ -1118,11 +1103,7 @@ class ParallelTrainer:
         self.num_ranks = config.num_ranks
         self.sampler = ShardedSampler(len(x), self.num_ranks, seed=config.seed)
         self.iterator = BatchIterator(self.sampler, config.microbatch * accumulation)
-        self.loss_meter = Meter("loss")
         self.global_step = 0
-        self.tracer = tracer
-        self.time_model = time_model
-        self.sim_time = 0.0
         # The rank backend and its flat-buffer gradient arena: every
         # rank's gradients live in one preallocated contiguous row (in
         # OS shared memory under the process backend, so workers write
@@ -1209,37 +1190,5 @@ class ParallelTrainer:
             reduce_fn=reduce_fn, probe=self.probe, step=self.global_step,
             plan=self.plan,
         )
-        if self.tracer is not None:
-            self._trace_step()
         self.global_step += 1
-        mean_loss = float(np.mean(losses))
-        self.loss_meter.update(mean_loss)
-        return mean_loss
-
-    def _trace_step(self) -> None:
-        """Record one compute + one allreduce event per simulated rank.
-
-        All ranks are synchronous, so they share the step's simulated
-        timeline; durations come from ``time_model`` when present.  The
-        allreduce event carries the *encoded* per-rank bytes when a
-        wire-codec stack is active — what actually crosses the wire —
-        while the compute event keeps the raw gradient size.
-        """
-        tm = self.time_model
-        compute_s = (
-            tm.seconds_per_example * self.config.microbatch * self.accumulation
-            if tm is not None else 0.0
-        )
-        comm_s = tm.allreduce_seconds() if tm is not None else 0.0
-        t0 = self.sim_time
-        t1 = t0 + compute_s
-        t2 = t1 + comm_s
-        arena = self.arena
-        wire_bytes = self.dist_opt.wire_row_nbytes(arena)
-        grad_bytes = arena.layout.total_size * arena.dtype.itemsize
-        for rank in range(self.num_ranks):
-            self.tracer.record(rank, "compute", t0, t1, grad_bytes,
-                               label=f"step-{self.global_step}")
-            self.tracer.record(rank, "allreduce", t1, t2, wire_bytes,
-                               label=self.dist_opt.op)
-        self.sim_time = t2
+        return float(np.mean(losses))

@@ -34,7 +34,7 @@ from repro.comm.codec import (
     parse_wire_codecs,
     topk_select,
 )
-from repro.core import DistributedOptimizer
+from repro.core import DistributedOptimizer, RunConfig
 from repro.core.arena import GradientArena
 from repro.core.precision import DynamicScaler
 from repro.models import MLP, BertConfig, MiniBERT
@@ -339,8 +339,8 @@ class TestBlocksAndBytes:
 def _phased_run(num_ranks, steps=3, seed=0, prepare=None, **opt_kw):
     model = MLP((6, 10, 4), rng=np.random.default_rng(seed))
     dopt = DistributedOptimizer(
-        model, lambda ps: SGD(ps, lr=0.05, momentum=0.9), num_ranks,
-        op="adasum", topology="tree_any", **opt_kw,
+        model, lambda ps: SGD(ps, lr=0.05, momentum=0.9),
+        RunConfig(op="adasum", num_ranks=num_ranks, **opt_kw),
     )
     arena = GradientArena.from_model(model, num_ranks)
     rng = np.random.default_rng(seed + 1)

@@ -177,7 +177,7 @@ class TestBroadcast:
 
 #: Cells whose only distributed form is the pair schedule the elastic
 #: collective replays; every other registered cell has a cluster form.
-PAIRWISE_ONLY = {("adasum", "tree"), ("adasum", "tree_any"), ("adasum", "linear")}
+PAIRWISE_ONLY = {("adasum", "tree"), ("adasum", "linear")}
 
 
 class TestClusterAllreduce:
@@ -228,7 +228,7 @@ class TestClusterAllreduce:
     def test_average_tree_any_on_three_ranks(self):
         rows = _rank_vectors(3, 7)
         results = Cluster(3).run(
-            lambda c, row: cluster_allreduce(c, row, "average", "tree_any"),
+            lambda c, row: cluster_allreduce(c, row, "average", "tree"),
             rank_args=[(row,) for row in rows],
         )
         for got in results:

@@ -63,23 +63,3 @@ class TestPackUnpack:
         arena = GradientArena(layout_of(_tensors(rng, [4])), 1)
         with pytest.raises(ValueError):
             arena.unpack(np.zeros(5, dtype=np.float32))
-
-
-class TestSlicesWithin:
-    def test_full_range(self, rng):
-        layout = layout_of(_tensors(rng, [3, 4, 5]))
-        hits = layout.slices_within(0, 12)
-        assert [(n, lo, hi) for n, lo, hi in hits] == [
-            ("layer0", 0, 3),
-            ("layer1", 3, 7),
-            ("layer2", 7, 12),
-        ]
-
-    def test_partial_overlap(self, rng):
-        layout = layout_of(_tensors(rng, [3, 4, 5]))
-        hits = layout.slices_within(2, 8)
-        assert hits == [("layer0", 2, 3), ("layer1", 3, 7), ("layer2", 7, 8)]
-
-    def test_no_overlap(self, rng):
-        layout = layout_of(_tensors(rng, [3, 4]))
-        assert layout.slices_within(7, 9) == []

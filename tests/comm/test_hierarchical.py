@@ -210,7 +210,7 @@ def _per_slice_reference(vecs, g, boundaries=None):
     n = vecs[0].size
     sums = _node_sums(vecs, g)
     out = np.empty(n, dtype=vecs[0].dtype)
-    cell = get_strategy("adasum", "tree_any")
+    cell = get_strategy("adasum", "tree")
     for lo, hi in _chunk_bounds(n, g):
         rows = np.stack([s[lo:hi] for s in sums])
         out[lo:hi] = cell.combine_flat(rows, _rebase_boundaries(boundaries, lo, hi))
@@ -219,7 +219,7 @@ def _per_slice_reference(vecs, g, boundaries=None):
 
 class TestCrossTopologyAndBoundaries:
     def test_tree_any_cross_bit_exact_non_pow2_nodes(self):
-        # 6 ranks, g=2 -> 3 nodes: auto-selects the tree_any cross
+        # 6 ranks, g=2 -> 3 nodes: auto-selects the tree cross
         # geometry, which must reproduce per-slice adasum-over-node-sums
         # bit for bit (g=2 keeps the local sum exact: the single
         # reduce-scatter hop ships original fp32 data).
@@ -266,7 +266,7 @@ class TestCrossTopologyAndBoundaries:
 
     def test_uneven_chunks_non_divisible_length(self):
         # Vector length not divisible by g: np.array_split-style uneven
-        # chunks still reassemble exactly (3 nodes: the tree_any cross).
+        # chunks still reassemble exactly (3 nodes: the tree cross).
         vecs = _vectors(6, 13, seed=10)
         expected = _per_slice_reference(vecs, 2)
         results = Cluster(6).run(

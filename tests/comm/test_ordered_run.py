@@ -23,7 +23,7 @@ from repro.comm import (
     allreduce_ring,
     cluster_allreduce,
 )
-from repro.core.distributed_optimizer import make_reducer
+from repro.core.strategies import StrategyReducer
 from repro.elastic import cluster_reduce
 
 
@@ -151,10 +151,10 @@ class TestOrderedFailureReports:
 class TestThreadCensus:
     def test_ordered_run_starts_no_rank_thread(self, started_threads):
         data = np.arange(8 * 6, dtype=np.float32).reshape(8, 6)
-        reducer = make_reducer("adasum", topology="tree_any")
+        reducer = StrategyReducer("adasum", topology="tree")
         Cluster(8).run(_chain, order=_descending(8))
         cluster_reduce(Cluster(8), data, [0, 4, 6], reducer)
-        cluster_reduce(Cluster(8), data, [0, 4, 6], make_reducer("sum"), [1, 4, 6])
+        cluster_reduce(Cluster(8), data, [0, 4, 6], StrategyReducer("sum"), [1, 4, 6])
         assert started_threads("rank-") == []
 
     def test_ring_keeps_its_threads(self, started_threads):
@@ -183,7 +183,7 @@ def test_ordered_cluster_reduce_beats_threads_at_8_ranks():
     rng = np.random.default_rng(0)
     data = rng.standard_normal((8, 676)).astype(np.float32)
     bounds = [0, 192, 216, 648, 676]
-    reducer = make_reducer("adasum", topology="tree_any")
+    reducer = StrategyReducer("adasum", topology="tree")
     ordered_run = cluster.run
 
     def p10(run):

@@ -181,12 +181,12 @@ class TestCompressors:
 
     def test_compression_with_adasum_trains(self):
         """Compressed per-rank gradients still train through Adasum."""
-        from repro.core import make_reducer
+        from repro.core import StrategyReducer
 
         x, y = _task(seed=3)
         model = MLP((6, 16, 2), rng=np.random.default_rng(4))
         opt = SGD(model.parameters(), 0.2, momentum=0.9)
-        reducer = make_reducer("adasum")
+        reducer = StrategyReducer("adasum")
         compressors = [OneBitCompressor() for _ in range(4)]
         loss_fn = nn.CrossEntropyLoss()
         rng = np.random.default_rng(0)

@@ -67,7 +67,7 @@ def test_execution_backends():
 
 
 def test_registry_cells():
-    assert len(registered_cells()) == len(OPS) * len(TOPOLOGIES) == 18
+    assert len(registered_cells()) == len(OPS) * len(TOPOLOGIES) == 15
 
 
 #: Trainer-side parameters that share a ``RunConfig`` field's name, and why.
@@ -77,17 +77,24 @@ SAME_NAME_AS_A_FIELD = {
         "config.faults; an elastic config's faults is the ElasticSchedule "
         "its supervisor injects itself, so ElasticTrainer passes none"
     ),
+    ("DistributedOptimizer", "num_ranks"): (
+        "the elastic world-size override: a world rebuilt at its survivor "
+        "count reduces fewer rows than config.num_ranks, and re-validating "
+        "a replaced config on every world change would be wasted work"
+    ),
 }
 
 
 @pytest.mark.parametrize("fn,count", [
-    (ParallelTrainer.__init__, 14),
-    (ElasticTrainer.__init__, 12),
+    (ParallelTrainer.__init__, 12),
+    (ElasticTrainer.__init__, 11),
     (train_trainer.build_rank_executor, 10),
+    (DistributedOptimizer.__init__, 5),
 ])
 def test_no_keyword_copies_a_config_field(fn, count):
-    """A trainer is built from a ``RunConfig`` alone: no parameter
-    repeats one of its fields (counting ``self``)."""
+    """A trainer, and the optimizer it builds, is built from a
+    ``RunConfig`` alone: no parameter repeats one of its fields
+    (counting ``self``)."""
     params = inspect.signature(fn).parameters
     assert len(params) == count
     owner = fn.__qualname__.split(".")[0]
@@ -134,7 +141,7 @@ def test_every_rule_is_stated_once():
 
 
 @pytest.mark.parametrize("topology,num_ranks,gpus_per_node", [
-    ("tree", 2, 1), ("rvh", 2, 1), ("tree_any", 4, 1), ("linear", 3, 1),
+    ("tree", 2, 1), ("rvh", 2, 1), ("tree", 3, 1), ("linear", 3, 1),
     ("ring", 3, 1), ("hierarchical", 4, 2),
 ])
 def test_elastic_trainer_runs_the_configs_cell(topology, num_ranks, gpus_per_node):
@@ -168,7 +175,7 @@ def test_train_step_is_the_per_rank_loop(op, pre_optimizer, accumulation):
                        adasum_pre_optimizer=pre_optimizer)
     trainer = ParallelTrainer.from_config(models[0], loss_fn, factory, x, y, config,
                                           accumulation=accumulation)
-    dist = DistributedOptimizer.from_config(models[1], factory, config)
+    dist = DistributedOptimizer(models[1], factory, config)
     assert dist.post_optimizer_mode is (op == "adasum" and not pre_optimizer)
     rng = np.random.default_rng(0)
     for _ in range(3):
@@ -229,6 +236,46 @@ def test_the_collective_twins_are_gone():
     assert "cross_topology" not in inspect.signature(
         repro.comm.hierarchical_adasum_allreduce).parameters
     assert not hasattr(repro.core.strategies.StrategyReducer, "combine_spec")
+
+
+def test_the_second_spellings_of_a_reduction_are_gone():
+    """One tree, one way to build a reducer, one optimizer constructor:
+    ``tree`` reduces any world, so ``tree_any`` is no cell (its retired
+    spelling resolves to ``tree``); a reducer is a ``StrategyReducer``
+    or ``RunConfig.make_reducer()``; and the trainers' telemetry that
+    nothing read is gone with the definitions nothing referenced."""
+    import repro.core.strategies
+    import repro.train.metrics
+    from repro.comm.fusion import FusedTensorLayout
+    from repro.core import operator
+    from repro.elastic.schedule import ElasticSchedule
+    from repro.scheduler.job import JobSpec
+    from repro.scheduler.ledger import RankLedger
+
+    assert "tree_any" not in TOPOLOGIES
+    assert len(registered_cells()) == 15
+    assert RunConfig(topology="tree_any").topology == "tree"
+    for name in ("make_reducer", "allreduce"):
+        assert not hasattr(repro.core, name), name
+    for name in ("reduce_dicts", "reduce_flat"):
+        assert not hasattr(repro.core.strategies, name), name
+    assert not hasattr(operator, "adasum_tree_any")
+    assert "allow_non_pow2" not in inspect.signature(
+        operator.adasum_per_layer).parameters
+    assert not hasattr(DistributedOptimizer, "from_config")
+    assert not hasattr(DistributedOptimizer, "wire_row_nbytes")
+    assert not hasattr(repro.train.metrics, "Meter")
+    assert not {"tracer", "time_model"} & set(
+        inspect.signature(ParallelTrainer).parameters)
+    assert "probe" not in inspect.signature(ElasticTrainer).parameters
+    for owner, name in (
+        (ParallelTrainer, "_trace_step"), (FusedTensorLayout, "slices_within"),
+        (RankLedger, "free_ranks"), (RankLedger, "holders"),
+        (RankLedger, "active_loans"), (ElasticSchedule, "delayed_globals"),
+        (ElasticTrainer, "loaned_ranks"), (GradientArena, "zero_"),
+        (GradientArena, "zero_rank_"), (JobSpec, "total_samples"),
+    ):
+        assert not hasattr(owner, name), (owner.__name__, name)
 
 
 def test_kernel_specialization_is_not_a_knob():
@@ -328,7 +375,7 @@ def test_elastic_attempt_is_one_phased_step(monkeypatch):
     calls = _count_phased_steps(monkeypatch)
     x, y = _task()
     model = MLP((6, 8, 2), rng=np.random.default_rng(1))
-    config = RunConfig(topology="tree_any", num_ranks=4, microbatch=4,
+    config = RunConfig(topology="tree", num_ranks=4, microbatch=4,
                        faults=ElasticSchedule().kill(2, 1))
     trainer = ElasticTrainer(
         model, nn.CrossEntropyLoss(), lambda ps: SGD(ps, 0.1), x, y, config,
@@ -390,7 +437,7 @@ def _count_row_finishers(monkeypatch, execution, probe, expected, make_opt):
     x, y = _task()
     model = MLP((6, 8, 2), rng=np.random.default_rng(1))
     config = RunConfig(
-        num_ranks=4, microbatch=4, topology="tree_any", execution=execution,
+        num_ranks=4, microbatch=4, topology="tree", execution=execution,
         reduce_mode="workers" if execution == "processes" else "parent",
         wire_codecs=("fp16", "int8", "topk:0.1"),
     )
@@ -465,13 +512,13 @@ def test_step_arena_ranks_restricts_the_default_reduce():
     rng = np.random.default_rng(0)
     grads = rng.standard_normal((4, 6 * 8 + 8 + 8 * 3 + 3)).astype(np.float32)
     models = [MLP((6, 8, 3), rng=np.random.default_rng(1)) for _ in range(2)]
-    wide = DistributedOptimizer(models[0], lambda ps: SGD(ps, 0.1), num_ranks=4,
-                                op="sum")
+    wide = DistributedOptimizer(models[0], lambda ps: SGD(ps, 0.1),
+                                RunConfig(op="sum", num_ranks=4))
     arena = GradientArena.from_model(models[0], 4)
     arena.data[:] = grads
     wide.step_arena(arena, ranks=[0, 2])
-    narrow = DistributedOptimizer(models[1], lambda ps: SGD(ps, 0.1), num_ranks=2,
-                                  op="sum")
+    narrow = DistributedOptimizer(models[1], lambda ps: SGD(ps, 0.1),
+                                  RunConfig(op="sum", num_ranks=2))
     arena2 = GradientArena.from_model(models[1], 2)
     arena2.data[:] = grads[[0, 2]]
     narrow.step_arena(arena2)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
-    allreduce,
+    StrategyReducer,
     clip_grad_norm,
     clip_grad_value,
     global_grad_norm,
@@ -77,7 +77,7 @@ class TestClipThenAllreduce:
         rank_grads = [
             clip_grad_norm(_grads(rng, scale=5.0), max_norm=1.0) for _ in range(4)
         ]
-        combined = allreduce(rank_grads, op="adasum")
+        combined = StrategyReducer("adasum").reduce(rank_grads)
         assert set(combined) == {"w", "b"}
         # Each input had norm 1; Adasum's output is at most the sum.
         assert global_grad_norm(combined) <= 4.0 + 1e-5

@@ -18,7 +18,6 @@ from repro.comm.faults import FaultPlan
 from repro.core import (
     DistributedOptimizer,
     RunConfig,
-    make_reducer,
     parse_op,
     parse_topology,
 )
@@ -53,8 +52,9 @@ class TestParsers:
         [
             ("tree", "tree"),
             ("TREE", "tree"),
-            ("tree-any", "tree_any"),
-            ("tree_any", "tree_any"),
+            # The retired spelling of the any-size tree.
+            ("tree-any", "tree"),
+            ("tree_any", "tree"),
             ("RVH", "rvh"),
             ("ring", "ring"),
             ("linear", "linear"),
@@ -67,13 +67,13 @@ class TestParsers:
         "entry",
         [
             lambda topology: RunConfig(topology=topology).topology,
-            lambda topology: make_reducer("adasum", topology=topology).topology,
+            lambda topology: RunConfig(topology=topology).make_reducer().topology,
         ],
         ids=["RunConfig", "make_reducer"],
     )
     @pytest.mark.parametrize("spelling", ["tree-any", "Tree-Any", "TREE_ANY"])
     def test_every_entry_point_spells_a_topology_alike(self, entry, spelling):
-        assert entry(spelling) == "tree_any"
+        assert entry(spelling) == "tree"
 
     def test_parse_topology_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown topology"):
@@ -93,9 +93,9 @@ class TestRunConfig:
         assert cfg.topology == "tree"
 
     def test_normalizes_op_and_topology(self):
-        cfg = RunConfig(op="SUM", topology="Tree-Any")
+        cfg = RunConfig(op="SUM", topology="Hierarchical")
         assert cfg.op == "sum"
-        assert cfg.topology == "tree_any"
+        assert cfg.topology == "hierarchical"
 
     def test_frozen(self):
         with pytest.raises(Exception):
@@ -126,11 +126,11 @@ class TestRunConfig:
                 "multiple of",
             ),
             # Used to build, and fail at the first step.
-            (dict(topology="tree", num_ranks=3), "power-of-two"),
+            (dict(topology="rvh", num_ranks=6), "power-of-two"),
             (dict(topology="rvh", num_ranks=3), "power-of-two"),
             # Used to pass RunConfig and fail in build_rank_executor.
             (
-                dict(topology="tree", num_ranks=6, execution="processes",
+                dict(topology="rvh", num_ranks=6, execution="processes",
                      reduce_mode="workers"),
                 "power-of-two",
             ),
@@ -174,24 +174,18 @@ def _toy_problem(seed=0):
 
 class TestFromConfig:
     def test_optimizer_from_config_matches_manual(self):
-        cfg = RunConfig(op="adasum", topology="tree_any", per_layer=False, wire_codecs=("fp16",))
+        """The elastic world-size override builds what a config naming
+        that width builds."""
+        cfg = RunConfig(op="adasum", per_layer=False, wire_codecs=("fp16",))
         model, _, _ = _toy_problem()
-        built = DistributedOptimizer.from_config(
-            model, lambda ps: SGD(ps, 0.05), cfg, num_ranks=4
-        )
+        built = DistributedOptimizer(model, lambda ps: SGD(ps, 0.05), cfg, num_ranks=4)
         manual = DistributedOptimizer(
-            model,
-            lambda ps: SGD(ps, 0.05),
-            num_ranks=4,
-            op="adasum",
-            per_layer=False,
-            wire_codecs=("fp16",),
-            topology="tree_any",
-        )
+            model, lambda ps: SGD(ps, 0.05), cfg.replace(num_ranks=4))
         assert built.num_ranks == manual.num_ranks == 4
-        assert built.reducer.topology == manual.reducer.topology == "tree_any"
-        assert built.reducer.per_layer is manual.reducer.per_layer is False
-        assert built.wire_fp16 is manual.wire_fp16 is True
+        assert len(built.rank_optimizers) == len(manual.rank_optimizers) == 4
+        assert repr(built.reducer) == repr(manual.reducer) == (
+            "StrategyReducer(op='adasum', topology='tree', per_layer=False)")
+        assert built.scaler is not None and manual.scaler is not None
 
     def test_trainer_from_config_bit_identical_to_manual(self):
         model_a, x, y = _toy_problem()
@@ -203,10 +197,7 @@ class TestFromConfig:
         )
         t_man = _HandWired(
             model_b,
-            DistributedOptimizer(
-                model_b, lambda ps: SGD(ps, 0.05), num_ranks=4,
-                op="adasum",
-            ),
+            DistributedOptimizer(model_b, lambda ps: SGD(ps, 0.05), cfg),
             x,
             y,
             cfg,
@@ -242,11 +233,7 @@ class TestFromConfig:
         )
         t_ref = _HandWired(
             model_b,
-            DistributedOptimizer(
-                model_b, lambda ps: SGD(ps, 0.05), num_ranks=8,
-                op="adasum", topology="hierarchical",
-                gpus_per_node=2,
-            ),
+            DistributedOptimizer(model_b, lambda ps: SGD(ps, 0.05), cfg),
             x,
             y,
             cfg,
@@ -278,7 +265,7 @@ class TestFromConfig:
 
 class _HandWired:
     """The reference a trainer must equal, wired by hand: a
-    ``DistributedOptimizer`` built by keyword, the rank executor from
+    ``DistributedOptimizer`` built from the config, the rank executor from
     ``build_rank_executor`` and the one step, ``phased_step``, over the
     same seeded shards."""
 
@@ -328,10 +315,9 @@ class TestRejectedAtConstruction:
             ElasticTrainer(model, nn.CrossEntropyLoss(), lambda ps: SGD(ps, 0.05),
                            x, y, cfg)
 
-    @pytest.mark.parametrize("topology", ["tree", "rvh"])
+    @pytest.mark.parametrize("topology", ["rvh"])
     def test_elastic_world_must_reduce_every_size(self, topology):
-        """``tree`` used to be widened to ``tree_any`` behind the
-        config's back; a 4-rank world can step with 3."""
+        """A 4-rank world can step with 3."""
         cfg = RunConfig(topology=topology, num_ranks=4)
         with pytest.raises(ValueError, match="power-of-two.*may reduce 3"):
             cfg.validate_for_pool(4)
@@ -354,7 +340,7 @@ FAULTS = {"none": None, "plan": FaultPlan, "schedule": ElasticSchedule}
 _RUN_CONFIGS = st.fixed_dictionaries({
     "op": st.sampled_from(["sum", "average", "adasum"]),
     "topology": st.sampled_from(
-        ["tree", "tree_any", "linear", "rvh", "ring", "hierarchical"]),
+        ["tree", "linear", "rvh", "ring", "hierarchical"]),
     "gpus_per_node": st.sampled_from([1, 1, 2, 3]),
     "num_ranks": st.integers(1, 8),
     "min_ranks": st.sampled_from([1, 1, 2, 3, 8]),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.core import DistributedOptimizer, GradientArena
+from repro.core import DistributedOptimizer, GradientArena, RunConfig
 from repro.models import MLP
 from repro.optim import SGD, Adam
 from repro.tensor import Tensor
@@ -26,12 +26,13 @@ class TestFp16PreOptimizer:
     def test_tracks_fp32_update(self, rng):
         m16, m32 = _model(1), _model(1)
         d16 = DistributedOptimizer(
-            m16, lambda ps: SGD(ps, 0.1), num_ranks=2,
-            op="adasum", adasum_pre_optimizer=True, wire_codecs=("fp16",),
+            m16, lambda ps: SGD(ps, 0.1),
+            RunConfig(num_ranks=2, op="adasum", adasum_pre_optimizer=True,
+                      wire_codecs=("fp16",)),
         )
         d32 = DistributedOptimizer(
-            m32, lambda ps: SGD(ps, 0.1), num_ranks=2,
-            op="adasum", adasum_pre_optimizer=True,
+            m32, lambda ps: SGD(ps, 0.1),
+            RunConfig(num_ranks=2, op="adasum", adasum_pre_optimizer=True),
         )
         gd = _grad_dicts(m16, rng, 2)
         d16.step_arena(GradientArena.from_grad_dicts([dict(g) for g in gd]))
@@ -43,8 +44,9 @@ class TestFp16PreOptimizer:
         m = _model()
         w0 = {n: p.data.copy() for n, p in m.named_parameters()}
         d = DistributedOptimizer(
-            m, lambda ps: SGD(ps, 0.1), num_ranks=2,
-            op="adasum", adasum_pre_optimizer=True, wire_codecs=("fp16",),
+            m, lambda ps: SGD(ps, 0.1),
+            RunConfig(num_ranks=2, op="adasum", adasum_pre_optimizer=True,
+                      wire_codecs=("fp16",)),
         )
         scale0 = d._scaler.scale_value
         huge = _grad_dicts(m, rng, 2, scale=1e6)
@@ -58,10 +60,14 @@ class TestFp16PreOptimizer:
 class TestFp16PostOptimizer:
     def test_tracks_fp32_update(self, rng):
         m16, m32 = _model(2), _model(2)
-        d16 = DistributedOptimizer(m16, lambda ps: Adam(ps, 0.01), num_ranks=2,
-                                   op="adasum", wire_codecs=("fp16",))
-        d32 = DistributedOptimizer(m32, lambda ps: Adam(ps, 0.01), num_ranks=2,
-                                   op="adasum")
+        d16 = DistributedOptimizer(
+            m16, lambda ps: Adam(ps, 0.01),
+            RunConfig(num_ranks=2, op="adasum", wire_codecs=("fp16",)),
+        )
+        d32 = DistributedOptimizer(
+            m32, lambda ps: Adam(ps, 0.01),
+            RunConfig(num_ranks=2, op="adasum"),
+        )
         gd = _grad_dicts(m16, rng, 2)
         d16.step_arena(GradientArena.from_grad_dicts([dict(g) for g in gd]))
         d32.step_arena(GradientArena.from_grad_dicts(gd))
@@ -72,8 +78,10 @@ class TestFp16PostOptimizer:
         m = _model(3)
         w0 = {n: p.data.copy() for n, p in m.named_parameters()}
         # Force the scale so high the deltas overflow fp16.
-        d = DistributedOptimizer(m, lambda ps: SGD(ps, 1e5), num_ranks=2,
-                                 op="adasum", wire_codecs=("fp16",))
+        d = DistributedOptimizer(
+            m, lambda ps: SGD(ps, 1e5),
+            RunConfig(num_ranks=2, op="adasum", wire_codecs=("fp16",)),
+        )
         d._scaler.scale_value = 2.0 ** 24
         gd = _grad_dicts(m, np.random.default_rng(0), 2, scale=10.0)
         d.step_arena(GradientArena.from_grad_dicts(gd))
@@ -83,8 +91,10 @@ class TestFp16PostOptimizer:
 
     def test_training_converges_under_fp16(self, rng):
         m = _model(4)
-        d = DistributedOptimizer(m, lambda ps: Adam(ps, 0.02), num_ranks=2,
-                                 op="adasum", wire_codecs=("fp16",))
+        d = DistributedOptimizer(
+            m, lambda ps: Adam(ps, 0.02),
+            RunConfig(num_ranks=2, op="adasum", wire_codecs=("fp16",)),
+        )
         loss_fn = nn.CrossEntropyLoss()
         x = rng.standard_normal((32, 4)).astype(np.float32)
         y = (x[:, 0] > 0).astype(np.int64)

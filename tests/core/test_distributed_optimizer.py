@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import DistributedOptimizer, GradientArena, adasum_per_layer
+from repro.core import DistributedOptimizer, GradientArena, RunConfig, adasum_per_layer
 from repro.models import MLP
 from repro.optim import SGD, Adam
 from repro.tensor import Tensor
@@ -25,11 +25,14 @@ def _grad_dicts(model, rng, ranks):
 class TestValidation:
     def test_bad_rank_count(self):
         with pytest.raises(ValueError):
-            DistributedOptimizer(_model(), lambda ps: SGD(ps, 0.1), num_ranks=0)
+            DistributedOptimizer(
+                _model(), lambda ps: SGD(ps, 0.1),
+                RunConfig(num_ranks=0),
+            )
 
     def test_wrong_number_of_grad_dicts(self, rng):
         m = _model()
-        d = DistributedOptimizer(m, lambda ps: SGD(ps, 0.1), num_ranks=4)
+        d = DistributedOptimizer(m, lambda ps: SGD(ps, 0.1), RunConfig(num_ranks=4))
         with pytest.raises(ValueError):
             d.step_arena(GradientArena.from_grad_dicts(_grad_dicts(m, rng, 2)))
 
@@ -38,7 +41,10 @@ class TestPreOptimizerModes:
     def test_sum_equals_manual(self, rng):
         m = _model()
         w0 = {n: p.data.copy() for n, p in m.named_parameters()}
-        d = DistributedOptimizer(m, lambda ps: SGD(ps, 0.1), num_ranks=2, op="sum")
+        d = DistributedOptimizer(
+            m, lambda ps: SGD(ps, 0.1),
+            RunConfig(num_ranks=2, op="sum"),
+        )
         gd = _grad_dicts(m, rng, 2)
         d.step_arena(GradientArena.from_grad_dicts(gd))
         for n, p in m.named_parameters():
@@ -48,7 +54,10 @@ class TestPreOptimizerModes:
     def test_average_equals_manual(self, rng):
         m = _model()
         w0 = {n: p.data.copy() for n, p in m.named_parameters()}
-        d = DistributedOptimizer(m, lambda ps: SGD(ps, 0.2), num_ranks=4, op="average")
+        d = DistributedOptimizer(
+            m, lambda ps: SGD(ps, 0.2),
+            RunConfig(num_ranks=4, op="average"),
+        )
         gd = _grad_dicts(m, rng, 4)
         d.step_arena(GradientArena.from_grad_dicts(gd))
         for n, p in m.named_parameters():
@@ -60,8 +69,8 @@ class TestPreOptimizerModes:
         m = _model()
         w0 = {n: p.data.copy() for n, p in m.named_parameters()}
         d = DistributedOptimizer(
-            m, lambda ps: SGD(ps, 0.1), num_ranks=4,
-            op="adasum", adasum_pre_optimizer=True,
+            m, lambda ps: SGD(ps, 0.1),
+            RunConfig(num_ranks=4, op="adasum", adasum_pre_optimizer=True),
         )
         assert not d.post_optimizer_mode
         gd = _grad_dicts(m, rng, 4)
@@ -76,7 +85,10 @@ class TestPostOptimizerMode:
         """Post-optimizer Adasum on plain SGD == Adasum of (-lr·g) deltas."""
         m = _model()
         w0 = {n: p.data.copy() for n, p in m.named_parameters()}
-        d = DistributedOptimizer(m, lambda ps: SGD(ps, 0.1), num_ranks=2, op="adasum")
+        d = DistributedOptimizer(
+            m, lambda ps: SGD(ps, 0.1),
+            RunConfig(num_ranks=2, op="adasum"),
+        )
         assert d.post_optimizer_mode
         gd = _grad_dicts(m, rng, 2)
         deltas = [{n: -0.1 * g[n] for n in g} for g in gd]
@@ -88,7 +100,10 @@ class TestPostOptimizerMode:
     def test_per_rank_optimizer_state_independent(self, rng):
         """Each rank's Adam moments are driven by its own gradients."""
         m = _model()
-        d = DistributedOptimizer(m, lambda ps: Adam(ps, 0.01), num_ranks=2, op="adasum")
+        d = DistributedOptimizer(
+            m, lambda ps: Adam(ps, 0.01),
+            RunConfig(num_ranks=2, op="adasum"),
+        )
         gd = _grad_dicts(m, rng, 2)
         d.step_arena(GradientArena.from_grad_dicts(gd))
         m0 = d.rank_optimizers[0].state[0]["m"]
@@ -101,10 +116,12 @@ class TestPostOptimizerMode:
         m_multi, m_single = _model(3), _model(3)
         g = _grad_dicts(m_multi, rng, 1)[0]
         d_multi = DistributedOptimizer(
-            m_multi, lambda ps: SGD(ps, 0.1), num_ranks=4, op="adasum"
+            m_multi, lambda ps: SGD(ps, 0.1),
+            RunConfig(num_ranks=4, op="adasum"),
         )
         d_single = DistributedOptimizer(
-            m_single, lambda ps: SGD(ps, 0.1), num_ranks=1, op="adasum"
+            m_single, lambda ps: SGD(ps, 0.1),
+            RunConfig(num_ranks=1, op="adasum"),
         )
         d_multi.step_arena(GradientArena.from_grad_dicts([dict(g) for _ in range(4)]))
         d_single.step_arena(GradientArena.from_grad_dicts([g]))
@@ -117,7 +134,10 @@ class TestPostOptimizerMode:
         """A few real forward/backward Adasum-Adam steps stay finite."""
         m = _model()
         loss_fn = nn.CrossEntropyLoss()
-        d = DistributedOptimizer(m, lambda ps: Adam(ps, 0.01), num_ranks=2, op="adasum")
+        d = DistributedOptimizer(
+            m, lambda ps: Adam(ps, 0.01),
+            RunConfig(num_ranks=2, op="adasum"),
+        )
         x = rng.standard_normal((8, 4)).astype(np.float32)
         y = rng.integers(0, 2, 8)
         for _ in range(5):
@@ -133,5 +153,5 @@ class TestPostOptimizerMode:
 
     def test_lr_property(self):
         m = _model()
-        d = DistributedOptimizer(m, lambda ps: SGD(ps, 0.33), num_ranks=2)
+        d = DistributedOptimizer(m, lambda ps: SGD(ps, 0.33), RunConfig(num_ranks=2))
         assert d.lr == pytest.approx(0.33)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.core import LocalSGDCluster, make_reducer
+from repro.core import LocalSGDCluster, StrategyReducer
 from repro.core.local_sgd import LocalStepWorker
 from repro.models import MLP
 from repro.optim import SGD
@@ -13,7 +13,7 @@ from repro.train.trainer import compute_grads
 
 def _setup(num_ranks=2, local_steps=2, reducer=None, lr=0.1, seed=0):
     model = MLP((4, 8, 2), rng=np.random.default_rng(seed))
-    reducer = reducer or make_reducer("adasum")
+    reducer = reducer or StrategyReducer("adasum")
     cluster = LocalSGDCluster(
         model,
         lambda ps: SGD(ps, lr),
@@ -115,7 +115,7 @@ class TestCluster:
                 np.copyto(p.data, w0[n])
             _, grads = compute_grads(model, loss_fn, b[0], b[1])
             expected_deltas.append({n: -0.1 * g for n, g in grads.items()})
-        combined = make_reducer("adasum").reduce(expected_deltas)
+        combined = StrategyReducer("adasum").reduce(expected_deltas)
         cluster.step(batches, grad_fn)
         for n in w0:
             np.testing.assert_allclose(
@@ -124,7 +124,7 @@ class TestCluster:
 
     def test_sum_reducer_normalized_to_average(self, rng):
         """Sum of deltas is divided by N (gradient-accumulation baseline)."""
-        model, cluster, grad_fn = _setup(num_ranks=2, local_steps=1, reducer=make_reducer("sum"))
+        model, cluster, grad_fn = _setup(num_ranks=2, local_steps=1, reducer=StrategyReducer("sum"))
         w0 = {n: w.copy() for n, w in cluster.workers[0].weights.items()}
         batches = [(np.ones((4, 4), dtype=np.float32), np.zeros(4, dtype=np.int64))] * 2
         cluster.step(batches, grad_fn)

@@ -9,7 +9,7 @@ processes (worker reduce too, for the op that has a schedule), an
 elastic run that loses a rank, a scheduler job and the CLI's ``train``
 subcommand.  Nothing outside this file changes to add them, and
 ``monkeypatch.setitem`` takes them out of the registry again, so every
-other test still sees the 18 built-in cells.
+other test still sees the 15 built-in cells.
 """
 
 import numpy as np
@@ -29,7 +29,7 @@ class MedianStrategy(ReduceStrategy):
     """docs/architecture.md's example: the elementwise median of the
     ranks' gradients, before one shared optimizer step."""
 
-    op, topology = "median", "tree_any"
+    op, topology = "median", "tree"
     post_optimizer = False     # raw gradients, one shared optimizer step
     scales_with_world = False  # a median does not grow with the world
 
@@ -41,7 +41,7 @@ class MidpointStrategy(ReduceStrategy):
     """A toy pairwise op: every hop of the power-of-two-block tree keeps
     the midpoint of its two rows; it combines Figure-3 deltas."""
 
-    op, topology = "midpoint", "tree_any"
+    op, topology = "midpoint", "tree"
     post_optimizer = True
 
     def combine_pair(self, acc, other, boundaries=None, out=None):
@@ -101,7 +101,7 @@ def _train(config, steps=4, **kwargs):
 def test_the_op_is_its_registered_name_and_facts(new_op):
     config = _config(new_op)
     assert (config.op, config.topology) == (new_op.op, new_op.topology)
-    dist = DistributedOptimizer.from_config(_model(), _sgd, config)
+    dist = DistributedOptimizer(_model(), _sgd, config)
     assert dist.op == new_op.op
     assert dist.reducer.strategy is new_op
     assert dist.post_optimizer_mode is new_op.post_optimizer

@@ -104,10 +104,6 @@ class TestPairwise:
 
 
 class TestRecursive:
-    def test_tree_power_of_two_required(self, rng):
-        with pytest.raises(ValueError):
-            adasum_tree([_vec(rng)] * 3)
-
     def test_tree_empty_raises(self):
         with pytest.raises(ValueError):
             adasum_tree([])

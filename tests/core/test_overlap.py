@@ -23,7 +23,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro import nn
 from repro.comm.codec import Fp16Codec
-from repro.core import DistributedOptimizer
+from repro.core import DistributedOptimizer, RunConfig
 from repro.core.arena import GradientArena
 from repro.core.overlap import FlatOptimizerMirror, OverlapScheduler, build_fused_engine
 from repro.core.precision import DynamicScaler
@@ -84,9 +84,10 @@ def _run_pair(op="adasum", num_ranks=4, opt_factory=_sgd, steps=3,
     for _ in range(2):
         model = MLP(LAYERS, rng=np.random.default_rng(seed))
         dopt = DistributedOptimizer(
-            model, opt_factory, num_ranks, op=op,
-            adasum_pre_optimizer=adasum_pre_optimizer, per_layer=per_layer,
-            topology="tree_any", wire_codecs=wire_codecs,
+            model, opt_factory,
+            RunConfig(num_ranks=num_ranks, op=op,
+                      adasum_pre_optimizer=adasum_pre_optimizer,
+                      per_layer=per_layer, wire_codecs=wire_codecs),
         )
         sides.append((model, dopt, GradientArena.from_model(model, num_ranks)))
     (_, phased_opt, phased_arena), (_, ovl_opt, ovl_arena) = sides
@@ -196,8 +197,10 @@ class TestOverlapBitIdentity:
         skipped, so no bucket after it is reduced — the one-bucket case
         of which is the phased rule that a skipped step never reduces."""
         model = MLP(LAYERS, rng=np.random.default_rng(0))
-        dopt = DistributedOptimizer(model, _sgd, 4, op="sum",
-                                    wire_codecs=("fp16",))
+        dopt = DistributedOptimizer(
+            model, _sgd,
+            RunConfig(num_ranks=4, op="sum", wire_codecs=("fp16",)),
+        )
         arena = GradientArena.from_model(model, 4)
         sched = OverlapScheduler(dopt, arena, bucket_cap_mb=1e-5)
         reduced = []
@@ -219,7 +222,8 @@ class TestOverlapBitIdentity:
         rng = np.random.default_rng(0)
         model = MLP(LAYERS, rng=rng)
         dopt = DistributedOptimizer(
-            model, _sgd, 4, op="adasum", per_layer=False,
+            model, _sgd,
+            RunConfig(num_ranks=4, op="adasum", per_layer=False),
         )
         arena = GradientArena.from_model(model, 4)
         sched = OverlapScheduler(dopt, arena, bucket_cap_mb=1e-5)
@@ -286,7 +290,7 @@ def _bert_overlap_mirror(opt_factory):
     opener, its 19 buckets and the arena."""
     model = MiniBERT(BertConfig(vocab_size=48, hidden=64, layers=2, heads=4,
                                 max_seq_len=16), rng=np.random.default_rng(0))
-    dopt = DistributedOptimizer(model, opt_factory, 8, op="adasum")
+    dopt = DistributedOptimizer(model, opt_factory, RunConfig(num_ranks=8, op="adasum"))
     arena = GradientArena.from_model(model, 8)
     buckets = [(b.start, b.stop) for b in dopt.bucket_plan(arena, 0.01).buckets]
     assert len(buckets) == 19
@@ -342,8 +346,9 @@ def _check_mirror(optimizer, lr, ranks, order, steps, seed, extreme, rollback=No
     for _ in range(2):
         model = MLP(LAYERS, rng=np.random.default_rng(seed))
         dopt = DistributedOptimizer(
-            model, lambda ps: MIRRORED[optimizer](ps, lr), ranks,
-            op="adasum")
+            model, lambda ps: MIRRORED[optimizer](ps, lr),
+            RunConfig(num_ranks=ranks, op="adasum"),
+        )
         sides.append((model, dopt, GradientArena.from_model(model, ranks)))
     (_, real, real_arena), (_, mirrored, arena) = sides
     assert arena.layout.total_size == TOTAL
@@ -464,7 +469,7 @@ class TestFlatOptimizerMirror:
         it at an unchanged ``step_count`` is an outside write as well: its
         next step continues the loaded momentum, not a first step."""
         model = MLP(LAYERS, rng=np.random.default_rng(0))
-        dopt = DistributedOptimizer(model, _sgd, 2, op="adasum")
+        dopt = DistributedOptimizer(model, _sgd, RunConfig(num_ranks=2, op="adasum"))
         arena = GradientArena.from_model(model, 2)
         mirror, begin = _mirror(dopt, arena)
         row0, row1 = dopt.rank_optimizers
@@ -483,7 +488,7 @@ class TestFlatOptimizerMirror:
         """One optimizer's slots stepped unequally (a real step with some
         gradients unset) have no one row counter to replay them with."""
         model = MLP(LAYERS, rng=np.random.default_rng(0))
-        dopt = DistributedOptimizer(model, _adam, 2, op="adasum")
+        dopt = DistributedOptimizer(model, _adam, RunConfig(num_ranks=2, op="adasum"))
         opt = dopt.rank_optimizers[1]
         opt.params[0].grad = np.ones_like(opt.params[0].data)
         opt.step()
@@ -590,8 +595,8 @@ def test_whole_row_rewrite_through_the_mirror_beats_the_rank_optimizers():
     sides = []
     for factory in (SGD, _RealSGD):
         model = MLP((16, 32, 4), rng=np.random.default_rng(0))
-        dopt = DistributedOptimizer(model, lambda ps, f=factory: f(ps, 0.05), 8,
-                                    op="adasum")
+        dopt = DistributedOptimizer(model, lambda ps, f=factory: f(ps, 0.05),
+                                    RunConfig(num_ranks=8, op="adasum"))
         sides.append((dopt, GradientArena.from_model(model, 8), []))
     assert sides[0][0].optimizer_mirror(sides[0][1]) is not None
     assert sides[1][0].optimizer_mirror(sides[1][1]) is None
@@ -663,7 +668,7 @@ class TestOverlapTracer:
         from repro.comm import CommTracer
         tracer = CommTracer()
         model = MLP(LAYERS, rng=np.random.default_rng(0))
-        dopt = DistributedOptimizer(model, _sgd, 4, op="adasum")
+        dopt = DistributedOptimizer(model, _sgd, RunConfig(num_ranks=4, op="adasum"))
         arena = GradientArena.from_model(model, 4)
         sched = OverlapScheduler(dopt, arena, bucket_cap_mb=1e-4,
                                  tracer=tracer)
@@ -682,7 +687,7 @@ class TestOverlapTracer:
         from repro.comm import CommTracer
         tracer = CommTracer()
         model = MLP(LAYERS, rng=np.random.default_rng(0))
-        dopt = DistributedOptimizer(model, _sgd, 4, op="adasum")
+        dopt = DistributedOptimizer(model, _sgd, RunConfig(num_ranks=4, op="adasum"))
         arena = GradientArena.from_model(model, 4)
         sched = OverlapScheduler(dopt, arena, bucket_cap_mb=1e-4, tracer=tracer)
         grads = np.ones(arena.data.shape, dtype=np.float32)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import GradientArena, PartitionedAdasumEngine, make_reducer, partition_layers
+from repro.core import GradientArena, PartitionedAdasumEngine, StrategyReducer, partition_layers
+from repro.core import RunConfig
 from repro.core.distributed_optimizer import DistributedOptimizer
 from repro.models import MLP
 from repro.optim import Adam
@@ -41,7 +42,7 @@ class TestEngine:
         model = MLP((4, 8, 2), rng=np.random.default_rng(seed))
         opt = Adam(model.parameters(), lr=0.05)
         return model, opt, PartitionedAdasumEngine(
-            model, opt, num_gpus=num_gpus, reducer=make_reducer("adasum")
+            model, opt, num_gpus=num_gpus, reducer=StrategyReducer("adasum")
         )
 
     def _grads(self, model, rng):
@@ -77,11 +78,12 @@ class TestEngine:
         """Partitioned Figure-3 update == unpartitioned DistributedOptimizer."""
         model_a = MLP((4, 8, 2), rng=np.random.default_rng(2))
         opt_a = Adam(model_a.parameters(), lr=0.05)
-        eng = PartitionedAdasumEngine(model_a, opt_a, num_gpus=2, reducer=make_reducer("adasum"))
+        eng = PartitionedAdasumEngine(model_a, opt_a, num_gpus=2, reducer=StrategyReducer("adasum"))
 
         model_b = MLP((4, 8, 2), rng=np.random.default_rng(2))
         dist = DistributedOptimizer(
-            model_b, lambda ps: Adam(ps, lr=0.05), num_ranks=2, op="adasum"
+            model_b, lambda ps: Adam(ps, lr=0.05),
+            RunConfig(num_ranks=2, op="adasum"),
         )
 
         local = self._grads(model_a, rng)

@@ -1,9 +1,9 @@
 """The strategy registry: completeness, parity, and reference equivalence.
 
 Every registered ``(op, topology)`` cell must agree with the one dict
-convenience (``reduce_dicts``, bit-exact — the dict adapter routes
-through the flat kernel, so drift is impossible by construction and
-this matrix keeps it that way) and with the reference kernels the paper defines
+adapter (``StrategyReducer.reduce``, bit-exact — it routes through the
+flat kernel, so drift is impossible by construction and this matrix
+keeps it that way) and with the reference kernels the paper defines
 (``adasum_tree``, ``adasum_per_layer``, ``adasum_linear``).  World
 sizes cover 2–8 including non-powers-of-two.
 """
@@ -21,12 +21,14 @@ from repro.core.strategies import (
     TOPOLOGIES,
     StrategyReducer,
     get_strategy,
-    reduce_dicts,
-    reduce_flat,
     registered_cells,
 )
 
 POW2_SIZES = (2, 4, 8)
+#: The retired spelling of the any-size tree.  The frozen benchmark's
+#: elastic config still names it, so it must keep resolving to the
+#: ``tree`` cell and reducing byte for byte as ``tree`` does.
+RETIRED_TREE = "tree_any"
 ALL_SIZES = (2, 3, 4, 5, 6, 7, 8)
 # Includes a width-1 layer so parity covers single-column slices.
 SIZES = ((6,), (1,), (3, 4), (10,))
@@ -50,6 +52,14 @@ def _rows(grad_dicts):
     return data, boundaries
 
 
+def _combine(data, boundaries=None, op="sum", topology="tree"):
+    return get_strategy(op, topology).combine_flat(data, boundaries)
+
+
+def _reduce(grad_dicts, op="sum", topology="tree"):
+    return StrategyReducer(op, topology).reduce(grad_dicts)
+
+
 def _assert_bit_equal(a, b, msg=""):
     np.testing.assert_array_equal(
         np.asarray(a, dtype=np.float32).view(np.uint32),
@@ -63,8 +73,8 @@ class TestRegistry:
         cells = set(registered_cells())
         expected = {(op, topo) for op in OPS for topo in TOPOLOGIES}
         assert cells == expected
-        # 3 ops × 6 topologies
-        assert len(cells) == 18
+        # 3 ops × 5 topologies
+        assert len(cells) == 15
 
     def test_enum_ops_accepted(self):
         assert get_strategy("ADASUM", "Tree") is get_strategy(
@@ -85,19 +95,20 @@ class TestRegistry:
 
 
 class TestDictFlatParity:
-    """flat vs dict is bit-exact for every cell that runs in-process."""
+    """flat vs dict is bit-exact for every cell that runs in-process,
+    and for the retired tree spelling."""
 
     @pytest.mark.parametrize("op", OPS)
-    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    @pytest.mark.parametrize("topology", TOPOLOGIES + (RETIRED_TREE,))
     @pytest.mark.parametrize("ranks", ALL_SIZES)
     def test_parity(self, op, topology, ranks):
-        if topology in ("tree", "rvh") and ranks & (ranks - 1):
+        if topology == "rvh" and op == "adasum" and ranks & (ranks - 1):
             pytest.skip("power-of-two-only topology")
         dicts = _dicts(seed=ranks, ranks=ranks)
         data, boundaries = _rows(dicts)
 
-        out_dict = reduce_dicts(dicts, op=op, topology=topology)
-        out_flat = reduce_flat(data, boundaries, op=op, topology=topology)
+        out_dict = _reduce(dicts, op=op, topology=topology)
+        out_flat = _combine(data, boundaries, op=op, topology=topology)
 
         offset = 0
         for name, ref in dicts[0].items():
@@ -120,37 +131,72 @@ class TestReferenceEquivalence:
 
         # Whole-model: flat tree == adasum_tree over the raw rows.
         _assert_bit_equal(
-            reduce_flat(data, op="adasum", topology="tree"),
+            _combine(data, op="adasum", topology="tree"),
             adasum_tree([row for row in data]),
             msg=f"tree strategy diverges from adasum_tree at {ranks} ranks",
         )
         # Per-layer: the dict path == adasum_per_layer.
         ref = adasum_per_layer(dicts)
-        out = reduce_dicts(dicts, op="adasum", topology="tree")
+        out = _reduce(dicts, op="adasum", topology="tree")
         for name in ref:
             _assert_bit_equal(out[name], ref[name], msg=name)
 
     @pytest.mark.parametrize("ranks", POW2_SIZES)
     def test_tree_any_matches_tree_on_pow2(self, ranks):
+        assert get_strategy("adasum", RETIRED_TREE) is get_strategy("adasum", "tree")
         data, boundaries = _rows(_dicts(seed=20 + ranks, ranks=ranks))
         _assert_bit_equal(
-            reduce_flat(data, boundaries, op="adasum", topology="tree_any"),
-            reduce_flat(data, boundaries, op="adasum", topology="tree"),
+            _combine(data, boundaries, op="adasum", topology=RETIRED_TREE),
+            _combine(data, boundaries, op="adasum", topology="tree"),
         )
 
     @pytest.mark.parametrize("ranks", (3, 5, 6, 7))
     def test_tree_any_non_pow2(self, ranks):
-        """tree_any splits at the largest power of two below n."""
+        """The retired spelling still reduces a non-power-of-two world,
+        splitting at the largest power of two below n as ``tree`` does."""
         data, boundaries = _rows(_dicts(seed=30 + ranks, ranks=ranks))
-        out = reduce_flat(data, boundaries, op="adasum", topology="tree_any")
+        out = _combine(data, boundaries, op="adasum", topology=RETIRED_TREE)
         assert out.shape == data[0].shape
         assert np.isfinite(out).all()
+        _assert_bit_equal(
+            out, _combine(data, boundaries, op="adasum", topology="tree"))
+
+    @pytest.mark.parametrize("per_layer", [False, True], ids=["whole", "layers"])
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    @pytest.mark.parametrize("op", OPS)
+    def test_tree_matches_the_oracle_and_its_schedule(self, op, dtype, per_layer):
+        """The one tree reduces any world: at every n the flat kernel
+        equals the dict oracle (Adasum: ``adasum_per_layer``, which
+        splits a non-power-of-two n at the largest power of two) and a
+        replay of the cell's own pair schedule, byte for byte."""
+        cell = get_strategy(op, "tree")
+        sizes = (5, 1, 7, 3)
+        for ranks in range(1, 10):
+            rng = np.random.default_rng(100 + ranks)
+            data = rng.standard_normal((ranks, sum(sizes))).astype(dtype)
+            boundaries = list(np.cumsum((0,) + sizes)) if per_layer else None
+            got = cell.combine_flat(data, boundaries)
+            assert got.dtype == dtype
+            work = data.copy()
+            for level in cell.pair_schedule(ranks):
+                for dst, src, kind in level:
+                    cell.pair_combine(kind, work[dst], work[src], boundaries,
+                                      out=work[dst])
+            if ranks > 1:
+                cell.finalize_pair(work[0], ranks)
+            assert got.tobytes() == work[0].tobytes(), (op, ranks)
+            if op == "adasum":
+                bounds = boundaries or [0, data.shape[1]]
+                dicts = [{f"l{i}": row[lo:hi] for i, (lo, hi)
+                          in enumerate(zip(bounds[:-1], bounds[1:]))} for row in data]
+                ref = adasum_per_layer(dicts)
+                assert got.tobytes() == np.concatenate(list(ref.values())).tobytes(), ranks
 
     @pytest.mark.parametrize("ranks", ALL_SIZES)
     def test_linear_matches_reference(self, ranks):
         data, _ = _rows(_dicts(seed=40 + ranks, ranks=ranks))
         _assert_bit_equal(
-            reduce_flat(data, op="adasum", topology="linear"),
+            _combine(data, op="adasum", topology="linear"),
             adasum_linear([row for row in data]),
         )
 
@@ -159,8 +205,8 @@ class TestReferenceEquivalence:
         """In-process the ring strategy is the same left fold as linear."""
         data, boundaries = _rows(_dicts(seed=50 + ranks, ranks=ranks))
         _assert_bit_equal(
-            reduce_flat(data, boundaries, op="adasum", topology="ring"),
-            reduce_flat(data, boundaries, op="adasum", topology="linear"),
+            _combine(data, boundaries, op="adasum", topology="ring"),
+            _combine(data, boundaries, op="adasum", topology="linear"),
         )
 
     @pytest.mark.parametrize("ranks", POW2_SIZES)
@@ -169,8 +215,8 @@ class TestReferenceEquivalence:
         floating-point tolerance, not bit-exactly."""
         data, boundaries = _rows(_dicts(seed=60 + ranks, ranks=ranks))
         np.testing.assert_allclose(
-            reduce_flat(data, boundaries, op="adasum", topology="rvh"),
-            reduce_flat(data, boundaries, op="adasum", topology="tree"),
+            _combine(data, boundaries, op="adasum", topology="rvh"),
+            _combine(data, boundaries, op="adasum", topology="tree"),
             rtol=1e-5,
             atol=1e-6,
         )
@@ -188,7 +234,7 @@ class TestReferenceEquivalence:
         if op == "average":
             ref = ref / ranks
         np.testing.assert_allclose(
-            reduce_flat(data, op=op, topology="tree"),
+            _combine(data, op=op, topology="tree"),
             ref.astype(np.float32),
             rtol=1e-6,
             atol=1e-5,
@@ -198,37 +244,27 @@ class TestReferenceEquivalence:
     def test_sum_topology_invariant(self, op):
         """Elementwise ops give bit-identical results on every topology."""
         data, boundaries = _rows(_dicts(seed=80, ranks=6))
-        base = reduce_flat(data, boundaries, op=op, topology="tree_any")
+        base = _combine(data, boundaries, op=op, topology="tree")
         for topology in TOPOLOGIES:
-            if topology == "tree_any":
-                continue
-            if topology in ("tree", "rvh"):
-                continue  # pow2-only validation; 6 ranks
             _assert_bit_equal(
-                reduce_flat(data, boundaries, op=op, topology=topology), base
+                _combine(data, boundaries, op=op, topology=topology), base
             )
 
 
 class TestValidation:
-    @pytest.mark.parametrize("ranks", (3, 5, 6, 7))
-    def test_tree_rejects_non_pow2(self, ranks):
-        data, _ = _rows(_dicts(seed=90 + ranks, ranks=ranks))
-        with pytest.raises(ValueError, match="power-of-two"):
-            reduce_flat(data, op="adasum", topology="tree")
-
     @pytest.mark.parametrize("ranks", (3, 6))
     def test_rvh_rejects_non_pow2(self, ranks):
         data, _ = _rows(_dicts(seed=95 + ranks, ranks=ranks))
         with pytest.raises(ValueError, match="power-of-two"):
-            reduce_flat(data, op="adasum", topology="rvh")
+            _combine(data, op="adasum", topology="rvh")
 
     def test_empty_dicts_raise(self):
         with pytest.raises(ValueError, match="at least one rank"):
-            reduce_dicts([], op="sum")
+            _reduce([], op="sum")
 
     def test_mismatched_names_raise(self):
         with pytest.raises(ValueError, match="differ"):
-            reduce_dicts(
+            _reduce(
                 [{"a": np.zeros(2, np.float32)}, {"b": np.zeros(2, np.float32)}],
                 op="sum",
             )
@@ -237,7 +273,7 @@ class TestValidation:
         data, boundaries = _rows(_dicts(seed=99, ranks=1))
         for op in OPS:
             for topology in TOPOLOGIES:
-                out = reduce_flat(data, boundaries, op=op, topology=topology)
+                out = _combine(data, boundaries, op=op, topology=topology)
                 _assert_bit_equal(out, data[0], msg=f"({op}, {topology})")
 
 
@@ -246,26 +282,27 @@ class TestHierarchicalStrategy:
 
     @pytest.mark.parametrize("ranks,g", [(4, 2), (8, 2), (8, 4), (6, 2), (6, 3)])
     def test_adasum_equals_tree_any_over_node_sums(self, ranks, g):
+        """Adasum tree over the node sums, at any node count."""
         data, boundaries = _rows(_dicts(11, ranks))
         cell = get_strategy("adasum", "hierarchical").bind(gpus_per_node=g)
         got = cell.combine_flat(data, boundaries)
         node_sums = np.stack([
-            reduce_flat(data[k * g:(k + 1) * g], boundaries, op="sum",
-                        topology="tree_any")
+            _combine(data[k * g:(k + 1) * g], boundaries, op="sum",
+                        topology="tree")
             for k in range(ranks // g)
         ])
-        expected = reduce_flat(node_sums, boundaries, op="adasum",
-                               topology="tree_any")
+        expected = _combine(node_sums, boundaries, op="adasum",
+                               topology="tree")
         _assert_bit_equal(got, expected, f"ranks={ranks} g={g}")
 
     def test_non_divisible_world_falls_back_to_tree_any(self):
         # 7 rows with g=2: node symmetry is broken (the elastic reshard
-        # case) — the cell degrades to plain tree_any over all rows.
+        # case) — the cell degrades to the plain tree over all rows.
         data, boundaries = _rows(_dicts(12, 7))
         cell = get_strategy("adasum", "hierarchical").bind(gpus_per_node=2)
         _assert_bit_equal(
             cell.combine_flat(data, boundaries),
-            reduce_flat(data, boundaries, op="adasum", topology="tree_any"),
+            _combine(data, boundaries, op="adasum", topology="tree"),
         )
 
     def test_single_node_world_is_plain_sum(self):
@@ -274,7 +311,7 @@ class TestHierarchicalStrategy:
         cell = get_strategy("adasum", "hierarchical").bind(gpus_per_node=4)
         _assert_bit_equal(
             cell.combine_flat(data, boundaries),
-            reduce_flat(data, boundaries, op="sum", topology="tree_any"),
+            _combine(data, boundaries, op="sum", topology="tree"),
         )
 
     @pytest.mark.parametrize("op", ["sum", "average"])
@@ -283,7 +320,7 @@ class TestHierarchicalStrategy:
         cell = get_strategy(op, "hierarchical").bind(gpus_per_node=2)
         _assert_bit_equal(
             cell.combine_flat(data, boundaries),
-            reduce_flat(data, boundaries, op=op, topology="tree_any"),
+            _combine(data, boundaries, op=op, topology="tree"),
         )
 
     def test_bind_returns_new_instance_registry_untouched(self):

@@ -9,7 +9,7 @@ import pytest
 from repro.comm import NetworkModel
 from repro.comm.codec import build_pipeline
 from repro.comm.transport import Cluster, GroupComm
-from repro.core.distributed_optimizer import make_reducer
+from repro.core.strategies import StrategyReducer
 from repro.core.strategies import get_strategy, registered_cells
 from repro.elastic import cluster_reduce
 
@@ -26,7 +26,7 @@ class TestAdasumTreeCollective:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8])
     def test_full_world_matches_in_process(self, n):
         data = _rows(n)
-        reducer = make_reducer("adasum", topology="tree_any")
+        reducer = StrategyReducer("adasum", topology="tree")
         got = cluster_reduce(Cluster(n, timeout=10.0), data, BOUNDS, reducer)
         expected = reducer.reduce_flat(data.copy(), BOUNDS)
         np.testing.assert_array_equal(got, expected)
@@ -37,7 +37,7 @@ class TestAdasumTreeCollective:
         # Only the participants' rows enter the reduction; the result
         # equals reducing their stacked rows in subgroup order.
         data = _rows(8)
-        reducer = make_reducer("adasum", topology="tree_any")
+        reducer = StrategyReducer("adasum", topology="tree")
         got = cluster_reduce(
             Cluster(8, timeout=10.0), data, BOUNDS, reducer, participants
         )
@@ -47,7 +47,7 @@ class TestAdasumTreeCollective:
     def test_whole_model_mode(self):
         # per_layer=False ignores the layer boundaries (one flat block).
         data = _rows(5)
-        reducer = make_reducer("adasum", per_layer=False, topology="tree_any")
+        reducer = StrategyReducer("adasum", per_layer=False, topology="tree")
         got = cluster_reduce(Cluster(5, timeout=10.0), data, BOUNDS, reducer)
         expected = reducer.reduce_flat(data.copy(), BOUNDS)
         np.testing.assert_array_equal(got, expected)
@@ -58,7 +58,7 @@ class TestGatherCollectives:
     @pytest.mark.parametrize("n", [2, 5, 8])
     def test_linear_ops_match(self, op, n):
         data = _rows(n)
-        reducer = make_reducer(op)
+        reducer = StrategyReducer(op)
         got = cluster_reduce(Cluster(n, timeout=10.0), data, BOUNDS, reducer)
         expected = reducer.reduce_flat(data.copy(), BOUNDS)
         np.testing.assert_array_equal(got, expected)
@@ -67,14 +67,14 @@ class TestGatherCollectives:
         # Linear-topology Adasum runs via the gather path with the reducer's
         # own kernel — sequential fold, still bit-exact.
         data = _rows(4)
-        reducer = make_reducer("adasum", topology="linear")
+        reducer = StrategyReducer("adasum", topology="linear")
         got = cluster_reduce(Cluster(4, timeout=10.0), data, BOUNDS, reducer)
         expected = reducer.reduce_flat(data.copy(), BOUNDS)
         np.testing.assert_array_equal(got, expected)
 
     def test_subset_sum(self):
         data = _rows(6)
-        reducer = make_reducer("sum")
+        reducer = StrategyReducer("sum")
         participants = [1, 3, 4]
         got = cluster_reduce(
             Cluster(6, timeout=10.0), data, BOUNDS, reducer, participants
@@ -86,18 +86,18 @@ class TestGatherCollectives:
 class TestValidation:
     def test_row_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            cluster_reduce(Cluster(4, timeout=10.0), _rows(3), BOUNDS, make_reducer("sum"))
+            cluster_reduce(Cluster(4, timeout=10.0), _rows(3), BOUNDS, StrategyReducer("sum"))
 
     def test_empty_participants_rejected(self):
         with pytest.raises(ValueError):
             cluster_reduce(Cluster(4, timeout=10.0), _rows(4), BOUNDS,
-                           make_reducer("sum"), [])
+                           StrategyReducer("sum"), [])
 
     def test_input_rows_unmodified(self):
         data = _rows(5)
         before = data.copy()
         cluster_reduce(Cluster(5, timeout=10.0), data, BOUNDS,
-                       make_reducer("adasum", topology="tree_any"))
+                       StrategyReducer("adasum", topology="tree"))
         np.testing.assert_array_equal(data, before)
 
 
@@ -105,11 +105,12 @@ class TestValidation:
 # Every registered cell: the collective replays the cell's pair schedule
 # ----------------------------------------------------------------------
 #: Every registered cell, plus the hierarchical ones bound at two ranks
-#: per node: ``(op, topology, gpus_per_node)``.
+#: per node, plus the retired spelling "tree_any" that the frozen
+#: benchmark's elastic config still names: ``(op, topology, gpus_per_node)``.
 CELLS = [(op, topology, None) for op, topology in registered_cells()] + [
     (op, topology, 2) for op, topology in registered_cells()
     if topology == "hierarchical"
-]
+] + [(op, "tree_any", None) for op in ("sum", "average", "adasum")]
 SUBSETS = ([0], [2, 5], [0, 3, 6], [1, 2, 4, 7], [0, 2, 3, 5, 6],
            [1, 2, 3, 4, 5, 6], [0, 1, 2, 3, 4, 5, 7], list(range(8)))
 NETWORK = NetworkModel(alpha=2e-6, beta=1e-9, gamma=3e-10, name="test")
@@ -139,7 +140,7 @@ class TestEveryCell:
     @pytest.mark.parametrize("op,topology,gpus_per_node", CELLS)
     def test_equals_the_flat_kernel_byte_for_byte(self, op, topology,
                                                   gpus_per_node, wire):
-        reducer = make_reducer(op, topology=topology, gpus_per_node=gpus_per_node)
+        reducer = StrategyReducer(op, topology=topology, gpus_per_node=gpus_per_node)
         data = _rows(8, seed=3)
         leaf_nbytes = _fp16_rows(data) if wire else None
         checked = 0
@@ -164,7 +165,7 @@ def _parent_tree_reduce(cluster, data, boundaries, reducer, participants,
     hi)``, splitting at the largest power of two below the span, and
     only a single-rank subtree's send is charged ``leaf_nbytes``."""
     bounds = boundaries if reducer.per_layer else None
-    pairwise = get_strategy("adasum", "tree_any").combine_pair
+    pairwise = get_strategy("adasum", "tree").combine_pair
     part_set = set(participants)
 
     def combine(sub, acc, lo, hi):
@@ -206,17 +207,15 @@ class TestAdasumTreesKeepTheirCost:
 
     @pytest.mark.parametrize("wire", [False, True], ids=["fp32", "fp16"])
     @pytest.mark.parametrize("per_layer", [True, False])
-    @pytest.mark.parametrize("topology", ["tree", "tree_any"])
+    @pytest.mark.parametrize("topology", ["tree"])
     def test_matches_the_recursive_collective(self, topology, per_layer, wire):
-        reducer = make_reducer("adasum", per_layer=per_layer, topology=topology)
+        reducer = StrategyReducer("adasum", per_layer=per_layer, topology=topology)
         for world in (1, 2, 3, 5, 8, 9):
             data = _rows(world, size=BOUNDS[-1], seed=world)
             leaf_nbytes = _fp16_rows(data) if wire else None
             for participants in [list(range(world))] + [
                 s for s in SUBSETS if s[-1] < world
             ]:
-                if topology == "tree" and len(participants) & (len(participants) - 1):
-                    continue
                 observed = []
                 for collective in (cluster_reduce, _parent_tree_reduce):
                     cluster = Cluster(world, network=NETWORK, timeout=10.0,

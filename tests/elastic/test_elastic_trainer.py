@@ -28,7 +28,7 @@ _FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 
 
 def _elastic(x, y, num_ranks=8, microbatch=4, op="adasum",
-             topology="tree_any", schedule=None, make_opt=lambda ps: SGD(ps, 0.3),
+             topology="tree", schedule=None, make_opt=lambda ps: SGD(ps, 0.3),
              **kw):
     """An elastic MLP run; ``kw`` holds config fields and trainer keywords."""
     model = MLP((6, 16, 2), rng=np.random.default_rng(0))
@@ -203,7 +203,7 @@ class TestKillRecovery:
             model = MiniBERT(BertConfig(vocab_size=24, hidden=16, layers=1, heads=2,
                                         max_seq_len=8), rng=np.random.default_rng(0))
             config = RunConfig(
-                topology="tree_any", num_ranks=4, microbatch=2,
+                topology="tree", num_ranks=4, microbatch=2,
                 wire_codecs=("fp16",), faults=ElasticSchedule().kill(1, 2),
             )
             tr = ElasticTrainer(
@@ -307,7 +307,7 @@ class TestCodecStacks:
 
     @pytest.mark.parametrize("stack", STACKS, ids=",".join)
     def test_step_charges_leaves_the_modeled_bytes(self, stack):
-        """An 8-rank ``tree_any`` step sends 4 original rows and 3
+        """An 8-rank ``tree`` step sends 4 original rows and 3
         partials, a 7-rank one (after a kill) 4 and 2: the leaves cost
         ``pipe.wire_nbytes()`` each, the partials raw fp32."""
         x, y = _task()

@@ -1,19 +1,18 @@
 """Non-power-of-two Adasum tree geometry (elastic world re-geometry).
 
-The contract the elastic runtime rests on: ``adasum_tree_any`` splits a
-span at the largest power of two below ``n`` and delegates power-of-two
-blocks to the reference ``adasum_tree``, so any survivor count has a
-deterministic tree whose power-of-two sub-reductions are bit-exact
-against the reference.
+The contract the elastic runtime rests on: ``adasum_tree`` splits a
+span at the largest power of two below ``n`` and reduces power-of-two
+blocks by the paper's level-by-level recursion, so any survivor count
+has a deterministic tree whose power-of-two sub-reductions are bit-exact
+against that recursion.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import adasum, adasum_tree
-from repro.core.operator import adasum_tree_any, largest_pow2_below
-from repro.core.distributed_optimizer import make_reducer
-from repro.core.strategies import get_strategy
+from repro.core.operator import largest_pow2_below
+from repro.core.strategies import StrategyReducer, get_strategy
 from repro.core.arena import GradientArena
 
 
@@ -37,11 +36,13 @@ class TestLargestPow2Below:
 
 class TestAdasumTreeAny:
     def test_pow2_is_bit_exact_with_reference(self):
+        # §3.4's recursion: adjacent pairs combine, level by level.
         for n in (1, 2, 4, 8):
-            g = _grads(n)
-            np.testing.assert_array_equal(
-                adasum_tree_any(g), adasum_tree(g)
-            )
+            level = _grads(n)
+            g = list(level)
+            while len(level) > 1:
+                level = [adasum(a, b) for a, b in zip(level[::2], level[1::2])]
+            np.testing.assert_array_equal(adasum_tree(g), level[0])
 
     def test_five_ranks_matches_manual_split(self):
         # The 8 -> 5 shrink geometry: largest pow2 below 5 is 4, so the
@@ -49,18 +50,18 @@ class TestAdasumTreeAny:
         # block is the reference reduction, bit for bit.
         g = _grads(5)
         expected = adasum(adasum_tree(g[:4]), g[4])
-        np.testing.assert_array_equal(adasum_tree_any(g), expected)
+        np.testing.assert_array_equal(adasum_tree(g), expected)
 
     def test_six_ranks_matches_manual_split(self):
         g = _grads(6)
         expected = adasum(adasum_tree(g[:4]), adasum_tree(g[4:]))
-        np.testing.assert_array_equal(adasum_tree_any(g), expected)
+        np.testing.assert_array_equal(adasum_tree(g), expected)
 
     def test_seven_ranks_matches_recursive_split(self):
         g = _grads(7)
         right = adasum(adasum_tree(g[4:6]), g[6])
         expected = adasum(adasum_tree(g[:4]), right)
-        np.testing.assert_array_equal(adasum_tree_any(g), expected)
+        np.testing.assert_array_equal(adasum_tree(g), expected)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 6, 7])
     def test_flat_matches_dict_path(self, n):
@@ -69,36 +70,29 @@ class TestAdasumTreeAny:
         rng = np.random.default_rng(n)
         rows = rng.standard_normal((n, 9)).astype(np.float32)
         boundaries = [0, 8, 9]
-        flat = get_strategy("adasum", "tree_any").combine_flat(rows.copy(), boundaries)
+        flat = get_strategy("adasum", "tree").combine_flat(rows.copy(), boundaries)
         for lo, hi in zip(boundaries, boundaries[1:]):
-            piece = adasum_tree_any([r[lo:hi] for r in rows])
+            piece = adasum_tree([r[lo:hi] for r in rows])
             np.testing.assert_array_equal(flat[lo:hi], piece)
 
     def test_flat_pow2_matches_reference_flat(self):
         rng = np.random.default_rng(3)
         rows = rng.standard_normal((8, 16)).astype(np.float32)
         np.testing.assert_array_equal(
-            get_strategy("adasum", "tree_any").combine_flat(rows.copy(), [0, 16]),
             get_strategy("adasum", "tree").combine_flat(rows.copy(), [0, 16]),
+            adasum_tree(list(rows)),
         )
 
 
 class TestReducerNonPow2:
-    def test_reducer_rejects_non_pow2_by_default(self):
-        arena = GradientArena.from_grad_dicts(
-            [{"w": g} for g in _grads(5)]
-        )
-        with pytest.raises(ValueError):
-            make_reducer("adasum").reduce_arena(arena)
-
     def test_shrink_8_to_5_survivor_reduction_bit_exact(self):
         # Acceptance scenario: 8 ranks shrink to 5 survivors; the
-        # tree_any reducer over the survivor rows must equal the
+        # default reducer over the survivor rows must equal the
         # reference composition (adasum_tree on the pow2 block).
         g = _grads(8)
         survivors = [g[i] for i in (1, 2, 4, 5, 7)]
         arena = GradientArena.from_grad_dicts([{"w": s} for s in survivors])
-        reducer = make_reducer("adasum", topology="tree_any")
+        reducer = StrategyReducer("adasum")
         combined = arena.unpack(reducer.reduce_arena(arena))["w"]
         expected = adasum(adasum_tree(survivors[:4]), survivors[4])
         np.testing.assert_array_equal(combined, expected)

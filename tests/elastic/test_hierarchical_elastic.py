@@ -2,7 +2,7 @@
 
 The hierarchical strategy reduces node sums with Adasum; killing a rank
 breaks node symmetry, at which point the strategy itself degrades to the
-flat ``tree_any`` geometry over the survivors — training must continue.
+flat ``tree`` geometry over the survivors — training must continue.
 """
 
 import numpy as np
@@ -75,7 +75,7 @@ class TestHierarchicalNoFaultParity:
 class TestHierarchicalKillRecovery:
     def test_kill_breaks_node_symmetry_and_training_continues(self):
         # 8 ranks at 2 GPUs/node; one kill leaves 7 survivors — not a
-        # multiple of gpus_per_node, so the reducer's tree_any fallback
+        # multiple of gpus_per_node, so the reducer's tree fallback
         # carries the rest of the run.
         x, y = _task(n=200)
         sched = ElasticSchedule().kill(2, 3)

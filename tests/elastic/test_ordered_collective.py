@@ -19,7 +19,7 @@ from repro import nn
 from repro.comm import Cluster, CommError, FaultPlan, NetworkModel
 from repro.comm.codec import build_pipeline
 from repro.core import RunConfig
-from repro.core.distributed_optimizer import make_reducer
+from repro.core.strategies import StrategyReducer
 from repro.core.strategies import registered_cells
 from repro.elastic import (
     ElasticSchedule,
@@ -38,16 +38,16 @@ NETWORK = NetworkModel(alpha=2e-6, beta=1e-9, gamma=3e-10, name="test")
 #: Every registered cell, the hierarchical ones also bound at two ranks
 #: per node, and whole-model Adasum.
 REDUCERS = {
-    f"{op}_{topology}": partial(make_reducer, op, topology=topology)
+    f"{op}_{topology}": partial(StrategyReducer, op, topology=topology)
     for op, topology in registered_cells()
 }
 REDUCERS.update({
-    f"{op}_hierarchical_2": partial(make_reducer, op, topology=topology,
+    f"{op}_hierarchical_2": partial(StrategyReducer, op, topology=topology,
                                     gpus_per_node=2)
     for op, topology in registered_cells() if topology == "hierarchical"
 })
 REDUCERS["adasum_whole_model"] = partial(
-    make_reducer, "adasum", per_layer=False, topology="tree_any"
+    StrategyReducer, "adasum", per_layer=False, topology="tree"
 )
 
 
@@ -158,7 +158,7 @@ def _task(n=160, seed=0):
 def _elastic(num_ranks=8, **kw):
     x, y = _task()
     model = MLP((6, 16, 2), rng=np.random.default_rng(0))
-    config = RunConfig(op="adasum", topology="tree_any", num_ranks=num_ranks,
+    config = RunConfig(op="adasum", topology="tree", num_ranks=num_ranks,
                        microbatch=4, seed=0, **kw)
     trainer = ElasticTrainer(
         model, nn.CrossEntropyLoss(), lambda ps: SGD(ps, 0.3), x, y, config,
@@ -244,7 +244,7 @@ class TestTracerStaysBounded:
     def test_tracer_holds_one_step_after_300_commits(self):
         x, y = _task(n=320)
         model = MLP((6, 16, 2), rng=np.random.default_rng(0))
-        config = RunConfig(op="adasum", topology="tree_any", num_ranks=8,
+        config = RunConfig(op="adasum", topology="tree", num_ranks=8,
                            microbatch=4, seed=0, network=NETWORK)
         trainer = ElasticTrainer(
             model, nn.CrossEntropyLoss(), lambda ps: SGD(ps, 0.3), x, y, config,

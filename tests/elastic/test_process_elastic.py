@@ -42,7 +42,7 @@ def _run(execution, schedule=None, num_ranks=4, max_steps=4, optimizer="sgd",
     x = rng.standard_normal((96, 10)).astype(np.float32)
     y = (x @ rng.standard_normal((10, 3))).argmax(axis=1)
     config = RunConfig(
-        op="adasum", topology="tree_any", num_ranks=num_ranks, microbatch=4,
+        op="adasum", topology="tree", num_ranks=num_ranks, microbatch=4,
         seed=0, execution=execution, faults=schedule, wire_codecs=wire_codecs,
         reduce_mode=reduce_mode if execution == "processes" else "parent",
     )
@@ -157,7 +157,7 @@ def test_checkpoint_and_restore_on_a_live_pool(reduce_mode, tmp_path):
         x = rng.standard_normal((96, 10)).astype(np.float32)
         y = (x @ rng.standard_normal((10, 3))).argmax(axis=1)
         config = RunConfig(
-            op="adasum", topology="tree_any", num_ranks=4, microbatch=4, seed=0,
+            op="adasum", topology="tree", num_ranks=4, microbatch=4, seed=0,
             execution=execution, wire_codecs=CODEC_STACKS[1],
             reduce_mode=reduce_mode if execution == "processes" else "parent",
         )
@@ -183,7 +183,7 @@ def test_rebuild_swaps_segments_without_leaking():
     x = rng.standard_normal((96, 10)).astype(np.float32)
     y = rng.integers(0, 3, 96)
     config = RunConfig(
-        op="adasum", topology="tree_any", num_ranks=4, microbatch=4,
+        op="adasum", topology="tree", num_ranks=4, microbatch=4,
         execution="processes",
         faults=ElasticSchedule().kill(step=1, global_rank=0),
     )

@@ -42,7 +42,7 @@ def _trainer(x, y, num_ranks=8, microbatch=4, optimizer=None, wire_codecs=(), **
     stateless ``SGD(0.3)`` the loan-cycle tests were written against)."""
     model = MLP((6, 16, 2), rng=np.random.default_rng(0))
     factory = OPTIMIZERS[optimizer] if optimizer else (lambda ps: SGD(ps, 0.3))
-    config = RunConfig(topology="tree_any", num_ranks=num_ranks,
+    config = RunConfig(topology="tree", num_ranks=num_ranks,
                        microbatch=microbatch, wire_codecs=wire_codecs, **kw)
     trainer = ElasticTrainer(model, nn.CrossEntropyLoss(), factory, x, y, config)
     return trainer, model
@@ -172,7 +172,7 @@ class TestShrinkRunGrow:
         tr = ElasticTrainer(
             model, nn.CrossEntropyLoss(),
             lambda ps: SGD(ps, 0.3, momentum=0.9), x, y,
-            RunConfig(topology="tree_any", num_ranks=8, microbatch=4),
+            RunConfig(topology="tree", num_ranks=8, microbatch=4),
         )
         tr.begin_epoch(0)
         _run_steps(tr, 2)

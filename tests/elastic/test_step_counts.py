@@ -53,7 +53,7 @@ def trainer():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((512, 16)).astype(np.float32)
     y = (x @ rng.standard_normal((16, 4)).astype(np.float32)).argmax(axis=1)
-    config = RunConfig(op="adasum", topology="tree_any", num_ranks=8,
+    config = RunConfig(op="adasum", topology="tree", num_ranks=8,
                        microbatch=4, seed=0)
     trainer = ElasticTrainer(
         MLP((16, 32, 4), rng=np.random.default_rng(1)), nn.CrossEntropyLoss(),

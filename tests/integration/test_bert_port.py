@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.core import DistributedOptimizer, GradientArena, OrthogonalityProbe
+from repro.core import DistributedOptimizer, GradientArena, OrthogonalityProbe, RunConfig
 from repro.data import SyntheticTextCorpus, mask_tokens
 from repro.experiments import table3_bert as t3
 from repro.experiments.fig1_orthogonality import run_fig1_bert
@@ -45,8 +45,10 @@ def _rank_grads(model, loss_fn, corpus, seq_len, rng):
 def _reference_phase(model, variant, schedule, corpus, seq_len, target, eval_every, rng,
                      eval_seed):
     op, make_opt = REFERENCE_VARIANTS[variant]
-    dopt = DistributedOptimizer(model, lambda ps: make_opt(ps, schedule),
-                                num_ranks=t3.RANKS, op=op)
+    dopt = DistributedOptimizer(
+        model, lambda ps: make_opt(ps, schedule),
+        RunConfig(num_ranks=t3.RANKS, op=op),
+    )
     loss_fn = nn.CrossEntropyLoss(ignore_index=-100)
     eval_inp, eval_tgt = _masked(corpus, 128, seq_len, np.random.default_rng(eval_seed))
     best = 0.0
@@ -103,7 +105,10 @@ def test_fig1b_curves_match_the_hand_loop():
     loss_fn = nn.CrossEntropyLoss(ignore_index=-100)
     schedule = StepDecay(0.01, milestones=[steps // 2], gamma=0.1)
     probe = OrthogonalityProbe(every=2)
-    dopt = DistributedOptimizer(model, lambda ps: Adam(ps, schedule), num_ranks=ranks)
+    dopt = DistributedOptimizer(
+        model, lambda ps: Adam(ps, schedule),
+        RunConfig(num_ranks=ranks),
+    )
     for step in range(steps):
         dicts = [compute_grads(model, loss_fn, *_masked(corpus, microbatch, seq_len, rng))[1]
                  for _ in range(ranks)]

@@ -13,7 +13,7 @@ import pytest
 from repro import nn
 from repro.comm import Cluster, cluster_allreduce
 from repro.core import GradientArena, RunConfig
-from repro.core.distributed_optimizer import make_reducer
+from repro.core.strategies import StrategyReducer
 from repro.data import make_mnist_like, train_test_split
 from repro.models import LeNet5, MLP
 from repro.optim import SGD, Adam, LAMB
@@ -86,7 +86,7 @@ class TestReducerVsMessagePassing:
             for _ in range(4)
         ]
         # Whole-model reducer result...
-        combined = make_reducer("adasum", per_layer=False).reduce(dicts)
+        combined = StrategyReducer("adasum", per_layer=False).reduce(dicts)
         flat_ref = np.concatenate([combined[n].reshape(-1) for n in names])
         # ...must equal the flat fused buffer run through AdasumRVH.
         flats = [np.concatenate([d[n].reshape(-1) for n in names]) for d in dicts]
@@ -101,7 +101,7 @@ class TestReducerVsMessagePassing:
              for n, p in model.named_parameters()}
             for _ in range(8)
         ]
-        combined = make_reducer("adasum", per_layer=True).reduce(dicts)
+        combined = StrategyReducer("adasum", per_layer=True).reduce(dicts)
         arena = GradientArena.from_grad_dicts(dicts)
         back = arena.unpack(_rvh(arena.data, arena.layout.boundaries()))
         for n in combined:
@@ -120,7 +120,7 @@ class TestReducerVsMessagePassing:
         arena = GradientArena.from_grad_dicts(dicts)
         out = _rvh(arena.data, arena.layout.boundaries())
         assert np.isfinite(out).all()
-        ref = make_reducer("adasum").reduce(dicts)
+        ref = StrategyReducer("adasum").reduce(dicts)
         back = arena.unpack(out)
         for n in ref:
             np.testing.assert_allclose(back[n], ref[n], rtol=1e-3, atol=1e-5)

@@ -31,7 +31,7 @@ def _spec(name, arrival, *, priority=0, ranks=4, min_ranks=1, microbatch=2,
         n_samples=samples,
         epochs=epochs,
         config=RunConfig(
-            op=op, topology="tree_any", num_ranks=ranks,
+            op=op, topology="tree", num_ranks=ranks,
             microbatch=microbatch, seed=seed, min_ranks=min_ranks,
         ),
     )
@@ -225,5 +225,5 @@ class TestValidateForPool:
             RunConfig(num_ranks=4, **field).validate_for_pool(8)
 
     def test_valid_config_chains(self):
-        cfg = RunConfig(topology="tree_any", num_ranks=4)
+        cfg = RunConfig(topology="tree", num_ranks=4)
         assert cfg.validate_for_pool(8) is cfg

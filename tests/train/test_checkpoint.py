@@ -143,7 +143,10 @@ class TestDistributedOptimizer:
         save_checkpoint(path, model, dist_opt=dopt)
         model2 = MLP((6, 8, 2), rng=np.random.default_rng(1))
         x, y = _task()
-        dopt2 = DistributedOptimizer(model2, lambda ps: Adam(ps, 0.01), num_ranks=4)
+        dopt2 = DistributedOptimizer(
+            model2, lambda ps: Adam(ps, 0.01),
+            RunConfig(num_ranks=4),
+        )
         with pytest.raises(ValueError):
             load_checkpoint(path, model2, dist_opt=dopt2)
 
@@ -169,8 +172,8 @@ class TestDistributedOptimizer:
 
 def _dopt_ranks(model, num_ranks):
     return DistributedOptimizer(
-        model, lambda ps: Adam(ps, 0.01), num_ranks=num_ranks,
-        op="adasum", topology="tree_any",
+        model, lambda ps: Adam(ps, 0.01),
+        RunConfig(num_ranks=num_ranks, op="adasum"),
     )
 
 
@@ -181,7 +184,7 @@ class TestRankMap:
         model = MLP((6, 8, 2), rng=np.random.default_rng(0))
         x, y = _task()
         tr = ParallelTrainer(model, nn.CrossEntropyLoss(), lambda ps: Adam(ps, 0.01),
-                             x, y, RunConfig(topology="tree_any", num_ranks=num_ranks,
+                             x, y, RunConfig(topology="tree", num_ranks=num_ranks,
                                              microbatch=8))
         dopt = tr.dist_opt
         tr.train_epoch(0, max_steps=3)

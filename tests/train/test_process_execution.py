@@ -54,7 +54,7 @@ def _task():
     return x, y, MLP((12, 16, 4), rng=np.random.default_rng(3))
 
 
-def _run(execution, op="adasum", num_ranks=4, topology="tree_any", steps=2,
+def _run(execution, op="adasum", num_ranks=4, topology="tree", steps=2,
          gpus_per_node=1, accumulation=1, optimizer="sgd", wire_codecs=(),
          loss_fn=None, trace=None, **trainer_kwargs):
     """Train a few steps under one backend; return (losses, params).
@@ -183,10 +183,10 @@ class TestWorkerHeldState:
         # builds its own optimizer.
         def two_executors(execution):
             x, y, model = _task()
-            config = RunConfig(op="adasum", topology="tree_any", num_ranks=4,
+            config = RunConfig(op="adasum", topology="tree", num_ranks=4,
                                microbatch=2, seed=0, execution=execution,
                                wire_codecs=wire_codecs)
-            dist_opt = DistributedOptimizer.from_config(
+            dist_opt = DistributedOptimizer(
                 model, OPTIMIZERS[optimizer], config)
             sampler = ShardedSampler(len(x), 4, seed=0)
             batches = [idx for _, idx in BatchIterator(sampler, 2).epoch(0)][:4]
@@ -215,7 +215,7 @@ class TestWorkerHeldState:
             try:
                 for execution in (saver, loader):
                     x, y, model = _task()
-                    config = RunConfig(op="adasum", topology="tree_any", num_ranks=4,
+                    config = RunConfig(op="adasum", topology="tree", num_ranks=4,
                                        microbatch=2, seed=0, execution=execution,
                                        wire_codecs=wire_codecs)
                     trainers.append(ParallelTrainer.from_config(
@@ -276,7 +276,7 @@ def _bert_run(execution, reduce_mode="parent", demote=False, **trainer_kwargs):
     stack; ``(losses, dist_state, executor)`` off the live trainer."""
     tokens, model = _bert_task()
     config = RunConfig(
-        op="adasum", topology="tree_any", num_ranks=4, microbatch=2, seed=0,
+        op="adasum", topology="tree", num_ranks=4, microbatch=2, seed=0,
         execution=execution, reduce_mode=reduce_mode,
         wire_codecs=("fp16", "int8", "topk:0.01"),
     )
@@ -352,7 +352,7 @@ class TestLifecycle:
         y = rng.integers(0, 4, 32)
         model = MLP((12, 8, 4))
         config = RunConfig(num_ranks=2, microbatch=2, execution="processes",
-                           topology="tree_any")
+                           topology="tree")
         trainer = ParallelTrainer.from_config(
             model, nn.CrossEntropyLoss(), lambda ps: SGD(ps, lr=0.1),
             x, y, config,
@@ -372,7 +372,7 @@ class TestLifecycle:
 
         x, y, model = _task()
         config = RunConfig(num_ranks=2, microbatch=2, execution="processes",
-                           topology="tree_any", wire_codecs=LOSSY)
+                           topology="tree", wire_codecs=LOSSY)
         trainer = ParallelTrainer.from_config(
             model, nn.CrossEntropyLoss(), OPTIMIZERS["adam"], x, y, config)
         trainer.train_step(next(iter(trainer.iterator.epoch(0)))[1])
@@ -391,7 +391,7 @@ class TestLifecycle:
         y = rng.integers(0, 4, 64)
         model = MLP((12, 8, 4))
         config = RunConfig(num_ranks=3, microbatch=2, execution="processes",
-                           topology="tree_any",
+                           topology="tree",
                            faults=FaultPlan().kill_rank(1, after_ops=0))
         trainer = ParallelTrainer.from_config(
             model, nn.CrossEntropyLoss(), lambda ps: SGD(ps, lr=0.1),
@@ -410,7 +410,7 @@ class TestLifecycle:
         model = MLP((12, 8, 4))
         tracer = CommTracer()
         config = RunConfig(num_ranks=2, microbatch=2, execution="processes",
-                           topology="tree_any")
+                           topology="tree")
         trainer = ParallelTrainer.from_config(
             model, nn.CrossEntropyLoss(), lambda ps: SGD(ps, lr=0.1),
             x, y, config, comm_tracer=tracer,
@@ -444,7 +444,7 @@ class TestLifecycle:
         x = rng.standard_normal((8, 4)).astype(np.float32)
         y = rng.integers(0, 2, 8)
         config = RunConfig(num_ranks=2, microbatch=2, execution="processes",
-                           topology="tree_any")
+                           topology="tree")
         with pytest.raises(ValueError, match="dropout"):
             ParallelTrainer.from_config(
                 Dropped(), nn.CrossEntropyLoss(), lambda ps: SGD(ps, lr=0.1),

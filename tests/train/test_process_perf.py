@@ -128,11 +128,11 @@ def test_processes_beat_serial(build, floor):
 
 def _mlp():
     """The ``elastic_faults`` shape: MLP 16-32-4, 8 ranks x 4 samples,
-    Adasum over ``tree_any``, one serial phased step."""
+    Adasum over ``tree``, one serial phased step."""
     rng = np.random.default_rng(0)
     x = rng.standard_normal((SAMPLES, 16)).astype(np.float32)
     y = rng.integers(0, 4, SAMPLES)
-    config = RunConfig(op="adasum", topology="tree_any", num_ranks=8, microbatch=4)
+    config = RunConfig(op="adasum", topology="tree", num_ranks=8, microbatch=4)
     return ParallelTrainer.from_config(
         MLP((16, 32, 4), rng=np.random.default_rng(1)), nn.CrossEntropyLoss(),
         lambda ps: SGD(ps, 0.05), x, y, config)

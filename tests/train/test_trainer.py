@@ -7,7 +7,7 @@ from repro import nn
 from repro.core import OrthogonalityProbe, RunConfig
 from repro.models import MLP
 from repro.optim import SGD
-from repro.train import ParallelTrainer, accuracy, compute_grads, compute_grads_into, Meter
+from repro.train import ParallelTrainer, accuracy, compute_grads, compute_grads_into
 
 
 def _task(n=128, seed=0):
@@ -119,68 +119,3 @@ class TestParallelTrainer:
         tr, x, y = _trainer(op="adasum", lr=0.3)
         loss = tr.train_epoch(0, max_steps=4)
         assert np.isfinite(loss)
-
-    def test_tracer_records_steps(self):
-        from repro.comm import CommTracer
-        from repro.train import TrainingTimeModel
-
-        x, y = _task(seed=0)
-        model = MLP((6, 16, 2), rng=np.random.default_rng(0))
-        tracer = CommTracer()
-        tmodel = TrainingTimeModel(seconds_per_example=1e-4,
-                                   model_bytes=4096, num_workers=2)
-        tr = ParallelTrainer(model, nn.CrossEntropyLoss(), lambda ps: SGD(ps, 0.3),
-                             x, y, RunConfig(op="adasum", num_ranks=2, microbatch=8),
-                             tracer=tracer, time_model=tmodel)
-        tr.train_epoch(0, max_steps=3)
-        # One compute + one allreduce span per rank per step.
-        for rank in range(2):
-            evts = tracer.per_rank(rank)
-            assert sum(e.op == "compute" for e in evts) == 3
-            assert sum(e.op == "allreduce" for e in evts) == 3
-        computes = [e for e in tracer.per_rank(0) if e.op == "compute"]
-        assert computes[0].duration == pytest.approx(1e-4 * 8)
-        assert tracer.max_clock() == pytest.approx(tr.sim_time)
-        assert tr.sim_time > 0.0
-
-    def test_tracer_does_not_change_training(self):
-        from repro.comm import CommTracer
-
-        tr_a, _, _ = _trainer(num_ranks=2, seed=3)
-        x, y = _task(seed=3)
-        model = MLP((6, 16, 2), rng=np.random.default_rng(3))
-        config = RunConfig(op="average", num_ranks=2, microbatch=8, seed=3)
-        tr_b = ParallelTrainer(model, nn.CrossEntropyLoss(), lambda ps: SGD(ps, 0.3),
-                               x, y, config, tracer=CommTracer())
-        tr_a.train_epoch(0, max_steps=3)
-        tr_b.train_epoch(0, max_steps=3)
-        for (_, p1), (_, p2) in zip(tr_a.model.named_parameters(),
-                                    tr_b.model.named_parameters()):
-            np.testing.assert_array_equal(p1.data, p2.data)
-
-
-class TestMeter:
-    def test_mean_and_history(self):
-        m = Meter("loss")
-        for v in [1.0, 2.0, 3.0]:
-            m.update(v)
-        assert m.mean == pytest.approx(2.0)
-        assert m.history == [1.0, 2.0, 3.0]
-
-    def test_weighted(self):
-        m = Meter()
-        m.update(1.0, n=3)
-        m.update(5.0, n=1)
-        assert m.mean == pytest.approx(2.0)
-
-    def test_summary(self):
-        m = Meter()
-        m.update(2.0)
-        s = m.summary()
-        assert s["min"] == s["max"] == s["last"] == 2.0
-
-    def test_reset(self):
-        m = Meter()
-        m.update(4.0)
-        m.reset()
-        assert m.mean == 0.0

@@ -24,7 +24,12 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from repro.core import DistributedOptimizer, StrategyReducer, leaked_shared_segments
+from repro.core import (
+    DistributedOptimizer,
+    RunConfig,
+    StrategyReducer,
+    leaked_shared_segments,
+)
 from repro.core.arena import GradientArena, SharedGradientArena
 from repro.elastic.state import pack_optimizer_state, restore_optimizer_state
 from repro.models import MLP, BertConfig, MiniBERT
@@ -97,8 +102,8 @@ def _spy(fn, calls):
 def _dist_opt(optimizer, wire_codecs, world):
     model = MLP(LAYERS, rng=np.random.default_rng(1))
     return model, DistributedOptimizer(
-        model, OPTIMIZERS[optimizer], world, topology="tree_any",
-        wire_codecs=wire_codecs,
+        model, OPTIMIZERS[optimizer],
+        RunConfig(num_ranks=world, wire_codecs=wire_codecs),
     )
 
 

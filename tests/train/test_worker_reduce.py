@@ -34,7 +34,7 @@ def _no_segment_leaks():
     assert leaked_shared_segments() == before
 
 
-def _run(reduce_mode, op="adasum", num_ranks=4, topology="tree_any", steps=2,
+def _run(reduce_mode, op="adasum", num_ranks=4, topology="tree", steps=2,
          gpus_per_node=1, execution="processes", wire_codecs=(),
          optimizer="sgd", loss_fn=None, trace=None, **trainer_kwargs):
     """Train a few steps; return (losses, params).
@@ -176,7 +176,7 @@ class TestFaultDuringCombine:
         before = {n: p.data.copy() for n, p in model.named_parameters()}
         config = RunConfig(
             num_ranks=4, microbatch=2, execution="processes",
-            topology="tree_any", reduce_mode="workers",
+            topology="tree", reduce_mode="workers",
             # op 1 is the compute step; op 2 is the level-0 combine, where
             # rank 1 is the src half of pair (0, 1).
             faults=FaultPlan().kill_rank(1, after_ops=1),
@@ -211,7 +211,7 @@ class TestElasticWorkers:
         x = rng.standard_normal((96, 10)).astype(np.float32)
         y = (x @ rng.standard_normal((10, 3))).argmax(axis=1)
         config = RunConfig(
-            op="adasum", topology="tree_any", num_ranks=num_ranks,
+            op="adasum", topology="tree", num_ranks=num_ranks,
             microbatch=4, seed=0, execution=execution, faults=schedule,
             reduce_mode=reduce_mode if execution == "processes" else "parent",
         )
@@ -234,7 +234,7 @@ class TestElasticWorkers:
 
     @pytest.mark.faults
     def test_kill_recovery_matches_serial(self):
-        # The 5-rank world (non-pow2, tree_any schedule) loses a rank
+        # The 5-rank world (non-pow2, tree schedule) loses a rank
         # and the rebuilt 4-rank world must stay bit-exact with serial.
         # Schedules are consumed as they fire, so each run gets its own.
         loss_w, params_w, size_w, rec_w = self._run_elastic(
