@@ -14,6 +14,18 @@ from typing import Tuple
 import numpy as np
 
 
+#: Floats of one row chunk: images are built and noised in place a
+#: chunk at a time, so no float64 draw spans the whole set.  Chunks
+#: draw in row order, which is the stream of one whole draw.
+_CHUNK_FLOATS = 1 << 18
+
+
+def _row_chunks(x: np.ndarray):
+    """``[lo, hi)`` row ranges of ``x``, about ``_CHUNK_FLOATS`` each."""
+    rows = max(1, _CHUNK_FLOATS // max(1, int(np.prod(x.shape[1:]))))
+    return [(lo, min(lo + rows, len(x))) for lo in range(0, len(x), rows)]
+
+
 def make_mnist_like(
     n_samples: int,
     num_classes: int = 10,
@@ -52,12 +64,14 @@ def make_mnist_like(
     for dy in range(-2, 3):
         for dx in range(-2, 3):
             rolled[:, dy + 2, dx + 2] = np.roll(templates, (dy, dx), axis=(1, 2))
-    np.multiply(
-        amps[:, None, None], rolled[labels, shifts[:, 0] + 2, shifts[:, 1] + 2],
-        out=x[:, 0],
-    )
-    x += noise * rng.standard_normal(x.shape).astype(np.float32)
-    np.clip(x, 0.0, 1.5, out=x)
+    for lo, hi in _row_chunks(x):
+        np.multiply(
+            amps[lo:hi, None, None],
+            rolled[labels[lo:hi], shifts[lo:hi, 0] + 2, shifts[lo:hi, 1] + 2],
+            out=x[lo:hi, 0],
+        )
+        x[lo:hi] += noise * rng.standard_normal(x[lo:hi].shape).astype(np.float32)
+        np.clip(x[lo:hi], 0.0, 1.5, out=x[lo:hi])
     return x, labels.astype(np.int64)
 
 
@@ -91,10 +105,18 @@ def make_image_classification(
     x = np.empty((n_samples, channels, s, s), dtype=np.float32)
     shifts = rng.integers(-2, 3, size=(n_samples, 2))
     contrast = rng.uniform(0.8, 1.2, size=n_samples).astype(np.float32)
-    for i in range(n_samples):
-        img = np.roll(templates[labels[i]], tuple(shifts[i]), axis=(1, 2))
-        x[i] = contrast[i] * img
-    x += noise * rng.standard_normal(x.shape).astype(np.float32)
+    # Every (class, shift) image rolled once, indexed by shift + 2.
+    rolled = np.empty((num_classes, 5, 5, channels, s, s), dtype=np.float32)
+    for dy in range(-2, 3):
+        for dx in range(-2, 3):
+            rolled[:, dy + 2, dx + 2] = np.roll(templates, (dy, dx), axis=(2, 3))
+    for lo, hi in _row_chunks(x):
+        np.multiply(
+            contrast[lo:hi, None, None, None],
+            rolled[labels[lo:hi], shifts[lo:hi, 0] + 2, shifts[lo:hi, 1] + 2],
+            out=x[lo:hi],
+        )
+        x[lo:hi] += noise * rng.standard_normal(x[lo:hi].shape).astype(np.float32)
     return x, labels.astype(np.int64)
 
 

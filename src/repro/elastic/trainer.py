@@ -77,7 +77,6 @@ from repro.train.trainer import (  # noqa: F401
 from repro.elastic.collective import cluster_reduce
 from repro.elastic.failures import FailureReport, StragglerPolicy, classify_failure
 from repro.elastic.membership import Membership
-from repro.elastic.schedule import ElasticSchedule
 from repro.elastic.state import (
     WorldSnapshot,
     pack_dist_state,
@@ -200,9 +199,10 @@ class ElasticTrainer:
         onto the new optimizer, re-partitioned by global id."""
         self._teardown_execution()
         size = self.membership.size
+        # Only the drop policy's straggler detector reads the trace.
         self.cluster = Cluster(
             size, network=self.config.network, timeout=self.config.timeout,
-            trace=True,
+            trace=self.straggler.mode == "drop",
         )
         self.dist_opt = DistributedOptimizer(
             self.model, self.optimizer_factory, self.config, num_ranks=size
@@ -598,7 +598,8 @@ class ElasticTrainer:
             self.cluster.faults = plan
             # The tracer holds one step's events: the straggler detector
             # reads nothing older.
-            self.cluster.tracer.reset()
+            if self.cluster.tracer is not None:
+                self.cluster.tracer.reset()
             try:
                 combined = self._run_collective(participants, ctx["leaf_nbytes"])
             finally:

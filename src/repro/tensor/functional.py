@@ -447,14 +447,11 @@ def _im2col(
     return (cols[0] if blocks is None else cols), out_h, out_w
 
 
-def _im2col_rows(
-    x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
-    blocks: Optional[int] = None,
-):
-    """:func:`_im2col`'s ``cols`` with each block C-contiguous in
-    ``(b, l, f)`` instead: the ``(b·l, f)`` rows the forward
-    contraction's plan hands its GEMM (see :func:`_as_rows`), written
-    straight from the input.
+def _im2col_rows(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
+    """:func:`_im2col`'s ``(n, f, l)`` ``cols`` as the view of a
+    C-contiguous ``(n, l, f)`` array instead: the ``(n·l, f)`` rows the
+    forward contraction's plan hands its GEMM (see :func:`_as_rows`),
+    written straight from the input.
 
     A kernel row — ``kw`` adjacent input pixels — is adjacent in both
     the input and the rows, so the copy moves one opaque ``kw``-pixel
@@ -463,17 +460,62 @@ def _im2col_rows(
     """
     xp = np.ascontiguousarray(_padded(x, padding))
     n, c, hp, wp = xp.shape
-    r = 1 if blocks is None else blocks
-    b = n // r
     out_h, out_w = (hp - kh) // stride + 1, (wp - kw) // stride + 1
     run = np.dtype((np.void, xp.itemsize * kw))
     sn, sc, sh, sw = xp.strides
-    src = np.ndarray((r, b, out_h, out_w, c, kh), dtype=run, buffer=xp,
-                     strides=(b * sn, sn, stride * sh, stride * sw, sc, sh))
-    rows = _blocks_of(r, (b, out_h, out_w, c, kh, kw), xp.dtype)
+    src = np.ndarray((n, out_h, out_w, c, kh), dtype=run, buffer=xp,
+                     strides=(sn, stride * sh, stride * sw, sc, sh))
+    rows = np.empty((n, out_h, out_w, c, kh, kw), dtype=xp.dtype)
     rows.view(run)[..., 0] = src
-    cols = rows.reshape(r, b, out_h * out_w, c * kh * kw).transpose(0, 1, 3, 2)
-    return (cols[0] if blocks is None else cols), out_h, out_w
+    return rows.reshape(n, out_h * out_w, c * kh * kw).transpose(0, 2, 1)
+
+
+#: Bytes of im2col rows one off-tape convolution chunk may hold (one
+#: sample more at most).  A batch within it is one chunk; a larger one
+#: splits into balanced chunks of at least half of it, at least two
+#: samples each: BLAS picks other kernels for small GEMMs, and those
+#: round differently.
+_CONV_CHUNK_BYTES = 2 << 20
+
+
+def _conv_chunks(n: int, sample_bytes: int):
+    """Balanced ``[lo, hi)`` sample ranges of an off-tape convolution."""
+    k = max(1, min(n // 2, -(-n * sample_bytes // _CONV_CHUNK_BYTES)))
+    return [(i * n // k, (i + 1) * n // k) for i in range(k)]
+
+
+def _conv_forward_chunked(
+    x: np.ndarray, w2: np.ndarray, bias: Optional[np.ndarray],
+    kh: int, kw: int, stride: int, padding: int, l: int,
+) -> np.ndarray:
+    """``einsum_cached("of,nfl->nol", w2, rows) (+ bias)`` of the whole
+    batch, one chunk of samples' rows at a time, into one ``(n, o, l)``
+    output: C-contiguous with a bias, else laid out as einsum's own
+    result is — the view of its GEMM's ``(n·l, o)`` matrix, or
+    C-contiguous where ``f == 1`` makes the contraction a broadcast
+    multiply.  One chunk returns that result itself."""
+    n = x.shape[0]
+    o, f = w2.shape
+    # One output channel makes the contraction a matrix-vector product,
+    # whose BLAS kernels sum a row in an order that depends on how many
+    # rows there are: it stays one call.
+    chunks = [(0, n)] if o == 1 else _conv_chunks(n, f * l * x.itemsize)
+    out = None
+    for lo, hi in chunks:
+        part = einsum_cached("of,nfl->nol", w2, _im2col_rows(x[lo:hi], kh, kw, stride, padding))
+        if out is None:
+            if bias is None and len(chunks) == 1:
+                return part
+            # Allocated after the first contraction, whose temporaries are gone.
+            dtype = part.dtype if bias is None else np.result_type(part, bias)
+            out = (np.empty((n, o, l), dtype) if bias is not None or part.flags.c_contiguous
+                   else np.empty((n * l, o), dtype).reshape(n, l, o).transpose(0, 2, 1))
+        if bias is None:
+            out[lo:hi] = part
+        else:
+            np.add(part, bias, out=out[lo:hi])
+        del part  # before the next chunk's rows are written
+    return out
 
 
 def _col2im(
@@ -585,14 +627,16 @@ def conv2d(
     if blocks is not None and n % blocks:
         raise RankBlocksError(f"batch axis {n} does not split into {blocks} rank blocks")
     f = c * kh * kw
-    # No candidate and no weight gradient: einsum's forward plan is cols'
-    # one reader, so im2col writes that plan's rows.
-    rows = n // (blocks or 1) > 1 and not (
+    out_h = (h + 2 * padding - kh) // stride + 1
+    out_w = (w + 2 * padding - kw) // stride + 1
+    w2 = weight.data.reshape(oc, f)
+    # Off the tape (no candidate, no weight gradient, no rank blocks)
+    # einsum's forward plan is the rows' one reader: im2col writes that
+    # plan's rows, one bounded chunk of samples at a time.
+    off_tape = blocks is None and n > 1 and not (
         kernel_specialization_enabled() or (weight.requires_grad and is_grad_enabled())
     )
-    im2col = _im2col_rows if rows else _im2col
-    cols, out_h, out_w = im2col(x.data, kh, kw, stride, padding, blocks)
-    w2 = weight.data.reshape(oc, f)
+    cols = None if off_tape else _im2col(x.data, kh, kw, stride, padding, blocks)[0]
 
     def with_weight(subscripts, batched, shape, add=None):
         """``einsum_cached(subscripts, w2, batched) (+ add)``, per rank
@@ -625,10 +669,12 @@ def conv2d(
     # straight from the contraction's (n, o, l) result into the NCHW
     # output: one pass that also lays out the candidate's (o, n·l)
     # GEMM result, and a C-contiguous activation.
-    out = with_weight(
-        "of,nfl->nol", cols, (n, oc, out_h * out_w),
-        None if bias is None else bias.data.reshape(1, oc, 1),
-    ).reshape(n, oc, out_h, out_w)
+    add = None if bias is None else bias.data.reshape(1, oc, 1)
+    if off_tape:
+        out = _conv_forward_chunked(x.data, w2, add, kh, kw, stride, padding, out_h * out_w)
+    else:
+        out = with_weight("of,nfl->nol", cols, (n, oc, out_h * out_w), add)
+    out = out.reshape(n, oc, out_h, out_w)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 

@@ -27,7 +27,6 @@ from hypothesis import given, settings, strategies as st
 from repro.comm.codec import (
     CodecPipeline,
     Fp16Codec,
-    IdentityCodec,
     build_codec,
     build_pipeline,
     onebit_stats,

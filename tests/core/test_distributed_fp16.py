@@ -1,7 +1,6 @@
 """fp16 communication path of the DistributedOptimizer (§4.4.1)."""
 
 import numpy as np
-import pytest
 
 from repro import nn
 from repro.core import DistributedOptimizer, GradientArena, RunConfig

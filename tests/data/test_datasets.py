@@ -1,5 +1,8 @@
 """Synthetic dataset tests: determinism, learnability signal, shapes."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -59,6 +62,45 @@ class TestMnistLike:
         np.testing.assert_array_equal(y, y_ref)
 
 
+def _sha256(x, y):
+    digest = hashlib.sha256()
+    digest.update(x.tobytes())
+    digest.update(y.tobytes())
+    return digest.hexdigest()
+
+
+# Digests of the data as whole-set draws made it: built in row chunks
+# since, they must stay byte for byte what every recorded run trained on.
+MNIST_LIKE_6144 = "4789f1e6ebe0d02dd4e09680d10b46c6c891589066aaa6922fd91a4802d8b502"
+IMAGE_CLASSIFICATION_1000 = "2ccef4ebefa38eec078657a1d49e9fdaea23347f939f2c3564352d03201c9c06"
+
+
+def test_mnist_like_bytes_are_pinned():
+    """``lenet_tta``'s pool."""
+    assert _sha256(*make_mnist_like(6144, noise=0.6, seed=0)) == MNIST_LIKE_6144
+
+
+def test_image_classification_bytes_are_pinned():
+    """Figure 5's data shape."""
+    x, y = make_image_classification(1000, image_size=12, noise=0.5, seed=1)
+    assert _sha256(x, y) == IMAGE_CLASSIFICATION_1000
+
+
+def test_mnist_like_peak_memory_is_near_its_output():
+    """Row chunks bound the temporaries: the ``tracemalloc`` peak is the
+    output plus 5 MiB (one chunk's float64 draw, 2 MiB, and its float32
+    copies, the rolled templates and the labels), not the whole set's
+    float64 draw and its float32 copies (a 78 MB peak for 19 MB of
+    output when the noise was one draw)."""
+    tracemalloc.start()
+    try:
+        x, y = make_mnist_like(6144, noise=0.6, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= x.nbytes + 5 * 2**20, (peak, x.nbytes)
+
+
 def _mnist_like_per_sample(n_samples, num_classes=10, image_size=28, noise=0.35, seed=0):
     """``make_mnist_like`` as it was written first: one ``np.roll`` per
     sample.  The reference the indexed version must match byte for byte."""
@@ -96,6 +138,46 @@ class TestImageClassification:
     def test_num_classes_respected(self):
         _, y = make_image_classification(200, num_classes=5, seed=0)
         assert set(np.unique(y)) <= set(range(5))
+
+    @pytest.mark.parametrize("n, kwargs", [
+        (300, {}),
+        (1000, {"image_size": 12, "noise": 0.5}),
+        (5, {"num_classes": 3, "image_size": 4, "channels": 1}),
+    ])
+    def test_bytes_match_the_per_sample_roll(self, n, kwargs):
+        x, y = make_image_classification(n, seed=3, **kwargs)
+        x_ref, y_ref = _image_classification_per_sample(n, seed=3, **kwargs)
+        assert x.tobytes() == x_ref.tobytes()
+        assert x.shape == x_ref.shape and x.dtype == x_ref.dtype
+        np.testing.assert_array_equal(y, y_ref)
+
+
+def _image_classification_per_sample(n_samples, num_classes=10, image_size=16, channels=3,
+                                     noise=0.4, seed=0):
+    """``make_image_classification`` as it was written first: one
+    ``np.roll`` per sample and one whole-set noise draw."""
+    rng = np.random.default_rng(seed)
+    s = image_size
+    yy, xx = np.mgrid[0:s, 0:s] / s
+    templates = np.zeros((num_classes, channels, s, s), dtype=np.float32)
+    for c in range(num_classes):
+        base = np.zeros((s, s), dtype=np.float32)
+        for _ in range(2):
+            fx, fy = rng.uniform(0.5, 3.0, size=2)
+            px, py = rng.uniform(0, 2 * np.pi, size=2)
+            base += np.sin(2 * np.pi * (fx * xx + fy * yy) + px + py)
+        color = rng.uniform(0.3, 1.0, size=channels).astype(np.float32)
+        for ch in range(channels):
+            templates[c, ch] = color[ch] * base
+    labels = rng.integers(0, num_classes, size=n_samples)
+    x = np.empty((n_samples, channels, s, s), dtype=np.float32)
+    shifts = rng.integers(-2, 3, size=(n_samples, 2))
+    contrast = rng.uniform(0.8, 1.2, size=n_samples).astype(np.float32)
+    for i in range(n_samples):
+        img = np.roll(templates[labels[i]], tuple(shifts[i]), axis=(1, 2))
+        x[i] = contrast[i] * img
+    x += noise * rng.standard_normal(x.shape).astype(np.float32)
+    return x, labels.astype(np.int64)
 
 
 class TestCommandSequences:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro import nn
-from repro.comm import Cluster, CommError, FaultPlan, NetworkModel
+from repro.comm import Cluster, CommError, CommTracer, FaultPlan, NetworkModel
 from repro.comm.codec import build_pipeline
 from repro.core import RunConfig
 from repro.core.strategies import StrategyReducer
@@ -168,11 +168,15 @@ def _elastic(num_ranks=8, **kw):
 
 
 def _comm_ops_per_rank(world):
-    """How many sends + receives each rank performs in one clean step."""
+    """How many sends + receives each rank performs in one clean step,
+    read off a tracer attached to the trainer's cluster (under the
+    default ``wait`` policy the trainer traces nothing itself)."""
     trainer, _ = _elastic(world)
+    assert trainer.cluster.tracer is None
+    tracer = trainer.cluster.tracer = CommTracer()
     trainer.train_step()
     return [
-        sum(ev.op in ("send", "recv") for ev in trainer.cluster.tracer.per_rank(r))
+        sum(ev.op in ("send", "recv") for ev in tracer.per_rank(r))
         for r in range(world)
     ]
 

@@ -13,7 +13,6 @@ import pytest
 from repro.core.arena import leaked_shared_segments
 from repro.core.config import RunConfig
 from repro.scheduler import (
-    JobPhase,
     JobSpec,
     Scheduler,
     StepCostModel,

@@ -442,18 +442,22 @@ def _eval_conv(name):
 @pytest.mark.parametrize("name", list(LENET_EVAL_CONVS))
 def test_no_grad_conv_forward_copies_cols_once(name):
     """An eval convolution (``no_grad``, specialization off) holds one
-    ``cols``: im2col writes the rows the forward GEMM reads, and einsum
-    re-lays nothing out.  The ``tracemalloc`` peak is ``cols``, the
-    GEMM's result and the output, the padded input, and 128 KiB for the
-    ufunc buffers of the bias add, which reads the GEMM's result
-    transposed (about 64 KB at conv2)."""
+    chunk's rows at a time: im2col writes the rows the forward GEMM
+    reads, and einsum re-lays nothing out.  The ``tracemalloc`` peak is
+    the widest chunk's rows, its GEMM result and padded input, the
+    whole output, and 128 KiB for the ufunc buffers of the bias add,
+    which reads the GEMM's result transposed (about 64 KB at conv2)."""
     x, w, b, padding = _eval_conv(name)
     n, c, h, wd = x.shape
     oc, _, k, _ = w.shape
     out_h, out_w = _out_hw(h, wd, k, 1, padding)
-    cols = n * c * k * k * out_h * out_w * 4
+    chunks = F._conv_chunks(n, c * k * k * out_h * out_w * 4)
+    assert len(chunks) > 1
+    m = max(hi - lo for lo, hi in chunks)
+    rows = m * c * k * k * out_h * out_w * 4
+    part = m * oc * out_h * out_w * 4
     out = n * oc * out_h * out_w * 4
-    padded = n * c * (h + 2 * padding) * (wd + 2 * padding) * 4 if padding else 0
+    padded = m * c * (h + 2 * padding) * (wd + 2 * padding) * 4 if padding else 0
     with no_grad():
         tracemalloc.start()
         try:
@@ -461,7 +465,111 @@ def test_no_grad_conv_forward_copies_cols_once(name):
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-    assert peak <= cols + 2 * out + padded + 128 * 1024, (peak, cols, out, padded)
+    assert peak <= rows + part + out + padded + 128 * 1024, (peak, rows, part, out, padded)
+
+
+# ----------------------------------------------------------------------
+# The off-tape forward in chunks
+# ----------------------------------------------------------------------
+# x shape, weight shape, stride, padding, bias: LeNet's held-out
+# convolutions, and ResNetCIFAR's (width 8, no bias) on 16 x 16 and
+# 12 x 12 images, at batches above the chunk budget that the chunks do
+# not divide evenly.
+OFF_TAPE_CONVS = {
+    "lenet_conv1": ((256, 1, 28, 28), (6, 1, 5, 5), 1, 2, True),
+    "lenet_conv2": ((256, 6, 14, 14), (16, 6, 5, 5), 1, 0, True),
+    "lenet_conv1_ragged": ((257, 1, 28, 28), (6, 1, 5, 5), 1, 2, True),
+    "lenet_conv2_ragged": ((250, 6, 14, 14), (16, 6, 5, 5), 1, 0, True),
+    "resnet16_stem": ((300, 3, 16, 16), (8, 3, 3, 3), 1, 1, False),
+    "resnet16_stage1": ((255, 8, 16, 16), (8, 8, 3, 3), 1, 1, False),
+    "resnet16_down": ((700, 8, 16, 16), (16, 8, 3, 3), 2, 1, False),
+    "resnet16_shortcut": ((1500, 8, 16, 16), (16, 8, 1, 1), 2, 0, False),
+    "resnet16_stage3_down": ((1000, 16, 8, 8), (32, 16, 3, 3), 2, 1, False),
+    "resnet16_stage3": ((513, 32, 4, 4), (32, 32, 3, 3), 1, 1, False),
+    "resnet16_stage3_bias": ((513, 32, 4, 4), (32, 32, 3, 3), 1, 1, True),
+    "resnet12_stage2": ((999, 16, 6, 6), (16, 16, 3, 3), 1, 1, False),
+    "resnet12_stage3": ((1000, 32, 3, 3), (32, 32, 3, 3), 1, 1, False),
+}
+
+
+def _check_off_tape(x_shape, w_shape, stride, padding, bias, seed=0):
+    """The chunked forward against the whole-batch reference on normal
+    data, under ``no_grad`` with specialization off: the reference's
+    bytes, and the whole-batch forward's strides — einsum's own
+    ``(n·l, o)``-ordered view without a bias (the reference's too), a
+    C-contiguous array with one (the reference's bias add keeps einsum's
+    order instead)."""
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.standard_normal(x_shape).astype(np.float32))
+    w = Tensor((rng.standard_normal(w_shape) * 0.2).astype(np.float32), requires_grad=True)
+    b = Tensor(rng.standard_normal(w_shape[0]).astype(np.float32),
+               requires_grad=True) if bias else None
+    with _specialization(False), no_grad():
+        got, want = (conv(x, w, b, stride=stride, padding=padding).data
+                     for conv in (F.conv2d, ref_conv2d))
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.strides == (np.empty_like(want, order="C").strides if bias else want.strides)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", list(OFF_TAPE_CONVS))
+def test_off_tape_conv_in_chunks_matches_the_whole_batch(name):
+    """Bytes and strides of the whole-batch forward; ResNet's reductions
+    read a bias-less output in memory order."""
+    x_shape, w_shape, stride, padding, bias = OFF_TAPE_CONVS[name]
+    n, c, h, wd = x_shape
+    out_h, out_w = _out_hw(h, wd, w_shape[2], stride, padding)
+    assert len(F._conv_chunks(n, c * w_shape[2] * w_shape[3] * out_h * out_w * 4)) > 1
+    _check_off_tape(x_shape, w_shape, stride, padding, bias)
+
+
+def test_conv_chunks_are_balanced_and_bounded():
+    """Chunks tile the batch in order, differ by at most one sample,
+    hold at most the budget plus one sample and at least half of it less
+    one sample, and never fewer than two samples."""
+    budget = F._CONV_CHUNK_BYTES
+    for n, sample in [(256, 78_400), (257, 60_000), (1000, 9_216), (3, 10 * budget),
+                      (5000, 4), (64, budget // 2 + 1)]:
+        chunks = F._conv_chunks(n, sample)
+        assert [lo for lo, _ in chunks] == [0] + [hi for _, hi in chunks[:-1]]
+        assert chunks[-1][1] == n
+        sizes = [hi - lo for lo, hi in chunks]
+        assert max(sizes) - min(sizes) <= 1
+        if n * sample <= budget:
+            assert len(chunks) == 1
+        else:
+            assert min(sizes) >= 2
+            assert max(sizes) * sample <= budget + sample or len(chunks) == n // 2
+            assert min(sizes) * sample >= budget // 2 - sample
+
+
+@st.composite
+def big_convs(draw):
+    """A conv geometry whose batch's rows exceed the chunk budget, with
+    a data seed."""
+    c, oc = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    k, stride, padding = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    h = draw(st.integers(max(1, k - 2 * padding), 20))
+    w = draw(st.integers(max(1, k - 2 * padding), 20))
+    out_h, out_w = _out_hw(h, w, k, stride, padding)
+    sample = c * k * k * out_h * out_w * 4
+    n = F._CONV_CHUNK_BYTES // sample + 1 + draw(st.integers(0, F._CONV_CHUNK_BYTES // sample + 8))
+    return (n, c, h, w), (oc, c, k, k), stride, padding, draw(st.booleans()), draw(st.integers(0, 2**16))
+
+
+@given(geometry=big_convs())
+@settings(max_examples=25, deadline=None)
+@example(geometry=((29129, 2, 3, 3), (1, 2, 3, 3), 1, 0, False, 0))
+@example(geometry=((262145, 1, 1, 2), (2, 1, 1, 1), 1, 0, False, 0))
+@example(geometry=((20000, 32, 1, 1), (32, 32, 1, 1), 1, 0, False, 0))
+def test_off_tape_conv_above_the_budget_matches_the_whole_batch(geometry):
+    """Any geometry whose rows exceed the budget.  The first two
+    examples are finds: with one output channel the contraction is a
+    matrix-vector product, and split into chunks it rounded
+    differently; with ``f == 1`` it is a broadcast multiply, whose
+    result is C-contiguous, not einsum's ``(n·l, o)`` view.  The third
+    has one output pixel."""
+    _check_off_tape(*geometry)
 
 
 @pytest.mark.perf

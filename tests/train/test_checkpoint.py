@@ -6,7 +6,7 @@ import pytest
 from repro import nn
 from repro.core import DistributedOptimizer, RunConfig
 from repro.models import MLP, ResNetCIFAR
-from repro.optim import Adam, SGD
+from repro.optim import Adam
 from repro.train import (
     ParallelTrainer,
     load_checkpoint,
