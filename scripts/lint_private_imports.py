@@ -31,7 +31,10 @@ hand-rolling a per-rank loop.  What an op is lives in the strategy
 registry: outside ``src/repro/core/strategies.py`` and the experiment
 definitions (which name their arms) no code compares op names or
 spells the deleted ``ReduceOpType`` — it reads the facts a strategy
-declares.  This grep-level check
+declares.  And no module in ``src`` imports a name it never uses
+(``__init__.py`` re-exports and ``__all__`` entries aside; the one
+named exception is the benchmark's ``compute_grads_into`` boundary in
+the elastic trainer).  This grep-level check
 keeps the boundaries from eroding: a
 private name that leaks into another package turns the next kernel
 refactor into a cross-package breakage.
@@ -46,6 +49,7 @@ forbidden token appears outside its allowed area.
 
 from __future__ import annotations
 
+import ast
 import pathlib
 import sys
 
@@ -147,13 +151,61 @@ RULES = (
 # Everything under these roots is scanned (tests may exercise privates).
 SCAN_ROOTS = ("src", "benchmarks", "scripts", "examples")
 
+# Imports in ``src`` that their module never uses, allowed by name:
+# the benchmark's ``train.compute_grads`` boundary resolves
+# ``compute_grads_into`` as an attribute of the elastic trainer module.
+UNUSED_IMPORT_EXCEPTIONS = {
+    (REPO / "src" / "repro" / "elastic" / "trainer.py", "compute_grads_into"),
+}
+
 
 def _allowed(path: pathlib.Path, prefixes) -> bool:
     return any(prefix in path.parents or path == prefix for prefix in prefixes)
 
 
-def scan() -> list[str]:
+def _used_names(tree: ast.AST) -> set[str]:
+    """Every name the module reads, ``__all__`` entries included."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            and isinstance(node.value, (ast.List, ast.Tuple))
+        ):
+            used.update(
+                e.value for e in node.value.elts
+                if isinstance(e, ast.Constant) and isinstance(e.value, str)
+            )
+    return used
+
+
+def unused_imports() -> list[str]:
+    """``path:line`` of every import in ``src`` its module never uses
+    (``__init__.py`` files re-export, so they are skipped)."""
     offenders = []
+    for path in sorted((REPO / "src").rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = _used_names(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name in used or (path, name) in UNUSED_IMPORT_EXCEPTIONS:
+                    continue
+                rel = path.relative_to(REPO)
+                offenders.append(f"{rel}:{node.lineno}: unused import {name}")
+    return offenders
+
+
+def scan() -> list[str]:
+    offenders = unused_imports()
     for root in SCAN_ROOTS:
         for path in sorted((REPO / root).rglob("*.py")):
             if path == REPO / "scripts" / "lint_private_imports.py":
@@ -177,7 +229,7 @@ def main() -> int:
     if offenders:
         print("private reduction/collective/scaler names, per-rank state, "
               "op-name comparisons, thread creation or backward passes "
-              "outside their package:")
+              "outside their package, or unused imports in src:")
         for line in offenders:
             print(f"  {line}")
         print(
@@ -190,7 +242,8 @@ def main() -> int:
             "instead of comparing its name; run step work on "
             "the calling thread; read per-rank optimizer state through "
             "pack_dist_state(...) / DistributedOptimizer.pull_rank_state(); "
-            "compute gradients through ParallelTrainer.train_step."
+            "compute gradients through ParallelTrainer.train_step; "
+            "delete an import its module does not use."
         )
         return 1
     print("lint_private_imports: no private kernel names outside their package")

@@ -14,7 +14,7 @@ trainers are built from a ``RunConfig`` alone.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.comm.codec import parse_wire_codecs

@@ -314,6 +314,15 @@ class DistributedOptimizer:
                 self._mirror_starts = arena.unpack(starts, copy=False)
         return self._mirror
 
+    def release_arena(self) -> None:
+        """Forget the buffers bound to the arena the last step ran over:
+        the mirror (which holds the arena's rows), its starts and the
+        arena itself.  The optimizer slots and the codec stack's
+        residual rows are state and stay; a later step over any arena
+        builds a new mirror, which re-syncs from the slots."""
+        self._mirror_arena = self._mirror = None
+        self._mirror_starts = {}
+
     def _bind_pipeline(self, arena) -> None:
         """Bind the codec stack to ``arena``'s layout — to zero of its
         rows when a :attr:`row_home` encodes them, so no residual row is

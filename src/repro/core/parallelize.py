@@ -17,7 +17,7 @@ evaluates.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
 

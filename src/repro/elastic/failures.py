@@ -21,7 +21,7 @@ import enum
 from typing import List, Optional
 
 from repro.comm.faults import RankKilledError
-from repro.comm.transport import CommError, CommTimeoutError
+from repro.comm.transport import CommTimeoutError
 
 
 class FailureKind(enum.Enum):

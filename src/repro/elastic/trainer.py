@@ -66,11 +66,10 @@ from repro.train.checkpoint import (
     read_checkpoint_meta,
     save_checkpoint,
 )
-from repro.train.trainer import (  # noqa: F401
+from repro.train.trainer import (
     build_rank_executor,
-    # Not called here (the executor computes), but the name stays a
-    # module attribute: the perfbench layer table resolves it.
-    compute_grads_into,
+    check_open,
+    compute_grads_into,  # unused: the benchmark's train.compute_grads boundary
     phased_step,
 )
 
@@ -187,11 +186,14 @@ class ElasticTrainer:
         into ``dist_opt`` on its way out (``executor.close()``), which
         is what :meth:`pause` and :meth:`close` rely on; a pool whose
         step failed does not — the rollback restores the snapshot onto a
-        fresh optimizer, and the next pool is built from that.
+        fresh optimizer, and the next pool is built from that.  The
+        optimizer's arena-bound buffers go too: its Figure-3 mirror
+        holds the arena's rows, so a paused world would keep the arena.
         """
         if self.executor is not None:
             executor, self.executor = self.executor, None
             executor.close()
+            self.dist_opt.release_arena()
 
     def _build_world(self, state: Optional[Dict] = None) -> None:
         """(Re)build cluster, optimizer, and executor for the current
@@ -233,8 +235,23 @@ class ElasticTrainer:
         return None if self.executor is None else self.executor.arena
 
     def close(self) -> None:
-        """Stop rank workers and unlink shared segments (idempotent)."""
+        """End the run: free everything it allocated (idempotent).
+
+        Rank workers stop (a healthy pool hands its optimizer state back
+        first) and every shared segment is unlinked; the executor with
+        its arena, the optimizer's arena-bound buffers, the training set
+        and the in-memory snapshot are dropped.  What outlives the run
+        stays readable: ``model``, ``dist_opt`` with its optimizer
+        state, the counters and the records (``global_step``,
+        ``recoveries``, ``recovery_seconds``, ``loan_events``,
+        ``epoch_visited``), and :meth:`save_checkpoint` still writes.
+        A closed trainer no longer steps.  :meth:`pause` releases only
+        the execution layer: it keeps the data and the snapshot
+        :meth:`resume` needs.
+        """
         self._teardown_execution()
+        self.x = self.y = None
+        self._snapshot = None
 
     def __enter__(self) -> "ElasticTrainer":
         return self
@@ -273,6 +290,7 @@ class ElasticTrainer:
         ranks' optimizer states are stashed so :meth:`reclaim_ranks`
         restores them bit-for-bit.  Returns the lent global ids.
         """
+        check_open(self)
         if self._paused:
             raise RuntimeError("cannot lend ranks while paused")
         if count < 1:
@@ -301,6 +319,7 @@ class ElasticTrainer:
         re-deals the remaining epoch over the grown world, and a fresh
         snapshot is taken.  Returns the reclaimed global ids.
         """
+        check_open(self)
         if self._paused:
             raise RuntimeError("cannot reclaim ranks while paused")
         if not self.membership.loaned:
@@ -339,6 +358,7 @@ class ElasticTrainer:
 
     def resume(self) -> None:
         """Rebuild the execution layer after :meth:`pause` (idempotent)."""
+        check_open(self)
         if not self._paused:
             return
         self._build_execution()
@@ -474,6 +494,7 @@ class ElasticTrainer:
         scheduler interleaves many jobs' steps, so each job's epoch
         lifecycle is managed from outside.
         """
+        check_open(self)
         self.iterator.begin_epoch(epoch)
         self._open_epoch()
 
@@ -482,8 +503,10 @@ class ElasticTrainer:
 
         The single-step half of :meth:`train_epoch`: call
         :meth:`begin_epoch` first, then step while
-        ``iterator.has_next()``.  Raises ``RuntimeError`` while paused.
+        ``iterator.has_next()``.  Raises ``RuntimeError`` while paused
+        and once closed.
         """
+        check_open(self)
         if self._paused:
             raise RuntimeError("trainer is paused; resume() before stepping")
         if not self.iterator.has_next():
@@ -498,6 +521,7 @@ class ElasticTrainer:
         so only the samples the saving run had not yet committed are
         visited.
         """
+        check_open(self)
         self._open_epoch()
         return self._run_epoch(max_steps)
 

@@ -19,7 +19,7 @@ smaller sample budget; rank counts 4/8/16/32 preserved.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 

@@ -18,7 +18,6 @@ and model-update time = state-update work / parallelism + broadcast.
 from __future__ import annotations
 
 import dataclasses
-import time
 from typing import List, Tuple
 
 import numpy as np

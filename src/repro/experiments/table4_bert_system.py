@@ -16,7 +16,7 @@ parameters, fp16 gradients) composed with the hierarchical-allreduce
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.comm import NetworkModel
 from repro.train import TrainingTimeModel

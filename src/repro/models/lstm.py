@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from repro import nn
-from repro.tensor import Tensor, functional as F
+from repro.tensor import Tensor
 
 
 class LSTMCell(nn.Module):

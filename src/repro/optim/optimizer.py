@@ -8,7 +8,7 @@ layout — a requirement for the optimizer-state partitioning of Section
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Union
 
 import numpy as np
 

@@ -16,7 +16,6 @@ ratios of the paper's tables land in the right regime.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable
 
 from repro.comm.netmodel import (
     NetworkModel,

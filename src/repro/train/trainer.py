@@ -263,7 +263,9 @@ class SerialRankExecutor:
         return float(np.mean(losses))
 
     def close(self) -> None:
-        """Nothing to release: the arena is ordinary process memory."""
+        """Nothing to release: the arena and the training set are
+        ordinary process memory, freed with the executor (a trainer's
+        ``close()`` drops it)."""
 
 
 class StackedAutograd:
@@ -934,6 +936,13 @@ def _check_parallel_safe(model: Module) -> None:
         raise ValueError(_PARALLEL_HAZARDS[hazard])
 
 
+def check_open(trainer) -> None:
+    """Refuse to drive a closed trainer: ``close()`` dropped its
+    training set (which ``pause()`` keeps), and with it its executor."""
+    if trainer.x is None:
+        raise RuntimeError("trainer is closed: close() released its data and executor")
+
+
 def build_rank_executor(
     model: Module,
     loss_fn: Callable,
@@ -1146,18 +1155,28 @@ class ParallelTrainer:
 
     @property
     def arena(self):
-        """The per-rank flat gradient buffers (owned by the executor)."""
-        return self.executor.arena
+        """The per-rank flat gradient buffers (owned by the executor;
+        ``None`` once closed)."""
+        return None if self.executor is None else self.executor.arena
 
     def close(self) -> None:
-        """Release execution-backend resources (idempotent).
+        """End the run: free everything it allocated (idempotent).
 
-        The rank executor is closed (workers shut down, every
-        shared-memory segment unlinked) — the arena module's atexit
-        sweep is only the last-resort backstop for callers that never
-        get here (aborts, test crashes).
+        The rank executor is closed (workers hand their optimizer state
+        back and shut down, every shared-memory segment is unlinked —
+        the arena module's atexit sweep is only the last-resort backstop
+        for callers that never get here) and dropped with its arena, the
+        bucket plan, the training set and the optimizer's arena-bound
+        buffers.  What outlives the run stays readable: ``model``,
+        ``dist_opt`` with its optimizer state, ``global_step`` and the
+        probe's records — a checkpoint can still be written.  A closed
+        trainer no longer steps.
         """
-        self.executor.close()
+        executor, self.executor = self.executor, None
+        self.plan = self.x = self.y = None
+        if executor is not None:
+            executor.close()
+            self.dist_opt.release_arena()
 
     def __enter__(self) -> "ParallelTrainer":
         return self
@@ -1177,6 +1196,7 @@ class ParallelTrainer:
 
     def train_step(self, rank_indices: Sequence[np.ndarray]) -> float:
         """One synchronous update from per-rank sample indices."""
+        check_open(self)
         if len(rank_indices) != self.num_ranks:
             raise ValueError(
                 f"train_step needs one index array per rank: expected "

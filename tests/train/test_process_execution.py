@@ -427,7 +427,7 @@ class TestLifecycle:
         assert sends and recvs
         # Control plane only: step messages are tiny index arrays, never
         # gradient payloads (those live in shared memory).
-        grad_bytes = trainer.arena.layout.total_size * 4
+        grad_bytes = sum(p.data.nbytes for p in model.parameters())
         assert all(ev.nbytes < grad_bytes for ev in sends)
 
     def test_rejects_active_dropout(self):
