@@ -108,10 +108,11 @@ def test_flat_adasum_beats_the_per_layer_operator():
     """``reduce_arena`` >= 1.25x the reference ``adasum_per_layer``.
 
     Same bytes out, on the geometry ``BENCHMARK.json`` reduces most:
-    8 ranks of the 104k-parameter MiniBERT (29 layers).  Per pair the
-    flat plan widens both whole rows with one copy, takes the per-layer
-    dots on prebound views and adds once over the full row; the operator
-    allocates and combines layer by layer.  1.56-1.58x on the 2-core dev
+    8 ranks of the 104k-parameter MiniBERT (29 layers).  The flat kernel
+    replays the tree into one output buffer; per pair the plan widens
+    both rows into its float64 scratches, takes the per-layer dots on
+    prebound views and adds once over the full row; the operator
+    allocates and combines layer by layer.  1.33-1.51x on the 2-core dev
     host; both sides are single-threaded, so there is no skip rule.
     """
     model = MiniBERT(

@@ -31,7 +31,8 @@ hand-rolling a per-rank loop.  What an op is lives in the strategy
 registry: outside ``src/repro/core/strategies.py`` and the experiment
 definitions (which name their arms) no code compares op names or
 spells the deleted ``ReduceOpType`` — it reads the facts a strategy
-declares.  And no module in ``src`` imports a name it never uses
+declares.  And no module in ``src``, ``tests``, ``benchmarks``,
+``examples`` or ``scripts`` imports a name it never uses
 (``__init__.py`` re-exports and ``__all__`` entries aside; the one
 named exception is the benchmark's ``compute_grads_into`` boundary in
 the elastic trainer).  This grep-level check
@@ -61,11 +62,8 @@ RULES = (
     # Private kernel internals of the reduction engine.
     (
         (
-            "_adasum_flat_reduce",
             "_FlatReducePlan",
             "_adasum_rvh_level",
-            "_adasum_flat_pair",
-            "_flat_pair_scales",
             "_rvh_flat",
             "_ring_flat",
             "_HierarchicalMixin",
@@ -150,8 +148,10 @@ RULES = (
 
 # Everything under these roots is scanned (tests may exercise privates).
 SCAN_ROOTS = ("src", "benchmarks", "scripts", "examples")
+# ...and for unused imports, the tests too.
+IMPORT_SCAN_ROOTS = SCAN_ROOTS + ("tests",)
 
-# Imports in ``src`` that their module never uses, allowed by name:
+# Imports that their module never uses, allowed by name:
 # the benchmark's ``train.compute_grads`` boundary resolves
 # ``compute_grads_into`` as an attribute of the elastic trainer module.
 UNUSED_IMPORT_EXCEPTIONS = {
@@ -182,10 +182,12 @@ def _used_names(tree: ast.AST) -> set[str]:
 
 
 def unused_imports() -> list[str]:
-    """``path:line`` of every import in ``src`` its module never uses
-    (``__init__.py`` files re-export, so they are skipped)."""
+    """``path:line`` of every import under :data:`IMPORT_SCAN_ROOTS` its
+    module never uses (``__init__.py`` files re-export, so they are
+    skipped)."""
     offenders = []
-    for path in sorted((REPO / "src").rglob("*.py")):
+    paths = (p for root in IMPORT_SCAN_ROOTS for p in (REPO / root).rglob("*.py"))
+    for path in sorted(paths):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text())
@@ -229,7 +231,7 @@ def main() -> int:
     if offenders:
         print("private reduction/collective/scaler names, per-rank state, "
               "op-name comparisons, thread creation or backward passes "
-              "outside their package, or unused imports in src:")
+              "outside their package, or unused imports:")
         for line in offenders:
             print(f"  {line}")
         print(

@@ -7,8 +7,10 @@ Modules
     application, whole-model and per-layer.
 ``strategies``
     The reduction engine: the ``(op, topology)`` strategy registry,
-    the ``ReduceStrategy`` protocol, and the registry-backed
-    ``StrategyReducer`` every trainer plugs in.
+    the ``ReduceStrategy`` protocol (two forms — a cell's hop and
+    schedule, its cluster collective — plus the flat kernel derived
+    from the schedule), and the registry-backed ``StrategyReducer``
+    every trainer plugs in.
 ``config``
     Frozen declarative ``RunConfig`` plus the shared ``parse_op`` /
     ``parse_topology`` CLI helpers and centralized validation.

@@ -36,10 +36,11 @@ def _ring_flat(
 
     ``boundaries`` follows the ``layout.boundaries()`` convention
     (per-tensor offsets, ``len = #tensors + 1``) for per-layer pairwise
-    combination, or ``None`` for whole-vector Adasum.  Each hop combines
-    with the registry's pairwise kernel, so every rank's result is byte
-    for byte ``get_strategy("adasum", "linear").combine_flat`` over the
-    ranks' rows, with ``2(P-1)`` full-vector messages of latency —
+    combination, or ``None`` for whole-vector Adasum.  Each hop is the
+    ``linear`` cell's hop (:func:`adasum_flat`) in its schedule's order,
+    so every rank's result is byte for byte that cell's derived
+    ``combine_flat`` over the ranks' rows (the in-process replay of the
+    same left fold), with ``2(P-1)`` full-vector messages of latency —
     latency- and bandwidth-suboptimal vs RVH, as §4.2.3 reports.
     Reached through ``get_strategy("adasum", "ring").combine_comm``.
     """

@@ -68,15 +68,6 @@ def adasum(
 # ----------------------------------------------------------------------
 # Flat-buffer kernels (fused-tensor path, paper §4.4.3)
 # ----------------------------------------------------------------------
-def _flat_boundaries(size: int, boundaries) -> List[int]:
-    if boundaries is None:
-        return [0, size]
-    bounds = list(boundaries)
-    if bounds[0] != 0 or bounds[-1] != size:
-        raise ValueError(f"boundaries {bounds[0]}..{bounds[-1]} != buffer [0, {size})")
-    return bounds
-
-
 def adasum_flat(
     g1: np.ndarray,
     g2: np.ndarray,
@@ -89,57 +80,56 @@ def adasum_flat(
     (``layout.boundaries()``); ``None`` treats the whole buffer as one
     layer (whole-model Adasum).  Equivalent to slicing both buffers per
     layer and calling :func:`adasum` on each slice, but runs on the
-    cached :class:`_FlatReducePlan` of its geometry — the same kernel a
-    flat tree reduce combines each pair with, so a pairwise hop (an
-    elastic tree collective's, a rank worker's combine, the tree's
-    non-power-of-two tail) allocates no float64 scratch.  ``out`` may
-    alias either input.
+    cached :class:`_FlatReducePlan` of its geometry, so a pairwise hop
+    (every hop of an Adasum cell's schedule: the in-process
+    ``combine_flat`` replay, a rank worker's combine, an elastic
+    collective's) allocates no float64 scratch.  ``out`` may alias
+    either input.
     """
     if g1.shape != g2.shape or g1.ndim != 1:
         raise ValueError(f"flat buffers required: {g1.shape} vs {g2.shape}")
-    bounds = _flat_boundaries(g1.size, boundaries)
     if out is None:
         out = np.empty_like(g1)
-    _flat_reduce_plan(g1.size, bounds, 1, out.dtype).combine(g1, g2, out)
+    _flat_reduce_plan(g1.size, boundaries).combine(g1, g2, out)
     return out
 
 
 class _FlatReducePlan:
     """Reusable scratch rows + prebound per-layer kernels for one geometry.
 
-    The pairwise combine is called ``ranks - 1`` times per reduction
-    (and once per :func:`adasum_flat` hop) and every call runs 3 dots +
-    2 scalings per layer; for models with many small layers the NumPy
-    dispatch cost of those calls rivals the arithmetic.  The plan owns
-    the two float64 scratch rows, the storage-dtype winner buffer, and —
-    since the scratches are reused for every pair — the per-layer slice
+    The pairwise combine is called ``ranks - 1`` times per reduction and
+    every call runs 3 dots + 2 scalings per layer; for models with many
+    small layers the NumPy dispatch cost of those calls rivals the
+    arithmetic.  The plan owns the two float64 scratch rows and — since
+    the scratches are reused for every pair — the per-layer slice
     *views* and their bound ``ndarray.dot`` methods, so the hot loop does
     no view construction and no attribute lookups.
     """
 
-    __slots__ = ("key", "ab", "a64", "b64", "win", "layers")
+    __slots__ = ("a64", "b64", "layers")
 
-    def __init__(self, size, bounds, nwin, dtype) -> None:
-        self.key = (size, tuple(bounds), nwin, dtype)
-        self.ab = np.empty((2, size))
-        self.a64 = self.ab[0]
-        self.b64 = self.ab[1]
-        self.win = np.empty((nwin, size), dtype=dtype)
+    def __init__(self, size, bounds) -> None:
+        self.a64 = np.empty(size)
+        self.b64 = np.empty(size)
         self.layers: List[tuple] = []
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             x = self.a64[lo:hi]
             y = self.b64[lo:hi]
             self.layers.append((x, y, x.dot, y.dot))
 
-    def _combine_loaded(self, dst: np.ndarray) -> None:
-        """Adasum the two loaded scratch rows into ``dst``.
+    def combine(self, x_src: np.ndarray, y_src: np.ndarray, dst: np.ndarray) -> None:
+        """``dst = narrow(Adasum(widen(x_src), widen(y_src)))``.
 
         Bit-identical to the reference operator's pairwise combine:
-        float64 dots per layer (``float(x @ y)`` accumulation), one rounded multiply
-        per operand, and a float64 add that rounds once into the storage
-        dtype — ``np.add(..., out=dst, dtype=np.float64)`` is exactly
-        ``(s1*g1 + s2*g2).astype(dtype)`` minus the intermediate pass.
+        float64 dots per layer (``float(x @ y)`` accumulation), one
+        rounded multiply per operand, and a float64 add that rounds once
+        into the storage dtype — ``np.add(..., out=dst, dtype=np.float64)``
+        is exactly ``(s1*g1 + s2*g2).astype(dtype)`` minus the
+        intermediate pass.  ``dst`` may alias a source row: both are
+        widened into the scratches first.
         """
+        np.copyto(self.a64, x_src, casting="same_kind")
+        np.copyto(self.b64, y_src, casting="same_kind")
         mult = np.multiply
         for x, y, xdot, ydot in self.layers:
             dot = float(xdot(y))
@@ -151,22 +141,6 @@ class _FlatReducePlan:
             mult(x, s1, out=x)
         np.add(self.a64, self.b64, out=dst, dtype=np.float64, casting="same_kind")
 
-    def combine_pair(self, src2: np.ndarray, dst: np.ndarray) -> None:
-        """Combine two *adjacent* rows (``src2`` is ``(2, size)``) into ``dst``.
-
-        Loading both operands with one 2-row widening copy halves the
-        dispatch cost of the loads; ``dst`` may alias a source row since
-        both rows are consumed into the scratches first.
-        """
-        np.copyto(self.ab, src2, casting="same_kind")
-        self._combine_loaded(dst)
-
-    def combine(self, x_src: np.ndarray, y_src: np.ndarray, dst: np.ndarray) -> None:
-        """``dst = narrow(Adasum(widen(x_src), widen(y_src)))``."""
-        np.copyto(self.a64, x_src, casting="same_kind")
-        np.copyto(self.b64, y_src, casting="same_kind")
-        self._combine_loaded(dst)
-
 
 #: Small per-thread keyed cache — training hammers a handful of geometries
 #: (one per overlap bucket plus the full row), while property tests sweep
@@ -175,56 +149,24 @@ _plan_cache = threading.local()
 _PLAN_CACHE_CAP = 32
 
 
-def _flat_reduce_plan(size, bounds, nwin, dtype) -> _FlatReducePlan:
+def _flat_reduce_plan(size, boundaries) -> _FlatReducePlan:
+    """The cached plan of one geometry; ``boundaries`` are checked once,
+    when the geometry is first seen."""
     plans = getattr(_plan_cache, "plans", None)
     if plans is None:
         plans = _plan_cache.plans = {}
-    key = (size, tuple(bounds), nwin, dtype)
+    key = (size, None if boundaries is None else tuple(boundaries))
     plan = plans.get(key)
     if plan is None:
+        bounds = [0, size] if boundaries is None else list(boundaries)
+        if bounds[0] != 0 or bounds[-1] != size:
+            raise ValueError(
+                f"boundaries {bounds[0]}..{bounds[-1]} != buffer [0, {size})"
+            )
         if len(plans) >= _PLAN_CACHE_CAP:  # drop the oldest geometry (FIFO)
             plans.pop(next(iter(plans)))
-        plan = plans[key] = _FlatReducePlan(size, bounds, nwin, dtype)
+        plan = plans[key] = _FlatReducePlan(size, bounds)
     return plan
-
-
-def _adasum_flat_reduce(
-    data: np.ndarray, boundaries: Sequence[int], tree: bool
-) -> np.ndarray:
-    """Tree or linear Adasum over the rows of a ``(ranks, size)`` buffer.
-
-    Matches the reference operator bit for bit: every pairwise result rounds
-    through the storage dtype (the reference operator's ``astype(g1.dtype)``
-    after each combine) before being re-widened to float64 for the next
-    level's scalar accumulation.  Because of that rounding, the narrow
-    row *is* the authoritative intermediate — so winners are stored in
-    the storage dtype and float64 exists only in the plan's two scratch
-    rows, which stay cache-resident across the whole reduction instead
-    of widening all ranks up front.  ``data`` itself is never written.
-    """
-    ranks, size = data.shape
-    if ranks == 1:
-        return data[0].copy()
-    bounds = _flat_boundaries(size, boundaries)
-    plan = _flat_reduce_plan(size, bounds, max(1, ranks // 2), data.dtype)
-    win = plan.win
-    if tree:
-        # Winners pack compactly into ``win[0:n]`` after every level, so
-        # each pair is adjacent and loads with one 2-row widening copy.
-        combine_pair = plan.combine_pair
-        for k in range(ranks // 2):
-            combine_pair(data[2 * k : 2 * k + 2], win[k])
-        n = ranks // 2
-        while n > 1:
-            for m in range(n // 2):
-                combine_pair(win[2 * m : 2 * m + 2], win[m])
-            n //= 2
-        return win[0].copy()
-    acc = win[0]
-    plan.combine(data[0], data[1], acc)
-    for r in range(2, ranks):
-        plan.combine(acc, data[r], acc)
-    return acc.copy()
 
 
 def largest_pow2_below(n: int) -> int:

@@ -2,10 +2,13 @@
 
 * a :class:`ReduceStrategy` implements one ``(op, topology)`` cell —
   ``sum`` / ``average`` / ``adasum`` × ``tree`` / ``linear`` /
-  ``rvh`` / ``ring`` / ``hierarchical`` — as a *flat*
-  kernel over ``(ranks, size)`` rows
-  (:meth:`~ReduceStrategy.combine_flat`, the single source of
-  arithmetic truth);
+  ``rvh`` / ``ring`` / ``hierarchical`` — as its hop and its schedule
+  (:meth:`~ReduceStrategy.pair_combine` over the ``(dst, src, kind)``
+  levels of :meth:`~ReduceStrategy.pair_schedule`, then
+  :meth:`~ReduceStrategy.finalize_pair` on the root), the single source
+  of its arithmetic; the flat kernel over ``(ranks, size)`` rows
+  (:meth:`~ReduceStrategy.combine_flat`) is derived from them by an
+  in-process replay;
 * the registry maps ``(op, topology)`` keys to strategy instances, so a
   strategy registered once is immediately available phased, overlapped,
   bucketed, elastic, and from the CLI;
@@ -14,23 +17,24 @@
   lookup instead of a class hierarchy; its ``reduce`` is the one dict
   adapter: pack an arena, run the flat kernel, unpack.
 
-Bit-exactness contracts (property-tested in
-``tests/core/test_strategies.py``):
+Bit-exactness contracts (tested in ``tests/core/test_strategies.py``
+against the dict oracles of :mod:`repro.core.operator`):
 
 * every pairwise Adasum result rounds through the storage dtype before
   the next level re-widens it, and all dots/norms accumulate in
   float64 (:mod:`repro.core.operator`);
 * ``sum`` / ``average`` run the same power-of-two-block pairwise tree
   as Adasum (:func:`pair_schedule`), with each pair combined by a
-  correctly-rounded storage-dtype add — so a level-by-level replay of
-  ``combine_pair`` over arena rows (the worker-parallel reduce of the
-  process backend) reproduces ``combine_flat`` byte for byte for every
-  op (property-tested in ``tests/core/test_pairwise_properties.py``);
+  correctly-rounded storage-dtype add;
+* the rank workers of the process backend and the elastic collective
+  replay the same hops over arena rows, so they reproduce
+  ``combine_flat`` byte for byte for every cell with a schedule;
 * ``ring`` is the distributed execution of the same left fold as
-  ``linear`` — in-process the two cells share one kernel;
+  ``linear`` — in-process the two cells share one schedule;
 * ``rvh`` distributes the per-layer dot products (partial dots finished
-  by a group allreduce), so its results match ``tree`` only to
-  floating-point association (``allclose``, not bit-equal).
+  by a group allreduce), so it has no schedule, overrides
+  ``combine_flat``, and matches ``tree`` only to floating-point
+  association (``allclose``, not bit-equal).
 
 What an op *is* is decided here and nowhere else: every layer reads
 the two facts a strategy declares (:attr:`ReduceStrategy.post_optimizer`,
@@ -47,11 +51,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.arena import GradientArena
-from repro.core.operator import (
-    _adasum_flat_reduce,
-    adasum_flat,
-    largest_pow2_below,
-)
+from repro.core.operator import adasum_flat, largest_pow2_below
 
 #: The built-in ops / topologies (the matrix registered below); what is
 #: *registered* — built-in or not — is :func:`registered_cells`.
@@ -120,39 +120,21 @@ def _uniform_schedule(n: int, kind: str = "pair") -> List[List[Tuple[int, int, s
     return [[(d, s, kind) for d, s in lvl] for lvl in pair_schedule(n)]
 
 
-def _flat_sum(data: np.ndarray, boundaries: Sequence[int] = None) -> np.ndarray:
-    """Pairwise-tree axis-0 sum of flat rows, in the storage dtype.
-
-    Replays :func:`pair_schedule` with one correctly-rounded
-    storage-dtype add per pair — exactly the arithmetic a worker's
-    ``combine_pair`` performs on its peer's arena row, so the parent
-    kernel and the worker-parallel tree reduce agree byte for byte.
-    ``boundaries`` is accepted for signature compatibility but ignored:
-    the kernel is elementwise, so per-layer and whole-model sums are
-    identical.
-    """
-    del boundaries  # elementwise: layer structure cannot matter
-    if data.shape[0] == 1:
-        return data[0].copy()
-    work = data.copy()
-    for level in pair_schedule(data.shape[0]):
-        for dst, src in level:
-            np.add(work[dst], work[src], out=work[dst])
-    return work[0]
-
-
 # ----------------------------------------------------------------------
 # Strategy protocol
 # ----------------------------------------------------------------------
 class ReduceStrategy:
     """One ``(op, topology)`` cell of the reduction matrix.
 
-    ``combine_flat`` over ``(ranks, size)`` rows is the single source of
-    arithmetic truth.  Cluster-form strategies additionally implement
-    ``combine_comm`` (one rank's half of the collective, given a
-    :class:`~repro.comm.transport.Comm`), and pairwise strategies
-    implement ``combine_pair`` and :meth:`pair_schedule` (the hops the
-    rank workers and the elastic collective replay).
+    A cell is its hop and its schedule: :meth:`pair_schedule` orders
+    the ``(dst, src, kind)`` hops, :meth:`pair_combine` is one hop and
+    :meth:`finalize_pair` fixes up the root.  The rank workers, the
+    elastic collective and the in-process :meth:`combine_flat` all
+    replay them, so a cell states its arithmetic once.  A cell without
+    a schedule (``rvh``) overrides ``combine_flat`` instead.
+    Cluster-form strategies additionally implement ``combine_comm``
+    (one rank's half of the collective, given a
+    :class:`~repro.comm.transport.Comm`).
     """
 
     op: str = "base"
@@ -176,22 +158,31 @@ class ReduceStrategy:
     def combine_flat(
         self, data: np.ndarray, boundaries: Sequence[int] = None
     ) -> np.ndarray:
-        """Combine ``(ranks, size)`` flat rows into one flat row."""
-        raise NotImplementedError
+        """Combine ``(ranks, size)`` flat rows into one flat row.
 
-    # -- cluster / pairwise forms --------------------------------------
-    def combine_pair(
-        self,
-        acc: np.ndarray,
-        other: np.ndarray,
-        boundaries: Sequence[int] = None,
-        out: np.ndarray = None,
-    ) -> np.ndarray:
-        """One pairwise hop (tree-combine primitive); optional per cell."""
-        raise NotImplementedError(
-            f"strategy ({self.op!r}, {self.topology!r}) has no pairwise form"
-        )
+        The in-process replay of :meth:`pair_schedule` into one new
+        ``(ranks, size)`` buffer: every hop writes its destination's row
+        there, reading the input row until that position has absorbed
+        something, so ``data`` is never written and a row that only
+        sends is never copied.  The root row is finalized and returned.
+        """
+        n = data.shape[0]
+        self.validate_world(n)
+        levels = self.pair_schedule(n)
+        if levels is None:
+            raise NotImplementedError(
+                f"strategy ({self.op!r}, {self.topology!r}) has no pair "
+                f"schedule, so it must override combine_flat"
+            )
+        rows, work = list(data), np.empty_like(data)
+        for level in levels:
+            for dst, src, kind in level:
+                rows[dst] = self.pair_combine(
+                    kind, rows[dst], rows[src], boundaries, out=work[dst]
+                )
+        return self.finalize_pair(work[0] if levels else data[0].copy(), n)
 
+    # -- cluster form --------------------------------------------------
     def combine_comm(
         self, comm, row: np.ndarray, boundaries: Sequence[int] = None
     ) -> np.ndarray:
@@ -201,22 +192,22 @@ class ReduceStrategy:
             f"collective form"
         )
 
-    # -- worker-parallel schedule form ---------------------------------
+    # -- hop and schedule ----------------------------------------------
     def pair_schedule(self, n: int) -> Optional[List[List[Tuple[int, int, str]]]]:
         """The level-ordered pair-combine schedule over ``n`` positions.
 
-        Returns levels of ``(dst, src, kind)`` triples such that
-        replaying them with :meth:`pair_combine` (then
-        :meth:`finalize_pair` on position 0) reproduces
-        :meth:`combine_flat` byte for byte, or ``None`` when this cell
-        has no schedule form (``rvh`` distributes partial dot products
-        and cannot be expressed as independent pair combines).  ``kind``
-        selects the per-pair arithmetic for mixed-op topologies
-        (``hierarchical``: intra-node ``"local"`` sums feeding
-        cross-node ``"pair"`` Adasum); uniform cells use ``"pair"``.
-        Every pair has ``dst < src``, so descending rank order is a
-        topological order of the sends (the elastic collective runs the
-        schedule as an ordered replay).
+        Returns levels of ``(dst, src, kind)`` triples meaning "position
+        ``dst`` absorbs position ``src`` with :meth:`pair_combine` of
+        ``kind``", after which :meth:`finalize_pair` on position 0 gives
+        the result; or ``None`` when this cell has no schedule form
+        (``rvh`` distributes partial dot products and cannot be
+        expressed as independent pair combines).  ``kind`` selects the
+        per-pair arithmetic for mixed-op topologies (``hierarchical``:
+        intra-node ``"local"`` sums feeding cross-node ``"pair"``
+        Adasum); uniform cells use ``"pair"``.  Every pair has
+        ``dst < src``, so descending rank order is a topological order
+        of the sends (the elastic collective runs the schedule as an
+        ordered replay).
         """
         return None
 
@@ -228,9 +219,15 @@ class ReduceStrategy:
         boundaries: Sequence[int] = None,
         out: np.ndarray = None,
     ) -> np.ndarray:
-        """One scheduled hop of ``kind``; defaults to :meth:`combine_pair`."""
-        del kind
-        return self.combine_pair(acc, other, boundaries, out=out)
+        """One scheduled hop of ``kind``: ``acc`` absorbs ``other``.
+
+        The result goes to ``out`` (which may alias ``acc``) or, when
+        ``out`` is ``None``, to a new row; the inputs are not written.
+        Uniform cells ignore ``kind``.
+        """
+        raise NotImplementedError(
+            f"strategy ({self.op!r}, {self.topology!r}) has no pairwise form"
+        )
 
     def finalize_pair(self, acc: np.ndarray, n: int) -> np.ndarray:
         """Post-schedule fixup on the root row (in place when possible).
@@ -318,14 +315,13 @@ def registered_cells() -> List[Tuple[str, str]]:
 # ----------------------------------------------------------------------
 class _SumStrategy(ReduceStrategy):
     """Pairwise-tree sum; elementwise, so every topology produces
-    identical bits and all five cells share this kernel.
+    identical bits and all five cells share this hop and schedule.
 
     Each pair combines with one storage-dtype add.  Widening a single
     add to float64 and rounding back is the identical bit pattern (the
-    double-rounding bound: 53 >= 2*24 + 2), so the kernel loses nothing
-    vs float64 pair accumulation while staying replayable as
-    independent in-place ``combine_pair`` hops by the process backend's
-    worker-parallel reduce.
+    double-rounding bound: 53 >= 2*24 + 2), so the hop loses nothing
+    vs float64 pair accumulation while staying an independent in-place
+    add the process backend's worker-parallel reduce can replay.
     """
 
     op = "sum"
@@ -334,14 +330,8 @@ class _SumStrategy(ReduceStrategy):
     def __init__(self, topology: str):
         self.topology = topology
 
-    def combine_flat(self, data, boundaries=None):
-        return _flat_sum(data, boundaries).astype(data.dtype)
-
-    def combine_pair(self, acc, other, boundaries=None, out=None):
-        if out is None:
-            return np.add(acc, other, dtype=np.float64).astype(acc.dtype)
-        np.add(acc, other, out=out)
-        return out
+    def pair_combine(self, kind, acc, other, boundaries=None, out=None):
+        return np.add(acc, other, out=out)
 
     def pair_schedule(self, n):
         return _uniform_schedule(n)
@@ -372,16 +362,11 @@ class _AverageStrategy(_SumStrategy):
     """Mean across ranks (Sum with an implicit 1/N learning-rate factor).
 
     Scheduled hops are partial *sums*; the root divides once at
-    :meth:`finalize_pair`, so the tree replay and ``combine_flat``
-    round identically.
+    :meth:`finalize_pair`.
     """
 
     op = "average"
     scales_with_world = False
-
-    def combine_flat(self, data, boundaries=None):
-        total = _flat_sum(data, boundaries).astype(data.dtype)
-        return self.finalize_pair(total, data.shape[0])
 
     def finalize_pair(self, acc, n):
         acc[...] = (acc.astype(np.float64) / n).astype(acc.dtype)
@@ -398,7 +383,7 @@ class _AdasumStrategy(ReduceStrategy):
     op = "adasum"
     post_optimizer = True
 
-    def combine_pair(self, acc, other, boundaries=None, out=None):
+    def pair_combine(self, kind, acc, other, boundaries=None, out=None):
         return adasum_flat(acc, other, boundaries, out=out)
 
 
@@ -415,16 +400,6 @@ class _AdasumTreeStrategy(_AdasumStrategy):
 
     topology = "tree"
 
-    def combine_flat(self, data, boundaries=None):
-        n = data.shape[0]
-        self.validate_world(n)
-        if n & (n - 1) == 0:
-            return _adasum_flat_reduce(data, boundaries, tree=True)
-        p = largest_pow2_below(n)
-        left = self.combine_flat(data[:p], boundaries)
-        right = self.combine_flat(data[p:], boundaries)
-        return adasum_flat(left, right, boundaries, out=left)
-
     def pair_schedule(self, n):
         return _uniform_schedule(n)
 
@@ -433,10 +408,6 @@ class _AdasumLinearStrategy(_AdasumStrategy):
     """Linear (left-fold) Adasum — the arithmetic of the §4.2.3 ring."""
 
     topology = "linear"
-
-    def combine_flat(self, data, boundaries=None):
-        self.validate_world(data.shape[0])
-        return _adasum_flat_reduce(data, boundaries, tree=False)
 
     def pair_schedule(self, n):
         # The left fold is inherently sequential: one pair per level.
@@ -449,7 +420,7 @@ class _AdasumRingStrategy(_AdasumLinearStrategy):
     In-process this is bit-identical to ``linear``
     — the accumulated combination travels once around the ring, each
     hop performing the identical pairwise combine — so the two cells
-    share a kernel.  The cluster form adds the wire protocol
+    share a schedule.  The cluster form adds the wire protocol
     (:meth:`combine_comm`).
     """
 
@@ -503,9 +474,11 @@ class _HierarchicalMixin:
 
     The registered default is ``gpus_per_node=1`` (every rank its own
     node), which degenerates to the flat cell — so the hierarchical
-    column participates in every generic registry test.  ``bind``
-    returns a parameterized copy; the registry entry itself is never
-    mutated.
+    column participates in every generic registry test.  Node symmetry
+    is not required: a world whose size is not a multiple of
+    ``gpus_per_node`` (an elastic re-shard after losing a rank) falls
+    back to the flat tree geometry.  ``bind`` returns a parameterized
+    copy; the registry entry itself is never mutated.
     """
 
     topology = "hierarchical"
@@ -522,12 +495,6 @@ class _HierarchicalMixin:
             return self
         return type(self)(gpus_per_node=int(gpus_per_node))
 
-    def validate_world(self, n: int) -> None:
-        super().validate_world(n)
-        # Node symmetry is NOT required: a world whose size is not a
-        # multiple of gpus_per_node (an elastic re-shard after losing a
-        # rank) falls back to the flat tree geometry.
-
     def __repr__(self) -> str:
         return (
             f"{type(self).__name__}(op={self.op!r}, "
@@ -538,7 +505,7 @@ class _HierarchicalMixin:
 class _HierarchicalSumStrategy(_HierarchicalMixin, _SumStrategy):
     """Two-level sum: elementwise, so bit-identical to every flat cell.
 
-    In-process the kernel is the shared :func:`_flat_sum`; the cluster
+    In-process it replays the flat sum's hop and schedule; the cluster
     form executes intra-node reduce-scatter / cross-node allreduce /
     intra-node allgather over the wire.
     """
@@ -563,10 +530,10 @@ class _HierarchicalAverageStrategy(_HierarchicalMixin, _AverageStrategy):
 class _HierarchicalAdasumStrategy(_HierarchicalMixin, _AdasumStrategy):
     """§4.2.2/§4.3 production cell: intra-node sum, Adasum across nodes.
 
-    ``combine_flat`` is the arithmetic reference: rows are grouped into
-    nodes of ``gpus_per_node``, each node's rows are *summed* (local
-    microbatches act as one larger batch), and the ``tree`` Adasum
-    recursion combines the node sums.  Node sums round through the
+    The schedule groups rows into nodes of ``gpus_per_node``: each
+    node's rows are *summed* by ``"local"`` hops (local microbatches act
+    as one larger batch), and ``"pair"`` hops run the ``tree`` Adasum
+    recursion over the node leaders.  Node sums round through the
     storage dtype before the Adasum stage, matching the executed
     collective where the reduce-scatter output crosses the wire in the
     input dtype.
@@ -575,24 +542,6 @@ class _HierarchicalAdasumStrategy(_HierarchicalMixin, _AdasumStrategy):
     an elastic re-shard can leave behind — degenerate to the flat
     ``tree`` recursion over all rows (every rank its own node).
     """
-
-    def combine_flat(self, data, boundaries=None):
-        n = data.shape[0]
-        self.validate_world(n)
-        g = self.gpus_per_node
-        tree = get_strategy("adasum", "tree")
-        if g <= 1 or n % g or n == g:
-            if n == g and n > 1:
-                # Single node: pure local sum, no cross-node Adasum.
-                return _flat_sum(data, boundaries).astype(data.dtype)
-            return tree.combine_flat(data, boundaries)
-        node_rows = np.stack(
-            [
-                _flat_sum(data[k * g : (k + 1) * g], boundaries).astype(data.dtype)
-                for k in range(n // g)
-            ]
-        )
-        return tree.combine_flat(node_rows, boundaries)
 
     def pair_schedule(self, n):
         g = self.gpus_per_node
@@ -604,7 +553,7 @@ class _HierarchicalAdasumStrategy(_HierarchicalMixin, _AdasumStrategy):
         levels: List[List[Tuple[int, int, str]]] = []
         # Intra-node phase: every node runs the same tree sum over its
         # block, concurrently; the node leader (position k*g) ends up
-        # holding the node sum, mirroring combine_flat's node_rows.
+        # holding the node sum.
         for lvl in pair_schedule(g):
             levels.append(
                 [
@@ -620,10 +569,8 @@ class _HierarchicalAdasumStrategy(_HierarchicalMixin, _AdasumStrategy):
 
     def pair_combine(self, kind, acc, other, boundaries=None, out=None):
         if kind == "local":
-            # The same storage-dtype add _flat_sum replays per pair.
-            out = acc if out is None else out
-            np.add(acc, other, out=out)
-            return out
+            # The storage-dtype add of the sum cells' hop.
+            return np.add(acc, other, out=out)
         return adasum_flat(acc, other, boundaries, out=out)
 
     def combine_comm(self, comm, row, boundaries=None):

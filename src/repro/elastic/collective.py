@@ -11,11 +11,12 @@ the collective replays the cell's own pair schedule
 (:meth:`~repro.core.strategies.ReduceStrategy.pair_schedule`) over the
 participants — the schedule the process backend's rank workers replay —
 each hop a send from ``src`` to ``dst`` and the cell's ``pair_combine``
-there, then ``finalize_pair`` at the root.  The replay reproduces the
-cell's ``combine_flat`` byte for byte, for every op and topology that
-has a schedule.  Only a cell without one (``rvh``) gathers the
-participant rows to the subgroup root in rank order and applies the
-reducer's own ``reduce_flat`` on the stacked rows.
+there, then ``finalize_pair`` at the root.  The cell's ``combine_flat``
+is derived from the same hops, replayed in process, so the two agree
+byte for byte for every op and topology that has a schedule.  Only a
+cell without one (``rvh``) gathers the participant rows to the subgroup
+root in rank order and applies the reducer's own ``reduce_flat`` on the
+stacked rows.
 
 Only the subgroup root ends up with the combined row (the supervisor
 applies it centrally); a broadcast would only add simulated latency.

@@ -25,7 +25,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.comm.codec import (
-    CodecPipeline,
     Fp16Codec,
     build_codec,
     build_pipeline,

@@ -3,13 +3,14 @@ registry entry plus tests.
 
 Two ops are registered here and nowhere else — the ``MedianStrategy``
 of docs/architecture.md, which has only a flat kernel, and a toy
-pairwise op with a pair schedule — and each builds a ``RunConfig`` and
-trains through every layer: the serial trainer, overlap buckets, rank
-processes (worker reduce too, for the op that has a schedule), an
-elastic run that loses a rank, a scheduler job and the CLI's ``train``
-subcommand.  Nothing outside this file changes to add them, and
-``monkeypatch.setitem`` takes them out of the registry again, so every
-other test still sees the 15 built-in cells.
+pairwise op that is nothing but its hop (``pair_combine``) and its
+``pair_schedule``: its flat kernel is the derived ``combine_flat``.
+Each builds a ``RunConfig`` and trains through every layer: the serial
+trainer, overlap buckets, rank processes (worker reduce too, for the op
+that has a schedule), an elastic run that loses a rank, a scheduler job
+and the CLI's ``train`` subcommand.  Nothing outside this file changes
+to add them, and ``monkeypatch.setitem`` takes them out of the registry
+again, so every other test still sees the 15 built-in cells.
 """
 
 import numpy as np
@@ -44,21 +45,12 @@ class MidpointStrategy(ReduceStrategy):
     op, topology = "midpoint", "tree"
     post_optimizer = True
 
-    def combine_pair(self, acc, other, boundaries=None, out=None):
-        out = np.empty_like(acc) if out is None else out
-        np.add(acc, other, out=out)
-        np.multiply(out, 0.5, out=out)
-        return out
+    def pair_combine(self, kind, acc, other, boundaries=None, out=None):
+        out = np.add(acc, other, out=out)
+        return np.multiply(out, 0.5, out=out)
 
     def pair_schedule(self, n):
         return [[(d, s, "pair") for d, s in level] for level in pair_schedule(n)]
-
-    def combine_flat(self, data, boundaries=None):
-        rows = data.copy()
-        for level in self.pair_schedule(data.shape[0]):
-            for dst, src, kind in level:
-                self.pair_combine(kind, rows[dst], rows[src], boundaries, out=rows[dst])
-        return rows[0]
 
 
 @pytest.fixture(params=[MedianStrategy(), MidpointStrategy()], ids=lambda s: s.op)
@@ -105,6 +97,15 @@ def test_the_op_is_its_registered_name_and_facts(new_op):
     assert dist.op == new_op.op
     assert dist.reducer.strategy is new_op
     assert dist.post_optimizer_mode is new_op.post_optimizer
+
+
+def test_the_pairwise_op_writes_no_flat_kernel():
+    """``MidpointStrategy.combine_flat`` is the derived replay of its
+    schedule: at four ranks, the midpoint of the two pair midpoints."""
+    assert "combine_flat" not in vars(MidpointStrategy)
+    data = np.arange(12, dtype=np.float32).reshape(4, 3)
+    expected = ((data[0] + data[1]) / 2 + (data[2] + data[3]) / 2) / 2
+    np.testing.assert_array_equal(MidpointStrategy().combine_flat(data), expected)
 
 
 def test_serial_trainer_and_overlap_buckets(new_op):

@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro import nn
 from repro.comm.codec import Fp16Codec
 from repro.core import DistributedOptimizer, RunConfig
 from repro.core.arena import GradientArena

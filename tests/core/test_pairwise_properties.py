@@ -1,14 +1,16 @@
 """Hypothesis property tests for the pair-combine schedule contract.
 
-The worker-parallel tree reduce of the process backend is built on one
-invariant: for every registered reduction cell, replaying the
-strategy's level-ordered ``pair_schedule`` with in-place
-``pair_combine`` hops (plus ``finalize_pair`` on the root) over an
-arena's rows is **byte-identical** to ``combine_flat`` on the same
-rows.  These tests pin that invariant under random data for every
-cell, including non-power-of-two participant subsets and rows
-pre-rounded by the scaled-fp16 wire format — exactly the states the
-worker reduce sees in elastic and ``wire_codecs=("fp16",)`` runs.
+A cell's arithmetic is its hop and its schedule: ``combine_flat`` is
+the in-process replay of the level-ordered ``pair_schedule`` with
+in-place ``pair_combine`` hops (plus ``finalize_pair`` on the root),
+the same replay the process backend's rank workers and the elastic
+collective run over arena rows.  These tests pin that replay
+**byte for byte** against the dict-level oracle (``tests/core/oracle.py``:
+``adasum_per_layer`` over the ``adasum_tree`` / ``adasum_linear``
+recursions, the tree sum, the hierarchical node sums) under random data
+for every scheduled cell, including non-power-of-two participant subsets
+and rows pre-rounded by the scaled-fp16 wire format — exactly the states
+the worker reduce sees in elastic and ``wire_codecs=("fp16",)`` runs.
 """
 
 import pickle
@@ -23,6 +25,7 @@ from repro.core.strategies import (
     pair_schedule,
     registered_cells,
 )
+from tests.core.oracle import reduce_rows
 
 seeds = st.integers(min_value=0, max_value=2 ** 31 - 1)
 worlds = st.integers(min_value=1, max_value=8)
@@ -60,24 +63,6 @@ def _rows(n, sizes, seed):
     return data, boundaries
 
 
-def _replay(strategy, data, boundaries):
-    """Level-ordered in-place replay — what the rank workers execute."""
-    n = data.shape[0]
-    levels = strategy.pair_schedule(n)
-    assert levels is not None
-    work = data.copy()
-    last = len(levels) - 1
-    for depth, level in enumerate(levels):
-        # Within a level, pairs are disjoint: every position is dst or
-        # src of at most one pair, so any execution order is the same.
-        for dst, src, kind in level:
-            strategy.pair_combine(kind, work[dst], work[src], boundaries,
-                                  out=work[dst])
-            if depth == last and dst == 0:
-                strategy.finalize_pair(work[0], n)
-    return work[0]
-
-
 def _assert_bytes_equal(a, b, context):
     np.testing.assert_array_equal(
         np.asarray(a).view(np.uint8), np.asarray(b).view(np.uint8),
@@ -110,15 +95,17 @@ class TestScheduleShape:
 
 
 class TestReplayByteIdentity:
+    """``combine_flat`` (the schedule replay) against the oracle."""
+
     @pytest.mark.parametrize("op,topology,g", _scheduled_cells())
     @settings(max_examples=20, deadline=None)
     @given(seed=seeds, n=worlds)
     def test_replay_matches_combine_flat(self, op, topology, g, seed, n):
         strategy = _strategy(op, topology, g)
         data, boundaries = _rows(n, [3, 1, 5, 7], seed)
-        expected = strategy.combine_flat(data.copy(), boundaries)
         _assert_bytes_equal(
-            _replay(strategy, data, boundaries), expected,
+            strategy.combine_flat(data, boundaries),
+            reduce_rows(op, topology, data, boundaries, g),
             f"{op}/{topology}/g={g}/n={n}",
         )
 
@@ -131,11 +118,10 @@ class TestReplayByteIdentity:
     def test_whole_model_replay(self, op, topology, g, seed):
         # per_layer=False: no boundaries reach the pair combines.
         strategy = _strategy(op, topology, g)
-        n = 8
-        data, _ = _rows(n, [4, 12], seed)
-        expected = strategy.combine_flat(data.copy(), None)
+        data, _ = _rows(8, [4, 12], seed)
         _assert_bytes_equal(
-            _replay(strategy, data, None), expected,
+            strategy.combine_flat(data, None),
+            reduce_rows(op, topology, data, None, g),
             f"whole-model {op}/{topology}/g={g}",
         )
 
@@ -151,10 +137,9 @@ class TestReplayByteIdentity:
         data, boundaries = _rows(n, [3, 1, 5], seed)
         sub = data[parts]
         for op in ("sum", "average", "adasum"):
-            strategy = _strategy(op, "tree")
-            expected = strategy.combine_flat(sub.copy(), boundaries)
             _assert_bytes_equal(
-                _replay(strategy, sub, boundaries), expected,
+                _strategy(op, "tree").combine_flat(sub, boundaries),
+                reduce_rows(op, "tree", sub, boundaries),
                 f"subset {op}/{parts}",
             )
 
@@ -164,15 +149,14 @@ class TestReplayByteIdentity:
     def test_fp16_wire_rounded_rows(self, seed, n, scale):
         # Rows that went through the dynamic-scaling fp16 wire format
         # (scale -> fp16 cast -> decode) land on the fp16 grid; the
-        # replay must still match combine_flat byte for byte on them.
+        # replay must still match the oracle byte for byte on them.
         data, boundaries = _rows(n, [3, 1, 5, 7], seed)
         wire = ((data * scale).astype(np.float16).astype(np.float32)
                 * np.float32(1.0 / scale))
         for op in ("sum", "average", "adasum"):
-            strategy = _strategy(op, "tree")
-            expected = strategy.combine_flat(wire.copy(), boundaries)
             _assert_bytes_equal(
-                _replay(strategy, wire, boundaries), expected,
+                _strategy(op, "tree").combine_flat(wire, boundaries),
+                reduce_rows(op, "tree", wire, boundaries),
                 f"fp16-wire {op}/n={n}",
             )
 

@@ -23,6 +23,7 @@ from repro.core.strategies import (
     get_strategy,
     registered_cells,
 )
+from tests.core.oracle import adasum_rows, reduce_rows, tree_sum
 
 POW2_SIZES = (2, 4, 8)
 #: The retired spelling of the any-size tree.  The frozen benchmark's
@@ -165,10 +166,11 @@ class TestReferenceEquivalence:
     @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
     @pytest.mark.parametrize("op", OPS)
     def test_tree_matches_the_oracle_and_its_schedule(self, op, dtype, per_layer):
-        """The one tree reduces any world: at every n the flat kernel
-        equals the dict oracle (Adasum: ``adasum_per_layer``, which
-        splits a non-power-of-two n at the largest power of two) and a
-        replay of the cell's own pair schedule, byte for byte."""
+        """The one tree reduces any world: at every n the flat kernel (the
+        replay of the cell's own pair schedule) equals the dict oracle
+        byte for byte — Adasum: ``adasum_per_layer``, which splits a
+        non-power-of-two n at the largest power of two; sum and average:
+        the same recursion with a storage-dtype add."""
         cell = get_strategy(op, "tree")
         sizes = (5, 1, 7, 3)
         for ranks in range(1, 10):
@@ -177,20 +179,8 @@ class TestReferenceEquivalence:
             boundaries = list(np.cumsum((0,) + sizes)) if per_layer else None
             got = cell.combine_flat(data, boundaries)
             assert got.dtype == dtype
-            work = data.copy()
-            for level in cell.pair_schedule(ranks):
-                for dst, src, kind in level:
-                    cell.pair_combine(kind, work[dst], work[src], boundaries,
-                                      out=work[dst])
-            if ranks > 1:
-                cell.finalize_pair(work[0], ranks)
-            assert got.tobytes() == work[0].tobytes(), (op, ranks)
-            if op == "adasum":
-                bounds = boundaries or [0, data.shape[1]]
-                dicts = [{f"l{i}": row[lo:hi] for i, (lo, hi)
-                          in enumerate(zip(bounds[:-1], bounds[1:]))} for row in data]
-                ref = adasum_per_layer(dicts)
-                assert got.tobytes() == np.concatenate(list(ref.values())).tobytes(), ranks
+            expected = reduce_rows(op, "tree", data, boundaries)
+            assert got.tobytes() == expected.tobytes(), (op, ranks)
 
     @pytest.mark.parametrize("ranks", ALL_SIZES)
     def test_linear_matches_reference(self, ranks):
@@ -269,6 +259,28 @@ class TestValidation:
                 op="sum",
             )
 
+    @pytest.mark.parametrize("op,topology,g,ranks", [
+        (op, topology, g, ranks)
+        for op, topology in registered_cells()
+        for g in ((1, 2) if topology == "hierarchical" else (1,))
+        for ranks in (1, 2, 3, 8)
+        if (op, topology, ranks) != ("adasum", "rvh", 3)  # rvh: powers of two
+    ])
+    def test_combine_flat_never_writes_its_input(self, op, topology, g, ranks):
+        """A flat kernel writes only rows it owns: on a read-only input
+        any write raises, the input bytes stay as they were, and the
+        result shares no memory with the input — at n = 1 too, where the
+        ``average`` root is the only row."""
+        cell = get_strategy(op, topology)
+        if g != 1:
+            cell = cell.bind(gpus_per_node=g)
+        data, boundaries = _rows(_dicts(seed=90 + ranks, ranks=ranks))
+        before = data.tobytes()
+        data.flags.writeable = False
+        out = cell.combine_flat(data, boundaries)
+        assert data.tobytes() == before
+        assert not np.shares_memory(out, data)
+
     def test_single_rank_identity(self):
         data, boundaries = _rows(_dicts(seed=99, ranks=1))
         for op in OPS:
@@ -286,13 +298,8 @@ class TestHierarchicalStrategy:
         data, boundaries = _rows(_dicts(11, ranks))
         cell = get_strategy("adasum", "hierarchical").bind(gpus_per_node=g)
         got = cell.combine_flat(data, boundaries)
-        node_sums = np.stack([
-            _combine(data[k * g:(k + 1) * g], boundaries, op="sum",
-                        topology="tree")
-            for k in range(ranks // g)
-        ])
-        expected = _combine(node_sums, boundaries, op="adasum",
-                               topology="tree")
+        node_sums = [tree_sum(data[k * g:(k + 1) * g]) for k in range(ranks // g)]
+        expected = adasum_rows(node_sums, boundaries)
         _assert_bit_equal(got, expected, f"ranks={ranks} g={g}")
 
     def test_non_divisible_world_falls_back_to_tree_any(self):

@@ -6,7 +6,6 @@ and across a mid-epoch reshard of the cursor-based iterator.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.data import BatchIterator, ElasticBatchIterator, ShardedSampler

@@ -165,7 +165,7 @@ def _parent_tree_reduce(cluster, data, boundaries, reducer, participants,
     hi)``, splitting at the largest power of two below the span, and
     only a single-rank subtree's send is charged ``leaf_nbytes``."""
     bounds = boundaries if reducer.per_layer else None
-    pairwise = get_strategy("adasum", "tree").combine_pair
+    pairwise = get_strategy("adasum", "tree").pair_combine
     part_set = set(participants)
 
     def combine(sub, acc, lo, hi):
@@ -178,7 +178,7 @@ def _parent_tree_reduce(cluster, data, boundaries, reducer, participants,
             if sub.rank == lo:
                 other = sub.recv(lo + p)
                 sub.compute(acc.nbytes, label="adasum")
-                pairwise(acc, other, bounds, out=acc)
+                pairwise("pair", acc, other, bounds, out=acc)
         else:
             acc = combine(sub, acc, lo + p, hi)
             if sub.rank == lo + p:
