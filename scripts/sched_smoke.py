@@ -11,7 +11,10 @@ checks the contracts the control plane must never break:
 * the full metrics payload is byte-stable across independent runs
   (same seed → same JSON), also when the rerun follows an unrelated
   trace in the same process — nothing process-wide (the module walk
-  caches) leaks from one scheduler into the next;
+  caches, the engine verdicts) leaks from one scheduler into the next;
+* the rerun byte-validates no rank-fused engine: every computation it
+  runs was validated by the first run, and the process keeps those
+  verdicts (``repro.train.trainer._in_process_executor``);
 * no ``/dev/shm`` segment survives the run (jobs own real
   ``ElasticTrainer`` instances, so leaked execution state would show
   up here first).
@@ -30,11 +33,13 @@ from __future__ import annotations
 import json
 import pathlib
 import sys
+from unittest import mock
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core.arena import leaked_shared_segments  # noqa: E402
 from repro.scheduler import Scheduler, generate_trace  # noqa: E402
+from repro.train import FusedRankExecutor  # noqa: E402
 
 
 def _run_trace(policy: str, n_jobs: int, seed: int):
@@ -44,17 +49,33 @@ def _run_trace(policy: str, n_jobs: int, seed: int):
         return sched.run()
 
 
+def _counting_validations():
+    """Patch that counts the engines' byte validations (the original
+    still runs) in its ``call_count``."""
+    return mock.patch.object(
+        FusedRankExecutor, "_validate", autospec=True,
+        side_effect=FusedRankExecutor._validate,
+    )
+
+
 def main() -> int:
     print(f"sched smoke: python {sys.version.split()[0]}")
 
     before = leaked_shared_segments()
 
-    a = _run_trace("loans", n_jobs=40, seed=17)  # fresh: first in the process
+    with _counting_validations() as first:
+        a = _run_trace("loans", n_jobs=40, seed=17)  # fresh: first in the process
     kill = _run_trace("kill", n_jobs=16, seed=3)["aggregate"]
-    b = _run_trace("loans", n_jobs=40, seed=17)  # right after an unrelated trace
+    with _counting_validations() as rerun:
+        b = _run_trace("loans", n_jobs=40, seed=17)  # right after an unrelated trace
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True), (
         "same trace, same seed produced different metrics payloads "
         "after an unrelated trace ran in the same process"
+    )
+    assert first.call_count > 0, "the first run validated no engine"
+    assert rerun.call_count == 0, (
+        f"the rerun validated {rerun.call_count} engine(s) the process "
+        "had already validated"
     )
 
     agg = a["aggregate"]
@@ -84,7 +105,8 @@ def main() -> int:
         f"sched smoke OK: {done} completed / {rejected} rejected, "
         f"{agg['preemptions']} preemptions "
         f"({agg['loans']['shrink']} shrink / {agg['loans']['pause']} pause "
-        f"loans, all returned), deterministic payload, no leaked segments"
+        f"loans, all returned), deterministic payload, "
+        f"{first.call_count} engine validations then none, no leaked segments"
     )
     return 0
 

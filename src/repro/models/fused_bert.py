@@ -29,10 +29,10 @@ row, firing a grad-ready callback per parameter in backward completion
 order (all listed ranks' gradients for a layer land at the same moment,
 so an overlap bucket can launch the instant backward passes it).
 
-Bit-exactness contract (validated at runtime, once per call shape, by
-:class:`~repro.train.trainer.FusedRankExecutor`'s byte comparison
-against the per-rank loop, with permanent fallback to that loop on
-mismatch):
+Bit-exactness contract (validated at runtime, once per call shape and
+process, by :class:`~repro.train.trainer.FusedRankExecutor`'s byte
+comparison against the per-rank loop, with permanent fallback to that
+loop on mismatch):
 
 * elementwise ops, softmax, layer norm and the gelu/CE math are
   row-local — fusing batch blocks cannot change their bits;

@@ -14,6 +14,8 @@ Figure 1, loss meters) plug in without touching the training loop.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import os
 from typing import (
     Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
 )
@@ -34,9 +36,10 @@ from repro.core.distributed_optimizer import DistributedOptimizer, optimizer_del
 from repro.core.orthogonality import OrthogonalityProbe
 from repro.core.overlap import FlatOptimizerMirror, OverlapScheduler, build_fused_engine
 from repro.data.sampler import BatchIterator, ShardedSampler
-from repro.nn import Module, rank_order_hazard
+from repro.nn import Module, Parameter, rank_order_hazard
 from repro.tensor import (
     RankBlocksError,
+    kernel_specialization_enabled,
     rank_blocks,
     set_kernel_specialization,
     tune_allocator,
@@ -292,6 +295,64 @@ class StackedAutograd:
         )
 
 
+#: The process's engine verdicts, shared by every executor
+#: :func:`_in_process_executor` builds: computation key (see
+#: :meth:`FusedRankExecutor._verdict_key`) -> ``True`` when the engine's
+#: bytes matched the per-rank loop, ``False`` when they did not or it
+#: raised :class:`~repro.tensor.RankBlocksError`.  Descriptors only
+#: (classes, names, shapes, dtypes, scalars): it keeps no model, engine
+#: or array alive.  A fork child starts empty, because the kernels a
+#: verdict was measured with are chosen per process
+#: (:func:`~repro.tensor.reset_process_state`).
+_ENGINE_VERDICTS: Dict[tuple, bool] = {}
+
+if hasattr(os, "register_at_fork"):  # not on Windows
+    os.register_at_fork(after_in_child=_ENGINE_VERDICTS.clear)
+
+#: The registries :func:`_tree_key` walks instead of describing them.
+_MODULE_REGISTRIES = frozenset(("_parameters", "_modules", "_buffers", "_flat_cache"))
+_SCALARS = (bool, int, float, str, type(None), np.generic)
+
+
+def _setting(value):
+    """A hashable descriptor of one module attribute; ``TypeError`` for
+    one it cannot represent (an array, a tensor constant, a callable)."""
+    if isinstance(value, _SCALARS):
+        return type(value), value
+    if isinstance(value, Parameter):
+        return Parameter, value.shape, value.dtype.str
+    if isinstance(value, Module):
+        return type(value)  # its own attributes are its entry in the walk
+    if isinstance(value, (tuple, list)):
+        return type(value), tuple(_setting(v) for v in value)
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return type(value), tuple(
+            _setting(getattr(value, f.name)) for f in dataclasses.fields(value)
+        )
+    if isinstance(value, np.random.Generator):
+        # Its state is left out: a forward that draws from it draws
+        # different numbers in the engine's pass and in the loop's, so
+        # such a model never validates whatever the state.
+        return type(value)
+    raise TypeError(f"no descriptor for a {type(value).__name__} attribute")
+
+
+def _tree_key(root) -> tuple:
+    """``root``'s module tree as descriptors, pre-order: each module's
+    qualified name, class and attributes (:func:`_setting`)."""
+    if not isinstance(root, Module):
+        raise TypeError(f"{type(root).__name__} is not a Module")
+    key, stack = [], [("", root)]
+    while stack:
+        prefix, mod = stack.pop()
+        key.append((prefix, type(mod), tuple(
+            (name, _setting(value)) for name, value in vars(mod).items()
+            if name not in _MODULE_REGISTRIES
+        )))
+        stack.extend(reversed([(prefix + n + ".", c) for n, c in mod._modules.items()]))
+    return tuple(key)
+
+
 class FusedRankExecutor(SerialRankExecutor):
     """The serial backend plus a rank-fused engine.
 
@@ -306,16 +367,23 @@ class FusedRankExecutor(SerialRankExecutor):
     ``on_ready``; every other call runs the inherited per-rank loop.
 
     The first call of each shape ``(number of blocks, stacked batch
-    shape)`` is computed both ways and compared byte for byte; a
-    mismatch demotes the engine for good (``engine`` becomes ``None``),
-    and so does a :class:`~repro.tensor.RankBlocksError` (an op the
-    stacked pass cannot keep per rank).  A batch it rejects — it checks
-    its preconditions (``ValueError``/``TypeError``, e.g.
-    ``ignore_index`` targets for the MiniBERT engine) before touching
-    the arena — takes the per-rank loop, bit-identical by that
-    validation.  Once a readiness callback has fired, any error
-    propagates: buckets have already run on the reported rows.
+    shape)`` is computed both ways and compared byte for byte, unless
+    this process has already done so for the same computation (see
+    :func:`_in_process_executor`); a mismatch demotes the engine for
+    good (``engine`` becomes ``None``), and so does a
+    :class:`~repro.tensor.RankBlocksError` (an op the stacked pass
+    cannot keep per rank).  A batch it rejects — it checks its
+    preconditions (``ValueError``/``TypeError``, e.g. ``ignore_index``
+    targets for the MiniBERT engine) before touching the arena — takes
+    the per-rank loop, bit-identical by that validation.  Once a
+    readiness callback has fired, any error propagates: buckets have
+    already run on the reported rows.
     """
+
+    #: The verdict store read before validating a call shape and written
+    #: after (``_ENGINE_VERDICTS``, set by :func:`_in_process_executor`);
+    #: ``None`` validates every call shape itself.
+    _verdicts: Optional[Dict[tuple, bool]] = None
 
     def __init__(self, engine, *args):
         super().__init__(*args)
@@ -348,11 +416,19 @@ class FusedRankExecutor(SerialRankExecutor):
                     marked.append(name)
                     on_ready(name)
 
+            key = None
             try:
                 if shape not in self._validated:
-                    losses = self._validate(rank_indices, rows, x, y, views)
+                    key = self._verdict_key(len(rows), x, y)
+                    verdict = None if key is None else self._verdicts.get(key)
+                    if verdict is None:
+                        losses = self._validate(rank_indices, rows, x, y, views)
+                        if key is not None:
+                            self._verdicts[key] = self.engine is not None
+                    elif not verdict:
+                        self.engine = None  # demoted by an earlier executor
                     self._validated.add(shape)
-                    if on_ready is None:
+                    if verdict is None and on_ready is None:
                         return losses
                 if self.engine is not None:
                     return self.engine.step(x, y, views, ready_cb=ready)
@@ -361,13 +437,35 @@ class FusedRankExecutor(SerialRankExecutor):
                     raise
                 if isinstance(exc, RankBlocksError):
                     self.engine = None  # an op it cannot stack, for good
+                    if key is not None:
+                        self._verdicts[key] = False
         return super().compute(rank_indices, ranks, on_ready)
+
+    def _verdict_key(self, blocks: int, x, y) -> Optional[tuple]:
+        """What decides whether the engine matches the loop on a call:
+        the engine class, the model's and the loss's module trees
+        (:func:`_tree_key`), the block count, the stacked ``x``/``y``
+        shapes and dtypes, the arena dtype and whether kernel
+        specialization is on.  ``None`` — validate here, share nothing —
+        without a store or when an attribute has no descriptor."""
+        if self._verdicts is None:
+            return None
+        try:
+            key = (
+                type(self.engine), _tree_key(self.model), _tree_key(self.loss_fn),
+                blocks, x.shape, x.dtype.str, y.shape, y.dtype.str,
+                self.arena.dtype.str, kernel_specialization_enabled(),
+            )
+            hash(key)
+        except TypeError:
+            return None
+        return key
 
     def _validate(self, rank_indices, rows, x, y, views) -> List[float]:
         """Byte-compare the engine with the per-rank loop on one batch
-        (one extra forward/backward, once per call shape); demote it on
-        any mismatch.  Returns the loop's losses — its rows are what the
-        arena is left holding."""
+        (one extra forward/backward, once per call shape and process);
+        demote it on any mismatch.  Returns the loop's losses — its rows
+        are what the arena is left holding."""
         fused_losses = self.engine.step(x, y, views, ready_cb=None)
         fused_rows = self.arena.data[list(rows)]
         serial_losses = super().compute(rank_indices, rows)
@@ -384,13 +482,26 @@ def _in_process_executor(model: Module, loss_fn: Callable, *args) -> SerialRankE
     :class:`FusedRankExecutor` over the model's registered fused engine
     (MiniBERT), else over :class:`StackedAutograd` when the model is
     rank-order-free (:func:`~repro.nn.rank_order_hazard`), else the
-    plain :class:`SerialRankExecutor`."""
+    plain :class:`SerialRankExecutor`.
+
+    Executors built here share the process's verdicts: a call shape the
+    process has validated for the same computation — engine class,
+    model and loss structure, call shape (see
+    :meth:`FusedRankExecutor._verdict_key`) — is not validated again,
+    whatever the weights and data, and a demotion is inherited without
+    calling the engine.  So the elastic runtime and the scheduler, which
+    build an executor per world and per job, validate each computation
+    once per process.  A model with an attribute the key cannot
+    describe is validated per executor, as is a directly built
+    :class:`FusedRankExecutor`."""
     engine = build_fused_engine(model)
     if engine is None and rank_order_hazard(model) is None:
         engine = StackedAutograd(model, loss_fn)
     if engine is None:
         return SerialRankExecutor(model, loss_fn, *args)
-    return FusedRankExecutor(engine, model, loss_fn, *args)
+    executor = FusedRankExecutor(engine, model, loss_fn, *args)
+    executor._verdicts = _ENGINE_VERDICTS
+    return executor
 
 
 class _ProcessRankWorker:

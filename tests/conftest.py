@@ -5,6 +5,8 @@ import threading
 import numpy as np
 import pytest
 
+from repro.train.trainer import _ENGINE_VERDICTS
+
 
 def pytest_collection_modifyitems(config, items):
     """Keep ``perf``-marked timing guards out of tier-1: they run only
@@ -37,3 +39,10 @@ def started_threads(monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", recording_start)
     return lambda prefix="": [n for n in names if n.startswith(prefix)]
+
+
+@pytest.fixture(autouse=True)
+def _fresh_engine_verdicts():
+    """Every test starts with no engine verdict: an executor validates
+    what no earlier test in the process validated for it."""
+    _ENGINE_VERDICTS.clear()

@@ -13,6 +13,9 @@ block length, whether readiness is asked for and how many calls follow
 one another.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +26,7 @@ from repro.core import GradientArena, RunConfig
 from repro.core.overlap import build_fused_engine
 from repro.models import MLP, BertConfig, LeNet5, MiniBERT, ResNetCIFAR, TinyLSTMClassifier
 from repro.optim import Adam
-from repro.tensor import RankBlocksError, Tensor
+from repro.tensor import RankBlocksError, Tensor, functional as F
 from repro.train import ParallelTrainer
 from repro.train.trainer import (
     FusedRankExecutor,
@@ -360,3 +363,172 @@ def test_a_ragged_step_is_not_mis_split(overlap):
     for (name, p), (_, q) in zip(trainers[0].model.named_parameters(),
                                  trainers[1].model.named_parameters()):
         assert p.data.tobytes() == q.data.tobytes(), name
+
+
+# ----------------------------------------------------------------------
+# The process's engine verdicts: one validation per computation
+# ----------------------------------------------------------------------
+
+class _Pooled(nn.Module):
+    """One convolution and a global average pool: its stride and padding
+    change the computation but no parameter shape."""
+
+    def __init__(self, stride=1, padding=0):
+        super().__init__()
+        self.conv = nn.Conv2d(1, 5, 3, stride=stride, padding=padding,
+                              rng=np.random.default_rng(0))
+
+    def forward(self, x):
+        return F.global_avg_pool2d(self.conv(Tensor(x)))
+
+
+def _mlp(seed=0, activation="relu"):
+    return MLP((7, 13, 5), activation=activation, rng=np.random.default_rng(seed))
+
+
+def _float64_mlp():
+    model = _mlp()
+    for mod in model.modules():
+        for name, p in list(mod._parameters.items()):
+            setattr(mod, name, nn.Parameter(p.data, dtype=np.float64))
+    return model
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """The executors that ran a byte validation so far, one entry per pass."""
+    calls = []
+    validate = FusedRankExecutor._validate
+
+    def counted(self, *args):
+        calls.append(self)
+        return validate(self, *args)
+
+    monkeypatch.setattr(FusedRankExecutor, "_validate", counted)
+    return calls
+
+
+def _shared_run(model=None, x=FEATURES, y=LABELS, loss_fn=None, world=2, block=3, seed=0):
+    """``(executor, losses)``: an executor built as a trainer builds one
+    computes a call of ``world`` ranks of ``block`` samples each."""
+    model = model or _mlp()
+    loss_fn = loss_fn or nn.CrossEntropyLoss()
+    executor = _in_process_executor(
+        model, loss_fn, x, y, block, 1, GradientArena.from_model(model, world))
+    rng = np.random.default_rng(seed)
+    return executor, executor.compute([rng.integers(0, len(x), block) for _ in range(world)])
+
+
+def test_a_validated_computation_is_not_validated_again(validations):
+    """A second executor over a same-structure model, with other weights
+    and other data, runs no validation pass — and lands the bytes an
+    executor that validated them itself lands."""
+    first, _ = _shared_run()
+    assert validations == [first] and first.engine is not None
+    rng = np.random.default_rng(9)
+    data = (rng.standard_normal(FEATURES.shape).astype(np.float32),
+            rng.integers(0, 5, SAMPLES))
+    second, losses = _shared_run(_mlp(seed=1), *data, seed=1)
+    assert validations == [first] and second.engine is not None
+    assert second._validated == first._validated
+    train_trainer._ENGINE_VERDICTS.clear()
+    alone, alone_losses = _shared_run(_mlp(seed=1), *data, seed=1)
+    assert validations == [first, alone]
+    assert losses == alone_losses
+    assert second.arena.data.tobytes() == alone.arena.data.tobytes()
+
+
+#: name -> the keyword arguments of :func:`_shared_run` for two
+#: computations that differ only there (a model is built per run).
+_DIFFERENCES = {
+    "activation": ({}, {"model": lambda: _mlp(activation="tanh")}),
+    "conv_stride": ({"model": _Pooled, "x": IMAGES, "y": LABELS},
+                    {"model": lambda: _Pooled(stride=2), "x": IMAGES, "y": LABELS}),
+    "conv_padding": ({"model": _Pooled, "x": IMAGES, "y": LABELS},
+                     {"model": lambda: _Pooled(padding=1), "x": IMAGES, "y": LABELS}),
+    "ignore_index": ({}, {"loss_fn": nn.CrossEntropyLoss(ignore_index=-100)}),
+    "float64_parameters": ({}, {"model": _float64_mlp}),
+    "block_count": ({}, {"world": 3}),
+    "microbatch": ({}, {"block": 2}),
+}
+
+
+@pytest.mark.parametrize("difference", sorted(_DIFFERENCES))
+def test_another_computation_validates_anew(difference, validations):
+    """Two computations one setting apart validate once each; the first
+    run again validates nothing."""
+    base, other = _DIFFERENCES[difference]
+    for run in (base, other, base):
+        run = dict(run)
+        _shared_run(run.pop("model", _mlp)(), **run)
+    assert len(validations) == 2
+
+
+def test_a_demotion_is_inherited_without_calling_the_engine(validations):
+    """An engine the byte comparison demoted stays demoted for the next
+    executor of that computation, which never calls its own engine."""
+    first, _ = _shared_run(_Centered(), world=4)
+    assert first.engine is None and validations == [first]
+
+    def never(*args, **kwargs):
+        raise AssertionError("a demoted engine was called")
+
+    model, loss_fn = _Centered(), nn.CrossEntropyLoss()
+    executor = _in_process_executor(
+        model, loss_fn, FEATURES, LABELS, 3, 1, GradientArena.from_model(model, 4))
+    executor.engine.step = never
+    reference = SerialRankExecutor(
+        model, loss_fn, FEATURES, LABELS, 3, 1, GradientArena.from_model(model, 4))
+    rank_indices = [np.arange(3 * r, 3 * r + 3) for r in range(4)]
+    assert executor.compute(rank_indices) == reference.compute(rank_indices)
+    _assert_same_rows(executor, reference, "inherited demotion")
+    assert executor.engine is None and validations == [first]
+
+
+def test_an_ignore_index_rejection_records_nothing(validations):
+    """The MiniBERT engine rejects ``ignore_index`` targets before it
+    touches the arena.  That depends on the batch, not the computation:
+    no verdict is recorded and the next executor tries again."""
+    loss_fn = nn.CrossEntropyLoss(ignore_index=-100)
+    for _ in range(2):
+        executor, _ = _shared_run(MODEL, TOKENS, MASKED, loss_fn, block=2)
+        assert executor.engine is not None and not executor._validated
+    assert len(validations) == 2 and not train_trainer._ENGINE_VERDICTS
+
+
+class _Untouchable(dict):
+    """A verdict store that fails the test when it is read or written."""
+
+    def _touched(self, *args):
+        raise AssertionError("a directly built executor used the verdicts")
+
+    get = __contains__ = __getitem__ = __setitem__ = _touched
+
+
+@pytest.mark.parametrize("flip_bit", [False, True])
+def test_directly_built_executors_share_no_verdict(flip_bit, monkeypatch):
+    """The spies' executors validate every call shape themselves: they
+    neither read nor write the process's verdicts."""
+    monkeypatch.setattr(train_trainer, "_ENGINE_VERDICTS", _Untouchable())
+    fused, reference, spy, _ = _executors(3, flip_bit=flip_bit)
+    rank_indices = [np.arange(2 * r, 2 * r + 2) for r in range(3)]
+    for _ in range(2):
+        assert fused.compute(rank_indices) == reference.compute(rank_indices)
+    assert (fused.engine is None) == flip_bit and spy.passes == 2 - flip_bit
+
+
+def test_a_closed_trainers_model_is_freed():
+    """The verdicts describe a model; they do not keep it alive."""
+    model = _mlp()
+    trainer = ParallelTrainer(model, nn.CrossEntropyLoss(), lambda ps: Adam(ps, 1e-2),
+                              FEATURES, LABELS, RunConfig(num_ranks=2, microbatch=4))
+    trainer.train_step([np.arange(4), np.arange(4, 8)])
+    assert list(train_trainer._ENGINE_VERDICTS.values()) == [True]
+    ref = weakref.ref(model)
+    gc.disable()
+    try:
+        trainer.close()
+        del trainer, model
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -8,6 +8,7 @@ normal close, fault-plan kill mid-step — no ``/dev/shm`` segment may
 survive it.
 """
 
+import multiprocessing
 import pickle
 
 import numpy as np
@@ -30,9 +31,11 @@ from repro.models import BertConfig, MiniBERT
 from repro.models.mlp import MLP
 from repro.optim import SGD
 from repro.train.checkpoint import load_checkpoint, save_checkpoint
+import repro.train.trainer as train_trainer
 from repro.train.trainer import (
-    FusedRankExecutor, ParallelTrainer, SerialRankExecutor, _param_publisher,
-    _ProcessRankWorker, build_rank_executor, phased_step,
+    FusedRankExecutor, ParallelTrainer, SerialRankExecutor, _in_process_executor,
+    _param_publisher, _ProcessRankWorker, _specialized_kernels, build_rank_executor,
+    phased_step,
 )
 from tests.rank_state import (
     CODEC_STACKS, LOSSY, OPTIMIZERS, OVERFLOWING, SpikeLoss, assert_same_bytes,
@@ -310,14 +313,56 @@ def test_minibert_processes_match_serial_with_and_without_the_engine(
     assert_same_bytes(ref, procs, f"processes/{reduce_mode}/{start_method}")
 
 
-def test_rank_worker_validates_and_keeps_the_engine():
-    """A ``_ProcessRankWorker`` driven in this process, built from a
-    pickle of its spec as ``spawn`` would: after its first step it holds
-    an engine validated at one rank, and its row holds the loop's bytes."""
+def _answer(conn):
+    assert conn.poll(60), "the forked worker did not answer"
+    return conn.recv()
+
+
+def _serve_rank_worker(conn, spec, validations):
+    """A forked child: report the engine verdicts it inherited, build the
+    rank-1 worker from a pickle of ``spec`` (as ``spawn`` would) and
+    answer each index array sent down ``conn`` with the step's reply,
+    whether it holds a validated engine, and its validation passes."""
+    conn.send(len(train_trainer._ENGINE_VERDICTS))
+    del validations[:]  # the parent's, inherited with its memory
+    worker = _ProcessRankWorker(1, pickle.loads(pickle.dumps(spec)))
+    try:
+        while (idx := conn.recv()) is not None:
+            loss, overflow = worker(("step", idx, False, None))
+            local = worker.local
+            conn.send((loss, overflow, isinstance(local, FusedRankExecutor)
+                       and local.engine is not None, local._validated, len(validations)))
+    finally:
+        worker.close()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+def test_rank_worker_validates_and_keeps_the_engine(monkeypatch):
+    """A ``_ProcessRankWorker`` in a forked process, after its parent
+    validated the same MiniBERT computation: the child inherits no
+    verdict, validates the engine at one rank itself on its first step,
+    keeps it, and its row holds the loop's bytes."""
     tokens, model = _bert_task()
+    validations = []
+    validate = FusedRankExecutor._validate
+
+    def counted(self, *args):
+        validations.append(self)
+        return validate(self, *args)
+
+    monkeypatch.setattr(FusedRankExecutor, "_validate", counted)
+    heap = GradientArena.from_model(model, 3)
+    with _specialized_kernels():  # as in the worker
+        _in_process_executor(model, nn.CrossEntropyLoss(), tokens, tokens, 2, 1,
+                             heap).compute([np.arange(2)], ranks=[1])
+    assert len(validations) == 1
+    assert list(train_trainer._ENGINE_VERDICTS.values()) == [True]
     grads = SharedGradientArena.from_model(model, 3)
     params = SharedGradientArena(grads.layout, 1, dtype=np.float32)
-    worker = None
+    ctx = multiprocessing.get_context("fork")
+    conn, child_conn = ctx.Pipe()
+    child = None
     try:
         spec = {
             "model": model, "loss_fn": nn.CrossEntropyLoss(), "x": tokens, "y": tokens,
@@ -327,22 +372,28 @@ def test_rank_worker_validates_and_keeps_the_engine():
             "microbatch": 2, "accumulation": 1, "reducer": StrategyReducer(),
             "rank_optimizers": [], "pipeline": None,
         }
-        worker = _ProcessRankWorker(1, pickle.loads(pickle.dumps(spec)))
         _param_publisher(model, params)()
-        heap = GradientArena.from_model(model, 3)
+        child = ctx.Process(target=_serve_rank_worker, args=(child_conn, spec, validations))
+        child.start()
+        child_conn.close()  # a child that dies closes the pipe
+        assert _answer(conn) == 0, "the worker inherited its parent's verdicts"
         loop = SerialRankExecutor(model, spec["loss_fn"], tokens, tokens, 2, 1, heap)
         for step, idx in enumerate((np.arange(2), np.arange(2, 4))):
-            loss, overflow = worker(("step", idx, False, None))
+            conn.send(idx)
+            loss, overflow, engine, validated, passes = _answer(conn)
             assert [loss] == loop.compute([idx], ranks=[1]) and not overflow
             assert grads.row(1).tobytes() == heap.row(1).tobytes(), step
-            assert isinstance(worker.local, FusedRankExecutor)
-            assert worker.local.engine is not None
-            assert worker.local._validated == {(1, (2, 8))}
+            assert engine and validated == {(1, (2, 8))} and passes == 1
+        conn.send(None)
     finally:
-        if worker is not None:
-            worker.close()
+        if child is not None:
+            child.join(timeout=60)
+            if child.is_alive():
+                child.kill()
+                child.join()
         params.unlink()
         grads.unlink()
+    assert child.exitcode == 0
 
 
 class TestLifecycle:

@@ -148,7 +148,7 @@ def test_stacked_autograd_beats_the_per_rank_loop():
     with _mlp() as loop_trainer, _mlp() as stacked_trainer:
         loop_trainer.executor.engine = None
         loop, stacked = _step_p10s([loop_trainer, stacked_trainer])
-    assert type(stacked_trainer.executor.engine) is StackedAutograd, "engine demoted"
+        assert type(stacked_trainer.executor.engine) is StackedAutograd, "engine demoted"
     assert loop >= 1.4 * stacked, (
         f"stacked {stacked * 1e3:.2f} ms vs loop {loop * 1e3:.2f} ms "
         f"({loop / stacked:.2f}x)"
@@ -163,7 +163,7 @@ def test_fused_engine_beats_the_per_rank_loop():
     with _minibert("serial") as loop_trainer, _minibert("serial") as engine_trainer:
         loop_trainer.executor.engine = None
         loop, engine = _step_p10s([loop_trainer, engine_trainer])
-    assert engine_trainer.executor.engine is not None, "engine demoted"
+        assert engine_trainer.executor.engine is not None, "engine demoted"
     assert loop >= 1.15 * engine, (
         f"engine {engine * 1e3:.2f} ms vs loop {loop * 1e3:.2f} ms "
         f"({loop / engine:.2f}x)"
