@@ -7,7 +7,9 @@ over a shared-memory arena, train three steps of Figure-3 Adasum + Adam
 through the lossy codec stack with the workers reducing, check the
 result is bit-identical to the serial backend, write a checkpoint from
 the still-open trainer, shut everything down, and verify no worker
-process or ``/dev/shm`` segment survived.  A second leg trains MiniBERT
+process or ``/dev/shm`` segment survived.  The checkpoint is then loaded
+into a fresh serial trainer, whose next three steps must land on the
+bytes of a straight six-step serial run.  A second leg trains MiniBERT
 the same way: each spawned worker builds the model's fused compute
 engine from the registry its fresh interpreter fills lazily, validates
 it at one rank, and must still land on the serial run's bytes.
@@ -16,7 +18,8 @@ The rank workers hold the live optimizer slots and error-feedback
 residuals (each finishes its own arena row), so the step count and Adam
 moments in the checkpoint file can only have come out of the worker
 processes — a single SGD step could not tell a worker-resident
-optimizer from none.
+optimizer from none — and so can the non-zero error-feedback residual
+rows of every rank, without which the resumed run would diverge.
 
 Exercises the pieces most likely to rot across Python versions —
 pickling of the bootstrap spec (model, per-rank optimizers, codec
@@ -47,7 +50,7 @@ from repro.core.arena import SharedGradientArena  # noqa: E402
 from repro.models import MLP, BertConfig, MiniBERT  # noqa: E402
 from repro.optim import Adam  # noqa: E402
 from repro.train import FusedRankExecutor, ParallelTrainer  # noqa: E402
-from repro.train.checkpoint import save_checkpoint  # noqa: E402
+from repro.train.checkpoint import load_checkpoint, save_checkpoint  # noqa: E402
 
 STEPS, RANKS = 3, 2
 
@@ -65,7 +68,10 @@ def _bert_task():
     return tokens, tokens, MiniBERT(config, rng=np.random.default_rng(3))
 
 
-def _train(execution: str, start_method=None, checkpoint=None, task=_mlp_task):
+def _train(execution: str, start_method=None, checkpoint=None, task=_mlp_task,
+           steps=slice(0, STEPS), resume=None):
+    """Train the epoch's ``steps`` batches (after loading the checkpoint
+    ``resume``, if given); write ``checkpoint`` from the open trainer."""
     x, y, model = task()
     config = RunConfig(
         op="adasum", topology="tree", num_ranks=RANKS, microbatch=2, seed=0,
@@ -81,7 +87,9 @@ def _train(execution: str, start_method=None, checkpoint=None, task=_mlp_task):
         if execution == "processes":
             assert isinstance(trainer.arena, SharedGradientArena)
             assert leaked_shared_segments(), "expected live shm segments"
-        batches = [idx for _, idx in trainer.iterator.epoch(0)][:STEPS]
+        if resume is not None:
+            load_checkpoint(resume, model, dist_opt=trainer.dist_opt)
+        batches = [idx for _, idx in trainer.iterator.epoch(0)][steps]
         losses = [trainer.train_step(rank_indices) for rank_indices in batches]
         if execution == "serial" and task is _bert_task:
             # The reference ran the engine too, validated on this host.
@@ -97,7 +105,8 @@ def _train(execution: str, start_method=None, checkpoint=None, task=_mlp_task):
 
 def _check_worker_state_reached_the_file(path) -> None:
     """Every rank optimizer in the checkpoint stepped ``STEPS`` times and
-    carries non-zero Adam first moments."""
+    carries non-zero Adam first moments, and every rank's error-feedback
+    residual row is in the file and non-zero."""
     with np.load(path) as arrays:
         meta = json.loads(bytes(arrays["__meta__"]).decode("utf-8"))
         saved = meta["dist"]["optimizers"]
@@ -110,6 +119,13 @@ def _check_worker_state_reached_the_file(path) -> None:
                 m = arrays[f"opt{rank}/state/{idx}/m"]
                 assert np.any(m != 0), f"rank {rank}: Adam m of slot {idx} is zero"
             assert opt["state_keys"], f"rank {rank}: no optimizer slots in the file"
+        residuals = [key for key in arrays.files if key.startswith("codec/residual/")]
+        assert residuals, "no error-feedback residual rows in the file"
+        for key in residuals:
+            rows = arrays[key]
+            assert len(rows) == RANKS, f"{key}: {len(rows)} rows for {RANKS} ranks"
+            for rank, row in enumerate(rows):
+                assert np.any(row != 0), f"{key}: rank {rank}'s residual row is zero"
 
 
 def _assert_bit_identical(reference, got) -> None:
@@ -134,8 +150,11 @@ def main() -> int:
         losses, params = _train("processes", start_method=start_method,
                                 checkpoint=checkpoint)
         _check_worker_state_reached_the_file(checkpoint)
+        resumed = _train("serial", steps=slice(STEPS, 2 * STEPS), resume=checkpoint)
 
     _assert_bit_identical((ref_losses, ref_params), (losses, params))
+    straight_losses, straight_params = _train("serial", steps=slice(0, 2 * STEPS))
+    _assert_bit_identical((straight_losses[STEPS:], straight_params), resumed)
     bert_losses, bert_params = _train("processes", start_method=start_method,
                                       task=_bert_task)
     _assert_bit_identical(_train("serial", task=_bert_task),
@@ -148,8 +167,9 @@ def main() -> int:
 
     print(f"proc smoke OK: {STEPS} Adam steps through the lossy codec stack "
           f"bit-identical to serial (loss={losses[-1]:.6f}), worker-held "
-          f"optimizer state in the checkpoint, no leaked segments, no stray "
-          f"workers")
+          f"optimizer state and residual rows in the checkpoint, resumed "
+          f"serially onto the straight run's bytes, no leaked segments, no "
+          f"stray workers")
     print(f"proc smoke OK: MiniBERT, fused engine built in each "
           f"{start_method or 'default'}-started worker, {STEPS} steps "
           f"bit-identical to serial (loss={bert_losses[-1]:.6f})")

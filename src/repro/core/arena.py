@@ -312,17 +312,6 @@ class SharedGradientArena(GradientArena):
     anything left over, so aborted runs cannot leak ``/dev/shm`` files.
     Attached (worker-side) arenas only ever :meth:`close` their mapping.
 
-    Control region
-    --------------
-    The segment carries a small trailing control block: one ``uint64``
-    *progress* word per rank, shared by parent and workers.  The
-    worker-parallel tree reduce uses it as a per-level scoreboard — a
-    worker bumps its word after each completed in-place pair combine,
-    so when a rank dies mid-combine the parent can report exactly how
-    many scheduled hops it finished (the structured ``rank_errors``
-    path) without touching gradient rows.  The words live *after* the
-    gradient rows, so row math is unchanged.
-
     Parameters
     ----------
     layout, num_ranks, dtype:
@@ -357,11 +346,7 @@ class SharedGradientArena(GradientArena):
     def _allocate(self) -> np.ndarray:
         from multiprocessing import shared_memory
 
-        row_bytes = self.num_ranks * self.layout.total_size * self.dtype.itemsize
-        # 8-align the control block so the uint64 progress words map
-        # cleanly whatever the row dtype is.
-        ctrl_offset = (row_bytes + 7) & ~7
-        nbytes = max(1, ctrl_offset + 8 * self.num_ranks)
+        nbytes = max(1, self.num_ranks * self.layout.total_size * self.dtype.itemsize)
         if self._owner:
             name = self._requested_name or _next_segment_name()
             self._shm = shared_memory.SharedMemory(
@@ -383,13 +368,8 @@ class SharedGradientArena(GradientArena):
             dtype=self.dtype,
             buffer=self._shm.buf,
         )
-        self.progress = np.ndarray(
-            (self.num_ranks,), dtype=np.uint64,
-            buffer=self._shm.buf, offset=ctrl_offset,
-        )
         if self._owner:
             arr.fill(0)
-            self.progress.fill(0)
         return arr
 
     @staticmethod
@@ -442,14 +422,6 @@ class SharedGradientArena(GradientArena):
     def is_owner(self) -> bool:
         return self._owner
 
-    def reset_progress(self) -> None:
-        """Zero the per-rank progress scoreboard (parent, per reduce)."""
-        self.progress.fill(0)
-
-    def bump_progress(self, rank: int) -> None:
-        """Record one completed scheduled hop for ``rank`` (worker-side)."""
-        self.progress[rank] += np.uint64(1)
-
     def close(self) -> None:
         """Drop this process's mapping (the segment itself survives).
 
@@ -463,7 +435,6 @@ class SharedGradientArena(GradientArena):
         self._closed = True
         self._views = []
         self.data = None
-        self.progress = None
         if self._shm is not None:
             try:
                 self._shm.close()

@@ -146,11 +146,13 @@ class DistributedOptimizer:
         if self.row_home is not None:
             self.row_home.pull(residuals)
 
-    def push_rank_state(self) -> None:
+    def push_rank_state(self, residuals: bool = False) -> None:
         """Hand ``rank_optimizers`` state written here (a checkpoint or
-        snapshot loaded onto a live pool) to whoever holds the live copies."""
+        snapshot loaded onto a live pool) — and, with ``residuals``, the
+        codec stack's error-feedback rows — to whoever holds the live
+        copies."""
         if self.row_home is not None:
-            self.row_home.push()
+            self.row_home.push(residuals)
 
     def zero_grad(self) -> None:
         self.model.zero_grad()

@@ -3,7 +3,8 @@
 Serializes everything needed to resume a distributed run bit-exactly:
 model parameters and buffers, optimizer state (including per-rank
 optimizer states of a post-optimizer-mode DistributedOptimizer), step
-counters, and the dynamic-scaling state of the fp16 path.  Storage is a
+counters, the dynamic-scaling state of the fp16 path and the codec
+stack's error-feedback residual rows.  Storage is a
 single ``.npz`` (arrays) + embedded JSON (scalars), no pickle.
 """
 
@@ -15,6 +16,7 @@ from typing import Dict, Sequence, Union
 
 import numpy as np
 
+from repro.comm.fusion import layout_of
 from repro.core.distributed_optimizer import DistributedOptimizer
 from repro.nn.module import Module
 from repro.optim.optimizer import Optimizer
@@ -59,7 +61,8 @@ def save_checkpoint(
     """Write a checkpoint.
 
     Pass either ``dist_opt`` (captures its shared or per-rank optimizer
-    states, skipped-step counter and dynamic scale) or a bare
+    states, skipped-step counter, fp16 scaler and the codec stack's
+    error-feedback residual rows, one per rank) or a bare
     ``optimizer``.  ``extra`` must be JSON-serializable.
     """
     arrays: Dict[str, np.ndarray] = {}
@@ -71,17 +74,21 @@ def save_checkpoint(
         arrays[f"model/buffer/{name}"] = np.asarray(buf)
 
     if dist_opt is not None:
-        dist_opt.pull_rank_state()  # rank workers may hold the live slots
+        # Rank workers may hold the live slots and residual rows.
+        dist_opt.pull_rank_state(residuals=True)
         scaler = dist_opt.scaler
         meta["dist"] = {
             "num_ranks": dist_opt.num_ranks,
             "op": dist_opt.op,
             "post_optimizer": dist_opt.post_optimizer_mode,
             "skipped_steps": dist_opt.skipped_steps,
-            "fp16_scale": scaler.scale_value if scaler is not None else None,
             "fp16_scaler": scaler.state_dict() if scaler is not None else None,
             "optimizers": [],
         }
+        pipe = dist_opt.wire_pipeline
+        for i, rows in ({} if pipe is None else pipe._residuals).items():
+            if len(rows) == dist_opt.num_ranks:  # bound to this world's rows
+                arrays[f"codec/residual/{i}"] = rows
         opts = dist_opt.rank_optimizers if dist_opt.post_optimizer_mode else [dist_opt.optimizer]
         for i, opt in enumerate(opts):
             meta["dist"]["optimizers"].append(_pack_optimizer(opt, f"opt{i}", arrays))
@@ -123,6 +130,12 @@ def load_checkpoint(
     it the rank counts must match exactly.  Only meaningful for
     post-optimizer mode's per-rank states; a shared-optimizer checkpoint
     needs no mapping.
+
+    The codec stack's error-feedback residual rows are restored row for
+    row when the load keeps the saved world (no ``rank_map``, or the
+    identity over as many ranks); any other load starts them at zero,
+    as an elastic rebuild does.  On a live worker pool both the
+    optimizer states and the residual rows are pushed to the workers.
     """
     with np.load(_resolve(path)) as arrays:
         meta = json.loads(bytes(arrays["__meta__"]).decode("utf-8"))
@@ -141,11 +154,8 @@ def load_checkpoint(
             d = meta["dist"]
             dist_opt.skipped_steps = int(d["skipped_steps"])
             scaler = dist_opt.scaler
-            if scaler is not None and d["fp16_scale"] is not None:
-                # Checkpoints older than "fp16_scaler" carry only the scale.
-                scaler.load_state_dict(d.get("fp16_scaler") or {
-                    **scaler.state_dict(), "scale_value": d["fp16_scale"],
-                })
+            if scaler is not None and d["fp16_scaler"] is not None:
+                scaler.load_state_dict(d["fp16_scaler"])
             opts = (dist_opt.rank_optimizers if dist_opt.post_optimizer_mode
                     else [dist_opt.optimizer])
             n_saved = len(d["optimizers"])
@@ -172,7 +182,27 @@ def load_checkpoint(
                     )
                 for i, (opt, om) in enumerate(zip(opts, d["optimizers"])):
                     _unpack_optimizer(opt, f"opt{i}", arrays, om)
-            dist_opt.push_rank_state()  # a live worker pool steps its own copies
+            same_world = rank_map is None or list(rank_map) == list(range(len(rank_map)))
+            _load_residuals(model, dist_opt, arrays if same_world else None)
+            # A live worker pool steps its own copies.
+            dist_opt.push_rank_state(residuals=True)
         elif optimizer is not None:
             _unpack_optimizer(optimizer, "opt0", arrays, meta["opt"])
         return meta.get("extra", {})
+
+
+def _load_residuals(model: Module, dist_opt: DistributedOptimizer, arrays) -> None:
+    """Bind the codec stack to the model's layout at ``dist_opt``'s world
+    and fill its error-feedback rows from ``arrays`` — zero where the
+    checkpoint holds none for this many ranks, or ``arrays`` is ``None``."""
+    pipe = dist_opt.wire_pipeline
+    if pipe is None or not pipe.error_feedback:
+        return
+    layout = layout_of([(name, p.data) for name, p in model.named_parameters()])
+    pipe.bind(dist_opt.num_ranks, layout.total_size, layout.boundaries())
+    for i, rows in pipe._residuals.items():
+        key = f"codec/residual/{i}"
+        if arrays is not None and key in arrays.files and arrays[key].shape == rows.shape:
+            np.copyto(rows, arrays[key])
+        else:
+            rows.fill(0.0)

@@ -533,9 +533,10 @@ class _ProcessRankWorker:
         replies ``overflow``.
     ``("rollback",)``
         The step was skipped: restore the pre-step residual row.
-    ``("pull", slots, residuals)`` / ``("push", step_count, state)``
+    ``("pull", slots, residuals)`` / ``("push", slots, residuals)``
         Copy the optimizer's ``(step_count, state)`` and/or the residual
-        row out; overwrite the optimizer's from the parent's copy.
+        row out; overwrite them from the parent's copies (``None``:
+        leave that one as it is).
     ``("combine", src, kind, final, n)``
         One scheduled hop of the worker-parallel tree reduce: combine
         this rank's arena row with rank ``src``'s row in place via the
@@ -615,14 +616,12 @@ class _ProcessRankWorker:
         self.pipeline.begin_step(scale)
         return self.pipeline.encode_block(self._row, (0,))
 
-    def _combine(self, src: int, kind: str, final: bool, n: int) -> int:
+    def _combine(self, src: int, kind: str, final: bool, n: int) -> None:
         acc = self.grads.row(self.rank)
         other = self.grads.row(src)
         self._strategy.pair_combine(kind, acc, other, self._boundaries, out=acc)
         if final:
             self._strategy.finalize_pair(acc, n)
-        self.grads.bump_progress(self.rank)
-        return int(self.grads.progress[self.rank])
 
     def __call__(self, msg):
         op = msg[0]
@@ -645,7 +644,11 @@ class _ProcessRankWorker:
                 self.pipeline.residual_row(0) if residuals else None,
             )
         if op == "push":
-            self.optimizer.step_count, self.optimizer.state = msg[1:]
+            _, slots, residuals = msg
+            if slots is not None:
+                self.optimizer.step_count, self.optimizer.state = slots
+            if residuals is not None:
+                self.pipeline.set_residual_row(0, residuals)
             return None
         raise ValueError(f"unknown control message {op!r}")
 
@@ -801,13 +804,20 @@ class _WorkerRows:
                 self.pipeline.set_residual_row(rank, row)
         self._dirty = False
 
-    def push(self) -> None:
-        """Overwrite the workers' optimizer state with the parent's
-        (a checkpoint or snapshot loaded onto a live pool)."""
+    def push(self, residuals: bool = False) -> None:
+        """Overwrite the workers' optimizer state — and, with
+        ``residuals``, their error-feedback rows — with the parent's (a
+        checkpoint or snapshot loaded onto a live pool)."""
         opts = self.dist_opt.rank_optimizers
-        if opts:
-            self._sync([("push", opt.step_count, opt.state) for opt in opts])
-            self._dirty = False
+        residuals = residuals and self.pipeline is not None and self.pipeline.error_feedback
+        if not (opts or residuals):
+            return
+        self._sync([
+            ("push", (opts[r].step_count, opts[r].state) if opts else None,
+             self.pipeline.residual_row(r) if residuals else None)
+            for r in range(self.arena.num_ranks)
+        ])
+        self._dirty = False
 
     def release(self) -> None:
         """The pool is closing.  A healthy one hands its state back
@@ -990,7 +1000,6 @@ class ProcessRankExecutor:
             return root
         # RunConfig checked the cell has a schedule at every world size.
         levels = self.reducer.strategy.pair_schedule(n)
-        self.arena.reset_progress()
         last = len(levels) - 1
         for depth, level in enumerate(levels):
             ranks = [parts[dst] for dst, _src, _kind in level]

@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.core import leaked_shared_segments
 from repro.train.trainer import _ENGINE_VERDICTS
 
 
@@ -39,6 +40,15 @@ def started_threads(monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", recording_start)
     return lambda prefix="": [n for n in names if n.startswith(prefix)]
+
+
+@pytest.fixture
+def no_segment_leaks():
+    """The test leaves ``/dev/shm`` exactly as it found it: every shared
+    segment a run created is unlinked by the time it ends."""
+    before = leaked_shared_segments()
+    yield
+    assert leaked_shared_segments() == before
 
 
 @pytest.fixture(autouse=True)

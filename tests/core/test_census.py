@@ -44,8 +44,8 @@ from repro.train.trainer import (
     ProcessRankExecutor,
     SerialRankExecutor,
     StackedAutograd,
-    compute_grads,
 )
+from tests.reference_step import cell, check_run
 
 RUN_CONFIG_FIELDS = (
     "op", "topology", "gpus_per_node", "per_layer", "adasum_pre_optimizer",
@@ -162,37 +162,11 @@ def test_elastic_trainer_runs_the_configs_cell(topology, num_ranks, gpus_per_nod
 @pytest.mark.parametrize("pre_optimizer", [False, True])
 @pytest.mark.parametrize("accumulation", [1, 2])
 def test_train_step_is_the_per_rank_loop(op, pre_optimizer, accumulation):
-    """``train_step`` over explicit per-rank indices is byte-identical to
-    per-rank ``compute_grads`` (accumulated, then averaged) followed by
-    ``step_arena(from_grad_dicts)`` — the equivalence the ported
-    experiments rely on (pre-optimizer SGD and post-optimizer Adam deltas)."""
-    x, y = _task()
-    loss_fn = nn.CrossEntropyLoss()
-    factory = (lambda ps: SGD(ps, 0.1, momentum=0.9)) if pre_optimizer else (
-        lambda ps: Adam(ps, 0.01))
-    models = [MLP((6, 8, 3), rng=np.random.default_rng(1)) for _ in range(2)]
-    config = RunConfig(op=op, num_ranks=4, microbatch=4,
-                       adasum_pre_optimizer=pre_optimizer)
-    trainer = ParallelTrainer.from_config(models[0], loss_fn, factory, x, y, config,
-                                          accumulation=accumulation)
-    dist = DistributedOptimizer(models[1], factory, config)
-    assert dist.post_optimizer_mode is (op == "adasum" and not pre_optimizer)
-    rng = np.random.default_rng(0)
-    for _ in range(3):
-        rank_indices = rng.integers(0, len(x), size=(4, 4 * accumulation))
-        trainer.train_step(rank_indices)
-        dicts = []
-        for idx in rank_indices:
-            total = None
-            for sub in np.split(idx, accumulation):
-                g = compute_grads(models[1], loss_fn, x[sub], y[sub])[1]
-                total = g if total is None else {k: total[k] + g[k] for k in g}
-            dicts.append({k: v / accumulation for k, v in total.items()})
-        dist.step_arena(GradientArena.from_grad_dicts(dicts))
-        for (name, p), (_, q) in zip(models[0].named_parameters(),
-                                     models[1].named_parameters()):
-            np.testing.assert_array_equal(
-                p.data.view(np.uint8), q.data.view(np.uint8), err_msg=name)
+    """``train_step`` is the per-rank ``compute_grads`` loop (accumulated,
+    then averaged) followed by the reduction: the reference step, which
+    is that loop (pre-optimizer SGD and post-optimizer Adam deltas)."""
+    check_run(cell(op=op, adasum_pre_optimizer=pre_optimizer, accumulation=accumulation,
+                   optimizer="momentum" if pre_optimizer else "adam"))
 
 
 def test_the_dict_entry_points_are_gone():

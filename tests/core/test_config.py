@@ -1,32 +1,25 @@
-"""RunConfig: parsing, central validation, and from_config equivalence.
+"""RunConfig: parsing, central validation, and what a config runs.
 
 A ``RunConfig`` that constructs is runnable — every inconsistent
 combination must fail in ``__post_init__`` (or, for an elastic run, in
-``validate_for_pool``), and a trainer built from a config must behave
-identically to the optimizer, executor and step wired by hand.
+``validate_for_pool``) — and every run built from one is the paper's
+step: generated configurations are held to the serial reference step of
+``tests/reference_step.py``.
 """
-
-import os
-import traceback
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from repro import nn
 from repro.comm.faults import FaultPlan
-from repro.core import (
-    DistributedOptimizer,
-    RunConfig,
-    parse_op,
-    parse_topology,
-)
-from repro.data.sampler import BatchIterator, ShardedSampler
+from repro.core import RunConfig, parse_op, parse_topology
 from repro.elastic import ElasticSchedule, ElasticTrainer
 from repro.models import MLP
 from repro.optim import SGD
 from repro.train import ParallelTrainer
-from repro.train.trainer import build_rank_executor, phased_step
+from tests.rank_state import LOSSY, OPTIMIZERS
+from tests.reference_step import FAULTS, cell, check_run
 
 
 class TestParsers:
@@ -173,80 +166,19 @@ def _toy_problem(seed=0):
 
 
 class TestFromConfig:
+    """A trainer built from a config runs the reference step (one run
+    each of :func:`~tests.reference_step.check_run`)."""
+
     def test_optimizer_from_config_matches_manual(self):
-        """The elastic world-size override builds what a config naming
-        that width builds."""
-        cfg = RunConfig(op="adasum", per_layer=False, wire_codecs=("fp16",))
-        model, _, _ = _toy_problem()
-        built = DistributedOptimizer(model, lambda ps: SGD(ps, 0.05), cfg, num_ranks=4)
-        manual = DistributedOptimizer(
-            model, lambda ps: SGD(ps, 0.05), cfg.replace(num_ranks=4))
-        assert built.num_ranks == manual.num_ranks == 4
-        assert len(built.rank_optimizers) == len(manual.rank_optimizers) == 4
-        assert repr(built.reducer) == repr(manual.reducer) == (
-            "StrategyReducer(op='adasum', topology='tree', per_layer=False)")
-        assert built.scaler is not None and manual.scaler is not None
+        """The elastic trainer's world-size override (``num_ranks=``)."""
+        check_run(cell(per_layer=False, wire_codecs=("fp16",)))
 
     def test_trainer_from_config_bit_identical_to_manual(self):
-        model_a, x, y = _toy_problem()
-        model_b, _, _ = _toy_problem()
-        cfg = RunConfig(op="adasum", num_ranks=4, microbatch=8, seed=3)
-
-        t_cfg = ParallelTrainer.from_config(
-            model_a, nn.CrossEntropyLoss(), lambda ps: SGD(ps, 0.05), x, y, cfg
-        )
-        t_man = _HandWired(
-            model_b,
-            DistributedOptimizer(model_b, lambda ps: SGD(ps, 0.05), cfg),
-            x,
-            y,
-            cfg,
-        )
-        for epoch in range(2):
-            loss_cfg = t_cfg.train_epoch(epoch, max_steps=3)
-            loss_man = t_man.train_epoch(epoch, max_steps=3)
-            assert loss_cfg == loss_man
-        for (na, pa), (nb, pb) in zip(
-            sorted(model_a.named_parameters()), sorted(model_b.named_parameters())
-        ):
-            assert na == nb
-            np.testing.assert_array_equal(pa.data, pb.data)
+        check_run(cell(microbatch=3))
 
     def test_hierarchical_trainer_from_config_bit_identical_to_reference(self):
-        # RunConfig(topology="hierarchical", gpus_per_node=g) end to end:
-        # the trained weights must match a hand-wired step whose reducer
-        # is the reference adasum-tree-over-node-sums cell.
-        from repro.core.strategies import get_strategy
-
-        model_a, x, y = _toy_problem()
-        model_b, _, _ = _toy_problem()
-        cfg = RunConfig(
-            op="adasum", topology="hierarchical", num_ranks=8, gpus_per_node=2,
-            microbatch=8, seed=3,
-        )
-        assert cfg.make_reducer().strategy is not get_strategy(
-            "adasum", "hierarchical"
-        )  # bound copy, registry default untouched
-
-        t_cfg = ParallelTrainer.from_config(
-            model_a, nn.CrossEntropyLoss(), lambda ps: SGD(ps, 0.05), x, y, cfg
-        )
-        t_ref = _HandWired(
-            model_b,
-            DistributedOptimizer(model_b, lambda ps: SGD(ps, 0.05), cfg),
-            x,
-            y,
-            cfg,
-        )
-        for epoch in range(2):
-            assert t_cfg.train_epoch(epoch, max_steps=3) == t_ref.train_epoch(
-                epoch, max_steps=3
-            )
-        for (na, pa), (nb, pb) in zip(
-            sorted(model_a.named_parameters()), sorted(model_b.named_parameters())
-        ):
-            assert na == nb
-            np.testing.assert_array_equal(pa.data, pb.data)
+        check_run(cell(topology="hierarchical", gpus_per_node=2, num_ranks=8,
+                       microbatch=1))
 
     def test_trainer_from_config_rejects_conflicting_strategies(self):
         model, x, y = _toy_problem()
@@ -261,29 +193,6 @@ class TestFromConfig:
                 model, nn.CrossEntropyLoss(), lambda ps: SGD(ps, 0.05), x, y, cfg,
                 execution="processes",
             )
-
-
-class _HandWired:
-    """The reference a trainer must equal, wired by hand: a
-    ``DistributedOptimizer`` built from the config, the rank executor from
-    ``build_rank_executor`` and the one step, ``phased_step``, over the
-    same seeded shards."""
-
-    def __init__(self, model, dist_opt, x, y, config):
-        self.dist_opt = dist_opt
-        self.executor = build_rank_executor(
-            model, nn.CrossEntropyLoss(), dist_opt, x, y, config
-        )
-        sampler = ShardedSampler(len(x), config.num_ranks, seed=config.seed)
-        self.iterator = BatchIterator(sampler, config.microbatch)
-
-    def train_epoch(self, epoch, max_steps):
-        losses = [
-            float(np.mean(phased_step(self.executor, self.dist_opt, idx)))
-            for step, idx in self.iterator.epoch(epoch)
-            if step < max_steps
-        ]
-        return float(np.mean(losses))
 
 
 class TestRejectedAtConstruction:
@@ -327,78 +236,101 @@ class TestRejectedAtConstruction:
 # ----------------------------------------------------------------------
 # Generated construction: what builds, runs
 # ----------------------------------------------------------------------
-def _rejected_by_config(exc):
-    """The error was raised while a ``RunConfig`` validated itself."""
-    return any(
-        frame.filename.endswith(os.path.join("core", "config.py"))
-        for frame in traceback.extract_tb(exc.__traceback__)
-    )
-
-
-FAULTS = {"none": None, "plan": FaultPlan, "schedule": ElasticSchedule}
-
 _RUN_CONFIGS = st.fixed_dictionaries({
     "op": st.sampled_from(["sum", "average", "adasum"]),
     "topology": st.sampled_from(
         ["tree", "linear", "rvh", "ring", "hierarchical"]),
-    "gpus_per_node": st.sampled_from([1, 1, 2, 3]),
+    "gpus_per_node": st.sampled_from([1, 1, 1, 2, 3]),
     "num_ranks": st.integers(1, 8),
     "min_ranks": st.sampled_from([1, 1, 2, 3, 8]),
     "microbatch": st.integers(1, 3),
+    "per_layer": st.booleans(),
+    "adasum_pre_optimizer": st.booleans(),
     "wire_codecs": st.sampled_from(
         [(), ("fp16",), ("int8",), ("fp16", "int8", "topk:0.1")]),
     "bucket_cap_mb": st.sampled_from([None, 0.0002, 1.0]),
-    "overlap": st.booleans(),
-    # Rarely: every processes example starts a worker pool.
+    "overlap": st.sampled_from([False, False, True]),
+    # Rarely: every processes example starts a worker pool (the
+    # explicit examples hold those cells).
     "execution": st.integers(0, 11).map(lambda i: "processes" if i == 0 else "serial"),
-    "reduce_mode": st.sampled_from(["parent", "workers"]),
+    "reduce_mode": st.sampled_from(["parent", "parent", "parent", "workers"]),
     "faults": st.sampled_from(sorted(FAULTS)),
+    # The run around the config.
+    "optimizer": st.sampled_from(sorted(OPTIMIZERS)),
+    "spike": st.sampled_from([False, False, True]),
+    "accumulation": st.integers(1, 2),
+    "probe": st.booleans(),
+    "resume_at": st.sampled_from([None, None, 1, 2]),
+    "loader": st.integers(0, 11).map(
+        lambda i: "processes" if i == 0 else ("same", "serial", "overlap")[i % 3]),
 })
-
-
+@pytest.mark.usefixtures("no_segment_leaks")
 @settings(max_examples=200, deadline=None)
 @given(fields=_RUN_CONFIGS)
+# A covering set of the axis values the hand-written matrices pinned:
+# each value in at least one example, not their product.  Rank
+# processes, the parent or the workers reducing: world sizes 2, 3, 5 and
+# 8 under every op, and each optimizer and codec stack ...
+@example(fields=cell(op="sum", num_ranks=2, execution="processes"))
+@example(fields=cell(op="sum", num_ranks=8, execution="processes", reduce_mode="workers"))
+@example(fields=cell(op="average", num_ranks=3, execution="processes",
+                      reduce_mode="workers", optimizer="adam"))
+@example(fields=cell(op="sum", num_ranks=5, execution="processes",
+                      optimizer="momentum", wire_codecs=("fp16",)))
+@example(fields=cell(num_ranks=5, execution="processes", reduce_mode="workers",
+                      optimizer="momentum", wire_codecs=LOSSY))
+@example(fields=cell(op="average", num_ranks=8, execution="processes",
+                      optimizer="adam", wire_codecs=LOSSY))
+# ... every other topology with a pair schedule, under both modes ...
+@example(fields=cell(topology="linear", execution="processes", accumulation=2))
+@example(fields=cell(topology="linear", execution="processes", reduce_mode="workers",
+                      optimizer="adam"))
+@example(fields=cell(topology="ring", execution="processes", optimizer="momentum",
+                      probe=True))
+@example(fields=cell(topology="ring", execution="processes", reduce_mode="workers",
+                      wire_codecs=LOSSY))
+@example(fields=cell(topology="hierarchical", gpus_per_node=2, execution="processes",
+                      optimizer="adam", probe=True, wire_codecs=LOSSY))
+@example(fields=cell(topology="hierarchical", gpus_per_node=2, execution="processes",
+                      reduce_mode="workers", optimizer="momentum", accumulation=2))
+# ... fp16 overflow spikes, skipped on the parent's one verdict ...
+@example(fields=cell(spike=True, optimizer="momentum", wire_codecs=LOSSY, microbatch=1,
+                      execution="processes"))
+@example(fields=cell(spike=True, optimizer="adam", wire_codecs=LOSSY, microbatch=1,
+                      num_ranks=3, execution="processes", reduce_mode="workers"))
+# ... and elastic only (an ElasticSchedule), ending on a short tail step.
+@example(fields=cell(op="average", num_ranks=5, execution="processes",
+                      reduce_mode="workers", optimizer="momentum", faults="schedule"))
+@example(fields=cell(num_ranks=5, execution="processes", optimizer="adam",
+                      wire_codecs=LOSSY, faults="schedule"))
+# Checkpoints with lossy residual rows: straight, and crossing backends
+# both ways (worker-held state under accumulation and a probe).
+@example(fields=cell(optimizer="adam", wire_codecs=LOSSY, resume_at=2))
+@example(fields=cell(execution="processes", optimizer="momentum", wire_codecs=LOSSY,
+                      accumulation=2, probe=True, resume_at=1, loader="serial"))
+@example(fields=cell(optimizer="adam", wire_codecs=LOSSY, resume_at=2,
+                      loader="processes"))
+# Overlap, and checkpoints crossing it both ways.
+@example(fields=cell(overlap=True, bucket_cap_mb=0.0002, optimizer="momentum"))
+@example(fields=cell(overlap=True, bucket_cap_mb=0.0002, optimizer="adam",
+                      resume_at=2, loader="serial"))
+@example(fields=cell(optimizer="momentum", wire_codecs=LOSSY, bucket_cap_mb=0.0002,
+                      resume_at=1, loader="overlap"))
+# The cells: hierarchical (g = 2) at 8 ranks, rvh against tree.
+@example(fields=cell(topology="hierarchical", gpus_per_node=2, num_ranks=8,
+                      microbatch=1))
+@example(fields=cell(topology="rvh", optimizer="adam", wire_codecs=LOSSY))
+# Pre-optimizer reduction and accumulation, per-layer off, the probe,
+# and a serial fp16 spike.
+@example(fields=cell(op="sum", accumulation=2, optimizer="momentum"))
+@example(fields=cell(adasum_pre_optimizer=True, per_layer=False, accumulation=2,
+                      optimizer="momentum"))
+@example(fields=cell(op="average", optimizer="adam", probe=True,
+                      wire_codecs=("fp16",)))
+@example(fields=cell(spike=True, wire_codecs=LOSSY, microbatch=1))
 def test_a_config_that_builds_runs(fields):
-    """Draw a run over every axis.  If ``RunConfig`` builds, a
-    ``ParallelTrainer`` builds and takes a step; if
-    ``validate_for_pool(8)`` passes too, so does an ``ElasticTrainer``.
-    Every rejection comes from ``RunConfig``, but for one: a
-    ``ParallelTrainer`` refuses an elastic schedule."""
-    fields = dict(fields)
-    faults = FAULTS[fields.pop("faults")]
-    fields["faults"] = faults and faults()
-    try:
-        config = RunConfig(**fields)
-    except ValueError as exc:
-        assert _rejected_by_config(exc), exc
-        event("RunConfig rejects")
-        return
-    event(f"ParallelTrainer, {config.execution}")
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal((48, 5)).astype(np.float32)
-    y = rng.integers(0, 3, 48)
-
-    def model():
-        return MLP((5, 6, 3), rng=np.random.default_rng(1))
-
-    if isinstance(config.faults, ElasticSchedule):
-        with pytest.raises(ValueError, match="ElasticSchedule"):
-            ParallelTrainer(model(), nn.CrossEntropyLoss(), lambda ps: SGD(ps, 0.1),
-                            x, y, config)
-    else:
-        with ParallelTrainer(model(), nn.CrossEntropyLoss(),
-                             lambda ps: SGD(ps, 0.1), x, y, config) as trainer:
-            _, rank_indices = next(iter(trainer.iterator.epoch(0)))
-            assert np.isfinite(trainer.train_step(rank_indices))
-    try:
-        config.validate_for_pool(8)
-    except ValueError as exc:
-        assert _rejected_by_config(exc), exc
-        event("validate_for_pool rejects")
-        return
-    event(f"ElasticTrainer, {config.execution}")
-    with ElasticTrainer(model(), nn.CrossEntropyLoss(), lambda ps: SGD(ps, 0.1),
-                        x, y, config) as trainer:
-        assert trainer.dist_opt.topology == config.topology
-        trainer.begin_epoch(0)
-        assert np.isfinite(trainer.train_step())
+    """Draw a run over every axis and hold it to the reference step
+    (:func:`tests.reference_step.check_run`): if ``RunConfig`` builds, a
+    ``ParallelTrainer`` trains ``K`` steps, and so does a failure-free
+    ``ElasticTrainer`` where ``validate_for_pool(8)`` passes."""
+    check_run(fields, note=event)

@@ -31,6 +31,7 @@ from repro.models import MLP, MiniBERT
 from repro.models.transformer import BertConfig
 from repro.optim import LAMB, SGD, Adam, AdamW, LinearWarmupDecay
 from repro.tensor import tune_allocator
+from tests.rank_state import assert_same_bytes
 
 LAYERS = (6, 10, 8, 4)
 NAMES = tuple(n for n, _ in MLP(LAYERS, rng=np.random.default_rng(0)).named_parameters())
@@ -109,31 +110,18 @@ def _assert_bit_identical(m1, m2):
         )
 
 
-def _assert_same_bytes(a, b, what):
-    """Nested dicts / arrays / scalars equal, arrays byte for byte."""
-    if isinstance(a, dict):
-        assert a.keys() == b.keys(), what
-        for key in a:
-            _assert_same_bytes(a[key], b[key], f"{what}[{key!r}]")
-    elif isinstance(a, np.ndarray):
-        assert a.dtype == b.dtype and a.shape == b.shape, what
-        assert a.tobytes() == b.tobytes(), what
-    else:
-        assert a == b, what
-
-
 def _assert_same_state(phased, overlapped):
     """Everything a step leaves behind: model bytes, optimizer slots and
     step counts, fp16 scaler, skip and byte counters, EF residuals."""
     (m1, d1), (m2, d2) = phased, overlapped
     _assert_bit_identical(m1, m2)
     ranks = range(d1.num_ranks)
-    _assert_same_bytes(pack_dist_state(d1, ranks, {}), pack_dist_state(d2, ranks, {}),
+    assert_same_bytes(pack_dist_state(d1, ranks, {}), pack_dist_state(d2, ranks, {}),
                        "optimizer-side state")
     assert (d1.last_wire_bytes, d1.wire_bytes_total) == (
         d2.last_wire_bytes, d2.wire_bytes_total)
     if d1.wire_pipeline is not None:
-        _assert_same_bytes(d1.wire_pipeline._residuals, d2.wire_pipeline._residuals,
+        assert_same_bytes(d1.wire_pipeline._residuals, d2.wire_pipeline._residuals,
                            "error-feedback residuals")
 
 
@@ -373,7 +361,7 @@ def _check_mirror(optimizer, lr, ranks, order, steps, seed, extreme, rollback=No
         for rank, (a, b) in enumerate(zip(real.rank_optimizers,
                                           mirrored.rank_optimizers)):
             assert a.step_count == b.step_count
-            _assert_same_bytes(a.state, b.state, f"rank {rank} slots, step {step}")
+            assert_same_bytes(a.state, b.state, f"rank {rank} slots, step {step}")
         # Both models take a listed row's delta: the next step starts
         # elsewhere.
         for model, _, deltas in sides:

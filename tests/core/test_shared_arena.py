@@ -31,12 +31,7 @@ def _layout(rng, layers=((4, 3), (7,), (2, 2, 2))):
     return layout_of(named)
 
 
-@pytest.fixture(autouse=True)
-def _no_segment_leaks():
-    """Every test in this module must leave /dev/shm exactly as found."""
-    before = leaked_shared_segments()
-    yield
-    assert leaked_shared_segments() == before
+pytestmark = pytest.mark.usefixtures("no_segment_leaks")
 
 
 class TestLayoutParity:

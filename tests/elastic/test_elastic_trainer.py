@@ -13,8 +13,8 @@ import repro.train.trainer as train_trainer
 from repro.models import MLP, BertConfig, MiniBERT
 from repro.models.fused_bert import FusedBertRankCompute
 from repro.optim import SGD, Adam, LinearWarmupDecay
-from repro.train import ParallelTrainer
 from repro.elastic import ElasticSchedule, ElasticTrainer, StragglerPolicy
+from tests.reference_step import cell, check_run
 
 
 def _task(n=160, seed=0):
@@ -45,21 +45,8 @@ def _elastic(x, y, num_ranks=8, microbatch=4, op="adasum",
 class TestNoFaultParity:
     @pytest.mark.parametrize("op", ["adasum", "average"])
     def test_bit_exact_with_parallel_trainer(self, op):
-        # Failure-free elastic == ParallelTrainer, same seed, divisible
-        # world (128 samples / (4 ranks * 8 microbatch)): identical
-        # batches, identical gradients, identical reduction bytes.
-        x, y = _task(n=128)
-        m_ref = MLP((6, 16, 2), rng=np.random.default_rng(0))
-        ref = ParallelTrainer(m_ref, nn.CrossEntropyLoss(), lambda ps: SGD(ps, 0.3),
-                              x, y, RunConfig(op=op, num_ranks=4, microbatch=8))
-        tr, m_el = _elastic(x, y, num_ranks=4, microbatch=8, op=op)
-        for epoch in range(2):
-            ref_loss = ref.train_epoch(epoch)
-            el_loss = tr.train_epoch(epoch)
-            assert el_loss == ref_loss
-        ref_params = dict(m_ref.named_parameters())
-        for name, p in m_el.named_parameters():
-            np.testing.assert_array_equal(p.data, ref_params[name].data)
+        """Failure-free elastic ≡ ``ParallelTrainer`` ≡ the reference step."""
+        check_run(cell(op=op))
 
 
 class _RealSGD(SGD):
@@ -427,22 +414,10 @@ class TestStraggler:
 
 @pytest.mark.faults
 class TestDiskCheckpointResume:
-    def test_same_world_resume_is_bit_exact(self, tmp_path):
-        # Checkpoint at step 3, keep training to epoch end; a fresh
-        # trainer restoring the checkpoint and finishing the epoch must
-        # land on bit-identical parameters.
-        x, y = _task(n=160)
-        ckpt = str(tmp_path / "el.npz")
-        tr, model = _elastic(x, y, checkpoint_path=ckpt, checkpoint_every=3)
-        tr.train_epoch(0)
-        final = {n: p.data.copy() for n, p in model.named_parameters()}
-
-        tr2, model2 = _elastic(x, y)
-        saved = tr2.restore_from_checkpoint(ckpt)
-        assert tr2.global_step == 3
-        tr2.finish_epoch()
-        for name, p in model2.named_parameters():
-            np.testing.assert_array_equal(p.data, final[name])
+    def test_same_world_resume_is_bit_exact(self):
+        """A checkpoint restored into a fresh trainer of the same world
+        finishes on the straight run's bytes."""
+        check_run(cell(num_ranks=8, microbatch=1, resume_at=2))
 
     def test_8_rank_checkpoint_into_5_rank_run(self, tmp_path):
         x, y = _task(n=160)

@@ -12,8 +12,8 @@ from repro import nn
 from repro.core import RunConfig
 from repro.models import MLP
 from repro.optim import SGD
-from repro.train import ParallelTrainer
 from repro.elastic import ElasticSchedule, ElasticTrainer, StragglerPolicy
+from tests.reference_step import cell, check_run
 
 
 def _task(n=160, seed=0):
@@ -42,20 +42,10 @@ def _hier_elastic(x, y, num_ranks=8, gpus_per_node=2, microbatch=4,
 
 class TestHierarchicalNoFaultParity:
     def test_bit_exact_with_parallel_trainer(self):
-        # Failure-free hierarchical elastic == hierarchical
-        # ParallelTrainer: same node sums, same cross-node Adasum.
-        x, y = _task(n=128)
-        m_ref = _model()
-        config = RunConfig(op="adasum", topology="hierarchical", gpus_per_node=2,
-                           num_ranks=8, microbatch=4)
-        ref = ParallelTrainer(m_ref, nn.CrossEntropyLoss(), lambda ps: SGD(ps, 0.3),
-                              x, y, config)
-        tr, m_el = _hier_elastic(x, y)
-        for epoch in range(2):
-            assert tr.train_epoch(epoch) == ref.train_epoch(epoch)
-        ref_params = dict(m_ref.named_parameters())
-        for name, p in m_el.named_parameters():
-            np.testing.assert_array_equal(p.data, ref_params[name].data)
+        """Failure-free hierarchical elastic ≡ ``ParallelTrainer`` ≡ the
+        reference step: same node sums, same cross-node Adasum."""
+        check_run(cell(topology="hierarchical", gpus_per_node=2, num_ranks=8,
+                       microbatch=4))
 
     def test_from_config_end_to_end(self):
         x, y = _task(n=128)

@@ -1,4 +1,5 @@
-"""Inputs and comparisons shared by the ``processes ≡ serial`` tests.
+"""Inputs and comparisons shared by the equivalence tests and the
+reference step (``tests/reference_step.py``).
 
 Under ``execution="processes"`` the rank workers hold the live per-rank
 optimizer slots and error-feedback residual rows, and the parent reads
@@ -38,17 +39,17 @@ OVERFLOWING = {
 
 class SpikeLoss:
     """Cross-entropy whose gradient is scaled by 1e6 (logits times 1e6)
-    on a batch of nothing but the ``spike`` class: a data-dependent
-    gradient spike, identical under every backend."""
+    on the samples of the ``spike`` class: a data-dependent gradient
+    spike, sample by sample, so identical under every backend and
+    whether or not ranks are stacked into one batch."""
 
     def __init__(self, spike: int):
         self.spike = spike
         self.loss = nn.CrossEntropyLoss()
 
     def __call__(self, logits, targets):
-        if (targets == self.spike).all():
-            logits = logits * 1e6
-        return self.loss(logits, targets)
+        scale = np.where(targets == self.spike, 1e6, 1.0).astype(logits.data.dtype)
+        return self.loss(logits * scale[:, None], targets)
 
 
 def step_record(dist_opt) -> tuple:

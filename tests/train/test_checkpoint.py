@@ -13,6 +13,8 @@ from repro.train import (
     read_checkpoint_meta,
     save_checkpoint,
 )
+from tests.rank_state import LOSSY, assert_same_bytes, residual_rows
+from tests.reference_step import cell, check_run
 
 
 def _task(seed=0):
@@ -82,30 +84,9 @@ class TestBareOptimizer:
 
 
 class TestDistributedOptimizer:
-    def test_resume_is_bit_exact(self, tmp_path):
-        """Train 3 steps, checkpoint, train 3 more; vs 6 straight steps."""
-        model_a = MLP((6, 8, 2), rng=np.random.default_rng(0))
-        tr_a, dopt_a = _trainer(model_a)
-        tr_a.train_epoch(0, max_steps=3)
-        path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, model_a, dist_opt=dopt_a)
-
-        model_b = MLP((6, 8, 2), rng=np.random.default_rng(42))
-        tr_b, dopt_b = _trainer(model_b)
-        load_checkpoint(path, model_b, dist_opt=dopt_b)
-        # Continue both from the same point with the same data stream.
-        for step, rank_idx in tr_a.iterator.epoch(1):
-            if step >= 3:
-                break
-            tr_a.train_step(rank_idx)
-        for step, rank_idx in tr_b.iterator.epoch(1):
-            if step >= 3:
-                break
-            tr_b.train_step(rank_idx)
-        for (n1, p1), (n2, p2) in zip(
-            model_a.named_parameters(), model_b.named_parameters()
-        ):
-            np.testing.assert_array_equal(p1.data, p2.data)
+    def test_resume_is_bit_exact(self):
+        """Train, checkpoint, resume in a fresh trainer: the straight run."""
+        check_run(cell(num_ranks=2, optimizer="adam", resume_at=2))
 
     def test_per_rank_states_roundtrip(self, tmp_path):
         model = MLP((6, 8, 2), rng=np.random.default_rng(0))
@@ -170,22 +151,22 @@ class TestDistributedOptimizer:
         assert dopt2.skipped_steps == 5
 
 
-def _dopt_ranks(model, num_ranks):
+def _dopt_ranks(model, num_ranks, wire_codecs=()):
     return DistributedOptimizer(
         model, lambda ps: Adam(ps, 0.01),
-        RunConfig(num_ranks=num_ranks, op="adasum"),
+        RunConfig(num_ranks=num_ranks, op="adasum", wire_codecs=wire_codecs),
     )
 
 
 class TestRankMap:
     """N-rank checkpoints loaded into M-rank runs (elastic shrink/grow)."""
 
-    def _trained_checkpoint(self, tmp_path, num_ranks=4):
+    def _trained_checkpoint(self, tmp_path, num_ranks=4, wire_codecs=()):
         model = MLP((6, 8, 2), rng=np.random.default_rng(0))
         x, y = _task()
         tr = ParallelTrainer(model, nn.CrossEntropyLoss(), lambda ps: Adam(ps, 0.01),
                              x, y, RunConfig(topology="tree", num_ranks=num_ranks,
-                                             microbatch=8))
+                                             microbatch=8, wire_codecs=wire_codecs))
         dopt = tr.dist_opt
         tr.train_epoch(0, max_steps=3)
         path = tmp_path / "ckpt.npz"
@@ -215,6 +196,24 @@ class TestRankMap:
         for i, src in enumerate([0, 1, 0, 1]):
             assert (dopt2.rank_optimizers[i].step_count
                     == dopt.rank_optimizers[src].step_count)
+
+    def test_residual_rows_load_only_onto_the_saved_world(self, tmp_path):
+        """The codec stack's error-feedback rows load row for row under
+        the identity map; any other map starts them at zero, as an
+        elastic rebuild does."""
+        path, dopt = self._trained_checkpoint(tmp_path, wire_codecs=LOSSY)
+        saved = residual_rows(dopt)
+        assert all(np.any(row) for rows in saved.values() for row in rows.values())
+        for num_ranks, rank_map in ((4, None), (4, [0, 1, 2, 3]), (4, [0, 2, 3, 1]),
+                                    (3, [0, 2, 3])):
+            model2 = MLP((6, 8, 2), rng=np.random.default_rng(1))
+            dopt2 = _dopt_ranks(model2, num_ranks, wire_codecs=LOSSY)
+            load_checkpoint(path, model2, dist_opt=dopt2, rank_map=rank_map)
+            if rank_map in (None, [0, 1, 2, 3]):
+                assert_same_bytes(residual_rows(dopt2), saved, str(rank_map))
+            else:
+                assert not any(np.any(row) for rows in residual_rows(dopt2).values()
+                               for row in rows.values())
 
     def test_map_length_mismatch_rejected(self, tmp_path):
         path, _ = self._trained_checkpoint(tmp_path)

@@ -17,8 +17,8 @@ from repro.elastic.state import pack_dist_state, restore_dist_state
 from repro.models import MLP, LeNet5, MiniBERT
 from repro.optim import SGD, Adam, LinearWarmupDecay
 from repro.train import ParallelTrainer
-from repro.train.checkpoint import load_checkpoint, save_checkpoint
 from repro.train.trainer import FusedRankExecutor, StackedAutograd
+from tests.reference_step import cell, check_run
 
 
 def _assert_bit_identical(m1, m2):
@@ -47,15 +47,7 @@ def _train(model_fn, data_fn, opt_factory, overlap, steps=3, seed=0,
 
 class TestOverlapTrainer:
     def test_mlp_overlap_matches_phased(self):
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal((96, 12)).astype(np.float32)
-        y = rng.integers(0, 4, 96)
-        args = (lambda: MLP((12, 32, 4), rng=np.random.default_rng(0)),
-                lambda: (x, y), lambda ps: SGD(ps, 0.05, momentum=0.9))
-        m_phased, _, l_phased = _train(*args, overlap=False)
-        m_overlap, tr, l_overlap = _train(*args, overlap=True)
-        assert l_phased == l_overlap
-        _assert_bit_identical(m_phased, m_overlap)
+        check_run(cell(overlap=True, bucket_cap_mb=0.0002, optimizer="momentum"))
 
     def test_lenet_serial_hooks_match_phased(self):
         """LeNet has no registered engine — overlap runs rank-stacked
@@ -230,6 +222,7 @@ class TestOverlapTrainer:
 OPTIMIZER_KINDS = pytest.mark.parametrize("opt_cls, opt_kw", [
     (Adam, {}), (SGD, {"momentum": 0.9}),
 ], ids=["adam", "momentum-sgd"])
+_NAMES = {Adam: "adam", SGD: "momentum"}  # the rank_state optimizer of a kind
 
 
 class TestOverlapCheckpoint:
@@ -257,69 +250,32 @@ class TestOverlapCheckpoint:
         return model, trainer.dist_opt, trainer
 
     def _straight(self, opt_cls, opt_kw):
-        """Six phased steps: the batches, the lr after three, the run."""
-        batches = [idx for _, (_, idx) in
-                   zip(range(6), self._build(opt_cls, opt_kw, False)[2].iterator.epoch(0))]
+        """Six phased steps: the batches and the run."""
         ref_model, ref_opt, ref = self._build(opt_cls, opt_kw, False)
-        for idx in batches[:3]:
+        batches = [idx for _, (_, idx) in zip(range(6), ref.iterator.epoch(0))]
+        for idx in batches:
             ref.train_step(idx)
-        lr_after_3 = ref_opt.lr
-        for idx in batches[3:]:
-            ref.train_step(idx)
-        return batches, lr_after_3, ref_model, ref_opt
+        return batches, ref_model, ref_opt
 
     @OPTIMIZER_KINDS
-    def test_overlap_checkpoint_resumes_phased(self, tmp_path, opt_cls, opt_kw):
-        batches, lr_after_3, ref_model, ref_opt = self._straight(opt_cls, opt_kw)
-
-        _, ovl_opt, ovl = self._build(opt_cls, opt_kw, True)
-        try:
-            for idx in batches[:3]:
-                ovl.train_step(idx)
-            assert ovl_opt.lr == lr_after_3
-            assert ovl_opt.rank_optimizers[0].step_count == 3
-            assert len(ovl_opt.rank_optimizers[0].state) == 4
-            save_checkpoint(tmp_path / "ovl", ovl.model, dist_opt=ovl_opt)
-        finally:
-            ovl.close()
-
-        model, dopt, resumed = self._build(opt_cls, opt_kw, False)
-        load_checkpoint(tmp_path / "ovl", model, dist_opt=dopt)
-        assert dopt.lr == lr_after_3
-        for idx in batches[3:]:
-            resumed.train_step(idx)
-        assert dopt.lr == ref_opt.lr
-        _assert_bit_identical(ref_model, model)
+    def test_overlap_checkpoint_resumes_phased(self, opt_cls, opt_kw):
+        check_run(cell(overlap=True, bucket_cap_mb=0.0002, optimizer=_NAMES[opt_cls],
+                       resume_at=2, loader="serial"))
 
     @OPTIMIZER_KINDS
-    def test_checkpoint_resumes_into_overlap(self, tmp_path, opt_cls, opt_kw):
+    def test_checkpoint_resumes_into_overlap(self, opt_cls, opt_kw):
         """A phased checkpoint loaded into an overlap trainer, whose
         mirror exists already: its first step re-syncs from the loaded
         slots and ``step_count`` instead of starting from zero."""
-        batches, _, ref_model, ref_opt = self._straight(opt_cls, opt_kw)
-
-        _, phased_opt, phased = self._build(opt_cls, opt_kw, False)
-        for idx in batches[:3]:
-            phased.train_step(idx)
-        save_checkpoint(tmp_path / "phased", phased.model, dist_opt=phased_opt)
-
-        model, dopt, resumed = self._build(opt_cls, opt_kw, True)
-        try:
-            load_checkpoint(tmp_path / "phased", model, dist_opt=dopt)
-            for idx in batches[3:]:
-                resumed.train_step(idx)
-        finally:
-            resumed.close()
-        assert dopt.lr == ref_opt.lr
-        assert [o.step_count for o in dopt.rank_optimizers] == [6] * 4
-        _assert_bit_identical(ref_model, model)
+        check_run(cell(bucket_cap_mb=0.0002, optimizer=_NAMES[opt_cls],
+                       resume_at=1, loader="overlap"))
 
     @OPTIMIZER_KINDS
     def test_restored_dist_state_rolls_overlap_back(self, opt_cls, opt_kw):
         """``restore_dist_state`` onto a running overlap trainer (an
         elastic-style rollback of two steps): the steps replayed after
         it are the straight run's."""
-        batches, _, ref_model, ref_opt = self._straight(opt_cls, opt_kw)
+        batches, ref_model, ref_opt = self._straight(opt_cls, opt_kw)
         model, dopt, trainer = self._build(opt_cls, opt_kw, True)
         try:
             for idx in batches[:3]:

@@ -2,8 +2,9 @@
 
 The process backend must be invisible in the numbers: for every
 reduction op and world size (including non-powers-of-two), training with
-one OS process per rank over a shared-memory arena produces the same
-bytes as the serial backend.  And however a run ends —
+one OS process per rank over a shared-memory arena is the serial
+reference step of ``tests/reference_step.py``, byte for byte.  And
+however a run ends —
 normal close, fault-plan kill mid-step — no ``/dev/shm`` segment may
 survive it.
 """
@@ -25,12 +26,10 @@ from repro.core import (
     leaked_shared_segments,
 )
 from repro.core.arena import GradientArena, SharedGradientArena
-from repro.core.orthogonality import OrthogonalityProbe
 from repro.data.sampler import BatchIterator, ShardedSampler
 from repro.models import BertConfig, MiniBERT
 from repro.models.mlp import MLP
 from repro.optim import SGD
-from repro.train.checkpoint import load_checkpoint, save_checkpoint
 import repro.train.trainer as train_trainer
 from repro.train.trainer import (
     FusedRankExecutor, ParallelTrainer, SerialRankExecutor, _in_process_executor,
@@ -38,16 +37,12 @@ from repro.train.trainer import (
     phased_step,
 )
 from tests.rank_state import (
-    CODEC_STACKS, LOSSY, OPTIMIZERS, OVERFLOWING, SpikeLoss, assert_same_bytes,
-    dist_state, residual_rows, step_record,
+    CODEC_STACKS, LOSSY, OPTIMIZERS, OVERFLOWING, assert_same_bytes, dist_state,
 )
+from tests.reference_step import cell, check_run
 
 
-@pytest.fixture(autouse=True)
-def _no_segment_leaks():
-    before = leaked_shared_segments()
-    yield
-    assert leaked_shared_segments() == before
+pytestmark = pytest.mark.usefixtures("no_segment_leaks")
 
 
 def _task():
@@ -57,98 +52,31 @@ def _task():
     return x, y, MLP((12, 16, 4), rng=np.random.default_rng(3))
 
 
-def _run(execution, op="adasum", num_ranks=4, topology="tree", steps=2,
-         gpus_per_node=1, accumulation=1, optimizer="sgd", wire_codecs=(),
-         loss_fn=None, trace=None, **trainer_kwargs):
-    """Train a few steps under one backend; return (losses, params).
-
-    ``optimizer`` names an entry of ``OPTIMIZERS`` (or is a factory);
-    a ``trace`` dict is filled with what the steps left behind: the lr /
-    wire bytes / skip count after every step, :func:`dist_state` on the
-    live trainer and again after ``close()``, and the residual rows.
-    """
-    x, y, model = _task()
-    config = RunConfig(
-        op=op, topology=topology, gpus_per_node=gpus_per_node,
-        num_ranks=num_ranks, microbatch=2, seed=0, execution=execution,
-        wire_codecs=wire_codecs,
-    )
-    trainer = ParallelTrainer.from_config(
-        model, loss_fn or nn.CrossEntropyLoss(),
-        OPTIMIZERS.get(optimizer, optimizer),
-        x, y, config, accumulation=accumulation, **trainer_kwargs,
-    )
-    dist_opt = trainer.dist_opt
-    losses = []
-    try:
-        for _, rank_indices in trainer.iterator.epoch(0):
-            if len(losses) >= steps:
-                break
-            losses.append(trainer.train_step(rank_indices))
-            if trace is not None:
-                trace.setdefault("per_step", []).append(step_record(dist_opt))
-        if trace is not None:
-            trace["live"] = dist_state(model, dist_opt)
-    finally:
-        trainer.close()
-    if trace is not None:
-        trace["losses"] = losses
-        trace["closed"] = dist_state(model, dist_opt)
-        trace["residuals"] = residual_rows(dist_opt)
-    return losses, {n: p.data.copy() for n, p in model.named_parameters()}
-
-
-def _assert_bit_identical(ref_params, params, context):
-    for name in ref_params:
-        np.testing.assert_array_equal(
-            ref_params[name].view(np.uint8), params[name].view(np.uint8),
-            err_msg=f"{context}: parameter {name} diverged",
-        )
-
-
 class TestBitExactness:
+    """Every cell under rank processes is the reference step."""
+
     @pytest.mark.parametrize("op", ["sum", "average", "adasum"])
     @pytest.mark.parametrize("num_ranks", [2, 3, 5, 8])
     def test_processes_match_serial(self, op, num_ranks):
-        ref_losses, ref_params = _run("serial", op=op, num_ranks=num_ranks)
-        losses, params = _run("processes", op=op, num_ranks=num_ranks)
-        assert losses == ref_losses, (op, num_ranks)
-        _assert_bit_identical(
-            ref_params, params, f"processes/{op}/world={num_ranks}"
-        )
+        check_run(cell(op=op, num_ranks=num_ranks, execution="processes"),
+                  elastic=False)
 
     @pytest.mark.parametrize(
         "topology,gpus_per_node", [("linear", 1), ("ring", 1), ("tree", 1),
                                    ("hierarchical", 2)],
     )
     def test_processes_across_topologies(self, topology, gpus_per_node):
-        kw = dict(op="adasum", num_ranks=4, topology=topology,
-                  gpus_per_node=gpus_per_node)
-        ref_losses, ref_params = _run("serial", **kw)
-        losses, params = _run("processes", **kw)
-        assert losses == ref_losses
-        _assert_bit_identical(ref_params, params, f"processes/{topology}")
+        check_run(cell(topology=topology, gpus_per_node=gpus_per_node,
+                       execution="processes"), elastic=False)
 
     def test_processes_with_accumulation(self):
-        kw = dict(op="adasum", num_ranks=3, accumulation=2)
-        ref_losses, ref_params = _run("serial", **kw)
-        losses, params = _run("processes", **kw)
-        assert losses == ref_losses
-        _assert_bit_identical(ref_params, params, "processes/accumulation=2")
+        check_run(cell(num_ranks=3, accumulation=2, execution="processes"),
+                  elastic=False)
 
     def test_spawn_start_method_matches(self):
         # Spawn-safety: workers bootstrap from pickles alone.
-        kw = dict(op="adasum", num_ranks=2, steps=1)
-        ref_losses, ref_params = _run("serial", **kw)
-        losses, params = _run("processes", start_method="spawn", **kw)
-        assert losses == ref_losses
-        _assert_bit_identical(ref_params, params, "processes/spawn")
-
-
-def _traced(execution, **kw):
-    trace = {}
-    _run(execution, trace=trace, **kw)
-    return trace
+        check_run(cell(num_ranks=2, execution="processes"), start_method="spawn",
+                  elastic=False)
 
 
 @pytest.mark.parametrize("wire_codecs", CODEC_STACKS, ids=["raw", "lossy"])
@@ -156,27 +84,22 @@ def _traced(execution, **kw):
 class TestWorkerHeldState:
     """Rank workers hold the live optimizer slots and residual rows:
     every observable — per-step losses, lr, wire bytes and skips, model
-    bytes, ``pack_dist_state`` pulled from the live pool and again after
-    ``close()``, the residual rows — equals the serial run's."""
+    bytes, ``pack_dist_state`` and the residual rows pulled from the
+    live pool — equals the reference step's."""
 
     def test_plain_steps(self, optimizer, wire_codecs):
-        kw = dict(optimizer=optimizer, wire_codecs=wire_codecs, steps=4)
-        assert_same_bytes(_traced("serial", **kw), _traced("processes", **kw))
+        check_run(cell(execution="processes", optimizer=optimizer,
+                       wire_codecs=wire_codecs), elastic=False)
 
     def test_accumulation(self, optimizer, wire_codecs):
-        kw = dict(optimizer=optimizer, wire_codecs=wire_codecs, steps=3,
-                  accumulation=2)
-        assert_same_bytes(_traced("serial", **kw), _traced("processes", **kw))
+        check_run(cell(execution="processes", optimizer=optimizer,
+                       wire_codecs=wire_codecs, accumulation=2), elastic=False)
 
     def test_probe_reads_raw_gradients(self, optimizer, wire_codecs):
         # The probe must see gradients, not deltas or decoded rows: the
         # workers finish their rows in a round of their own, after it.
-        kw = dict(optimizer=optimizer, wire_codecs=wire_codecs, steps=3)
-        probes = {ex: OrthogonalityProbe() for ex in ("serial", "processes")}
-        traces = {ex: _traced(ex, probe=probe, **kw) for ex, probe in probes.items()}
-        assert_same_bytes(traces["serial"], traces["processes"])
-        assert probes["serial"].steps == [0, 1, 2]
-        assert_same_bytes(probes["serial"].history, probes["processes"].history)
+        check_run(cell(execution="processes", optimizer=optimizer,
+                       wire_codecs=wire_codecs, probe=True), elastic=False)
 
     def test_second_trainer_on_the_same_optimizer(self, optimizer, wire_codecs):
         # close() hands slots and residual rows back to the parent's
@@ -206,66 +129,31 @@ class TestWorkerHeldState:
 
         assert_same_bytes(two_executors("serial"), two_executors("processes"))
 
-    def test_checkpoint_crosses_backends(self, optimizer, wire_codecs, tmp_path):
-        """3 steps, ``save_checkpoint`` from the still-open trainer,
-        ``load_checkpoint`` into another live trainer (one step into a
-        run of its own, so a live pool holds state the load must
-        replace), 3 more steps: the same bytes whichever backend saved
-        and whichever loaded."""
-        def flow(saver, loader):
-            path = tmp_path / f"{saver}-{loader}.npz"
-            trainers = []
-            try:
-                for execution in (saver, loader):
-                    x, y, model = _task()
-                    config = RunConfig(op="adasum", topology="tree", num_ranks=4,
-                                       microbatch=2, seed=0, execution=execution,
-                                       wire_codecs=wire_codecs)
-                    trainers.append(ParallelTrainer.from_config(
-                        model, nn.CrossEntropyLoss(), OPTIMIZERS[optimizer], x, y, config))
-                a, b = trainers
-                batches = [idx for _, idx in a.iterator.epoch(0)][:6]
-                for idx in batches[:3]:
-                    a.train_step(idx)
-                save_checkpoint(path, a.model, dist_opt=a.dist_opt)
-                b.train_step(batches[0])
-                load_checkpoint(path, b.model, dist_opt=b.dist_opt)
-                losses = [b.train_step(idx) for idx in batches[3:]]
-                return losses, dist_state(b.model, b.dist_opt)
-            finally:
-                for trainer in trainers:
-                    trainer.close()
-
-        ref = flow("serial", "serial")
-        if not wire_codecs:  # (residual rows are not part of a checkpoint)
-            straight = _traced("serial", optimizer=optimizer, steps=6)
-            assert ref[0] == straight["losses"][3:]
-            assert_same_bytes(ref[1]["params"], straight["live"]["params"])
-        assert_same_bytes(ref, flow("processes", "serial"), "saved by processes")
-        assert_same_bytes(ref, flow("serial", "processes"), "loaded into processes")
+    def test_checkpoint_crosses_backends(self, optimizer, wire_codecs):
+        """``save_checkpoint`` from a live trainer of one backend,
+        ``load_checkpoint`` into a live trainer of the other (one step
+        into a run of its own, so a live pool holds state the load must
+        replace): the straight run's bytes, residual rows included."""
+        kw = dict(optimizer=optimizer, wire_codecs=wire_codecs)
+        check_run(cell(execution="processes", resume_at=1, loader="serial", **kw),
+                  elastic=False)
+        check_run(cell(resume_at=2, loader="processes", **kw), elastic=False)
 
 
 @pytest.mark.parametrize("optimizer", sorted(OVERFLOWING))
 def test_forced_fp16_overflow(optimizer):
     """Overflowing steps are skipped on the one verdict the parent
     gives: scale backed off, the workers' residual rows rolled back,
-    the rank optimizers advanced — as the serial run does it."""
-    kw = dict(optimizer=OVERFLOWING[optimizer], wire_codecs=LOSSY, steps=12,
-              loss_fn=SpikeLoss(spike=3))
-    ref = _traced("serial", **kw)
-    skipped = ref["closed"]["packed"]["skipped_steps"]
-    assert 0 < skipped < 12, skipped
-    assert ref["closed"]["packed"]["scaler"]["overflow_count"] == skipped
-    assert all(st["step_count"] == 12 for st in ref["closed"]["packed"]["per_rank"].values())
-    assert_same_bytes(ref, _traced("processes", **kw))
+    the rank optimizers advanced — as the reference step does it."""
+    check_run(cell(spike=True, optimizer=optimizer, wire_codecs=LOSSY, microbatch=1,
+                   execution="processes"), elastic=False)
 
 
 def test_spawned_workers_hold_state():
     # Spawn pickles the parent's optimizers and pipeline beside the
     # model; the (unpicklable) optimizer factory never crosses.
-    kw = dict(optimizer="adam", wire_codecs=LOSSY, steps=3)
-    assert_same_bytes(_traced("serial", **kw),
-                      _traced("processes", start_method="spawn", **kw))
+    check_run(cell(execution="processes", optimizer="adam", wire_codecs=LOSSY),
+              start_method="spawn", elastic=False)
 
 
 def _bert_task():

@@ -28,7 +28,6 @@ from repro.core import (
     DistributedOptimizer,
     RunConfig,
     StrategyReducer,
-    leaked_shared_segments,
 )
 from repro.core.arena import GradientArena, SharedGradientArena
 from repro.elastic.state import pack_optimizer_state, restore_optimizer_state
@@ -52,11 +51,7 @@ OPTIMIZERS = {
 CODEC_STACKS = ((), ("fp16",), ("fp16", "int8", "topk:0.1"), ("onebit",))
 
 
-@pytest.fixture(autouse=True)
-def _no_segment_leaks():
-    before = leaked_shared_segments()
-    yield
-    assert leaked_shared_segments() == before
+pytestmark = pytest.mark.usefixtures("no_segment_leaks")
 
 
 class _PickledCalls:

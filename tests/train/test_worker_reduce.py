@@ -16,139 +16,56 @@ import pytest
 from repro import nn
 from repro.comm.faults import FaultPlan
 from repro.comm.transport import CommError
-from repro.core import RunConfig, leaked_shared_segments
+from repro.core import RunConfig
 from repro.elastic import ElasticSchedule, ElasticTrainer
 from repro.models.mlp import MLP
 from repro.optim import SGD
 from repro.train.trainer import ParallelTrainer
 from tests.rank_state import (
-    CODEC_STACKS, LOSSY, OPTIMIZERS, OVERFLOWING, SpikeLoss, assert_same_bytes,
-    dist_state, step_record,
+    CODEC_STACKS, LOSSY, OPTIMIZERS, OVERFLOWING, assert_same_bytes,
 )
+from tests.reference_step import cell, check_run
 
 
-@pytest.fixture(autouse=True)
-def _no_segment_leaks():
-    before = leaked_shared_segments()
-    yield
-    assert leaked_shared_segments() == before
-
-
-def _run(reduce_mode, op="adasum", num_ranks=4, topology="tree", steps=2,
-         gpus_per_node=1, execution="processes", wire_codecs=(),
-         optimizer="sgd", loss_fn=None, trace=None, **trainer_kwargs):
-    """Train a few steps; return (losses, params).
-
-    ``optimizer`` names an entry of ``OPTIMIZERS`` (or is a factory); a
-    ``trace`` dict receives the per-step lr / wire bytes / skips and
-    :func:`dist_state` pulled from the still-open trainer."""
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal((128, 12)).astype(np.float32)
-    y = (x @ rng.standard_normal((12, 4))).argmax(axis=1)
-    model = MLP((12, 16, 4), rng=np.random.default_rng(3))
-    config = RunConfig(
-        op=op, topology=topology, gpus_per_node=gpus_per_node,
-        num_ranks=num_ranks, microbatch=2, seed=0, execution=execution,
-        reduce_mode=reduce_mode, wire_codecs=wire_codecs,
-    )
-    trainer = ParallelTrainer.from_config(
-        model, loss_fn or nn.CrossEntropyLoss(), OPTIMIZERS.get(optimizer, optimizer),
-        x, y, config, **trainer_kwargs,
-    )
-    dist_opt = trainer.dist_opt
-    losses = []
-    try:
-        for _, rank_indices in trainer.iterator.epoch(0):
-            if len(losses) >= steps:
-                break
-            losses.append(trainer.train_step(rank_indices))
-            if trace is not None:
-                trace.setdefault("per_step", []).append(step_record(dist_opt))
-        if trace is not None:
-            trace["losses"] = losses
-            trace["live"] = dist_state(model, dist_opt)
-    finally:
-        trainer.close()
-    params = {n: p.data.copy() for n, p in model.named_parameters()}
-    return losses, params
-
-
-def _assert_bit_identical(ref_params, params, context):
-    for name in ref_params:
-        np.testing.assert_array_equal(
-            ref_params[name].view(np.uint8), params[name].view(np.uint8),
-            err_msg=f"{context}: parameter {name} diverged",
-        )
+pytestmark = pytest.mark.usefixtures("no_segment_leaks")
 
 
 class TestBitExactness:
+    """Whoever reduces, the run is the reference step: the rows the
+    workers combine are the rows they finished themselves."""
+
     @pytest.mark.parametrize("op", ["sum", "average", "adasum"])
     @pytest.mark.parametrize("num_ranks", [2, 3, 5, 8])
     def test_workers_match_parent_and_serial(self, op, num_ranks):
-        ref_losses, ref_params = _run(
-            "parent", op=op, num_ranks=num_ranks, execution="serial",
-        )
-        for reduce_mode in ("parent", "workers"):
-            losses, params = _run(reduce_mode, op=op, num_ranks=num_ranks)
-            assert losses == ref_losses, (reduce_mode, op, num_ranks)
-            _assert_bit_identical(
-                ref_params, params, f"{reduce_mode}/{op}/world={num_ranks}"
-            )
+        check_run(_workers(op=op, num_ranks=num_ranks), elastic=False)
 
     @pytest.mark.parametrize(
         "topology,gpus_per_node", [("linear", 1), ("ring", 1), ("tree", 1),
                                    ("hierarchical", 2)],
     )
     def test_workers_across_topologies(self, topology, gpus_per_node):
-        kw = dict(op="adasum", num_ranks=4, topology=topology,
-                  gpus_per_node=gpus_per_node)
-        _, ref_params = _run("parent", **kw)
-        _, params = _run("workers", **kw)
-        _assert_bit_identical(ref_params, params, f"workers/{topology}")
+        check_run(_workers(topology=topology, gpus_per_node=gpus_per_node),
+                  elastic=False)
 
     def test_workers_with_fp16_wire(self):
-        # Workers combine the already-encoded rows; the codec round-trip
-        # happens once in the parent, so parity must hold bytewise.
-        kw = dict(op="adasum", num_ranks=4, wire_codecs=("fp16",))
-        _, ref_params = _run("parent", **kw)
-        _, params = _run("workers", **kw)
-        _assert_bit_identical(ref_params, params, "workers/fp16-wire")
+        check_run(_workers(wire_codecs=("fp16",)), elastic=False)
 
     def test_workers_with_codec_stack(self):
-        # Any codec stack composes with the worker-parallel reduce: the
-        # parent round-trips the shared-memory rows before the workers
-        # combine them, so parent and workers see identical bytes even
-        # under a lossy error-feedback stack.
-        kw = dict(op="adasum", num_ranks=4,
-                  wire_codecs=("fp16", "int8", "topk:0.25"))
-        _, ref_params = _run("parent", **kw)
-        _, params = _run("workers", **kw)
-        _assert_bit_identical(ref_params, params, "workers/codec-stack")
+        check_run(_workers(wire_codecs=("fp16", "int8", "topk:0.25")), elastic=False)
 
     @pytest.mark.parametrize("wire_codecs", CODEC_STACKS, ids=["raw", "lossy"])
     @pytest.mark.parametrize("optimizer", sorted(OPTIMIZERS))
     def test_worker_held_state_under_either_reduce(self, optimizer, wire_codecs):
-        # The rows the workers combine are the rows they finished
-        # themselves (own optimizer, own residual row): whoever reduces,
-        # the run equals serial in every observable.
-        kw = dict(optimizer=optimizer, wire_codecs=wire_codecs, steps=4)
-        traces = {}
-        for mode, execution in (("parent", "serial"), ("parent", "processes"),
-                                ("workers", "processes")):
-            traces[mode, execution] = trace = {}
-            _run(mode, execution=execution, trace=trace, **kw)
-        for key in (("parent", "processes"), ("workers", "processes")):
-            assert_same_bytes(traces["parent", "serial"], traces[key], str(key))
+        check_run(_workers(optimizer=optimizer, wire_codecs=wire_codecs), elastic=False)
 
     @pytest.mark.parametrize("optimizer", sorted(OVERFLOWING))
     def test_overflow_skips_before_any_combine(self, optimizer):
-        kw = dict(optimizer=OVERFLOWING[optimizer], wire_codecs=LOSSY, steps=12,
-                  loss_fn=SpikeLoss(spike=3))
-        ref, got = {}, {}
-        _run("parent", execution="serial", trace=ref, **kw)
-        _run("workers", trace=got, **kw)
-        assert 0 < ref["live"]["packed"]["skipped_steps"] < 12
-        assert_same_bytes(ref, got)
+        check_run(_workers(spike=True, optimizer=optimizer, wire_codecs=LOSSY,
+                           microbatch=1), elastic=False)
+
+
+def _workers(**fields):
+    return cell(execution="processes", reduce_mode="workers", **fields)
 
 
 class TestValidation:
@@ -192,7 +109,7 @@ class TestFaultDuringCombine:
             assert err.value.killed_ranks == [1]
             assert 1 in err.value.rank_errors
             # The failed combine never reached apply: params unchanged.
-            _assert_bit_identical(
+            assert_same_bytes(
                 before,
                 {n: p.data.copy() for n, p in model.named_parameters()},
                 "kill-mid-combine",
@@ -227,10 +144,7 @@ class TestElasticWorkers:
             trainer.close()
 
     def test_failure_free_matches_serial(self):
-        loss_s, params_s, _, _ = self._run_elastic("parent", execution="serial")
-        loss_w, params_w, _, _ = self._run_elastic("workers")
-        assert loss_w == loss_s
-        _assert_bit_identical(params_s, params_w, "elastic workers")
+        check_run(_workers(num_ranks=5, microbatch=4, faults="schedule"))
 
     @pytest.mark.faults
     def test_kill_recovery_matches_serial(self):
@@ -247,7 +161,7 @@ class TestElasticWorkers:
             execution="serial",
         )
         assert size_s == 4 and loss_w == loss_s
-        _assert_bit_identical(params_s, params_w, "elastic workers recovery")
+        assert_same_bytes(params_s, params_w, "elastic workers recovery")
 
     @pytest.mark.faults
     def test_mid_combine_kill_recovers(self):
@@ -267,4 +181,4 @@ class TestElasticWorkers:
             execution="serial",
         )
         assert size_s == 4 and loss_w == loss_s
-        _assert_bit_identical(params_s, params_w, "elastic mid-combine kill")
+        assert_same_bytes(params_s, params_w, "elastic mid-combine kill")
